@@ -23,6 +23,17 @@
 //! uses [`InlineRefresh`] (compute at submission, on the train thread); the
 //! persistent [`crate::engine::TrainingEngine`] ships tasks to a dedicated
 //! refresh worker and collects the rows at the next boundary.
+//!
+//! Rows created at boundary `k` are published at boundary `k+1`, so reads
+//! during super-batch `k+1` see a version gap in `[n, 2n−1]`. The one
+//! exception is the first boundary of a fresh trainer: the training device
+//! never computes a hot vertex (the sampler prunes them from the bottom
+//! block), so that boundary's task runs on the train thread, bypassing the
+//! backend, and is published immediately as well as kept pending — reads in
+//! super-batch 0 see gap `[0, n−1]`
+//! (`ConvergenceTrainer::refresh_boundary`). The task itself always samples
+//! through the `sample_one_hop_stable*` entry points, which never prune:
+//! the refresh is what computes the hot rows.
 
 use crate::trainer::ConvergenceTrainer;
 use neutron_graph::{Dataset, VertexId};

@@ -4,6 +4,18 @@
 //! convergence curves: stale embeddings are actually spliced into the
 //! bottom layer and gradients through them are actually cut, so accuracy
 //! differences between policies are measured, not modelled.
+//!
+//! Under [`ReusePolicy::HotnessAware`] the reuse *removes* device work
+//! (§4.1.2): the trainer's sampler drops hot vertices from the frontier
+//! before the bottom hop ([`NeighborSampler::with_bottom_skip`]), so their
+//! neighbours are never sampled, gathered or transferred and the bottom
+//! layer never runs for them; [`ConvergenceTrainer::grad_prepared`] fills
+//! their rows of the bottom layer's output straight from the
+//! [`EmbeddingStore`]. Every pruned row must therefore be in the store from
+//! batch 0: the first super-batch boundary of a fresh trainer computes its
+//! refresh in place and publishes it at once, so reads in the first
+//! super-batch see a version gap in `[0, n−1]`, every later one
+//! `[n, 2n−1]` — always under the `< 2n` bound.
 
 use crate::pool::BatchBuffers;
 use crate::refresh::{CpuPart, InlineRefresh, RefreshBackend, RefreshOutput, RefreshTask};
@@ -30,7 +42,11 @@ pub enum ReusePolicy {
     /// staleness control within an epoch.
     GasLike,
     /// NeutronOrch: reuse only hot vertices, refreshed every super-batch,
-    /// version gap strictly `< 2n` (§4.2.2).
+    /// version gap strictly `< 2n` (§4.2.2). Hot vertices leave the device
+    /// path entirely: they are pruned from the bottom block at sample time
+    /// and their embeddings come from the store. A one-layer model has no
+    /// layer above the bottom one to reuse into, so it builds no hot set
+    /// and no store and trains exactly like [`ReusePolicy::Exact`].
     HotnessAware {
         /// Fraction of vertices treated as hot.
         hot_ratio: f64,
@@ -188,7 +204,12 @@ pub struct ConvergenceTrainer {
     batches: BatchIterator,
     optimizer: Sgd,
     store: Option<EmbeddingStore>,
-    hot: Option<HotSet>,
+    /// Shared with `sampler`, which prunes these vertices from the bottom
+    /// block.
+    hot: Option<Arc<HotSet>>,
+    /// Rows of the bottom layer's output the current batch took from the
+    /// store (ascending); scratch of [`Self::grad_prepared`].
+    frozen: Vec<usize>,
     /// Global batch counter == model parameter version (§4.2.2).
     version: u64,
     /// Share of the hot set whose refresh the CPU backend computes; the
@@ -220,9 +241,12 @@ impl ConvergenceTrainer {
         };
         let model = GnnModel::new(model_cfg);
         let fanout = Fanout::paper_default(config.layers);
-        let sampler = NeighborSampler::new(fanout);
+        let mut sampler = NeighborSampler::new(fanout);
         let batches = BatchIterator::new(dataset.train.clone(), config.batch_size, config.seed);
+        // Reuse splices bottom-layer embeddings into the layer above; a
+        // one-layer model has none, so it gets no store under any policy.
         let (store, hot) = match &config.policy {
+            _ if config.layers < 2 => (None, None),
             ReusePolicy::Exact => (None, None),
             ReusePolicy::GasLike => (
                 Some(EmbeddingStore::new(dataset.spec.hidden_dim, None)),
@@ -238,7 +262,8 @@ impl ConvergenceTrainer {
                     &batches,
                     config.seed ^ 0x407,
                 );
-                let hot = hotness.hot_set(*hot_ratio);
+                let hot = Arc::new(hotness.hot_set(*hot_ratio));
+                sampler = sampler.with_bottom_skip(Arc::clone(&hot));
                 // Strict bound 2n−1 (§4.2.2's largest possible gap).
                 let bound = (2 * super_batch - 1) as u64;
                 (
@@ -257,6 +282,7 @@ impl ConvergenceTrainer {
             optimizer,
             store,
             hot,
+            frozen: Vec::new(),
             version: 0,
             refresh_cpu_fraction: 1.0,
             pending_refresh: None,
@@ -270,7 +296,10 @@ impl ConvergenceTrainer {
         Arc::clone(&self.dataset)
     }
 
-    /// The neighbor sampler (cloneable for worker threads).
+    /// The neighbor sampler (cloneable for worker threads). Under
+    /// [`ReusePolicy::HotnessAware`] it prunes the hot set from the bottom
+    /// block, which [`Self::grad_prepared`] relies on to save work — every
+    /// executor must stage its batches through (a clone of) this sampler.
     pub fn sampler(&self) -> &NeighborSampler {
         &self.sampler
     }
@@ -368,9 +397,11 @@ impl ConvergenceTrainer {
     /// parameter snapshot are installed into the store, then a new
     /// [`RefreshTask`] is captured from the current parameters and handed to
     /// the backend to compute during the upcoming super-batch. Embeddings
-    /// read during super-batch `k` therefore carry the version of boundary
-    /// `k−1`, giving a gap in `[n, 2n−1]` — the paper's `< 2n` bound — while
-    /// the refresh itself overlaps training. Numbers are independent of the
+    /// read during super-batch `k ≥ 1` therefore carry the version of
+    /// boundary `k−1`, giving a gap in `[n, 2n−1]` — the paper's `< 2n`
+    /// bound — while the refresh itself overlaps training; super-batch 0 of
+    /// a fresh trainer reads the rows its own boundary primed (gap
+    /// `[0, n−1]`, see the module docs). Numbers are independent of the
     /// backend: the task is a pure function of its snapshot (see
     /// [`crate::refresh`]).
     pub fn train_batches_with<I>(
@@ -542,43 +573,44 @@ impl ConvergenceTrainer {
     /// [`Self::train_prepared`] is exactly this followed by the step, so
     /// the split cannot change single-replica numerics.
     pub fn grad_prepared(&mut self, blocks: &[Block], feats: &Matrix) -> f32 {
-        let bottom = &blocks[0];
-        // Collect bottom-layer overrides from the HE store.
-        let mut overrides: Vec<(usize, Vec<f32>)> = Vec::new();
-        if let Some(store) = &mut self.store {
-            for (row, &v) in bottom.dst().iter().enumerate() {
-                let eligible = match (&self.hot, &self.config.policy) {
-                    (Some(hot), _) => hot.contains(v),
-                    (None, ReusePolicy::GasLike) => true,
-                    _ => false,
-                };
-                if !eligible {
+        let Self {
+            model,
+            store,
+            hot,
+            frozen,
+            ..
+        } = self;
+        let hot = hot.as_deref();
+        let version = self.version;
+        frozen.clear();
+        // `bottom_out` has one row per `blocks[1].src()` vertex; the rows a
+        // pruned bottom block did not compute are zero until filled here.
+        let pass = model.forward_spliced(blocks, feats, |bottom_out| {
+            let Some(store) = store else { return };
+            for (row, &v) in blocks[1].src().iter().enumerate() {
+                if hot.is_some_and(|hot| !hot.contains(v)) {
                     continue;
                 }
-                if let Some((stored, _gap)) = store
-                    .get(v, self.version)
-                    .expect("super-batch refresh keeps every entry within bound")
-                {
-                    overrides.push((row, stored.to_vec()));
-                }
-            }
-        }
-        let frozen: Vec<usize> = overrides.iter().map(|(r, _)| *r).collect();
-        let pass = self
-            .model
-            .forward_with_bottom_override(blocks, feats, &overrides);
-        // GAS records the embeddings it just computed (for the non-frozen
-        // rows) so later batches can reuse them.
-        if matches!(self.config.policy, ReusePolicy::GasLike) {
-            if let Some(store) = &mut self.store {
-                let bottom_out = &pass.outputs[0];
-                for (row, &v) in bottom.dst().iter().enumerate() {
-                    if !frozen.contains(&row) {
-                        store.put(v, bottom_out.row(row).to_vec(), self.version);
+                let stored = store
+                    .get(v, version)
+                    .expect("super-batch refresh keeps every entry within bound");
+                match (stored, hot) {
+                    (Some((stored, _gap)), _) => {
+                        bottom_out.copy_row_from(row, stored);
+                        frozen.push(row);
                     }
+                    // GAS records the embeddings it just computed so later
+                    // batches can reuse them.
+                    (None, None) => store.put(v, bottom_out.row(row).to_vec(), version),
+                    // The sampler pruned this vertex: nobody computed its
+                    // row, and training on zeros would be silent garbage.
+                    (None, Some(_)) => panic!(
+                        "hot vertex {v} is pruned from the bottom block but has \
+                         no stored embedding at version {version}"
+                    ),
                 }
             }
-        }
+        });
         let labels: Vec<usize> = blocks
             .last()
             .unwrap()
@@ -587,10 +619,8 @@ impl ConvergenceTrainer {
             .map(|&v| self.dataset.labels[v as usize])
             .collect();
         let lr = cross_entropy(pass.logits(), &labels);
-        self.model.zero_grad();
-        let _ = self
-            .model
-            .backward_with_mask(blocks, pass, &lr.d_logits, Some(&frozen));
+        model.zero_grad();
+        let _ = model.backward_with_mask(blocks, pass, &lr.d_logits, Some(frozen));
         lr.loss
     }
 
@@ -626,6 +656,14 @@ impl ConvergenceTrainer {
     /// computes its share immediately (it has the hot features cached,
     /// §4.1.3), the CPU share goes to `backend` — inline for the sequential
     /// trainer, a dedicated worker under the engine.
+    ///
+    /// **Priming.** Hot vertices are pruned from every bottom block, so
+    /// their rows must be readable from batch 0. At the first boundary of a
+    /// trainer with an empty store and nothing pending, both shares run
+    /// here, are published at once *and* stay pending (the next boundary
+    /// republishes the same rows; nothing is computed twice). Reads in that
+    /// first super-batch have gap `[0, n−1]`. A restored trainer brings its
+    /// store and pending refresh from the checkpoint and is not primed.
     fn refresh_boundary(&mut self, backend: &mut dyn RefreshBackend) {
         let hot = match &self.hot {
             Some(h) if !h.is_empty() => h,
@@ -633,16 +671,19 @@ impl ConvergenceTrainer {
         };
         // Publish: the refresh computed from the *previous* boundary's
         // snapshot becomes visible now, stamped with that older version.
-        if let Some(pending) = self.pending_refresh.take() {
-            let cpu = match pending.cpu {
-                CpuPart::Ready(out) => out,
-                CpuPart::Submitted => backend.collect(),
-            };
-            if let Some(store) = &mut self.store {
+        let store = self.store.as_mut().expect("a hot set comes with a store");
+        let prime = match self.pending_refresh.take() {
+            Some(pending) => {
+                let cpu = match pending.cpu {
+                    CpuPart::Ready(out) => out,
+                    CpuPart::Submitted => backend.collect(),
+                };
                 store.put_rows(cpu.rows, cpu.version);
                 store.put_rows(pending.gpu.rows, pending.gpu.version);
+                false
             }
-        }
+            None => store.is_empty(),
+        };
         // Launch: snapshot the bottom layer at the current version and
         // split the worklist. Both partitions are pure functions of the
         // same snapshot and seed, so the split never changes the rows.
@@ -650,21 +691,28 @@ impl ConvergenceTrainer {
         let fanout0 = self.sampler.fanout().at(0);
         let version = self.version;
         let seed = version ^ 0x5b;
-        let make = |vertices: Vec<VertexId>, trainer: &Self| {
+        let make = |vertices: Vec<VertexId>| {
             RefreshTask::new(
-                Arc::clone(&trainer.dataset),
-                trainer.model.layers()[0].clone(),
-                trainer.sampler.clone(),
+                Arc::clone(&self.dataset),
+                self.model.layers()[0].clone(),
+                self.sampler.clone(),
                 vertices,
                 fanout0,
                 version,
                 seed,
             )
         };
-        let gpu_task = make(gpu_vertices, self);
-        let cpu_task = make(cpu_vertices, self);
+        let gpu_task = make(gpu_vertices);
+        let cpu_task = make(cpu_vertices);
         let gpu = gpu_task.run_with_scratch(&mut self.refresh_scratch);
-        let cpu = backend.submit(cpu_task);
+        let cpu = if prime {
+            let cpu = cpu_task.run_with_scratch(&mut self.refresh_scratch);
+            store.put_rows(cpu.rows.iter().cloned(), version);
+            store.put_rows(gpu.rows.iter().cloned(), version);
+            CpuPart::Ready(cpu)
+        } else {
+            backend.submit(cpu_task)
+        };
         self.pending_refresh = Some(PendingRefresh { gpu, cpu });
     }
 
@@ -764,7 +812,7 @@ impl ConvergenceTrainer {
 
     /// The hot-vertex set under `HotnessAware`, `None` otherwise.
     pub fn hot_set(&self) -> Option<&HotSet> {
-        self.hot.as_ref()
+        self.hot.as_deref()
     }
 
     /// Sets the share of the hot set refreshed by the CPU backend (the
@@ -874,6 +922,34 @@ mod tests {
             t.embedding_reuses() > 0,
             "hot embeddings must actually be reused"
         );
+    }
+
+    #[test]
+    fn single_layer_hotness_aware_trains_exactly_like_exact() {
+        // A one-layer model has no layer above the bottom one to reuse
+        // into (its bottom rows *are* the logits): no hot set, no store,
+        // nothing pruned — the Exact trajectory, bit for bit.
+        let one_layer = |policy: ReusePolicy| {
+            let ds = DatasetSpec::tiny().build_full();
+            assert_ne!(ds.spec.hidden_dim, ds.spec.num_classes);
+            let mut cfg = TrainerConfig::convergence_default(LayerKind::Gcn, policy);
+            cfg.layers = 1;
+            cfg.batch_size = 64;
+            ConvergenceTrainer::new(ds, cfg)
+        };
+        let mut exact = one_layer(ReusePolicy::Exact);
+        let mut ours = one_layer(ReusePolicy::HotnessAware {
+            hot_ratio: 0.5,
+            super_batch: 2,
+        });
+        assert!(ours.hot_set().is_none());
+        for e in 0..2 {
+            let (want, got) = (exact.train_epoch(e), ours.train_epoch(e));
+            assert_eq!(got.train_loss.to_bits(), want.train_loss.to_bits());
+            assert_eq!(got.test_accuracy, want.test_accuracy);
+            assert_eq!(got.max_staleness, 0);
+        }
+        assert_eq!(ours.embedding_reuses(), 0);
     }
 
     #[test]

@@ -70,9 +70,42 @@ pub struct GnnModel {
 /// Saved state of one forward pass, consumed by [`GnnModel::backward`].
 pub struct ForwardPass {
     /// Output of each layer, bottom first; `outputs.last()` are the logits.
+    /// Under a model with a layer above the bottom one, `outputs[0]` has one
+    /// row per `blocks[1].src()` vertex — the layer above's input — also
+    /// when a pruned bottom block computed only some of them.
     pub outputs: Vec<Matrix>,
     /// Per-layer intermediates.
     pub ctxs: Vec<LayerCtx>,
+    /// Rows of `outputs[0]` the bottom block computed; `None` = all of them.
+    live: Option<Vec<usize>>,
+}
+
+/// The positions of `blocks[1].src()` whose embedding `blocks[0]` computes,
+/// or `None` when that is every position (an unpruned stack, or a one-layer
+/// model). A pruned stack's `blocks[0].dst()` is the order-preserving
+/// subsequence of `blocks[1].src()` left after dropping the reused vertices
+/// ([`neutron_sample::NeighborSampler::with_bottom_skip`]), so one
+/// two-pointer walk recovers the positions; nothing extra is staged.
+fn live_bottom_rows(blocks: &[Block]) -> Option<Vec<usize>> {
+    let [bottom, upper, ..] = blocks else {
+        return None;
+    };
+    if bottom.num_dst() == upper.num_src() {
+        return None;
+    }
+    let dst = bottom.dst();
+    let mut live = Vec::with_capacity(dst.len());
+    for (p, v) in upper.src().iter().enumerate() {
+        if dst.get(live.len()) == Some(v) {
+            live.push(p);
+        }
+    }
+    assert_eq!(
+        live.len(),
+        dst.len(),
+        "blocks[0].dst() must be an order-preserving subsequence of blocks[1].src()"
+    );
+    Some(live)
 }
 
 impl ForwardPass {
@@ -119,47 +152,57 @@ impl GnnModel {
     }
 
     /// Full forward over a bottom-first block stack. `features` has one row
-    /// per `blocks[0].src()` vertex.
+    /// per `blocks[0].src()` vertex. On a pruned stack (see
+    /// [`Self::forward_spliced`]) the bottom-layer rows nobody supplies are
+    /// zero.
     pub fn forward(&self, blocks: &[Block], features: &Matrix) -> ForwardPass {
-        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut outputs = Vec::with_capacity(self.layers.len());
-        let mut ctxs = Vec::with_capacity(self.layers.len());
-        let mut input = features.clone();
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let (out, ctx) = layer.forward(block, &input);
-            input = out.clone();
-            outputs.push(out);
-            ctxs.push(ctx);
-        }
-        ForwardPass { outputs, ctxs }
+        self.forward_spliced(blocks, features, |_| {})
     }
 
-    /// Forward where the bottom layer's output rows listed in
-    /// `override_rows` are replaced by externally supplied embeddings —
-    /// NeutronOrch's historical-embedding splice (§4.1.2). Gradient flow
-    /// through those rows is cut by [`GnnModel::backward_with_mask`].
-    pub fn forward_with_bottom_override(
+    /// [`Self::forward`] with a hook between the bottom layer and the one
+    /// above it — NeutronOrch's historical-embedding splice (§4.1.2).
+    ///
+    /// `blocks[0]` may be *pruned*: its dst an order-preserving subsequence
+    /// of `blocks[1].src()`. The bottom layer's compact output is scattered
+    /// into the full `blocks[1].num_src() × hidden` matrix (other rows
+    /// zero), then `splice` runs once on that matrix to fill or replace
+    /// rows with externally supplied embeddings. Row for row the result is
+    /// bit-identical to computing every row and overwriting: a bottom-layer
+    /// output row depends only on its own aggregated input row. An unpruned
+    /// stack is the degenerate case (nothing to scatter), and a one-layer
+    /// model has no layer to splice into, so `splice` never runs on it.
+    /// [`Self::backward_with_mask`] hands the bottom layer only the rows it
+    /// computed.
+    pub fn forward_spliced(
         &self,
         blocks: &[Block],
         features: &Matrix,
-        override_rows: &[(usize, Vec<f32>)],
+        mut splice: impl FnMut(&mut Matrix),
     ) -> ForwardPass {
-        assert!(!self.layers.is_empty());
-        let (mut out0, ctx0) = self.layers[0].forward(&blocks[0], features);
-        for (row, values) in override_rows {
-            out0.copy_row_from(*row, values);
-        }
-        let mut outputs = vec![out0.clone()];
-        let mut ctxs = vec![ctx0];
-        let mut input = out0;
-        #[allow(clippy::needless_range_loop)] // layers and blocks advance together
-        for l in 1..self.layers.len() {
-            let (out, ctx) = self.layers[l].forward(&blocks[l], &input);
-            input = out.clone();
+        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
+        let live = live_bottom_rows(blocks);
+        let mut outputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
+        let mut ctxs = Vec::with_capacity(self.layers.len());
+        for (l, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
+            let (mut out, ctx) = layer.forward(block, outputs.last().unwrap_or(features));
+            if l == 0 && blocks.len() > 1 {
+                if let Some(live) = &live {
+                    let mut full = Matrix::zeros(blocks[1].num_src(), out.cols());
+                    for (i, &p) in live.iter().enumerate() {
+                        full.copy_row_from(p, out.row(i));
+                    }
+                    out = full;
+                }
+                splice(&mut out);
+            }
             outputs.push(out);
             ctxs.push(ctx);
         }
-        ForwardPass { outputs, ctxs }
+        ForwardPass {
+            outputs,
+            ctxs,
+            live,
+        }
     }
 
     /// Full backward from `d_logits`; accumulates parameter gradients and
@@ -168,10 +211,12 @@ impl GnnModel {
         self.backward_with_mask(blocks, pass, d_logits, None)
     }
 
-    /// Backward that optionally zeroes the gradient flowing into the bottom
-    /// layer's output rows listed in `frozen_bottom_rows` (historical
-    /// embeddings are constants; "using historical embeddings avoids … the
-    /// associated backward pass", §4.1.2).
+    /// Backward that optionally zeroes the gradient flowing into the rows of
+    /// the bottom layer's (full) output listed in `frozen_bottom_rows`
+    /// (historical embeddings are constants; "using historical embeddings
+    /// avoids … the associated backward pass", §4.1.2). On a pruned stack
+    /// the bottom layer receives only the gradient rows of the vertices it
+    /// computed; the rest end here.
     pub fn backward_with_mask(
         &mut self,
         blocks: &[Block],
@@ -179,8 +224,8 @@ impl GnnModel {
         d_logits: &Matrix,
         frozen_bottom_rows: Option<&[usize]>,
     ) -> Matrix {
+        let ForwardPass { mut ctxs, live, .. } = pass;
         let mut grad = d_logits.clone();
-        let mut ctxs = pass.ctxs;
         for l in (1..self.layers.len()).rev() {
             let ctx = ctxs.pop().expect("ctx per layer");
             grad = self.layers[l].backward(&blocks[l], ctx, &grad);
@@ -189,6 +234,9 @@ impl GnnModel {
             for &r in frozen {
                 grad.row_mut(r).fill(0.0);
             }
+        }
+        if let Some(live) = &live {
+            grad = grad.gather_rows(live);
         }
         let ctx0 = ctxs.pop().expect("bottom ctx");
         self.layers[0].backward(&blocks[0], ctx0, &grad)
@@ -313,15 +361,15 @@ mod tests {
     }
 
     #[test]
-    fn bottom_override_replaces_rows_and_mask_cuts_gradients() {
+    fn splice_replaces_rows_and_mask_cuts_gradients() {
         let (blocks, features, mut model) = sampled_setup(LayerKind::Gcn);
         let hidden = model.layers()[0].out_dim();
         let stale = vec![0.5f32; hidden];
-        let pass = model.forward_with_bottom_override(&blocks, &features, &[(0, stale.clone())]);
+        let pass = model.forward_spliced(&blocks, &features, |out| out.copy_row_from(0, &stale));
         assert_eq!(pass.outputs[0].row(0), &stale[..]);
         // With every bottom row frozen, the bottom weight grad from the
         // aggregation path must be zero.
-        let pass2 = model.forward_with_bottom_override(&blocks, &features, &[]);
+        let pass2 = model.forward(&blocks, &features);
         model.zero_grad();
         let all_rows: Vec<usize> = (0..pass2.outputs[0].rows()).collect();
         let d = Matrix::full(5, 3, 0.3);

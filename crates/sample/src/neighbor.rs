@@ -2,9 +2,11 @@
 
 use crate::block::{Block, BlockParts};
 use crate::fanout::Fanout;
+use crate::hotness::HotSet;
 use neutron_graph::{Csr, VertexId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// Reusable vertex→local-index scratch for block construction.
 ///
@@ -125,12 +127,42 @@ impl BlockBuilder {
 #[derive(Clone, Debug)]
 pub struct NeighborSampler {
     fanout: Fanout,
+    /// Vertices whose bottom-layer embedding the trainer reuses instead of
+    /// computing; see [`Self::with_bottom_skip`].
+    bottom_skip: Option<Arc<HotSet>>,
 }
 
 impl NeighborSampler {
     /// Creates a sampler with the given per-layer fanout.
     pub fn new(fanout: Fanout) -> Self {
-        Self { fanout }
+        Self {
+            fanout,
+            bottom_skip: None,
+        }
+    }
+
+    /// Makes every multi-hop `sample_batch*` entry point drop `skip`'s
+    /// vertices from the frontier **before the bottom hop** (§4.1.2: the
+    /// device reuses their embeddings, so it never samples their
+    /// neighbours, gathers those neighbours' features or runs the bottom
+    /// layer for them). `blocks[0].dst()` becomes the order-preserving,
+    /// skip-free subsequence of `blocks[1].src()`; upper blocks are
+    /// untouched. One-layer fanouts (whose bottom hop produces the seeds'
+    /// logits) and the `sample_one_hop*` entry points never prune, and an
+    /// empty set consumes the rng exactly like no set at all.
+    pub fn with_bottom_skip(mut self, skip: Arc<HotSet>) -> Self {
+        self.bottom_skip = Some(skip);
+        self
+    }
+
+    /// The shared pruning step of the three hop loops: called with the
+    /// frontier of hop `l` before it is sampled.
+    fn prune_bottom_frontier(&self, l: usize, frontier: &mut Vec<VertexId>) {
+        if l == 0 && self.fanout.layers() > 1 {
+            if let Some(skip) = &self.bottom_skip {
+                frontier.retain(|&v| !skip.contains(v));
+            }
+        }
     }
 
     /// The sampler's fanout.
@@ -163,6 +195,7 @@ impl NeighborSampler {
         let mut blocks = Vec::with_capacity(layers);
         let mut frontier: Vec<VertexId> = seeds.to_vec();
         for l in (0..layers).rev() {
+            self.prune_bottom_frontier(l, &mut frontier);
             let block = self.sample_one_hop_with_scratch(
                 g,
                 &frontier,
@@ -197,6 +230,7 @@ impl NeighborSampler {
         frontier.clear();
         frontier.extend_from_slice(seeds);
         for l in (0..layers).rev() {
+            self.prune_bottom_frontier(l, &mut frontier);
             let fanout = self.fanout.at(l);
             let parts = builder.take_parts();
             let BlockBuilder {
@@ -250,6 +284,7 @@ impl NeighborSampler {
         frontier.clear();
         frontier.extend_from_slice(seeds);
         for l in (0..layers).rev() {
+            self.prune_bottom_frontier(l, &mut frontier);
             let fanout = self.fanout.at(l);
             let parts = builder.take_parts();
             let BlockBuilder {

@@ -31,6 +31,10 @@ impl PreSampler {
     }
 
     /// Estimates per-vertex hotness for the given sampling configuration.
+    /// Only `sampler`'s fanout is used: hotness is what an *unpruned* run
+    /// would read, so a sampler that already carries a bottom skip set
+    /// ([`NeighborSampler::with_bottom_skip`]) ranks exactly like one
+    /// without.
     pub fn estimate(
         &self,
         g: &Csr,
@@ -38,6 +42,7 @@ impl PreSampler {
         batches: &BatchIterator,
         seed: u64,
     ) -> HotnessRanking {
+        let sampler = NeighborSampler::new(sampler.fanout().clone());
         let mut counts = vec![0u32; g.num_vertices()];
         for epoch in 0..self.epochs {
             for (bi, batch) in batches.epoch_batches(epoch).iter().enumerate() {

@@ -351,6 +351,27 @@ fn diff_engine() -> Result<(), String> {
     );
     check(hits.iter().sum::<f64>() > 0.0, "no cache hits recorded");
 
+    // Hot rows leave the device path: the hotness-aware engine prunes hot
+    // vertices from the bottom block, so every epoch must stage (hit or
+    // miss) strictly fewer deduped sources than the same data and seed
+    // trained under `ReusePolicy::Exact`. Exact counts, no timing.
+    let misses = series("cache_misses_per_epoch")?;
+    let exact_sources = series("sources_per_epoch_exact")?;
+    check(
+        !exact_sources.is_empty() && exact_sources.iter().all(|&v| v > 0.0),
+        "'sources_per_epoch_exact' must record at least one nonzero exact epoch",
+    );
+    for (e, (hit, miss)) in hits.iter().zip(&misses).enumerate() {
+        let staged = hit + miss;
+        check(
+            exact_sources.iter().all(|&exact| staged < exact),
+            &format!(
+                "epoch {e}: the engine staged {staged} bottom-block sources, not fewer than \
+                 exact training's {exact_sources:?} — hot vertices are not being pruned"
+            ),
+        );
+    }
+
     // Stage breakdown consistency (per-stage timing added with the xtask
     // harness): every stage series spans the epochs, and the train stage's
     // busy + starved time stays within wall-clock (small tolerance for the

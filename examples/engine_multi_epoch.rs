@@ -28,6 +28,13 @@
 //! drops below the cache-less respawn run's from epoch 1 on (epoch 0 runs
 //! before the first plan and ships the full volume — byte accounting is
 //! deterministic, so that equality is asserted, as is the saving).
+//!
+//! Reuse ablation: two more epochs of the same data and seed train under
+//! `ReusePolicy::Exact`; their deduped bottom-block source counts
+//! (`sources_per_epoch_exact`) are what a trainer without reuse stages.
+//! The hotness-aware engine prunes hot vertices from the bottom block, so
+//! every one of its epochs must stage strictly fewer rows (asserted here
+//! and gated, timing-free, by `xtask bench-diff`).
 
 use neutronorch::core::engine::{EngineConfig, TrainingEngine};
 use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
@@ -57,19 +64,29 @@ const GATHER_THREADS: usize = 1;
 /// run the determinism asserts cover.
 const CHECKPOINT_EVERY: usize = 2;
 
-fn trainer(spec: &DatasetSpec) -> ConvergenceTrainer {
+/// Epochs trained under `ReusePolicy::Exact` for the reuse ablation.
+const EXACT_EPOCHS: usize = 2;
+
+fn trainer_with(spec: &DatasetSpec, policy: ReusePolicy) -> ConvergenceTrainer {
     let config = TrainerConfig {
         kind: LayerKind::Gcn,
         layers: 2,
         batch_size: 256,
         lr: 0.2,
         seed: 0xe4e,
-        policy: ReusePolicy::HotnessAware {
+        policy,
+    };
+    ConvergenceTrainer::new(spec.build_full(), config)
+}
+
+fn trainer(spec: &DatasetSpec) -> ConvergenceTrainer {
+    trainer_with(
+        spec,
+        ReusePolicy::HotnessAware {
             hot_ratio: 0.2,
             super_batch: SUPER_BATCH,
         },
-    };
-    ConvergenceTrainer::new(spec.build_full(), config)
+    )
 }
 
 fn fmt_series(xs: &[f64]) -> String {
@@ -115,6 +132,19 @@ fn main() {
         channel_depth: 4,
         h2d_gibps,
     };
+
+    // --- Reuse ablation: what training without reuse stages per epoch
+    // (every gathered row of the all-miss sequential path is one deduped
+    // bottom-block source). No link stall: only the counts matter.
+    let mut exact_trainer = trainer_with(&spec, ReusePolicy::Exact);
+    let exact_sources: Vec<u64> = (0..EXACT_EPOCHS)
+        .map(|epoch| {
+            calibrate
+                .run_epoch_sequential(&mut exact_trainer, epoch)
+                .1
+                .cache_misses
+        })
+        .collect();
 
     // --- Heap-allocation telemetry. Counters only move when a counting
     // global allocator is installed (`--features count-allocs` — the CI
@@ -190,6 +220,11 @@ fn main() {
     println!(
         "epoch  sequential  respawn   engine   occup  cpu_frac  cached  h2d_MiB (vs nocache)  loss"
     );
+    let engine_sources: Vec<u64> = session
+        .epochs
+        .iter()
+        .map(|r| r.report.cache_hits + r.report.cache_misses)
+        .collect();
     for (e, run) in session.epochs.iter().enumerate() {
         assert_eq!(
             run.observation.train_loss, seq_loss[e],
@@ -202,6 +237,11 @@ fn main() {
         assert!(
             run.report.h2d_bytes <= nocache_h2d[e],
             "epoch {e}: the cache may only remove transferred bytes"
+        );
+        assert!(
+            exact_sources.iter().all(|&exact| engine_sources[e] < exact),
+            "epoch {e}: reuse must stage fewer rows ({}) than exact training ({exact_sources:?})",
+            engine_sources[e]
         );
         println!(
             "{e:>5}  {:>9.2}s {:>7.2}s {:>7.2}s  {:>5.2}  {:>8.2}  {:>6}  {:>7.1} ({:>5.1})  {:.4}",
@@ -247,6 +287,9 @@ fn main() {
     println!(
         "adaptive CPU-refresh share trajectory: {}",
         fmt_series(&traj)
+    );
+    println!(
+        "bottom-block sources per epoch: exact {exact_sources:?}, hotness-aware engine {engine_sources:?}"
     );
     let saved = nocache_h2d.iter().sum::<u64>() - engine_h2d.iter().sum::<u64>();
     println!(
@@ -565,7 +608,7 @@ fn main() {
             .join(", ")
     );
     let json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"replica_vertices\": {},\n  \"epochs\": {},\n  \"super_batch\": {},\n  \"sampler_threads\": {},\n  \"gather_threads\": {},\n  \"h2d_gibps\": {:.4},\n  \"gpu_cache_budget_bytes\": {},\n  \"occupancy_ewma_alpha\": {},\n  \"split_hysteresis\": {},\n  \"sequential_epoch_seconds\": {},\n  \"respawn_epoch_seconds\": {},\n  \"engine_epoch_seconds\": {},\n  \"engine_epoch1_seconds\": {:.4},\n  \"engine_warm_mean_seconds\": {:.4},\n  \"respawn_warm_mean_seconds\": {:.4},\n  \"pr3_engine_warm_mean_seconds\": {PR3_ENGINE_WARM_MEAN_SECONDS},\n  \"pr3_respawn_warm_mean_seconds\": {PR3_RESPAWN_WARM_MEAN_SECONDS},\n  \"engine_warm_speedup_vs_pr3\": {:.2},\n  \"stage_seconds\": {stage_seconds},\n  \"kernel_seconds\": {kernel_seconds},\n  \"alloc_counting\": {alloc_counting},\n  \"allocs_per_epoch\": {allocs_per_epoch},\n  \"alloc_bytes_per_epoch\": {alloc_bytes_per_epoch},\n  \"sequential_staging_allocs_per_epoch\": {seq_staging_json},\n  \"engine_staging_allocs_per_epoch\": {eng_staging_json},\n  \"engine_warm_staging_allocs_per_epoch\": {eng_warm_staging},\n  \"checkpoint_every\": {CHECKPOINT_EVERY},\n  \"checkpoint_bytes_per_epoch\": {ck_bytes_json},\n  \"checkpoint_seconds_per_epoch\": {ck_secs_json},\n  \"replicas\": {REPLICAS},\n  \"model_bytes\": {},\n  \"partition_cut_fraction\": {:.4},\n  \"partition_balance\": {:.4},\n  \"replicated_r1_matches_sequential\": true,\n  \"replica_steps_per_epoch\": {repl_steps_json},\n  \"allreduce_bytes_per_epoch\": {allreduce_json},\n  \"remote_feature_bytes_per_epoch\": {remote_json},\n  \"remote_feature_bytes_per_epoch_blind\": {remote_blind_json},\n  \"interconnect_seconds_per_epoch\": {interconnect_json},\n  \"replica_epoch_seconds\": {replica_epoch_json},\n  \"replicated_staging_allocs_per_epoch\": {repl_staging_json},\n  \"refresh_sharded\": {refresh_sharded},\n  \"adaptive_cpu_fraction\": {},\n  \"smoothed_occupancy\": {},\n  \"cached_vertices_per_epoch\": {},\n  \"cache_hits_per_epoch\": {},\n  \"cache_misses_per_epoch\": {},\n  \"h2d_bytes_per_epoch\": {},\n  \"h2d_bytes_per_epoch_nocache\": {},\n  \"refresh_worker_seconds\": {},\n  \"train_occupancy\": {},\n  \"workers_spawned_once\": {},\n  \"engine_startup_seconds\": {:.4},\n  \"losses\": {}\n}}\n",
+        "{{\n  \"dataset\": \"{}\",\n  \"replica_vertices\": {},\n  \"epochs\": {},\n  \"super_batch\": {},\n  \"sampler_threads\": {},\n  \"gather_threads\": {},\n  \"h2d_gibps\": {:.4},\n  \"gpu_cache_budget_bytes\": {},\n  \"occupancy_ewma_alpha\": {},\n  \"split_hysteresis\": {},\n  \"sequential_epoch_seconds\": {},\n  \"respawn_epoch_seconds\": {},\n  \"engine_epoch_seconds\": {},\n  \"engine_epoch1_seconds\": {:.4},\n  \"engine_warm_mean_seconds\": {:.4},\n  \"respawn_warm_mean_seconds\": {:.4},\n  \"pr3_engine_warm_mean_seconds\": {PR3_ENGINE_WARM_MEAN_SECONDS},\n  \"pr3_respawn_warm_mean_seconds\": {PR3_RESPAWN_WARM_MEAN_SECONDS},\n  \"engine_warm_speedup_vs_pr3\": {:.2},\n  \"stage_seconds\": {stage_seconds},\n  \"kernel_seconds\": {kernel_seconds},\n  \"alloc_counting\": {alloc_counting},\n  \"allocs_per_epoch\": {allocs_per_epoch},\n  \"alloc_bytes_per_epoch\": {alloc_bytes_per_epoch},\n  \"sequential_staging_allocs_per_epoch\": {seq_staging_json},\n  \"engine_staging_allocs_per_epoch\": {eng_staging_json},\n  \"engine_warm_staging_allocs_per_epoch\": {eng_warm_staging},\n  \"checkpoint_every\": {CHECKPOINT_EVERY},\n  \"checkpoint_bytes_per_epoch\": {ck_bytes_json},\n  \"checkpoint_seconds_per_epoch\": {ck_secs_json},\n  \"replicas\": {REPLICAS},\n  \"model_bytes\": {},\n  \"partition_cut_fraction\": {:.4},\n  \"partition_balance\": {:.4},\n  \"replicated_r1_matches_sequential\": true,\n  \"replica_steps_per_epoch\": {repl_steps_json},\n  \"allreduce_bytes_per_epoch\": {allreduce_json},\n  \"remote_feature_bytes_per_epoch\": {remote_json},\n  \"remote_feature_bytes_per_epoch_blind\": {remote_blind_json},\n  \"interconnect_seconds_per_epoch\": {interconnect_json},\n  \"replica_epoch_seconds\": {replica_epoch_json},\n  \"replicated_staging_allocs_per_epoch\": {repl_staging_json},\n  \"refresh_sharded\": {refresh_sharded},\n  \"adaptive_cpu_fraction\": {},\n  \"smoothed_occupancy\": {},\n  \"cached_vertices_per_epoch\": {},\n  \"cache_hits_per_epoch\": {},\n  \"cache_misses_per_epoch\": {},\n  \"sources_per_epoch_exact\": {},\n  \"h2d_bytes_per_epoch\": {},\n  \"h2d_bytes_per_epoch_nocache\": {},\n  \"refresh_worker_seconds\": {},\n  \"train_occupancy\": {},\n  \"workers_spawned_once\": {},\n  \"engine_startup_seconds\": {:.4},\n  \"losses\": {}\n}}\n",
         spec.name,
         spec.vertices,
         EPOCHS,
@@ -591,6 +634,7 @@ fn main() {
         fmt_series_u64(&session.epochs.iter().map(|r| r.cache_vertices as u64).collect::<Vec<_>>()),
         fmt_series_u64(&session.epochs.iter().map(|r| r.report.cache_hits).collect::<Vec<_>>()),
         fmt_series_u64(&session.epochs.iter().map(|r| r.report.cache_misses).collect::<Vec<_>>()),
+        fmt_series_u64(&exact_sources),
         fmt_series_u64(&engine_h2d),
         fmt_series_u64(&nocache_h2d),
         fmt_series(&session.epochs.iter().map(|r| r.refresh_seconds).collect::<Vec<_>>()),

@@ -1,13 +1,16 @@
 //! Integration tests of the persistent multi-epoch engine: determinism
 //! versus repeated sequential epochs at any thread count (with the refresh
 //! worker and the occupancy-driven hybrid planner both active), staleness
-//! under the double-buffered refresh, split invariance, and the
-//! spawn-once guarantee of the persistent pool.
+//! under the double-buffered refresh, split invariance, the spawn-once
+//! guarantee of the persistent pool, and the hot-vertex pruning contract
+//! (hot rows never reach the device path; their embeddings are primed
+//! before batch 0 and a missing one is fatal, never a silent zero).
 
 use neutronorch::core::engine::{EngineConfig, TrainingEngine};
 use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
+use neutronorch::core::refresh::InlineRefresh;
 use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
-use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
+use neutronorch::core::trainer::{ConvergenceTrainer, PreparedBatch, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::hetero::InterconnectSpec;
 use neutronorch::nn::LayerKind;
@@ -19,6 +22,19 @@ fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
     cfg.batch_size = 48;
     cfg.lr = 0.4;
     ConvergenceTrainer::new(ds, cfg)
+}
+
+/// Batch `index` of `epoch`, staged the way every executor stages it:
+/// through the trainer's own sampler and per-batch seed.
+fn stage(t: &ConvergenceTrainer, epoch: usize, index: usize) -> PreparedBatch {
+    ConvergenceTrainer::prepare_batch(
+        &t.dataset_handle(),
+        t.sampler(),
+        t.config().seed,
+        epoch,
+        index,
+        t.epoch_batches(epoch).batch(index),
+    )
 }
 
 fn engine(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> TrainingEngine {
@@ -325,6 +341,198 @@ fn double_buffered_refresh_gap_spans_n_to_2n() {
         "gap {max_gap} < n = {n}: refresh was not deferred one super-batch"
     );
     assert!(t.embedding_reuses() > 0, "hot embeddings must be reused");
+}
+
+/// Priming: a fresh trainer's first boundary computes and publishes the
+/// whole hot set before batch 0 trains, so the very first batch already
+/// reuses (at gap 0) every hot row the sampler pruned, the first
+/// super-batch reads at gap ≤ n−1, and the bound holds in every epoch of a
+/// session — epoch 0 included.
+#[test]
+fn fresh_session_reuses_primed_embeddings_from_batch_zero() {
+    let n = 3usize;
+    let policy = || ReusePolicy::HotnessAware {
+        hot_ratio: 0.4,
+        super_batch: n,
+    };
+    let mut t = trainer(policy());
+    let first = stage(&t, 0, 0);
+    let hot = t.hot_set().unwrap();
+    let reused = first.blocks[1]
+        .src()
+        .iter()
+        .filter(|&&v| hot.contains(v))
+        .count();
+    assert!(reused > 0, "batch 0 must touch the hot set");
+    let mut want: Vec<u32> = hot.vertices().to_vec();
+    want.sort_unstable();
+
+    t.train_batches([first]);
+    assert_eq!(
+        t.embedding_reuses(),
+        reused as u64,
+        "every pruned row is read"
+    );
+    assert_eq!(
+        t.max_staleness(),
+        0,
+        "batch 0 reads what its boundary primed"
+    );
+    let state = t.capture_state(&mut InlineRefresh::default());
+    let stored: Vec<u32> = state.store.unwrap().rows.iter().map(|r| r.0).collect();
+    assert_eq!(stored, want, "the first boundary stores the whole hot set");
+
+    // The rest of super-batch 0 still reads the version-0 rows.
+    let mut t = trainer(policy());
+    let super_batch: Vec<_> = (0..n).map(|i| stage(&t, 0, i)).collect();
+    t.train_batches(super_batch);
+    assert_eq!(t.max_staleness(), n as u64 - 1);
+
+    let mut t = trainer(policy());
+    let session = engine(2, 2, true).run_session(&mut t, 0, 3);
+    for run in &session.epochs {
+        assert!(
+            run.observation.max_staleness < 2 * n as u64,
+            "epoch {}: gap {} > 2n−1",
+            run.epoch,
+            run.observation.max_staleness
+        );
+    }
+    assert!(session.epochs[0].observation.max_staleness >= n as u64);
+}
+
+/// Hot vertices leave the device path: whatever either engine stages, its
+/// bottom blocks hold no hot dst — the gathered-source count of every
+/// epoch is exactly what the trainer's own (pruning) sampler produces,
+/// strictly below what training without reuse gathers — and every hot row
+/// the layer above needs is read from the store instead.
+#[test]
+fn hot_vertices_never_reach_the_device_path() {
+    let policy = || ReusePolicy::HotnessAware {
+        hot_ratio: 0.3,
+        super_batch: 2,
+    };
+    let epochs = 2;
+    let probe = trainer(policy());
+    let hot = probe.hot_set().unwrap();
+    let exact = trainer(ReusePolicy::Exact);
+    let mut want_sources = Vec::new();
+    let mut want_reuses = 0u64;
+    for e in 0..epochs {
+        let (mut pruned, mut unpruned) = (0u64, 0u64);
+        for i in 0..probe.epoch_batches(e).len() {
+            let item = stage(&probe, e, i);
+            assert!(item.blocks[0].dst().iter().all(|&v| !hot.contains(v)));
+            pruned += item.blocks[0].num_src() as u64;
+            unpruned += stage(&exact, e, i).blocks[0].num_src() as u64;
+            want_reuses += item.blocks[1]
+                .src()
+                .iter()
+                .filter(|&&v| hot.contains(v))
+                .count() as u64;
+        }
+        assert!(pruned < unpruned, "epoch {e}: {pruned} vs {unpruned}");
+        want_sources.push(pruned);
+    }
+
+    let mut single = trainer(policy());
+    let session = engine(2, 2, true).run_session(&mut single, 0, epochs);
+    let staged: Vec<u64> = session
+        .epochs
+        .iter()
+        .map(|r| r.report.cache_hits + r.report.cache_misses)
+        .collect();
+    assert_eq!(staged, want_sources, "TrainingEngine staged unpruned rows");
+    assert_eq!(single.embedding_reuses(), want_reuses);
+
+    let mut replicated = trainer(policy());
+    let cfg = ReplicatedConfig {
+        replicas: 1,
+        ..ReplicatedConfig::default()
+    };
+    let session = ReplicatedEngine::new(cfg).run_session(&mut replicated, 0, epochs);
+    let staged: Vec<u64> = session
+        .epochs
+        .iter()
+        .map(|r| r.report.cache_hits + r.report.cache_misses)
+        .collect();
+    assert_eq!(
+        staged, want_sources,
+        "ReplicatedEngine staged unpruned rows"
+    );
+    assert_eq!(replicated.embedding_reuses(), want_reuses);
+}
+
+/// A pruned row that is missing from the store must end the session — by
+/// a panic of the train stage or a typed `SessionError` — on both engines.
+/// It may never hang the pipeline, and it may never train on a zero row
+/// (which would let the session finish `Ok`).
+#[test]
+fn a_missing_hot_embedding_ends_the_session_loudly() {
+    let policy = || ReusePolicy::HotnessAware {
+        hot_ratio: 0.3,
+        super_batch: 2,
+    };
+    let mut t = trainer(policy());
+    t.train_epoch(0);
+    let mut state = t.capture_state(&mut InlineRefresh::default());
+    // Drop a hot vertex that epoch 1's first batch reads, from the store
+    // and from the refresh that the next boundary would publish.
+    let first = stage(&t, 1, 0);
+    let hot = t.hot_set().unwrap();
+    let victim = *first.blocks[1]
+        .src()
+        .iter()
+        .find(|&&v| hot.contains(v))
+        .expect("batch 0 touches the hot set");
+    state.store.as_mut().unwrap().rows.retain(|r| r.0 != victim);
+    let pending = state.pending.as_mut().unwrap();
+    pending.cpu_rows.retain(|r| r.0 != victim);
+    pending.gpu_rows.retain(|r| r.0 != victim);
+
+    let restored = || {
+        let mut t = trainer(policy());
+        t.restore_state(&state).unwrap();
+        t
+    };
+    let loud = |outcome: std::thread::Result<Result<(), String>>, engine: &str| match outcome {
+        Err(panic) => {
+            let message = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                message.contains("no stored embedding"),
+                "{engine}: unexpected panic: {message}"
+            );
+        }
+        Ok(Err(_typed)) => {}
+        Ok(Ok(())) => panic!("{engine}: trained on a row nobody supplied"),
+    };
+    let mut a = restored();
+    loud(
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine(2, 2, true)
+                .run_session_checked(&mut a, 1, 1)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        })),
+        "TrainingEngine",
+    );
+    let mut b = restored();
+    loud(
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ReplicatedEngine::new(ReplicatedConfig {
+                replicas: 2,
+                ..ReplicatedConfig::default()
+            })
+            .run_session_checked(&mut b, 1, 1)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+        })),
+        "ReplicatedEngine",
+    );
 }
 
 /// The data-parallel acceptance criterion: a replicated session at R=1 is

@@ -4,14 +4,27 @@
 //! single vertex, heavily reused dirty buffers) — the pooled sampler and
 //! the pooled gather/assembly must be **value-identical** to the
 //! allocating paths. Pooling transfers capacity, never contents.
+//!
+//! The same file pins the **pruned stack** every one of those paths must
+//! handle: a sampler with a bottom skip set drops the reused (hot) vertices
+//! from the frontier before the bottom hop, identically on all three
+//! `sample_batch*` entry points, and an all-hot frontier's empty bottom
+//! block flows through gather, assembly and every layer kind.
 
 use neutronorch::cache::FeatureCache;
 use neutronorch::core::gather::GatheredFeatures;
 use neutronorch::core::pool::BatchBuffers;
 use neutronorch::graph::dataset::DatasetSpec;
-use neutronorch::sample::{Block, BlockBuilder, Fanout, NeighborSampler};
-use neutronorch::tensor::Matrix;
+use neutronorch::graph::generate::erdos_renyi;
+use neutronorch::nn::model::{GnnModel, ModelConfig};
+use neutronorch::nn::LayerKind;
+use neutronorch::sample::{
+    Block, BlockBuilder, Fanout, HotSet, HotnessRanking, LocalityCounts, NeighborSampler,
+    SamplerScratch,
+};
+use neutronorch::tensor::{init, Matrix};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn assert_blocks_match(fresh: &[Block], pooled: &[Block], what: &str) {
     assert_eq!(fresh.len(), pooled.len(), "{what}: layer count");
@@ -26,8 +39,161 @@ fn assert_blocks_match(fresh: &[Block], pooled: &[Block], what: &str) {
     }
 }
 
+/// The hot set holding exactly the flagged vertices.
+fn hot_set(flags: &[bool]) -> Arc<HotSet> {
+    let counts: Vec<u32> = flags.iter().map(|&f| f as u32).collect();
+    let k = flags.iter().filter(|&&f| f).count();
+    let hot = HotnessRanking::from_counts(counts).hot_set(k as f64 / flags.len() as f64);
+    assert_eq!(hot.len(), k);
+    Arc::new(hot)
+}
+
+/// One batch through the three multi-hop entry points (the biased one over
+/// a single partition, where it must degenerate to the unbiased draw).
+fn sample_all_ways(
+    sampler: &NeighborSampler,
+    g: &neutronorch::graph::Csr,
+    seeds: &[u32],
+    seed: u64,
+    builder: &mut BlockBuilder,
+) -> [Vec<Block>; 3] {
+    let allocating = sampler.sample_batch_with_scratch(g, seeds, seed, &mut SamplerScratch::new());
+    let pooled = sampler.sample_batch_pooled(g, seeds, seed, builder);
+    let owner = vec![0u32; g.num_vertices()];
+    let biased = sampler.sample_batch_pooled_biased(
+        g,
+        seeds,
+        seed,
+        builder,
+        &owner,
+        0,
+        &mut LocalityCounts::default(),
+    );
+    [allocating, pooled, biased]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The pruned stack, for random graphs, batches and hot sets (empty,
+    /// all-hot, exactly-the-seeds and random), on all three entry points:
+    /// the bottom block's dst is `blocks[1].src()` minus the hot vertices,
+    /// in order; the upper blocks are those of a sampler with no skip set;
+    /// an empty skip set changes nothing at all (the bottom hop draws last,
+    /// so an identical bottom block pins the whole rng stream); and pooled,
+    /// allocating and single-partition biased sampling agree block for
+    /// block.
+    #[test]
+    fn pruned_stack_drops_exactly_the_hot_bottom_rows_on_every_entry_point(
+        seed in 0u64..10_000,
+        layers in 2usize..4,
+        size in 0usize..20,
+        // 0 = empty, 1 = all hot, 2 = exactly the seeds, 3 = random.
+        mode in 0usize..4,
+        flags in proptest::collection::vec(any::<bool>(), 150..151),
+    ) {
+        let n = flags.len();
+        let g = erdos_renyi(n, 1200, seed);
+        let seeds: Vec<u32> = (0..size as u32)
+            .map(|i| ((seed as u32).wrapping_mul(17) + i * 7) % n as u32)
+            .collect();
+        let hot_flags: Vec<bool> = (0..n)
+            .map(|v| match mode {
+                0 => false,
+                1 => true,
+                2 => seeds.contains(&(v as u32)),
+                _ => flags[v],
+            })
+            .collect();
+        let hot = hot_set(&hot_flags);
+        let fanout = Fanout::new(vec![3; layers]);
+        let plain = NeighborSampler::new(fanout.clone());
+        let pruning = NeighborSampler::new(fanout).with_bottom_skip(Arc::clone(&hot));
+        let mut builder = BlockBuilder::new();
+        let reference = plain.sample_batch(&g, &seeds, seed);
+        let stacks = sample_all_ways(&pruning, &g, &seeds, seed, &mut builder);
+        for stack in &stacks {
+            assert_blocks_match(&stacks[0], stack, "entry points under pruning");
+            assert_blocks_match(&reference[1..], &stack[1..], "upper blocks");
+            let want: Vec<u32> = stack[1]
+                .src()
+                .iter()
+                .copied()
+                .filter(|&v| !hot.contains(v))
+                .collect();
+            prop_assert_eq!(stack[0].dst(), &want[..]);
+            if mode == 0 {
+                assert_blocks_match(&reference, stack, "empty skip set");
+            }
+            if mode == 1 {
+                prop_assert_eq!(stack[0].num_src(), 0, "an all-hot frontier samples nothing");
+            }
+        }
+        // A one-layer fanout has no layer to reuse into: never pruned.
+        let one = NeighborSampler::new(Fanout::new(vec![3]));
+        let one_pruning = one.clone().with_bottom_skip(Arc::clone(&hot));
+        for stack in sample_all_ways(&one_pruning, &g, &seeds, seed, &mut builder) {
+            assert_blocks_match(&one.sample_batch(&g, &seeds, seed), &stack, "one layer");
+        }
+    }
+
+    /// An all-hot frontier yields a valid *empty* bottom block, and
+    /// everything downstream of the sampler takes it: the cache-keyed
+    /// gather (pooled and allocating), device-side assembly, and forward +
+    /// backward of every layer kind, with the reused rows spliced in.
+    #[test]
+    fn empty_bottom_block_flows_through_gather_assembly_and_every_layer_kind(
+        seed in 0u64..10_000,
+        size in 1usize..12,
+        cached in proptest::collection::vec(any::<bool>(), 80..81),
+    ) {
+        let n = cached.len();
+        let g = erdos_renyi(n, 500, seed);
+        let seeds: Vec<u32> = (0..size as u32).map(|i| (seed as u32 + i * 5) % n as u32).collect();
+        let sampler = NeighborSampler::new(Fanout::new(vec![3, 3]))
+            .with_bottom_skip(hot_set(&vec![true; n]));
+        let blocks = sampler.sample_batch(&g, &seeds, seed);
+        blocks[0].validate().unwrap();
+        prop_assert_eq!((blocks[0].num_dst(), blocks[0].num_src(), blocks[0].num_edges()), (0, 0, 0));
+
+        let dim = 4;
+        let host = init::uniform(n, dim, -1.0, 1.0, seed);
+        let cached: Vec<u32> = (0..n as u32).filter(|&v| cached[v as usize]).collect();
+        let cache = FeatureCache::for_vertices(&cached, n, host.as_slice(), dim);
+        let mut bufs = BatchBuffers::new();
+        let gathered = GatheredFeatures::gather_from_pooled(&host, &blocks[0], &cache, &mut bufs);
+        prop_assert_eq!((gathered.num_hits(), gathered.num_misses()), (0, 0));
+        prop_assert_eq!(gathered.h2d_feature_bytes(), 0);
+        let features = gathered.assemble_pooled(blocks[0].src(), &cache, &mut bufs);
+        prop_assert_eq!(features.shape(), (0, dim));
+        let allocating = GatheredFeatures::gather_from(&host, &blocks[0], &cache)
+            .assemble(blocks[0].src(), &cache);
+        prop_assert_eq!(allocating.shape(), (0, dim));
+
+        let d_logits = Matrix::full(blocks[1].num_dst(), 3, 0.25);
+        for kind in LayerKind::ALL {
+            let mut model = GnnModel::new(ModelConfig {
+                kind,
+                feature_dim: dim,
+                hidden_dim: 5,
+                num_classes: 3,
+                layers: 2,
+                seed,
+            });
+            let pass = model.forward_spliced(&blocks, &features, |out| {
+                prop_assert_eq!(out.shape(), (blocks[1].num_src(), 5));
+                out.as_mut_slice().fill(0.5);
+            });
+            prop_assert!(pass.logits().all_finite(), "{kind:?}");
+            model.zero_grad();
+            let d_features = model.backward(&blocks, pass, &d_logits);
+            prop_assert_eq!(d_features.shape(), (0, dim));
+            // Nothing reached the bottom layer: its gradients stay zero.
+            for p in model.layers()[0].params() {
+                prop_assert_eq!(p.grad.frobenius_norm(), 0.0, "{:?}", kind);
+            }
+        }
+    }
 
     /// The pooled sampler replays the allocating sampler exactly, with one
     /// builder reused (and re-fed dirty buffers) across a whole run of
