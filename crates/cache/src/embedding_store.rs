@@ -6,7 +6,8 @@
 //! the property that distinguishes NeutronOrch from GAS in Fig 16.
 
 use neutron_graph::VertexId;
-use std::collections::HashMap;
+use neutron_tensor::Matrix;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 /// A read rejected because the entry exceeded the staleness bound.
@@ -56,6 +57,79 @@ pub struct StoreSnapshot {
     pub max_observed_gap: u64,
     /// Successful read count.
     pub reads: u64,
+}
+
+/// Embedding rows by vertex, stored flat — the unit
+/// [`EmbeddingStore::put_rows`] publishes: row `i` of one matrix belongs to
+/// vertex `i` of the id list, so a batch of any size is two allocations.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct EmbeddingRows {
+    vertices: Vec<VertexId>,
+    data: Matrix,
+}
+
+impl EmbeddingRows {
+    /// Rows of `data`, one per vertex of `vertices`, in order.
+    pub fn new(vertices: Vec<VertexId>, data: Matrix) -> Self {
+        assert_eq!(data.rows(), vertices.len(), "one row per vertex");
+        Self { vertices, data }
+    }
+
+    /// Flattens `(vertex, row)` pairs — a checkpoint's row image — checking
+    /// that every row is `dim` wide.
+    pub fn from_pairs(dim: usize, pairs: &[(VertexId, Vec<f32>)]) -> Result<Self, String> {
+        let mut data = Vec::with_capacity(pairs.len() * dim);
+        for (v, row) in pairs {
+            if row.len() != dim {
+                return Err(format!("row of v{v} is {} wide, not {dim}", row.len()));
+            }
+            data.extend_from_slice(row);
+        }
+        let vertices = pairs.iter().map(|p| p.0).collect();
+        Ok(Self::new(
+            vertices,
+            Matrix::from_vec(pairs.len(), dim, data),
+        ))
+    }
+
+    /// The rows as owned `(vertex, row)` pairs, for a checkpoint.
+    pub fn to_pairs(&self) -> Vec<(VertexId, Vec<f32>)> {
+        self.iter().map(|(v, row)| (v, row.to_vec())).collect()
+    }
+
+    /// Moves the rows of `other` behind this batch's own.
+    pub fn append(&mut self, other: Self) {
+        if other.is_empty() {
+            return;
+        }
+        let mut data = std::mem::take(&mut self.data).into_vec();
+        data.extend_from_slice(other.data.as_slice());
+        self.vertices.extend(other.vertices);
+        self.data = Matrix::from_vec(self.vertices.len(), other.data.cols(), data);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.vertices.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.vertices.is_empty()
+    }
+
+    /// The vertices, in row order.
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.vertices
+    }
+
+    /// `(vertex, row)` in row order.
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[f32])> {
+        self.vertices
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, self.data.row(i)))
+    }
 }
 
 /// Versioned per-vertex embedding rows.
@@ -115,13 +189,22 @@ impl EmbeddingStore {
     /// Publishes a whole refresh batch computed at `version` — the
     /// super-batch flip of the double-buffered refresh: the worker computes
     /// rows against an immutable parameter snapshot off to the side, then
-    /// the train stage installs them all at once at the next boundary.
-    pub fn put_rows<I>(&mut self, rows: I, version: u64)
-    where
-        I: IntoIterator<Item = (VertexId, Vec<f32>)>,
-    {
-        for (v, row) in rows {
-            self.put(v, row, version);
+    /// the train stage installs them all at once at the next boundary. A
+    /// vertex already in the store keeps its buffer (the row is copied over
+    /// it), so steady-state publishes allocate nothing.
+    pub fn put_rows(&mut self, rows: &EmbeddingRows, version: u64) {
+        for (v, row) in rows.iter() {
+            assert_eq!(row.len(), self.dim, "dimension mismatch");
+            match self.entries.entry(v) {
+                Entry::Occupied(mut entry) => {
+                    let (stored, stamp) = entry.get_mut();
+                    stored.copy_from_slice(row);
+                    *stamp = version;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert((row.to_vec(), version));
+                }
+            }
         }
     }
 
@@ -239,11 +322,33 @@ mod tests {
     #[test]
     fn put_rows_publishes_a_batch_at_one_version() {
         let mut s = EmbeddingStore::new(2, Some(3));
-        s.put_rows(vec![(1, vec![1.0, 1.0]), (2, vec![2.0, 2.0])], 5);
+        s.put(2, vec![0.0, 0.0], 1);
+        let pairs = [(1, vec![1.0, 1.0]), (2, vec![2.0, 2.0])];
+        let rows = EmbeddingRows::from_pairs(2, &pairs).unwrap();
+        assert_eq!(
+            (rows.len(), rows.vertices(), rows.to_pairs()),
+            (2, &[1, 2][..], pairs.to_vec())
+        );
+        assert!(
+            EmbeddingRows::from_pairs(3, &pairs).is_err(),
+            "rows must be `dim` wide"
+        );
+        s.put_rows(&rows, 5);
         assert_eq!(s.len(), 2);
         let (row, gap) = s.get(2, 6).unwrap().unwrap();
-        assert_eq!(row, &[2.0, 2.0]);
+        assert_eq!(row, &[2.0, 2.0], "an existing entry is overwritten");
         assert_eq!(gap, 1);
+        assert_eq!(s.get(1, 6).unwrap().unwrap().0, &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn appended_rows_follow_in_order() {
+        let mut rows = EmbeddingRows::default();
+        rows.append(EmbeddingRows::from_pairs(1, &[(4, vec![0.4])]).unwrap());
+        rows.append(EmbeddingRows::default());
+        rows.append(EmbeddingRows::from_pairs(1, &[(2, vec![0.2]), (9, vec![0.9])]).unwrap());
+        let got: Vec<_> = rows.iter().collect();
+        assert_eq!(got, [(4, &[0.4][..]), (2, &[0.2][..]), (9, &[0.9][..])]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod feature_cache;
 pub mod hybrid;
 pub mod policy;
 
-pub use embedding_store::{EmbeddingStore, StaleReadError, StoreSnapshot};
+pub use embedding_store::{EmbeddingRows, EmbeddingStore, StaleReadError, StoreSnapshot};
 pub use feature_cache::FeatureCache;
 pub use hybrid::{HybridPlan, HybridPolicy};
 pub use policy::{CachePolicy, CacheRanking};

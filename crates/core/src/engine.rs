@@ -13,7 +13,8 @@
 //!      ▲                                                         │
 //!      └─────────── spent-buffer return channel (pool) ◄─────────┘
 //!
-//! [refresh worker] <--task-- train thread at super-batch boundaries
+//! [refresh worker] <--task-- train thread at super-batch boundaries:
+//!                             the hot rows the *next* super-batch reads
 //!                  --rows--> published at the *next* boundary (double buffer)
 //! ```
 //!
@@ -33,10 +34,14 @@
 //!   sample/gather/transfer hot path — measured per stage by
 //!   [`neutron_tensor::alloc`] and regression-gated by
 //!   `cargo xtask bench-diff`.
-//! - **Pipelined refresh (Fig 8)** — at each super-batch boundary the
-//!   trainer snapshots its bottom-layer parameters into a
-//!   [`RefreshTask`] and hands the CPU share to the dedicated refresh
-//!   worker; the rows are collected and published one boundary later
+//! - **Pipelined, demand-driven refresh (Fig 8, §4.2)** — the train loop
+//!   keeps `2n−1` staged batches in hand
+//!   ([`ConvergenceTrainer::lookahead`]; they count against
+//!   `channel_depth`, not on top of it), so at each super-batch boundary it
+//!   already holds the next super-batch. The trainer snapshots its
+//!   bottom-layer parameters into a [`RefreshTask`] over the hot rows those
+//!   batches read and hands the CPU share to the dedicated refresh worker;
+//!   the rows are collected and published one boundary later
 //!   (see [`crate::trainer::ConvergenceTrainer::train_batches_with`]), so
 //!   the refresh overlaps training and historical reads keep the `< 2n`
 //!   version-gap bound.
@@ -609,7 +614,7 @@ impl RefreshBackend for WorkerRefresh<'_> {
             // session error at the epoch boundary.
             None => {
                 self.failed = true;
-                RefreshOutput::empty(0)
+                RefreshOutput::default()
             }
         }
     }
@@ -688,14 +693,19 @@ impl EngineConfig {
     }
 
     /// Resolves [`Self::pool_batches`]'s auto (`0`) setting. The auto size
-    /// must cover the session's maximum in-flight bundle count — if the
-    /// pool can overflow during the end-of-epoch drain, `try_send` drops a
-    /// warmed-up bundle and the next epoch re-grows a fresh one from zero,
-    /// leaving steady-state allocation churn that never converges.
-    pub fn effective_pool_batches(&self) -> usize {
+    /// must cover the session's maximum in-flight bundle count — the three
+    /// staging channels and the train loop's `lookahead` window
+    /// ([`ConvergenceTrainer::lookahead`]; the last channel shrinks by it,
+    /// [`PipelineConfig::train_feed_depth`]). If the pool can overflow
+    /// during the end-of-epoch drain, `try_send` drops a warmed-up bundle
+    /// and the next epoch re-grows a fresh one from zero, leaving
+    /// steady-state allocation churn that never converges.
+    pub fn effective_pool_batches(&self, lookahead: usize) -> usize {
         match self.pool_batches {
             0 => {
-                3 * self.pipeline.channel_depth
+                2 * self.pipeline.channel_depth
+                    + self.pipeline.train_feed_depth(lookahead)
+                    + lookahead
                     + self.pipeline.sampler_threads
                     + self.pipeline.gather_threads
                     + 10
@@ -742,6 +752,10 @@ pub struct EpochRun {
     /// time is credited where it physically ran — per-epoch values describe
     /// worker load over time, not per-epoch task provenance.
     pub refresh_seconds: f64,
+    /// Hot rows put on refresh worklists during this epoch, both shares:
+    /// what the next super-batch reads, or the whole hot set at the
+    /// epoch's last boundary and at priming.
+    pub refresh_rows: u64,
     /// Seconds spent in test-set evaluation after the epoch — inference,
     /// kept out of `report.epoch_seconds` so throughput numbers measure
     /// training only.
@@ -871,12 +885,16 @@ impl TrainingEngine {
         let gate = EpochGate::new();
         let sampled: Bounded<SampledItem> = Bounded::new(pcfg.channel_depth);
         let prepared: Bounded<StagedBatch> = Bounded::new(pcfg.channel_depth);
-        let ready: Bounded<StagedBatch> = Bounded::new(pcfg.channel_depth);
+        // The train loop holds `lookahead` batches itself; they count
+        // against the depth of the channel that feeds it.
+        let lookahead = trainer.lookahead();
+        let ready: Bounded<StagedBatch> = Bounded::new(pcfg.train_feed_depth(lookahead));
         // The return path: spent per-batch buffer bundles flow train→sample
         // against the forward channels, making steady-state epochs (near)
         // allocation-free. Both ends are non-blocking (`try_*`): an empty
         // pool allocates fresh, a full pool drops the surplus bundle.
-        let pool: Bounded<BatchBuffers> = Bounded::new(self.config.effective_pool_batches());
+        let pool: Bounded<BatchBuffers> =
+            Bounded::new(self.config.effective_pool_batches(lookahead));
         let tasks: Bounded<RefreshTask> = Bounded::new(1);
         let outputs: Bounded<RefreshOutput> = Bounded::new(1);
         let live_samplers = AtomicUsize::new(pcfg.sampler_threads);
@@ -1205,6 +1223,7 @@ impl TrainingEngine {
                     h2d_bytes.load(Ordering::Relaxed),
                 );
                 let refresh_cpu_fraction = trainer.refresh_cpu_fraction();
+                let refresh_rows_before = trainer.refresh_rows();
                 let collect_wait_before = backend.wait;
                 let alloc_before = alloc::snapshot();
 
@@ -1369,6 +1388,7 @@ impl TrainingEngine {
                     report,
                     refresh_cpu_fraction,
                     refresh_seconds: refresh_busy.seconds() - before.3,
+                    refresh_rows: trainer.refresh_rows() - refresh_rows_before,
                     eval_seconds,
                     cache_vertices,
                     smoothed_occupancy: smoothed_this,

@@ -39,7 +39,9 @@ pub struct PipelineConfig {
     /// CPU feature-gather worker threads (stage 2).
     pub gather_threads: usize,
     /// Capacity of each inter-stage channel, in batches. Bounds memory:
-    /// at most `3 * channel_depth + reorder window` batches are in flight.
+    /// at most `3 * channel_depth + reorder window` batches are in flight,
+    /// the train loop's lookahead window included (see
+    /// [`Self::train_feed_depth`]).
     pub channel_depth: usize,
     /// Simulated host→device bandwidth in GiB/s; `0.0` disables the
     /// transfer stall (bytes are still accounted). Replica methodology:
@@ -48,6 +50,17 @@ pub struct PipelineConfig {
     /// PCIe bandwidth down by the same factor (the simulator applies the
     /// identical rule to memory capacities).
     pub h2d_gibps: f64,
+}
+
+impl PipelineConfig {
+    /// Capacity of the channel that feeds a train loop holding `lookahead`
+    /// prepared batches of its own
+    /// ([`ConvergenceTrainer::lookahead`]): the window counts against
+    /// `channel_depth` (floor 1), so in-flight memory stays what the depth
+    /// promises.
+    pub fn train_feed_depth(&self, lookahead: usize) -> usize {
+        self.channel_depth.saturating_sub(lookahead).max(1)
+    }
 }
 
 impl Default for PipelineConfig {

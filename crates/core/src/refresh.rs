@@ -14,10 +14,11 @@
 //! produces bit-identical rows, because the snapshot freezes the weights
 //! and [`NeighborSampler::sample_one_hop_stable`] seeds neighbor draws per
 //! vertex, making the output independent of *where*, *when* and over *which
-//! partition* of the hot set the task runs. That partition independence is
-//! what lets the §4.1.3 hybrid split move vertices between the CPU refresh
-//! worker and the training device without perturbing the training
-//! trajectory.
+//! subset* of the hot set the task runs. That subset independence is what
+//! lets the §4.1.3 hybrid split move vertices between the CPU refresh
+//! worker and the training device, and lets a boundary recompute only the
+//! hot rows the next super-batch reads (§4.2), without perturbing the
+//! training trajectory.
 //!
 //! [`RefreshBackend`] abstracts the execution site: the sequential trainer
 //! uses [`InlineRefresh`] (compute at submission, on the train thread); the
@@ -28,14 +29,15 @@
 //! during super-batch `k+1` see a version gap in `[n, 2n−1]`. The one
 //! exception is the first boundary of a fresh trainer: the training device
 //! never computes a hot vertex (the sampler prunes them from the bottom
-//! block), so that boundary's task runs on the train thread, bypassing the
-//! backend, and is published immediately as well as kept pending — reads in
-//! super-batch 0 see gap `[0, n−1]`
+//! block), so that boundary's task covers the whole hot set, runs on the
+//! train thread, bypassing the backend, and is published immediately as
+//! well as kept pending — reads in super-batch 0 see gap `[0, n−1]`
 //! (`ConvergenceTrainer::refresh_boundary`). The task itself always samples
 //! through the `sample_one_hop_stable*` entry points, which never prune:
 //! the refresh is what computes the hot rows.
 
 use crate::trainer::ConvergenceTrainer;
+use neutron_cache::EmbeddingRows;
 use neutron_graph::{Dataset, VertexId};
 use neutron_nn::layers::Layer;
 use neutron_sample::{NeighborSampler, SamplerScratch};
@@ -44,9 +46,9 @@ use std::sync::Arc;
 /// One super-batch's refresh work over a subset of the hot set.
 pub struct RefreshTask {
     dataset: Arc<Dataset>,
-    /// Immutable snapshot of the bottom layer's parameters.
-    bottom: Layer,
-    sampler: NeighborSampler,
+    /// Immutable snapshot of the bottom layer's parameters, and the
+    /// sampler; shared by the shares [`Self::split_off`] cuts from a task.
+    snapshot: Arc<(Layer, NeighborSampler)>,
     vertices: Vec<VertexId>,
     fanout: usize,
     /// Model version the snapshot was taken at; stamps the output rows.
@@ -56,21 +58,12 @@ pub struct RefreshTask {
 
 /// The rows a [`RefreshTask`] produced, ready to publish into the
 /// historical-embedding store at the next super-batch boundary.
+#[derive(Default)]
 pub struct RefreshOutput {
-    /// `(vertex, embedding row)` pairs, one per task vertex.
-    pub rows: Vec<(VertexId, Vec<f32>)>,
+    /// One embedding row per task vertex.
+    pub rows: EmbeddingRows,
     /// Version stamp for every row (the snapshot's model version).
     pub version: u64,
-}
-
-impl RefreshOutput {
-    /// An output with no rows (empty task partition).
-    pub fn empty(version: u64) -> Self {
-        Self {
-            rows: Vec::new(),
-            version,
-        }
-    }
 }
 
 impl RefreshTask {
@@ -87,12 +80,23 @@ impl RefreshTask {
     ) -> Self {
         Self {
             dataset,
-            bottom,
-            sampler,
+            snapshot: Arc::new((bottom, sampler)),
             vertices,
             fanout,
             version,
             seed,
+        }
+    }
+
+    /// Cuts the vertex list at `at` like [`Vec::split_off`]: `self` keeps
+    /// `[..at]`, the returned task takes `[at..]`, and both share the one
+    /// snapshot — the two shares of a boundary's hybrid split.
+    pub fn split_off(&mut self, at: usize) -> Self {
+        Self {
+            dataset: Arc::clone(&self.dataset),
+            snapshot: Arc::clone(&self.snapshot),
+            vertices: self.vertices.split_off(at),
+            ..*self
         }
     }
 
@@ -148,7 +152,7 @@ impl RefreshTask {
             return self.run();
         }
         let chunk = self.vertices.len().div_ceil(workers);
-        let mut rows = Vec::with_capacity(self.vertices.len());
+        let mut rows = EmbeddingRows::default();
         std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .vertices
@@ -161,7 +165,7 @@ impl RefreshTask {
                 })
                 .collect();
             for h in handles {
-                rows.extend(h.join().expect("refresh shard panicked"));
+                rows.append(h.join().expect("refresh shard panicked"));
             }
         });
         RefreshOutput {
@@ -177,15 +181,12 @@ impl RefreshTask {
 
     /// The shared partition body: sampling, gather and bottom-layer forward
     /// over an arbitrary slice of the task's vertex list.
-    fn run_partition(
-        &self,
-        vertices: &[VertexId],
-        scratch: &mut SamplerScratch,
-    ) -> Vec<(VertexId, Vec<f32>)> {
+    fn run_partition(&self, vertices: &[VertexId], scratch: &mut SamplerScratch) -> EmbeddingRows {
         if vertices.is_empty() {
-            return Vec::new();
+            return EmbeddingRows::default();
         }
-        let block = self.sampler.sample_one_hop_stable_with_scratch(
+        let (bottom, sampler) = &*self.snapshot;
+        let block = sampler.sample_one_hop_stable_with_scratch(
             &self.dataset.csr,
             vertices,
             self.fanout,
@@ -195,12 +196,9 @@ impl RefreshTask {
         // The train path's gather — same helper, so "Gather (FC)" can never
         // drift between training and refresh.
         let feats = ConvergenceTrainer::gather_features(&self.dataset, block.src());
-        let (out, _ctx) = self.bottom.forward(&block, &feats);
-        vertices
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, out.row(i).to_vec()))
-            .collect()
+        // One output row per `block.dst()` vertex, i.e. per task vertex.
+        let (out, _ctx) = bottom.forward(&block, &feats);
+        EmbeddingRows::new(vertices.to_vec(), out)
     }
 }
 
@@ -288,10 +286,8 @@ mod tests {
         let b = task(bottom.clone()).run();
         assert_eq!(a.version, 9);
         assert_eq!(a.rows.len(), 20);
-        for ((va, ra), (vb, rb)) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(va, vb);
-            assert_eq!(ra, rb);
-        }
+        assert_eq!(a.rows.vertices(), &verts[..]);
+        assert_eq!(a.rows, b.rows);
     }
 
     #[test]
@@ -314,13 +310,28 @@ mod tests {
         };
         let full = run(verts.clone());
         for k in [0usize, 13, 40] {
-            let left = run(verts[..k].to_vec());
-            let right = run(verts[k..].to_vec());
-            let merged: Vec<_> = left.rows.into_iter().chain(right.rows).collect();
-            assert_eq!(merged.len(), full.rows.len());
-            for ((va, ra), (vb, rb)) in merged.iter().zip(&full.rows) {
-                assert_eq!(va, vb, "split at {k}");
-                assert_eq!(ra, rb, "split at {k}: rows diverged for vertex {va}");
+            // Two independent tasks, and the two shares `split_off` cuts
+            // from one task over a shared snapshot.
+            let (left, right) = (run(verts[..k].to_vec()), run(verts[k..].to_vec()));
+            let mut head = RefreshTask::new(
+                Arc::clone(&ds),
+                bottom.clone(),
+                sampler.clone(),
+                verts.clone(),
+                4,
+                3,
+                0xfeed,
+            );
+            let tail = head.split_off(k);
+            assert_eq!((head.len(), tail.len()), (k, verts.len() - k));
+            for (a, b) in [(left, right), (head.run(), tail.run())] {
+                assert_eq!((a.version, b.version), (3, 3));
+                let merged: Vec<_> = a.rows.iter().chain(b.rows.iter()).collect();
+                assert_eq!(merged.len(), full.rows.len());
+                for ((va, ra), (vb, rb)) in merged.into_iter().zip(full.rows.iter()) {
+                    assert_eq!(va, vb, "split at {k}");
+                    assert_eq!(ra, rb, "split at {k}: rows diverged for vertex {va}");
+                }
             }
         }
     }
@@ -335,11 +346,7 @@ mod tests {
         for workers in [0usize, 1, 2, 3, 4, 16] {
             let sharded = task.run_sharded(workers);
             assert_eq!(sharded.version, serial.version);
-            assert_eq!(sharded.rows.len(), serial.rows.len());
-            for ((va, ra), (vb, rb)) in sharded.rows.iter().zip(&serial.rows) {
-                assert_eq!(va, vb, "workers={workers}");
-                assert_eq!(ra, rb, "workers={workers}: row diverged for vertex {va}");
-            }
+            assert_eq!(sharded.rows, serial.rows, "workers={workers}");
         }
     }
 

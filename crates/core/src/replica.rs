@@ -81,8 +81,8 @@ pub struct ReplicatedConfig {
     /// Simulated replica-to-replica fabric used to price remote feature
     /// pulls and gradient all-reduces. Distinct from the PCIe H2D model.
     pub interconnect: InterconnectSpec,
-    /// Per-replica recycled staging-buffer pool size; 0 = auto
-    /// (`2 × channel_depth + 4`).
+    /// Per-replica recycled staging-buffer pool size; 0 = auto (see
+    /// [`Self::effective_pool_batches`]).
     pub pool_batches: usize,
     /// Write a checkpoint after every epoch whose number + 1 is a multiple
     /// of this (0 disables). Same absolute-epoch cadence as the
@@ -121,10 +121,15 @@ impl Default for ReplicatedConfig {
 
 impl ReplicatedConfig {
     /// Per-replica staging pool capacity: explicit, or enough for the
-    /// channel plus in-flight and recycling slack.
-    pub fn effective_pool_batches(&self) -> usize {
+    /// staging channel, the train loop's `lookahead` window (counted
+    /// against the channel, [`PipelineConfig::train_feed_depth`]), and
+    /// in-flight and recycling slack.
+    pub fn effective_pool_batches(&self, lookahead: usize) -> usize {
         match self.pool_batches {
-            0 => 2 * self.pipeline.channel_depth + 4,
+            0 => {
+                let staged = self.pipeline.train_feed_depth(lookahead);
+                self.pipeline.channel_depth + staged + lookahead + 4
+            }
             n => n,
         }
     }
@@ -181,6 +186,10 @@ pub struct ReplicatedEpochRun {
     /// Allocation window covering the epoch's staging + training (eval
     /// excluded), attributed by stage.
     pub allocs: AllocSnapshot,
+    /// Hot rows put on refresh worklists during this epoch (the union over
+    /// the replicas' batches of the next super-batch, or the whole hot set
+    /// at the epoch's last boundary and at priming).
+    pub refresh_rows: u64,
     /// Seconds spent in test-set evaluation (outside `report` timings).
     pub eval_seconds: f64,
     /// Bytes of the checkpoint written at this epoch's boundary (0 when
@@ -377,15 +386,19 @@ impl ReplicatedEngine {
         let counters: Vec<Arc<ReplicaCounters>> = (0..replicas)
             .map(|_| Arc::new(ReplicaCounters::default()))
             .collect();
+        // The train loop holds `lookahead` steps itself; they count against
+        // each replica's staging depth.
+        let lookahead = trainer.lookahead();
+        let staged_depth = self.config.pipeline.train_feed_depth(lookahead);
         let job_channels: RefCell<Vec<Arc<Bounded<ReplicaJob>>>> =
             RefCell::new((0..replicas).map(|_| Arc::new(Bounded::new(1))).collect());
         let staged_channels: RefCell<Vec<Arc<Bounded<StagedBatch>>>> = RefCell::new(
             (0..replicas)
-                .map(|_| Arc::new(Bounded::new(self.config.pipeline.channel_depth)))
+                .map(|_| Arc::new(Bounded::new(staged_depth)))
                 .collect(),
         );
         let pools: Vec<Arc<Bounded<BatchBuffers>>> = (0..replicas)
-            .map(|_| Arc::new(Bounded::new(self.config.effective_pool_batches())))
+            .map(|_| Arc::new(Bounded::new(self.config.effective_pool_batches(lookahead))))
             .collect();
 
         let failures = FailureCell::default();
@@ -619,6 +632,7 @@ impl ReplicatedEngine {
 
                 let epoch_wall = Instant::now();
                 let alloc_before = alloc::snapshot();
+                let refresh_rows_before = trainer.refresh_rows();
                 let baselines: Vec<CounterBaseline> =
                     counters.iter().map(|c| c.baseline()).collect();
 
@@ -804,7 +818,7 @@ impl ReplicatedEngine {
                             continue;
                         }
                         let jobs = Arc::new(Bounded::new(1));
-                        let staged = Arc::new(Bounded::new(self.config.pipeline.channel_depth));
+                        let staged = Arc::new(Bounded::new(staged_depth));
                         job_channels.borrow_mut()[r] = Arc::clone(&jobs);
                         staged_channels.borrow_mut()[r] = Arc::clone(&staged);
                         spawn_worker(r, jobs, staged);
@@ -897,6 +911,7 @@ impl ReplicatedEngine {
                     remote_feature_bytes,
                     interconnect_seconds,
                     allocs,
+                    refresh_rows: trainer.refresh_rows() - refresh_rows_before,
                     eval_seconds,
                     checkpoint_bytes: 0,
                     checkpoint_seconds: 0.0,

@@ -16,10 +16,15 @@
 //! refresh in place and publishes it at once, so reads in the first
 //! super-batch see a version gap in `[0, n−1]`, every later one
 //! `[n, 2n−1]` — always under the `< 2n` bound.
+//!
+//! The one batch loop ([`ConvergenceTrainer::train_steps_replicated`]) is
+//! **demand-driven** (§4.2): it holds the next `2n−1` prepared steps, so at
+//! super-batch boundary `k` it already has super-batch `k+1` and refreshes
+//! only the hot rows those batches read.
 
 use crate::pool::BatchBuffers;
 use crate::refresh::{CpuPart, InlineRefresh, RefreshBackend, RefreshOutput, RefreshTask};
-use neutron_cache::EmbeddingStore;
+use neutron_cache::{EmbeddingRows, EmbeddingStore};
 use neutron_graph::{Dataset, VertexId};
 use neutron_nn::loss::cross_entropy;
 use neutron_nn::metrics::accuracy;
@@ -30,6 +35,7 @@ use neutron_sample::{
     BatchIterator, Block, EpochBatches, Fanout, HotSet, NeighborSampler, PreSampler,
 };
 use neutron_tensor::Matrix;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Historical-embedding reuse policy.
@@ -221,6 +227,8 @@ pub struct ConvergenceTrainer {
     /// Reusable sampler scratch for the boundary's training-device refresh
     /// share (avoids an `O(|V|)` buffer init per super-batch).
     refresh_scratch: neutron_sample::SamplerScratch,
+    /// Hot rows put on refresh worklists so far (telemetry, not state).
+    refresh_rows: u64,
 }
 
 impl ConvergenceTrainer {
@@ -287,6 +295,7 @@ impl ConvergenceTrainer {
             refresh_cpu_fraction: 1.0,
             pending_refresh: None,
             refresh_scratch: neutron_sample::SamplerScratch::new(),
+            refresh_rows: 0,
         }
     }
 
@@ -365,11 +374,8 @@ impl ConvergenceTrainer {
         self.train_epoch_with(items)
     }
 
-    /// Trains one epoch from externally prepared batches — the entry point
-    /// of the pipelined executor. Batches must arrive in epoch order
-    /// (`index` 0, 1, 2, …); out-of-order delivery is a caller bug, caught
-    /// by an assertion, because the super-batch barrier and the model
-    /// version counter both advance with the train order.
+    /// Trains one epoch from externally prepared batches, in epoch order
+    /// (`index` 0, 1, 2, …) — the entry point of the pipelined executor.
     pub fn train_epoch_with<I>(&mut self, prepared: I) -> EpochObservation
     where
         I: IntoIterator<Item = PreparedBatch>,
@@ -399,11 +405,10 @@ impl ConvergenceTrainer {
     /// the backend to compute during the upcoming super-batch. Embeddings
     /// read during super-batch `k ≥ 1` therefore carry the version of
     /// boundary `k−1`, giving a gap in `[n, 2n−1]` — the paper's `< 2n`
-    /// bound — while the refresh itself overlaps training; super-batch 0 of
-    /// a fresh trainer reads the rows its own boundary primed (gap
-    /// `[0, n−1]`, see the module docs). Numbers are independent of the
-    /// backend: the task is a pure function of its snapshot (see
-    /// [`crate::refresh`]).
+    /// bound — while the refresh itself overlaps training (super-batch 0 of
+    /// a fresh trainer: gap `[0, n−1]`, see the module docs). Numbers are
+    /// independent of the backend: the task is a pure function of its
+    /// snapshot (see [`crate::refresh`]).
     pub fn train_batches_with<I>(
         &mut self,
         prepared: I,
@@ -418,126 +423,109 @@ impl ConvergenceTrainer {
     /// [`Self::train_batches_with`] handing each batch to `recycle` once it
     /// has trained — the hook the engine uses to dismantle spent batches
     /// into the buffer pool. Runs strictly after the batch's optimizer step
-    /// and version bump, so recycling can never affect numerics.
+    /// and version bump, so recycling can never affect numerics. This is
+    /// the one-replica case of [`Self::train_steps_replicated`].
     pub fn train_batches_recycling<I, R>(
         &mut self,
         prepared: I,
         backend: &mut dyn RefreshBackend,
-        mut recycle: R,
+        recycle: R,
     ) -> BatchLoopStats
     where
         I: IntoIterator<Item = PreparedBatch>,
         R: FnMut(PreparedBatch),
     {
-        let mut losses = Vec::new();
-        let super_n = match &self.config.policy {
-            ReusePolicy::HotnessAware { super_batch, .. } => *super_batch,
-            _ => usize::MAX,
-        };
-        let mut max_delta = 0.0f32;
-        let mut snapshot = (super_n != usize::MAX).then(|| self.model.snapshot());
-        for (bi, item) in prepared.into_iter().enumerate() {
-            assert_eq!(
-                item.index, bi,
-                "prepared batches must arrive in epoch order"
-            );
-            if super_n != usize::MAX && bi % super_n == 0 {
-                // Super-batch boundary: measure how far the weights moved
-                // during the last super-batch, publish the refresh computed
-                // from the previous boundary's snapshot, and launch the next.
-                if let Some(snap) = &snapshot {
-                    max_delta = max_delta.max(self.model.max_weight_delta(snap));
-                    snapshot = Some(self.model.snapshot());
-                }
-                self.refresh_boundary(backend);
-            }
-            losses.push(self.train_prepared(&item.blocks, &item.features));
-            self.version += 1;
-            recycle(item);
-        }
-        if let Some(snap) = &snapshot {
-            max_delta = max_delta.max(self.model.max_weight_delta(snap));
-        }
-        let staleness_epsilon = if super_n == usize::MAX {
-            0.0
-        } else {
-            max_delta * 2.0 * super_n as f32
-        };
-        BatchLoopStats {
-            losses,
-            staleness_epsilon,
+        self.train_steps_replicated(prepared.into_iter().map(|item| [item]), backend, recycle)
+    }
+
+    /// Prepared steps the batch loop holds beyond the one it is training:
+    /// `2n−1` when a hot set is refreshed per super-batch (boundary `k`
+    /// must see all of super-batch `k+1`), else 0. Executors count this
+    /// window against their in-flight batch budget.
+    pub fn lookahead(&self) -> usize {
+        let refreshed = self.hot.as_ref().is_some_and(|hot| !hot.is_empty());
+        let n = self.super_batch().filter(|_| refreshed);
+        n.map_or(0, |n| 2 * n - 1)
+    }
+
+    /// `n` under [`ReusePolicy::HotnessAware`].
+    fn super_batch(&self) -> Option<usize> {
+        match self.config.policy {
+            ReusePolicy::HotnessAware { super_batch, .. } => Some(super_batch),
+            _ => None,
         }
     }
 
-    /// The data-parallel analogue of [`Self::train_batches_recycling`]:
-    /// every item of `steps` carries one prepared batch **per replica**, in
-    /// fixed replica order. Each replica's gradients are computed at the
-    /// same parameter version ([`Self::grad_prepared`]), tree-averaged
-    /// ([`neutron_nn::tree_average`] — order-independent by construction),
-    /// and applied in one shared optimizer step; the super-batch refresh
-    /// boundary fires on *step* index exactly as the single-replica loop
-    /// fires on batch index. A one-replica step takes the plain
-    /// [`Self::train_prepared`] path (no clone, no averaging), so R=1 is
-    /// bit-identical to [`Self::train_batches_recycling`] by construction.
-    /// The recorded per-step loss is the replica mean (the loss of the
-    /// averaged gradient's mini-batch union).
-    pub fn train_steps_replicated<I, R>(
+    /// The one batch loop. Every item of `steps` carries one prepared batch
+    /// **per replica**, in fixed replica order, all with the step's index
+    /// (`0, 1, 2, …`, asserted: the super-batch barrier and the model
+    /// version advance with the train order). Each replica's gradients are
+    /// computed at the same parameter version ([`Self::grad_prepared`]),
+    /// tree-averaged ([`neutron_nn::tree_average`] — order-independent) and
+    /// applied in one shared optimizer step; the recorded loss is the
+    /// replica mean. A one-replica step is plain [`Self::train_prepared`]:
+    /// no clone, no averaging, no extra float ops.
+    ///
+    /// The loop fills a window of [`Self::lookahead`] steps, then pulls one
+    /// step per step trained, so the boundary at step `kn` can hand
+    /// `refresh_boundary` super-batch `k+1`. When `steps` ends early
+    /// (a stalled or dead producer) it trains what it holds and returns.
+    pub fn train_steps_replicated<I, S, R>(
         &mut self,
         steps: I,
         backend: &mut dyn RefreshBackend,
         mut recycle: R,
     ) -> BatchLoopStats
     where
-        I: IntoIterator<Item = Vec<PreparedBatch>>,
+        I: IntoIterator<Item = S>,
+        S: AsRef<[PreparedBatch]> + IntoIterator<Item = PreparedBatch>,
         R: FnMut(PreparedBatch),
     {
+        let mut steps = steps.into_iter().fuse();
+        let lookahead = self.lookahead();
+        let mut window = VecDeque::with_capacity(lookahead + 1);
         let mut losses = Vec::new();
-        let super_n = match &self.config.policy {
-            ReusePolicy::HotnessAware { super_batch, .. } => *super_batch,
-            _ => usize::MAX,
-        };
-        let mut max_delta = 0.0f32;
-        let mut snapshot = (super_n != usize::MAX).then(|| self.model.snapshot());
-        for (si, step) in steps.into_iter().enumerate() {
-            assert!(!step.is_empty(), "a step needs at least one replica batch");
-            if super_n != usize::MAX && si % super_n == 0 {
-                if let Some(snap) = &snapshot {
-                    max_delta = max_delta.max(self.model.max_weight_delta(snap));
-                    snapshot = Some(self.model.snapshot());
-                }
-                self.refresh_boundary(backend);
+        // §4.3 monitor: (n, weights at the last boundary, max ‖ΔW‖∞ so far).
+        let n = self.super_batch();
+        let mut reuse = n.map(|n| (n, self.model.snapshot(), 0.0f32));
+        for si in 0.. {
+            window.extend(steps.by_ref().take(lookahead + 1 - window.len()));
+            let Some(step) = window.pop_front() else {
+                break;
+            };
+            let batches: &[PreparedBatch] = step.as_ref();
+            assert!(
+                !batches.is_empty() && batches.iter().all(|item| item.index == si),
+                "a step is one prepared batch per replica, in epoch order"
+            );
+            if let Some((n, snap, max_delta)) = reuse.as_mut().filter(|r| si % r.0 == 0) {
+                // Super-batch boundary k: measure how far the weights moved
+                // during the last super-batch, then publish and launch for
+                // super-batch k+1, whose steps (k+1)n.. sit at window[n−1..].
+                *max_delta = max_delta.max(self.model.max_weight_delta(snap));
+                *snap = self.model.snapshot();
+                let next = window.iter().skip(*n - 1).flat_map(|s| s.as_ref());
+                self.refresh_boundary(backend, next);
             }
-            if step.len() == 1 {
-                let item = step.into_iter().next().unwrap();
-                assert_eq!(item.index, si, "replica batches must arrive in step order");
-                losses.push(self.train_prepared(&item.blocks, &item.features));
-                self.version += 1;
-                recycle(item);
+            let loss = if let [item] = batches {
+                self.train_prepared(&item.blocks, &item.features)
             } else {
-                let replicas = step.len();
-                let mut groups = Vec::with_capacity(replicas);
+                let mut groups = Vec::with_capacity(batches.len());
                 let mut loss_sum = 0.0f32;
-                for item in &step {
-                    assert_eq!(item.index, si, "replica batches must arrive in step order");
+                for item in batches {
                     loss_sum += self.grad_prepared(&item.blocks, &item.features);
                     groups.push(self.clone_grads());
                 }
                 self.apply_averaged_grads(neutron_nn::tree_average(groups));
-                self.version += 1;
-                losses.push(loss_sum / replicas as f32);
-                for item in step {
-                    recycle(item);
-                }
-            }
+                loss_sum / batches.len() as f32
+            };
+            losses.push(loss);
+            self.version += 1;
+            step.into_iter().for_each(&mut recycle);
         }
-        if let Some(snap) = &snapshot {
-            max_delta = max_delta.max(self.model.max_weight_delta(snap));
-        }
-        let staleness_epsilon = if super_n == usize::MAX {
-            0.0
-        } else {
-            max_delta * 2.0 * super_n as f32
-        };
+        let staleness_epsilon = reuse.map_or(0.0, |(n, snap, max_delta)| {
+            max_delta.max(self.model.max_weight_delta(&snap)) * 2.0 * n as f32
+        });
         BatchLoopStats {
             losses,
             staleness_epsilon,
@@ -631,8 +619,7 @@ impl ConvergenceTrainer {
     }
 
     /// Installs externally averaged gradients and applies one shared
-    /// optimizer step (no version bump — the caller owns step accounting
-    /// via [`Self::end_step`]).
+    /// optimizer step (no version bump — the caller owns step accounting).
     pub fn apply_averaged_grads(&mut self, grads: neutron_nn::GradSet) {
         let mut params = self.model.params_mut();
         assert_eq!(params.len(), grads.len(), "gradient set shape mismatch");
@@ -651,23 +638,33 @@ impl ConvergenceTrainer {
 
     /// One super-batch boundary of the double-buffered refresh pipeline:
     /// publish the rows prepared during the last super-batch, then capture
-    /// a fresh parameter snapshot and launch the next refresh. The hot set
-    /// is split by [`Self::refresh_cpu_fraction`]: the training device
-    /// computes its share immediately (it has the hot features cached,
-    /// §4.1.3), the CPU share goes to `backend` — inline for the sequential
-    /// trainer, a dedicated worker under the engine.
+    /// a fresh parameter snapshot and launch the next refresh.
     ///
-    /// **Priming.** Hot vertices are pruned from every bottom block, so
-    /// their rows must be readable from batch 0. At the first boundary of a
-    /// trainer with an empty store and nothing pending, both shares run
-    /// here, are published at once *and* stay pending (the next boundary
-    /// republishes the same rows; nothing is computed twice). Reads in that
-    /// first super-batch have gap `[0, n−1]`. A restored trainer brings its
-    /// store and pending refresh from the checkpoint and is not primed.
-    fn refresh_boundary(&mut self, backend: &mut dyn RefreshBackend) {
-        let hot = match &self.hot {
-            Some(h) if !h.is_empty() => h,
-            _ => return,
+    /// **What a boundary refreshes.** Rows launched at boundary `k` are read
+    /// only during super-batch `k+1`, whose batches `next` yields: the
+    /// worklist is `hot ∩ blocks[1].src()` over them (sorted, deduped), or
+    /// the whole hot set when no next super-batch is in sight (an epoch's
+    /// last boundary). A row is a pure function of (vertex, snapshot,
+    /// seed), so the worklist never changes a row that is read; a hot row
+    /// outside it keeps its old version, which fails the store's bound.
+    /// The worklist is split by [`Self::refresh_cpu_fraction`]: the
+    /// training device computes its share immediately (it has the hot
+    /// features cached, §4.1.3), the CPU share goes to `backend` — inline
+    /// for the sequential trainer, a dedicated worker under the engine.
+    ///
+    /// **Priming** (see the module docs). At the first boundary of a
+    /// trainer with an empty store and nothing pending, both shares cover
+    /// the whole hot set, run here, are published at once *and* stay
+    /// pending (the next boundary republishes the same rows; nothing is
+    /// computed twice). A restored trainer brings its store and pending
+    /// refresh from the checkpoint and is not primed.
+    fn refresh_boundary<'a>(
+        &mut self,
+        backend: &mut dyn RefreshBackend,
+        next: impl Iterator<Item = &'a PreparedBatch>,
+    ) {
+        let Some(hot) = self.hot.as_deref().filter(|hot| !hot.is_empty()) else {
+            return;
         };
         // Publish: the refresh computed from the *previous* boundary's
         // snapshot becomes visible now, stamped with that older version.
@@ -678,37 +675,42 @@ impl ConvergenceTrainer {
                     CpuPart::Ready(out) => out,
                     CpuPart::Submitted => backend.collect(),
                 };
-                store.put_rows(cpu.rows, cpu.version);
-                store.put_rows(pending.gpu.rows, pending.gpu.version);
+                store.put_rows(&cpu.rows, cpu.version);
+                store.put_rows(&pending.gpu.rows, pending.gpu.version);
                 false
             }
             None => store.is_empty(),
         };
-        // Launch: snapshot the bottom layer at the current version and
-        // split the worklist. Both partitions are pure functions of the
-        // same snapshot and seed, so the split never changes the rows.
-        let (cpu_vertices, gpu_vertices) = hot.split_cpu_gpu(self.refresh_cpu_fraction);
-        let fanout0 = self.sampler.fanout().at(0);
-        let version = self.version;
-        let seed = version ^ 0x5b;
-        let make = |vertices: Vec<VertexId>| {
-            RefreshTask::new(
-                Arc::clone(&self.dataset),
-                self.model.layers()[0].clone(),
-                self.sampler.clone(),
-                vertices,
-                fanout0,
-                version,
-                seed,
-            )
+        // Launch: snapshot the bottom layer at the current version and split
+        // the worklist; both shares are pure functions of that one snapshot.
+        let mut next = next.peekable();
+        let vertices = if prime || next.peek().is_none() {
+            hot.vertices().to_vec()
+        } else {
+            let reads = next.flat_map(|batch| batch.blocks[1].src());
+            let mut demand: Vec<VertexId> = reads.copied().filter(|&v| hot.contains(v)).collect();
+            demand.sort_unstable();
+            demand.dedup();
+            demand
         };
-        let gpu_task = make(gpu_vertices);
-        let cpu_task = make(cpu_vertices);
+        self.refresh_rows += vertices.len() as u64;
+        let cpu_len = (vertices.len() as f64 * self.refresh_cpu_fraction).round() as usize;
+        let version = self.version;
+        let mut cpu_task = RefreshTask::new(
+            Arc::clone(&self.dataset),
+            self.model.layers()[0].clone(),
+            self.sampler.clone(),
+            vertices,
+            self.sampler.fanout().at(0),
+            version,
+            version ^ 0x5b,
+        );
+        let gpu_task = cpu_task.split_off(cpu_len);
         let gpu = gpu_task.run_with_scratch(&mut self.refresh_scratch);
         let cpu = if prime {
             let cpu = cpu_task.run_with_scratch(&mut self.refresh_scratch);
-            store.put_rows(cpu.rows.iter().cloned(), version);
-            store.put_rows(gpu.rows.iter().cloned(), version);
+            store.put_rows(&cpu.rows, version);
+            store.put_rows(&gpu.rows, version);
             CpuPart::Ready(cpu)
         } else {
             backend.submit(cpu_task)
@@ -736,15 +738,14 @@ impl ConvergenceTrainer {
     pub fn capture_state(&mut self, backend: &mut dyn RefreshBackend) -> TrainerState {
         self.settle_refresh(backend);
         let pending = self.pending_refresh.as_ref().map(|p| {
-            let cpu = match &p.cpu {
-                CpuPart::Ready(out) => out,
-                CpuPart::Submitted => unreachable!("settle_refresh materialised the CPU share"),
+            let CpuPart::Ready(cpu) = &p.cpu else {
+                unreachable!("settle_refresh materialised the CPU share")
             };
             PendingSnapshot {
                 gpu_version: p.gpu.version,
-                gpu_rows: p.gpu.rows.clone(),
+                gpu_rows: p.gpu.rows.to_pairs(),
                 cpu_version: cpu.version,
-                cpu_rows: cpu.rows.clone(),
+                cpu_rows: cpu.rows.to_pairs(),
             }
         });
         TrainerState {
@@ -786,27 +787,26 @@ impl ConvergenceTrainer {
                 p.grad.fill_zero();
             }
         }
-        if let Some(snap) = &state.store {
-            if snap.dim != self.dataset.spec.hidden_dim {
-                return Err(format!(
-                    "store dimension mismatch: trainer {}, checkpoint {}",
-                    self.dataset.spec.hidden_dim, snap.dim
-                ));
-            }
+        let dim = self.dataset.spec.hidden_dim;
+        if let Some(found) = state.store.as_ref().map(|s| s.dim).filter(|&d| d != dim) {
+            return Err(format!(
+                "store dimension mismatch: trainer {dim}, checkpoint {found}"
+            ));
         }
+        let output = |rows, version| {
+            EmbeddingRows::from_pairs(dim, rows).map(|rows| RefreshOutput { rows, version })
+        };
+        let pending = match &state.pending {
+            Some(p) => Some(PendingRefresh {
+                gpu: output(&p.gpu_rows, p.gpu_version)?,
+                cpu: CpuPart::Ready(output(&p.cpu_rows, p.cpu_version)?),
+            }),
+            None => None,
+        };
         self.version = state.version;
         self.refresh_cpu_fraction = state.refresh_cpu_fraction;
         self.store = state.store.as_ref().map(EmbeddingStore::from_snapshot);
-        self.pending_refresh = state.pending.as_ref().map(|p| PendingRefresh {
-            gpu: RefreshOutput {
-                rows: p.gpu_rows.clone(),
-                version: p.gpu_version,
-            },
-            cpu: CpuPart::Ready(RefreshOutput {
-                rows: p.cpu_rows.clone(),
-                version: p.cpu_version,
-            }),
-        });
+        self.pending_refresh = pending;
         Ok(())
     }
 
@@ -827,8 +827,10 @@ impl ConvergenceTrainer {
         self.refresh_cpu_fraction
     }
 
-    fn gather(&self, src: &[VertexId]) -> Matrix {
-        Self::gather_features(&self.dataset, src)
+    /// Hot rows recomputed by super-batch refreshes since construction
+    /// (both shares); engines report its per-epoch delta.
+    pub fn refresh_rows(&self) -> u64 {
+        self.refresh_rows
     }
 
     /// Test accuracy with exact (non-stale, full-neighbor) inference.
@@ -840,7 +842,7 @@ impl ConvergenceTrainer {
         for chunk in self.dataset.test.chunks(512) {
             let blocks =
                 neutron_sample::full_blocks(&self.dataset.csr, chunk, self.config.layers, 32);
-            let feats = self.gather(blocks[0].src());
+            let feats = Self::gather_features(&self.dataset, blocks[0].src());
             let pass = self.model.forward(&blocks, &feats);
             let labels: Vec<usize> = chunk
                 .iter()

@@ -83,6 +83,25 @@ fn scaled_trainer(spec: &DatasetSpec) -> ConvergenceTrainer {
 struct RunOutput {
     reports: Vec<PipelineReport>,
     replicated: Option<ReplicatedSessionReport>,
+    /// Engine workloads: `(rows, tasks, hot)` — hot rows put on refresh
+    /// worklists over the run, the super-batch boundaries that launched
+    /// them, and the size of the hot set.
+    refresh: Option<(u64, usize, usize)>,
+}
+
+/// [`RunOutput::refresh`] from a finished engine session's per-epoch
+/// `(refresh_rows, steps)`: one refresh task per super-batch boundary.
+fn refresh_summary(
+    trainer: &ConvergenceTrainer,
+    epochs: impl Iterator<Item = (u64, usize)>,
+) -> Option<(u64, usize, usize)> {
+    let ReusePolicy::HotnessAware { super_batch, .. } = trainer.policy() else {
+        return None;
+    };
+    let (rows, tasks) = epochs.fold((0, 0), |(rows, tasks), (r, steps)| {
+        (rows + r, tasks + steps.div_ceil(*super_batch))
+    });
+    Some((rows, tasks, trainer.hot_set()?.len()))
 }
 
 /// Runs the workload inline and returns the per-epoch stage reports it
@@ -112,9 +131,14 @@ fn run_workload(workload: Workload, epochs: usize, replicas: usize) -> RunOutput
         }
         return RunOutput {
             reports: session.epochs.iter().map(|r| r.report.clone()).collect(),
+            refresh: refresh_summary(
+                &trainer,
+                session.epochs.iter().map(|r| (r.refresh_rows, r.steps)),
+            ),
             replicated: Some(session),
         };
     }
+    let mut refresh = None;
     let reports = match workload {
         Workload::Quickstart => {
             let spec = DatasetSpec::reddit_convergence();
@@ -159,12 +183,20 @@ fn run_workload(workload: Workload, epochs: usize, replicas: usize) -> RunOutput
                     run.report.train_occupancy()
                 );
             }
+            refresh = refresh_summary(
+                &trainer,
+                session
+                    .epochs
+                    .iter()
+                    .map(|r| (r.refresh_rows, r.report.num_batches)),
+            );
             session.epochs.into_iter().map(|r| r.report).collect()
         }
     };
     RunOutput {
         reports,
         replicated: None,
+        refresh,
     }
 }
 
@@ -220,6 +252,17 @@ pub fn timing_run(workload: Workload, epochs: usize, replicas: usize, allocs: bo
             );
         }
         println!("  {:<22} {epoch_secs:>8.3}s", "epoch wall total");
+    }
+
+    if let Some((rows, tasks, hot)) = out.refresh {
+        // A boundary recomputes the hot rows the next super-batch reads;
+        // only an epoch's last boundary (and priming) takes the whole set.
+        let per_task = rows as f64 / tasks.max(1) as f64;
+        println!(
+            "\nrefresh worklists: {tasks} tasks, {per_task:.0} rows a task on average \
+             of {hot} hot-set rows ({:.1}%)",
+            100.0 * per_task / hot.max(1) as f64
+        );
     }
 
     if let Some(session) = &out.replicated {

@@ -18,7 +18,7 @@ use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
-use neutronorch::tensor::alloc;
+use neutronorch::tensor::alloc::{self, Stage};
 
 /// Hard ceiling on staging (sample + gather + transfer) heap allocations
 /// per warm engine epoch on the tiny workload. The pooled path measures
@@ -34,6 +34,14 @@ const WARM_STAGING_ALLOC_BUDGET: u64 = 300;
 /// modest (~3x measured); the headline ≥10x claim is gated on the bench
 /// workload by `cargo xtask bench-diff` against `BENCH_engine.json`.
 const MIN_IMPROVEMENT: u64 = 2;
+
+/// Hard ceiling on refresh-stage heap allocations per warm engine epoch on
+/// the tiny workload, with every refresh row computed on the refresh
+/// worker (fixed all-CPU split, one shard). An epoch launches three tasks
+/// here; a task costs a sampled block, a gathered feature matrix and the
+/// bottom layer's forward — 14 allocations whatever its size, 42 an
+/// epoch. One `Vec` per refreshed row (90 hot rows a task) lands at 300+.
+const WARM_REFRESH_ALLOC_BUDGET: u64 = 100;
 
 fn trainer() -> ConvergenceTrainer {
     let ds = DatasetSpec::tiny().build_full();
@@ -84,6 +92,16 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
     });
     let session = engine.run_session(&mut eng, 0, epochs);
 
+    // Same engine with the whole refresh pinned to the refresh worker, so
+    // the refresh-stage window sees every row a boundary recomputes.
+    let mut pinned = trainer();
+    let pinned_session = TrainingEngine::new(EngineConfig {
+        adaptive_split: false,
+        refresh_workers: 1,
+        ..engine.config().clone()
+    })
+    .run_session(&mut pinned, 0, epochs);
+
     // Data-parallel engine at R=2: both replicas run the same pooled
     // staging path, so the process-wide per-epoch window (the counters are
     // global, per-replica attribution is not tracked) must hold R times
@@ -127,6 +145,21 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
              expected at least {MIN_IMPROVEMENT}x fewer on the pooled path",
             run.epoch,
             seq_staging[run.epoch]
+        );
+    }
+
+    for run in &pinned_session.epochs[1..] {
+        let refresh = run.allocs.get(Stage::Refresh).allocs;
+        println!(
+            "epoch {}: refresh-stage allocs {refresh} for {} refreshed rows",
+            run.epoch, run.refresh_rows
+        );
+        assert_eq!(run.refresh_cpu_fraction, 1.0);
+        assert!(
+            refresh <= WARM_REFRESH_ALLOC_BUDGET,
+            "warm epoch {} spent {refresh} allocs in the refresh stage, budget \
+             {WARM_REFRESH_ALLOC_BUDGET} — did refresh rows go back to one Vec each?",
+            run.epoch
         );
     }
 

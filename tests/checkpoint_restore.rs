@@ -99,6 +99,25 @@ fn state_bytes(t: &mut ConvergenceTrainer, replicas: usize) -> Vec<u8> {
     )
 }
 
+/// Mid-epoch boundaries refresh only what the next super-batch reads, but
+/// the refresh a checkpoint captures was launched at an epoch's last
+/// boundary, where no next super-batch is in sight: it covers the whole
+/// hot set, so a restored session can read any hot row in its first
+/// super-batch.
+fn assert_whole_hot_set_pending(ck: &Checkpoint, t: &ConvergenceTrainer) {
+    let pending = ck.state.pending.as_ref().expect("a refresh is pending");
+    let mut rows: Vec<VertexId> = pending
+        .gpu_rows
+        .iter()
+        .chain(&pending.cpu_rows)
+        .map(|r| r.0)
+        .collect();
+    let mut hot = t.hot_set().unwrap().vertices().to_vec();
+    rows.sort_unstable();
+    hot.sort_unstable();
+    assert_eq!(rows, hot);
+}
+
 // ---------------------------------------------------------------------------
 // Proptest strategies: arbitrary IEEE bit patterns, not just "nice" floats.
 // ---------------------------------------------------------------------------
@@ -469,6 +488,7 @@ fn killed_engine_session_restores_bit_identically() {
             assert_eq!(ck.next_epoch as usize, kill_after);
             assert_eq!(ck.replicas, 1);
             let mut resumed = trainer();
+            assert_whole_hot_set_pending(&ck, &resumed);
             resumed.restore_state(&ck.state).expect("restore");
             let rest = engine(sampler_threads, None).run_session(
                 &mut resumed,
@@ -512,7 +532,7 @@ fn killed_replicated_session_restores_bit_identically_at_any_width() {
             .collect();
         let final_state = state_bytes(&mut full, replicas);
 
-        for kill_after in [1, 2] {
+        for kill_after in [1, 2, 3] {
             let path = ck_path(&format!("rep-r{replicas}-k{kill_after}"));
             let mut first = trainer();
             let digest = checkpoint::config_digest(first.config(), replicas);
@@ -528,6 +548,7 @@ fn killed_replicated_session_restores_bit_identically_at_any_width() {
             assert_eq!(ck.rng_seeds[0], seed);
 
             let mut resumed = trainer();
+            assert_whole_hot_set_pending(&ck, &resumed);
             resumed.restore_state(&ck.state).expect("restore");
             let rest = replicated(replicas, None).run_session(
                 &mut resumed,

@@ -148,19 +148,50 @@ fn engine_sampler_crash_is_absorbed_bit_identically() {
 }
 
 /// A stalled sampler (alive but never producing) trips the stall timeout
-/// with a typed error instead of blocking the train stage forever.
+/// with a typed error instead of blocking the train stage forever. The
+/// train loop pulls `2n−1 = 3` batches ahead of the one it trains: the
+/// stall is hit while it fills that window (steps 1, 3) or tops it up
+/// (step 4), and the error always names the batch that never arrived.
 #[test]
 fn engine_stall_is_detected_within_the_timeout() {
-    let mut t = trainer();
-    let err = engine(1, "stall@r0e0s1")
-        .run_session_checked(&mut t, 0, 2)
-        .expect_err("stall must fail the session");
-    match err {
-        SessionError::Stalled { epoch, timeout, .. } => {
-            assert_eq!(epoch, 0);
-            assert_eq!(timeout, Duration::from_millis(300));
+    for step in [1, 3, 4] {
+        let mut t = trainer();
+        assert_eq!(t.lookahead(), 3);
+        let err = engine(1, &format!("stall@r0e0s{step}"))
+            .run_session_checked(&mut t, 0, 2)
+            .expect_err("stall must fail the session");
+        match err {
+            SessionError::Stalled {
+                epoch,
+                step: awaited,
+                timeout,
+            } => {
+                assert_eq!((epoch, awaited), (0, step));
+                assert_eq!(timeout, Duration::from_millis(300));
+            }
+            other => panic!("expected Stalled, got {other:?}"),
         }
-        other => panic!("expected Stalled, got {other:?}"),
+    }
+}
+
+/// The only sampler crashing (a clean exit, nobody left to steal its
+/// batches) drains and closes every staging channel: the train loop runs
+/// out of input while filling its lookahead window and the session ends
+/// with a typed error counting the batches that did arrive — never a hang.
+#[test]
+fn engine_crash_of_the_last_sampler_is_a_typed_error_not_a_hang() {
+    let mut t = trainer();
+    let total = t.epoch_batches(0).len();
+    let err = engine(1, "crash@r0e0s2")
+        .run_session_checked(&mut t, 0, 2)
+        .expect_err("nobody is left to sample");
+    match err {
+        SessionError::EpochIncomplete {
+            epoch,
+            trained,
+            total: scheduled,
+        } => assert_eq!((epoch, trained, scheduled), (0, 2, total)),
+        other => panic!("expected EpochIncomplete, got {other:?}"),
     }
 }
 
@@ -216,48 +247,67 @@ fn replicated_panic_under_fail_policy_is_a_typed_error() {
 }
 
 /// A stalled replica is detected by the supervisor's channel timeout and,
-/// under `Fail`, reported as a typed error naming the replica.
+/// under `Fail`, reported as a typed error naming the replica and the step
+/// the supervisor was waiting for — also when that step is one the train
+/// loop pulls ahead of the step it trains.
 #[test]
 fn replicated_stall_under_fail_policy_is_a_typed_error() {
-    let mut t = trainer();
-    let err = replicated(2, "stall@r0e0s0", FailurePolicy::Fail)
+    for (victim, awaited) in [(0, 0), (1, 1)] {
+        let mut t = trainer();
+        let err = replicated(
+            2,
+            &format!("stall@r{victim}e0s{awaited}"),
+            FailurePolicy::Fail,
+        )
         .run_session_checked(&mut t, 0, 2)
         .expect_err("stall must fail the session");
-    match err {
-        SessionError::ReplicaDied {
-            replica, detail, ..
-        } => {
-            assert_eq!(replica, 0);
-            assert!(detail.contains("stalled"), "detail: {detail}");
+        match err {
+            SessionError::ReplicaDied {
+                replica,
+                epoch,
+                step,
+                detail,
+            } => {
+                assert_eq!((replica, epoch, step), (victim, 0, awaited));
+                assert!(detail.contains("stalled"), "detail: {detail}");
+            }
+            other => panic!("expected ReplicaDied, got {other:?}"),
         }
-        other => panic!("expected ReplicaDied, got {other:?}"),
     }
 }
 
 /// Under `DropReplica`, the session sheds the dead replica and finishes
 /// with the survivors: every scheduled epoch completes, the drop is in the
 /// failure timeline, and the degraded trajectory is deterministic — two
-/// identical drills produce bit-identical losses.
+/// identical drills produce bit-identical losses, whether the death is
+/// found at an epoch's first pull or while the train loop holds steps of
+/// the dead replica in its lookahead window.
 #[test]
 fn replicated_crash_with_drop_policy_degrades_and_completes() {
-    let run = || {
-        let mut t = trainer();
-        let session = replicated(2, "crash@r1e1s0", FailurePolicy::DropReplica)
-            .run_session_checked(&mut t, 0, 3)
-            .expect("drop policy must complete");
-        assert_eq!(session.epochs.len(), 3);
-        let drops: Vec<_> = session
-            .epochs
-            .iter()
-            .flat_map(|r| r.report.failures.iter())
-            .filter(|e| e.action == FailureAction::DroppedReplica)
-            .cloned()
-            .collect();
-        assert_eq!(drops.len(), 1, "exactly one replica is dropped");
-        assert_eq!(drops[0].replica, 1);
-        replicated_losses(&session)
-    };
-    assert_eq!(run(), run(), "degraded trajectory must be deterministic");
+    for faults in ["crash@r1e1s0", "crash@r1e0s1"] {
+        let run = || {
+            let mut t = trainer();
+            let session = replicated(2, faults, FailurePolicy::DropReplica)
+                .run_session_checked(&mut t, 0, 3)
+                .expect("drop policy must complete");
+            assert_eq!(session.epochs.len(), 3);
+            let drops: Vec<_> = session
+                .epochs
+                .iter()
+                .flat_map(|r| r.report.failures.iter())
+                .filter(|e| e.action == FailureAction::DroppedReplica)
+                .cloned()
+                .collect();
+            assert_eq!(drops.len(), 1, "exactly one replica is dropped");
+            assert_eq!(drops[0].replica, 1);
+            replicated_losses(&session)
+        };
+        assert_eq!(
+            run(),
+            run(),
+            "{faults}: degraded trajectory must be deterministic"
+        );
+    }
 }
 
 /// Under `Restore`, a mid-epoch replica death rolls the session back to
