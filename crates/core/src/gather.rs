@@ -183,23 +183,6 @@ pub struct StagedBatch {
 }
 
 impl StagedBatch {
-    /// Samples-free construction: gathers `blocks[0]`'s features against
-    /// `cache` and stages the batch.
-    pub fn stage(
-        dataset: &Dataset,
-        index: usize,
-        blocks: Vec<Block>,
-        cache: &FeatureCache,
-    ) -> Self {
-        let features = GatheredFeatures::gather(dataset, &blocks[0], cache);
-        Self {
-            index,
-            blocks,
-            features,
-            bufs: BatchBuffers::new(),
-        }
-    }
-
     /// Bytes this batch ships to the training device: host-gathered (miss)
     /// feature rows plus the sampled block structure (~8 bytes per edge).
     /// Cache hits cost nothing — that is the point.

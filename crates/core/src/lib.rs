@@ -21,7 +21,10 @@
 //!   reports runtime, utilizations, transfer volume, memory and OOM;
 //! - **numeric training** ([`trainer`]): really trains on a replica dataset,
 //!   reusing historical embeddings under the configured staleness policy —
-//!   the accuracy results of Fig 16 come from here.
+//!   the accuracy results of Fig 16 come from here. A [`session::Session`]
+//!   runs it as the paper's concurrent stage graph, on one staged worker
+//!   pool or on one fused worker per graph partition depending on
+//!   [`session::SessionConfig::replicas`].
 
 pub mod baselines;
 pub mod checkpoint;
@@ -37,22 +40,21 @@ pub mod refresh;
 pub mod replica;
 pub mod report;
 pub mod runner;
+pub mod session;
 pub mod sim;
 pub mod trainer;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use engine::{EngineConfig, EpochRun, SessionError, SessionReport, TrainingEngine};
 pub use fault::{FailureAction, FailureEvent, FailurePolicy, FaultKind, FaultPlan, FaultSpec};
 pub use gather::{GatheredFeatures, StagedBatch};
 pub use neutronorch::{NeutronOrch, NeutronOrchConfig};
 pub use orchestrator::Orchestrator;
-pub use pipeline::{PipelineConfig, PipelineExecutor, PipelineReport};
+pub use pipeline::{PipelineConfig, PipelineReport};
 pub use pool::BatchBuffers;
 pub use profile::{WorkloadConfig, WorkloadProfile};
 pub use refresh::{InlineRefresh, RefreshBackend, RefreshOutput, RefreshTask};
-pub use replica::{
-    ReplicaEpochStats, ReplicatedConfig, ReplicatedEngine, ReplicatedEpochRun,
-    ReplicatedSessionReport,
-};
 pub use report::EpochReport;
+pub use session::{
+    EpochRun, ReplicaEpochStats, Session, SessionConfig, SessionError, SessionReport,
+};
 pub use trainer::TrainerState;

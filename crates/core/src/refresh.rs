@@ -12,17 +12,17 @@
 //!
 //! Running the task later — on a background worker, or inline — always
 //! produces bit-identical rows, because the snapshot freezes the weights
-//! and [`NeighborSampler::sample_one_hop_stable`] seeds neighbor draws per
-//! vertex, making the output independent of *where*, *when* and over *which
-//! subset* of the hot set the task runs. That subset independence is what
-//! lets the §4.1.3 hybrid split move vertices between the CPU refresh
-//! worker and the training device, and lets a boundary recompute only the
-//! hot rows the next super-batch reads (§4.2), without perturbing the
-//! training trajectory.
+//! and [`NeighborSampler::sample_one_hop_stable_with_scratch`] seeds
+//! neighbor draws per vertex, making the output independent of *where*,
+//! *when* and over *which subset* of the hot set the task runs. That
+//! subset independence is what lets the §4.1.3 hybrid split move vertices
+//! between the CPU refresh worker and the training device, and lets a
+//! boundary recompute only the hot rows the next super-batch reads (§4.2),
+//! without perturbing the training trajectory.
 //!
 //! [`RefreshBackend`] abstracts the execution site: the sequential trainer
 //! uses [`InlineRefresh`] (compute at submission, on the train thread); the
-//! persistent [`crate::engine::TrainingEngine`] ships tasks to a dedicated
+//! staged runner of a [`crate::session::Session`] ships tasks to a dedicated
 //! refresh worker and collects the rows at the next boundary.
 //!
 //! Rows created at boundary `k` are published at boundary `k+1`, so reads
@@ -33,8 +33,8 @@
 //! train thread, bypassing the backend, and is published immediately as
 //! well as kept pending — reads in super-batch 0 see gap `[0, n−1]`
 //! (`ConvergenceTrainer::refresh_boundary`). The task itself always samples
-//! through the `sample_one_hop_stable*` entry points, which never prune:
-//! the refresh is what computes the hot rows.
+//! through [`NeighborSampler::sample_one_hop_stable_with_scratch`], which
+//! never prunes: the refresh is what computes the hot rows.
 
 use crate::trainer::ConvergenceTrainer;
 use neutron_cache::EmbeddingRows;

@@ -1,0 +1,806 @@
+//! The one training-session API: one engine type, one config, one report.
+//!
+//! A [`Session`] runs the paper's stage graph (Fig 8: sample → gather →
+//! transfer → train, plus the super-batch hot-embedding refresh) over a
+//! span of epochs. It **dispatches on [`SessionConfig::replicas`]**, an
+//! input the code observes rather than a mode the caller picks:
+//!
+//! - `replicas == 1` → the *staged pool* of [`crate::engine`]: N sampler,
+//!   M gather, one transfer and one refresh worker over shared bounded
+//!   channels, with the occupancy-planned feature cache;
+//! - `replicas ≥ 2` → the *fused workers* of [`crate::replica`]: one
+//!   sample→gather→transfer worker per graph partition, per-replica caches
+//!   of the hottest owned vertices, the refresh inline on the train thread.
+//!
+//! Both are the same stage graph around the same train loop
+//! ([`ConvergenceTrainer::train_steps_replicated`]); they stay two private
+//! runners because three differences (orchbench `replicated_r2`, seed 1,
+//! 2-core box; measured on scratch copies by the author of the unification
+//! issue and quoted here, not reproduced by anything in this repository)
+//! make giving replicas the staged topology a regression today: staging
+//! each replica on the staged pool moves `peak_rss_mib` 202 → 368 (16
+//! buffer bundles in flight per lane instead of 6), the occupancy-planned
+//! cache moves `h2d_mib_per_epoch` 194.8 → 238.6 (≈ 200 cached vertices per
+//! replica instead of the hottest owned ones under the budget), and a
+//! background refresh worker costs +8 % `peak_rss_mib` with no
+//! `warm_epoch_s` gain.
+//!
+//! What exists once, here, for both runners: the worker-side fault hook
+//! and stall latch (`Supervisor`), the checkpoint-at-boundary step
+//! (`Checkpointer`), the epoch-batch recycling ring (`BatchRing`) and the
+//! post-train bundle recycler (`recycle_into`).
+
+use crate::checkpoint::{self, Checkpoint, CheckpointError};
+use crate::engine::{Bounded, BusyNs};
+use crate::fault::{FailureAction, FailureEvent, FailurePolicy, FaultKind, FaultPlan};
+use crate::pipeline::{PipelineConfig, PipelineReport};
+use crate::pool::BatchBuffers;
+use crate::refresh::RefreshBackend;
+use crate::trainer::{ConvergenceTrainer, EpochObservation, PreparedBatch};
+use neutron_hetero::InterconnectSpec;
+use neutron_sample::EpochBatches;
+use neutron_tensor::alloc::AllocSnapshot;
+use std::fmt;
+use std::ops::ControlFlow;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+/// Configuration of a training session.
+///
+/// Fields read by **one** runner only (the other ignores them; see the
+/// module docs for the dispatch rule):
+///
+/// | field | read when |
+/// |---|---|
+/// | `pipeline.sampler_threads`, `pipeline.gather_threads` | `replicas == 1` |
+/// | `adaptive_split`, `refresh_workers` | `replicas == 1` |
+/// | `locality_aware`, `interconnect`, `on_replica_failure` | `replicas ≥ 2` |
+///
+/// Everything else applies to both.
+#[derive(Clone, Debug)]
+pub struct SessionConfig {
+    /// Stage thread counts (R = 1 only), channel depth (per replica at
+    /// R ≥ 2) and the simulated H2D link.
+    pub pipeline: PipelineConfig,
+    /// Number of model replicas / graph partitions. `1` runs the staged
+    /// pool, `≥ 2` one fused worker per replica.
+    pub replicas: usize,
+    /// R = 1 only. Re-plan the hybrid hot-set split from measured train
+    /// occupancy between epochs (§4.1.3 closed at runtime). When `false`
+    /// the split stays wherever
+    /// [`ConvergenceTrainer::set_refresh_cpu_fraction`] put it.
+    pub adaptive_split: bool,
+    /// Device memory spent on cached features: the hybrid planner's budget
+    /// at R = 1, each replica's own budget (hottest owned vertices) at
+    /// R ≥ 2.
+    pub gpu_free_bytes: u64,
+    /// R = 1 only. Threads the refresh worker spreads each task's vertex
+    /// list over (partition-stable, so any value is bit-identical). `0`
+    /// means auto: one shard per available core.
+    pub refresh_workers: usize,
+    /// Spent [`BatchBuffers`] bundles kept circulating per staging lane;
+    /// `0` sizes the pool to everything that can be in flight at once. Any
+    /// value is bit-identical: a drained pool just allocates fresh.
+    pub pool_batches: usize,
+    /// R ≥ 2 only. Prefer partition-local neighbours while sampling;
+    /// `false` is the locality-blind ablation.
+    pub locality_aware: bool,
+    /// R ≥ 2 only. Simulated replica-to-replica fabric pricing remote
+    /// feature pulls and gradient all-reduces (distinct from the H2D link).
+    pub interconnect: InterconnectSpec,
+    /// Write a checkpoint after every epoch whose (absolute) number + 1 is
+    /// a multiple of this; `0` disables. Keyed on the absolute epoch, so a
+    /// restored session checkpoints where the uninterrupted run would.
+    pub checkpoint_every: usize,
+    /// Checkpoint file (atomically replaced per write). Needed, with a
+    /// nonzero [`Self::checkpoint_every`], for checkpoints to be written
+    /// and for [`FailurePolicy::Restore`] to have something to load.
+    pub checkpoint_path: Option<PathBuf>,
+    /// Deterministic fault schedule consulted by the staging workers —
+    /// test and drill harness, `None` in production runs.
+    pub fault_plan: Option<Arc<FaultPlan>>,
+    /// How long the train stage tolerates an empty staging channel (with
+    /// work outstanding) before declaring its producer stalled.
+    pub stall_timeout: Duration,
+    /// R ≥ 2 only. What the supervisor does when a replica dies or stalls
+    /// mid-epoch. One replica has nobody to degrade to or respawn beside,
+    /// so [`Session::new`] rejects anything but `Fail` at R = 1.
+    pub on_replica_failure: FailurePolicy,
+}
+
+impl SessionConfig {
+    /// Resolves [`Self::refresh_workers`]'s auto (`0`) setting.
+    pub fn effective_refresh_workers(&self) -> usize {
+        match self.refresh_workers {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(8),
+            n => n,
+        }
+    }
+}
+
+impl Default for SessionConfig {
+    fn default() -> Self {
+        Self {
+            pipeline: PipelineConfig::default(),
+            replicas: 1,
+            adaptive_split: true,
+            gpu_free_bytes: 64 << 20,
+            refresh_workers: 0,
+            pool_batches: 0,
+            locality_aware: true,
+            interconnect: InterconnectSpec::nvlink_like(),
+            checkpoint_every: 0,
+            checkpoint_path: None,
+            fault_plan: None,
+            stall_timeout: Duration::from_secs(5),
+            on_replica_failure: FailurePolicy::Fail,
+        }
+    }
+}
+
+/// One epoch's staging measurements for a single replica (the one staged
+/// pool counts as replica 0).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ReplicaEpochStats {
+    /// Busy seconds of this replica's sampling phase.
+    pub sample_seconds: f64,
+    /// Busy seconds of this replica's gather phase.
+    pub gather_seconds: f64,
+    /// Busy seconds of this replica's transfer phase (incl. simulated
+    /// PCIe stall).
+    pub transfer_seconds: f64,
+    /// Host→device bytes this replica staged this epoch.
+    pub h2d_bytes: u64,
+    /// Feature bytes this replica pulled for source vertices its
+    /// partition does not own — the interconnect (not PCIe) traffic.
+    pub remote_feature_bytes: u64,
+    /// Neighbor picks that landed on partition-local vertices (counted by
+    /// the locality-biased sampler only).
+    pub local_picks: u64,
+    /// Neighbor picks that landed on remote vertices.
+    pub remote_picks: u64,
+    /// Batches this replica contributed to the epoch's steps.
+    pub batches: usize,
+    /// Tail batches dropped because another replica had fewer.
+    pub dropped_batches: usize,
+}
+
+/// One epoch of a session.
+#[derive(Clone, Debug)]
+pub struct EpochRun {
+    /// Epoch number.
+    pub epoch: usize,
+    /// Loss/accuracy/staleness of the epoch.
+    pub observation: EpochObservation,
+    /// Measured per-stage breakdown, summed across replicas. `num_batches`
+    /// counts optimizer *steps*, so series line up at every R.
+    pub report: PipelineReport,
+    /// Per-replica staging breakdown, indexed by replica id (one entry at
+    /// R = 1).
+    pub per_replica: Vec<ReplicaEpochStats>,
+    /// Optimizer steps this epoch (min batch count across live replicas).
+    pub steps: usize,
+    /// Ring all-reduce wire bytes across all replicas this epoch:
+    /// `steps × 2(R−1) × model_bytes`; zero at R = 1.
+    pub allreduce_bytes: u64,
+    /// Remote feature bytes summed across replicas; zero at R = 1.
+    pub remote_feature_bytes: u64,
+    /// Simulated seconds the interconnect model prices this epoch's
+    /// all-reduces and remote pulls at (closed-form, not slept).
+    pub interconnect_seconds: f64,
+    /// CPU share of the hot-set refresh during this epoch (1.0 = all
+    /// refreshes on the CPU backend).
+    pub refresh_cpu_fraction: f64,
+    /// Busy seconds the background refresh worker spent during this
+    /// epoch's wall-clock window (a task submitted at an epoch's last
+    /// boundary is credited where it physically ran). Zero under the fused
+    /// runner, whose refresh runs inline inside `report.train_seconds`.
+    pub refresh_seconds: f64,
+    /// Hot rows put on refresh worklists during this epoch, both shares:
+    /// what the next super-batch reads, or the whole hot set at the
+    /// epoch's last boundary and at priming.
+    pub refresh_rows: u64,
+    /// Seconds spent in test-set evaluation after the epoch — inference,
+    /// kept out of `report.epoch_seconds`.
+    pub eval_seconds: f64,
+    /// Vertices resident in the GPU feature cache(s) *during* this epoch,
+    /// summed across replicas.
+    pub cache_vertices: usize,
+    /// EWMA-smoothed train occupancy after folding in this epoch's
+    /// measurement — the signal the R = 1 planner sees. Equals the raw
+    /// measurement when nothing is planned from it.
+    pub smoothed_occupancy: f64,
+    /// Heap allocations attributed per stage during this epoch's training
+    /// window (evaluation excluded). All zero unless a
+    /// [`neutron_tensor::alloc::CountingAllocator`] is installed and
+    /// enabled.
+    pub allocs: AllocSnapshot,
+    /// Bytes of the checkpoint written at this epoch's boundary (0 when no
+    /// checkpoint was due).
+    pub checkpoint_bytes: u64,
+    /// Wall-clock spent capturing + writing that checkpoint — measured
+    /// outside `report.epoch_seconds`, so checkpoint cadence never skews
+    /// the throughput trajectory.
+    pub checkpoint_seconds: f64,
+}
+
+/// What a whole session produced.
+#[derive(Clone, Debug)]
+pub struct SessionReport {
+    /// Per-epoch results, in order.
+    pub epochs: Vec<EpochRun>,
+    /// Number of replicas the session ran.
+    pub replicas: usize,
+    /// Model parameter bytes (the all-reduce payload per step).
+    pub model_bytes: u64,
+    /// Worker threads spawned: samplers + gatherers + transfer + refresh
+    /// at R = 1, one per replica (plus replacements after a
+    /// [`FailurePolicy::Restore`]) at R ≥ 2 — independent of epoch count.
+    pub workers_spawned: usize,
+    /// Epoch jobs published to the workers (== epochs run, plus any epoch
+    /// replayed after a restore).
+    pub generations: u64,
+    /// Wall-clock from session start to all workers spawned — the one-time
+    /// cost the persistent workers amortise over every epoch.
+    pub startup_seconds: f64,
+    /// Edge-cut fraction of the hash partition (0 at R = 1).
+    pub partition_cut_fraction: f64,
+    /// Size balance (max/ideal) of the partition (1 at R = 1).
+    pub partition_balance: f64,
+}
+
+impl SessionReport {
+    /// One per-epoch series of the session: `f` of every epoch's run, in
+    /// epoch order. `|run| run.observation.train_loss` is the loss
+    /// trajectory, `|run| run.refresh_cpu_fraction` the adaptive split's,
+    /// `|run| run.report.h2d_bytes` the transfer volume that drops as the
+    /// planner shifts hot vertices into the GPU feature cache.
+    pub fn series<T>(&self, f: impl FnMut(&EpochRun) -> T) -> Vec<T> {
+        self.epochs.iter().map(f).collect()
+    }
+}
+
+/// Why a training session failed. Every variant is a *detected* failure:
+/// the session's supervisor turned a worker panic, a stall or a bad
+/// checkpoint into this typed error instead of hanging a `recv` forever.
+#[derive(Clone, Debug)]
+pub enum SessionError {
+    /// A stage worker panicked; the batch it held is lost and the pipeline
+    /// was poisoned so every other stage unblocked.
+    WorkerPanicked {
+        /// Stage the panicking worker belonged to.
+        stage: &'static str,
+        /// The panic payload (stringified).
+        message: String,
+    },
+    /// The pipeline stopped making progress: nothing reached the train
+    /// stage for the configured stall timeout while work remained.
+    Stalled {
+        /// Epoch being trained when progress stopped.
+        epoch: usize,
+        /// First batch index that never arrived.
+        step: usize,
+        /// The timeout that expired.
+        timeout: Duration,
+    },
+    /// A replica's worker died (panicked or exited early) mid-epoch and the
+    /// failure policy was [`FailurePolicy::Fail`].
+    ReplicaDied {
+        /// The replica that died.
+        replica: usize,
+        /// Epoch at detection.
+        epoch: usize,
+        /// Step (batch index) at detection.
+        step: usize,
+        /// What was detected.
+        detail: String,
+    },
+    /// Every replica died; no degradation policy can continue.
+    NoSurvivors {
+        /// Epoch at which the last replica was lost.
+        epoch: usize,
+    },
+    /// An epoch ended with fewer batches trained than scheduled and no
+    /// panic to blame — e.g. every worker of a stage exited cleanly.
+    EpochIncomplete {
+        /// The epoch that came up short.
+        epoch: usize,
+        /// Batches actually trained.
+        trained: usize,
+        /// Batches scheduled.
+        total: usize,
+    },
+    /// Writing or reading a checkpoint failed.
+    Checkpoint(CheckpointError),
+}
+
+impl fmt::Display for SessionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SessionError::WorkerPanicked { stage, message } => {
+                write!(f, "{stage} worker panicked: {message}")
+            }
+            SessionError::Stalled {
+                epoch,
+                step,
+                timeout,
+            } => write!(
+                f,
+                "pipeline stalled in epoch {epoch}: batch {step} never arrived within {timeout:?}"
+            ),
+            SessionError::ReplicaDied {
+                replica,
+                epoch,
+                step,
+                detail,
+            } => write!(
+                f,
+                "replica {replica} died in epoch {epoch} at step {step}: {detail}"
+            ),
+            SessionError::NoSurvivors { epoch } => {
+                write!(f, "all replicas lost by epoch {epoch}")
+            }
+            SessionError::EpochIncomplete {
+                epoch,
+                trained,
+                total,
+            } => write!(
+                f,
+                "epoch {epoch} incomplete: trained {trained} of {total} batches"
+            ),
+            SessionError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
+impl From<CheckpointError> for SessionError {
+    fn from(e: CheckpointError) -> Self {
+        SessionError::Checkpoint(e)
+    }
+}
+
+/// A training session over persistent workers (see the module docs).
+pub struct Session {
+    config: SessionConfig,
+}
+
+impl Session {
+    /// Builds a session. Panics on a configuration it could not honour:
+    /// zero replicas, a zero channel depth, zero sampler or gather threads
+    /// at R = 1, or a replica-failure policy other than `Fail` at R = 1.
+    pub fn new(config: SessionConfig) -> Self {
+        assert!(config.replicas >= 1, "need at least one replica");
+        assert!(
+            config.pipeline.channel_depth >= 1,
+            "staging needs a channel depth of at least 1"
+        );
+        if config.replicas == 1 {
+            assert!(
+                config.pipeline.sampler_threads > 0,
+                "need at least one sampler thread"
+            );
+            assert!(
+                config.pipeline.gather_threads > 0,
+                "need at least one gather thread"
+            );
+            assert!(
+                config.on_replica_failure == FailurePolicy::Fail,
+                "on_replica_failure = {:?} needs replicas >= 2: a one-replica session has no \
+                 survivor to continue with and no peer to respawn beside",
+                config.on_replica_failure
+            );
+        }
+        Self { config }
+    }
+
+    /// The session's configuration.
+    pub fn config(&self) -> &SessionConfig {
+        &self.config
+    }
+
+    /// Runs `num_epochs` epochs starting at `first_epoch` over one set of
+    /// persistent workers. At R = 1 numerically identical to calling
+    /// `trainer.train_epoch(e)` for the same epochs, at any thread count,
+    /// cache budget, pool size and hybrid split; at any R deterministic —
+    /// concurrency changes wall-clock and placement, never results.
+    ///
+    /// Panics on session failure; use [`Self::run_session_checked`] to get
+    /// the typed error instead.
+    pub fn run_session(
+        &self,
+        trainer: &mut ConvergenceTrainer,
+        first_epoch: usize,
+        num_epochs: usize,
+    ) -> SessionReport {
+        self.run_session_checked(trainer, first_epoch, num_epochs)
+            .unwrap_or_else(|e| panic!("training session failed: {e}"))
+    }
+
+    /// [`Self::run_session`] with failures surfaced as [`SessionError`]
+    /// instead of panics. At R = 1 a panicking stage worker poisons the
+    /// pipeline and comes back as [`SessionError::WorkerPanicked`], a
+    /// producer that stops producing trips [`SessionConfig::stall_timeout`]
+    /// ([`SessionError::Stalled`]). At R ≥ 2 the supervisor detects a dead
+    /// replica by its closed staging channel and a stalled one by the same
+    /// timeout, then applies [`SessionConfig::on_replica_failure`]:
+    ///
+    /// * `Fail` — tear down and return [`SessionError::ReplicaDied`].
+    /// * `DropReplica` — finish the epoch with the survivors (the tree
+    ///   average already rescales by group size) and redistribute the dead
+    ///   replica's train vertices round-robin over them at the next epoch
+    ///   boundary.
+    /// * `Restore` — drain the survivors, roll the trainer back to the
+    ///   last checkpoint, spawn a replacement worker on fresh channels and
+    ///   resume from the checkpointed epoch.
+    pub fn run_session_checked(
+        &self,
+        trainer: &mut ConvergenceTrainer,
+        first_epoch: usize,
+        num_epochs: usize,
+    ) -> Result<SessionReport, SessionError> {
+        match self.config.replicas {
+            1 => crate::engine::run_staged(&self.config, trainer, first_epoch, num_epochs),
+            _ => crate::replica::run_fused(&self.config, trainer, first_epoch, num_epochs),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// What both runners share.
+// ---------------------------------------------------------------------------
+
+/// The monotone staging counters of one lane — the staged pool, or one
+/// replica's fused worker. Workers update them before sending the batch
+/// they describe, so draining the staging channel synchronises the train
+/// thread's reads at epoch boundaries.
+#[derive(Default)]
+pub(crate) struct StageCounters {
+    pub(crate) h2d_bytes: AtomicU64,
+    pub(crate) remote_feature_bytes: AtomicU64,
+    pub(crate) local_picks: AtomicU64,
+    pub(crate) remote_picks: AtomicU64,
+    pub(crate) sample_busy: BusyNs,
+    pub(crate) gather_busy: BusyNs,
+    pub(crate) transfer_busy: BusyNs,
+}
+
+impl StageCounters {
+    /// The counters' current values; an epoch's stats are the difference of
+    /// two snapshots ([`ReplicaEpochStats::since`]).
+    pub(crate) fn snapshot(&self) -> ReplicaEpochStats {
+        ReplicaEpochStats {
+            sample_seconds: self.sample_busy.seconds(),
+            gather_seconds: self.gather_busy.seconds(),
+            transfer_seconds: self.transfer_busy.seconds(),
+            h2d_bytes: self.h2d_bytes.load(Ordering::Relaxed),
+            remote_feature_bytes: self.remote_feature_bytes.load(Ordering::Relaxed),
+            local_picks: self.local_picks.load(Ordering::Relaxed),
+            remote_picks: self.remote_picks.load(Ordering::Relaxed),
+            ..ReplicaEpochStats::default()
+        }
+    }
+}
+
+impl ReplicaEpochStats {
+    /// What one epoch added to a lane's counters: this snapshot minus the
+    /// one taken at the epoch's start, for a lane that contributed `batches`
+    /// of the `scheduled` batches its partition had.
+    pub(crate) fn since(&self, base: &Self, batches: usize, scheduled: usize) -> Self {
+        Self {
+            sample_seconds: self.sample_seconds - base.sample_seconds,
+            gather_seconds: self.gather_seconds - base.gather_seconds,
+            transfer_seconds: self.transfer_seconds - base.transfer_seconds,
+            h2d_bytes: self.h2d_bytes - base.h2d_bytes,
+            remote_feature_bytes: self.remote_feature_bytes - base.remote_feature_bytes,
+            local_picks: self.local_picks - base.local_picks,
+            remote_picks: self.remote_picks - base.remote_picks,
+            batches,
+            dropped_batches: scheduled.saturating_sub(batches),
+        }
+    }
+}
+
+/// Fault-tolerance state shared by a session's staging workers and its
+/// train thread: the panic record, the failure/recovery timeline surfaced
+/// per epoch, the deterministic fault schedule the workers consult, and the
+/// latch an injected-stall worker parks on until teardown.
+#[derive(Default)]
+pub(crate) struct Supervisor {
+    plan: Option<Arc<FaultPlan>>,
+    panics: Mutex<Vec<(&'static str, String)>>,
+    timeline: Mutex<Vec<FailureEvent>>,
+    torn_down: Mutex<bool>,
+    teardown: Condvar,
+}
+
+impl Supervisor {
+    pub(crate) fn new(plan: Option<Arc<FaultPlan>>) -> Self {
+        Self {
+            plan,
+            ..Self::default()
+        }
+    }
+
+    /// Deposits a panicking worker's stage and payload (the `&str`/`String`
+    /// cases panics actually carry; anything else gets a placeholder).
+    pub(crate) fn record_panic(&self, stage: &'static str, payload: Box<dyn std::any::Any + Send>) {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        self.panics.lock().unwrap().push((stage, message));
+    }
+
+    /// The first recorded worker panic, as the error the session returns.
+    pub(crate) fn first_panic(&self) -> Option<SessionError> {
+        let panics = self.panics.lock().unwrap();
+        panics
+            .first()
+            .map(|(stage, message)| SessionError::WorkerPanicked {
+                stage,
+                message: message.clone(),
+            })
+    }
+
+    /// Appends to the failure/recovery timeline.
+    pub(crate) fn note(&self, event: FailureEvent) {
+        self.timeline.lock().unwrap().push(event);
+    }
+
+    /// Hands the timeline recorded since the last call to an epoch report.
+    pub(crate) fn take_timeline(&self) -> Vec<FailureEvent> {
+        std::mem::take(&mut *self.timeline.lock().unwrap())
+    }
+
+    fn observed(&self, worker: usize, epoch: usize, step: usize, detail: String) {
+        self.note(FailureEvent {
+            epoch,
+            step,
+            replica: worker,
+            detail,
+            action: FailureAction::Observed,
+        });
+    }
+
+    /// Worker-side fault hook, **before** claiming work: `true` means an
+    /// injected crash is due once the worker has `reached` this step and it
+    /// must exit cleanly now — no batch is claimed, so none is lost.
+    pub(crate) fn crash_due(
+        &self,
+        role: &str,
+        worker: usize,
+        epoch: usize,
+        reached: usize,
+    ) -> bool {
+        let due = self
+            .plan
+            .as_deref()
+            .is_some_and(|plan| plan.take_crash(worker, epoch, reached));
+        if due {
+            let detail = format!("injected {role} crash (clean exit before claiming work)");
+            self.observed(worker, epoch, reached, detail);
+        }
+        due
+    }
+
+    /// Worker-side fault hook, **after** claiming `step`. A panic fault
+    /// panics here; a stall parks the worker — alive, the claimed batch
+    /// never produced, which is what the stall timeout must detect — until
+    /// [`Self::tear_down`] and then breaks so the scope can join it; a
+    /// straggler sleeps 25 ms (that delay *is* the injected fault) and
+    /// continues, so results stay bit-identical.
+    pub(crate) fn after_claim(
+        &self,
+        role: &str,
+        worker: usize,
+        epoch: usize,
+        step: usize,
+    ) -> ControlFlow<()> {
+        let Some(kind) = self
+            .plan
+            .as_deref()
+            .and_then(|p| p.take(worker, epoch, step))
+        else {
+            return ControlFlow::Continue(());
+        };
+        match kind {
+            FaultKind::Crash => unreachable!("crash faults are delivered before the claim"),
+            FaultKind::Panic => {
+                self.observed(worker, epoch, step, format!("injected {role} panic"));
+                panic!("injected fault: {role} {worker} panicked at epoch {epoch} step {step}");
+            }
+            FaultKind::Stall => {
+                self.observed(worker, epoch, step, format!("injected {role} stall"));
+                let mut torn_down = self.torn_down.lock().unwrap();
+                while !*torn_down {
+                    torn_down = self.teardown.wait(torn_down).unwrap();
+                }
+                ControlFlow::Break(())
+            }
+            FaultKind::Straggler => {
+                self.observed(
+                    worker,
+                    epoch,
+                    step,
+                    "injected straggler delay (25ms)".into(),
+                );
+                std::thread::sleep(Duration::from_millis(25));
+                ControlFlow::Continue(())
+            }
+        }
+    }
+
+    /// Releases every worker parked in an injected stall; part of session
+    /// teardown, on every exit path.
+    pub(crate) fn tear_down(&self) {
+        *self.torn_down.lock().unwrap() = true;
+        self.teardown.notify_all();
+    }
+}
+
+/// The checkpoint-at-boundary step: what a session writes after an epoch
+/// whose cadence is due, and what [`FailurePolicy::Restore`] loads back.
+pub(crate) struct Checkpointer<'a> {
+    config: &'a SessionConfig,
+    digest: u64,
+    /// Per-replica sampling-stream seeds, recorded in every checkpoint.
+    /// Replica 0's salt vanishes, so a one-replica session samples under
+    /// the trainer's own seed.
+    pub(crate) rng_seeds: Vec<u64>,
+}
+
+impl<'a> Checkpointer<'a> {
+    pub(crate) fn new(config: &'a SessionConfig, trainer: &ConvergenceTrainer) -> Self {
+        let seed = trainer.config().seed;
+        Self {
+            config,
+            digest: checkpoint::config_digest(trainer.config(), config.replicas),
+            rng_seeds: (0..config.replicas as u64)
+                .map(|r| seed ^ r.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect(),
+        }
+    }
+
+    /// Writes the checkpoint due at the boundary after `run.epoch`, if the
+    /// cadence says so, and records its size and cost on `run`. Called
+    /// after the epoch's wall-clock window closed, so checkpoint cost never
+    /// folds into `epoch_seconds`. `capture_state` settles the in-flight
+    /// refresh on `backend` first (numerically identical), so the file is a
+    /// complete, self-contained resume point.
+    pub(crate) fn at_boundary(
+        &self,
+        trainer: &mut ConvergenceTrainer,
+        backend: &mut dyn RefreshBackend,
+        run: &mut EpochRun,
+    ) -> Result<(), SessionError> {
+        let every = self.config.checkpoint_every;
+        let Some(path) = self.config.checkpoint_path.as_ref().filter(|_| every > 0) else {
+            return Ok(());
+        };
+        if !(run.epoch + 1).is_multiple_of(every) {
+            return Ok(());
+        }
+        let t0 = Instant::now();
+        let ck = Checkpoint {
+            next_epoch: run.epoch as u64 + 1,
+            replicas: self.config.replicas as u64,
+            rng_seeds: self.rng_seeds.clone(),
+            state: trainer.capture_state(backend),
+        };
+        run.checkpoint_bytes = checkpoint::save(path, self.digest, &ck)?;
+        run.checkpoint_seconds = t0.elapsed().as_secs_f64();
+        Ok(())
+    }
+
+    /// Loads the last checkpoint this session (or a predecessor with the
+    /// same configuration) wrote.
+    pub(crate) fn load(&self) -> Result<Checkpoint, SessionError> {
+        let Some(path) = self.config.checkpoint_path.as_ref() else {
+            return Err(SessionError::Checkpoint(CheckpointError::Io(
+                "FailurePolicy::Restore needs a configured checkpoint_path".into(),
+            )));
+        };
+        Ok(checkpoint::load(path, self.digest)?)
+    }
+}
+
+/// Recycles one producer's per-epoch batch list with a two-epoch lag: the
+/// workers hold epoch `e`'s `Arc` until they receive epoch `e+1`'s job, so
+/// the list of epoch `e−1` is guaranteed unreferenced when epoch `e+1` is
+/// filled — one flat id buffer (pair) serves the whole session instead of
+/// a fresh `Vec` per epoch.
+#[derive(Default)]
+pub(crate) struct BatchRing {
+    spare: Option<Arc<EpochBatches>>,
+    prev: Option<Arc<EpochBatches>>,
+}
+
+impl BatchRing {
+    /// The next epoch's batches: `fill` writes them into the oldest retired
+    /// list (or a fresh one while the ring warms up).
+    pub(crate) fn next(&mut self, fill: impl FnOnce(&mut EpochBatches)) -> Arc<EpochBatches> {
+        let mut ids = self
+            .spare
+            .take()
+            .and_then(|arc| Arc::try_unwrap(arc).ok())
+            .unwrap_or_default();
+        fill(&mut ids);
+        let batches = Arc::new(ids);
+        self.spare = self.prev.replace(Arc::clone(&batches));
+        batches
+    }
+}
+
+/// The post-train recycler: dismantles each trained batch into its buffer
+/// bundle and offers it to `pool`. Purely a capacity transfer — the batch's
+/// numbers are already folded into the model, so recycling cannot perturb
+/// results at any pool size; a full (or closed) pool drops the bundle.
+pub(crate) fn recycle_into(pool: &Bounded<BatchBuffers>) -> impl FnMut(PreparedBatch) + '_ {
+    move |item| {
+        let PreparedBatch {
+            blocks,
+            features,
+            scrap: mut bufs,
+            ..
+        } = item;
+        bufs.put_f32(features.into_vec());
+        bufs.recycle_blocks(blocks);
+        let _ = pool.try_send(bufs);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn batch_ring_reuses_a_list_once_its_last_reader_dropped_it() {
+        let it = neutron_sample::BatchIterator::new((0..10).collect(), 4, 1);
+        let mut ring = BatchRing::default();
+        let buffer = |b: &Arc<EpochBatches>| b.batch(0).as_ptr();
+        let e0 = ring.next(|ids| it.fill_epoch_batches(0, ids));
+        let e1 = ring.next(|ids| it.fill_epoch_batches(1, ids));
+        assert_ne!(buffer(&e1), buffer(&e0));
+        let first = buffer(&e0);
+        drop(e0); // the workers saw epoch 1's job and let go of epoch 0
+        let e2 = ring.next(|ids| it.fill_epoch_batches(2, ids));
+        assert_eq!(buffer(&e2), first, "epoch 0's buffer serves epoch 2");
+        assert_eq!(e2.batch(0), it.epoch_batches(2).batch(0));
+        // A list a straggler still holds is never written to.
+        let e3 = ring.next(|ids| it.fill_epoch_batches(3, ids));
+        assert_ne!(buffer(&e3), buffer(&e1));
+        assert_eq!(e1.batch(0), it.epoch_batches(1).batch(0));
+    }
+
+    #[test]
+    fn stalled_worker_parks_until_teardown() {
+        let plan = FaultPlan::parse("stall@r0e0s1").unwrap();
+        let sup = Supervisor::new(Some(Arc::new(plan)));
+        assert!(sup.after_claim("sampler", 0, 0, 0).is_continue());
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| sup.after_claim("sampler", 0, 0, 1));
+            // The stall event is recorded before the worker parks.
+            while sup.timeline.lock().unwrap().is_empty() {
+                std::thread::yield_now();
+            }
+            assert!(!parked.is_finished());
+            sup.tear_down();
+            assert!(parked.join().unwrap().is_break());
+        });
+        let events = sup.take_timeline();
+        assert_eq!(events.len(), 1);
+        assert!(events[0].detail.contains("stall"));
+        // One-shot: after teardown a late call falls straight through.
+        assert!(sup.after_claim("sampler", 0, 0, 1).is_continue());
+    }
+}

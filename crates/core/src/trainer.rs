@@ -145,7 +145,7 @@ pub struct PreparedBatch {
 }
 
 /// What one epoch's batch loop produced, before test-set evaluation —
-/// see [`ConvergenceTrainer::train_batches`].
+/// see [`ConvergenceTrainer::train_batches_recycling`].
 pub struct BatchLoopStats {
     /// Per-batch training losses, in epoch order.
     pub losses: Vec<f32>,
@@ -371,60 +371,33 @@ impl ConvergenceTrainer {
         let items = epoch_batches.iter().enumerate().map(|(i, batch)| {
             Self::prepare_batch(&dataset, &sampler, config_seed, epoch, i, batch)
         });
-        self.train_epoch_with(items)
-    }
-
-    /// Trains one epoch from externally prepared batches, in epoch order
-    /// (`index` 0, 1, 2, …) — the entry point of the pipelined executor.
-    pub fn train_epoch_with<I>(&mut self, prepared: I) -> EpochObservation
-    where
-        I: IntoIterator<Item = PreparedBatch>,
-    {
-        let stats = self.train_batches(prepared);
+        let stats = self.train_batches_recycling(items, &mut InlineRefresh::default(), |_| {});
         self.observe_epoch(stats)
     }
 
-    /// The epoch's batch loop alone — training, the super-batch barrier and
-    /// the §4.3 weight-variation monitor, but no test-set evaluation.
-    /// Executors time this separately so throughput numbers measure
-    /// training, not inference. Refresh work runs inline on the calling
-    /// thread; see [`Self::train_batches_with`] for executor-supplied
-    /// refresh backends.
-    pub fn train_batches<I>(&mut self, prepared: I) -> BatchLoopStats
-    where
-        I: IntoIterator<Item = PreparedBatch>,
-    {
-        self.train_batches_with(prepared, &mut InlineRefresh::default())
-    }
-
-    /// [`Self::train_batches`] with the CPU share of each super-batch
-    /// refresh delegated to `backend`. The super-batch boundary is
-    /// **publish-then-launch**: rows computed from the *previous* boundary's
-    /// parameter snapshot are installed into the store, then a new
-    /// [`RefreshTask`] is captured from the current parameters and handed to
-    /// the backend to compute during the upcoming super-batch. Embeddings
-    /// read during super-batch `k ≥ 1` therefore carry the version of
-    /// boundary `k−1`, giving a gap in `[n, 2n−1]` — the paper's `< 2n`
-    /// bound — while the refresh itself overlaps training (super-batch 0 of
-    /// a fresh trainer: gap `[0, n−1]`, see the module docs). Numbers are
-    /// independent of the backend: the task is a pure function of its
-    /// snapshot (see [`crate::refresh`]).
-    pub fn train_batches_with<I>(
-        &mut self,
-        prepared: I,
-        backend: &mut dyn RefreshBackend,
-    ) -> BatchLoopStats
-    where
-        I: IntoIterator<Item = PreparedBatch>,
-    {
-        self.train_batches_recycling(prepared, backend, |_| {})
-    }
-
-    /// [`Self::train_batches_with`] handing each batch to `recycle` once it
-    /// has trained — the hook the engine uses to dismantle spent batches
-    /// into the buffer pool. Runs strictly after the batch's optimizer step
-    /// and version bump, so recycling can never affect numerics. This is
-    /// the one-replica case of [`Self::train_steps_replicated`].
+    /// The epoch's batch loop alone, over externally prepared batches in
+    /// epoch order (`index` 0, 1, 2, …) — training, the super-batch barrier
+    /// and the §4.3 weight-variation monitor, but no test-set evaluation
+    /// (executors time that separately, so throughput numbers measure
+    /// training, not inference). The one-replica case of
+    /// [`Self::train_steps_replicated`].
+    ///
+    /// The CPU share of each super-batch refresh is delegated to `backend`.
+    /// The super-batch boundary is **publish-then-launch**: rows computed
+    /// from the *previous* boundary's parameter snapshot are installed into
+    /// the store, then a new [`RefreshTask`] is captured from the current
+    /// parameters and handed to the backend to compute during the upcoming
+    /// super-batch. Embeddings read during super-batch `k ≥ 1` therefore
+    /// carry the version of boundary `k−1`, giving a gap in `[n, 2n−1]` —
+    /// the paper's `< 2n` bound — while the refresh itself overlaps
+    /// training (super-batch 0 of a fresh trainer: gap `[0, n−1]`, see the
+    /// module docs). Numbers are independent of the backend: the task is a
+    /// pure function of its snapshot (see [`crate::refresh`]).
+    ///
+    /// Each batch is handed to `recycle` once it has trained — the hook a
+    /// session uses to dismantle spent batches into its buffer pool. It
+    /// runs strictly after the batch's optimizer step and version bump, so
+    /// recycling can never affect numerics.
     pub fn train_batches_recycling<I, R>(
         &mut self,
         prepared: I,

@@ -174,22 +174,10 @@ impl NeighborSampler {
     ///
     /// Returns blocks **bottom-first**: `blocks[0]` reads raw features,
     /// `blocks.last()` produces the seed embeddings. The reverse traversal
-    /// (top → bottom) follows Algorithm 1's `for l = L to 1`.
+    /// (top → bottom) follows Algorithm 1's `for l = L to 1`. This is the
+    /// allocating reference the pooled entry points are pinned against.
     pub fn sample_batch(&self, g: &Csr, seeds: &[VertexId], seed: u64) -> Vec<Block> {
         let mut scratch = SamplerScratch::new();
-        self.sample_batch_with_scratch(g, seeds, seed, &mut scratch)
-    }
-
-    /// [`Self::sample_batch`] with a caller-owned [`SamplerScratch`], so
-    /// long-lived sampler workers amortise the dedup buffers across every
-    /// batch they ever sample instead of reallocating per call.
-    pub fn sample_batch_with_scratch(
-        &self,
-        g: &Csr,
-        seeds: &[VertexId],
-        seed: u64,
-        scratch: &mut SamplerScratch,
-    ) -> Vec<Block> {
         let mut rng = StdRng::seed_from_u64(seed);
         let layers = self.fanout.layers();
         let mut blocks = Vec::with_capacity(layers);
@@ -201,7 +189,7 @@ impl NeighborSampler {
                 &frontier,
                 self.fanout.at(l),
                 &mut rng,
-                scratch,
+                &mut scratch,
             );
             frontier = block.src().to_vec();
             blocks.push(block);
@@ -210,7 +198,7 @@ impl NeighborSampler {
         blocks
     }
 
-    /// [`Self::sample_batch_with_scratch`] over a [`BlockBuilder`]: block
+    /// [`Self::sample_batch`] over a [`BlockBuilder`]: block
     /// buffers come from the builder's recycled spares instead of fresh
     /// allocations, and the per-hop frontier/picks vectors are reused. The
     /// rng is constructed and consumed in exactly the same order as the
@@ -311,22 +299,11 @@ impl NeighborSampler {
         blocks
     }
 
-    /// Samples a single hop: one [`Block`] whose dst are `frontier`.
-    pub fn sample_one_hop(
-        &self,
-        g: &Csr,
-        frontier: &[VertexId],
-        fanout: usize,
-        rng: &mut StdRng,
-    ) -> Block {
-        let mut scratch = SamplerScratch::new();
-        self.sample_one_hop_with_scratch(g, frontier, fanout, rng, &mut scratch)
-    }
-
-    /// [`Self::sample_one_hop`] against a reusable scratch. Produces blocks
-    /// identical to the historical `HashMap`-deduplicated path: local
-    /// indices are assigned in first-seen order and the rng is consumed in
-    /// exactly the same sequence.
+    /// Samples a single hop — one [`Block`] whose dst are `frontier` —
+    /// deduplicating through a reusable scratch. Produces blocks identical
+    /// to the historical `HashMap`-deduplicated path: local indices are
+    /// assigned in first-seen order and the rng is consumed in exactly the
+    /// same sequence.
     pub fn sample_one_hop_with_scratch(
         &self,
         g: &Csr,
@@ -346,21 +323,10 @@ impl NeighborSampler {
     /// `frontier` samples exactly the same neighbors for its members as the
     /// full set would. This partition stability is what lets the hybrid
     /// hot-embedding refresh split its worklist between devices (§4.1.3)
-    /// without the split ever changing a sampled neighborhood.
-    pub fn sample_one_hop_stable(
-        &self,
-        g: &Csr,
-        frontier: &[VertexId],
-        fanout: usize,
-        seed: u64,
-    ) -> Block {
-        let mut scratch = SamplerScratch::new();
-        self.sample_one_hop_stable_with_scratch(g, frontier, fanout, seed, &mut scratch)
-    }
-
-    /// [`Self::sample_one_hop_stable`] against a caller-owned scratch, so
-    /// repeat refreshers (the engine's refresh worker, the trainer's
-    /// boundary share) skip the `O(|V|)` buffer (re)initialisation per call.
+    /// without the split ever changing a sampled neighborhood. The scratch
+    /// is caller-owned so repeat refreshers (a session's refresh worker,
+    /// the trainer's boundary share) skip the `O(|V|)` buffer
+    /// (re)initialisation per call.
     pub fn sample_one_hop_stable_with_scratch(
         &self,
         g: &Csr,
@@ -678,24 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn reused_scratch_matches_fresh_scratch_across_calls() {
-        let g = erdos_renyi(200, 5000, 7);
-        let s = NeighborSampler::new(Fanout::new(vec![4, 3]));
-        let mut scratch = SamplerScratch::new();
-        for seed in 0..20u64 {
-            let seeds: Vec<VertexId> = (0..10).map(|i| (seed as u32 * 7 + i) % 200).collect();
-            let fresh = s.sample_batch(&g, &seeds, seed);
-            let reused = s.sample_batch_with_scratch(&g, &seeds, seed, &mut scratch);
-            assert_eq!(fresh.len(), reused.len());
-            for (a, b) in fresh.iter().zip(&reused) {
-                assert_eq!(a.dst(), b.dst(), "seed {seed}");
-                assert_eq!(a.src(), b.src(), "seed {seed}");
-                assert_eq!(a.num_edges(), b.num_edges(), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
     fn pooled_sampling_matches_fresh_path_with_recycled_buffers() {
         let g = erdos_renyi(200, 5000, 7);
         let s = NeighborSampler::new(Fanout::new(vec![4, 3]));
@@ -729,7 +677,8 @@ mod tests {
         let g = erdos_renyi(150, 6000, 11);
         let s = NeighborSampler::new(Fanout::new(vec![4]));
         let frontier: Vec<VertexId> = (0..60).collect();
-        let full = s.sample_one_hop_stable(&g, &frontier, 4, 99);
+        let mut scratch = SamplerScratch::new();
+        let full = s.sample_one_hop_stable_with_scratch(&g, &frontier, 4, 99, &mut scratch);
         // Any split point: each vertex's sampled neighbor list (as actual
         // vertex ids, in draw order) is identical to the full-set run.
         for split in [0usize, 17, 30, 60] {
@@ -737,7 +686,7 @@ mod tests {
                 if part.is_empty() {
                     continue;
                 }
-                let sub = s.sample_one_hop_stable(&g, part, 4, 99);
+                let sub = s.sample_one_hop_stable_with_scratch(&g, part, 4, 99, &mut scratch);
                 for (i, &v) in part.iter().enumerate() {
                     let j = frontier.iter().position(|&x| x == v).unwrap();
                     let expect: Vec<VertexId> = full
@@ -873,8 +822,9 @@ mod tests {
     fn stable_sampling_differs_by_seed_but_not_frontier_order() {
         let g = erdos_renyi(100, 4000, 13);
         let s = NeighborSampler::new(Fanout::new(vec![3]));
-        let a = s.sample_one_hop_stable(&g, &[5, 6, 7], 3, 1);
-        let b = s.sample_one_hop_stable(&g, &[7, 6, 5], 3, 1);
+        let mut scratch = SamplerScratch::new();
+        let a = s.sample_one_hop_stable_with_scratch(&g, &[5, 6, 7], 3, 1, &mut scratch);
+        let b = s.sample_one_hop_stable_with_scratch(&g, &[7, 6, 5], 3, 1, &mut scratch);
         for (i, &v) in [5u32, 6, 7].iter().enumerate() {
             let j = 2 - i;
             let na: Vec<VertexId> = a
@@ -889,7 +839,7 @@ mod tests {
                 .collect();
             assert_eq!(na, nb, "vertex {v}");
         }
-        let c = s.sample_one_hop_stable(&g, &[5, 6, 7], 3, 2);
+        let c = s.sample_one_hop_stable_with_scratch(&g, &[5, 6, 7], 3, 2, &mut scratch);
         let same = (0..3).all(|i| {
             let na: Vec<VertexId> = a
                 .neighbors_local(i)

@@ -308,7 +308,6 @@ fn diff_engine() -> Result<(), String> {
     // Series shapes + sign.
     for key in [
         "sequential_epoch_seconds",
-        "respawn_epoch_seconds",
         "engine_epoch_seconds",
         "adaptive_cpu_fraction",
         "cache_hits_per_epoch",
@@ -523,11 +522,10 @@ fn diff_engine() -> Result<(), String> {
         ),
     );
 
-    // Replicated data-parallel section: R=1 identity (asserted in-process
-    // by the example; the recorded flag proves the assert ran), the ring
-    // all-reduce byte law recomputed from steps x model size, and the
-    // locality ablation (partition-aware sampling must pull fewer remote
-    // feature bytes than the locality-blind run of the same trajectory).
+    // Replicated data-parallel section: the ring all-reduce byte law
+    // recomputed from steps x model size, and the locality ablation
+    // (partition-aware sampling must pull fewer remote feature bytes than
+    // the locality-blind run of the same trajectory).
     let replicas = doc
         .get("replicas")
         .and_then(Value::as_u64)
@@ -541,11 +539,6 @@ fn diff_engine() -> Result<(), String> {
         .and_then(Value::as_f64)
         .ok_or("missing 'model_bytes'")?;
     check(model_bytes > 0.0, "'model_bytes' must be positive");
-    check(
-        doc.get("replicated_r1_matches_sequential") == Some(&Value::Bool(true)),
-        "'replicated_r1_matches_sequential' is not true — the R=1 \
-         bit-identity assert did not run",
-    );
     for key in [
         "replica_steps_per_epoch",
         "allreduce_bytes_per_epoch",

@@ -32,7 +32,7 @@ const USAGE: &str = "\
 usage: cargo xtask <command>
 
 commands:
-  profile <quickstart|pipeline|engine> [--timing [--allocs]] [--epochs N] [--replicas R]
+  profile <quickstart|engine> [--timing [--allocs]] [--epochs N] [--replicas R]
           [--faults SPEC [--policy fail|drop|restore]]
       run a workload under samply (default) or with timing hooks (--timing);
       --allocs adds a per-stage heap-allocation breakdown; --replicas R runs
@@ -80,7 +80,7 @@ fn parse_replicas(args: &[String], workload: Workload) -> Result<usize, String> 
     if replicas == 0 {
         return Err("--replicas must be >= 1".into());
     }
-    if replicas > 1 && workload != Workload::Engine {
+    if replicas != 1 && workload != Workload::Engine {
         return Err("--replicas applies to the 'engine' workload only".into());
     }
     Ok(replicas)

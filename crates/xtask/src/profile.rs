@@ -7,10 +7,9 @@
 //! swapped to the inline `profile-exec` runner, so the profiled process is
 //! nothing but the workload.
 
-use neutron_core::engine::{EngineConfig, SessionError, TrainingEngine};
-use neutron_core::fault::{FailureEvent, FailurePolicy, FaultPlan};
-use neutron_core::pipeline::{PipelineConfig, PipelineExecutor, PipelineReport};
-use neutron_core::replica::{ReplicatedConfig, ReplicatedEngine, ReplicatedSessionReport};
+use neutron_core::fault::{FailurePolicy, FaultPlan};
+use neutron_core::pipeline::PipelineReport;
+use neutron_core::session::{Session, SessionConfig, SessionReport};
 use neutron_core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutron_graph::DatasetSpec;
 use neutron_nn::LayerKind;
@@ -25,11 +24,8 @@ pub enum Workload {
     /// The quickstart convergence run: sequential hotness-aware training on
     /// the Reddit-convergence replica (no pipeline).
     Quickstart,
-    /// Per-epoch pipelined executor (`PipelineExecutor::run_epoch`) on the
-    /// scaled Reddit replica — respawns stage workers every epoch.
-    Pipeline,
-    /// A persistent `TrainingEngine` session on the scaled Reddit replica —
-    /// the BENCH_engine.json configuration.
+    /// A `Session` on the scaled Reddit replica — the BENCH_engine.json
+    /// configuration; `--replicas R` sets `SessionConfig::replicas`.
     Engine,
 }
 
@@ -37,10 +33,9 @@ impl Workload {
     pub fn parse(name: &str) -> Result<Self, String> {
         match name {
             "quickstart" => Ok(Self::Quickstart),
-            "pipeline" => Ok(Self::Pipeline),
             "engine" => Ok(Self::Engine),
             other => Err(format!(
-                "unknown workload '{other}' (expected quickstart | pipeline | engine)"
+                "unknown workload '{other}' (expected quickstart | engine)"
             )),
         }
     }
@@ -48,7 +43,6 @@ impl Workload {
     fn name(self) -> &'static str {
         match self {
             Self::Quickstart => "quickstart",
-            Self::Pipeline => "pipeline",
             Self::Engine => "engine",
         }
     }
@@ -78,68 +72,33 @@ fn scaled_trainer(spec: &DatasetSpec) -> ConvergenceTrainer {
     ConvergenceTrainer::new(spec.build_full(), config)
 }
 
-/// Per-epoch stage reports plus, for `--replicas R > 1`, the replicated
-/// session with its per-replica breakdown.
-struct RunOutput {
-    reports: Vec<PipelineReport>,
-    replicated: Option<ReplicatedSessionReport>,
-    /// Engine workloads: `(rows, tasks, hot)` — hot rows put on refresh
-    /// worklists over the run, the super-batch boundaries that launched
-    /// them, and the size of the hot set.
-    refresh: Option<(u64, usize, usize)>,
-}
-
-/// [`RunOutput::refresh`] from a finished engine session's per-epoch
-/// `(refresh_rows, steps)`: one refresh task per super-batch boundary.
+/// `(rows, tasks, hot)` of a finished session: hot rows put on refresh
+/// worklists over the run, the super-batch boundaries that launched them
+/// (one refresh task each), and the size of the hot set.
 fn refresh_summary(
     trainer: &ConvergenceTrainer,
-    epochs: impl Iterator<Item = (u64, usize)>,
+    session: &SessionReport,
 ) -> Option<(u64, usize, usize)> {
     let ReusePolicy::HotnessAware { super_batch, .. } = trainer.policy() else {
         return None;
     };
-    let (rows, tasks) = epochs.fold((0, 0), |(rows, tasks), (r, steps)| {
-        (rows + r, tasks + steps.div_ceil(*super_batch))
+    let (rows, tasks) = session.epochs.iter().fold((0, 0), |(rows, tasks), run| {
+        (
+            rows + run.refresh_rows,
+            tasks + run.steps.div_ceil(*super_batch),
+        )
     });
     Some((rows, tasks, trainer.hot_set()?.len()))
 }
 
-/// Runs the workload inline and returns the per-epoch stage reports it
-/// produced (empty for workloads without a pipeline).
-fn run_workload(workload: Workload, epochs: usize, replicas: usize) -> RunOutput {
-    if replicas > 1 {
-        // Data-parallel engine over an R-way hash partition (the main.rs
-        // arg parser rejects --replicas for the other workloads).
-        assert_eq!(workload, Workload::Engine);
-        let spec = scaled_spec();
-        let mut trainer = scaled_trainer(&spec);
-        let engine = ReplicatedEngine::new(ReplicatedConfig {
-            replicas,
-            ..ReplicatedConfig::default()
-        });
-        let session = engine.run_session(&mut trainer, 0, epochs);
-        for run in &session.epochs {
-            println!(
-                "epoch {}: loss {:.4}, {:.2}s ({} steps, {:.2} MiB all-reduce, {:.2} MiB remote)",
-                run.epoch,
-                run.observation.train_loss,
-                run.report.epoch_seconds,
-                run.steps,
-                run.allreduce_bytes as f64 / (1u64 << 20) as f64,
-                run.remote_feature_bytes as f64 / (1u64 << 20) as f64,
-            );
-        }
-        return RunOutput {
-            reports: session.epochs.iter().map(|r| r.report.clone()).collect(),
-            refresh: refresh_summary(
-                &trainer,
-                session.epochs.iter().map(|r| (r.refresh_rows, r.steps)),
-            ),
-            replicated: Some(session),
-        };
-    }
-    let mut refresh = None;
-    let reports = match workload {
+/// Runs the workload inline; the engine workload returns its session and
+/// the trainer it trained.
+fn run_workload(
+    workload: Workload,
+    epochs: usize,
+    replicas: usize,
+) -> Option<(SessionReport, ConvergenceTrainer)> {
+    match workload {
         Workload::Quickstart => {
             let spec = DatasetSpec::reddit_convergence();
             let policy = ReusePolicy::HotnessAware {
@@ -152,51 +111,31 @@ fn run_workload(workload: Workload, epochs: usize, replicas: usize) -> RunOutput
                 let obs = trainer.train_epoch(epoch);
                 println!("epoch {epoch}: loss {:.4}", obs.train_loss);
             }
-            Vec::new()
-        }
-        Workload::Pipeline => {
-            let spec = scaled_spec();
-            let mut trainer = scaled_trainer(&spec);
-            let exec = PipelineExecutor::new(PipelineConfig::default());
-            let mut reports = Vec::with_capacity(epochs);
-            for epoch in 0..epochs {
-                let (obs, report) = exec.run_epoch(&mut trainer, epoch);
-                println!(
-                    "epoch {epoch}: loss {:.4}, {:.2}s",
-                    obs.train_loss, report.epoch_seconds
-                );
-                reports.push(report);
-            }
-            reports
+            None
         }
         Workload::Engine => {
             let spec = scaled_spec();
             let mut trainer = scaled_trainer(&spec);
-            let engine = TrainingEngine::new(EngineConfig::default());
-            let session = engine.run_session(&mut trainer, 0, epochs);
+            let session = Session::new(SessionConfig {
+                replicas,
+                ..SessionConfig::default()
+            })
+            .run_session(&mut trainer, 0, epochs);
             for run in &session.epochs {
                 println!(
-                    "epoch {}: loss {:.4}, {:.2}s (occupancy {:.2})",
+                    "epoch {}: loss {:.4}, {:.2}s (occupancy {:.2}; {} steps, {:.2} MiB \
+                     all-reduce, {:.2} MiB remote)",
                     run.epoch,
                     run.observation.train_loss,
                     run.report.epoch_seconds,
-                    run.report.train_occupancy()
+                    run.report.train_occupancy(),
+                    run.steps,
+                    run.allreduce_bytes as f64 / (1u64 << 20) as f64,
+                    run.remote_feature_bytes as f64 / (1u64 << 20) as f64,
                 );
             }
-            refresh = refresh_summary(
-                &trainer,
-                session
-                    .epochs
-                    .iter()
-                    .map(|r| (r.refresh_rows, r.report.num_batches)),
-            );
-            session.epochs.into_iter().map(|r| r.report).collect()
+            Some((session, trainer))
         }
-    };
-    RunOutput {
-        reports,
-        replicated: None,
-        refresh,
     }
 }
 
@@ -224,7 +163,10 @@ pub fn timing_run(workload: Workload, epochs: usize, replicas: usize, allocs: bo
     }
     let t0 = Instant::now();
     let out = run_workload(workload, epochs, replicas);
-    let reports = out.reports;
+    let reports: Vec<&PipelineReport> = out
+        .iter()
+        .flat_map(|(session, _)| session.epochs.iter().map(|r| &r.report))
+        .collect();
     let wall = t0.elapsed().as_secs_f64();
     timing::set_enabled(false);
     alloc::set_enabled(false);
@@ -235,7 +177,7 @@ pub fn timing_run(workload: Workload, epochs: usize, replicas: usize, allocs: bo
         // Stage busy-time totals across the run. Stages run on concurrent
         // workers, so the sum can exceed wall-clock — each line is that
         // stage's own busy seconds.
-        let total = |f: fn(&PipelineReport) -> f64| reports.iter().map(f).sum::<f64>();
+        let total = |f: fn(&PipelineReport) -> f64| reports.iter().map(|r| f(r)).sum::<f64>();
         let epoch_secs = total(|r| r.epoch_seconds);
         println!("\nper-stage busy seconds ({} epochs):", reports.len());
         let rows: [(&str, f64); 5] = [
@@ -254,7 +196,8 @@ pub fn timing_run(workload: Workload, epochs: usize, replicas: usize, allocs: bo
         println!("  {:<22} {epoch_secs:>8.3}s", "epoch wall total");
     }
 
-    if let Some((rows, tasks, hot)) = out.refresh {
+    let refresh = out.as_ref().and_then(|(s, t)| refresh_summary(t, s));
+    if let Some((rows, tasks, hot)) = refresh {
         // A boundary recomputes the hot rows the next super-batch reads;
         // only an epoch's last boundary (and priming) takes the whole set.
         let per_task = rows as f64 / tasks.max(1) as f64;
@@ -265,7 +208,7 @@ pub fn timing_run(workload: Workload, epochs: usize, replicas: usize, allocs: bo
         );
     }
 
-    if let Some(session) = &out.replicated {
+    if let Some((session, _)) = &out {
         const MIB: f64 = (1u64 << 20) as f64;
         println!(
             "\nper-replica per-stage busy seconds ({} replicas, {epochs} epochs; \
@@ -307,12 +250,8 @@ pub fn timing_run(workload: Workload, epochs: usize, replicas: usize, allocs: bo
         if allocs {
             // The per-stage alloc counters below are process-global, i.e.
             // summed across every replica's workers; the per-epoch staging
-            // series here is the replicated engine's own window.
-            let staging: Vec<u64> = session
-                .epochs
-                .iter()
-                .map(|r| r.allocs.staging_allocs())
-                .collect();
+            // series here is the session's own window.
+            let staging = session.series(|r| r.allocs.staging_allocs());
             println!("  staging allocs per epoch (all replicas): {staging:?}");
         }
     }
@@ -361,20 +300,12 @@ pub fn timing_run(workload: Workload, epochs: usize, replicas: usize, allocs: bo
     }
 }
 
-/// One summarized epoch of a fault-injection run, engine-agnostic.
-struct FaultEpochRow {
-    epoch: usize,
-    train_loss: f32,
-    failures: Vec<FailureEvent>,
-    checkpoint_bytes: u64,
-    checkpoint_seconds: f64,
-}
-
 /// `xtask profile engine --faults <spec>`: run the engine workload with a
 /// deterministic fault plan injected and print the detection/recovery
-/// timeline. A session that ends in a typed [`SessionError`] still exits 0
+/// timeline. A session that ends in a typed `SessionError` still exits 0
 /// — the harness exists to prove faults *terminate* (recover or error),
-/// never hang; only a malformed spec is a tool error.
+/// never hang; only a malformed spec or an unhonourable policy is a tool
+/// error.
 pub fn fault_run(
     workload: Workload,
     epochs: usize,
@@ -384,6 +315,9 @@ pub fn fault_run(
 ) -> Result<(), String> {
     if workload != Workload::Engine {
         return Err("--faults applies to the 'engine' workload only".into());
+    }
+    if replicas == 1 && policy != FailurePolicy::Fail {
+        return Err("--policy drop|restore needs --replicas >= 2".into());
     }
     let plan = Arc::new(FaultPlan::parse(faults)?);
     println!(
@@ -402,77 +336,41 @@ pub fn fault_run(
     // second, not after the production-grade default.
     let stall_timeout = Duration::from_millis(500);
     let t0 = Instant::now();
-    let outcome: Result<Vec<FaultEpochRow>, SessionError> = if replicas > 1 {
-        let engine = ReplicatedEngine::new(ReplicatedConfig {
-            replicas,
-            fault_plan: Some(Arc::clone(&plan)),
-            on_replica_failure: policy,
-            checkpoint_every: 1,
-            checkpoint_path: Some(ck_path.clone()),
-            stall_timeout,
-            ..ReplicatedConfig::default()
-        });
-        engine
-            .run_session_checked(&mut trainer, 0, epochs)
-            .map(|session| {
-                session
-                    .epochs
-                    .iter()
-                    .map(|run| FaultEpochRow {
-                        epoch: run.epoch,
-                        train_loss: run.observation.train_loss,
-                        failures: run.report.failures.clone(),
-                        checkpoint_bytes: run.checkpoint_bytes,
-                        checkpoint_seconds: run.checkpoint_seconds,
-                    })
-                    .collect()
-            })
-    } else {
-        let engine = TrainingEngine::new(EngineConfig {
-            fault_plan: Some(Arc::clone(&plan)),
-            checkpoint_every: 1,
-            checkpoint_path: Some(ck_path.clone()),
-            stall_timeout,
-            ..EngineConfig::default()
-        });
-        engine
-            .run_session_checked(&mut trainer, 0, epochs)
-            .map(|session| {
-                session
-                    .epochs
-                    .iter()
-                    .map(|run| FaultEpochRow {
-                        epoch: run.epoch,
-                        train_loss: run.observation.train_loss,
-                        failures: run.report.failures.clone(),
-                        checkpoint_bytes: run.checkpoint_bytes,
-                        checkpoint_seconds: run.checkpoint_seconds,
-                    })
-                    .collect()
-            })
-    };
+    let outcome = Session::new(SessionConfig {
+        replicas,
+        fault_plan: Some(Arc::clone(&plan)),
+        on_replica_failure: policy,
+        checkpoint_every: 1,
+        checkpoint_path: Some(ck_path.clone()),
+        stall_timeout,
+        ..SessionConfig::default()
+    })
+    .run_session_checked(&mut trainer, 0, epochs);
     let wall = t0.elapsed().as_secs_f64();
     let _ = std::fs::remove_file(&ck_path);
 
     println!("\ntimeline:");
     match outcome {
-        Ok(rows) => {
-            for row in &rows {
-                print!("  epoch {}: loss {:.4}", row.epoch, row.train_loss);
-                if row.checkpoint_bytes > 0 {
+        Ok(session) => {
+            for run in &session.epochs {
+                print!(
+                    "  epoch {}: loss {:.4}",
+                    run.epoch, run.observation.train_loss
+                );
+                if run.checkpoint_bytes > 0 {
                     print!(
                         ", checkpoint {} B in {:.3}s",
-                        row.checkpoint_bytes, row.checkpoint_seconds
+                        run.checkpoint_bytes, run.checkpoint_seconds
                     );
                 }
                 println!();
-                for event in &row.failures {
+                for event in &run.report.failures {
                     println!("    {event}");
                 }
             }
             println!(
                 "session completed in {wall:.2}s ({} epochs recorded)",
-                rows.len()
+                session.epochs.len()
             );
         }
         Err(err) => {

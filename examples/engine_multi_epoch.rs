@@ -1,33 +1,31 @@
-//! Multi-epoch training through the persistent [`TrainingEngine`]: one
-//! worker pool for the whole run, super-batch refreshes overlapped on a
-//! dedicated worker, and the §4.1.3 hybrid split re-planned every epoch
-//! from measured train-stage occupancy.
+//! Multi-epoch training through a [`Session`]: one worker pool for the
+//! whole run, super-batch refreshes overlapped on a dedicated worker, and
+//! the §4.1.3 hybrid split re-planned every epoch from measured
+//! train-stage occupancy.
 //!
 //! ```text
 //! cargo run --release --example engine_multi_epoch
 //! ```
 //!
-//! Three executors run the *same* training trajectory (bit-identical loss,
+//! Two executors run the *same* training trajectory (bit-identical loss,
 //! asserted below):
 //!
-//! 1. `sequential` — the unpipelined baseline, every stage on one thread;
-//! 2. `respawn` — `PipelineExecutor::run_epoch` per epoch, which spawns
-//!    and joins the stage workers every call;
-//! 3. `engine` — one `TrainingEngine` session: workers spawned once,
-//!    parked on the generation-stamped epoch gate between epochs, refresh
-//!    on its own worker, adaptive split on.
+//! 1. `sequential` — the unpipelined reference, every stage on one thread;
+//! 2. `engine` — one one-replica `Session`: workers spawned once, parked
+//!    on the generation-stamped epoch gate between epochs, refresh on its
+//!    own worker, adaptive split on.
 //!
 //! Replica methodology: as in `pipeline_executor.rs`, the simulated PCIe
 //! link is calibrated so transfer ≈ 50% of measured compute (the Fig 2
-//! Case-1 regime); the identical stall applies to all three executors.
-//! No timing assertions — the container is single-core and shared; the
+//! Case-1 regime); the identical stall applies to both executors.
+//! No timing assertions — the container is small and shared; the
 //! numbers are recorded in `BENCH_engine.json` for trajectory tracking.
 //!
 //! Transfer-volume ablation (Fig 6c/Fig 13): the engine run gives the
 //! hybrid planner a real GPU cache budget, so its `h2d_bytes_per_epoch`
-//! drops below the cache-less respawn run's from epoch 1 on (epoch 0 runs
-//! before the first plan and ships the full volume — byte accounting is
-//! deterministic, so that equality is asserted, as is the saving).
+//! drops below the cache-less sequential run's from epoch 1 on (epoch 0
+//! runs before the first plan and ships the full volume — byte accounting
+//! is deterministic, so that equality is asserted, as is the saving).
 //!
 //! Reuse ablation: two more epochs of the same data and seed train under
 //! `ReusePolicy::Exact`; their deduped bottom-block source counts
@@ -36,10 +34,9 @@
 //! every one of its epochs must stage strictly fewer rows (asserted here
 //! and gated, timing-free, by `xtask bench-diff`).
 
-use neutronorch::core::engine::{EngineConfig, TrainingEngine};
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
+use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig};
 use neutronorch::core::refresh::RefreshTask;
-use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
+use neutronorch::core::session::{EpochRun, Session, SessionConfig};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::hetero::InterconnectSpec;
@@ -48,12 +45,11 @@ use neutronorch::nn::LayerKind;
 use neutronorch::tensor::{alloc, timing};
 use std::time::Instant;
 
-/// PR 3's committed warm-epoch means, kept as the cross-PR reference point.
-/// The CI box is one shared core with ~2x cross-run noise, so the speedup
-/// this run records against them is indicative, not a gate — `xtask
-/// bench-diff` gates same-run invariants only.
+/// PR 3's committed warm-epoch mean, kept as the cross-PR reference point.
+/// The CI box is shared with ~2x cross-run noise, so the speedup this run
+/// records against it is indicative, not a gate — `xtask bench-diff` gates
+/// same-run invariants only.
 const PR3_ENGINE_WARM_MEAN_SECONDS: f64 = 0.1389;
-const PR3_RESPAWN_WARM_MEAN_SECONDS: f64 = 0.1226;
 
 const EPOCHS: usize = 8;
 const SUPER_BATCH: usize = 2;
@@ -99,6 +95,16 @@ fn fmt_series_u64(xs: &[u64]) -> String {
     format!("[{}]", inner.join(", "))
 }
 
+/// One report type for every session, so one pair of helpers turns a
+/// per-epoch field of either run (R = 1 or R = 2) into a JSON series.
+fn per_epoch(runs: &[EpochRun], f: impl Fn(&EpochRun) -> f64) -> String {
+    fmt_series(&runs.iter().map(f).collect::<Vec<_>>())
+}
+
+fn per_epoch_u64(runs: &[EpochRun], f: impl Fn(&EpochRun) -> u64) -> String {
+    fmt_series_u64(&runs.iter().map(f).collect::<Vec<_>>())
+}
+
 fn main() {
     // Reddit-conv scaled 2x in vertices (4x in edges): big enough that
     // per-epoch times dominate timer noise, small enough for a CI smoke run.
@@ -112,13 +118,11 @@ fn main() {
 
     // --- Calibration: one pure-compute epoch (no transfer stall). -------
     let mut cal = trainer(&spec);
-    let calibrate = PipelineExecutor::new(PipelineConfig {
-        sampler_threads: 1,
-        gather_threads: 1,
-        channel_depth: 4,
+    let calibrate = PipelineConfig {
         h2d_gibps: 0.0,
-    });
-    let (_, compute) = calibrate.run_epoch_sequential(&mut cal, 0);
+        ..PipelineConfig::default()
+    };
+    let (_, compute) = run_epoch_sequential(&calibrate, &mut cal, 0);
     let h2d_gibps = compute.h2d_bytes as f64 / (0.5 * compute.epoch_seconds) / (1u64 << 30) as f64;
     println!(
         "calibration: compute epoch {:.2}s, {:.1} MiB h2d -> simulated link {:.3} GiB/s\n",
@@ -139,8 +143,7 @@ fn main() {
     let mut exact_trainer = trainer_with(&spec, ReusePolicy::Exact);
     let exact_sources: Vec<u64> = (0..EXACT_EPOCHS)
         .map(|epoch| {
-            calibrate
-                .run_epoch_sequential(&mut exact_trainer, epoch)
+            run_epoch_sequential(&calibrate, &mut exact_trainer, epoch)
                 .1
                 .cache_misses
         })
@@ -156,54 +159,37 @@ fn main() {
 
     // --- Mode 1: sequential reference (also the determinism oracle). Its
     // per-epoch staging allocations (sample+gather+transfer, allocating
-    // code paths) are the "before" the pooled engine is compared against.
-    let exec = PipelineExecutor::new(pipeline.clone());
+    // code paths) are the "before" the pooled engine is compared against,
+    // and — it gathers against an empty cache — its per-epoch h2d_bytes
+    // are the cache-less transfer-volume baseline of the Fig 6c ablation.
     let mut seq_trainer = trainer(&spec);
     let mut seq_secs = Vec::with_capacity(EPOCHS);
     let mut seq_loss = Vec::with_capacity(EPOCHS);
+    let mut nocache_h2d = Vec::with_capacity(EPOCHS);
     let mut seq_staging_allocs: Vec<u64> = Vec::with_capacity(EPOCHS);
     for epoch in 0..EPOCHS {
         let before = alloc::snapshot();
-        let (obs, report) = exec.run_epoch_sequential(&mut seq_trainer, epoch);
+        let (obs, report) = run_epoch_sequential(&pipeline, &mut seq_trainer, epoch);
         seq_staging_allocs.push(alloc::snapshot().since(&before).staging_allocs());
         seq_secs.push(report.epoch_seconds);
         seq_loss.push(obs.train_loss);
-    }
-
-    // --- Mode 2: compat path — respawn workers every epoch. This run has
-    // no cache budget, so its per-epoch h2d_bytes are also the cache-less
-    // transfer-volume baseline for the Fig 6c ablation.
-    let mut respawn_trainer = trainer(&spec);
-    let mut respawn_secs = Vec::with_capacity(EPOCHS);
-    let mut nocache_h2d = Vec::with_capacity(EPOCHS);
-    for (epoch, &want_loss) in seq_loss.iter().enumerate() {
-        let (obs, report) = exec.run_epoch(&mut respawn_trainer, epoch);
-        respawn_secs.push(report.epoch_seconds);
         nocache_h2d.push(report.h2d_bytes);
-        assert_eq!(
-            obs.train_loss, want_loss,
-            "respawn executor diverged at epoch {epoch}"
-        );
     }
 
-    // --- Mode 3: persistent engine, adaptive split active with a real GPU
-    // cache budget (EWMA-smoothed occupancy, hysteresis on the installed
-    // split — EngineConfig defaults).
-    let config = EngineConfig {
+    // --- Mode 2: one persistent session, adaptive split active with a real
+    // GPU cache budget (EWMA-smoothed occupancy, hysteresis on the
+    // installed split).
+    let config = SessionConfig {
         pipeline,
         adaptive_split: true,
         gpu_free_bytes: 64 << 20,
         checkpoint_every: CHECKPOINT_EVERY,
         checkpoint_path: Some("target/bench_checkpoint.ck".into()),
-        ..EngineConfig::default()
+        ..SessionConfig::default()
     };
-    let (budget, alpha, hysteresis) = (
-        config.gpu_free_bytes,
-        config.occupancy_ewma_alpha,
-        config.split_hysteresis,
-    );
+    let budget = config.gpu_free_bytes;
     let refresh_workers = config.effective_refresh_workers();
-    let engine = TrainingEngine::new(config);
+    let engine = Session::new(config);
     let mut engine_trainer = trainer(&spec);
     // Per-kernel attribution for the engine run (the tensor timing hooks
     // are pure observers — the bit-identity asserts below still hold).
@@ -217,14 +203,8 @@ fn main() {
         "engine session: {} workers spawned once ({:.4}s startup) for {} generations\n",
         session.workers_spawned, session.startup_seconds, session.generations
     );
-    println!(
-        "epoch  sequential  respawn   engine   occup  cpu_frac  cached  h2d_MiB (vs nocache)  loss"
-    );
-    let engine_sources: Vec<u64> = session
-        .epochs
-        .iter()
-        .map(|r| r.report.cache_hits + r.report.cache_misses)
-        .collect();
+    println!("epoch  sequential   engine   occup  cpu_frac  cached  h2d_MiB (vs nocache)  loss");
+    let engine_sources = session.series(|r| r.report.cache_hits + r.report.cache_misses);
     for (e, run) in session.epochs.iter().enumerate() {
         assert_eq!(
             run.observation.train_loss, seq_loss[e],
@@ -244,9 +224,8 @@ fn main() {
             engine_sources[e]
         );
         println!(
-            "{e:>5}  {:>9.2}s {:>7.2}s {:>7.2}s  {:>5.2}  {:>8.2}  {:>6}  {:>7.1} ({:>5.1})  {:.4}",
+            "{e:>5}  {:>9.2}s {:>7.2}s  {:>5.2}  {:>8.2}  {:>6}  {:>7.1} ({:>5.1})  {:.4}",
             seq_secs[e],
-            respawn_secs[e],
             run.report.epoch_seconds,
             run.report.train_occupancy(),
             run.refresh_cpu_fraction,
@@ -256,7 +235,7 @@ fn main() {
             run.observation.train_loss,
         );
     }
-    let engine_h2d = session.h2d_bytes_trajectory();
+    let engine_h2d = session.series(|r| r.report.h2d_bytes);
     // Byte accounting is deterministic (it depends only on the seeded
     // sampling and the cache contents), so these are hard assertions, not
     // timing-dependent expectations: epoch 0 runs before the first plan and
@@ -270,19 +249,13 @@ fn main() {
         engine_h2d.iter().sum::<u64>() < nocache_h2d.iter().sum::<u64>(),
         "a nonzero cache budget must reduce total transferred bytes"
     );
-    let engine_secs: Vec<f64> = session
-        .epochs
-        .iter()
-        .map(|r| r.report.epoch_seconds)
-        .collect();
-    let traj = session.cpu_fraction_trajectory();
+    let engine_secs = session.series(|r| r.report.epoch_seconds);
+    let traj = session.series(|r| r.refresh_cpu_fraction);
     let warm = |xs: &[f64]| xs[1..].iter().sum::<f64>() / (xs.len() - 1) as f64;
     println!(
-        "\nepoch 1 (cold) vs mean of epochs 2..{EPOCHS} (warm): engine {:.2}s -> {:.2}s, respawn {:.2}s -> {:.2}s",
+        "\nepoch 1 (cold) vs mean of epochs 2..{EPOCHS} (warm): engine {:.2}s -> {:.2}s",
         engine_secs[0],
         warm(&engine_secs),
-        respawn_secs[0],
-        warm(&respawn_secs),
     );
     println!(
         "adaptive CPU-refresh share trajectory: {}",
@@ -298,7 +271,7 @@ fn main() {
         100.0 * saved as f64 / nocache_h2d.iter().sum::<u64>() as f64,
     );
     println!(
-        "loss trajectory identical across all three executors (asserted): {}",
+        "loss trajectory identical across both executors (asserted): {}",
         fmt_series(&seq_loss.iter().map(|&l| l as f64).collect::<Vec<_>>())
     );
 
@@ -349,11 +322,7 @@ fn main() {
     // the allocating sequential baseline vs the pooled engine, per warm
     // epoch. With counting off (no `count-allocs` feature) both read 0 and
     // the JSON's `alloc_counting: false` says why.
-    let engine_staging_allocs: Vec<u64> = session
-        .epochs
-        .iter()
-        .map(|r| r.allocs.staging_allocs())
-        .collect();
+    let engine_staging_allocs = session.series(|r| r.allocs.staging_allocs());
     let warm_u64 = |xs: &[u64]| xs[1..].iter().sum::<u64>() as f64 / (xs.len() - 1) as f64;
     if alloc_counting {
         println!("\nstaging-stage heap allocations per epoch (sample+gather+transfer):");
@@ -391,12 +360,8 @@ fn main() {
     // after every CHECKPOINT_EVERY-th epoch; the write cost is measured
     // outside the epoch's timed window, so it's reported (and gated in
     // `xtask bench-diff`) as its own series.
-    let ck_bytes: Vec<u64> = session.epochs.iter().map(|r| r.checkpoint_bytes).collect();
-    let ck_secs: Vec<f64> = session
-        .epochs
-        .iter()
-        .map(|r| r.checkpoint_seconds)
-        .collect();
+    let ck_bytes = session.series(|r| r.checkpoint_bytes);
+    let ck_secs = session.series(|r| r.checkpoint_seconds);
     let writes: Vec<f64> = ck_secs.iter().copied().filter(|&s| s > 0.0).collect();
     assert!(
         !writes.is_empty(),
@@ -412,58 +377,39 @@ fn main() {
     );
 
     println!(
-        "warm epochs vs PR 3 baseline: engine {:.4}s vs {:.4}s ({:.2}x), respawn {:.4}s vs {:.4}s ({:.2}x)",
+        "warm epochs vs PR 3 baseline: engine {:.4}s vs {:.4}s ({:.2}x)",
         warm(&engine_secs),
         PR3_ENGINE_WARM_MEAN_SECONDS,
         PR3_ENGINE_WARM_MEAN_SECONDS / warm(&engine_secs),
-        warm(&respawn_secs),
-        PR3_RESPAWN_WARM_MEAN_SECONDS,
-        PR3_RESPAWN_WARM_MEAN_SECONDS / warm(&respawn_secs),
     );
 
-    // --- Data-parallel replicas over the hash-partitioned graph. --------
-    // R=1 must reproduce the sequential trajectory bit-for-bit (asserted:
-    // one partition owns everything, gradient averaging degenerates to the
-    // identity). R=2 runs twice — locality-aware and locality-blind
-    // sampling — to measure what preferring partition-local neighbors
-    // saves on the simulated inter-replica interconnect (ethernet-class,
-    // priced separately from the PCIe H2D link above).
+    // --- Data-parallel replicas over the hash-partitioned graph: the same
+    // `Session` with `replicas: 2`, run twice — locality-aware and
+    // locality-blind sampling — to measure what preferring partition-local
+    // neighbors saves on the simulated inter-replica interconnect
+    // (ethernet-class, priced separately from the PCIe H2D link above).
     alloc::set_enabled(true);
-    let replicated = |replicas: usize, locality_aware: bool| {
-        let engine = ReplicatedEngine::new(ReplicatedConfig {
+    const REPLICAS: usize = 2;
+    let replicated = |locality_aware: bool| {
+        let session = Session::new(SessionConfig {
             pipeline: PipelineConfig {
-                sampler_threads: 1,
-                gather_threads: 1,
-                channel_depth: 4,
                 h2d_gibps,
+                ..PipelineConfig::default()
             },
-            replicas,
+            replicas: REPLICAS,
             locality_aware,
             gpu_free_bytes: 64 << 20,
             interconnect: InterconnectSpec::ethernet_like(),
-            ..ReplicatedConfig::default()
+            ..SessionConfig::default()
         });
         let mut t = trainer(&spec);
-        engine.run_session(&mut t, 0, EPOCHS)
+        session.run_session(&mut t, 0, EPOCHS)
     };
-    let r1 = replicated(1, true);
-    for (e, run) in r1.epochs.iter().enumerate() {
-        assert_eq!(
-            run.observation.train_loss, seq_loss[e],
-            "R=1 replicated engine diverged at epoch {e}"
-        );
-        assert_eq!(run.allreduce_bytes, 0, "R=1 never all-reduces");
-        assert_eq!(
-            run.remote_feature_bytes, 0,
-            "one partition has no remote vertices"
-        );
-    }
-    const REPLICAS: usize = 2;
-    let r2 = replicated(REPLICAS, true);
-    let r2_blind = replicated(REPLICAS, false);
+    let r2 = replicated(true);
+    let r2_blind = replicated(false);
     alloc::set_enabled(false);
     println!(
-        "\nreplicated engine (R={REPLICAS}, ethernet-class interconnect, partition cut {:.2}, balance {:.2}):",
+        "\nsession at R={REPLICAS} (ethernet-class interconnect, partition cut {:.2}, balance {:.2}):",
         r2.partition_cut_fraction, r2.partition_balance
     );
     println!("epoch  steps  allreduce_MiB  remote_MiB (blind)  interconnect_s  loss");
@@ -485,8 +431,10 @@ fn main() {
             run.observation.train_loss,
         );
     }
-    let remote_aware: u64 = r2.remote_bytes_trajectory().iter().sum();
-    let remote_blind: u64 = r2_blind.remote_bytes_trajectory().iter().sum();
+    let remote_series = r2.series(|r| r.remote_feature_bytes);
+    let remote_blind_series = r2_blind.series(|r| r.remote_feature_bytes);
+    let remote_aware: u64 = remote_series.iter().sum();
+    let remote_blind: u64 = remote_blind_series.iter().sum();
     // Sampling is seeded, so the pulled-row accounting is deterministic:
     // locality-aware sampling must save remote feature bytes outright.
     assert!(
@@ -499,11 +447,7 @@ fn main() {
         remote_blind as f64 / (1u64 << 20) as f64,
         100.0 * (remote_blind - remote_aware) as f64 / remote_blind as f64,
     );
-    let replicated_staging_allocs: Vec<u64> = r2
-        .epochs
-        .iter()
-        .map(|r| r.allocs.staging_allocs())
-        .collect();
+    let replicated_staging_allocs = r2.series(|r| r.allocs.staging_allocs());
     if alloc_counting {
         println!(
             "replicated staging allocs per epoch (R={REPLICAS}, pooled): {:?} (warm mean {:.1})",
@@ -513,23 +457,15 @@ fn main() {
     }
 
     // --- Record the baseline. -------------------------------------------
-    let report_series = |f: &dyn Fn(&neutronorch::core::pipeline::PipelineReport) -> f64| {
-        fmt_series(
-            &session
-                .epochs
-                .iter()
-                .map(|r| f(&r.report))
-                .collect::<Vec<_>>(),
-        )
-    };
+    let runs = &session.epochs;
     let stage_seconds = format!(
         "{{\n    \"sample\": {},\n    \"gather\": {},\n    \"transfer\": {},\n    \"train\": {},\n    \"train_wait\": {},\n    \"refresh\": {}\n  }}",
-        report_series(&|r| r.sample_seconds),
-        report_series(&|r| r.gather_collect_seconds),
-        report_series(&|r| r.transfer_seconds),
-        report_series(&|r| r.train_seconds),
-        report_series(&|r| r.train_wait_seconds),
-        fmt_series(&session.epochs.iter().map(|r| r.refresh_seconds).collect::<Vec<_>>()),
+        per_epoch(runs, |r| r.report.sample_seconds),
+        per_epoch(runs, |r| r.report.gather_collect_seconds),
+        per_epoch(runs, |r| r.report.transfer_seconds),
+        per_epoch(runs, |r| r.report.train_seconds),
+        per_epoch(runs, |r| r.report.train_wait_seconds),
+        per_epoch(runs, |r| r.refresh_seconds),
     );
     let kernel_entries: Vec<String> = kernel_snapshot
         .iter()
@@ -544,19 +480,11 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(si, s)| {
-                let series: Vec<u64> = session
-                    .epochs
-                    .iter()
-                    .map(|r| {
-                        let st = r.allocs.stats[si];
-                        if bytes {
-                            st.bytes
-                        } else {
-                            st.allocs
-                        }
-                    })
-                    .collect();
-                format!("    \"{}\": {}", s.name(), fmt_series_u64(&series))
+                let series = per_epoch_u64(runs, |r| {
+                    let st = r.allocs.stats[si];
+                    [st.allocs, st.bytes][bytes as usize]
+                });
+                format!("    \"{}\": {series}", s.name())
             })
             .collect();
         format!("{{\n{}\n  }}", rows.join(",\n"))
@@ -568,29 +496,19 @@ fn main() {
     let eng_warm_staging = format!("{:.1}", warm_u64(&engine_staging_allocs));
     // Replicated (R=2) series: steps, wire bytes, interconnect pricing and
     // the per-replica staging busy time (sample+gather+transfer seconds).
-    let repl_steps_json =
-        fmt_series_u64(&r2.epochs.iter().map(|r| r.steps as u64).collect::<Vec<_>>());
-    let allreduce_json = fmt_series_u64(&r2.allreduce_bytes_trajectory());
-    let remote_json = fmt_series_u64(&r2.remote_bytes_trajectory());
-    let remote_blind_json = fmt_series_u64(&r2_blind.remote_bytes_trajectory());
-    let interconnect_json = fmt_series(
-        &r2.epochs
-            .iter()
-            .map(|r| r.interconnect_seconds)
-            .collect::<Vec<_>>(),
-    );
+    let repl_steps_json = per_epoch_u64(&r2.epochs, |r| r.steps as u64);
+    let allreduce_json = per_epoch_u64(&r2.epochs, |r| r.allreduce_bytes);
+    let remote_json = fmt_series_u64(&remote_series);
+    let remote_blind_json = fmt_series_u64(&remote_blind_series);
+    let interconnect_json = per_epoch(&r2.epochs, |r| r.interconnect_seconds);
     let replica_epoch_json = {
         let rows: Vec<String> = (0..REPLICAS)
             .map(|rep| {
-                let series: Vec<f64> = r2
-                    .epochs
-                    .iter()
-                    .map(|run| {
-                        let s = &run.per_replica[rep];
-                        s.sample_seconds + s.gather_seconds + s.transfer_seconds
-                    })
-                    .collect();
-                format!("    \"replica{rep}\": {}", fmt_series(&series))
+                let series = per_epoch(&r2.epochs, |run| {
+                    let s = &run.per_replica[rep];
+                    s.sample_seconds + s.gather_seconds + s.transfer_seconds
+                });
+                format!("    \"replica{rep}\": {series}")
             })
             .collect();
         format!("{{\n{}\n  }}", rows.join(",\n"))
@@ -608,7 +526,7 @@ fn main() {
             .join(", ")
     );
     let json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"replica_vertices\": {},\n  \"epochs\": {},\n  \"super_batch\": {},\n  \"sampler_threads\": {},\n  \"gather_threads\": {},\n  \"h2d_gibps\": {:.4},\n  \"gpu_cache_budget_bytes\": {},\n  \"occupancy_ewma_alpha\": {},\n  \"split_hysteresis\": {},\n  \"sequential_epoch_seconds\": {},\n  \"respawn_epoch_seconds\": {},\n  \"engine_epoch_seconds\": {},\n  \"engine_epoch1_seconds\": {:.4},\n  \"engine_warm_mean_seconds\": {:.4},\n  \"respawn_warm_mean_seconds\": {:.4},\n  \"pr3_engine_warm_mean_seconds\": {PR3_ENGINE_WARM_MEAN_SECONDS},\n  \"pr3_respawn_warm_mean_seconds\": {PR3_RESPAWN_WARM_MEAN_SECONDS},\n  \"engine_warm_speedup_vs_pr3\": {:.2},\n  \"stage_seconds\": {stage_seconds},\n  \"kernel_seconds\": {kernel_seconds},\n  \"alloc_counting\": {alloc_counting},\n  \"allocs_per_epoch\": {allocs_per_epoch},\n  \"alloc_bytes_per_epoch\": {alloc_bytes_per_epoch},\n  \"sequential_staging_allocs_per_epoch\": {seq_staging_json},\n  \"engine_staging_allocs_per_epoch\": {eng_staging_json},\n  \"engine_warm_staging_allocs_per_epoch\": {eng_warm_staging},\n  \"checkpoint_every\": {CHECKPOINT_EVERY},\n  \"checkpoint_bytes_per_epoch\": {ck_bytes_json},\n  \"checkpoint_seconds_per_epoch\": {ck_secs_json},\n  \"replicas\": {REPLICAS},\n  \"model_bytes\": {},\n  \"partition_cut_fraction\": {:.4},\n  \"partition_balance\": {:.4},\n  \"replicated_r1_matches_sequential\": true,\n  \"replica_steps_per_epoch\": {repl_steps_json},\n  \"allreduce_bytes_per_epoch\": {allreduce_json},\n  \"remote_feature_bytes_per_epoch\": {remote_json},\n  \"remote_feature_bytes_per_epoch_blind\": {remote_blind_json},\n  \"interconnect_seconds_per_epoch\": {interconnect_json},\n  \"replica_epoch_seconds\": {replica_epoch_json},\n  \"replicated_staging_allocs_per_epoch\": {repl_staging_json},\n  \"refresh_sharded\": {refresh_sharded},\n  \"adaptive_cpu_fraction\": {},\n  \"smoothed_occupancy\": {},\n  \"cached_vertices_per_epoch\": {},\n  \"cache_hits_per_epoch\": {},\n  \"cache_misses_per_epoch\": {},\n  \"sources_per_epoch_exact\": {},\n  \"h2d_bytes_per_epoch\": {},\n  \"h2d_bytes_per_epoch_nocache\": {},\n  \"refresh_worker_seconds\": {},\n  \"train_occupancy\": {},\n  \"workers_spawned_once\": {},\n  \"engine_startup_seconds\": {:.4},\n  \"losses\": {}\n}}\n",
+        "{{\n  \"dataset\": \"{}\",\n  \"replica_vertices\": {},\n  \"epochs\": {},\n  \"super_batch\": {},\n  \"sampler_threads\": {},\n  \"gather_threads\": {},\n  \"h2d_gibps\": {:.4},\n  \"gpu_cache_budget_bytes\": {},\n  \"sequential_epoch_seconds\": {},\n  \"engine_epoch_seconds\": {},\n  \"engine_epoch1_seconds\": {:.4},\n  \"engine_warm_mean_seconds\": {:.4},\n  \"pr3_engine_warm_mean_seconds\": {PR3_ENGINE_WARM_MEAN_SECONDS},\n  \"engine_warm_speedup_vs_pr3\": {:.2},\n  \"stage_seconds\": {stage_seconds},\n  \"kernel_seconds\": {kernel_seconds},\n  \"alloc_counting\": {alloc_counting},\n  \"allocs_per_epoch\": {allocs_per_epoch},\n  \"alloc_bytes_per_epoch\": {alloc_bytes_per_epoch},\n  \"sequential_staging_allocs_per_epoch\": {seq_staging_json},\n  \"engine_staging_allocs_per_epoch\": {eng_staging_json},\n  \"engine_warm_staging_allocs_per_epoch\": {eng_warm_staging},\n  \"checkpoint_every\": {CHECKPOINT_EVERY},\n  \"checkpoint_bytes_per_epoch\": {ck_bytes_json},\n  \"checkpoint_seconds_per_epoch\": {ck_secs_json},\n  \"replicas\": {REPLICAS},\n  \"model_bytes\": {},\n  \"partition_cut_fraction\": {:.4},\n  \"partition_balance\": {:.4},\n  \"replica_steps_per_epoch\": {repl_steps_json},\n  \"allreduce_bytes_per_epoch\": {allreduce_json},\n  \"remote_feature_bytes_per_epoch\": {remote_json},\n  \"remote_feature_bytes_per_epoch_blind\": {remote_blind_json},\n  \"interconnect_seconds_per_epoch\": {interconnect_json},\n  \"replica_epoch_seconds\": {replica_epoch_json},\n  \"replicated_staging_allocs_per_epoch\": {repl_staging_json},\n  \"refresh_sharded\": {refresh_sharded},\n  \"adaptive_cpu_fraction\": {},\n  \"smoothed_occupancy\": {},\n  \"cached_vertices_per_epoch\": {},\n  \"cache_hits_per_epoch\": {},\n  \"cache_misses_per_epoch\": {},\n  \"sources_per_epoch_exact\": {},\n  \"h2d_bytes_per_epoch\": {},\n  \"h2d_bytes_per_epoch_nocache\": {},\n  \"refresh_worker_seconds\": {},\n  \"train_occupancy\": {},\n  \"workers_spawned_once\": {},\n  \"engine_startup_seconds\": {:.4},\n  \"losses\": {}\n}}\n",
         spec.name,
         spec.vertices,
         EPOCHS,
@@ -617,28 +535,24 @@ fn main() {
         GATHER_THREADS,
         h2d_gibps,
         budget,
-        alpha,
-        hysteresis,
         fmt_series(&seq_secs),
-        fmt_series(&respawn_secs),
         fmt_series(&engine_secs),
         engine_secs[0],
         warm(&engine_secs),
-        warm(&respawn_secs),
         PR3_ENGINE_WARM_MEAN_SECONDS / warm(&engine_secs),
         r2.model_bytes,
         r2.partition_cut_fraction,
         r2.partition_balance,
         fmt_series(&traj),
-        fmt_series(&session.epochs.iter().map(|r| r.smoothed_occupancy).collect::<Vec<_>>()),
-        fmt_series_u64(&session.epochs.iter().map(|r| r.cache_vertices as u64).collect::<Vec<_>>()),
-        fmt_series_u64(&session.epochs.iter().map(|r| r.report.cache_hits).collect::<Vec<_>>()),
-        fmt_series_u64(&session.epochs.iter().map(|r| r.report.cache_misses).collect::<Vec<_>>()),
+        per_epoch(runs, |r| r.smoothed_occupancy),
+        per_epoch_u64(runs, |r| r.cache_vertices as u64),
+        per_epoch_u64(runs, |r| r.report.cache_hits),
+        per_epoch_u64(runs, |r| r.report.cache_misses),
         fmt_series_u64(&exact_sources),
         fmt_series_u64(&engine_h2d),
         fmt_series_u64(&nocache_h2d),
-        fmt_series(&session.epochs.iter().map(|r| r.refresh_seconds).collect::<Vec<_>>()),
-        fmt_series(&session.epochs.iter().map(|r| r.report.train_occupancy()).collect::<Vec<_>>()),
+        per_epoch(runs, |r| r.refresh_seconds),
+        per_epoch(runs, |r| r.report.train_occupancy()),
         session.workers_spawned,
         session.startup_seconds,
         fmt_series(&seq_loss.iter().map(|&l| l as f64).collect::<Vec<_>>()),

@@ -1,5 +1,5 @@
 //! Sequential vs pipelined epoch throughput on the scaled Reddit replica,
-//! and the demonstration that the pipelined executor hides the (simulated)
+//! and the demonstration that a pipelined session hides the (simulated)
 //! host→device transfer behind compute — the paper's Fig 8 / Fig 14 claim.
 //!
 //! ```text
@@ -14,12 +14,13 @@
 //! paper's own profile (Fig 2: gather/transfer dominate the epoch). The
 //! example calibrates the simulated link so transfer time ≈ 50% of measured
 //! compute, inside the Fig 2 Case-1 regime, then runs the *same* stall on
-//! both the sequential baseline and the pipelined executor.
+//! both the sequential baseline and a one-epoch pipelined `Session`.
 //!
 //! Writes `BENCH_pipeline.json` with the measured baseline so future PRs
 //! have a perf trajectory to beat.
 
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor, PipelineReport};
+use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
+use neutronorch::core::session::{Session, SessionConfig};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
@@ -60,13 +61,11 @@ fn main() {
 
     // --- Calibration: one pure-compute epoch (no transfer stall). -------
     let mut cal = trainer(&spec, ReusePolicy::Exact);
-    let calibrate = PipelineExecutor::new(PipelineConfig {
-        sampler_threads: 1,
-        gather_threads: 1,
-        channel_depth: 4,
+    let calibrate = PipelineConfig {
         h2d_gibps: 0.0,
-    });
-    let (_, compute) = calibrate.run_epoch_sequential(&mut cal, 0);
+        ..PipelineConfig::default()
+    };
+    let (_, compute) = run_epoch_sequential(&calibrate, &mut cal, 0);
     let h2d_gibps = compute.h2d_bytes as f64 / (0.5 * compute.epoch_seconds) / (1u64 << 30) as f64;
     println!(
         "calibration: compute epoch {:.2}s, {:.1} MiB h2d -> simulated link {:.3} GiB/s (transfer ≈ 50% of compute)\n",
@@ -82,11 +81,21 @@ fn main() {
         channel_depth: 4,
         h2d_gibps,
     };
-    let exec = PipelineExecutor::new(config);
+    // No cache budget: both sides ship the identical byte volume.
+    let session = Session::new(SessionConfig {
+        pipeline: config.clone(),
+        adaptive_split: false,
+        gpu_free_bytes: 0,
+        ..SessionConfig::default()
+    });
+    let pipelined_epoch = |t: &mut ConvergenceTrainer| {
+        let run = session.run_session(t, 0, 1).epochs.remove(0);
+        (run.observation, run.report)
+    };
     let mut seq = trainer(&spec, ReusePolicy::Exact);
     let mut pip = trainer(&spec, ReusePolicy::Exact);
-    let (seq_obs, seq_report) = exec.run_epoch_sequential(&mut seq, 0);
-    let (pip_obs, pip_report) = exec.run_epoch(&mut pip, 0);
+    let (seq_obs, seq_report) = run_epoch_sequential(&config, &mut seq, 0);
+    let (pip_obs, pip_report) = pipelined_epoch(&mut pip);
     print_report("sequential", &seq_report);
     print_report("pipelined", &pip_report);
     assert_eq!(
@@ -108,7 +117,7 @@ fn main() {
             super_batch,
         },
     );
-    let (hot_obs, hot_report) = exec.run_epoch(&mut hot, 0);
+    let (hot_obs, hot_report) = pipelined_epoch(&mut hot);
     print_report("hot-aware", &hot_report);
     println!(
         "hotness-aware: max staleness {} (< 2n = {}), {} embedding reuses, ε = {:.4}\n",
@@ -140,6 +149,6 @@ fn main() {
     println!("wrote BENCH_pipeline.json");
     assert!(
         speedup >= 1.3,
-        "pipelined executor must demonstrate ≥ 1.3x epoch throughput (got {speedup:.2}x)"
+        "the pipelined session must demonstrate ≥ 1.3x epoch throughput (got {speedup:.2}x)"
     );
 }

@@ -12,9 +12,9 @@
 //! the per-stage attribution).
 #![cfg(feature = "count-allocs")]
 
-use neutronorch::core::engine::{EngineConfig, TrainingEngine};
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
-use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
+use neutronorch::core::fault::{FailureAction, FailurePolicy, FaultPlan};
+use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig};
+use neutronorch::core::session::{Session, SessionConfig};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
@@ -43,6 +43,12 @@ const MIN_IMPROVEMENT: u64 = 2;
 /// epoch. One `Vec` per refreshed row (90 hot rows a task) lands at 300+.
 const WARM_REFRESH_ALLOC_BUDGET: u64 = 100;
 
+/// Ceiling on the staging allocations of the last three epochs *together*
+/// of a session that dropped a replica seven epochs earlier (see the
+/// degraded case below): measured 0–4, ~125 when the survivors' spent
+/// bundles land in the dead replica's lane.
+const SETTLED_DEGRADED_ALLOC_BUDGET: u64 = 60;
+
 fn trainer() -> ConvergenceTrainer {
     let ds = DatasetSpec::tiny().build_full();
     let mut cfg = TrainerConfig::convergence_default(
@@ -67,19 +73,19 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
 
     // Sequential "before" numbers: the executor tags stages itself, so the
     // staging delta is directly comparable with the engine's.
-    let exec = PipelineExecutor::new(PipelineConfig::default());
+    let pipeline = PipelineConfig::default();
     let mut seq = trainer();
     alloc::reset();
     alloc::set_enabled(true);
     let mut seq_staging = Vec::with_capacity(epochs);
     for epoch in 0..epochs {
         let before = alloc::snapshot();
-        exec.run_epoch_sequential(&mut seq, epoch);
+        run_epoch_sequential(&pipeline, &mut seq, epoch);
         seq_staging.push(alloc::snapshot().since(&before).staging_allocs());
     }
 
     let mut eng = trainer();
-    let engine = TrainingEngine::new(EngineConfig {
+    let engine = Session::new(SessionConfig {
         pipeline: PipelineConfig {
             sampler_threads: 2,
             gather_threads: 2,
@@ -88,14 +94,14 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
         },
         adaptive_split: true,
         gpu_free_bytes: 64 << 20,
-        ..EngineConfig::default()
+        ..SessionConfig::default()
     });
     let session = engine.run_session(&mut eng, 0, epochs);
 
     // Same engine with the whole refresh pinned to the refresh worker, so
     // the refresh-stage window sees every row a boundary recomputes.
     let mut pinned = trainer();
-    let pinned_session = TrainingEngine::new(EngineConfig {
+    let pinned_session = Session::new(SessionConfig {
         adaptive_split: false,
         refresh_workers: 1,
         ..engine.config().clone()
@@ -108,7 +114,7 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
     // the single-engine ceiling on warm epochs.
     let replicas = 2;
     let mut rep = trainer();
-    let replicated = ReplicatedEngine::new(ReplicatedConfig {
+    let replicated = Session::new(SessionConfig {
         pipeline: PipelineConfig {
             sampler_threads: 1,
             gather_threads: 1,
@@ -116,9 +122,26 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
             h2d_gibps: 0.0,
         },
         replicas,
-        ..ReplicatedConfig::default()
+        ..SessionConfig::default()
     });
     let rep_session = replicated.run_session(&mut rep, 0, epochs);
+
+    // Degraded mode: R=3 loses replica 1 at the start of epoch 1 and
+    // finishes on two survivors. Their spent bundles must keep coming back
+    // to *them* — a recycler that still dealt bundles out over three lanes
+    // would park every third one where nobody draws and make the survivors
+    // allocate multi-MiB bundles every few steps.
+    let survivors = 2;
+    let mut degraded = trainer();
+    let degraded_session = Session::new(SessionConfig {
+        replicas: survivors + 1,
+        fault_plan: Some(std::sync::Arc::new(
+            FaultPlan::parse("crash@r1e1s0").expect("fault spec"),
+        )),
+        on_replica_failure: FailurePolicy::DropReplica,
+        ..replicated.config().clone()
+    })
+    .run_session(&mut degraded, 0, 10);
     alloc::set_enabled(false);
 
     assert_eq!(session.epochs.len(), epochs);
@@ -179,4 +202,43 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
             run.epoch
         );
     }
+
+    let dropped = &degraded_session.epochs[1].report.failures;
+    assert!(
+        dropped
+            .iter()
+            .any(|e| e.replica == 1 && e.action == FailureAction::DroppedReplica),
+        "replica 1 must have been dropped in epoch 1: {dropped:?}"
+    );
+    // Epoch 1 runs short-handed on the old partition and epoch 2 is the
+    // first on the redistributed one (larger batches grow the bundles once);
+    // from epoch 3 on the survivors are warm again.
+    let degraded_budget = survivors as u64 * WARM_STAGING_ALLOC_BUDGET;
+    for run in &degraded_session.epochs[3..] {
+        let staging = run.allocs.staging_allocs();
+        println!(
+            "degraded (R=3, one dropped) epoch {}: staging allocs {staging} \
+             (budget {degraded_budget})",
+            run.epoch
+        );
+        assert!(
+            staging <= degraded_budget,
+            "warm degraded epoch {} staged {staging} allocs on {survivors} survivors, budget \
+             {degraded_budget}",
+            run.epoch
+        );
+    }
+    // ... and they *settle*: a fresh bundle costs ~14 allocations, and
+    // misrouted bundles cost the survivors about three of them an epoch,
+    // forever (~40 allocations an epoch on this workload). The last three
+    // epochs together get less than half of that.
+    let settled: u64 = degraded_session.epochs[7..]
+        .iter()
+        .map(|run| run.allocs.staging_allocs())
+        .sum();
+    assert!(
+        settled <= SETTLED_DEGRADED_ALLOC_BUDGET,
+        "the last three degraded epochs staged {settled} allocs, budget \
+         {SETTLED_DEGRADED_ALLOC_BUDGET} — are spent bundles still routed to the dead replica?"
+    );
 }

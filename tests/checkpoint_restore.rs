@@ -11,9 +11,8 @@ use neutronorch::core::checkpoint::{
     decode_seeds, decode_store, encode_adam, encode_params, encode_rows, encode_seeds,
     encode_store, Checkpoint, CheckpointError, Reader, Writer, FORMAT_VERSION,
 };
-use neutronorch::core::engine::{EngineConfig, TrainingEngine};
 use neutronorch::core::pipeline::PipelineConfig;
-use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
+use neutronorch::core::session::{Session, SessionConfig, SessionReport};
 use neutronorch::core::trainer::{
     ConvergenceTrainer, PendingSnapshot, ReusePolicy, TrainerConfig, TrainerState,
 };
@@ -43,27 +42,20 @@ fn trainer() -> ConvergenceTrainer {
     ConvergenceTrainer::new(ds, cfg)
 }
 
-fn engine(sampler_threads: usize, ck: Option<(&PathBuf, usize)>) -> TrainingEngine {
-    TrainingEngine::new(EngineConfig {
+/// A session of `replicas` replicas (with `sampler_threads` samplers where
+/// one replica runs the staged pool), checkpointing to `(path, every)`.
+fn session(replicas: usize, sampler_threads: usize, ck: Option<(&PathBuf, usize)>) -> Session {
+    Session::new(SessionConfig {
         pipeline: PipelineConfig {
             sampler_threads,
             gather_threads: 1,
             channel_depth: 3,
             h2d_gibps: 0.0,
         },
-        gpu_free_bytes: 64 << 20,
-        checkpoint_every: ck.map(|(_, every)| every).unwrap_or(0),
-        checkpoint_path: ck.map(|(path, _)| path.clone()),
-        ..EngineConfig::default()
-    })
-}
-
-fn replicated(replicas: usize, ck: Option<(&PathBuf, usize)>) -> ReplicatedEngine {
-    ReplicatedEngine::new(ReplicatedConfig {
         replicas,
         checkpoint_every: ck.map(|(_, every)| every).unwrap_or(0),
         checkpoint_path: ck.map(|(path, _)| path.clone()),
-        ..ReplicatedConfig::default()
+        ..SessionConfig::default()
     })
 }
 
@@ -458,120 +450,72 @@ fn config_digest_separates_configurations() {
 // Session-level kill/restore identity.
 // ---------------------------------------------------------------------------
 
-/// The tentpole acceptance test for the single-replica engine: run k
-/// epochs with checkpointing on, "kill" the session (drop every in-memory
-/// object), restore a fresh trainer from the file and finish the session.
-/// Every remaining epoch's loss and the final trainer state must be
-/// bit-identical to the uninterrupted run — at every tested thread count
-/// and every kill point.
-#[test]
-fn killed_engine_session_restores_bit_identically() {
+/// Run k epochs with checkpointing on, "kill" the session (drop every
+/// in-memory object), restore a fresh trainer from the file and finish the
+/// session: every remaining epoch's loss and the final trainer state must
+/// be bit-identical to the uninterrupted run, at every kill point. The
+/// checkpoint carries the replica count and the per-replica rng seeds.
+fn assert_kill_and_restore_is_invisible(
+    session: impl Fn(Option<(&PathBuf, usize)>) -> Session,
+    replicas: usize,
+    tag: &str,
+) {
     const TOTAL: usize = 4;
-    for sampler_threads in [1, 3] {
-        let mut full = trainer();
-        let uninterrupted = engine(sampler_threads, None).run_session(&mut full, 0, TOTAL);
-        let losses: Vec<u32> = uninterrupted
-            .epochs
-            .iter()
-            .map(|r| r.observation.train_loss.to_bits())
-            .collect();
-        let final_state = state_bytes(&mut full, 1);
+    let losses = |report: &SessionReport| report.series(|r| r.observation.train_loss.to_bits());
+    let mut full = trainer();
+    let uninterrupted = losses(&session(None).run_session(&mut full, 0, TOTAL));
+    let final_state = state_bytes(&mut full, replicas);
 
-        for kill_after in [1, 2, 3] {
-            let path = ck_path(&format!("eng-t{sampler_threads}-k{kill_after}"));
-            let mut first = trainer();
-            let digest = checkpoint::config_digest(first.config(), 1);
-            engine(sampler_threads, Some((&path, 1))).run_session(&mut first, 0, kill_after);
-            drop(first); // the "kill": all in-memory state is gone
+    for kill_after in [1, 2, 3] {
+        let path = ck_path(&format!("{tag}-k{kill_after}"));
+        let mut first = trainer();
+        let digest = checkpoint::config_digest(first.config(), replicas);
+        let seed = first.config().seed;
+        session(Some((&path, 1))).run_session(&mut first, 0, kill_after);
+        drop(first); // the "kill": all in-memory state is gone
 
-            let ck = checkpoint::load(&path, digest).expect("load checkpoint");
-            assert_eq!(ck.next_epoch as usize, kill_after);
-            assert_eq!(ck.replicas, 1);
-            let mut resumed = trainer();
-            assert_whole_hot_set_pending(&ck, &resumed);
-            resumed.restore_state(&ck.state).expect("restore");
-            let rest = engine(sampler_threads, None).run_session(
-                &mut resumed,
-                kill_after,
-                TOTAL - kill_after,
-            );
-            let resumed_losses: Vec<u32> = rest
-                .epochs
-                .iter()
-                .map(|r| r.observation.train_loss.to_bits())
-                .collect();
-            assert_eq!(
-                resumed_losses,
-                losses[kill_after..],
-                "threads={sampler_threads} kill_after={kill_after}: resumed losses diverge"
-            );
-            assert_eq!(
-                state_bytes(&mut resumed, 1),
-                final_state,
-                "threads={sampler_threads} kill_after={kill_after}: final state diverges"
-            );
-            std::fs::remove_file(&path).ok();
-        }
+        let ck = checkpoint::load(&path, digest).expect("load checkpoint");
+        assert_eq!(ck.next_epoch as usize, kill_after);
+        assert_eq!(ck.replicas as usize, replicas);
+        assert_eq!(ck.rng_seeds.len(), replicas);
+        // Replica 0's salt vanishes: its stream seed is the config seed.
+        assert_eq!(ck.rng_seeds[0], seed);
+
+        let mut resumed = trainer();
+        assert_whole_hot_set_pending(&ck, &resumed);
+        resumed.restore_state(&ck.state).expect("restore");
+        let rest = session(None).run_session(&mut resumed, kill_after, TOTAL - kill_after);
+        assert_eq!(
+            losses(&rest),
+            uninterrupted[kill_after..],
+            "{tag} kill_after={kill_after}: resumed losses diverge"
+        );
+        assert_eq!(
+            state_bytes(&mut resumed, replicas),
+            final_state,
+            "{tag} kill_after={kill_after}: final state diverges"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }
 
-/// Same kill/restore identity for the replicated engine at R ∈ {1, 2, 4}:
-/// the checkpoint also carries the per-replica rng seeds, and the restored
-/// session must reproduce the uninterrupted run's losses and final state
-/// bit-for-bit at every width.
+/// Kill/restore identity on the staged pool, at every tested thread count.
+#[test]
+fn killed_engine_session_restores_bit_identically() {
+    for sampler_threads in [1, 3] {
+        let tag = format!("eng-t{sampler_threads}");
+        assert_kill_and_restore_is_invisible(|ck| session(1, sampler_threads, ck), 1, &tag);
+    }
+}
+
+/// Same kill/restore identity at R ∈ {1, 2, 4}: the restored session must
+/// reproduce the uninterrupted run's losses and final state bit-for-bit at
+/// every width.
 #[test]
 fn killed_replicated_session_restores_bit_identically_at_any_width() {
-    const TOTAL: usize = 4;
     for replicas in [1usize, 2, 4] {
-        let mut full = trainer();
-        let uninterrupted = replicated(replicas, None).run_session(&mut full, 0, TOTAL);
-        let losses: Vec<u32> = uninterrupted
-            .epochs
-            .iter()
-            .map(|r| r.observation.train_loss.to_bits())
-            .collect();
-        let final_state = state_bytes(&mut full, replicas);
-
-        for kill_after in [1, 2, 3] {
-            let path = ck_path(&format!("rep-r{replicas}-k{kill_after}"));
-            let mut first = trainer();
-            let digest = checkpoint::config_digest(first.config(), replicas);
-            let seed = first.config().seed;
-            replicated(replicas, Some((&path, 1))).run_session(&mut first, 0, kill_after);
-            drop(first);
-
-            let ck = checkpoint::load(&path, digest).expect("load checkpoint");
-            assert_eq!(ck.next_epoch as usize, kill_after);
-            assert_eq!(ck.replicas as usize, replicas);
-            assert_eq!(ck.rng_seeds.len(), replicas);
-            // Replica 0's salt vanishes: its stream seed is the config seed.
-            assert_eq!(ck.rng_seeds[0], seed);
-
-            let mut resumed = trainer();
-            assert_whole_hot_set_pending(&ck, &resumed);
-            resumed.restore_state(&ck.state).expect("restore");
-            let rest = replicated(replicas, None).run_session(
-                &mut resumed,
-                kill_after,
-                TOTAL - kill_after,
-            );
-            let resumed_losses: Vec<u32> = rest
-                .epochs
-                .iter()
-                .map(|r| r.observation.train_loss.to_bits())
-                .collect();
-            assert_eq!(
-                resumed_losses,
-                losses[kill_after..],
-                "R={replicas} kill_after={kill_after}: resumed losses diverge"
-            );
-            assert_eq!(
-                state_bytes(&mut resumed, replicas),
-                final_state,
-                "R={replicas} kill_after={kill_after}: final state diverges"
-            );
-            std::fs::remove_file(&path).ok();
-        }
+        let tag = format!("rep-r{replicas}");
+        assert_kill_and_restore_is_invisible(|ck| session(replicas, 2, ck), replicas, &tag);
     }
 }
 
@@ -584,7 +528,7 @@ fn checkpoint_is_bound_to_the_replica_count() {
     let mut t = trainer();
     let digest_r2 = checkpoint::config_digest(t.config(), 2);
     let digest_r1 = checkpoint::config_digest(t.config(), 1);
-    replicated(2, Some((&path, 1))).run_session(&mut t, 0, 1);
+    session(2, 2, Some((&path, 1))).run_session(&mut t, 0, 1);
     assert!(checkpoint::load(&path, digest_r2).is_ok());
     assert!(matches!(
         checkpoint::load(&path, digest_r1),
@@ -602,14 +546,10 @@ fn checkpoint_cadence_and_telemetry_follow_absolute_epochs() {
     let path = ck_path("cadence");
     let mut t = trainer();
     let digest = checkpoint::config_digest(t.config(), 1);
-    let session = engine(2, Some((&path, 2))).run_session(&mut t, 0, 4);
-    let wrote: Vec<bool> = session
-        .epochs
-        .iter()
-        .map(|r| r.checkpoint_bytes > 0)
-        .collect();
+    let report = session(1, 2, Some((&path, 2))).run_session(&mut t, 0, 4);
+    let wrote = report.series(|r| r.checkpoint_bytes > 0);
     assert_eq!(wrote, [false, true, false, true]);
-    for run in &session.epochs {
+    for run in &report.epochs {
         assert_eq!(
             run.checkpoint_bytes > 0,
             run.checkpoint_seconds > 0.0,

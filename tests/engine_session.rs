@@ -1,19 +1,24 @@
-//! Integration tests of the persistent multi-epoch engine: determinism
-//! versus repeated sequential epochs at any thread count (with the refresh
-//! worker and the occupancy-driven hybrid planner both active), staleness
-//! under the double-buffered refresh, split invariance, the spawn-once
-//! guarantee of the persistent pool, and the hot-vertex pruning contract
-//! (hot rows never reach the device path; their embeddings are primed
-//! before batch 0 and a missing one is fatal, never a silent zero).
+//! Integration tests of the training session: determinism versus repeated
+//! sequential epochs at any thread count (with the refresh worker and the
+//! occupancy-driven hybrid planner both active), staleness under the
+//! double-buffered refresh, split invariance, the spawn-once guarantee of
+//! the persistent pool, the dispatch on `replicas` and the configurations
+//! it rejects, and the hot-vertex pruning contract (hot rows never reach
+//! the device path; their embeddings are primed before batch 0 and a
+//! missing one is fatal, never a silent zero).
 
-use neutronorch::core::engine::{EngineConfig, TrainingEngine};
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
+use neutronorch::core::fault::FailurePolicy;
+use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
 use neutronorch::core::refresh::InlineRefresh;
-use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
-use neutronorch::core::trainer::{ConvergenceTrainer, PreparedBatch, ReusePolicy, TrainerConfig};
+use neutronorch::core::session::{Session, SessionConfig, SessionReport};
+use neutronorch::core::trainer::{
+    ConvergenceTrainer, EpochObservation, PreparedBatch, ReusePolicy, TrainerConfig,
+};
+use neutronorch::graph::partition::hash_partition;
 use neutronorch::graph::DatasetSpec;
 use neutronorch::hetero::InterconnectSpec;
 use neutronorch::nn::LayerKind;
+use neutronorch::sample::BatchIterator;
 use proptest::prelude::*;
 
 fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
@@ -37,8 +42,16 @@ fn stage(t: &ConvergenceTrainer, epoch: usize, index: usize) -> PreparedBatch {
     )
 }
 
-fn engine(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> TrainingEngine {
-    TrainingEngine::new(EngineConfig {
+/// The reuse policy most tests train under.
+fn hot_policy() -> ReusePolicy {
+    ReusePolicy::HotnessAware {
+        hot_ratio: 0.3,
+        super_batch: 2,
+    }
+}
+
+fn config(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> SessionConfig {
+    SessionConfig {
         pipeline: PipelineConfig {
             sampler_threads,
             gather_threads,
@@ -47,8 +60,40 @@ fn engine(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> Trai
         },
         adaptive_split: adaptive,
         gpu_free_bytes: 64 << 20,
-        ..EngineConfig::default()
-    })
+        ..SessionConfig::default()
+    }
+}
+
+fn engine(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> Session {
+    Session::new(config(sampler_threads, gather_threads, adaptive))
+}
+
+/// `epochs` epochs of the sequential reference under [`hot_policy`].
+fn sequential_reference(epochs: usize) -> Vec<(EpochObservation, PipelineReport)> {
+    let mut seq = trainer(hot_policy());
+    (0..epochs)
+        .map(|e| run_epoch_sequential(&PipelineConfig::default(), &mut seq, e))
+        .collect()
+}
+
+/// Asserts that `session` replays the reference trajectory bit for bit.
+fn assert_replays(
+    session: &SessionReport,
+    reference: &[(EpochObservation, PipelineReport)],
+    what: &str,
+) {
+    assert_eq!(session.epochs.len(), reference.len());
+    for (run, (want, _)) in session.epochs.iter().zip(reference) {
+        let (epoch, got) = (run.epoch, run.observation);
+        assert_eq!(
+            got.train_loss, want.train_loss,
+            "epoch {epoch} loss, {what}"
+        );
+        assert_eq!(
+            got.test_accuracy, want.test_accuracy,
+            "epoch {epoch} accuracy, {what}"
+        );
+    }
 }
 
 /// The acceptance criterion of the persistent-engine refactor: a session
@@ -59,32 +104,10 @@ fn engine(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> Trai
 /// never the numerical result.
 #[test]
 fn session_bit_identical_to_sequential_epochs_at_any_thread_count() {
-    let policy = || ReusePolicy::HotnessAware {
-        hot_ratio: 0.3,
-        super_batch: 2,
-    };
-    let epochs = 4;
-    let seq_exec = PipelineExecutor::new(PipelineConfig::default());
-    let mut seq = trainer(policy());
-    let reference: Vec<_> = (0..epochs)
-        .map(|e| seq_exec.run_epoch_sequential(&mut seq, e).0)
-        .collect();
+    let reference = sequential_reference(4);
     for (st, gt) in [(1, 1), (2, 2), (4, 3)] {
-        let mut t = trainer(policy());
-        let session = engine(st, gt, true).run_session(&mut t, 0, epochs);
-        assert_eq!(session.epochs.len(), epochs);
-        for (run, want) in session.epochs.iter().zip(&reference) {
-            assert_eq!(
-                run.observation.train_loss, want.train_loss,
-                "epoch {} loss diverged at {st}x{gt} threads",
-                run.epoch
-            );
-            assert_eq!(
-                run.observation.test_accuracy, want.test_accuracy,
-                "epoch {} accuracy diverged at {st}x{gt} threads",
-                run.epoch
-            );
-        }
+        let session = engine(st, gt, true).run_session(&mut trainer(hot_policy()), 0, 4);
+        assert_replays(&session, &reference, &format!("{st}x{gt} threads"));
     }
 }
 
@@ -95,50 +118,24 @@ fn session_bit_identical_to_sequential_epochs_at_any_thread_count() {
 /// trajectory.
 #[test]
 fn sharded_refresh_is_bit_identical_at_any_worker_count() {
-    let policy = || ReusePolicy::HotnessAware {
-        hot_ratio: 0.3,
-        super_batch: 2,
-    };
-    let epochs = 4;
-    let seq_exec = PipelineExecutor::new(PipelineConfig::default());
-    let mut seq = trainer(policy());
-    let reference: Vec<_> = (0..epochs)
-        .map(|e| seq_exec.run_epoch_sequential(&mut seq, e).0)
-        .collect();
+    let reference = sequential_reference(4);
     for refresh_workers in [1, 2, 3, 16] {
-        let mut t = trainer(policy());
-        let mut config = EngineConfig {
-            pipeline: PipelineConfig {
-                sampler_threads: 2,
-                gather_threads: 2,
-                channel_depth: 3,
-                h2d_gibps: 0.0,
-            },
-            adaptive_split: true,
-            gpu_free_bytes: 64 << 20,
-            ..EngineConfig::default()
-        };
-        config.refresh_workers = refresh_workers;
-        let session = TrainingEngine::new(config).run_session(&mut t, 0, epochs);
-        for (run, want) in session.epochs.iter().zip(&reference) {
-            assert_eq!(
-                run.observation.train_loss, want.train_loss,
-                "epoch {} loss diverged with {refresh_workers} refresh workers",
-                run.epoch
-            );
-            assert_eq!(
-                run.observation.test_accuracy, want.test_accuracy,
-                "epoch {} accuracy diverged with {refresh_workers} refresh workers",
-                run.epoch
-            );
-        }
+        let session = Session::new(SessionConfig {
+            refresh_workers,
+            ..config(2, 2, true)
+        })
+        .run_session(&mut trainer(hot_policy()), 0, 4);
+        assert_replays(
+            &session,
+            &reference,
+            &format!("{refresh_workers} refresh workers"),
+        );
     }
 }
 
-/// One session is also bit-identical to many single-epoch sessions (the
-/// compat path used by `PipelineExecutor::run_epoch`), proving the parked
-/// worker pool and the in-flight refresh hand-off across epoch boundaries
-/// change nothing.
+/// One session is also bit-identical to many single-epoch sessions,
+/// proving the parked worker pool and the in-flight refresh hand-off across
+/// epoch boundaries change nothing.
 #[test]
 fn one_session_equals_many_single_epoch_sessions() {
     let policy = || ReusePolicy::HotnessAware {
@@ -147,9 +144,9 @@ fn one_session_equals_many_single_epoch_sessions() {
     };
     let epochs = 3;
     let mut many = trainer(policy());
-    let exec = PipelineExecutor::new(PipelineConfig::default());
+    let single_epoch = Session::new(SessionConfig::default());
     let reference: Vec<_> = (0..epochs)
-        .map(|e| exec.run_epoch(&mut many, e).0)
+        .map(|e| single_epoch.run_session(&mut many, e, 1).epochs[0].observation)
         .collect();
     let mut once = trainer(policy());
     let session = engine(2, 1, true).run_session(&mut once, 0, epochs);
@@ -166,18 +163,11 @@ fn one_session_equals_many_single_epoch_sessions() {
 #[test]
 fn refresh_split_never_changes_the_trajectory() {
     let run = |cpu_fraction: f64| {
-        let mut t = trainer(ReusePolicy::HotnessAware {
-            hot_ratio: 0.3,
-            super_batch: 2,
-        });
+        let mut t = trainer(hot_policy());
         t.set_refresh_cpu_fraction(cpu_fraction);
         let session = engine(2, 1, false).run_session(&mut t, 0, 3);
         assert_eq!(t.refresh_cpu_fraction(), cpu_fraction, "split must persist");
-        session
-            .epochs
-            .iter()
-            .map(|r| (r.observation.train_loss, r.observation.test_accuracy))
-            .collect::<Vec<_>>()
+        session.series(|r| (r.observation.train_loss, r.observation.test_accuracy))
     };
     let all_cpu = run(1.0);
     let half = run(0.5);
@@ -195,41 +185,15 @@ fn refresh_split_never_changes_the_trajectory() {
 /// exactly the sequential baseline's bytes with zero hits.
 #[test]
 fn cache_budget_never_changes_the_trajectory() {
-    let policy = || ReusePolicy::HotnessAware {
-        hot_ratio: 0.3,
-        super_batch: 2,
-    };
-    let epochs = 4;
-    let seq_exec = PipelineExecutor::new(PipelineConfig::default());
-    let mut seq = trainer(policy());
-    let reference: Vec<_> = (0..epochs)
-        .map(|e| seq_exec.run_epoch_sequential(&mut seq, e))
-        .collect();
+    let reference = sequential_reference(4);
     for budget in [0u64, 48 << 10, 64 << 20] {
-        let mut t = trainer(policy());
-        let engine = TrainingEngine::new(EngineConfig {
-            pipeline: PipelineConfig {
-                sampler_threads: 2,
-                gather_threads: 2,
-                channel_depth: 3,
-                h2d_gibps: 0.0,
-            },
-            adaptive_split: true,
+        let session = Session::new(SessionConfig {
             gpu_free_bytes: budget,
-            ..EngineConfig::default()
-        });
-        let session = engine.run_session(&mut t, 0, epochs);
-        for (run, (want, seq_report)) in session.epochs.iter().zip(&reference) {
-            assert_eq!(
-                run.observation.train_loss, want.train_loss,
-                "epoch {} loss diverged at budget {budget}",
-                run.epoch
-            );
-            assert_eq!(
-                run.observation.test_accuracy, want.test_accuracy,
-                "epoch {} accuracy diverged at budget {budget}",
-                run.epoch
-            );
+            ..config(2, 2, true)
+        })
+        .run_session(&mut trainer(hot_policy()), 0, 4);
+        assert_replays(&session, &reference, &format!("budget {budget}"));
+        for (run, (_, seq_report)) in session.epochs.iter().zip(&reference) {
             assert_eq!(
                 run.report.cache_hits + run.report.cache_misses,
                 seq_report.cache_misses,
@@ -259,43 +223,18 @@ fn cache_budget_never_changes_the_trajectory() {
 /// all replay the sequential trajectory exactly.
 #[test]
 fn pool_size_never_changes_the_trajectory() {
-    let policy = || ReusePolicy::HotnessAware {
-        hot_ratio: 0.3,
-        super_batch: 2,
-    };
-    let epochs = 4;
-    let seq_exec = PipelineExecutor::new(PipelineConfig::default());
-    let mut seq = trainer(policy());
-    let reference: Vec<_> = (0..epochs)
-        .map(|e| seq_exec.run_epoch_sequential(&mut seq, e).0)
-        .collect();
+    let reference = sequential_reference(4);
     for pool_batches in [1usize, 2, 0, 64] {
-        let mut t = trainer(policy());
-        let mut config = EngineConfig {
-            pipeline: PipelineConfig {
-                sampler_threads: 3,
-                gather_threads: 2,
-                channel_depth: 3,
-                h2d_gibps: 0.0,
-            },
-            adaptive_split: true,
-            gpu_free_bytes: 64 << 20,
-            ..EngineConfig::default()
-        };
-        config.pool_batches = pool_batches;
-        let session = TrainingEngine::new(config).run_session(&mut t, 0, epochs);
-        for (run, want) in session.epochs.iter().zip(&reference) {
-            assert_eq!(
-                run.observation.train_loss, want.train_loss,
-                "epoch {} loss diverged with pool_batches={pool_batches}",
-                run.epoch
-            );
-            assert_eq!(
-                run.observation.test_accuracy, want.test_accuracy,
-                "epoch {} accuracy diverged with pool_batches={pool_batches}",
-                run.epoch
-            );
-        }
+        let session = Session::new(SessionConfig {
+            pool_batches,
+            ..config(3, 2, true)
+        })
+        .run_session(&mut trainer(hot_policy()), 0, 4);
+        assert_replays(
+            &session,
+            &reference,
+            &format!("pool_batches={pool_batches}"),
+        );
     }
 }
 
@@ -315,6 +254,119 @@ fn workers_spawn_once_per_session() {
         assert_eq!(session.generations, epochs as u64);
         assert_eq!(session.epochs.len(), epochs);
     }
+}
+
+/// `SessionConfig::default()` is field for field what the two configs it
+/// replaced defaulted to: the engine's pipeline shape, planner, refresh,
+/// pool, checkpoint, fault and stall settings, and the replicated config's
+/// one replica, locality-aware sampling, NVLink-class fabric and `Fail`
+/// policy.
+#[test]
+fn default_config_keeps_both_legacy_defaults() {
+    let c = SessionConfig::default();
+    assert_eq!(
+        (c.pipeline.sampler_threads, c.pipeline.gather_threads),
+        (2, 1)
+    );
+    assert_eq!((c.pipeline.channel_depth, c.pipeline.h2d_gibps), (4, 0.0));
+    assert!(c.adaptive_split);
+    assert_eq!(c.gpu_free_bytes, 64 << 20);
+    assert_eq!((c.refresh_workers, c.pool_batches), (0, 0));
+    assert_eq!((c.checkpoint_every, c.checkpoint_path), (0, None));
+    assert!(c.fault_plan.is_none());
+    assert_eq!(c.stall_timeout, std::time::Duration::from_secs(5));
+    assert_eq!(c.replicas, 1);
+    assert!(c.locality_aware);
+    assert_eq!(c.interconnect, InterconnectSpec::nvlink_like());
+    assert_eq!(c.on_replica_failure, FailurePolicy::Fail);
+}
+
+/// The dispatch rule, read off the report: one replica runs the staged pool
+/// (S samplers + G gatherers + transfer + refresh, one `per_replica` entry,
+/// nothing on the interconnect); two run one fused worker each and obey the
+/// ring all-reduce law.
+#[test]
+fn session_dispatches_on_the_replica_count() {
+    let run = |replicas: usize| {
+        let mut t = trainer(hot_policy());
+        let mut config = SessionConfig {
+            replicas,
+            ..SessionConfig::default()
+        };
+        config.pipeline.sampler_threads = 3;
+        config.pipeline.gather_threads = 2;
+        Session::new(config).run_session(&mut t, 0, 2)
+    };
+    let one = run(1);
+    assert_eq!((one.replicas, one.workers_spawned), (1, 3 + 2 + 2));
+    for run in &one.epochs {
+        assert_eq!(run.per_replica.len(), 1);
+        assert_eq!(run.per_replica[0].h2d_bytes, run.report.h2d_bytes);
+        assert_eq!(run.steps, run.report.num_batches);
+        assert_eq!((run.allreduce_bytes, run.remote_feature_bytes), (0, 0));
+        assert_eq!(run.interconnect_seconds, 0.0);
+    }
+    let two = run(2);
+    assert_eq!((two.replicas, two.workers_spawned), (2, 2));
+    for run in &two.epochs {
+        assert_eq!(run.per_replica.len(), 2);
+        assert_eq!(run.allreduce_bytes, run.steps as u64 * 2 * two.model_bytes);
+        assert!(run.interconnect_seconds > 0.0);
+    }
+}
+
+/// Configurations a session could only ignore are rejected up front.
+#[test]
+#[should_panic(expected = "at least one replica")]
+fn zero_replicas_are_rejected() {
+    Session::new(SessionConfig {
+        replicas: 0,
+        ..SessionConfig::default()
+    });
+}
+
+/// One replica has no survivor to drop to and no peer to respawn beside.
+#[test]
+#[should_panic(expected = "needs replicas >= 2")]
+fn a_replica_failure_policy_needs_replicas() {
+    Session::new(SessionConfig {
+        on_replica_failure: FailurePolicy::DropReplica,
+        ..SessionConfig::default()
+    });
+}
+
+/// The staleness bound holds with the refresh on the background worker —
+/// which actually carries refresh work.
+#[test]
+fn session_keeps_staleness_bound_with_background_refresh() {
+    let n = 2;
+    let mut t = trainer(ReusePolicy::HotnessAware {
+        hot_ratio: 0.3,
+        super_batch: n,
+    });
+    let session = Session::new(SessionConfig::default()).run_session(&mut t, 0, 4);
+    for run in &session.epochs {
+        assert!(
+            run.observation.max_staleness < 2 * n as u64,
+            "epoch {}: gap {} ≥ 2n",
+            run.epoch,
+            run.observation.max_staleness
+        );
+    }
+    assert!(t.embedding_reuses() > 0);
+    let refresh_seconds: f64 = session.epochs.iter().map(|e| e.refresh_seconds).sum();
+    assert!(refresh_seconds > 0.0);
+}
+
+/// Epoch 0 always starts all-CPU; later epochs follow the measured plan
+/// (whatever it is, it must be a valid fraction).
+#[test]
+fn adaptive_split_replans_between_epochs() {
+    let mut t = trainer(hot_policy());
+    let session = Session::new(SessionConfig::default()).run_session(&mut t, 0, 3);
+    let traj = session.series(|r| r.refresh_cpu_fraction);
+    assert_eq!(traj[0], 1.0);
+    assert!(traj.iter().all(|f| (0.0..=1.0).contains(f)));
 }
 
 /// Double buffering is real: with the deferred publish, embeddings read in
@@ -367,7 +419,7 @@ fn fresh_session_reuses_primed_embeddings_from_batch_zero() {
     let mut want: Vec<u32> = hot.vertices().to_vec();
     want.sort_unstable();
 
-    t.train_batches([first]);
+    t.train_batches_recycling([first], &mut InlineRefresh::default(), |_| {});
     assert_eq!(
         t.embedding_reuses(),
         reused as u64,
@@ -385,7 +437,7 @@ fn fresh_session_reuses_primed_embeddings_from_batch_zero() {
     // The rest of super-batch 0 still reads the version-0 rows.
     let mut t = trainer(policy());
     let super_batch: Vec<_> = (0..n).map(|i| stage(&t, 0, i)).collect();
-    t.train_batches(super_batch);
+    t.train_batches_recycling(super_batch, &mut InlineRefresh::default(), |_| {});
     assert_eq!(t.max_staleness(), n as u64 - 1);
 
     let mut t = trainer(policy());
@@ -401,79 +453,91 @@ fn fresh_session_reuses_primed_embeddings_from_batch_zero() {
     assert!(session.epochs[0].observation.max_staleness >= n as u64);
 }
 
-/// Hot vertices leave the device path: whatever either engine stages, its
-/// bottom blocks hold no hot dst — the gathered-source count of every
-/// epoch is exactly what the trainer's own (pruning) sampler produces,
-/// strictly below what training without reuse gathers — and every hot row
-/// the layer above needs is read from the store instead.
+/// Hot vertices leave the device path: whatever a session stages, its
+/// bottom blocks hold no hot dst. On both runners the gathered-source count
+/// of every epoch is exactly what the trainer's own (pruning) sampler
+/// produces for the batches that runner stages — at R = 1 strictly below
+/// what training without reuse gathers — and every hot row the layer above
+/// needs is read from the store instead.
 #[test]
 fn hot_vertices_never_reach_the_device_path() {
-    let policy = || ReusePolicy::HotnessAware {
-        hot_ratio: 0.3,
-        super_batch: 2,
-    };
     let epochs = 2;
-    let probe = trainer(policy());
+    let probe = trainer(hot_policy());
     let hot = probe.hot_set().unwrap();
     let exact = trainer(ReusePolicy::Exact);
-    let mut want_sources = Vec::new();
-    let mut want_reuses = 0u64;
-    for e in 0..epochs {
-        let (mut pruned, mut unpruned) = (0u64, 0u64);
-        for i in 0..probe.epoch_batches(e).len() {
-            let item = stage(&probe, e, i);
-            assert!(item.blocks[0].dst().iter().all(|&v| !hot.contains(v)));
-            pruned += item.blocks[0].num_src() as u64;
-            unpruned += stage(&exact, e, i).blocks[0].num_src() as u64;
-            want_reuses += item.blocks[1]
-                .src()
-                .iter()
-                .filter(|&&v| hot.contains(v))
-                .count() as u64;
-        }
-        assert!(pruned < unpruned, "epoch {e}: {pruned} vs {unpruned}");
-        want_sources.push(pruned);
-    }
-
-    let mut single = trainer(policy());
-    let session = engine(2, 2, true).run_session(&mut single, 0, epochs);
-    let staged: Vec<u64> = session
-        .epochs
-        .iter()
-        .map(|r| r.report.cache_hits + r.report.cache_misses)
-        .collect();
-    assert_eq!(staged, want_sources, "TrainingEngine staged unpruned rows");
-    assert_eq!(single.embedding_reuses(), want_reuses);
-
-    let mut replicated = trainer(policy());
-    let cfg = ReplicatedConfig {
-        replicas: 1,
-        ..ReplicatedConfig::default()
+    // What one batch puts on the device path / reads from the store.
+    let tally = |item: &PreparedBatch| {
+        assert!(item.blocks[0].dst().iter().all(|&v| !hot.contains(v)));
+        let reads = item.blocks[1].src().iter().filter(|&&v| hot.contains(v));
+        (item.blocks[0].num_src() as u64, reads.count() as u64)
     };
-    let session = ReplicatedEngine::new(cfg).run_session(&mut replicated, 0, epochs);
-    let staged: Vec<u64> = session
-        .epochs
-        .iter()
-        .map(|r| r.report.cache_hits + r.report.cache_misses)
-        .collect();
-    assert_eq!(
-        staged, want_sources,
-        "ReplicatedEngine staged unpruned rows"
-    );
-    assert_eq!(replicated.embedding_reuses(), want_reuses);
+    let check = |config: SessionConfig, want_sources: &[u64], want_reuses: u64| {
+        let mut t = trainer(hot_policy());
+        let session = Session::new(config).run_session(&mut t, 0, epochs);
+        let staged = session.series(|r| r.report.cache_hits + r.report.cache_misses);
+        assert_eq!(staged, want_sources, "staged unpruned rows");
+        assert_eq!(t.embedding_reuses(), want_reuses);
+    };
+
+    let (mut want_sources, mut want_reuses) = (vec![0u64; epochs], 0u64);
+    for (e, pruned) in want_sources.iter_mut().enumerate() {
+        let mut unpruned = 0u64;
+        for i in 0..probe.epoch_batches(e).len() {
+            let (sources, reads) = tally(&stage(&probe, e, i));
+            *pruned += sources;
+            want_reuses += reads;
+            unpruned += stage(&exact, e, i).blocks[0].num_src() as u64;
+        }
+        assert!(*pruned < unpruned, "epoch {e}: {pruned} vs {unpruned}");
+    }
+    check(config(2, 2, true), &want_sources, want_reuses);
+
+    // The fused runner at R = 2, locality-blind so each replica samples
+    // with the trainer's own sampler: replica `r` stages its partition's
+    // batches under its own seed stream, trimmed to the common step count.
+    let ds = probe.dataset_handle();
+    let part = hash_partition(ds.csr.num_vertices(), 2);
+    let cfg = probe.config();
+    let streams = [0, 1].map(|r| {
+        let owned = ds.train.iter().copied().filter(|&v| part.owner(v) == r);
+        // Replica r's sampling seed, as checkpoints record it in `rng_seeds`.
+        let seed = cfg.seed ^ (r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (
+            BatchIterator::new(owned.collect(), cfg.batch_size, cfg.seed),
+            seed,
+        )
+    });
+    let (mut want_sources, mut want_reuses) = (vec![0u64; epochs], 0u64);
+    for (e, pruned) in want_sources.iter_mut().enumerate() {
+        let lists = streams
+            .each_ref()
+            .map(|(batches, _)| batches.epoch_batches(e));
+        let steps = lists[0].len().min(lists[1].len());
+        for ((_, seed), list) in streams.iter().zip(&lists) {
+            for (i, seeds) in list.iter().take(steps).enumerate() {
+                let sampler = probe.sampler();
+                let item = ConvergenceTrainer::prepare_batch(&ds, sampler, *seed, e, i, seeds);
+                let (sources, reads) = tally(&item);
+                *pruned += sources;
+                want_reuses += reads;
+            }
+        }
+    }
+    let fused = SessionConfig {
+        replicas: 2,
+        locality_aware: false,
+        ..SessionConfig::default()
+    };
+    check(fused, &want_sources, want_reuses);
 }
 
 /// A pruned row that is missing from the store must end the session — by
-/// a panic of the train stage or a typed `SessionError` — on both engines.
+/// a panic of the train stage or a typed `SessionError` — on both runners.
 /// It may never hang the pipeline, and it may never train on a zero row
 /// (which would let the session finish `Ok`).
 #[test]
 fn a_missing_hot_embedding_ends_the_session_loudly() {
-    let policy = || ReusePolicy::HotnessAware {
-        hot_ratio: 0.3,
-        super_batch: 2,
-    };
-    let mut t = trainer(policy());
+    let mut t = trainer(hot_policy());
     t.train_epoch(0);
     let mut state = t.capture_state(&mut InlineRefresh::default());
     // Drop a hot vertex that epoch 1's first batch reads, from the store
@@ -491,91 +555,62 @@ fn a_missing_hot_embedding_ends_the_session_loudly() {
     pending.gpu_rows.retain(|r| r.0 != victim);
 
     let restored = || {
-        let mut t = trainer(policy());
+        let mut t = trainer(hot_policy());
         t.restore_state(&state).unwrap();
         t
     };
-    let loud = |outcome: std::thread::Result<Result<(), String>>, engine: &str| match outcome {
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(
-                message.contains("no stored embedding"),
-                "{engine}: unexpected panic: {message}"
-            );
+    for (runner, replicas) in [("staged runner", 1), ("fused runner", 2)] {
+        let mut t = restored();
+        let session = Session::new(SessionConfig {
+            replicas,
+            ..config(2, 2, true)
+        });
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            session.run_session_checked(&mut t, 1, 1)
+        }));
+        match outcome {
+            Err(panic) => {
+                let message = panic
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                assert!(
+                    message.contains("no stored embedding"),
+                    "{runner}: unexpected panic: {message}"
+                );
+            }
+            Ok(Err(_typed)) => {}
+            Ok(Ok(_)) => panic!("{runner}: trained on a row nobody supplied"),
         }
-        Ok(Err(_typed)) => {}
-        Ok(Ok(())) => panic!("{engine}: trained on a row nobody supplied"),
-    };
-    let mut a = restored();
-    loud(
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine(2, 2, true)
-                .run_session_checked(&mut a, 1, 1)
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        })),
-        "TrainingEngine",
-    );
-    let mut b = restored();
-    loud(
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ReplicatedEngine::new(ReplicatedConfig {
-                replicas: 2,
-                ..ReplicatedConfig::default()
-            })
-            .run_session_checked(&mut b, 1, 1)
-            .map(|_| ())
-            .map_err(|e| e.to_string())
-        })),
-        "ReplicatedEngine",
-    );
+    }
 }
 
-/// The data-parallel acceptance criterion: a replicated session at R=1 is
-/// bit-identical to the single-replica engine session — at every staging
-/// depth, buffer-pool size, per-replica cache budget and locality setting.
-/// A 1-way partition owns everything, so the batch stream, the sampling
-/// seeds and the one-replica train path are all literally the
-/// single-replica ones.
+/// A one-replica session is bit-identical to the sequential reference at
+/// every staging depth, buffer-pool size and cache budget, and whatever the
+/// R ≥ 2-only `locality_aware` says (one partition owns every vertex; the
+/// field is not read). The fused runner's own R=1 identity is pinned in
+/// `replica.rs`, on the private runner.
 #[test]
 fn replicated_r1_is_bit_identical_to_the_engine_session() {
-    let policy = || ReusePolicy::HotnessAware {
-        hot_ratio: 0.3,
-        super_batch: 2,
-    };
-    let epochs = 3;
-    let mut single = trainer(policy());
-    let reference = engine(2, 2, true).run_session(&mut single, 0, epochs);
+    let reference = sequential_reference(3);
     for (depth, pool, budget, locality) in [
         (1usize, 0usize, 0u64, true),
         (3, 1, 48 << 10, false),
         (4, 16, 64 << 20, true),
     ] {
-        let mut t = trainer(policy());
-        let mut cfg = ReplicatedConfig {
+        let mut cfg = SessionConfig {
             replicas: 1,
             locality_aware: locality,
             gpu_free_bytes: budget,
             pool_batches: pool,
-            ..ReplicatedConfig::default()
+            ..SessionConfig::default()
         };
         cfg.pipeline.channel_depth = depth;
-        let session = ReplicatedEngine::new(cfg).run_session(&mut t, 0, epochs);
-        for (run, want) in session.epochs.iter().zip(&reference.epochs) {
-            assert_eq!(
-                run.observation.train_loss, want.observation.train_loss,
-                "epoch {} loss diverged at depth={depth} pool={pool} budget={budget} locality={locality}",
-                run.epoch
-            );
-            assert_eq!(
-                run.observation.test_accuracy, want.observation.test_accuracy,
-                "epoch {} accuracy diverged at depth={depth} pool={pool} budget={budget} locality={locality}",
-                run.epoch
-            );
+        let session = Session::new(cfg).run_session(&mut trainer(hot_policy()), 0, 3);
+        let what = format!("depth={depth} pool={pool} budget={budget} locality={locality}");
+        assert_replays(&session, &reference, &what);
+        for run in &session.epochs {
             assert_eq!(run.allreduce_bytes, 0, "R=1 must not exchange gradients");
             assert_eq!(run.remote_feature_bytes, 0, "R=1 owns every vertex");
         }
@@ -589,26 +624,28 @@ fn replicated_r1_is_bit_identical_to_the_engine_session() {
 #[test]
 fn replicated_sessions_are_deterministic_at_r2_and_r4() {
     let run = |replicas: usize, link: InterconnectSpec| {
-        let mut t = trainer(ReusePolicy::HotnessAware {
-            hot_ratio: 0.3,
-            super_batch: 2,
-        });
-        let cfg = ReplicatedConfig {
+        let mut t = trainer(hot_policy());
+        let cfg = SessionConfig {
             replicas,
             interconnect: link,
-            ..ReplicatedConfig::default()
+            ..SessionConfig::default()
         };
-        ReplicatedEngine::new(cfg).run_session(&mut t, 0, 3)
+        Session::new(cfg).run_session(&mut t, 0, 3)
     };
     for replicas in [2usize, 4] {
         let a = run(replicas, InterconnectSpec::nvlink_like());
         let b = run(replicas, InterconnectSpec::nvlink_like());
-        assert_eq!(a.loss_trajectory(), b.loss_trajectory(), "R={replicas}");
-        assert_eq!(a.remote_bytes_trajectory(), b.remote_bytes_trajectory());
-        assert_eq!(
-            a.allreduce_bytes_trajectory(),
-            b.allreduce_bytes_trajectory()
-        );
+        // Losses and both wire-byte series reproduce exactly.
+        let wire = |s: &SessionReport| {
+            s.series(|r| {
+                (
+                    r.observation.train_loss,
+                    r.remote_feature_bytes,
+                    r.allreduce_bytes,
+                )
+            })
+        };
+        assert_eq!(wire(&a), wire(&b), "R={replicas}");
         for run in &a.epochs {
             assert_eq!(
                 run.allreduce_bytes,
@@ -620,8 +657,7 @@ fn replicated_sessions_are_deterministic_at_r2_and_r4() {
         // The interconnect model only reprices the same bytes: a slower
         // fabric must cost more simulated seconds on an identical run.
         let slow = run(replicas, InterconnectSpec::ethernet_like());
-        assert_eq!(a.loss_trajectory(), slow.loss_trajectory());
-        assert_eq!(a.remote_bytes_trajectory(), slow.remote_bytes_trajectory());
+        assert_eq!(wire(&a), wire(&slow));
         for (fast, eth) in a.epochs.iter().zip(&slow.epochs) {
             assert!(eth.interconnect_seconds > fast.interconnect_seconds);
         }
@@ -634,21 +670,18 @@ fn replicated_sessions_are_deterministic_at_r2_and_r4() {
 #[test]
 fn locality_aware_sampling_reduces_remote_feature_bytes() {
     let run = |locality: bool| {
-        let mut t = trainer(ReusePolicy::HotnessAware {
-            hot_ratio: 0.3,
-            super_batch: 2,
-        });
-        let cfg = ReplicatedConfig {
+        let mut t = trainer(hot_policy());
+        let cfg = SessionConfig {
             replicas: 2,
             locality_aware: locality,
-            ..ReplicatedConfig::default()
+            ..SessionConfig::default()
         };
-        ReplicatedEngine::new(cfg).run_session(&mut t, 0, 2)
+        Session::new(cfg).run_session(&mut t, 0, 2)
     };
     let aware = run(true);
     let blind = run(false);
-    let aware_bytes: u64 = aware.remote_bytes_trajectory().iter().sum();
-    let blind_bytes: u64 = blind.remote_bytes_trajectory().iter().sum();
+    let remote_bytes = |s: &SessionReport| s.epochs.iter().map(|r| r.remote_feature_bytes).sum();
+    let (aware_bytes, blind_bytes): (u64, u64) = (remote_bytes(&aware), remote_bytes(&blind));
     assert!(
         aware_bytes < blind_bytes,
         "locality-aware sampling must pull fewer remote rows: {aware_bytes} vs {blind_bytes}"

@@ -6,10 +6,9 @@
 //! drill is reproducible.
 
 use neutronorch::core::checkpoint;
-use neutronorch::core::engine::{EngineConfig, SessionError, TrainingEngine};
 use neutronorch::core::fault::{FailureAction, FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::PipelineConfig;
-use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
+use neutronorch::core::session::{Session, SessionConfig, SessionError, SessionReport};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
@@ -37,8 +36,8 @@ fn trainer() -> ConvergenceTrainer {
 /// straggler) only fire deterministically with one sampler worker. The
 /// crash fault is pre-claim (fires on any step the worker reaches), so it
 /// tolerates — and needs — a racing survivor.
-fn engine(sampler_threads: usize, faults: &str) -> TrainingEngine {
-    TrainingEngine::new(EngineConfig {
+fn engine(sampler_threads: usize, faults: &str) -> Session {
+    Session::new(SessionConfig {
         pipeline: PipelineConfig {
             sampler_threads,
             gather_threads: 1,
@@ -48,17 +47,28 @@ fn engine(sampler_threads: usize, faults: &str) -> TrainingEngine {
         gpu_free_bytes: 64 << 20,
         fault_plan: plan(faults),
         stall_timeout: Duration::from_millis(300),
-        ..EngineConfig::default()
+        ..SessionConfig::default()
     })
 }
 
-fn replicated(replicas: usize, faults: &str, policy: FailurePolicy) -> ReplicatedEngine {
-    ReplicatedEngine::new(ReplicatedConfig {
+fn replicated(replicas: usize, faults: &str, policy: FailurePolicy) -> Session {
+    Session::new(SessionConfig {
         replicas,
         fault_plan: plan(faults),
         stall_timeout: Duration::from_millis(300),
         on_replica_failure: policy,
-        ..ReplicatedConfig::default()
+        ..SessionConfig::default()
+    })
+}
+
+/// Two replicas under `Restore`, checkpointing to `path` after every epoch.
+fn restoring(faults: &str, path: &std::path::Path) -> Session {
+    Session::new(SessionConfig {
+        checkpoint_every: 1,
+        checkpoint_path: Some(path.to_path_buf()),
+        ..replicated(2, faults, FailurePolicy::Restore)
+            .config()
+            .clone()
     })
 }
 
@@ -67,28 +77,8 @@ fn plan(faults: &str) -> Option<Arc<FaultPlan>> {
     (!plan.is_empty()).then(|| Arc::new(plan))
 }
 
-fn losses_of(runs: &[f32]) -> Vec<u32> {
-    runs.iter().map(|l| l.to_bits()).collect()
-}
-
-fn engine_losses(session: &neutronorch::core::engine::SessionReport) -> Vec<u32> {
-    losses_of(
-        &session
-            .epochs
-            .iter()
-            .map(|r| r.observation.train_loss)
-            .collect::<Vec<_>>(),
-    )
-}
-
-fn replicated_losses(session: &neutronorch::core::replica::ReplicatedSessionReport) -> Vec<u32> {
-    losses_of(
-        &session
-            .epochs
-            .iter()
-            .map(|r| r.observation.train_loss)
-            .collect::<Vec<_>>(),
-    )
+fn losses(session: &SessionReport) -> Vec<u32> {
+    session.series(|r| r.observation.train_loss.to_bits())
 }
 
 fn ck_path(tag: &str) -> PathBuf {
@@ -134,7 +124,7 @@ fn engine_sampler_crash_is_absorbed_bit_identically() {
     let session = engine(2, "crash@r1e1s0")
         .run_session_checked(&mut t, 0, 3)
         .expect("crash must be absorbed");
-    assert_eq!(engine_losses(&session), engine_losses(&reference));
+    assert_eq!(losses(&session), losses(&reference));
     let events: Vec<_> = session
         .epochs
         .iter()
@@ -207,7 +197,7 @@ fn engine_straggler_completes_bit_identically() {
     let session = engine(1, "straggler@r0e1s0")
         .run_session_checked(&mut t, 0, 3)
         .expect("straggler must complete");
-    assert_eq!(engine_losses(&session), engine_losses(&reference));
+    assert_eq!(losses(&session), losses(&reference));
     let events: Vec<_> = session
         .epochs
         .iter()
@@ -300,7 +290,7 @@ fn replicated_crash_with_drop_policy_degrades_and_completes() {
                 .collect();
             assert_eq!(drops.len(), 1, "exactly one replica is dropped");
             assert_eq!(drops[0].replica, 1);
-            replicated_losses(&session)
+            losses(&session)
         };
         assert_eq!(
             run(),
@@ -317,29 +307,17 @@ fn replicated_crash_with_drop_policy_degrades_and_completes() {
 #[test]
 fn replicated_panic_with_restore_policy_matches_the_fault_free_run() {
     let mut clean = trainer();
-    let reference = ReplicatedEngine::new(ReplicatedConfig {
-        replicas: 2,
-        ..ReplicatedConfig::default()
-    })
-    .run_session(&mut clean, 0, 4);
+    let reference = replicated(2, "", FailurePolicy::Fail).run_session(&mut clean, 0, 4);
 
     let path = ck_path("restore");
     let mut t = trainer();
-    let session = ReplicatedEngine::new(ReplicatedConfig {
-        replicas: 2,
-        fault_plan: plan("panic@r1e2s1"),
-        stall_timeout: Duration::from_millis(300),
-        on_replica_failure: FailurePolicy::Restore,
-        checkpoint_every: 1,
-        checkpoint_path: Some(path.clone()),
-        ..ReplicatedConfig::default()
-    })
-    .run_session_checked(&mut t, 0, 4)
-    .expect("restore policy must recover");
+    let session = restoring("panic@r1e2s1", &path)
+        .run_session_checked(&mut t, 0, 4)
+        .expect("restore policy must recover");
     std::fs::remove_file(&path).ok();
 
     assert_eq!(session.epochs.len(), 4);
-    assert_eq!(replicated_losses(&session), replicated_losses(&reference));
+    assert_eq!(losses(&session), losses(&reference));
     let restores: Vec<_> = session
         .epochs
         .iter()
@@ -357,17 +335,9 @@ fn restore_policy_without_a_checkpoint_is_a_typed_error() {
     let path = ck_path("no-checkpoint");
     std::fs::remove_file(&path).ok();
     let mut t = trainer();
-    let err = ReplicatedEngine::new(ReplicatedConfig {
-        replicas: 2,
-        fault_plan: plan("panic@r1e0s0"),
-        stall_timeout: Duration::from_millis(300),
-        on_replica_failure: FailurePolicy::Restore,
-        checkpoint_every: 1,
-        checkpoint_path: Some(path),
-        ..ReplicatedConfig::default()
-    })
-    .run_session_checked(&mut t, 0, 2)
-    .expect_err("no checkpoint to restore from");
+    let err = restoring("panic@r1e0s0", &path)
+        .run_session_checked(&mut t, 0, 2)
+        .expect_err("no checkpoint to restore from");
     assert!(
         matches!(err, SessionError::Checkpoint(_)),
         "expected Checkpoint error, got {err:?}"
@@ -386,7 +356,7 @@ fn replicated_straggler_completes_bit_identically() {
     let session = replicated(2, "straggler@r1e1s0", FailurePolicy::Fail)
         .run_session_checked(&mut t, 0, 3)
         .expect("straggler must complete");
-    assert_eq!(replicated_losses(&session), replicated_losses(&reference));
+    assert_eq!(losses(&session), losses(&reference));
     let events: Vec<_> = session
         .epochs
         .iter()
@@ -405,17 +375,9 @@ fn session_remains_functional_after_a_restore() {
     let path = ck_path("post-restore");
     let mut t = trainer();
     let digest = checkpoint::config_digest(t.config(), 2);
-    let session = ReplicatedEngine::new(ReplicatedConfig {
-        replicas: 2,
-        fault_plan: plan("panic@r0e1s0"),
-        stall_timeout: Duration::from_millis(300),
-        on_replica_failure: FailurePolicy::Restore,
-        checkpoint_every: 1,
-        checkpoint_path: Some(path.clone()),
-        ..ReplicatedConfig::default()
-    })
-    .run_session_checked(&mut t, 0, 3)
-    .expect("restore policy must recover");
+    let session = restoring("panic@r0e1s0", &path)
+        .run_session_checked(&mut t, 0, 3)
+        .expect("restore policy must recover");
     assert_eq!(session.epochs.len(), 3);
     // More workers than the initial pair were spawned: the replacement.
     assert!(session.workers_spawned > 2, "replacement worker spawned");

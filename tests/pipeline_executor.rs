@@ -1,9 +1,12 @@
-//! Integration tests of the pipelined executor: determinism versus the
-//! sequential trainer, determinism across thread counts, and the §4.2.2
-//! staleness bound under real concurrency.
+//! Integration tests of the pipelined stage graph, one epoch at a time:
+//! determinism versus the sequential trainer, determinism across thread
+//! counts, and the §4.2.2 staleness bound under real concurrency.
 
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
-use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
+use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
+use neutronorch::core::session::{Session, SessionConfig};
+use neutronorch::core::trainer::{
+    ConvergenceTrainer, EpochObservation, ReusePolicy, TrainerConfig,
+};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
 
@@ -15,13 +18,30 @@ fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
     ConvergenceTrainer::new(ds, cfg)
 }
 
-fn executor(sampler_threads: usize, gather_threads: usize) -> PipelineExecutor {
-    PipelineExecutor::new(PipelineConfig {
+fn pipeline(sampler_threads: usize, gather_threads: usize) -> PipelineConfig {
+    PipelineConfig {
         sampler_threads,
         gather_threads,
         channel_depth: 3,
         h2d_gibps: 0.0,
-    })
+    }
+}
+
+/// Runs `epoch` as a session of its own — workers spawned and joined per
+/// call — with no cache, so byte volumes equal the sequential reference's.
+fn run_epoch(
+    (sampler_threads, gather_threads): (usize, usize),
+    t: &mut ConvergenceTrainer,
+    epoch: usize,
+) -> (EpochObservation, PipelineReport) {
+    let session = Session::new(SessionConfig {
+        pipeline: pipeline(sampler_threads, gather_threads),
+        adaptive_split: false,
+        gpu_free_bytes: 0,
+        ..SessionConfig::default()
+    });
+    let run = session.run_session(t, epoch, 1).epochs.remove(0);
+    (run.observation, run.report)
 }
 
 /// Under `ReusePolicy::Exact` the pipelined executor must reproduce the
@@ -32,10 +52,9 @@ fn executor(sampler_threads: usize, gather_threads: usize) -> PipelineExecutor {
 fn pipelined_exact_matches_sequential_loss_trajectory() {
     let mut seq = trainer(ReusePolicy::Exact);
     let mut pip = trainer(ReusePolicy::Exact);
-    let exec = executor(3, 2);
     for epoch in 0..4 {
         let a = seq.train_epoch(epoch);
-        let (b, report) = exec.run_epoch(&mut pip, epoch);
+        let (b, report) = run_epoch((3, 2), &mut pip, epoch);
         assert_eq!(a.train_loss, b.train_loss, "epoch {epoch}: loss diverged");
         assert_eq!(
             a.test_accuracy, b.test_accuracy,
@@ -55,11 +74,9 @@ fn pipelined_exact_matches_sequential_loss_trajectory() {
 fn pipelined_trajectory_is_deterministic_across_thread_counts() {
     let mut narrow = trainer(ReusePolicy::Exact);
     let mut wide = trainer(ReusePolicy::Exact);
-    let one = executor(1, 1);
-    let many = executor(4, 3);
     for epoch in 0..3 {
-        let (a, _) = one.run_epoch(&mut narrow, epoch);
-        let (b, _) = many.run_epoch(&mut wide, epoch);
+        let (a, _) = run_epoch((1, 1), &mut narrow, epoch);
+        let (b, _) = run_epoch((4, 3), &mut wide, epoch);
         assert_eq!(
             a.train_loss, b.train_loss,
             "epoch {epoch}: thread count changed loss"
@@ -78,10 +95,9 @@ fn pipelined_hotness_aware_observes_staleness_bound() {
         hot_ratio: 0.3,
         super_batch: n,
     });
-    let exec = executor(3, 2);
     let mut max_staleness = 0;
     for epoch in 0..6 {
-        let (obs, _) = exec.run_epoch(&mut t, epoch);
+        let (obs, _) = run_epoch((3, 2), &mut t, epoch);
         max_staleness = max_staleness.max(obs.max_staleness);
         assert!(
             obs.max_staleness < 2 * n as u64,
@@ -105,8 +121,7 @@ fn pipelined_hotness_aware_observes_staleness_bound() {
 #[test]
 fn pipeline_report_accounts_stages_and_bytes() {
     let mut t = trainer(ReusePolicy::Exact);
-    let exec = executor(2, 1);
-    let (_, report) = exec.run_epoch(&mut t, 0);
+    let (_, report) = run_epoch((2, 1), &mut t, 0);
     let expected_batches = t.epoch_batches(0).len();
     assert_eq!(report.num_batches, expected_batches);
     assert!(report.sample_seconds > 0.0);
@@ -119,6 +134,6 @@ fn pipeline_report_accounts_stages_and_bytes() {
     assert!(report.train_occupancy() <= 1.0 + 1e-9);
     // Sequential baseline over the same work ships the same bytes.
     let mut s = trainer(ReusePolicy::Exact);
-    let (_, seq) = exec.run_epoch_sequential(&mut s, 0);
+    let (_, seq) = run_epoch_sequential(&pipeline(2, 1), &mut s, 0);
     assert_eq!(seq.h2d_bytes, report.h2d_bytes);
 }

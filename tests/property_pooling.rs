@@ -20,7 +20,6 @@ use neutronorch::nn::model::{GnnModel, ModelConfig};
 use neutronorch::nn::LayerKind;
 use neutronorch::sample::{
     Block, BlockBuilder, Fanout, HotSet, HotnessRanking, LocalityCounts, NeighborSampler,
-    SamplerScratch,
 };
 use neutronorch::tensor::{init, Matrix};
 use proptest::prelude::*;
@@ -57,7 +56,7 @@ fn sample_all_ways(
     seed: u64,
     builder: &mut BlockBuilder,
 ) -> [Vec<Block>; 3] {
-    let allocating = sampler.sample_batch_with_scratch(g, seeds, seed, &mut SamplerScratch::new());
+    let allocating = sampler.sample_batch(g, seeds, seed);
     let pooled = sampler.sample_batch_pooled(g, seeds, seed, builder);
     let owner = vec![0u32; g.num_vertices()];
     let biased = sampler.sample_batch_pooled_biased(

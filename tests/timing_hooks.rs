@@ -7,7 +7,7 @@
 //! in its own integration-test binary — a second concurrent test in the same
 //! process would pollute the counters.
 
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
+use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
@@ -29,12 +29,12 @@ fn trainer() -> ConvergenceTrainer {
 
 #[test]
 fn hooks_attribute_kernel_time_within_the_epoch_and_are_free_when_off() {
-    let exec = PipelineExecutor::new(PipelineConfig::default());
+    let pipeline = PipelineConfig::default();
 
     // Disabled (the default): an epoch leaves the counters untouched.
     timing::reset();
     let mut t = trainer();
-    let (_, disabled_report) = exec.run_epoch_sequential(&mut t, 0);
+    let (_, disabled_report) = run_epoch_sequential(&pipeline, &mut t, 0);
     let snap = timing::snapshot();
     assert_eq!(
         snap.total_seconds(),
@@ -52,13 +52,13 @@ fn hooks_attribute_kernel_time_within_the_epoch_and_are_free_when_off() {
     timing::set_enabled(true);
     let mut t = trainer();
     let t0 = Instant::now();
-    let (obs, _) = exec.run_epoch_sequential(&mut t, 0);
+    let (obs, _) = run_epoch_sequential(&pipeline, &mut t, 0);
     let wall = t0.elapsed().as_secs_f64();
     timing::set_enabled(false);
     let snap = timing::snapshot();
 
     let mut t_ref = trainer();
-    let (obs_ref, _) = exec.run_epoch_sequential(&mut t_ref, 0);
+    let (obs_ref, _) = run_epoch_sequential(&pipeline, &mut t_ref, 0);
     assert_eq!(
         obs.train_loss, obs_ref.train_loss,
         "enabling the hooks changed the trajectory"
