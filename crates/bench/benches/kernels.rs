@@ -19,8 +19,7 @@ fn matmul(c: &mut Criterion) {
 }
 
 /// Chunked-vs-scalar pairs at training shapes (512-row batch, 128-dim
-/// features, 64-dim hidden). Ids follow `kern/<kernel>/<variant>`; `xtask
-/// bench-diff` pairs them up and gates on the speedups.
+/// features, 64-dim hidden). Ids follow `kern/<kernel>/<variant>`.
 fn kernel_pairs(c: &mut Criterion) {
     let batch = 512usize;
     let feat = 128usize;
@@ -106,42 +105,6 @@ fn kernel_pairs(c: &mut Criterion) {
     });
 }
 
-/// The `a_val == 0.0` skip branch that used to guard `matmul` /
-/// `matmul_at_b`, measured against the branch-free kernel on ReLU-sparse
-/// input (~50% zeros) — its best case. The recorded numbers back the
-/// decision (documented in `neutron_tensor::kernels`) to remove the branch:
-/// it loses even here at GNN hidden widths.
-fn zero_skip_ablation(c: &mut Criterion) {
-    let batch = 512usize;
-    let feat = 128usize;
-    let hid = 64usize;
-    let mut a = init::uniform(batch, feat, -1.0, 1.0, 7);
-    for v in a.as_mut_slice() {
-        *v = v.max(0.0); // ReLU: ~half the entries become exact zeros.
-    }
-    let b = init::uniform(feat, hid, -1.0, 1.0, 8);
-    c.bench_function("skip/matmul_relu/noskip", |bench| {
-        bench.iter(|| black_box(ops::matmul(&a, &b)));
-    });
-    c.bench_function("skip/matmul_relu/skip", |bench| {
-        bench.iter(|| {
-            let mut out = vec![0.0f32; batch * hid];
-            let (ad, bd) = (a.as_slice(), b.as_slice());
-            for (i, out_row) in out.chunks_exact_mut(hid).enumerate() {
-                for (kk, &av) in ad[i * feat..(i + 1) * feat].iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in out_row.iter_mut().zip(&bd[kk * hid..(kk + 1) * hid]) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            black_box(out)
-        });
-    });
-}
-
 fn sampling(c: &mut Criterion) {
     let g = rmat(20_000, 300_000, RmatParams::graph500(), 3);
     let sampler = NeighborSampler::new(Fanout::paper_default(3));
@@ -193,7 +156,6 @@ criterion_group!(
     kernels,
     matmul,
     kernel_pairs,
-    zero_skip_ablation,
     sampling,
     des_engine,
     gnn_layers

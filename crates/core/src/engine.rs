@@ -30,7 +30,7 @@
 //!   session-lifetime capacity. Warm epochs allocate (near) nothing on the
 //!   sample/gather/transfer hot path — measured per stage by
 //!   [`neutron_tensor::alloc`] and regression-gated by
-//!   `cargo xtask bench-diff`.
+//!   `tests/alloc_budget.rs`.
 //! - **Pipelined, demand-driven refresh (Fig 8, §4.2)** — the train loop
 //!   keeps `2n−1` staged batches in hand
 //!   ([`ConvergenceTrainer::lookahead`]; they count against

@@ -152,7 +152,7 @@ pub fn run_epoch_sequential(
     // an empty cache (all-miss). One shared path means the accounting
     // can never drift between executors. Per-stage alloc tags give the
     // honest allocating "before" numbers the pooled engine is compared
-    // against in `BENCH_engine.json`.
+    // against in `tests/alloc_budget.rs`.
     let empty_cache = FeatureCache::empty();
     let mut gathered_vertices = 0u64;
     let wall = Instant::now();

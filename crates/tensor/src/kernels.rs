@@ -6,31 +6,31 @@
 //! flavours and the feature row gather dominating host compute, so this
 //! module rewrites them as chunked kernels shaped for the compiler's
 //! vectorizer (fixed-width lane arrays, no cross-lane dependencies, no
-//! per-element branches). Design choices are profile-guided — measured on
-//! the CI replica (1-core Xeon, SSE2 baseline codegen), recorded in
-//! `BENCH_kernels.json` and re-checked by `xtask bench-diff`:
+//! per-element branches). Design choices are profile-guided;
+//! `cargo bench -p neutron-bench --bench kernels` times each kernel against
+//! its scalar reference (`kern/<kernel>/{chunked,scalar}`) on the machine
+//! at hand:
 //!
 //! - **Dot products** (`matmul_a_bt`): a single-accumulator reduction is a
 //!   loop-carried dependency the vectorizer must preserve (float addition
 //!   is not associative), so the scalar loop runs at 1 element/cycle. Eight
-//!   independent lane accumulators break the chain — ~3.4x measured.
+//!   independent lane accumulators break the chain.
 //! - **Axpy-style rows** (`matmul`, `matmul_at_b`): the inner loop already
 //!   vectorizes (no reduction), so the win comes from unrolling the outer
 //!   `k` loop by 4: one pass over the output row fuses four row updates,
-//!   quartering the out-row load/store traffic — ~1.2-1.5x measured.
+//!   quartering the out-row load/store traffic.
 //! - **Row gather**: `Matrix::zeros` + per-row copy touches every output
 //!   byte twice (zero fill, then copy). Appending into reserved capacity
-//!   touches it once — ~1.4x measured at Reddit-replica shapes.
+//!   touches it once.
 //! - **Scatter-add**: the element-wise `zip` add *already* vectorizes;
-//!   a hand-chunked rewrite measured 0.3-1.1x (slower to equal), so the
-//!   "chunked" path keeps the zip loop and only hoists the per-row slicing.
+//!   a hand-chunked rewrite was no faster, so the "chunked" path keeps
+//!   the zip loop and only hoists the per-row slicing.
 //! - **`a_val == 0.0` skip branches** (previously in `matmul` and
 //!   `matmul_at_b`): measured a *loss* on both dense feature rows (extra
-//!   compare per element) and ReLU-sparse activations (~50% zeros:
-//!   392us dense-noskip vs 452us sparse-skip at 512x128x64 — branch
+//!   compare per element) and ReLU-sparse activations (~50% zeros: branch
 //!   mispredicts outweigh the skipped axpys at GNN hidden widths). Removed
-//!   everywhere; see `BENCH_kernels.json` (`zero_skip_*` entries) for the
-//!   numbers backing the decision.
+//!   everywhere, and the ablation bench group that timed the branch went
+//!   with it.
 //!
 //! Precision: the k-unroll and the lane accumulators change summation
 //! *order*, so matmul results may differ from the references by a few ULP

@@ -17,7 +17,7 @@ use crate::timing::{self, Kernel};
 ///
 /// Note the former `a_val == 0.0` skip branch is gone: microbenching showed
 /// it losing on both dense feature rows and ReLU-sparse activations at GNN
-/// hidden widths (see `crate::kernels` module docs and `BENCH_kernels.json`).
+/// hidden widths (see `crate::kernels` module docs).
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.cols(),

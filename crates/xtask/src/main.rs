@@ -8,13 +8,7 @@
 //!   tensor timing hooks on; print per-stage and per-kernel breakdowns.
 //! - `profile-exec <workload> [--epochs N]` — the inline runner samply
 //!   wraps; usable directly for a plain timed run.
-//! - `bench-kernels [--update]` — run the kernel microbench, print the
-//!   chunked-vs-scalar table, optionally rewrite `BENCH_kernels.json`.
-//! - `bench-diff [--kernels-only | --engine-only]` — the CI regression
-//!   gate over `BENCH_kernels.json` and `BENCH_engine.json`.
 
-mod benchdiff;
-mod json;
 mod profile;
 
 use profile::Workload;
@@ -42,11 +36,7 @@ commands:
       prints the detection/recovery timeline, applying --policy on replica
       failures (default fail)
   profile-exec <workload> [--epochs N] [--replicas R]
-      run the workload inline (what samply wraps)
-  bench-kernels [--update]
-      run the kernel microbench; --update rewrites BENCH_kernels.json
-  bench-diff [--kernels-only|--engine-only]
-      regression gate: kernel speedups + BENCH_engine.json invariants";
+      run the workload inline (what samply wraps)";
 
 const DEFAULT_EPOCHS: usize = 4;
 
@@ -121,16 +111,19 @@ fn run() -> Result<(), String> {
             let workload = Workload::parse(name)?;
             let epochs = parse_epochs(rest)?;
             let replicas = parse_replicas(rest, workload)?;
-            if let Some(faults) = parse_flag_value(rest, "--faults")? {
+            let has = |flag: &str| rest.iter().any(|a| a == flag);
+            let faults = parse_flag_value(rest, "--faults")?;
+            if has("--policy") && faults.is_none() {
+                return Err(format!("--policy needs --faults\n\n{USAGE}"));
+            }
+            if has("--allocs") && !has("--timing") {
+                return Err(format!("--allocs needs --timing\n\n{USAGE}"));
+            }
+            if let Some(faults) = faults {
                 let policy = parse_policy(rest)?;
                 profile::fault_run(workload, epochs, replicas, &faults, policy)
-            } else if rest.iter().any(|a| a == "--timing") {
-                profile::timing_run(
-                    workload,
-                    epochs,
-                    replicas,
-                    rest.iter().any(|a| a == "--allocs"),
-                );
+            } else if has("--timing") {
+                profile::timing_run(workload, epochs, replicas, has("--allocs"));
                 Ok(())
             } else {
                 profile::profile(workload, epochs, replicas)
@@ -145,15 +138,6 @@ fn run() -> Result<(), String> {
                 parse_replicas(rest, workload)?,
             );
             Ok(())
-        }
-        "bench-kernels" => benchdiff::bench_kernels(rest.iter().any(|a| a == "--update")),
-        "bench-diff" => {
-            let kernels_only = rest.iter().any(|a| a == "--kernels-only");
-            let engine_only = rest.iter().any(|a| a == "--engine-only");
-            if kernels_only && engine_only {
-                return Err("--kernels-only and --engine-only are mutually exclusive".into());
-            }
-            benchdiff::bench_diff(!engine_only, !kernels_only)
         }
         "--help" | "-h" | "help" => {
             println!("{USAGE}");

@@ -24,8 +24,8 @@ pub enum Workload {
     /// The quickstart convergence run: sequential hotness-aware training on
     /// the Reddit-convergence replica (no pipeline).
     Quickstart,
-    /// A `Session` on the scaled Reddit replica — the BENCH_engine.json
-    /// configuration; `--replicas R` sets `SessionConfig::replicas`.
+    /// A `Session` on the scaled Reddit replica (8k vertices, GCN×2, batch
+    /// 256); `--replicas R` sets `SessionConfig::replicas`.
     Engine,
 }
 
@@ -48,8 +48,7 @@ impl Workload {
     }
 }
 
-/// The scaled Reddit replica every pipelined bench uses (matches
-/// `examples/engine_multi_epoch.rs`).
+/// The scaled Reddit replica the `engine` workload trains.
 fn scaled_spec() -> DatasetSpec {
     let mut spec = DatasetSpec::reddit_convergence();
     spec.vertices = 8_000;

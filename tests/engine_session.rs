@@ -205,13 +205,25 @@ fn cache_budget_never_changes_the_trajectory() {
                 "epoch {}: a cache may only remove bytes",
                 run.epoch
             );
-            if budget == 0 {
-                assert_eq!(run.report.cache_hits, 0, "zero budget must never hit");
+            // Epoch 0 runs before the first plan, so like a zero budget it
+            // has no cache to hit.
+            if budget == 0 || run.epoch == 0 {
+                assert_eq!(run.report.cache_hits, 0, "an empty cache must never hit");
                 assert_eq!(
                     run.report.h2d_bytes, seq_report.h2d_bytes,
-                    "zero budget must ship exactly the sequential bytes"
+                    "an empty cache must ship exactly the sequential bytes"
                 );
             }
+        }
+        if budget > 0 {
+            let sent: u64 = session.epochs.iter().map(|r| r.report.h2d_bytes).sum();
+            let sequential: u64 = reference.iter().map(|(_, r)| r.h2d_bytes).sum();
+            let hits: u64 = session.epochs.iter().map(|r| r.report.cache_hits).sum();
+            assert!(
+                sent < sequential && hits > 0,
+                "budget {budget}: a cache must remove bytes over the session \
+                 ({sent} of {sequential} B sent, {hits} hits)"
+            );
         }
     }
 }
