@@ -32,11 +32,21 @@ use neutron_nn::model::{GnnModel, ModelConfig};
 use neutron_nn::optim::{Optimizer, Sgd};
 use neutron_nn::LayerKind;
 use neutron_sample::{
-    BatchIterator, Block, EpochBatches, Fanout, HotSet, NeighborSampler, PreSampler,
+    full_one_hop, BatchIterator, Block, EpochBatches, Fanout, HotSet, NeighborSampler, PreSampler,
 };
 use neutron_tensor::Matrix;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Bounds on [`ConvergenceTrainer::evaluate`]'s working set: neighbours read
+/// per vertex (the CSR prefix) and bottom-layer dst rows computed at a time.
+const EVAL_NEIGHBOR_CAP: usize = 32;
+const EVAL_BOTTOM_CHUNK: usize = 4096;
+
+fn labels_of(dataset: &Dataset, vertices: &[VertexId]) -> Vec<usize> {
+    let labels = &dataset.labels;
+    vertices.iter().map(|&v| labels[v as usize]).collect()
+}
 
 /// Historical-embedding reuse policy.
 #[derive(Clone, Debug)]
@@ -572,16 +582,10 @@ impl ConvergenceTrainer {
                 }
             }
         });
-        let labels: Vec<usize> = blocks
-            .last()
-            .unwrap()
-            .dst()
-            .iter()
-            .map(|&v| self.dataset.labels[v as usize])
-            .collect();
+        let labels = labels_of(&self.dataset, blocks.last().unwrap().dst());
         let lr = cross_entropy(pass.logits(), &labels);
         model.zero_grad();
-        let _ = model.backward_with_mask(blocks, pass, &lr.d_logits, Some(frozen));
+        model.backward_with_mask(blocks, pass, &lr.d_logits, frozen);
         lr.loss
     }
 
@@ -810,26 +814,39 @@ impl ConvergenceTrainer {
     /// Hub neighborhoods are capped at 32 to bound the working set; the cap
     /// is deterministic so evaluation is reproducible.
     pub fn evaluate(&self) -> f64 {
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for chunk in self.dataset.test.chunks(512) {
-            let blocks =
-                neutron_sample::full_blocks(&self.dataset.csr, chunk, self.config.layers, 32);
-            let feats = Self::gather_features(&self.dataset, blocks[0].src());
-            let pass = self.model.forward(&blocks, &feats);
-            let labels: Vec<usize> = chunk
-                .iter()
-                .map(|&v| self.dataset.labels[v as usize])
-                .collect();
-            let acc = accuracy(pass.logits(), &labels);
-            correct += (acc * labels.len() as f64).round() as usize;
-            total += labels.len();
+        let labels = labels_of(&self.dataset, &self.dataset.test);
+        accuracy(&self.eval_logits(EVAL_BOTTOM_CHUNK), &labels)
+    }
+
+    /// Test-vertex logits, layer-wise: the frontiers are walked top-down
+    /// once, so each needed vertex's bottom embedding is computed once, not
+    /// once per test chunk that reaches it. The bottom layer — the one that
+    /// touches raw features — runs `bottom_chunk` dst rows at a time. A row
+    /// depends only on its own capped neighbour list, so neither the
+    /// chunking nor the sharing changes a bit of it.
+    fn eval_logits(&self, bottom_chunk: usize) -> Matrix {
+        let csr = &self.dataset.csr;
+        let layers = self.model.layers();
+        // Upper-layer blocks, top first: each src is the dst frontier below.
+        let mut upper: Vec<Block> = Vec::with_capacity(layers.len() - 1);
+        let mut frontier = self.dataset.test.clone();
+        for _ in 1..layers.len() {
+            let block = full_one_hop(csr, &frontier, EVAL_NEIGHBOR_CAP);
+            frontier = block.src().to_vec();
+            upper.push(block);
         }
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
+        let hidden = layers[0].out_dim();
+        let mut bottom = Vec::with_capacity(frontier.len() * hidden);
+        for chunk in frontier.chunks(bottom_chunk) {
+            let block = full_one_hop(csr, chunk, EVAL_NEIGHBOR_CAP);
+            let feats = Self::gather_features(&self.dataset, block.src());
+            bottom.extend_from_slice(layers[0].forward(&block, &feats).0.as_slice());
         }
+        let mut h = Matrix::from_vec(frontier.len(), hidden, bottom);
+        for (layer, block) in layers[1..].iter().zip(upper.iter().rev()) {
+            h = layer.forward(block, &h).0;
+        }
+        h
     }
 
     /// Largest observed embedding version gap (0 when no reuse happened).
@@ -970,6 +987,43 @@ mod tests {
         // Exact training reports no epsilon.
         let mut exact = trainer(ReusePolicy::Exact);
         assert_eq!(exact.train_epoch(0).staleness_epsilon, 0.0);
+    }
+
+    #[test]
+    fn layer_wise_evaluation_equals_per_chunk_full_blocks() {
+        for kind in LayerKind::ALL {
+            for layers in 1..=3 {
+                let ds = DatasetSpec::tiny().build_full();
+                let mut cfg = TrainerConfig::convergence_default(kind, ReusePolicy::Exact);
+                cfg.layers = layers;
+                cfg.batch_size = 64;
+                let mut t = ConvergenceTrainer::new(ds, cfg);
+                t.train_epoch(0);
+                // The former formulation: a full `layers`-hop block stack
+                // and a whole-model forward per chunk of test seeds.
+                let (mut want, mut correct) = (Vec::new(), 0);
+                for chunk in t.dataset.test.chunks(7) {
+                    let blocks = neutron_sample::full_blocks(&t.dataset.csr, chunk, layers, 32);
+                    let feats = ConvergenceTrainer::gather_features(&t.dataset, blocks[0].src());
+                    let pass = t.model.forward(&blocks, &feats);
+                    let labels = labels_of(&t.dataset, chunk);
+                    correct +=
+                        (accuracy(pass.logits(), &labels) * labels.len() as f64).round() as usize;
+                    want.extend(pass.logits().as_slice().iter().map(|x| x.to_bits()));
+                }
+                assert!(t.dataset.test.len() > 7, "the reference must span chunks");
+                for bottom_chunk in [5, EVAL_BOTTOM_CHUNK] {
+                    let got = t.eval_logits(bottom_chunk);
+                    let got: Vec<u32> = got.as_slice().iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "{kind:?} x{layers}, bottom chunk {bottom_chunk}");
+                }
+                assert_eq!(
+                    t.evaluate(),
+                    correct as f64 / t.dataset.test.len() as f64,
+                    "{kind:?} x{layers}"
+                );
+            }
+        }
     }
 
     #[test]

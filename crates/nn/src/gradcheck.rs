@@ -30,7 +30,9 @@ pub fn check_layer(
     // Analytic gradients.
     let (out, ctx) = layer.forward(block, input);
     let lr = cross_entropy(&out, labels);
-    let d_input = layer.backward(block, ctx, &lr.d_logits);
+    let d_input = layer
+        .backward(block, ctx, &lr.d_logits, true)
+        .expect("input gradient was requested");
     let analytic_params: Vec<Matrix> = layer.params().iter().map(|p| p.grad.clone()).collect();
 
     // Step size balances f32 cancellation noise (pushes h up) against

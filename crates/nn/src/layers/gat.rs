@@ -101,8 +101,7 @@ impl GatLayer {
             }
             for (k, j) in Self::edge_locals(block, i).enumerate() {
                 let a = scores[k];
-                let src_row = s.row(j).to_vec();
-                for (zv, sv) in z.row_mut(i).iter_mut().zip(&src_row) {
+                for (zv, sv) in z.row_mut(i).iter_mut().zip(s.row(j)) {
                     *zv += a * sv;
                 }
             }
@@ -121,8 +120,15 @@ impl GatLayer {
         )
     }
 
-    /// Backward pass; returns `∂L/∂input`.
-    pub fn backward(&mut self, block: &Block, ctx: GatCtx, d_out: &Matrix) -> Matrix {
+    /// Backward pass: accumulates parameter gradients; returns `∂L/∂input`
+    /// iff `input_grad` (else the final `ds·Wᵀ` is skipped).
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        ctx: GatCtx,
+        d_out: &Matrix,
+        input_grad: bool,
+    ) -> Option<Matrix> {
         let dz = self.activation.backward(&ctx.z, d_out);
         let out_dim = self.out_dim();
         let al = self.attn_src.value.row(0).to_vec();
@@ -160,8 +166,7 @@ impl GatLayer {
         }
         for j in 0..block.num_src() {
             if dp[j] != 0.0 {
-                let s_row = ctx.s.row(j).to_vec();
-                for (dav, sv) in d_al.iter_mut().zip(&s_row) {
+                for (dav, sv) in d_al.iter_mut().zip(ctx.s.row(j)) {
                     *dav += dp[j] * sv;
                 }
                 for (dsv, &a) in ds.row_mut(j).iter_mut().zip(&al) {
@@ -171,8 +176,7 @@ impl GatLayer {
         }
         for i in 0..block.num_dst() {
             if dq[i] != 0.0 {
-                let s_row = ctx.s.row(i).to_vec();
-                for (dav, sv) in d_ar.iter_mut().zip(&s_row) {
+                for (dav, sv) in d_ar.iter_mut().zip(ctx.s.row(i)) {
                     *dav += dq[i] * sv;
                 }
                 for (dsv, &a) in ds.row_mut(i).iter_mut().zip(&ar) {
@@ -188,7 +192,7 @@ impl GatLayer {
         }
         // s = input · W.
         ops::add_assign(&mut self.weight.grad, &ops::matmul_at_b(&ctx.input, &ds));
-        ops::matmul_a_bt(&ds, &self.weight.value)
+        input_grad.then(|| ops::matmul_a_bt(&ds, &self.weight.value))
     }
 
     /// Parameter views.
@@ -270,7 +274,7 @@ mod tests {
         let mut layer = GatLayer::new(4, 3, false, 7);
         let (out, ctx) = layer.forward(&block, &input);
         let d_out = Matrix::full(out.rows(), out.cols(), 1.0);
-        let _ = layer.backward(&block, ctx, &d_out);
+        layer.backward(&block, ctx, &d_out, false);
         assert!(layer.weight.grad.frobenius_norm() > 0.0);
         assert!(layer.attn_src.grad.frobenius_norm() > 0.0);
         assert!(layer.attn_dst.grad.frobenius_norm() > 0.0);

@@ -51,17 +51,16 @@ impl GcnLayer {
     pub fn aggregate(block: &Block, input: &Matrix) -> Matrix {
         let t0 = timing::start();
         let mut agg = Matrix::zeros(block.num_dst(), input.cols());
-        let mut row: Vec<f32> = Vec::new();
         for i in 0..block.num_dst() {
             // Self contribution: dst i is src i by the prefix convention.
-            row.clear();
-            row.extend_from_slice(input.row(i));
+            let row = agg.row_mut(i);
+            row.copy_from_slice(input.row(i));
             for &li in block.neighbors_local(i) {
-                kernels::add_assign_slice(&mut row, input.row(li as usize));
+                kernels::add_assign_slice(row, input.row(li as usize));
             }
             let norm = 1.0 / (block.sampled_degree(i) + 1) as f32;
-            for (dst, v) in agg.row_mut(i).iter_mut().zip(&row) {
-                *dst = v * norm;
+            for v in row {
+                *v *= norm;
             }
         }
         timing::stop(Kernel::Aggregate, t0);
@@ -79,11 +78,21 @@ impl GcnLayer {
         (out, GcnCtx { agg, z })
     }
 
-    /// Backward pass; returns `∂L/∂input`.
-    pub fn backward(&mut self, block: &Block, ctx: GcnCtx, d_out: &Matrix) -> Matrix {
+    /// Backward pass: accumulates parameter gradients; returns `∂L/∂input`
+    /// iff `input_grad` (else `dz·Wᵀ` and its scatter are skipped).
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        ctx: GcnCtx,
+        d_out: &Matrix,
+        input_grad: bool,
+    ) -> Option<Matrix> {
         let dz = self.activation.backward(&ctx.z, d_out);
         ops::add_assign(&mut self.weight.grad, &ops::matmul_at_b(&ctx.agg, &dz));
         ops::add_assign(&mut self.bias.grad, &ops::sum_rows(&dz));
+        if !input_grad {
+            return None;
+        }
         let d_agg = ops::matmul_a_bt(&dz, &self.weight.value);
         // Distribute aggregation gradient back to src rows (scatter-add).
         let t0 = timing::start();
@@ -97,7 +106,7 @@ impl GcnLayer {
             }
         }
         timing::stop(Kernel::Aggregate, t0);
-        d_in
+        Some(d_in)
     }
 
     /// Parameter views.

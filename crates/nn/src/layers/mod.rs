@@ -86,12 +86,19 @@ impl Layer {
     }
 
     /// Backward pass: consumes the forward ctx, accumulates parameter
-    /// gradients, and returns `∂L/∂input` (one row per src vertex).
-    pub fn backward(&mut self, block: &Block, ctx: LayerCtx, d_out: &Matrix) -> Matrix {
+    /// gradients (the same bits either way) and returns `∂L/∂input` (one row
+    /// per src vertex) iff `input_grad` — `false` when the input is a constant.
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        ctx: LayerCtx,
+        d_out: &Matrix,
+        input_grad: bool,
+    ) -> Option<Matrix> {
         match (self, ctx) {
-            (Layer::Gcn(l), LayerCtx::Gcn(c)) => l.backward(block, c, d_out),
-            (Layer::Sage(l), LayerCtx::Sage(c)) => l.backward(block, c, d_out),
-            (Layer::Gat(l), LayerCtx::Gat(c)) => l.backward(block, c, d_out),
+            (Layer::Gcn(l), LayerCtx::Gcn(c)) => l.backward(block, c, d_out, input_grad),
+            (Layer::Sage(l), LayerCtx::Sage(c)) => l.backward(block, c, d_out, input_grad),
+            (Layer::Gat(l), LayerCtx::Gat(c)) => l.backward(block, c, d_out, input_grad),
             _ => panic!("layer/ctx kind mismatch"),
         }
     }
@@ -172,9 +179,11 @@ mod tests {
             let mut layer = Layer::new(kind, 5, 4, false, 4);
             let (out, ctx) = layer.forward(&block, &input);
             let d_out = Matrix::full(out.rows(), out.cols(), 1.0);
-            let d_in = layer.backward(&block, ctx, &d_out);
+            let d_in = layer.backward(&block, ctx, &d_out, true).unwrap();
             assert_eq!(d_in.shape(), input.shape(), "{kind:?}");
             assert!(d_in.all_finite());
+            let (_, ctx) = layer.forward(&block, &input);
+            assert!(layer.backward(&block, ctx, &d_out, false).is_none());
         }
     }
 

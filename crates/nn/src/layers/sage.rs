@@ -67,7 +67,9 @@ impl SageLayer {
     /// Forward pass.
     pub fn forward(&self, block: &Block, input: &Matrix) -> (Matrix, SageCtx) {
         assert_eq!(input.rows(), block.num_src());
-        let self_rows = input.gather_rows(&(0..block.num_dst()).collect::<Vec<_>>());
+        // dst i is src i by the prefix convention: one contiguous copy.
+        let prefix = &input.as_slice()[..block.num_dst() * input.cols()];
+        let self_rows = Matrix::from_vec(block.num_dst(), input.cols(), prefix.to_vec());
         let neigh = Self::aggregate_neighbors(block, input);
         let mut z = ops::matmul(&self_rows, &self.w_self.value);
         ops::add_assign(&mut z, &ops::matmul(&neigh, &self.w_neigh.value));
@@ -83,8 +85,15 @@ impl SageLayer {
         )
     }
 
-    /// Backward pass; returns `∂L/∂input`.
-    pub fn backward(&mut self, block: &Block, ctx: SageCtx, d_out: &Matrix) -> Matrix {
+    /// Backward pass: accumulates parameter gradients; returns `∂L/∂input`
+    /// iff `input_grad` (else both `dz·Wᵀ` and their scatter are skipped).
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        ctx: SageCtx,
+        d_out: &Matrix,
+        input_grad: bool,
+    ) -> Option<Matrix> {
         let dz = self.activation.backward(&ctx.z, d_out);
         ops::add_assign(
             &mut self.w_self.grad,
@@ -92,6 +101,9 @@ impl SageLayer {
         );
         ops::add_assign(&mut self.w_neigh.grad, &ops::matmul_at_b(&ctx.neigh, &dz));
         ops::add_assign(&mut self.bias.grad, &ops::sum_rows(&dz));
+        if !input_grad {
+            return None;
+        }
         let d_self = ops::matmul_a_bt(&dz, &self.w_self.value);
         let d_neigh = ops::matmul_a_bt(&dz, &self.w_neigh.value);
         let t0 = timing::start();
@@ -109,7 +121,7 @@ impl SageLayer {
             }
         }
         timing::stop(Kernel::Aggregate, t0);
-        d_in
+        Some(d_in)
     }
 
     /// Parameter views.

@@ -208,13 +208,16 @@ impl GnnModel {
     /// Full backward from `d_logits`; accumulates parameter gradients and
     /// returns `∂L/∂features`.
     pub fn backward(&mut self, blocks: &[Block], pass: ForwardPass, d_logits: &Matrix) -> Matrix {
-        self.backward_with_mask(blocks, pass, d_logits, None)
+        self.backward_layers(blocks, pass, d_logits, &[], true)
+            .expect("the input gradient was requested")
     }
 
-    /// Backward that optionally zeroes the gradient flowing into the rows of
-    /// the bottom layer's (full) output listed in `frozen_bottom_rows`
-    /// (historical embeddings are constants; "using historical embeddings
-    /// avoids … the associated backward pass", §4.1.2). On a pruned stack
+    /// The training backward: parameter gradients only (the same bits as
+    /// [`Self::backward`]'s) — features are constants, so `∂L/∂features` is
+    /// not computed. Zeroes the gradient flowing into the rows of the bottom
+    /// layer's (full) output listed in `frozen_bottom_rows` (historical
+    /// embeddings are constants too; "using historical embeddings avoids …
+    /// the associated backward pass", §4.1.2). On a pruned stack
     /// the bottom layer receives only the gradient rows of the vertices it
     /// computed; the rest end here.
     pub fn backward_with_mask(
@@ -222,24 +225,36 @@ impl GnnModel {
         blocks: &[Block],
         pass: ForwardPass,
         d_logits: &Matrix,
-        frozen_bottom_rows: Option<&[usize]>,
-    ) -> Matrix {
+        frozen_bottom_rows: &[usize],
+    ) {
+        self.backward_layers(blocks, pass, d_logits, frozen_bottom_rows, false);
+    }
+
+    /// The one backward walk; `feature_grad` is the bottom layer's `input_grad`.
+    fn backward_layers(
+        &mut self,
+        blocks: &[Block],
+        pass: ForwardPass,
+        d_logits: &Matrix,
+        frozen_bottom_rows: &[usize],
+        feature_grad: bool,
+    ) -> Option<Matrix> {
         let ForwardPass { mut ctxs, live, .. } = pass;
         let mut grad = d_logits.clone();
         for l in (1..self.layers.len()).rev() {
             let ctx = ctxs.pop().expect("ctx per layer");
-            grad = self.layers[l].backward(&blocks[l], ctx, &grad);
+            grad = self.layers[l]
+                .backward(&blocks[l], ctx, &grad, true)
+                .expect("the input gradient was requested");
         }
-        if let Some(frozen) = frozen_bottom_rows {
-            for &r in frozen {
-                grad.row_mut(r).fill(0.0);
-            }
+        for &r in frozen_bottom_rows {
+            grad.row_mut(r).fill(0.0);
         }
         if let Some(live) = &live {
             grad = grad.gather_rows(live);
         }
         let ctx0 = ctxs.pop().expect("bottom ctx");
-        self.layers[0].backward(&blocks[0], ctx0, &grad)
+        self.layers[0].backward(&blocks[0], ctx0, &grad, feature_grad)
     }
 
     /// Zeroes all parameter gradients.
@@ -367,20 +382,23 @@ mod tests {
         let stale = vec![0.5f32; hidden];
         let pass = model.forward_spliced(&blocks, &features, |out| out.copy_row_from(0, &stale));
         assert_eq!(pass.outputs[0].row(0), &stale[..]);
-        // With every bottom row frozen, the bottom weight grad from the
-        // aggregation path must be zero.
+        // With every bottom row frozen, no gradient reaches the bottom
+        // layer; the layer above still gets one.
         let pass2 = model.forward(&blocks, &features);
         model.zero_grad();
         let all_rows: Vec<usize> = (0..pass2.outputs[0].rows()).collect();
         let d = Matrix::full(5, 3, 0.3);
-        let d_feat = model.backward_with_mask(&blocks, pass2, &d, Some(&all_rows));
-        assert_eq!(
-            d_feat.frobenius_norm(),
-            0.0,
-            "no gradient may reach features"
-        );
-        let bottom_grad_norm = model.layers()[0].params()[0].grad.frobenius_norm();
-        assert_eq!(bottom_grad_norm, 0.0, "bottom layer grads must be cut");
+        model.backward_with_mask(&blocks, pass2, &d, &all_rows);
+        for p in model.layers()[0].params() {
+            assert_eq!(p.grad.frobenius_norm(), 0.0, "bottom grads must be cut");
+        }
+        assert!(model.layers()[1].params()[0].grad.frobenius_norm() > 0.0);
+        // Unfrozen, the same pass does reach the bottom layer and features.
+        let pass3 = model.forward(&blocks, &features);
+        model.zero_grad();
+        let d_feat = model.backward(&blocks, pass3, &d);
+        assert!(d_feat.frobenius_norm() > 0.0);
+        assert!(model.layers()[0].params()[0].grad.frobenius_norm() > 0.0);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use neutron_graph::generate::erdos_renyi;
 use neutron_nn::layers::Layer;
 use neutron_nn::model::{GnnModel, ModelConfig};
+use neutron_nn::param::Param;
 use neutron_nn::LayerKind;
 use neutron_sample::{Block, Fanout, NeighborSampler};
 use neutron_tensor::{init, Matrix};
@@ -68,21 +69,36 @@ fn prune(stack: &[Block], frozen: &[bool]) -> (Vec<Block>, Vec<usize>) {
     (pruned, old_of_new)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// One random sampled stack with some rows of `stack[1].src()` reused.
+struct Case {
+    layers: usize,
+    /// The sampled (unpruned) stack and the features of `stack[0].src()`.
+    stack: Vec<Block>,
+    features: Matrix,
+    /// `stack` with the reused rows pruned from the bottom block.
+    pruned: Vec<Block>,
+    pruned_features: Matrix,
+    /// Per source of `pruned[0]`, its local index in `stack[0]`.
+    old_of_new: Vec<usize>,
+    /// Reused positions of `stack[1].src()` and the rows they take.
+    frozen_rows: Vec<usize>,
+    store: Matrix,
+    d_logits: Matrix,
+    seed: u64,
+}
 
-    #[test]
-    fn prune_then_splice_equals_compute_then_overwrite(
-        seed in 0u64..10_000,
-        layers in 2usize..4,
-        batch in 1usize..9,
-        // 0 = nothing frozen, 1 = everything frozen, 2 = random flags.
-        mode in 0usize..3,
-        flags in proptest::collection::vec(any::<bool>(), 400..401),
-    ) {
+const FEATURE_DIM: usize = 5;
+const HIDDEN: usize = 4;
+const CLASSES: usize = 3;
+
+impl Case {
+    /// `mode`: 0 = nothing frozen, 1 = everything frozen, 2 = `flags`.
+    fn new(seed: u64, layers: usize, batch: usize, mode: usize, flags: &[bool]) -> Self {
         let g = erdos_renyi(120, 900, seed);
         let sampler = NeighborSampler::new(Fanout::new(vec![3; layers]));
-        let seeds: Vec<u32> = (0..batch as u32).map(|i| (seed as u32 + i * 13) % 120).collect();
+        let seeds: Vec<u32> = (0..batch as u32)
+            .map(|i| (seed as u32 + i * 13) % 120)
+            .collect();
         let stack = sampler.sample_batch(&g, &seeds, seed ^ 0x51);
         let rows = stack[1].num_src();
         let frozen: Vec<bool> = (0..rows)
@@ -94,35 +110,83 @@ proptest! {
             .collect();
         let frozen_rows: Vec<usize> = (0..rows).filter(|&p| frozen[p]).collect();
         let (pruned, old_of_new) = prune(&stack, &frozen);
-        prop_assert_eq!(pruned[0].num_dst(), rows - frozen_rows.len());
+        assert_eq!(pruned[0].num_dst(), rows - frozen_rows.len());
         pruned[0].validate().unwrap();
+        let features = init::uniform(stack[0].num_src(), FEATURE_DIM, -1.0, 1.0, seed ^ 1);
+        Self {
+            layers,
+            pruned_features: features.gather_rows(&old_of_new),
+            features,
+            stack,
+            pruned,
+            old_of_new,
+            frozen_rows,
+            store: init::uniform(rows, HIDDEN, -1.0, 1.0, seed ^ 2),
+            d_logits: init::uniform(batch, CLASSES, -1.0, 1.0, seed ^ 3),
+            seed,
+        }
+    }
 
-        let (feature_dim, hidden, classes) = (5, 4, 3);
-        let features = init::uniform(stack[0].num_src(), feature_dim, -1.0, 1.0, seed ^ 1);
-        let pruned_features = features.gather_rows(&old_of_new);
-        let store = init::uniform(rows, hidden, -1.0, 1.0, seed ^ 2);
-        let d_logits = init::uniform(batch, classes, -1.0, 1.0, seed ^ 3);
+    fn config(&self, kind: LayerKind) -> ModelConfig {
+        ModelConfig {
+            kind,
+            feature_dim: FEATURE_DIM,
+            hidden_dim: HIDDEN,
+            num_classes: CLASSES,
+            layers: self.layers,
+            seed: self.seed ^ 4,
+        }
+    }
+
+    /// Overwrites the reused rows of the bottom layer's output.
+    fn splice(&self, out: &mut Matrix) {
+        for &p in &self.frozen_rows {
+            out.copy_row_from(p, self.store.row(p));
+        }
+    }
+}
+
+/// Every parameter gradient of `model`, as bits.
+fn grad_bits(model: &GnnModel) -> Vec<Vec<u32>> {
+    let bits = |p: &&Param| p.grad.as_slice().iter().map(|x| x.to_bits()).collect();
+    model.params().iter().map(bits).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prune_then_splice_equals_compute_then_overwrite(
+        seed in 0u64..10_000,
+        layers in 2usize..4,
+        batch in 1usize..9,
+        mode in 0usize..3,
+        flags in proptest::collection::vec(any::<bool>(), 400..401),
+    ) {
+        let case = Case::new(seed, layers, batch, mode, &flags);
+        let Case {
+            stack,
+            features,
+            pruned,
+            pruned_features,
+            old_of_new,
+            frozen_rows,
+            d_logits,
+            ..
+        } = &case;
+        let rows = stack[1].num_src();
 
         for kind in LayerKind::ALL {
-            let config = ModelConfig {
-                kind,
-                feature_dim,
-                hidden_dim: hidden,
-                num_classes: classes,
-                layers,
-                seed: seed ^ 4,
-            };
+            let config = case.config(kind);
 
             // Compute then overwrite + mask, on the unpruned stack.
             let mut old: Vec<Layer> = GnnModel::new(config.clone()).layers().to_vec();
             let mut input = features.clone();
             let mut ctxs = Vec::new();
-            for (l, (layer, block)) in old.iter().zip(&stack).enumerate() {
+            for (l, (layer, block)) in old.iter().zip(stack).enumerate() {
                 let (mut out, ctx) = layer.forward(block, &input);
                 if l == 0 {
-                    for &p in &frozen_rows {
-                        out.copy_row_from(p, store.row(p));
-                    }
+                    case.splice(&mut out);
                 }
                 ctxs.push(ctx);
                 input = out;
@@ -131,21 +195,19 @@ proptest! {
             let mut grad = d_logits.clone();
             for l in (0..layers).rev() {
                 if l == 0 {
-                    for &p in &frozen_rows {
+                    for &p in frozen_rows {
                         grad.row_mut(p).fill(0.0);
                     }
                 }
-                grad = old[l].backward(&stack[l], ctxs.pop().unwrap(), &grad);
+                grad = old[l]
+                    .backward(&stack[l], ctxs.pop().unwrap(), &grad, true)
+                    .unwrap();
             }
             let old_d_features = grad;
 
             // Prune then splice.
             let mut model = GnnModel::new(config.clone());
-            let pass = model.forward_spliced(&pruned, &pruned_features, |out| {
-                for &p in &frozen_rows {
-                    out.copy_row_from(p, store.row(p));
-                }
-            });
+            let pass = model.forward_spliced(pruned, pruned_features, |out| case.splice(out));
             prop_assert_eq!(
                 pass.logits().as_slice(),
                 old_logits.as_slice(),
@@ -153,9 +215,9 @@ proptest! {
                 kind
             );
             model.zero_grad();
-            let d_features = model.backward(&pruned, pass, &d_logits);
+            let d_features = model.backward(pruned, pass, d_logits);
             prop_assert!(
-                grads_close(&d_features, &old_d_features.gather_rows(&old_of_new)),
+                grads_close(&d_features, &old_d_features.gather_rows(old_of_new)),
                 "{kind:?}: feature gradients diverged"
             );
             for (l, (new, old)) in model.layers().iter().zip(&old).enumerate() {
@@ -179,14 +241,66 @@ proptest! {
 
             // Plain forward/backward accept the pruned stack; rows nobody
             // supplies stay zero.
-            let plain = model.forward(&pruned, &pruned_features);
+            let plain = model.forward(pruned, pruned_features);
             prop_assert_eq!(plain.outputs[0].rows(), rows);
-            for &p in &frozen_rows {
+            for &p in frozen_rows {
                 prop_assert!(plain.outputs[0].row(p).iter().all(|&x| x == 0.0));
             }
             prop_assert!(plain.logits().all_finite());
-            let d = model.backward(&pruned, plain, &d_logits);
+            let d = model.backward(pruned, plain, d_logits);
             prop_assert_eq!(d.shape(), pruned_features.shape());
+        }
+    }
+
+    /// Features are constants: the training backward skips the bottom
+    /// layer's `∂L/∂input`, and no parameter gradient may notice.
+    #[test]
+    fn skipping_the_input_gradient_changes_no_parameter_gradient(
+        seed in 0u64..10_000,
+        layers in 2usize..4,
+        batch in 1usize..9,
+        mode in 0usize..3,
+        flags in proptest::collection::vec(any::<bool>(), 400..401),
+    ) {
+        let case = Case::new(seed, layers, batch, mode, &flags);
+        for kind in LayerKind::ALL {
+            let mut model = GnnModel::new(case.config(kind));
+            // `backward` masks nothing, so it is the reference where no mask
+            // is needed: the unpruned stack with nothing frozen, and the
+            // pruned stack, whose frozen rows no layer computed.
+            for (blocks, feats, frozen) in [
+                (&case.stack, &case.features, &[][..]),
+                (&case.pruned, &case.pruned_features, &case.frozen_rows[..]),
+            ] {
+                let pass = model.forward_spliced(blocks, feats, |out| case.splice(out));
+                model.zero_grad();
+                model.backward(blocks, pass, &case.d_logits);
+                let want = grad_bits(&model);
+                let pass = model.forward_spliced(blocks, feats, |out| case.splice(out));
+                model.zero_grad();
+                model.backward_with_mask(blocks, pass, &case.d_logits, frozen);
+                prop_assert_eq!(grad_bits(&model), want, "{:?}", kind);
+            }
+            // Frozen rows on the unpruned stack: the reference is the same
+            // walk on the `Layer` API with every input gradient computed.
+            let pass = model.forward_spliced(&case.stack, &case.features, |out| case.splice(out));
+            let mut ctxs = pass.ctxs;
+            model.zero_grad();
+            let mut grad = case.d_logits.clone();
+            for l in (0..layers).rev() {
+                if l == 0 {
+                    for &p in &case.frozen_rows {
+                        grad.row_mut(p).fill(0.0);
+                    }
+                }
+                let ctx = ctxs.pop().unwrap();
+                grad = model.layer_mut(l).backward(&case.stack[l], ctx, &grad, true).unwrap();
+            }
+            let want = grad_bits(&model);
+            let pass = model.forward_spliced(&case.stack, &case.features, |out| case.splice(out));
+            model.zero_grad();
+            model.backward_with_mask(&case.stack, pass, &case.d_logits, &case.frozen_rows);
+            prop_assert_eq!(grad_bits(&model), want, "{:?}: masked", kind);
         }
     }
 }

@@ -41,8 +41,9 @@
 //! kernels.
 
 /// Lane width of the dot-product accumulator block. Eight f32 lanes = two
-/// SSE2 vectors (or one AVX vector), enough independent chains to hide FMA
-/// latency on the baseline target.
+/// SSE2 vectors (or one AVX vector), enough independent chains to hide the
+/// multiply-then-add latency (the baseline target has no FMA, and bit-identity
+/// across machines depends on none being emitted).
 pub const DOT_LANES: usize = 8;
 
 /// Outer-loop unroll factor of the axpy-style matmul kernels.
@@ -152,17 +153,16 @@ pub fn scatter_add_rows(out: &mut [f32], dim: usize, indices: &[usize], src: &[f
     }
 }
 
-/// `C[r0.., :] += A[r0.., :] · B` over the row range covered by `c_rows`
-/// (a `rows x n` row-major chunk starting at absolute row `r0`). The
-/// per-chunk body of [`crate::ops::matmul`]: k-unrolled axpy accumulation,
-/// no zero-skip branch (see module docs).
-pub fn matmul_rows(c_rows: &mut [f32], r0: usize, a: &[f32], b: &[f32], k: usize, n: usize) {
+/// `C += A · B` for row-major `C: m x n`, `A: m x k`, `B: k x n`. The body
+/// of [`crate::ops::matmul`]: k-unrolled axpy accumulation, no zero-skip
+/// branch (see module docs).
+pub fn matmul_rows(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
     let k_whole = k / K_UNROLL * K_UNROLL;
-    for (local_r, out_row) in c_rows.chunks_exact_mut(n).enumerate() {
-        let a_row = &a[(r0 + local_r) * k..(r0 + local_r + 1) * k];
+    for (r, out_row) in c.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[r * k..(r + 1) * k];
         let mut kk = 0;
         while kk < k_whole {
             let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
@@ -182,15 +182,14 @@ pub fn matmul_rows(c_rows: &mut [f32], r0: usize, a: &[f32], b: &[f32], k: usize
     }
 }
 
-/// `C[r0.., :] = A[r0.., :] · Bᵀ` over the row range covered by `c_rows`,
-/// where `B` is `n x k` row-major. The per-chunk body of
-/// [`crate::ops::matmul_a_bt`]: one chunked [`dot`] per output element.
-pub fn matmul_a_bt_rows(c_rows: &mut [f32], r0: usize, a: &[f32], b: &[f32], k: usize, n: usize) {
+/// `C = A · Bᵀ` for row-major `C: m x n`, `A: m x k`, `B: n x k`. The body
+/// of [`crate::ops::matmul_a_bt`]: one chunked [`dot`] per output element.
+pub fn matmul_a_bt_rows(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    for (local_r, out_row) in c_rows.chunks_exact_mut(n).enumerate() {
-        let a_row = &a[(r0 + local_r) * k..(r0 + local_r + 1) * k];
+    for (r, out_row) in c.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[r * k..(r + 1) * k];
         for (j, o) in out_row.iter_mut().enumerate() {
             *o = dot(a_row, &b[j * k..(j + 1) * k]);
         }
@@ -392,7 +391,7 @@ mod tests {
             let b = seq(k * n);
             let want = reference::matmul(&a, &b, m, k, n);
             let mut got = vec![0.0f32; m * n];
-            matmul_rows(&mut got, 0, &a, &b, k, n);
+            matmul_rows(&mut got, &a, &b, k, n);
             for (w, g) in want.iter().zip(&got) {
                 assert!((w - g).abs() <= 1e-5 * (1.0 + w.abs()), "k={k}");
             }
@@ -421,7 +420,7 @@ mod tests {
         let b = seq(n * k);
         let want = reference::matmul_a_bt(&a, &b, m, k, n);
         let mut got = vec![0.0f32; m * n];
-        matmul_a_bt_rows(&mut got, 0, &a, &b, k, n);
+        matmul_a_bt_rows(&mut got, &a, &b, k, n);
         for (w, g) in want.iter().zip(&got) {
             assert!((w - g).abs() <= 1e-5 * (1.0 + w.abs()));
         }

@@ -19,8 +19,12 @@
 //! - [`activation`] — ReLU / LeakyReLU / ELU / sigmoid / tanh with gradients,
 //! - [`softmax`] — row softmax and softmax-cross-entropy with gradients,
 //! - [`init`] — seeded Xavier / Kaiming initializers,
-//! - [`reduce`] — row/column reductions and argmax,
-//! - [`parallel`] — scoped-thread row partitioning used by the matmul kernels.
+//! - [`reduce`] — row/column reductions and argmax.
+//!
+//! Every kernel runs on the thread that calls it. At mini-batch shapes
+//! (≲ 2k × 64 · 64 × 32, under a millisecond) a spawn or a pool wake-up costs
+//! what the kernel does, and the cores already belong to the session's stage
+//! threads: parallelism is the session's to hand out, never a kernel's.
 
 pub mod activation;
 pub mod alloc;
@@ -28,7 +32,6 @@ pub mod init;
 pub mod kernels;
 pub mod matrix;
 pub mod ops;
-pub mod parallel;
 pub mod reduce;
 pub mod softmax;
 pub mod timing;

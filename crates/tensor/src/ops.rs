@@ -4,13 +4,11 @@
 //! needed by the GNN forward/backward passes without materialising explicit
 //! transposes. The inner loops live in [`crate::kernels`] as chunked,
 //! autovectorization-friendly slice kernels (see that module for the
-//! profile-guided design notes); this module owns shape checking, row
-//! parallelism via [`crate::parallel::for_each_row_chunk`], and the
-//! [`crate::timing`] hooks.
+//! profile-guided design notes); this module owns shape checking and the
+//! [`crate::timing`] hooks, and runs each kernel on its caller's thread.
 
 use crate::kernels;
 use crate::matrix::Matrix;
-use crate::parallel::for_each_row_chunk;
 use crate::timing::{self, Kernel};
 
 /// `C = A · B` where `A: m×k`, `B: k×n`.
@@ -30,21 +28,16 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
     let mut c = Matrix::zeros(m, n);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    for_each_row_chunk(c.as_mut_slice(), n, m, |row0, rows| {
-        kernels::matmul_rows(rows, row0, a_data, b_data, k, n);
-    });
+    kernels::matmul_rows(c.as_mut_slice(), a.as_slice(), b.as_slice(), k, n);
     timing::stop(Kernel::Matmul, t0);
     c
 }
 
 /// `C = Aᵀ · B` where `A: k×m`, `B: k×n` → `C: m×n`.
 ///
-/// Used for weight gradients: `∇W = Hᵀ · δ`. Stays sequential over `k` —
-/// `m`/`n` are hidden dims, too small for row parallelism — but the k loop
-/// is unrolled by [`kernels::K_UNROLL`] so one pass over each `C` row fuses
-/// four outer-product updates.
+/// Used for weight gradients: `∇W = Hᵀ · δ`. The k loop is unrolled by
+/// [`kernels::K_UNROLL`] so one pass over each `C` row fuses four
+/// outer-product updates.
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.rows(),
@@ -79,11 +72,7 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.rows();
     let mut c = Matrix::zeros(m, n);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    for_each_row_chunk(c.as_mut_slice(), n, m, |row0, rows| {
-        kernels::matmul_a_bt_rows(rows, row0, a_data, b_data, k, n);
-    });
+    kernels::matmul_a_bt_rows(c.as_mut_slice(), a.as_slice(), b.as_slice(), k, n);
     timing::stop(Kernel::MatmulABt, t0);
     c
 }
@@ -150,9 +139,9 @@ pub fn scale(a: &Matrix, alpha: f32) -> Matrix {
 pub fn add_bias_row(a: &mut Matrix, bias: &Matrix) {
     assert_eq!(bias.rows(), 1);
     assert_eq!(bias.cols(), a.cols());
-    let b = bias.row(0).to_vec();
+    let b = bias.row(0);
     for r in 0..a.rows() {
-        for (x, y) in a.row_mut(r).iter_mut().zip(&b) {
+        for (x, y) in a.row_mut(r).iter_mut().zip(b) {
             *x += y;
         }
     }
@@ -254,12 +243,5 @@ mod tests {
         assert_eq!(a.row(2), &[1.0, -1.0]);
         let g = sum_rows(&a);
         assert_eq!(g.row(0), &[3.0, -3.0]);
-    }
-
-    #[test]
-    fn matmul_with_large_row_count_exercises_parallel_path() {
-        let a = random(600, 16, 8);
-        let b = random(16, 8, 9);
-        assert!(matmul(&a, &b).approx_eq(&matmul_naive(&a, &b), crate::TEST_EPS));
     }
 }

@@ -7,9 +7,8 @@
 //! call count to a global table that [`snapshot`] reads out.
 //!
 //! Hooks sit at the *public op* level (`ops::matmul`, `Matrix::gather_rows`,
-//! aggregation entry points in `neutron-nn`), never inside per-chunk
-//! worker closures — parallel chunks of one matmul would otherwise
-//! double-count the same wall interval once per thread.
+//! aggregation entry points in `neutron-nn`), never inside the slice
+//! kernels they call, so nested calls cannot count one wall interval twice.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;

@@ -51,6 +51,15 @@ const SCALED_WARM_STAGING_ALLOC_BUDGET: f64 = 150.0;
 /// fewer staging allocations than `run_epoch_sequential`. Measured 30–90x.
 const SCALED_MIN_IMPROVEMENT: f64 = 10.0;
 
+/// Ceiling on the train-stage bytes allocated per warm epoch of the scaled
+/// session with the refresh pinned to its worker (the adaptive split moves
+/// refresh rows onto the train thread by timing; pinned, the figure repeats to
+/// within 0.3 %). Measured 26.4 MiB: activations, layer contexts and the
+/// upper layer's input gradient, fresh per batch. 63.0 MiB when the bottom
+/// layer also computed the `num_src × feature_dim` `∂L/∂features` that
+/// nobody reads.
+const SCALED_WARM_TRAIN_BYTES_BUDGET: u64 = 33 << 20;
+
 /// Hard ceiling on refresh-stage heap allocations per warm engine epoch on
 /// the tiny workload, with every refresh row computed on the refresh
 /// worker (fixed all-CPU split, one shard). An epoch launches three tasks
@@ -186,6 +195,12 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
     let scaled_seq = sequential_staging_allocs(scaled_trainer(), SCALED_EPOCHS);
     let scaled_session =
         Session::new(SessionConfig::default()).run_session(&mut scaled_trainer(), 0, SCALED_EPOCHS);
+    let scaled_pinned = Session::new(SessionConfig {
+        adaptive_split: false,
+        refresh_workers: 1,
+        ..SessionConfig::default()
+    })
+    .run_session(&mut scaled_trainer(), 0, 3);
     alloc::set_enabled(false);
 
     assert_eq!(session.epochs.len(), epochs);
@@ -268,6 +283,22 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
         "scaled steady state: session staged {steady:.1} allocs an epoch, not \
          {SCALED_MIN_IMPROVEMENT}x below the sequential path's {seq_steady:.1}"
     );
+
+    for run in &scaled_pinned.epochs[1..] {
+        let train = run.allocs.get(Stage::Train).bytes;
+        println!(
+            "scaled, refresh pinned: epoch {} allocated {train} B ({:.1} MiB) in the train stage",
+            run.epoch,
+            train as f64 / (1u64 << 20) as f64
+        );
+        assert_eq!(run.refresh_cpu_fraction, 1.0);
+        assert!(
+            train <= SCALED_WARM_TRAIN_BYTES_BUDGET,
+            "warm scaled epoch {} allocated {train} B in the train stage, budget \
+             {SCALED_WARM_TRAIN_BYTES_BUDGET} — is a matrix nobody reads being computed again?",
+            run.epoch
+        );
+    }
 
     let dropped = &degraded_session.epochs[1].report.failures;
     assert!(

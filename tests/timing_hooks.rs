@@ -52,7 +52,7 @@ fn hooks_attribute_kernel_time_within_the_epoch_and_are_free_when_off() {
     timing::set_enabled(true);
     let mut t = trainer();
     let t0 = Instant::now();
-    let (obs, _) = run_epoch_sequential(&pipeline, &mut t, 0);
+    let (obs, report) = run_epoch_sequential(&pipeline, &mut t, 0);
     let wall = t0.elapsed().as_secs_f64();
     timing::set_enabled(false);
     let snap = timing::snapshot();
@@ -78,6 +78,13 @@ fn hooks_attribute_kernel_time_within_the_epoch_and_are_free_when_off() {
             kernel.name()
         );
     }
+    // Features are constants, so only the layers above the bottom one
+    // compute an input gradient (`dz·Wᵀ`): one `A·Bᵀ` per batch each.
+    assert_eq!(
+        snap.get(Kernel::MatmulABt).calls,
+        (report.num_batches * (t.config().layers - 1)) as u64,
+        "the bottom layer went back to computing ∂L/∂features"
+    );
     let total = snap.total_seconds();
     assert!(total > 0.0, "enabled hooks recorded no time");
     assert!(
