@@ -1,12 +1,11 @@
 //! DSP-like multi-GPU orchestrator: Case 4 replicated across GPUs with
 //! cooperative sampling over NVLink and per-batch gradient all-reduce.
 
-use super::mean_util;
-use crate::orchestrator::{Lens, Orchestrator};
+use super::step_based::{simulate_step_based, StepPlan};
+use crate::orchestrator::Orchestrator;
 use crate::profile::WorkloadProfile;
 use crate::report::EpochReport;
-use crate::sim::ScheduleBuilder;
-use neutron_hetero::{CostModel, HardwareSpec, MemLedger, OomError, TaskKind};
+use neutron_hetero::{HardwareSpec, OomError};
 
 /// DSP-like multi-GPU system (§5.3): GPU sampling with the topology
 /// partitioned across devices, popular-feature caching, NVLink exchanges.
@@ -36,114 +35,25 @@ impl Orchestrator for DspLike {
         profile: &WorkloadProfile,
         hw: &HardwareSpec,
     ) -> Result<EpochReport, OomError> {
-        let lens = Lens::new(profile);
-        let cm = CostModel::new(hw.clone());
-        let gpus = hw.num_gpus.max(1);
-        // Per-GPU memory: topology shard + batch buffers + feature cache.
-        let mut mem = MemLedger::new(hw.gpu.mem_bytes);
-        mem.alloc("params", lens.param_bytes())?;
-        mem.alloc("topology-shard", lens.paper_topology_bytes() / gpus as u64)?;
-        mem.alloc(
-            "batch",
-            2 * lens.paper_batch_bytes(profile.config.batch_size),
-        )?;
-        let min_cache =
-            (lens.paper_feature_bytes() as f64 * self.min_cache_ratio / gpus as f64) as u64;
-        mem.alloc("feature-cache", min_cache.max(mem.available()))?;
-        let (_, hit) = lens.cache_plan(mem.region("feature-cache") * gpus as u64, false);
-
-        let mut sched = ScheduleBuilder::new();
-        let cpu = sched.resource("cpu", hw.cpu.cores);
-        let nvlink = hw.nvlink.map(|l| sched.resource("nvlink", l.bandwidth));
-        let mut gpu_res = Vec::new();
-        let mut h2d_res = Vec::new();
-        for g in 0..gpus {
-            gpu_res.push(sched.resource(format!("gpu{g}"), 1.0));
-            h2d_res.push(sched.resource(format!("h2d{g}"), hw.pcie.bandwidth));
-        }
-        let _ = cpu;
-        let mut h2d_bytes = 0u64;
-        // Data parallelism: batches round-robin across GPUs; every batch
-        // syncs gradients (ring all-reduce ≈ 2·params per step).
-        for i in 0..profile.num_batches {
-            let g = i % gpus;
-            let s = sched.task(
-                gpu_res[g],
-                TaskKind::Sample,
-                cm.gpu_sample(lens.sampled_edges(i)),
-                &format!("gpu{g}:sample"),
-                &[],
-            );
-            // Cooperative sampling: frontier exchange across shards.
-            let mut train_deps = vec![s];
-            if let Some(nv) = nvlink {
-                let exch_bytes = lens.block_bytes(i) * (gpus as u64 - 1) / gpus as u64;
-                let x = sched.task(
-                    nv,
-                    TaskKind::Sync,
-                    cm.gpu_sync(exch_bytes),
-                    "nvlink:exchange",
-                    &[s],
-                );
-                train_deps = vec![x];
-            }
-            let miss_bytes = ((lens.bottom_feature_bytes(i) as f64) * (1.0 - hit)) as u64;
-            let ft = sched.task(
-                h2d_res[g],
-                TaskKind::Transfer,
-                cm.pcie_transfer(miss_bytes),
-                &format!("pcie{g}:h2d"),
-                &train_deps,
-            );
-            h2d_bytes += miss_bytes;
-            let t = sched.task(
-                gpu_res[g],
-                TaskKind::Train,
-                cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64),
-                &format!("gpu{g}:train"),
-                &[ft],
-            );
-            if let Some(nv) = nvlink {
-                sched.task(
-                    nv,
-                    TaskKind::Sync,
-                    cm.gpu_sync(2 * lens.param_bytes()),
-                    "nvlink:allreduce",
-                    &[t],
-                );
-            }
-        }
-        let run = sched.run();
-        Ok(EpochReport::from_run(
-            self.name(),
-            &run,
-            mean_util(&run, "cpu"),
-            mean_util(&run, "gpu"),
-            h2d_bytes,
-            mem.used(),
-            profile.num_batches,
-        ))
+        let plan = StepPlan {
+            replicated: Some(self.min_cache_ratio),
+            ..StepPlan::DSP
+        };
+        simulate_step_based(self.name(), &plan, profile, hw)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestrator::tiny_fixture;
     use crate::profile::WorkloadConfig;
     use neutron_graph::DatasetSpec;
     use neutron_nn::LayerKind;
 
-    fn fixture() -> WorkloadProfile {
-        let mut cfg = WorkloadConfig::paper_default(LayerKind::Sage);
-        cfg.batch_size = 64;
-        cfg.layers = 2;
-        cfg.profiled_batches = 2;
-        WorkloadProfile::build(&DatasetSpec::tiny(), &cfg)
-    }
-
     #[test]
     fn more_gpus_reduce_epoch_time() {
-        let profile = fixture();
+        let (profile, _) = tiny_fixture(LayerKind::Sage, 2);
         let r1 = DspLike::default()
             .simulate_epoch(&profile, &HardwareSpec::dgx1_like(1, 1.0))
             .unwrap();

@@ -8,10 +8,10 @@
 //! host↔device embedding traffic (§5.2 comparison 5) and a host-side store
 //! of every layer's embeddings for every vertex.
 
-use super::{mean_util, single_gpu_parts};
 use crate::orchestrator::{Lens, Orchestrator};
 use crate::profile::WorkloadProfile;
 use crate::report::EpochReport;
+use crate::sim::Machine;
 use neutron_hetero::{CostModel, HardwareSpec, MemLedger, OomError, TaskKind};
 use neutron_nn::flops;
 
@@ -50,7 +50,8 @@ impl Orchestrator for GasLike {
             2 * lens.paper_one_hop_bytes(profile.config.batch_size),
         )?;
 
-        let mut parts = single_gpu_parts(hw);
+        let mut m = Machine::new(hw, 1);
+        let d2h = m.sched.resource("d2h0", hw.pcie.bandwidth);
         let mut h2d_bytes = 0u64;
         for i in 0..profile.num_batches {
             let oh = profile.one_hop_stats(i);
@@ -59,15 +60,15 @@ impl Orchestrator for GasLike {
             // out-of-batch neighbors for every layer.
             let pull_bytes = oh.src as u64 * profile.spec.feature_row_bytes()
                 + (oh.src as u64).saturating_sub(seeds) * hidden_row * (layers as u64 - 1).max(1);
-            let fc = parts.sched.task(
-                parts.cpu,
+            let fc = m.sched.task(
+                m.cpu,
                 TaskKind::GatherCollect,
                 cm.cpu_collect(pull_bytes),
                 "cpu:gather",
                 &[],
             );
-            let ft = parts.sched.task(
-                parts.h2d,
+            let ft = m.sched.task(
+                m.h2d[0],
                 TaskKind::Transfer,
                 cm.pcie_transfer(pull_bytes),
                 "pcie:h2d",
@@ -89,8 +90,8 @@ impl Orchestrator for GasLike {
                     )
                 })
                 .sum();
-            let t = parts.sched.task(
-                parts.gpu,
+            let t = m.sched.task(
+                m.gpu[0],
                 TaskKind::Train,
                 cm.gpu_train(train_flops, seeds),
                 "gpu:train",
@@ -98,20 +99,17 @@ impl Orchestrator for GasLike {
             );
             // Push refreshed embeddings back to the host store (D2H).
             let push_bytes = seeds * hidden_row * layers as u64;
-            parts.sched.task(
-                parts.d2h,
+            m.sched.task(
+                d2h,
                 TaskKind::Transfer,
                 cm.pcie_transfer(push_bytes),
                 "pcie:d2h",
                 &[t],
             );
         }
-        let run = parts.sched.run();
         Ok(EpochReport::from_run(
             self.name(),
-            &run,
-            mean_util(&run, "cpu"),
-            mean_util(&run, "gpu"),
+            &m.sched.run(),
             h2d_bytes,
             mem.used(),
             profile.num_batches,
@@ -123,24 +121,12 @@ impl Orchestrator for GasLike {
 mod tests {
     use super::*;
     use crate::baselines::Case1Dgl;
-    use crate::profile::WorkloadConfig;
-    use neutron_graph::DatasetSpec;
+    use crate::orchestrator::tiny_fixture;
     use neutron_nn::LayerKind;
-
-    fn fixture() -> (WorkloadProfile, HardwareSpec) {
-        let mut cfg = WorkloadConfig::paper_default(LayerKind::Gcn);
-        cfg.batch_size = 64;
-        cfg.layers = 2;
-        cfg.profiled_batches = 2;
-        let spec = DatasetSpec::tiny();
-        let profile = WorkloadProfile::build(&spec, &cfg);
-        let hw = HardwareSpec::v100_server(1.0);
-        (profile, hw)
-    }
 
     #[test]
     fn gas_runs_and_moves_embeddings_both_ways() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 2);
         let r = GasLike.simulate_epoch(&profile, &hw).unwrap();
         assert!(r.epoch_seconds > 0.0);
         assert!(r.transfer_seconds > 0.0, "GAS is transfer-heavy");
@@ -148,7 +134,7 @@ mod tests {
 
     #[test]
     fn gas_avoids_multi_hop_sampling_entirely() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 2);
         let r = GasLike.simulate_epoch(&profile, &hw).unwrap();
         assert_eq!(
             r.sample_seconds, 0.0,
@@ -161,7 +147,7 @@ mod tests {
         // The paper attributes GAS's losses to frequent CPU-GPU embedding
         // traffic; on the homophilous tiny replica the 1-hop pull + per-layer
         // histories outweigh DGL's sampled-feature transfers.
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 2);
         let gas = GasLike.simulate_epoch(&profile, &hw).unwrap();
         let dgl = Case1Dgl { pipelined: true }
             .simulate_epoch(&profile, &hw)

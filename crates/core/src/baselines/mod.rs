@@ -1,5 +1,34 @@
-//! Step-based baseline orchestrators (the four cases of §3) plus the two
-//! historical-embedding / multi-GPU comparators.
+//! The comparison systems: the step-based orchestrators of §3 plus the
+//! historical-embedding (GAS) comparator, and the [`roster`] the evaluation
+//! iterates.
+//!
+//! # Fig 4 as a table
+//!
+//! The step-based systems are one sample → gather (collect, transfer) →
+//! train graph per batch; they differ only in the `StepPlan`
+//! (`step_based.rs`) handed to the one builder, `simulate_step_based`. One
+//! row per system, one column per plan field:
+//!
+//! | system | `sample` | `features` | `cache` | `topology_on_gpu` | `ship_blocks` | `batch_buffers` | `pipelined` | `replicated` |
+//! |---|---|---|---|---|---|---|---|---|
+//! | [`Case1Dgl`] (Fig 4a) | CPU | host collect + PCIe | none | no | yes | 1 | its flag | – |
+//! | [`Case2DglUva`] (4b) | GPU over UVA | UVA zero-copy | none | no | yes | 1 | its flag | – |
+//! | [`Case3PaGraph`] (4c) | CPU | host collect + PCIe | degree | no | yes | 2 | yes | – |
+//! | [`Case4GnnLab`] (4d) | GPU | host collect + PCIe | presample | yes | no | 2 | yes | – |
+//! | Fig 12 "Baseline" (`NeutronOrchConfig::baseline`) | GPU | host collect + PCIe | none | yes | **yes** | 2 | yes | – |
+//! | [`DspLike`] | GPU | **PCIe, no collect** | presample | yes, sharded | no | 2 | yes | × `hw.num_gpus`, cache ≥ `min_cache_ratio` |
+//!
+//! Two cells are recorded quirks of the simulated numbers, kept as data
+//! rather than fixed: the Fig 12 baseline samples on the GPU yet ships the
+//! block bytes over PCIe, and DSP models no host-side collect for its cache
+//! misses (its `cpu` resource stays idle). `replicated` is what makes DSP
+//! "Case 4 × GPUs": batches round-robin over every GPU, the topology is
+//! sharded, and each batch adds an NVLink frontier exchange and gradient
+//! all-reduce.
+//!
+//! [`GasLike`] and NeutronOrch's two layer-based builders share no DAG with
+//! the step-based graph and are separate functions over the same resource
+//! layout (`crate::sim::Machine`).
 
 pub mod dsp;
 pub mod gas;
@@ -9,47 +38,25 @@ pub use dsp::DspLike;
 pub use gas::GasLike;
 pub use step_based::{Case1Dgl, Case2DglUva, Case3PaGraph, Case4GnnLab};
 
-use crate::sim::ScheduleBuilder;
-use neutron_hetero::{HardwareSpec, ResourceId};
+use crate::neutronorch::NeutronOrch;
+use crate::orchestrator::Orchestrator;
+use neutron_nn::LayerKind;
 
-/// The standard single-GPU resource layout.
-pub(crate) struct SingleGpuParts {
-    pub sched: ScheduleBuilder,
-    pub cpu: ResourceId,
-    pub gpu: ResourceId,
-    pub h2d: ResourceId,
-    #[allow(dead_code)]
-    pub d2h: ResourceId,
-}
-
-/// Registers cpu / gpu / pcie resources for a single-GPU machine.
-pub(crate) fn single_gpu_parts(hw: &HardwareSpec) -> SingleGpuParts {
-    let mut sched = ScheduleBuilder::new();
-    let cpu = sched.resource("cpu", hw.cpu.cores);
-    let gpu = sched.resource("gpu0", 1.0);
-    let h2d = sched.resource("h2d0", hw.pcie.bandwidth);
-    let d2h = sched.resource("d2h0", hw.pcie.bandwidth);
-    SingleGpuParts {
-        sched,
-        cpu,
-        gpu,
-        h2d,
-        d2h,
+/// The six single-GPU systems of the evaluation in Fig 10's display order,
+/// each `None` where the system does not support `kind` (§5.2: PaGraph and
+/// GNNLab lack GAT, GAS lacks GraphSAGE).
+pub fn roster(kind: LayerKind) -> Vec<(&'static str, Option<Box<dyn Orchestrator>>)> {
+    fn some(sys: impl Orchestrator + 'static) -> Option<Box<dyn Orchestrator>> {
+        Some(Box::new(sys))
     }
-}
-
-/// Mean utilization across all resources whose name starts with `prefix`.
-pub(crate) fn mean_util(run: &neutron_hetero::RunReport, prefix: &str) -> f64 {
-    let vals: Vec<f64> = run
-        .resource_names
-        .iter()
-        .zip(&run.utilization)
-        .filter(|(n, _)| n.starts_with(prefix))
-        .map(|(_, &u)| u)
-        .collect();
-    if vals.is_empty() {
-        0.0
-    } else {
-        vals.iter().sum::<f64>() / vals.len() as f64
-    }
+    let gat = kind == LayerKind::Gat;
+    let sage = kind == LayerKind::Sage;
+    vec![
+        ("DGL", some(Case1Dgl { pipelined: true })),
+        ("PaGraph", some(Case3PaGraph).filter(|_| !gat)),
+        ("GNNLab", some(Case4GnnLab).filter(|_| !gat)),
+        ("DGL-UVA", some(Case2DglUva { pipelined: true })),
+        ("GAS", some(GasLike).filter(|_| !sage)),
+        ("NeutronOrch", some(NeutronOrch::new())),
+    ]
 }

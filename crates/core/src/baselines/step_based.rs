@@ -1,14 +1,274 @@
-//! The four step-based task orchestrating methods of §3 (Fig 4 a–d).
+//! The step-based task orchestrating methods of §3 (Fig 4 a–d) as data.
 //!
-//! All four share the sample→gather(collect, transfer)→train structure and
-//! differ only in placement, caching and pipelining — which is exactly the
-//! paper's claim about why none of them balances the machine.
+//! Every step-based system runs the same sample → gather (collect,
+//! transfer) → train graph per batch and differs only in placement, caching
+//! and pipelining — which is exactly the paper's claim about why none of
+//! them balances the machine. A [`StepPlan`] names those differences and
+//! [`simulate_step_based`] is the one builder of that graph; the table of
+//! plans is in [`super`]'s module docs.
 
-use super::{mean_util, single_gpu_parts};
 use crate::orchestrator::{Lens, Orchestrator};
 use crate::profile::WorkloadProfile;
 use crate::report::EpochReport;
+use crate::sim::Machine;
 use neutron_hetero::{CostModel, HardwareSpec, MemLedger, OomError, TaskKind};
+
+/// Where the sample step runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum SampleOn {
+    /// CPU workers over host topology.
+    Cpu,
+    /// A GPU kernel over device-resident topology; contends with training
+    /// for GPU cores (Fig 5b).
+    Gpu,
+    /// A GPU kernel reading host topology over UVA. The PCIe reads gate the
+    /// kernel (serialized), which matches UVA's latency-bound behaviour.
+    GpuUva,
+}
+
+/// How a batch's bottom-layer features reach the GPU.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum FeaturePath {
+    /// CPU collects the rows into staging buffers (FC), then PCIe (FT).
+    HostCollect,
+    /// PCIe transfer with no host-side collect modelled.
+    Direct,
+    /// Fetched zero-copy over UVA during training (no FC stage).
+    ZeroCopy,
+}
+
+/// How the GPU feature cache ranks vertices (Fig 13).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum CacheRank {
+    /// No cache: every bottom-layer row crosses the link.
+    None,
+    /// By degree (PaGraph); all device memory left after the batch buffers
+    /// — the batch-size / cache-ratio tradeoff of Fig 6.
+    Degree,
+    /// By pre-sampled access frequency (GNNLab).
+    Presample,
+}
+
+/// One row of Fig 4: what a step-based system places where.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct StepPlan {
+    pub sample: SampleOn,
+    pub features: FeaturePath,
+    pub cache: CacheRank,
+    /// The full topology is device-resident (for GPU sampling).
+    pub topology_on_gpu: bool,
+    /// The sampled block structure crosses the link with the features.
+    pub ship_blocks: bool,
+    /// Device-resident batch buffers: 1 when prefetched batches stage in
+    /// host pinned memory, 2 when the next batch is staged on the device.
+    pub batch_buffers: u64,
+    /// Overlap the stages of consecutive batches; otherwise every batch is
+    /// chained behind the previous batch's training.
+    pub pipelined: bool,
+    /// `Some(r)`: DSP's multi-GPU form — batches round-robin over every GPU
+    /// of the machine, the topology is sharded across them, each batch pays
+    /// a frontier exchange and a gradient all-reduce (ring ≈ 2·params) on
+    /// NVLink where the machine has it, and a per-GPU feature cache below
+    /// `r` of an even share of the feature matrix is an OOM.
+    pub replicated: Option<f64>,
+}
+
+impl StepPlan {
+    /// Case 1 — DGL.
+    pub const DGL: Self = Self {
+        sample: SampleOn::Cpu,
+        features: FeaturePath::HostCollect,
+        cache: CacheRank::None,
+        topology_on_gpu: false,
+        ship_blocks: true,
+        batch_buffers: 1,
+        pipelined: true,
+        replicated: None,
+    };
+    /// Case 2 — DGL-UVA.
+    pub const DGL_UVA: Self = Self {
+        sample: SampleOn::GpuUva,
+        features: FeaturePath::ZeroCopy,
+        ..Self::DGL
+    };
+    /// Case 3 — PaGraph.
+    pub const PAGRAPH: Self = Self {
+        cache: CacheRank::Degree,
+        batch_buffers: 2,
+        ..Self::DGL
+    };
+    /// Case 4 — GNNLab.
+    pub const GNNLAB: Self = Self {
+        sample: SampleOn::Gpu,
+        cache: CacheRank::Presample,
+        topology_on_gpu: true,
+        ship_blocks: false,
+        ..Self::PAGRAPH
+    };
+    /// Fig 12's "Baseline": GPU sampling, CPU gather, GPU training,
+    /// pipelined. Recorded quirk: it samples on the GPU yet still ships the
+    /// block bytes over PCIe.
+    pub const FIG12_BASELINE: Self = Self {
+        cache: CacheRank::None,
+        ship_blocks: true,
+        ..Self::GNNLAB
+    };
+    /// DSP (§5.3): Case 4 replicated. Recorded quirk: no host-side collect
+    /// is modelled for its cache misses, so its `cpu` resource stays idle.
+    pub const DSP: Self = Self {
+        features: FeaturePath::Direct,
+        replicated: Some(0.25),
+        ..Self::GNNLAB
+    };
+}
+
+/// Builds and runs one epoch of a step-based system: the GPU memory ledger
+/// (paper scale, against the unscaled device budget), then the per-batch
+/// sample → gather → transfer → train DAG.
+pub(crate) fn simulate_step_based(
+    name: String,
+    plan: &StepPlan,
+    profile: &WorkloadProfile,
+    hw: &HardwareSpec,
+) -> Result<EpochReport, OomError> {
+    let lens = Lens::new(profile);
+    let cm = CostModel::new(hw.clone());
+    let gpus = match plan.replicated {
+        Some(_) => hw.num_gpus.max(1),
+        None => 1,
+    };
+
+    let mut mem = MemLedger::new(hw.gpu.mem_bytes);
+    mem.alloc("params", lens.param_bytes())?;
+    if plan.topology_on_gpu {
+        match plan.replicated {
+            Some(_) => mem.alloc("topology-shard", lens.paper_topology_bytes() / gpus as u64)?,
+            None => mem.alloc("topology", lens.paper_topology_bytes())?,
+        }
+    }
+    mem.alloc(
+        "batch",
+        plan.batch_buffers * lens.paper_batch_bytes(profile.config.batch_size),
+    )?;
+    // Whatever is left becomes the feature cache.
+    let hit = if plan.cache == CacheRank::None {
+        0.0
+    } else {
+        let min_ratio = plan.replicated.unwrap_or(0.0);
+        let min_cache = (lens.paper_feature_bytes() as f64 * min_ratio / gpus as f64) as u64;
+        mem.alloc("feature-cache", min_cache.max(mem.available()))?;
+        let pooled = mem.region("feature-cache") * gpus as u64;
+        lens.cache_plan(pooled, plan.cache == CacheRank::Degree).1
+    };
+
+    let mut m = Machine::new(hw, gpus);
+    let nvlink = m.nvlink.filter(|_| plan.replicated.is_some());
+    let mut h2d_bytes = 0u64;
+    let mut prev_train = None;
+    for i in 0..profile.num_batches {
+        let g = i % gpus;
+        let chain = prev_train.filter(|_| !plan.pipelined);
+        let chain = chain.as_slice();
+        let edges = lens.sampled_edges(i);
+        let gpu_sample = format!("gpu{g}:sample");
+        let sampled = match plan.sample {
+            SampleOn::Cpu => m.sched.task(
+                m.cpu,
+                TaskKind::Sample,
+                cm.cpu_sample(edges),
+                "cpu:sample",
+                chain,
+            ),
+            SampleOn::Gpu => m.sched.task(
+                m.gpu[g],
+                TaskKind::Sample,
+                cm.gpu_sample(edges),
+                &gpu_sample,
+                chain,
+            ),
+            SampleOn::GpuUva => {
+                let topo_reads = m.sched.task(
+                    m.h2d[g],
+                    TaskKind::Sample,
+                    cm.uva_transfer(lens.block_bytes(i)),
+                    &format!("pcie{g}:uva"),
+                    chain,
+                );
+                m.sched.task(
+                    m.gpu[g],
+                    TaskKind::Sample,
+                    cm.gpu_sample(edges),
+                    &gpu_sample,
+                    &[topo_reads],
+                )
+            }
+        };
+        // Cooperative sampling: frontier exchange across shards.
+        let ready = match nvlink {
+            Some(nv) => {
+                let exch_bytes = lens.block_bytes(i) * (gpus as u64 - 1) / gpus as u64;
+                m.sched.task(
+                    nv,
+                    TaskKind::Sync,
+                    cm.gpu_sync(exch_bytes),
+                    "nvlink:exchange",
+                    &[sampled],
+                )
+            }
+            None => sampled,
+        };
+        let mut bytes = ((lens.bottom_feature_bytes(i) as f64) * (1.0 - hit)) as u64;
+        if plan.ship_blocks {
+            bytes += lens.block_bytes(i);
+        }
+        let (collected, link_cost) = match plan.features {
+            FeaturePath::HostCollect => {
+                let fc = m.sched.task(
+                    m.cpu,
+                    TaskKind::GatherCollect,
+                    cm.cpu_collect(bytes),
+                    "cpu:gather",
+                    &[ready],
+                );
+                (fc, cm.pcie_transfer(bytes))
+            }
+            FeaturePath::Direct => (ready, cm.pcie_transfer(bytes)),
+            FeaturePath::ZeroCopy => (ready, cm.uva_transfer(bytes)),
+        };
+        let moved = m.sched.task(
+            m.h2d[g],
+            TaskKind::Transfer,
+            link_cost,
+            &format!("pcie{g}:h2d"),
+            &[collected],
+        );
+        h2d_bytes += bytes;
+        let t = m.sched.task(
+            m.gpu[g],
+            TaskKind::Train,
+            cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64),
+            &format!("gpu{g}:train"),
+            &[moved],
+        );
+        if let Some(nv) = nvlink {
+            m.sched.task(
+                nv,
+                TaskKind::Sync,
+                cm.gpu_sync(2 * lens.param_bytes()),
+                "nvlink:allreduce",
+                &[t],
+            );
+        }
+        prev_train = Some(t);
+    }
+    Ok(EpochReport::from_run(
+        name,
+        &m.sched.run(),
+        h2d_bytes,
+        mem.used(),
+        profile.num_batches,
+    ))
+}
 
 /// Case 1 — DGL: CPU sampling, CPU gathering, GPU training.
 ///
@@ -45,13 +305,18 @@ pub struct Case3PaGraph;
 #[derive(Clone, Debug)]
 pub struct Case4GnnLab;
 
+/// `label`, or `label (no pipeline)` for the chained variant.
+fn pipeline_label(label: &str, pipelined: bool) -> String {
+    if pipelined {
+        label.into()
+    } else {
+        format!("{label} (no pipeline)")
+    }
+}
+
 impl Orchestrator for Case1Dgl {
     fn name(&self) -> String {
-        if self.pipelined {
-            "DGL".into()
-        } else {
-            "DGL (no pipeline)".into()
-        }
+        pipeline_label("DGL", self.pipelined)
     }
 
     fn simulate_epoch(
@@ -59,76 +324,17 @@ impl Orchestrator for Case1Dgl {
         profile: &WorkloadProfile,
         hw: &HardwareSpec,
     ) -> Result<EpochReport, OomError> {
-        let lens = Lens::new(profile);
-        let cm = CostModel::new(hw.clone());
-        // GPU memory: model + the in-flight batch (prefetched batches stage
-        // in host pinned memory, so only one batch is device-resident).
-        // Charged at paper scale against the unscaled device budget.
-        let mut mem = MemLedger::new(hw.gpu.mem_bytes);
-        mem.alloc("params", lens.param_bytes())?;
-        mem.alloc("batch", lens.paper_batch_bytes(profile.config.batch_size))?;
-        let mut parts = single_gpu_parts(hw);
-        let mut h2d_bytes = 0u64;
-        let mut prev_train = None;
-        for i in 0..profile.num_batches {
-            let mut deps = Vec::new();
-            if !self.pipelined {
-                if let Some(t) = prev_train {
-                    deps.push(t);
-                }
-            }
-            let s = parts.sched.task(
-                parts.cpu,
-                TaskKind::Sample,
-                cm.cpu_sample(lens.sampled_edges(i)),
-                "cpu:sample",
-                &deps,
-            );
-            let move_bytes = lens.bottom_feature_bytes(i) + lens.block_bytes(i);
-            let fc = parts.sched.task(
-                parts.cpu,
-                TaskKind::GatherCollect,
-                cm.cpu_collect(move_bytes),
-                "cpu:gather",
-                &[s],
-            );
-            let ft = parts.sched.task(
-                parts.h2d,
-                TaskKind::Transfer,
-                cm.pcie_transfer(move_bytes),
-                "pcie:h2d",
-                &[fc],
-            );
-            h2d_bytes += move_bytes;
-            let t = parts.sched.task(
-                parts.gpu,
-                TaskKind::Train,
-                cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64),
-                "gpu:train",
-                &[ft],
-            );
-            prev_train = Some(t);
-        }
-        let run = parts.sched.run();
-        Ok(EpochReport::from_run(
-            self.name(),
-            &run,
-            mean_util(&run, "cpu"),
-            mean_util(&run, "gpu"),
-            h2d_bytes,
-            mem.used(),
-            profile.num_batches,
-        ))
+        let plan = StepPlan {
+            pipelined: self.pipelined,
+            ..StepPlan::DGL
+        };
+        simulate_step_based(self.name(), &plan, profile, hw)
     }
 }
 
 impl Orchestrator for Case2DglUva {
     fn name(&self) -> String {
-        if self.pipelined {
-            "DGL-UVA".into()
-        } else {
-            "DGL-UVA (no pipeline)".into()
-        }
+        pipeline_label("DGL-UVA", self.pipelined)
     }
 
     fn simulate_epoch(
@@ -136,67 +342,11 @@ impl Orchestrator for Case2DglUva {
         profile: &WorkloadProfile,
         hw: &HardwareSpec,
     ) -> Result<EpochReport, OomError> {
-        let lens = Lens::new(profile);
-        let cm = CostModel::new(hw.clone());
-        let mut mem = MemLedger::new(hw.gpu.mem_bytes);
-        mem.alloc("params", lens.param_bytes())?;
-        mem.alloc("batch", lens.paper_batch_bytes(profile.config.batch_size))?;
-        let mut parts = single_gpu_parts(hw);
-        let mut h2d_bytes = 0u64;
-        let mut prev_train = None;
-        for i in 0..profile.num_batches {
-            let mut deps = Vec::new();
-            if !self.pipelined {
-                if let Some(t) = prev_train {
-                    deps.push(t);
-                }
-            }
-            // GPU sampling reads host topology over UVA: the PCIe reads and
-            // the sampling kernel proceed together; serialized here (reads
-            // gate the kernel), which matches UVA's latency-bound behaviour.
-            let topo_reads = parts.sched.task(
-                parts.h2d,
-                TaskKind::Sample,
-                cm.uva_transfer(lens.sampled_edges(i) * 8),
-                "pcie:uva",
-                &deps,
-            );
-            let s = parts.sched.task(
-                parts.gpu,
-                TaskKind::Sample,
-                cm.gpu_sample(lens.sampled_edges(i)),
-                "gpu:sample",
-                &[topo_reads],
-            );
-            // Features fetched zero-copy during training (no FC stage).
-            let feat_bytes = lens.bottom_feature_bytes(i) + lens.block_bytes(i);
-            let ft = parts.sched.task(
-                parts.h2d,
-                TaskKind::Transfer,
-                cm.uva_transfer(feat_bytes),
-                "pcie:h2d",
-                &[s],
-            );
-            h2d_bytes += feat_bytes;
-            let t = parts.sched.task(
-                parts.gpu,
-                TaskKind::Train,
-                cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64),
-                "gpu:train",
-                &[ft],
-            );
-            prev_train = Some(t);
-        }
-        let run = parts.sched.run();
-        Ok(EpochReport::from_run(
-            self.name(),
-            &run,
-            mean_util(&run, "cpu"),
-            mean_util(&run, "gpu"),
-            h2d_bytes,
-            mem.used(),
-            profile.num_batches,
-        ))
+        let plan = StepPlan {
+            pipelined: self.pipelined,
+            ..StepPlan::DGL_UVA
+        };
+        simulate_step_based(self.name(), &plan, profile, hw)
     }
 }
 
@@ -210,63 +360,7 @@ impl Orchestrator for Case3PaGraph {
         profile: &WorkloadProfile,
         hw: &HardwareSpec,
     ) -> Result<EpochReport, OomError> {
-        let lens = Lens::new(profile);
-        let cm = CostModel::new(hw.clone());
-        let mut mem = MemLedger::new(hw.gpu.mem_bytes);
-        mem.alloc("params", lens.param_bytes())?;
-        mem.alloc(
-            "batch",
-            2 * lens.paper_batch_bytes(profile.config.batch_size),
-        )?;
-        // Whatever is left becomes the degree-ranked feature cache — this is
-        // the batch-size/cache-ratio tradeoff of Fig 6.
-        let (_, hit) = lens.cache_plan(mem.available(), true);
-        mem.alloc("feature-cache", mem.available())?;
-        let mut parts = single_gpu_parts(hw);
-        let mut h2d_bytes = 0u64;
-        for i in 0..profile.num_batches {
-            let s = parts.sched.task(
-                parts.cpu,
-                TaskKind::Sample,
-                cm.cpu_sample(lens.sampled_edges(i)),
-                "cpu:sample",
-                &[],
-            );
-            let miss_bytes =
-                ((lens.bottom_feature_bytes(i) as f64) * (1.0 - hit)) as u64 + lens.block_bytes(i);
-            let fc = parts.sched.task(
-                parts.cpu,
-                TaskKind::GatherCollect,
-                cm.cpu_collect(miss_bytes),
-                "cpu:gather",
-                &[s],
-            );
-            let ft = parts.sched.task(
-                parts.h2d,
-                TaskKind::Transfer,
-                cm.pcie_transfer(miss_bytes),
-                "pcie:h2d",
-                &[fc],
-            );
-            h2d_bytes += miss_bytes;
-            parts.sched.task(
-                parts.gpu,
-                TaskKind::Train,
-                cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64),
-                "gpu:train",
-                &[ft],
-            );
-        }
-        let run = parts.sched.run();
-        Ok(EpochReport::from_run(
-            self.name(),
-            &run,
-            mean_util(&run, "cpu"),
-            mean_util(&run, "gpu"),
-            h2d_bytes,
-            mem.used(),
-            profile.num_batches,
-        ))
+        simulate_step_based(self.name(), &StepPlan::PAGRAPH, profile, hw)
     }
 }
 
@@ -280,87 +374,45 @@ impl Orchestrator for Case4GnnLab {
         profile: &WorkloadProfile,
         hw: &HardwareSpec,
     ) -> Result<EpochReport, OomError> {
-        let lens = Lens::new(profile);
-        let cm = CostModel::new(hw.clone());
-        let mut mem = MemLedger::new(hw.gpu.mem_bytes);
-        mem.alloc("params", lens.param_bytes())?;
-        // GNNLab keeps the full topology on the GPU for sampling.
-        mem.alloc("topology", lens.paper_topology_bytes())?;
-        mem.alloc(
-            "batch",
-            2 * lens.paper_batch_bytes(profile.config.batch_size),
-        )?;
-        let (_, hit) = lens.cache_plan(mem.available(), false);
-        mem.alloc("feature-cache", mem.available())?;
-        let mut parts = single_gpu_parts(hw);
-        let mut h2d_bytes = 0u64;
-        for i in 0..profile.num_batches {
-            // Sampling and training contend for GPU cores (Fig 5b).
-            let s = parts.sched.task(
-                parts.gpu,
-                TaskKind::Sample,
-                cm.gpu_sample(lens.sampled_edges(i)),
-                "gpu:sample",
-                &[],
-            );
-            let miss_bytes = ((lens.bottom_feature_bytes(i) as f64) * (1.0 - hit)) as u64;
-            let fc = parts.sched.task(
-                parts.cpu,
-                TaskKind::GatherCollect,
-                cm.cpu_collect(miss_bytes),
-                "cpu:gather",
-                &[s],
-            );
-            let ft = parts.sched.task(
-                parts.h2d,
-                TaskKind::Transfer,
-                cm.pcie_transfer(miss_bytes),
-                "pcie:h2d",
-                &[fc],
-            );
-            h2d_bytes += miss_bytes;
-            parts.sched.task(
-                parts.gpu,
-                TaskKind::Train,
-                cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64),
-                "gpu:train",
-                &[ft],
-            );
-        }
-        let run = parts.sched.run();
-        Ok(EpochReport::from_run(
-            self.name(),
-            &run,
-            mean_util(&run, "cpu"),
-            mean_util(&run, "gpu"),
-            h2d_bytes,
-            mem.used(),
-            profile.num_batches,
-        ))
+        simulate_step_based(self.name(), &StepPlan::GNNLAB, profile, hw)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::WorkloadConfig;
-    use neutron_graph::DatasetSpec;
+    use crate::orchestrator::tiny_fixture;
     use neutron_nn::LayerKind;
 
-    fn fixture() -> (WorkloadProfile, HardwareSpec) {
-        let mut cfg = WorkloadConfig::paper_default(LayerKind::Gcn);
-        cfg.batch_size = 64;
-        cfg.layers = 2;
-        cfg.profiled_batches = 2;
-        let spec = DatasetSpec::tiny();
-        let profile = WorkloadProfile::build(&spec, &cfg);
-        let hw = HardwareSpec::v100_server(1.0);
-        (profile, hw)
+    #[test]
+    fn the_six_plans_are_distinct_and_dsp_is_case4_replicated() {
+        let plans = [
+            StepPlan::DGL,
+            StepPlan::DGL_UVA,
+            StepPlan::PAGRAPH,
+            StepPlan::GNNLAB,
+            StepPlan::FIG12_BASELINE,
+            StepPlan::DSP,
+        ];
+        for (i, a) in plans.iter().enumerate() {
+            for b in &plans[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        // "DSP is Case 4 replicated": clear the replication (GPU count,
+        // shard, NVLink sync, cache floor) and undo the recorded no-collect
+        // quirk, and what is left is GNNLab's row.
+        let unreplicated = StepPlan {
+            replicated: None,
+            features: FeaturePath::HostCollect,
+            ..StepPlan::DSP
+        };
+        assert_eq!(unreplicated, StepPlan::GNNLAB);
     }
 
     #[test]
     fn all_four_cases_run_and_report() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 2);
         let systems: Vec<Box<dyn Orchestrator>> = vec![
             Box::new(Case1Dgl { pipelined: true }),
             Box::new(Case2DglUva { pipelined: true }),
@@ -378,7 +430,7 @@ mod tests {
 
     #[test]
     fn pipelining_helps_case1() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 2);
         let piped = Case1Dgl { pipelined: true }
             .simulate_epoch(&profile, &hw)
             .unwrap();
@@ -393,7 +445,7 @@ mod tests {
 
     #[test]
     fn caching_systems_transfer_less_than_dgl() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 2);
         let dgl = Case1Dgl { pipelined: true }
             .simulate_epoch(&profile, &hw)
             .unwrap();
@@ -405,7 +457,7 @@ mod tests {
 
     #[test]
     fn case1_has_high_cpu_low_gpu_utilization() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 2);
         let r = Case1Dgl { pipelined: true }
             .simulate_epoch(&profile, &hw)
             .unwrap();
@@ -420,7 +472,7 @@ mod tests {
 
     #[test]
     fn gnnlab_leaves_cpu_mostly_idle() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 2);
         let r = Case4GnnLab.simulate_epoch(&profile, &hw).unwrap();
         assert!(
             r.cpu_util < 0.5,

@@ -1,13 +1,13 @@
 //! The NeutronOrch orchestrator (simulation side).
 
 use super::config::NeutronOrchConfig;
-use crate::baselines::mean_util;
+use crate::baselines::step_based::{simulate_step_based, StepPlan};
 use crate::orchestrator::{Lens, Orchestrator};
 use crate::profile::WorkloadProfile;
 use crate::report::EpochReport;
-use crate::sim::ScheduleBuilder;
+use crate::sim::Machine;
 use neutron_cache::HybridPolicy;
-use neutron_hetero::{CostModel, HardwareSpec, MemLedger, OomError, ResourceId, TaskId, TaskKind};
+use neutron_hetero::{CostModel, HardwareSpec, MemLedger, OomError, TaskId, TaskKind};
 use neutron_nn::flops;
 
 /// NeutronOrch with a given set of enabled techniques (see
@@ -56,7 +56,7 @@ impl Orchestrator for NeutronOrch {
     ) -> Result<EpochReport, OomError> {
         self.config.validate().expect("invalid config");
         if !self.config.layer_based {
-            return simulate_step_baseline(profile, hw, &self.name());
+            return simulate_step_based(self.name(), &StepPlan::FIG12_BASELINE, profile, hw);
         }
         if !self.config.hotness_reuse {
             return simulate_naive_layer_based(profile, hw, &self.name());
@@ -98,70 +98,6 @@ impl Orchestrator for NeutronOrch {
     }
 }
 
-/// Fig 12's "Baseline": GPU sampling, CPU gather, GPU training, pipelined.
-fn simulate_step_baseline(
-    profile: &WorkloadProfile,
-    hw: &HardwareSpec,
-    name: &str,
-) -> Result<EpochReport, OomError> {
-    let lens = Lens::new(profile);
-    let cm = CostModel::new(hw.clone());
-    let mut mem = MemLedger::new(hw.gpu.mem_bytes);
-    mem.alloc("params", lens.param_bytes())?;
-    mem.alloc("topology", lens.paper_topology_bytes())?;
-    mem.alloc(
-        "batch",
-        2 * lens.paper_batch_bytes(profile.config.batch_size),
-    )?;
-    let mut sched = ScheduleBuilder::new();
-    let cpu = sched.resource("cpu", hw.cpu.cores);
-    let gpu = sched.resource("gpu0", 1.0);
-    let h2d = sched.resource("h2d0", hw.pcie.bandwidth);
-    let mut h2d_bytes = 0u64;
-    for i in 0..profile.num_batches {
-        let s = sched.task(
-            gpu,
-            TaskKind::Sample,
-            cm.gpu_sample(lens.sampled_edges(i)),
-            "gpu:sample",
-            &[],
-        );
-        let bytes = lens.bottom_feature_bytes(i) + lens.block_bytes(i);
-        let fc = sched.task(
-            cpu,
-            TaskKind::GatherCollect,
-            cm.cpu_collect(bytes),
-            "cpu:gather",
-            &[s],
-        );
-        let ft = sched.task(
-            h2d,
-            TaskKind::Transfer,
-            cm.pcie_transfer(bytes),
-            "pcie:h2d",
-            &[fc],
-        );
-        h2d_bytes += bytes;
-        sched.task(
-            gpu,
-            TaskKind::Train,
-            cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64),
-            "gpu:train",
-            &[ft],
-        );
-    }
-    let run = sched.run();
-    Ok(EpochReport::from_run(
-        name,
-        &run,
-        mean_util(&run, "cpu"),
-        mean_util(&run, "gpu"),
-        h2d_bytes,
-        mem.used(),
-        profile.num_batches,
-    ))
-}
-
 /// Naive layer-based orchestration (Fig 8a): the CPU computes the complete
 /// bottom layer of every batch — demonstrably a new bottleneck.
 fn simulate_naive_layer_based(
@@ -174,10 +110,14 @@ fn simulate_naive_layer_based(
     let mut mem = MemLedger::new(hw.gpu.mem_bytes);
     mem.alloc("params", lens.param_bytes())?;
     mem.alloc("batch", 2 * layer_based_batch_bytes(&lens, profile, 1.0))?;
-    let mut sched = ScheduleBuilder::new();
-    let cpu = sched.resource("cpu", hw.cpu.cores);
-    let gpu = sched.resource("gpu0", 1.0);
-    let h2d = sched.resource("h2d0", hw.pcie.bandwidth);
+    let Machine {
+        mut sched,
+        cpu,
+        gpu,
+        h2d,
+        ..
+    } = Machine::new(hw, 1);
+    let (gpu, h2d) = (gpu[0], h2d[0]);
     let mut h2d_bytes = 0u64;
     let embed_cores = hw.cpu.cores * 0.75;
     for i in 0..profile.num_batches {
@@ -191,9 +131,7 @@ fn simulate_naive_layer_based(
             "cpu:sample",
             &[],
         );
-        let total = lens.train_flops(i);
-        let (_, upper) = lens.train_flops_layer_split(i);
-        let bottom_train = total - upper;
+        let (bottom_train, upper) = lens.train_flops_layer_split(i);
         let bottom_fwd = bottom_train / 3;
         let e = sched.task(
             cpu,
@@ -234,12 +172,9 @@ fn simulate_naive_layer_based(
             &[s_gpu, ft],
         );
     }
-    let run = sched.run();
     Ok(EpochReport::from_run(
         name,
-        &run,
-        mean_util(&run, "cpu"),
-        mean_util(&run, "gpu"),
+        &sched.run(),
         h2d_bytes,
         mem.used(),
         profile.num_batches,
@@ -317,16 +252,13 @@ fn simulate_hotness(
     // Fraction of a batch's bottom feature volume that still crosses PCIe.
     let miss_fraction = (1.0 - hot_cov) * (1.0 - cold_hit);
 
-    // Resources.
-    let mut sched = ScheduleBuilder::new();
-    let cpu = sched.resource("cpu", hw.cpu.cores);
-    let nvlink = hw.nvlink.map(|l| sched.resource("nvlink", l.bandwidth));
-    let mut gpu_res: Vec<ResourceId> = Vec::new();
-    let mut h2d_res: Vec<ResourceId> = Vec::new();
-    for g in 0..gpus {
-        gpu_res.push(sched.resource(format!("gpu{g}"), 1.0));
-        h2d_res.push(sched.resource(format!("h2d{g}"), hw.pcie.bandwidth));
-    }
+    let Machine {
+        mut sched,
+        cpu,
+        nvlink,
+        gpu: gpu_res,
+        h2d: h2d_res,
+    } = Machine::new(hw, gpus);
 
     // CPU embedding workload per super-batch.
     let hot_len = profile.hot.len().max(1);
@@ -426,8 +358,7 @@ fn simulate_hotness(
             h2d_bytes += bytes;
             // Train: the GPU computes the bottom layer for everything except
             // the CPU-computed hot destinations, plus all upper layers.
-            let (_, upper) = lens.train_flops_layer_split(i);
-            let bottom_full = lens.train_flops(i) - upper;
+            let (bottom_full, upper) = lens.train_flops_layer_split(i);
             let bottom_gpu = ((bottom_full as f64) * (1.0 - hot_cov * cpu_fraction)) as u64;
             let mut tdeps = vec![ft];
             if let Some(s) = sample_tails[g] {
@@ -454,12 +385,9 @@ fn simulate_hotness(
             }
         }
     }
-    let run = sched.run();
     Ok(EpochReport::from_run(
         name,
-        &run,
-        mean_util(&run, "cpu"),
-        mean_util(&run, "gpu"),
+        &sched.run(),
         h2d_bytes,
         mem.used(),
         profile.num_batches,
@@ -470,22 +398,14 @@ fn simulate_hotness(
 mod tests {
     use super::*;
     use crate::baselines::{Case1Dgl, Case4GnnLab};
+    use crate::orchestrator::tiny_fixture;
     use crate::profile::WorkloadConfig;
     use neutron_graph::DatasetSpec;
     use neutron_nn::LayerKind;
 
-    fn fixture() -> (WorkloadProfile, HardwareSpec) {
-        let mut cfg = WorkloadConfig::paper_default(LayerKind::Gcn);
-        cfg.batch_size = 64;
-        cfg.layers = 2;
-        cfg.profiled_batches = 4;
-        let profile = WorkloadProfile::build(&DatasetSpec::tiny(), &cfg);
-        (profile, HardwareSpec::v100_server(1.0))
-    }
-
     #[test]
     fn full_system_runs() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 4);
         let r = NeutronOrch::new().simulate_epoch(&profile, &hw).unwrap();
         assert!(r.epoch_seconds > 0.0);
         assert!(
@@ -496,7 +416,7 @@ mod tests {
 
     #[test]
     fn ablation_ladder_is_mostly_monotone() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 4);
         let ladder = NeutronOrchConfig::ablation_ladder();
         let times: Vec<f64> = ladder
             .iter()
@@ -549,7 +469,7 @@ mod tests {
 
     #[test]
     fn transfers_less_than_dgl() {
-        let (profile, hw) = fixture();
+        let (profile, hw) = tiny_fixture(LayerKind::Gcn, 4);
         let ours = NeutronOrch::new().simulate_epoch(&profile, &hw).unwrap();
         let dgl = Case1Dgl { pipelined: true }
             .simulate_epoch(&profile, &hw)
@@ -564,7 +484,7 @@ mod tests {
 
     #[test]
     fn multi_gpu_scales() {
-        let (profile, _) = fixture();
+        let (profile, _) = tiny_fixture(LayerKind::Gcn, 4);
         let r1 = NeutronOrch::new()
             .simulate_epoch(&profile, &HardwareSpec::dgx1_like(1, 1.0))
             .unwrap();

@@ -53,83 +53,31 @@ impl<'a> Lens<'a> {
 
     /// Forward+backward FLOPs of batch `i` over all layers.
     pub fn train_flops(&self, i: usize) -> u64 {
-        let stats = self.profile.stats(i);
-        stats
-            .layers
-            .iter()
-            .zip(&self.dims)
-            .map(|(l, &(din, dout))| {
-                flops::layer_train_flops(
-                    self.profile.config.kind,
-                    l.num_dst as u64,
-                    l.num_src as u64,
-                    l.num_edges as u64,
-                    din as u64,
-                    dout as u64,
-                )
-            })
-            .sum()
+        let (bottom, upper) = self.train_flops_layer_split(i);
+        bottom + upper
     }
 
-    /// FLOPs of batch `i` split into (bottom layer over **cold** dst only,
-    /// all upper layers) — NeutronOrch's layer-based division (§4.1.1).
+    /// FLOPs of batch `i` split at NeutronOrch's layer boundary (§4.1.1):
+    /// (the bottom layer, all upper layers).
     pub fn train_flops_layer_split(&self, i: usize) -> (u64, u64) {
-        let stats = self.profile.stats(i);
-        let (din, dout) = self.dims[0];
-        let bottom = &stats.layers[0];
-        let cold_dst = bottom
-            .num_dst
-            .saturating_sub((bottom.num_dst as f64 * self.hot_dst_fraction()) as usize);
-        let bottom_cold = flops::layer_train_flops(
-            self.profile.config.kind,
-            cold_dst as u64,
-            stats.bottom_cold_src as u64,
-            stats.bottom_cold_edges as u64,
-            din as u64,
-            dout as u64,
-        );
-        let upper: u64 = stats
-            .layers
-            .iter()
-            .zip(&self.dims)
-            .skip(1)
-            .map(|(l, &(di, dn))| {
-                flops::layer_train_flops(
-                    self.profile.config.kind,
-                    l.num_dst as u64,
-                    l.num_src as u64,
-                    l.num_edges as u64,
-                    di as u64,
-                    dn as u64,
-                )
-            })
-            .sum();
-        (bottom_cold, upper)
-    }
-
-    /// Fraction of bottom-layer destinations served by hot embeddings.
-    fn hot_dst_fraction(&self) -> f64 {
-        let s = self.profile.stats(0);
-        let total = (s.bottom_hot_src + s.bottom_cold_src).max(1);
-        s.bottom_hot_src as f64 / total as f64
-    }
-
-    /// Activation bytes batch `i` keeps on the training device.
-    pub fn activation_bytes(&self, i: usize) -> u64 {
-        let stats = self.profile.stats(i);
-        stats
-            .layers
-            .iter()
-            .zip(&self.dims)
-            .map(|(l, &(din, dout))| {
-                flops::layer_activation_bytes(
-                    l.num_dst as u64,
-                    l.num_src as u64,
-                    din as u64,
-                    dout as u64,
-                )
-            })
-            .sum()
+        let mut per_layer =
+            self.profile
+                .stats(i)
+                .layers
+                .iter()
+                .zip(&self.dims)
+                .map(|(l, &(din, dout))| {
+                    flops::layer_train_flops(
+                        self.profile.config.kind,
+                        l.num_dst as u64,
+                        l.num_src as u64,
+                        l.num_edges as u64,
+                        din as u64,
+                        dout as u64,
+                    )
+                });
+        let bottom = per_layer.next().unwrap_or(0);
+        (bottom, per_layer.sum())
     }
 
     /// Raw feature bytes of batch `i`'s bottom-layer source set.
@@ -153,20 +101,6 @@ impl<'a> Lens<'a> {
             .iter()
             .map(|&(i, o)| per_layer_factor * (i as u64 * o as u64 + o as u64) * 4)
             .sum()
-    }
-
-    /// Peak batch bytes across the epoch (for memory sizing).
-    pub fn max_activation_bytes(&self) -> u64 {
-        (0..self.profile.per_batch.len())
-            .map(|i| self.activation_bytes(i))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Bottom-layer hidden-embedding bytes for batch `i`'s dst set — what a
-    /// layer-based split transfers *instead of* neighbor features (Fig 7).
-    pub fn bottom_embedding_bytes(&self, i: usize) -> u64 {
-        self.profile.stats(i).layers[0].num_dst as u64 * self.profile.spec.hidden_row_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -256,63 +190,48 @@ impl<'a> Lens<'a> {
     }
 }
 
+/// The tiny-replica workload (batch 64, 2 layers) on the single-V100 server
+/// that the simulator unit tests share.
+#[cfg(test)]
+pub(crate) fn tiny_fixture(
+    kind: neutron_nn::LayerKind,
+    profiled_batches: usize,
+) -> (WorkloadProfile, HardwareSpec) {
+    let mut cfg = crate::profile::WorkloadConfig::paper_default(kind);
+    cfg.batch_size = 64;
+    cfg.layers = 2;
+    cfg.profiled_batches = profiled_batches;
+    let profile = WorkloadProfile::build(&neutron_graph::DatasetSpec::tiny(), &cfg);
+    (profile, HardwareSpec::v100_server(1.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::WorkloadConfig;
-    use neutron_graph::DatasetSpec;
     use neutron_nn::LayerKind;
-
-    fn lens_fixture() -> WorkloadProfile {
-        let mut cfg = WorkloadConfig::paper_default(LayerKind::Gcn);
-        cfg.batch_size = 64;
-        cfg.layers = 2;
-        cfg.profiled_batches = 2;
-        WorkloadProfile::build(&DatasetSpec::tiny(), &cfg)
-    }
 
     #[test]
     fn flops_split_is_less_than_total() {
-        let p = lens_fixture();
+        let (p, _) = tiny_fixture(LayerKind::Gcn, 2);
         let lens = Lens::new(&p);
-        let total = lens.train_flops(0);
-        let (bottom_cold, upper) = lens.train_flops_layer_split(0);
-        assert!(
-            bottom_cold + upper <= total,
-            "{bottom_cold}+{upper} vs {total}"
-        );
+        let (bottom, upper) = lens.train_flops_layer_split(0);
+        assert_eq!(bottom + upper, lens.train_flops(0));
+        assert!(bottom > 0);
         assert!(upper > 0);
     }
 
     #[test]
     fn bottom_feature_bytes_use_spec_dim() {
-        let p = lens_fixture();
+        let (p, _) = tiny_fixture(LayerKind::Gcn, 2);
         let lens = Lens::new(&p);
         let expect = p.stats(0).bottom_src() as u64 * 16 * 4; // tiny: 16 dims
         assert_eq!(lens.bottom_feature_bytes(0), expect);
     }
 
     #[test]
-    fn embedding_transfer_is_smaller_than_feature_transfer() {
-        // Tiny replica: hidden 8 < features 16, dst < src — the Fig 7 claim.
-        let p = lens_fixture();
-        let lens = Lens::new(&p);
-        assert!(lens.bottom_embedding_bytes(0) < lens.bottom_feature_bytes(0));
-    }
-
-    #[test]
     fn param_bytes_positive_and_kind_sensitive() {
-        let p = lens_fixture();
+        let (p, _) = tiny_fixture(LayerKind::Gcn, 2);
         let lens = Lens::new(&p);
         assert!(lens.param_bytes() > 0);
-    }
-
-    #[test]
-    fn activation_bytes_grow_with_batch_content() {
-        let p = lens_fixture();
-        let lens = Lens::new(&p);
-        assert!(
-            lens.max_activation_bytes() >= lens.activation_bytes(0).min(lens.activation_bytes(1))
-        );
     }
 }

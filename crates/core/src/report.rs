@@ -34,11 +34,11 @@ pub struct EpochReport {
 
 impl EpochReport {
     /// Assembles a report from an engine run plus memory/transfer tallies.
+    /// The two utilisations are the means over the run's `cpu*` and `gpu*`
+    /// resources.
     pub fn from_run(
         system: impl Into<String>,
         run: &RunReport,
-        cpu_util: f64,
-        gpu_util: f64,
         h2d_bytes: u64,
         gpu_mem_peak: u64,
         num_batches: usize,
@@ -46,8 +46,8 @@ impl EpochReport {
         Self {
             system: system.into(),
             epoch_seconds: run.makespan,
-            cpu_util,
-            gpu_util,
+            cpu_util: mean_util(run, "cpu"),
+            gpu_util: mean_util(run, "gpu"),
             sample_seconds: run.busy(TaskKind::Sample),
             gather_collect_seconds: run.busy(TaskKind::GatherCollect),
             transfer_seconds: run.busy(TaskKind::Transfer),
@@ -59,14 +59,25 @@ impl EpochReport {
         }
     }
 
-    /// Speedup of `self` over `other` (other / self).
-    pub fn speedup_over(&self, other: &EpochReport) -> f64 {
-        other.epoch_seconds / self.epoch_seconds
-    }
-
     /// Gather share of the epoch (FC + FT), as reported in Table 2.
     pub fn gather_seconds(&self) -> f64 {
         self.gather_collect_seconds + self.transfer_seconds
+    }
+}
+
+/// Mean utilization across all resources whose name starts with `prefix`.
+fn mean_util(run: &RunReport, prefix: &str) -> f64 {
+    let vals: Vec<f64> = run
+        .resource_names
+        .iter()
+        .zip(&run.utilization)
+        .filter(|(n, _)| n.starts_with(prefix))
+        .map(|(_, &u)| u)
+        .collect();
+    if vals.is_empty() {
+        0.0
+    } else {
+        vals.iter().sum::<f64>() / vals.len() as f64
     }
 }
 
@@ -83,30 +94,16 @@ mod tests {
         let b = e.add_task(cpu, TaskKind::GatherCollect, 2.0, 1.0, &[a]);
         e.add_task(cpu, TaskKind::Transfer, 0.5, 1.0, &[b]);
         let run = e.run();
-        let r = EpochReport::from_run("X", &run, 1.0, 0.0, 42, 7, 3);
+        let r = EpochReport::from_run("X", &run, 42, 7, 3);
+        assert!(
+            (r.cpu_util - 1.0).abs() < 1e-9,
+            "the one cpu is always busy"
+        );
+        assert_eq!(r.gpu_util, 0.0, "no gpu resource registered");
         assert!((r.sample_seconds - 1.0).abs() < 1e-9);
         assert!((r.gather_seconds() - 2.5).abs() < 1e-9);
         assert!((r.epoch_seconds - 3.5).abs() < 1e-9);
         assert_eq!(r.h2d_bytes, 42);
         assert_eq!(r.gpu_mem_peak, 7);
-    }
-
-    #[test]
-    fn speedup_is_ratio_of_epochs() {
-        let mk = |secs: f64| EpochReport {
-            system: "s".into(),
-            epoch_seconds: secs,
-            cpu_util: 0.0,
-            gpu_util: 0.0,
-            sample_seconds: 0.0,
-            gather_collect_seconds: 0.0,
-            transfer_seconds: 0.0,
-            train_seconds: 0.0,
-            hot_embed_seconds: 0.0,
-            h2d_bytes: 0,
-            gpu_mem_peak: 0,
-            num_batches: 1,
-        };
-        assert!((mk(2.0).speedup_over(&mk(8.0)) - 4.0).abs() < 1e-9);
     }
 }

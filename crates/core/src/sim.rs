@@ -6,10 +6,8 @@
 //! Pipelining (Fig 5) falls out of stream structure; the non-pipelined
 //! variants chain every batch behind the previous one.
 
-use neutron_hetero::{Cost, Engine, ResourceId, RunReport, TaskId, TaskKind};
+use neutron_hetero::{Cost, Engine, HardwareSpec, ResourceId, RunReport, TaskId, TaskKind};
 use std::collections::HashMap;
-
-pub use neutron_hetero::cost::Cost as TaskCost;
 
 /// Builder for one epoch's task DAG.
 pub struct ScheduleBuilder {
@@ -52,11 +50,6 @@ impl ScheduleBuilder {
         id
     }
 
-    /// Last task submitted on `stream`, if any.
-    pub fn stream_tail(&self, stream: &str) -> Option<TaskId> {
-        self.streams.get(stream).copied()
-    }
-
     /// Runs the schedule.
     pub fn run(mut self) -> RunReport {
         self.engine.run()
@@ -67,16 +60,45 @@ impl ScheduleBuilder {
     pub fn run_traced(mut self) -> (RunReport, Vec<neutron_hetero::TraceSpan>) {
         self.engine.run_traced()
     }
-
-    /// Number of tasks submitted so far.
-    pub fn num_tasks(&self) -> usize {
-        self.engine.num_tasks()
-    }
 }
 
 impl Default for ScheduleBuilder {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The one resource layout every simulated epoch runs on: the CPU pool, the
+/// NVLink mesh where the hardware has one, then a compute and a host→device
+/// link resource per GPU in use (`gpu{g}`, `h2d{g}`). Utilisations are read
+/// back by these name prefixes ([`crate::report::EpochReport::from_run`]).
+pub(crate) struct Machine {
+    pub sched: ScheduleBuilder,
+    pub cpu: ResourceId,
+    pub nvlink: Option<ResourceId>,
+    pub gpu: Vec<ResourceId>,
+    pub h2d: Vec<ResourceId>,
+}
+
+impl Machine {
+    /// An empty schedule over the first `gpus` GPUs of `hw`.
+    pub(crate) fn new(hw: &HardwareSpec, gpus: usize) -> Self {
+        let mut sched = ScheduleBuilder::new();
+        let cpu = sched.resource("cpu", hw.cpu.cores);
+        let nvlink = hw.nvlink.map(|l| sched.resource("nvlink", l.bandwidth));
+        let mut gpu = Vec::with_capacity(gpus);
+        let mut h2d = Vec::with_capacity(gpus);
+        for g in 0..gpus {
+            gpu.push(sched.resource(format!("gpu{g}"), 1.0));
+            h2d.push(sched.resource(format!("h2d{g}"), hw.pcie.bandwidth));
+        }
+        Self {
+            sched,
+            cpu,
+            nvlink,
+            gpu,
+            h2d,
+        }
     }
 }
 
@@ -117,15 +139,5 @@ mod tests {
         s.task(cpu, TaskKind::Other, c(1.0), "b", &[a]);
         let r = s.run();
         assert!((r.makespan - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stream_tail_tracks_last_task() {
-        let mut s = ScheduleBuilder::new();
-        let cpu = s.resource("cpu", 1.0);
-        assert!(s.stream_tail("a").is_none());
-        let t = s.task(cpu, TaskKind::Other, c(1.0), "a", &[]);
-        assert_eq!(s.stream_tail("a"), Some(t));
-        assert_eq!(s.num_tasks(), 1);
     }
 }
