@@ -3,8 +3,7 @@
 
 use crate::util::{fmt_secs, render_table};
 use crate::Setup;
-use neutron_core::baselines::{Case1Dgl, Case2DglUva, Case3PaGraph, Case4GnnLab, GasLike};
-use neutron_core::{NeutronOrch, Orchestrator};
+use neutron_core::baselines::roster;
 use neutron_hetero::HardwareSpec;
 use neutron_nn::LayerKind;
 
@@ -20,43 +19,6 @@ pub struct Fig10Row {
     pub cells: Vec<(String, Cell)>,
 }
 
-fn systems_for(kind: LayerKind) -> Vec<(String, Option<Box<dyn Orchestrator>>)> {
-    // Feature-support matrix from §5.2: GNNLab/PaGraph lack GAT, GAS lacks
-    // GraphSAGE.
-    let mut v: Vec<(String, Option<Box<dyn Orchestrator>>)> = Vec::new();
-    v.push(("DGL".into(), Some(Box::new(Case1Dgl { pipelined: true }))));
-    v.push((
-        "PaGraph".into(),
-        if kind == LayerKind::Gat {
-            None
-        } else {
-            Some(Box::new(Case3PaGraph))
-        },
-    ));
-    v.push((
-        "GNNLab".into(),
-        if kind == LayerKind::Gat {
-            None
-        } else {
-            Some(Box::new(Case4GnnLab))
-        },
-    ));
-    v.push((
-        "DGL-UVA".into(),
-        Some(Box::new(Case2DglUva { pipelined: true })),
-    ));
-    v.push((
-        "GAS".into(),
-        if kind == LayerKind::Sage {
-            None
-        } else {
-            Some(Box::new(GasLike))
-        },
-    ));
-    v.push(("NeutronOrch".into(), Some(Box::new(NeutronOrch::new()))));
-    v
-}
-
 /// Computes the full Fig 10 grid.
 pub fn data(setup: Setup) -> Vec<Fig10Row> {
     let hw = HardwareSpec::v100_server(1.0);
@@ -64,18 +26,9 @@ pub fn data(setup: Setup) -> Vec<Fig10Row> {
     for kind in LayerKind::ALL {
         for spec in setup.datasets() {
             let profile = crate::build_profile(setup, &spec, kind, 3, 1024);
-            let cells = systems_for(kind)
+            let cells = roster(kind)
                 .into_iter()
-                .map(|(name, sys)| {
-                    let cell = match sys {
-                        None => Err("n/a"),
-                        Some(s) => match s.simulate_epoch(&profile, &hw) {
-                            Ok(r) => Ok(r.epoch_seconds),
-                            Err(_) => Err("OOM"),
-                        },
-                    };
-                    (name, cell)
-                })
+                .map(|(name, sys)| (name.to_string(), super::cell(sys.as_deref(), &profile, &hw)))
                 .collect();
             rows.push(Fig10Row {
                 model: kind,

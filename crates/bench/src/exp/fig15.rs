@@ -3,8 +3,7 @@
 
 use crate::util::{fmt_pct, render_table};
 use crate::Setup;
-use neutron_core::baselines::{Case1Dgl, Case2DglUva, Case3PaGraph, Case4GnnLab};
-use neutron_core::{NeutronOrch, Orchestrator};
+use neutron_core::baselines::roster;
 use neutron_hetero::HardwareSpec;
 use neutron_nn::LayerKind;
 
@@ -24,14 +23,12 @@ pub fn data(setup: Setup) -> Vec<Fig15Row> {
     for name in ["Lj-large", "Orkut"] {
         let spec = setup.dataset(name);
         let profile = crate::build_profile(setup, &spec, LayerKind::Gcn, 3, 1024);
-        let systems: Vec<Box<dyn Orchestrator>> = vec![
-            Box::new(Case1Dgl { pipelined: true }),
-            Box::new(Case3PaGraph),
-            Box::new(Case4GnnLab),
-            Box::new(Case2DglUva { pipelined: true }),
-            Box::new(NeutronOrch::new()),
-        ];
-        for sys in systems {
+        // Fig 15 plots five systems: the roster without GAS.
+        for (label, sys) in roster(LayerKind::Gcn) {
+            if label == "GAS" {
+                continue;
+            }
+            let sys = sys.expect("every Fig 15 system supports GCN");
             let r = sys.simulate_epoch(&profile, &hw).expect("fits");
             rows.push(Fig15Row {
                 dataset: spec.name,

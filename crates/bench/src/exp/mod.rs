@@ -16,6 +16,10 @@
 //! | [`table5`] | Table 5 — model depth sweep |
 //! | [`table6`] | Table 6 — batch size sweep |
 //! | [`fig16`] | Fig 16 — epoch-to-accuracy convergence |
+//!
+//! The systems a comparison iterates come from one roster,
+//! [`neutron_core::baselines::roster`] (names, Fig 10 display order and the
+//! §5.2 support matrix); a driver only filters or reorders it.
 
 pub mod ablations;
 pub mod fig02;
@@ -32,6 +36,33 @@ pub mod table2;
 pub mod table3;
 pub mod table5;
 pub mod table6;
+
+use neutron_core::baselines::roster;
+use neutron_core::profile::WorkloadProfile;
+use neutron_core::Orchestrator;
+use neutron_hetero::HardwareSpec;
+use neutron_nn::LayerKind;
+
+/// One runtime cell of a comparison table: per-epoch seconds, or the failure
+/// marker — `"n/a"` where the system does not support the model, `"OOM"`.
+fn cell(
+    sys: Option<&dyn Orchestrator>,
+    profile: &WorkloadProfile,
+    hw: &HardwareSpec,
+) -> Result<f64, &'static str> {
+    match sys.ok_or("n/a")?.simulate_epoch(profile, hw) {
+        Ok(r) => Ok(r.epoch_seconds),
+        Err(_) => Err("OOM"),
+    }
+}
+
+/// The roster in the row order of Tables 5 and 6, which list DGL-UVA before
+/// GNNLab.
+fn table_rows(kind: LayerKind) -> Vec<(&'static str, Option<Box<dyn Orchestrator>>)> {
+    let mut systems = roster(kind);
+    systems.swap(2, 3);
+    systems
+}
 
 /// Every paper table/figure id accepted by the `exp` binary.
 pub const ALL_EXPERIMENTS: [&str; 14] = [

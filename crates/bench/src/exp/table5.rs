@@ -3,8 +3,6 @@
 
 use crate::util::{fmt_secs, render_table};
 use crate::Setup;
-use neutron_core::baselines::{Case1Dgl, Case2DglUva, Case3PaGraph, Case4GnnLab, GasLike};
-use neutron_core::{NeutronOrch, Orchestrator};
 use neutron_hetero::HardwareSpec;
 use neutron_nn::LayerKind;
 
@@ -17,17 +15,6 @@ pub struct Table5Col {
     pub cells: Vec<(&'static str, Result<f64, &'static str>)>,
 }
 
-fn systems() -> Vec<(&'static str, Box<dyn Orchestrator>)> {
-    vec![
-        ("DGL", Box::new(Case1Dgl { pipelined: true })),
-        ("PaGraph", Box::new(Case3PaGraph)),
-        ("DGL-UVA", Box::new(Case2DglUva { pipelined: true })),
-        ("GNNLab", Box::new(Case4GnnLab)),
-        ("GAS", Box::new(GasLike)),
-        ("NeutronOrch", Box::new(NeutronOrch::new())),
-    ]
-}
-
 /// Computes Table 5.
 pub fn data(setup: Setup) -> Vec<Table5Col> {
     let hw = HardwareSpec::v100_server(1.0);
@@ -37,15 +24,9 @@ pub fn data(setup: Setup) -> Vec<Table5Col> {
         let spec = setup.dataset(name);
         for &depth in &depths {
             let profile = crate::build_profile(setup, &spec, LayerKind::Gcn, depth, 1024);
-            let cells = systems()
+            let cells = super::table_rows(LayerKind::Gcn)
                 .into_iter()
-                .map(|(label, sys)| {
-                    let cell = match sys.simulate_epoch(&profile, &hw) {
-                        Ok(r) => Ok(r.epoch_seconds),
-                        Err(_) => Err("OOM"),
-                    };
-                    (label, cell)
-                })
+                .map(|(label, sys)| (label, super::cell(sys.as_deref(), &profile, &hw)))
                 .collect();
             cols.push(Table5Col {
                 dataset: spec.name,

@@ -3,8 +3,6 @@
 
 use crate::util::{fmt_secs, render_table};
 use crate::Setup;
-use neutron_core::baselines::{Case1Dgl, Case2DglUva, Case3PaGraph, Case4GnnLab, GasLike};
-use neutron_core::{NeutronOrch, Orchestrator};
 use neutron_hetero::HardwareSpec;
 use neutron_nn::LayerKind;
 
@@ -14,17 +12,6 @@ pub struct Table6Col {
     pub dataset: &'static str,
     pub batch_size: usize,
     pub cells: Vec<(&'static str, Result<f64, &'static str>)>,
-}
-
-fn systems() -> Vec<(&'static str, Box<dyn Orchestrator>)> {
-    vec![
-        ("DGL", Box::new(Case1Dgl { pipelined: true })),
-        ("PaGraph", Box::new(Case3PaGraph)),
-        ("DGL-UVA", Box::new(Case2DglUva { pipelined: true })),
-        ("GNNLab", Box::new(Case4GnnLab)),
-        ("GAS", Box::new(GasLike)),
-        ("NeutronOrch", Box::new(NeutronOrch::new())),
-    ]
 }
 
 /// Computes Table 6.
@@ -39,15 +26,9 @@ pub fn data(setup: Setup) -> Vec<Table6Col> {
         let spec = setup.dataset(name);
         for &bs in &sizes {
             let profile = crate::build_profile(setup, &spec, LayerKind::Gcn, 3, bs);
-            let cells = systems()
+            let cells = super::table_rows(LayerKind::Gcn)
                 .into_iter()
-                .map(|(label, sys)| {
-                    let cell = match sys.simulate_epoch(&profile, &hw) {
-                        Ok(r) => Ok(r.epoch_seconds),
-                        Err(_) => Err("OOM"),
-                    };
-                    (label, cell)
-                })
+                .map(|(label, sys)| (label, super::cell(sys.as_deref(), &profile, &hw)))
                 .collect();
             cols.push(Table6Col {
                 dataset: spec.name,

@@ -28,7 +28,6 @@
 use crate::trainer::{PendingSnapshot, TrainerConfig, TrainerState};
 use neutron_cache::StoreSnapshot;
 use neutron_graph::VertexId;
-use neutron_nn::optim::AdamState;
 use neutron_tensor::Matrix;
 use std::fmt;
 use std::path::Path;
@@ -237,38 +236,6 @@ pub fn decode_params(r: &mut Reader<'_>) -> Result<Vec<Matrix>, CheckpointError>
         out.push(Matrix::from_vec(rows, cols, data));
     }
     Ok(out)
-}
-
-/// Encodes Adam state: step count + paired moment matrices.
-pub fn encode_adam(w: &mut Writer, state: &AdamState) {
-    w.put_u64(state.t);
-    w.put_u64(state.moments.len() as u64);
-    for (m, v) in &state.moments {
-        encode_params(w, std::slice::from_ref(m));
-        encode_params(w, std::slice::from_ref(v));
-    }
-}
-
-/// Decodes Adam state written by [`encode_adam`].
-pub fn decode_adam(r: &mut Reader<'_>) -> Result<AdamState, CheckpointError> {
-    let t = r.get_u64()?;
-    let n = r.get_len(32)?;
-    let mut moments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = decode_params(r)?;
-        let v = decode_params(r)?;
-        let (m, v) = match (m.into_iter().next(), v.into_iter().next()) {
-            (Some(m), Some(v)) => (m, v),
-            _ => return Err(CheckpointError::Corrupt("empty Adam moment pair".into())),
-        };
-        if m.shape() != v.shape() {
-            return Err(CheckpointError::Corrupt(
-                "Adam moment shape mismatch".into(),
-            ));
-        }
-        moments.push((m, v));
-    }
-    Ok(AdamState { t, moments })
 }
 
 /// Encodes `(vertex, row)` pairs (a refresh output's payload).

@@ -1,17 +1,15 @@
 //! Optimizers.
 
-pub mod adam;
 pub mod sgd;
 
-pub use adam::{Adam, AdamState};
 pub use sgd::Sgd;
 
 use crate::param::Param;
 
 /// A first-order optimizer stepping a parameter list in place.
 ///
-/// Parameters must be passed in a stable order across steps (Adam keeps
-/// per-slot moment state).
+/// Callers pass parameters in a stable order across steps, so an
+/// implementation may key per-parameter state by slot ([`Sgd`] keeps none).
 pub trait Optimizer {
     /// Applies one update step from the accumulated gradients.
     fn step(&mut self, params: &mut [&mut Param]);

@@ -86,6 +86,13 @@ pub struct BlockBuilder {
     spare_stacks: Vec<Vec<Block>>,
     picks: Vec<VertexId>,
     frontier: Vec<VertexId>,
+    draw: DrawScratch,
+}
+
+/// Per-vertex working buffers of a neighbor draw: Floyd's chosen positions,
+/// and the local/remote split of the locality-biased draw.
+#[derive(Debug, Default)]
+struct DrawScratch {
     chosen: Vec<usize>,
     locals: Vec<VertexId>,
     remotes: Vec<VertexId>,
@@ -155,8 +162,8 @@ impl NeighborSampler {
         self
     }
 
-    /// The shared pruning step of the three hop loops: called with the
-    /// frontier of hop `l` before it is sampled.
+    /// The pruning step shared by the allocating and the pooled hop loop:
+    /// called with the frontier of hop `l` before it is sampled.
     fn prune_bottom_frontier(&self, l: usize, frontier: &mut Vec<VertexId>) {
         if l == 0 && self.fanout.layers() > 1 {
             if let Some(skip) = &self.bottom_skip {
@@ -212,31 +219,9 @@ impl NeighborSampler {
         builder: &mut BlockBuilder,
     ) -> Vec<Block> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let layers = self.fanout.layers();
-        let mut blocks = builder.take_stack(layers);
-        let mut frontier = std::mem::take(&mut builder.frontier);
-        frontier.clear();
-        frontier.extend_from_slice(seeds);
-        for l in (0..layers).rev() {
-            self.prune_bottom_frontier(l, &mut frontier);
-            let fanout = self.fanout.at(l);
-            let parts = builder.take_parts();
-            let BlockBuilder {
-                ref mut scratch,
-                ref mut picks,
-                ref mut chosen,
-                ..
-            } = *builder;
-            let block = one_hop_dedup_into(g, &frontier, fanout, scratch, picks, parts, {
-                |g, v, picks| sample_distinct_neighbors(g, v, fanout, &mut rng, picks, chosen)
-            });
-            frontier.clear();
-            frontier.extend_from_slice(block.src());
-            blocks.push(block);
-        }
-        blocks.reverse();
-        builder.frontier = frontier;
-        blocks
+        self.sample_pooled(g, seeds, builder, |g, v, fanout, picks, draw| {
+            floyd_pick(g.neighbors(v), fanout, &mut rng, picks, &mut draw.chosen)
+        })
     }
 
     /// [`Self::sample_batch_pooled`] with **partition-locality bias**
@@ -266,6 +251,25 @@ impl NeighborSampler {
         counts: &mut LocalityCounts,
     ) -> Vec<Block> {
         let mut rng = StdRng::seed_from_u64(seed);
+        self.sample_pooled(g, seeds, builder, |g, v, fanout, picks, draw| {
+            sample_biased_neighbors(g, v, fanout, &mut rng, picks, draw, owner, part, counts)
+        })
+    }
+
+    /// The one pooled hop loop, top → bottom like [`Self::sample_batch`]:
+    /// `pick(g, v, fanout, picks, draw)` appends `v`'s draw to `picks`.
+    /// Generic over the pick, so each public entry point is its own
+    /// monomorphised loop with the draw inlined.
+    fn sample_pooled<P>(
+        &self,
+        g: &Csr,
+        seeds: &[VertexId],
+        builder: &mut BlockBuilder,
+        mut pick: P,
+    ) -> Vec<Block>
+    where
+        P: FnMut(&Csr, VertexId, usize, &mut Vec<VertexId>, &mut DrawScratch),
+    {
         let layers = self.fanout.layers();
         let mut blocks = builder.take_stack(layers);
         let mut frontier = std::mem::take(&mut builder.frontier);
@@ -278,17 +282,11 @@ impl NeighborSampler {
             let BlockBuilder {
                 ref mut scratch,
                 ref mut picks,
-                ref mut chosen,
-                ref mut locals,
-                ref mut remotes,
+                ref mut draw,
                 ..
             } = *builder;
             let block = one_hop_dedup_into(g, &frontier, fanout, scratch, picks, parts, {
-                |g: &Csr, v: VertexId, picks: &mut Vec<VertexId>| {
-                    sample_biased_neighbors(
-                        g, v, fanout, &mut rng, picks, chosen, locals, remotes, owner, part, counts,
-                    )
-                }
+                |g, v, picks| pick(g, v, fanout, picks, draw)
             });
             frontier.clear();
             frontier.extend_from_slice(block.src());
@@ -314,7 +312,7 @@ impl NeighborSampler {
     ) -> Block {
         let mut chosen = Vec::with_capacity(fanout);
         one_hop_dedup(g, frontier, fanout, scratch, |g, v, picks| {
-            sample_distinct_neighbors(g, v, fanout, rng, picks, &mut chosen)
+            floyd_pick(g.neighbors(v), fanout, rng, picks, &mut chosen)
         })
     }
 
@@ -338,7 +336,7 @@ impl NeighborSampler {
         let mut chosen = Vec::with_capacity(fanout);
         one_hop_dedup(g, frontier, fanout, scratch, |g, v, picks| {
             let mut rng = StdRng::seed_from_u64(per_vertex_seed(seed, v));
-            sample_distinct_neighbors(g, v, fanout, &mut rng, picks, &mut chosen)
+            floyd_pick(g.neighbors(v), fanout, &mut rng, picks, &mut chosen)
         })
     }
 }
@@ -427,23 +425,10 @@ fn per_vertex_seed(seed: u64, v: VertexId) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Samples up to `fanout` distinct in-neighbors of `v` into `out`.
-///
-/// Degree ≤ fanout takes the whole neighborhood (DGL semantics); otherwise a
-/// partial Fisher–Yates over neighbor positions picks `fanout` distinct ones.
-fn sample_distinct_neighbors(
-    g: &Csr,
-    v: VertexId,
-    fanout: usize,
-    rng: &mut StdRng,
-    out: &mut Vec<VertexId>,
-    chosen: &mut Vec<usize>,
-) {
-    floyd_pick(g.neighbors(v), fanout, rng, out, chosen);
-}
-
 /// Picks `min(k, pool.len())` distinct entries of `pool` into `out`: the
-/// whole pool when it fits, otherwise Floyd's algorithm over positions.
+/// whole pool when it fits (DGL semantics for degree ≤ fanout), otherwise
+/// Floyd's algorithm over positions. Every unbiased draw is this over
+/// `g.neighbors(v)`.
 /// `chosen` is a caller-owned scratch so the over-fanout case stays
 /// allocation-free per vertex; reusing it cannot change a draw — the rng
 /// stream and the membership test are identical to a fresh buffer.
@@ -486,8 +471,8 @@ pub struct LocalityCounts {
 /// The locality-biased per-vertex draw: split `v`'s neighborhood into
 /// partition-local and remote (order-preserved), fill the fanout from
 /// locals first, and only then draw the remainder from remotes. With a
-/// single partition the split is empty and the draw degenerates to
-/// [`sample_distinct_neighbors`]'s exact rng stream.
+/// single partition the split is empty and the draw degenerates to the
+/// unbiased [`floyd_pick`] over the whole neighborhood, rng stream included.
 #[allow(clippy::too_many_arguments)]
 fn sample_biased_neighbors(
     g: &Csr,
@@ -495,13 +480,16 @@ fn sample_biased_neighbors(
     fanout: usize,
     rng: &mut StdRng,
     out: &mut Vec<VertexId>,
-    chosen: &mut Vec<usize>,
-    locals: &mut Vec<VertexId>,
-    remotes: &mut Vec<VertexId>,
+    draw: &mut DrawScratch,
     owner: &[u32],
     part: u32,
     counts: &mut LocalityCounts,
 ) {
+    let DrawScratch {
+        chosen,
+        locals,
+        remotes,
+    } = draw;
     let neigh = g.neighbors(v);
     if neigh.len() <= fanout {
         // Fanout not binding: take everything, like the unbiased path.

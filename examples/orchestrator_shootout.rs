@@ -6,9 +6,8 @@
 //! cargo run --release --example orchestrator_shootout
 //! ```
 
-use neutronorch::core::baselines::{Case1Dgl, Case2DglUva, Case3PaGraph, Case4GnnLab, GasLike};
+use neutronorch::core::baselines::roster;
 use neutronorch::core::profile::{WorkloadConfig, WorkloadProfile};
-use neutronorch::core::{NeutronOrch, Orchestrator};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::hetero::HardwareSpec;
 use neutronorch::nn::LayerKind;
@@ -30,20 +29,14 @@ fn main() {
     );
 
     let hw = HardwareSpec::v100_server(1.0);
-    let systems: Vec<Box<dyn Orchestrator>> = vec![
-        Box::new(Case1Dgl { pipelined: true }),
-        Box::new(Case2DglUva { pipelined: true }),
-        Box::new(Case3PaGraph),
-        Box::new(Case4GnnLab),
-        Box::new(GasLike),
-        Box::new(NeutronOrch::new()),
-    ];
     println!(
         "{:<12} {:>10} {:>9} {:>9} {:>12} {:>11}",
         "system", "epoch (ms)", "CPU util", "GPU util", "h2d (MB)", "GPU mem (GB)"
     );
     let mut baseline = None;
-    for sys in systems {
+    // The roster leads with DGL, the reference of the speedup column.
+    for (name, sys) in roster(LayerKind::Gcn) {
+        let sys = sys.expect("every roster system supports GCN");
         match sys.simulate_epoch(&profile, &hw) {
             Ok(r) => {
                 if baseline.is_none() {
@@ -60,7 +53,7 @@ fn main() {
                     baseline.unwrap() / r.epoch_seconds
                 );
             }
-            Err(oom) => println!("{:<12} OOM: {oom}", sys.name()),
+            Err(oom) => println!("{name:<12} OOM: {oom}"),
         }
     }
 }

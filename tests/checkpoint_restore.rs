@@ -7,9 +7,9 @@
 
 use neutronorch::cache::StoreSnapshot;
 use neutronorch::core::checkpoint::{
-    self, checkpoint_from_bytes, checkpoint_to_bytes, decode_adam, decode_params, decode_rows,
-    decode_seeds, decode_store, encode_adam, encode_params, encode_rows, encode_seeds,
-    encode_store, Checkpoint, CheckpointError, Reader, Writer, FORMAT_VERSION,
+    self, checkpoint_from_bytes, checkpoint_to_bytes, decode_params, decode_rows, decode_seeds,
+    decode_store, encode_params, encode_rows, encode_seeds, encode_store, Checkpoint,
+    CheckpointError, Reader, Writer, FORMAT_VERSION,
 };
 use neutronorch::core::pipeline::PipelineConfig;
 use neutronorch::core::session::{Session, SessionConfig, SessionReport};
@@ -18,7 +18,6 @@ use neutronorch::core::trainer::{
 };
 use neutronorch::core::InlineRefresh;
 use neutronorch::graph::{DatasetSpec, VertexId};
-use neutronorch::nn::optim::AdamState;
 use neutronorch::nn::LayerKind;
 use neutronorch::tensor::Matrix;
 use proptest::prelude::*;
@@ -133,18 +132,6 @@ fn params() -> impl Strategy<Value = Vec<Matrix>> {
     proptest::collection::vec(matrix(4), 0..4)
 }
 
-fn adam_state() -> impl Strategy<Value = AdamState> {
-    let pair = (1usize..4, 1usize..4).prop_flat_map(|(r, c)| {
-        (
-            exactly(any_f32_bits(), r * c),
-            exactly(any_f32_bits(), r * c),
-        )
-            .prop_map(move |(m, v)| (Matrix::from_vec(r, c, m), Matrix::from_vec(r, c, v)))
-    });
-    (any::<u64>(), proptest::collection::vec(pair, 0..4))
-        .prop_map(|(t, moments)| AdamState { t, moments })
-}
-
 fn refresh_rows(dim: usize) -> impl Strategy<Value = Vec<(VertexId, Vec<f32>)>> {
     proptest::collection::vec((any::<u32>(), exactly(any_f32_bits(), dim)), 0..5)
 }
@@ -227,23 +214,6 @@ proptest! {
             ps.iter().map(Matrix::shape).collect::<Vec<_>>()
         );
         prop_assert_eq!(bits_of(&back), bits_of(&ps));
-    }
-
-    /// Adam moments round-trip bit-exactly, step counter included.
-    #[test]
-    fn adam_state_round_trips_bit_exactly(state in adam_state()) {
-        let mut w = Writer::new();
-        encode_adam(&mut w, &state);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let back = decode_adam(&mut r).expect("decode");
-        prop_assert_eq!(r.remaining(), 0);
-        prop_assert_eq!(back.t, state.t);
-        let split = |s: &AdamState| {
-            let (m, v): (Vec<_>, Vec<_>) = s.moments.iter().cloned().unzip();
-            (bits_of(&m), bits_of(&v))
-        };
-        prop_assert_eq!(split(&back), split(&state));
     }
 
     /// Refresh rows (vertex id + embedding row) round-trip bit-exactly.

@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning all crates: dataset synthesis →
 //! profiling → orchestration simulation → numeric training.
 
-use neutronorch::core::baselines::{Case1Dgl, Case2DglUva, Case3PaGraph, Case4GnnLab, GasLike};
+use neutronorch::core::baselines::{roster, Case1Dgl};
 use neutronorch::core::profile::{WorkloadConfig, WorkloadProfile};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::core::{NeutronOrch, Orchestrator};
@@ -23,15 +23,11 @@ fn small_profile(kind: LayerKind) -> WorkloadProfile {
 fn every_orchestrator_simulates_a_full_epoch() {
     let profile = small_profile(LayerKind::Gcn);
     let hw = HardwareSpec::v100_server(1.0);
-    let systems: Vec<Box<dyn Orchestrator>> = vec![
-        Box::new(Case1Dgl { pipelined: true }),
-        Box::new(Case1Dgl { pipelined: false }),
-        Box::new(Case2DglUva { pipelined: true }),
-        Box::new(Case3PaGraph),
-        Box::new(Case4GnnLab),
-        Box::new(GasLike),
-        Box::new(NeutronOrch::new()),
-    ];
+    let mut systems: Vec<Box<dyn Orchestrator>> = roster(LayerKind::Gcn)
+        .into_iter()
+        .map(|(name, sys)| sys.unwrap_or_else(|| panic!("{name} supports GCN")))
+        .collect();
+    systems.push(Box::new(Case1Dgl { pipelined: false }));
     for sys in systems {
         let r = sys.simulate_epoch(&profile, &hw).unwrap_or_else(|e| {
             panic!("{} OOMed on a tiny replica: {e}", sys.name());

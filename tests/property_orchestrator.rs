@@ -37,22 +37,19 @@ proptest! {
         let lens = Lens::new(&profile);
         for i in 0..profile.per_batch.len() {
             let total = lens.train_flops(i);
-            let (bottom_cold, upper) = lens.train_flops_layer_split(i);
-            prop_assert!(
-                bottom_cold + upper <= total,
-                "batch {i}: split {bottom_cold}+{upper} exceeds total {total}"
+            let (bottom, upper) = lens.train_flops_layer_split(i);
+            prop_assert_eq!(
+                bottom + upper,
+                total,
+                "batch {}: the split must partition the total",
+                i
             );
             if layers == 1 {
                 prop_assert_eq!(upper, 0, "single-layer model has no upper layers");
             } else {
                 prop_assert!(upper > 0, "multi-layer model must have upper-layer work");
             }
-            if hot_mode == 0 {
-                // Empty hot set: nothing is offloaded, so the cold bottom
-                // covers the full bottom layer.
-                prop_assert!(bottom_cold > 0);
-            }
-            prop_assert!(lens.activation_bytes(i) > 0);
+            prop_assert!(bottom > 0, "every model has a bottom layer");
             prop_assert!(lens.bottom_feature_bytes(i) > 0);
         }
         let sizes = lens.paper_layer_sizes(seeds);
@@ -84,8 +81,8 @@ proptest! {
         let lens = Lens::new(&profile);
         prop_assert!(profile.num_batches >= 1);
         for i in 0..profile.per_batch.len() {
-            let (bottom_cold, upper) = lens.train_flops_layer_split(i);
-            prop_assert!(bottom_cold + upper <= lens.train_flops(i));
+            let (bottom, upper) = lens.train_flops_layer_split(i);
+            prop_assert_eq!(bottom + upper, lens.train_flops(i));
         }
         let sizes = lens.paper_layer_sizes(1);
         prop_assert_eq!(sizes.len(), layers);
