@@ -73,15 +73,9 @@ pub fn data(setup: Setup) -> Vec<Fig11Row> {
                     };
                     cells.push((label.to_string(), cell));
                 }
-                let dsp = match DspLike::default().simulate_epoch(&profile, &hw) {
-                    Ok(r) => Ok(r.epoch_seconds),
-                    Err(_) => Err("OOM"),
-                };
+                let dsp = super::cell(Some(&DspLike::default()), &profile, &hw);
                 cells.push(("DSP".into(), dsp));
-                let ours = match NeutronOrch::new().simulate_epoch(&profile, &hw) {
-                    Ok(r) => Ok(r.epoch_seconds),
-                    Err(_) => Err("OOM"),
-                };
+                let ours = super::cell(Some(&NeutronOrch::new()), &profile, &hw);
                 cells.push(("NeutronOrch".into(), ours));
                 rows.push(Fig11Row {
                     dataset: spec.name,

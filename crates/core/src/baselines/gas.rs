@@ -60,20 +60,10 @@ impl Orchestrator for GasLike {
             // out-of-batch neighbors for every layer.
             let pull_bytes = oh.src as u64 * profile.spec.feature_row_bytes()
                 + (oh.src as u64).saturating_sub(seeds) * hidden_row * (layers as u64 - 1).max(1);
-            let fc = m.sched.task(
-                m.cpu,
-                TaskKind::GatherCollect,
-                cm.cpu_collect(pull_bytes),
-                "cpu:gather",
-                &[],
-            );
-            let ft = m.sched.task(
-                m.h2d[0],
-                TaskKind::Transfer,
-                cm.pcie_transfer(pull_bytes),
-                "pcie:h2d",
-                &[fc],
-            );
+            let collect = cm.cpu_collect(pull_bytes);
+            let fc = m.cpu_task(TaskKind::GatherCollect, collect, "cpu:gather", &[]);
+            let pull = cm.pcie_transfer(pull_bytes);
+            let ft = m.h2d_task(0, TaskKind::Transfer, pull, "h2d", &[fc]);
             h2d_bytes += pull_bytes;
             // Train: every layer works on the 1-hop set (no expansion).
             let train_flops: u64 = lens
@@ -90,22 +80,13 @@ impl Orchestrator for GasLike {
                     )
                 })
                 .sum();
-            let t = m.sched.task(
-                m.gpu[0],
-                TaskKind::Train,
-                cm.gpu_train(train_flops, seeds),
-                "gpu:train",
-                &[ft],
-            );
+            let train = cm.gpu_train(train_flops, seeds);
+            let t = m.gpu_task(0, TaskKind::Train, train, "train", &[ft]);
             // Push refreshed embeddings back to the host store (D2H).
             let push_bytes = seeds * hidden_row * layers as u64;
-            m.sched.task(
-                d2h,
-                TaskKind::Transfer,
-                cm.pcie_transfer(push_bytes),
-                "pcie:d2h",
-                &[t],
-            );
+            let push = cm.pcie_transfer(push_bytes);
+            m.sched
+                .task(d2h, TaskKind::Transfer, push, "pcie:d2h", &[t]);
         }
         Ok(EpochReport::from_run(
             self.name(),

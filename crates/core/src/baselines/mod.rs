@@ -9,14 +9,17 @@
 //! (`step_based.rs`) handed to the one builder, `simulate_step_based`. One
 //! row per system, one column per plan field:
 //!
-//! | system | `sample` | `features` | `cache` | `topology_on_gpu` | `ship_blocks` | `batch_buffers` | `pipelined` | `replicated` |
-//! |---|---|---|---|---|---|---|---|---|
-//! | [`Case1Dgl`] (Fig 4a) | CPU | host collect + PCIe | none | no | yes | 1 | its flag | – |
-//! | [`Case2DglUva`] (4b) | GPU over UVA | UVA zero-copy | none | no | yes | 1 | its flag | – |
-//! | [`Case3PaGraph`] (4c) | CPU | host collect + PCIe | degree | no | yes | 2 | yes | – |
-//! | [`Case4GnnLab`] (4d) | GPU | host collect + PCIe | presample | yes | no | 2 | yes | – |
-//! | Fig 12 "Baseline" (`NeutronOrchConfig::baseline`) | GPU | host collect + PCIe | none | yes | **yes** | 2 | yes | – |
-//! | [`DspLike`] | GPU | **PCIe, no collect** | presample | yes, sharded | no | 2 | yes | × `hw.num_gpus`, cache ≥ `min_cache_ratio` |
+//! | system | `sample` | `features` | `cache` | `ship_blocks` | `batch_buffers` | `pipelined` | `replicated` |
+//! |---|---|---|---|---|---|---|---|
+//! | [`Case1Dgl`] (Fig 4a) | CPU | host collect + PCIe | none | yes | 1 | its flag | – |
+//! | [`Case2DglUva`] (4b) | GPU over UVA | UVA zero-copy | none | yes | 1 | its flag | – |
+//! | [`Case3PaGraph`] (4c) | CPU | host collect + PCIe | degree | yes | 2 | yes | – |
+//! | [`Case4GnnLab`] (4d) | GPU | host collect + PCIe | presample | no | 2 | yes | – |
+//! | Fig 12 "Baseline" (`NeutronOrchConfig::baseline`) | GPU | host collect + PCIe | none | **yes** | 2 | yes | – |
+//! | [`DspLike`] | GPU | **PCIe, no collect** | presample | no | 2 | yes | × `hw.num_gpus`, cache ≥ `min_cache_ratio` |
+//!
+//! Sampling on the GPU (not over UVA) is what puts the full topology in the
+//! GPU ledger — sharded over the GPUs when `replicated`.
 //!
 //! Two cells are recorded quirks of the simulated numbers, kept as data
 //! rather than fixed: the Fig 12 baseline samples on the GPU yet ships the

@@ -18,8 +18,8 @@ use neutron_hetero::{CostModel, HardwareSpec, MemLedger, OomError, TaskKind};
 pub(crate) enum SampleOn {
     /// CPU workers over host topology.
     Cpu,
-    /// A GPU kernel over device-resident topology; contends with training
-    /// for GPU cores (Fig 5b).
+    /// A GPU kernel over the full topology, which is then device-resident
+    /// (a ledger region); contends with training for GPU cores (Fig 5b).
     Gpu,
     /// A GPU kernel reading host topology over UVA. The PCIe reads gate the
     /// kernel (serialized), which matches UVA's latency-bound behaviour.
@@ -55,8 +55,6 @@ pub(crate) struct StepPlan {
     pub sample: SampleOn,
     pub features: FeaturePath,
     pub cache: CacheRank,
-    /// The full topology is device-resident (for GPU sampling).
-    pub topology_on_gpu: bool,
     /// The sampled block structure crosses the link with the features.
     pub ship_blocks: bool,
     /// Device-resident batch buffers: 1 when prefetched batches stage in
@@ -75,47 +73,45 @@ pub(crate) struct StepPlan {
 
 impl StepPlan {
     /// Case 1 — DGL.
-    pub const DGL: Self = Self {
+    pub(crate) const DGL: Self = Self {
         sample: SampleOn::Cpu,
         features: FeaturePath::HostCollect,
         cache: CacheRank::None,
-        topology_on_gpu: false,
         ship_blocks: true,
         batch_buffers: 1,
         pipelined: true,
         replicated: None,
     };
     /// Case 2 — DGL-UVA.
-    pub const DGL_UVA: Self = Self {
+    pub(crate) const DGL_UVA: Self = Self {
         sample: SampleOn::GpuUva,
         features: FeaturePath::ZeroCopy,
         ..Self::DGL
     };
     /// Case 3 — PaGraph.
-    pub const PAGRAPH: Self = Self {
+    pub(crate) const PAGRAPH: Self = Self {
         cache: CacheRank::Degree,
         batch_buffers: 2,
         ..Self::DGL
     };
     /// Case 4 — GNNLab.
-    pub const GNNLAB: Self = Self {
+    pub(crate) const GNNLAB: Self = Self {
         sample: SampleOn::Gpu,
         cache: CacheRank::Presample,
-        topology_on_gpu: true,
         ship_blocks: false,
         ..Self::PAGRAPH
     };
     /// Fig 12's "Baseline": GPU sampling, CPU gather, GPU training,
     /// pipelined. Recorded quirk: it samples on the GPU yet still ships the
     /// block bytes over PCIe.
-    pub const FIG12_BASELINE: Self = Self {
+    pub(crate) const FIG12_BASELINE: Self = Self {
         cache: CacheRank::None,
         ship_blocks: true,
         ..Self::GNNLAB
     };
     /// DSP (§5.3): Case 4 replicated. Recorded quirk: no host-side collect
     /// is modelled for its cache misses, so its `cpu` resource stays idle.
-    pub const DSP: Self = Self {
+    pub(crate) const DSP: Self = Self {
         features: FeaturePath::Direct,
         replicated: Some(0.25),
         ..Self::GNNLAB
@@ -133,18 +129,16 @@ pub(crate) fn simulate_step_based(
 ) -> Result<EpochReport, OomError> {
     let lens = Lens::new(profile);
     let cm = CostModel::new(hw.clone());
-    let gpus = match plan.replicated {
-        Some(_) => hw.num_gpus.max(1),
-        None => 1,
-    };
+    let gpus = plan.replicated.map_or(1, |_| hw.num_gpus.max(1));
 
     let mut mem = MemLedger::new(hw.gpu.mem_bytes);
     mem.alloc("params", lens.param_bytes())?;
-    if plan.topology_on_gpu {
-        match plan.replicated {
-            Some(_) => mem.alloc("topology-shard", lens.paper_topology_bytes() / gpus as u64)?,
-            None => mem.alloc("topology", lens.paper_topology_bytes())?,
-        }
+    if plan.sample == SampleOn::Gpu {
+        let region = match plan.replicated {
+            Some(_) => "topology-shard",
+            None => "topology",
+        };
+        mem.alloc(region, lens.paper_topology_bytes() / gpus as u64)?;
     }
     mem.alloc(
         "batch",
@@ -170,50 +164,23 @@ pub(crate) fn simulate_step_based(
         let chain = prev_train.filter(|_| !plan.pipelined);
         let chain = chain.as_slice();
         let edges = lens.sampled_edges(i);
-        let gpu_sample = format!("gpu{g}:sample");
-        let sampled = match plan.sample {
-            SampleOn::Cpu => m.sched.task(
-                m.cpu,
-                TaskKind::Sample,
-                cm.cpu_sample(edges),
-                "cpu:sample",
-                chain,
-            ),
-            SampleOn::Gpu => m.sched.task(
-                m.gpu[g],
-                TaskKind::Sample,
-                cm.gpu_sample(edges),
-                &gpu_sample,
-                chain,
-            ),
-            SampleOn::GpuUva => {
-                let topo_reads = m.sched.task(
-                    m.h2d[g],
-                    TaskKind::Sample,
-                    cm.uva_transfer(lens.block_bytes(i)),
-                    &format!("pcie{g}:uva"),
-                    chain,
-                );
-                m.sched.task(
-                    m.gpu[g],
-                    TaskKind::Sample,
-                    cm.gpu_sample(edges),
-                    &gpu_sample,
-                    &[topo_reads],
-                )
-            }
+        let sampled = if plan.sample == SampleOn::Cpu {
+            m.cpu_task(TaskKind::Sample, cm.cpu_sample(edges), "cpu:sample", chain)
+        } else {
+            let reads = (plan.sample == SampleOn::GpuUva).then(|| {
+                let cost = cm.uva_transfer(lens.block_bytes(i));
+                m.h2d_task(g, TaskKind::Sample, cost, "uva", chain)
+            });
+            let deps = reads.as_ref().map_or(chain, std::slice::from_ref);
+            m.gpu_task(g, TaskKind::Sample, cm.gpu_sample(edges), "sample", deps)
         };
         // Cooperative sampling: frontier exchange across shards.
         let ready = match nvlink {
             Some(nv) => {
                 let exch_bytes = lens.block_bytes(i) * (gpus as u64 - 1) / gpus as u64;
-                m.sched.task(
-                    nv,
-                    TaskKind::Sync,
-                    cm.gpu_sync(exch_bytes),
-                    "nvlink:exchange",
-                    &[sampled],
-                )
+                let cost = cm.gpu_sync(exch_bytes);
+                m.sched
+                    .task(nv, TaskKind::Sync, cost, "nvlink:exchange", &[sampled])
             }
             None => sampled,
         };
@@ -223,41 +190,21 @@ pub(crate) fn simulate_step_based(
         }
         let (collected, link_cost) = match plan.features {
             FeaturePath::HostCollect => {
-                let fc = m.sched.task(
-                    m.cpu,
-                    TaskKind::GatherCollect,
-                    cm.cpu_collect(bytes),
-                    "cpu:gather",
-                    &[ready],
-                );
+                let collect = cm.cpu_collect(bytes);
+                let fc = m.cpu_task(TaskKind::GatherCollect, collect, "cpu:gather", &[ready]);
                 (fc, cm.pcie_transfer(bytes))
             }
             FeaturePath::Direct => (ready, cm.pcie_transfer(bytes)),
             FeaturePath::ZeroCopy => (ready, cm.uva_transfer(bytes)),
         };
-        let moved = m.sched.task(
-            m.h2d[g],
-            TaskKind::Transfer,
-            link_cost,
-            &format!("pcie{g}:h2d"),
-            &[collected],
-        );
+        let moved = m.h2d_task(g, TaskKind::Transfer, link_cost, "h2d", &[collected]);
         h2d_bytes += bytes;
-        let t = m.sched.task(
-            m.gpu[g],
-            TaskKind::Train,
-            cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64),
-            &format!("gpu{g}:train"),
-            &[moved],
-        );
+        let train = cm.gpu_train(lens.train_flops(i), profile.seeds(i) as u64);
+        let t = m.gpu_task(g, TaskKind::Train, train, "train", &[moved]);
         if let Some(nv) = nvlink {
-            m.sched.task(
-                nv,
-                TaskKind::Sync,
-                cm.gpu_sync(2 * lens.param_bytes()),
-                "nvlink:allreduce",
-                &[t],
-            );
+            let cost = cm.gpu_sync(2 * lens.param_bytes());
+            m.sched
+                .task(nv, TaskKind::Sync, cost, "nvlink:allreduce", &[t]);
         }
         prev_train = Some(t);
     }

@@ -22,9 +22,7 @@ pub struct NeutronOrch {
 impl NeutronOrch {
     /// The full system.
     pub fn new() -> Self {
-        Self {
-            config: NeutronOrchConfig::full(),
-        }
+        Self::default()
     }
 
     /// A specific ablation stage.
@@ -65,13 +63,10 @@ impl Orchestrator for NeutronOrch {
         // fraction, which NeutronOrch "monitors during execution" (§4.1.3);
         // we reproduce the feedback loop: simulate with all-CPU hot
         // processing, observe idleness, re-plan, re-simulate.
-        let first = simulate_hotness(
-            profile,
-            hw,
-            &self.name(),
-            1.0,
-            self.config.super_batch_pipeline,
-        )?;
+        let name = self.name();
+        let pipelined = self.config.super_batch_pipeline;
+        let run = |cpu_fraction| simulate_hotness(profile, hw, &name, cpu_fraction, pipelined);
+        let first = run(1.0)?;
         if !self.config.hybrid {
             return Ok(first);
         }
@@ -85,16 +80,7 @@ impl Orchestrator for NeutronOrch {
         // Same feedback rule the measured TrainingEngine applies between
         // epochs (`plan_from_occupancy`), here fed by simulated utilization.
         let plan = policy.plan_from_occupancy(&profile.hot, first.gpu_util, u64::MAX);
-        match simulate_hotness(
-            profile,
-            hw,
-            &self.name(),
-            plan.cpu_fraction(),
-            self.config.super_batch_pipeline,
-        ) {
-            Ok(second) => Ok(second),
-            Err(_) => Ok(first),
-        }
+        run(plan.cpu_fraction()).or(Ok(first))
     }
 }
 
@@ -110,43 +96,26 @@ fn simulate_naive_layer_based(
     let mut mem = MemLedger::new(hw.gpu.mem_bytes);
     mem.alloc("params", lens.param_bytes())?;
     mem.alloc("batch", 2 * layer_based_batch_bytes(&lens, profile, 1.0))?;
-    let Machine {
-        mut sched,
-        cpu,
-        gpu,
-        h2d,
-        ..
-    } = Machine::new(hw, 1);
-    let (gpu, h2d) = (gpu[0], h2d[0]);
+    let mut m = Machine::new(hw, 1);
     let mut h2d_bytes = 0u64;
     let embed_cores = hw.cpu.cores * 0.75;
     for i in 0..profile.num_batches {
         let stats = profile.stats(i);
         let bottom = &stats.layers[0];
         // CPU: sample the bottom hop + forward-compute the whole layer.
-        let s_cpu = sched.task(
-            cpu,
-            TaskKind::Sample,
-            cm.cpu_sample(bottom.num_edges as u64),
-            "cpu:sample",
-            &[],
-        );
+        let sample = cm.cpu_sample(bottom.num_edges as u64);
+        let s_cpu = m.cpu_task(TaskKind::Sample, sample, "cpu:sample", &[]);
         let (bottom_train, upper) = lens.train_flops_layer_split(i);
         let bottom_fwd = bottom_train / 3;
-        let e = sched.task(
-            cpu,
-            TaskKind::HotEmbed,
-            cm.cpu_compute(bottom_fwd, embed_cores),
-            "cpu:embed",
-            &[s_cpu],
-        );
+        let embed = cm.cpu_compute(bottom_fwd, embed_cores);
+        let e = m.cpu_task(TaskKind::HotEmbed, embed, "cpu:embed", &[s_cpu]);
         // GPU: sample the upper hops.
         let upper_edges = stats.total_edges() as u64 - bottom.num_edges as u64;
-        let s_gpu = sched.task(
-            gpu,
+        let s_gpu = m.gpu_task(
+            0,
             TaskKind::Sample,
             cm.gpu_sample(upper_edges),
-            "gpu:sample",
+            "sample",
             &[],
         );
         // Transfer: computed embeddings + data for the GPU-side backward
@@ -154,27 +123,15 @@ fn simulate_naive_layer_based(
         let bytes = bottom.num_dst as u64
             * (profile.spec.hidden_row_bytes() + profile.spec.feature_row_bytes())
             + lens.block_bytes(i);
-        let ft = sched.task(
-            h2d,
-            TaskKind::Transfer,
-            cm.pcie_transfer(bytes),
-            "pcie:h2d",
-            &[e],
-        );
+        let ft = m.h2d_task(0, TaskKind::Transfer, cm.pcie_transfer(bytes), "h2d", &[e]);
         h2d_bytes += bytes;
         // GPU: upper layers + the bottom layer's backward pass.
-        let gpu_flops = upper + 2 * bottom_fwd;
-        sched.task(
-            gpu,
-            TaskKind::Train,
-            cm.gpu_train(gpu_flops, profile.seeds(i) as u64),
-            "gpu:train",
-            &[s_gpu, ft],
-        );
+        let train = cm.gpu_train(upper + 2 * bottom_fwd, profile.seeds(i) as u64);
+        m.gpu_task(0, TaskKind::Train, train, "train", &[s_gpu, ft]);
     }
     Ok(EpochReport::from_run(
         name,
-        &sched.run(),
+        &m.sched.run(),
         h2d_bytes,
         mem.used(),
         profile.num_batches,
@@ -252,13 +209,7 @@ fn simulate_hotness(
     // Fraction of a batch's bottom feature volume that still crosses PCIe.
     let miss_fraction = (1.0 - hot_cov) * (1.0 - cold_hit);
 
-    let Machine {
-        mut sched,
-        cpu,
-        nvlink,
-        gpu: gpu_res,
-        h2d: h2d_res,
-    } = Machine::new(hw, gpus);
+    let mut m = Machine::new(hw, gpus);
 
     // CPU embedding workload per super-batch.
     let hot_len = profile.hot.len().max(1);
@@ -289,20 +240,10 @@ fn simulate_hotness(
             // previous super-batch to finish training.
             deps.extend(prev_sb_last_train.iter().flatten().copied());
         }
-        let s_hot = sched.task(
-            cpu,
-            TaskKind::Sample,
-            cm.cpu_sample(hot_edges_per_sb),
-            "cpu:hotsample",
-            &deps,
-        );
-        let e = sched.task(
-            cpu,
-            TaskKind::HotEmbed,
-            cm.cpu_compute(embed_flops_per_sb, embed_cores),
-            "cpu:hotembed",
-            &[s_hot],
-        );
+        let sample = cm.cpu_sample(hot_edges_per_sb);
+        let s_hot = m.cpu_task(TaskKind::Sample, sample, "cpu:hotsample", &deps);
+        let embed = cm.cpu_compute(embed_flops_per_sb, embed_cores);
+        let e = m.cpu_task(TaskKind::HotEmbed, embed, "cpu:hotembed", &[s_hot]);
         embed_tasks.push(e);
         // The embeddings a super-batch consumes come from the *previous*
         // super-batch's CPU pass (bounded staleness < 2n, §4.2.2).
@@ -322,13 +263,7 @@ fn simulate_hotness(
             let upper_edges = stats.total_edges() as u64 - bottom_edges;
             let sampled =
                 upper_edges + ((bottom_edges as f64) * (1.0 - hot_cov * cpu_fraction)) as u64;
-            let s = sched.task(
-                gpu_res[g],
-                TaskKind::Sample,
-                cm.gpu_sample(sampled),
-                &format!("gpu{g}:sample"),
-                &[],
-            );
+            let s = m.gpu_task(g, TaskKind::Sample, cm.gpu_sample(sampled), "sample", &[]);
             sample_tails[g] = Some(s);
         }
         for i in first_batch..last_batch {
@@ -341,20 +276,10 @@ fn simulate_hotness(
                 (hot_vertices_per_sb / n as f64 * spec.hidden_row_bytes() as f64) as u64;
             let bytes = miss_bytes + embed_bytes + lens.block_bytes(i);
             // Host-side collection of the missed rows into staging buffers.
-            let fc = sched.task(
-                cpu,
-                TaskKind::GatherCollect,
-                cm.cpu_collect(miss_bytes),
-                "cpu:gather",
-                &[],
-            );
-            let ft = sched.task(
-                h2d_res[g],
-                TaskKind::Transfer,
-                cm.pcie_transfer(bytes),
-                &format!("pcie{g}:h2d"),
-                &[embed_ready, fc],
-            );
+            let collect = cm.cpu_collect(miss_bytes);
+            let fc = m.cpu_task(TaskKind::GatherCollect, collect, "cpu:gather", &[]);
+            let transfer = cm.pcie_transfer(bytes);
+            let ft = m.h2d_task(g, TaskKind::Transfer, transfer, "h2d", &[embed_ready, fc]);
             h2d_bytes += bytes;
             // Train: the GPU computes the bottom layer for everything except
             // the CPU-computed hot destinations, plus all upper layers.
@@ -364,30 +289,19 @@ fn simulate_hotness(
             if let Some(s) = sample_tails[g] {
                 tdeps.push(s);
             }
-            let t = sched.task(
-                gpu_res[g],
-                TaskKind::Train,
-                cm.gpu_train(bottom_gpu + upper, profile.seeds(i) as u64),
-                &format!("gpu{g}:train"),
-                &tdeps,
-            );
+            let train = cm.gpu_train(bottom_gpu + upper, profile.seeds(i) as u64);
+            let t = m.gpu_task(g, TaskKind::Train, train, "train", &tdeps);
             prev_sb_last_train[g] = Some(t);
-            if gpus > 1 {
-                if let Some(nv) = nvlink {
-                    sched.task(
-                        nv,
-                        TaskKind::Sync,
-                        cm.gpu_sync(2 * lens.param_bytes()),
-                        "nvlink:allreduce",
-                        &[t],
-                    );
-                }
+            if let Some(nv) = m.nvlink.filter(|_| gpus > 1) {
+                let allreduce = cm.gpu_sync(2 * lens.param_bytes());
+                m.sched
+                    .task(nv, TaskKind::Sync, allreduce, "nvlink:allreduce", &[t]);
             }
         }
     }
     Ok(EpochReport::from_run(
         name,
-        &sched.run(),
+        &m.sched.run(),
         h2d_bytes,
         mem.used(),
         profile.num_batches,

@@ -157,11 +157,11 @@ impl WorkloadProfile {
         let hot = hotness.hot_set(config.hot_ratio);
         let hot_coverage = hotness.access_coverage(&hot);
 
-        // Per-batch stats with hot/cold split + GAS 1-hop working sets.
+        // Per-batch stats + GAS 1-hop working sets.
         let mut per_batch = Vec::with_capacity(profiled);
         let mut one_hop = Vec::with_capacity(profiled);
         for (i, blocks) in sampled_blocks.iter().enumerate() {
-            per_batch.push(SampleStats::measure(blocks, Some(&hot)));
+            per_batch.push(SampleStats::measure(blocks));
             let seeds = epoch0.batch(i);
             let mut uniq: HashSet<VertexId> = seeds.iter().copied().collect();
             let mut edges = 0usize;

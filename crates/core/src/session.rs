@@ -374,7 +374,9 @@ pub struct Session {
 impl Session {
     /// Builds a session. Panics on a configuration it could not honour:
     /// zero replicas, a zero channel depth, zero sampler or gather threads
-    /// at R = 1, or a replica-failure policy other than `Fail` at R = 1.
+    /// at R = 1, a replica-failure policy other than `Fail` at R = 1, or a
+    /// fault addressed to a worker the session does not have (a sampler
+    /// thread at R = 1, a replica at R >= 2) — it would never be delivered.
     pub fn new(config: SessionConfig) -> Self {
         assert!(config.replicas >= 1, "need at least one replica");
         assert!(
@@ -395,6 +397,18 @@ impl Session {
                 "on_replica_failure = {:?} needs replicas >= 2: a one-replica session has no \
                  survivor to continue with and no peer to respawn beside",
                 config.on_replica_failure
+            );
+        }
+        let (workers, role) = match config.replicas {
+            1 => (config.pipeline.sampler_threads, "sampler thread(s)"),
+            r => (r, "replicas"),
+        };
+        for spec in config.fault_plan.iter().flat_map(|plan| plan.specs()) {
+            assert!(
+                spec.replica < workers,
+                "fault {spec} addresses worker {} but the session has {workers} {role}: it \
+                 would never be delivered",
+                spec.replica
             );
         }
         Self { config }

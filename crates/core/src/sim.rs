@@ -72,12 +72,16 @@ impl Default for ScheduleBuilder {
 /// NVLink mesh where the hardware has one, then a compute and a host→device
 /// link resource per GPU in use (`gpu{g}`, `h2d{g}`). Utilisations are read
 /// back by these name prefixes ([`crate::report::EpochReport::from_run`]).
+///
+/// The `*_task` methods also own the stream convention: CPU streams are
+/// named by the caller (the pool runs many), each GPU and each link has one
+/// stream per `what` (`gpu{g}:{what}`, `pcie{g}:{what}`).
 pub(crate) struct Machine {
     pub sched: ScheduleBuilder,
-    pub cpu: ResourceId,
+    cpu: ResourceId,
     pub nvlink: Option<ResourceId>,
-    pub gpu: Vec<ResourceId>,
-    pub h2d: Vec<ResourceId>,
+    gpu: Vec<ResourceId>,
+    h2d: Vec<ResourceId>,
 }
 
 impl Machine {
@@ -99,6 +103,43 @@ impl Machine {
             gpu,
             h2d,
         }
+    }
+
+    /// A task on the CPU pool's `stream`.
+    pub(crate) fn cpu_task(
+        &mut self,
+        kind: TaskKind,
+        cost: Cost,
+        stream: &str,
+        deps: &[TaskId],
+    ) -> TaskId {
+        self.sched.task(self.cpu, kind, cost, stream, deps)
+    }
+
+    /// A task on GPU `g`'s `what` stream.
+    pub(crate) fn gpu_task(
+        &mut self,
+        g: usize,
+        kind: TaskKind,
+        cost: Cost,
+        what: &str,
+        deps: &[TaskId],
+    ) -> TaskId {
+        let stream = format!("gpu{g}:{what}");
+        self.sched.task(self.gpu[g], kind, cost, &stream, deps)
+    }
+
+    /// A task on GPU `g`'s host→device link, `what` stream.
+    pub(crate) fn h2d_task(
+        &mut self,
+        g: usize,
+        kind: TaskKind,
+        cost: Cost,
+        what: &str,
+        deps: &[TaskId],
+    ) -> TaskId {
+        let stream = format!("pcie{g}:{what}");
+        self.sched.task(self.h2d[g], kind, cost, &stream, deps)
     }
 }
 

@@ -145,11 +145,6 @@ impl Engine {
         TaskId(self.tasks.len() - 1)
     }
 
-    /// Number of submitted tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Runs the simulation to completion and reports makespan, utilization
     /// and per-kind busy time.
     ///

@@ -2,7 +2,6 @@
 //! simulator converts into time (Fig 7's per-layer |V| and dimensions).
 
 use crate::block::Block;
-use crate::hotness::HotSet;
 
 /// Per-layer size statistics of one sampled batch.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -20,20 +19,12 @@ pub struct LayerStats {
 pub struct SampleStats {
     /// One entry per layer, `layers[0]` = bottom.
     pub layers: Vec<LayerStats>,
-    /// Bottom-layer source vertices that are hot (reusable / cacheable).
-    pub bottom_hot_src: usize,
-    /// Bottom-layer source vertices that are cold (raw feature loads).
-    pub bottom_cold_src: usize,
-    /// Bottom-layer sampled edges incident to *cold* destinations only —
-    /// the aggregation work left on the GPU under layer-based orchestration.
-    pub bottom_cold_edges: usize,
 }
 
 impl SampleStats {
-    /// Measures a sampled batch; `hot` marks vertices whose bottom-layer
-    /// embeddings are served from the CPU/HE store or GPU cache.
-    pub fn measure(blocks: &[Block], hot: Option<&HotSet>) -> Self {
-        let layers: Vec<LayerStats> = blocks
+    /// Measures a sampled batch.
+    pub fn measure(blocks: &[Block]) -> Self {
+        let layers = blocks
             .iter()
             .map(|b| LayerStats {
                 num_dst: b.num_dst(),
@@ -41,37 +32,7 @@ impl SampleStats {
                 num_edges: b.num_edges(),
             })
             .collect();
-        let mut bottom_hot_src = 0usize;
-        let mut bottom_cold_src = 0usize;
-        let mut bottom_cold_edges = 0usize;
-        if let Some(bottom) = blocks.first() {
-            match hot {
-                Some(h) => {
-                    for &v in bottom.src() {
-                        if h.contains(v) {
-                            bottom_hot_src += 1;
-                        } else {
-                            bottom_cold_src += 1;
-                        }
-                    }
-                    for i in 0..bottom.num_dst() {
-                        if !h.contains(bottom.dst()[i]) {
-                            bottom_cold_edges += bottom.sampled_degree(i);
-                        }
-                    }
-                }
-                None => {
-                    bottom_cold_src = bottom.num_src();
-                    bottom_cold_edges = bottom.num_edges();
-                }
-            }
-        }
-        Self {
-            layers,
-            bottom_hot_src,
-            bottom_cold_src,
-            bottom_cold_edges,
-        }
+        Self { layers }
     }
 
     /// Total sampled edges across all layers.
@@ -111,9 +72,6 @@ impl SampleStats {
             a.num_src += b.num_src;
             a.num_edges += b.num_edges;
         }
-        self.bottom_hot_src += other.bottom_hot_src;
-        self.bottom_cold_src += other.bottom_cold_src;
-        self.bottom_cold_edges += other.bottom_cold_edges;
     }
 
     /// Divides all counters by `n` (integer mean over batches).
@@ -124,9 +82,6 @@ impl SampleStats {
             l.num_src /= n;
             l.num_edges /= n;
         }
-        self.bottom_hot_src /= n;
-        self.bottom_cold_src /= n;
-        self.bottom_cold_edges /= n;
     }
 }
 
@@ -136,55 +91,19 @@ mod tests {
     use crate::fanout::Fanout;
     use crate::neighbor::NeighborSampler;
     use neutron_graph::generate::{rmat, RmatParams};
-    use neutron_sample_test_util::*;
-
-    mod neutron_sample_test_util {
-        use neutron_graph::Csr;
-        pub fn skewed_graph() -> Csr {
-            rmat_graph()
-        }
-        fn rmat_graph() -> Csr {
-            neutron_graph::generate::rmat(
-                600,
-                9_000,
-                neutron_graph::generate::RmatParams::graph500(),
-                11,
-            )
-        }
-    }
 
     #[test]
     fn bottom_layer_dominates_edges_with_paper_fanout() {
         let g = rmat(3000, 60_000, RmatParams::graph500(), 1);
         let s = NeighborSampler::new(Fanout::paper_default(3));
         let blocks = s.sample_batch(&g, &(0..128).collect::<Vec<_>>(), 2);
-        let stats = SampleStats::measure(&blocks, None);
+        let stats = SampleStats::measure(&blocks);
         assert!(
             stats.bottom_edge_share() > 0.5,
             "bottom layer should hold most sampled edges, got {:.2}",
             stats.bottom_edge_share()
         );
         assert!(stats.layers[0].num_src >= stats.layers[2].num_src);
-    }
-
-    #[test]
-    fn hot_split_partitions_bottom_src() {
-        let g = skewed_graph();
-        let s = NeighborSampler::new(Fanout::new(vec![4, 4]));
-        let blocks = s.sample_batch(&g, &(0..64).collect::<Vec<_>>(), 3);
-        let counts: Vec<u32> = (0..600).map(|v| g.degree(v) as u32).collect();
-        let ranking = crate::hotness::HotnessRanking::from_counts(counts);
-        let hot = ranking.hot_set(0.2);
-        let stats = SampleStats::measure(&blocks, Some(&hot));
-        assert_eq!(
-            stats.bottom_hot_src + stats.bottom_cold_src,
-            blocks[0].num_src()
-        );
-        assert!(
-            stats.bottom_hot_src > 0,
-            "20% hottest should appear in samples"
-        );
-        assert!(stats.bottom_cold_edges <= blocks[0].num_edges());
     }
 
     #[test]
@@ -196,14 +115,10 @@ mod tests {
                 num_src: 4,
                 num_edges: 6,
             }],
-            bottom_hot_src: 1,
-            bottom_cold_src: 3,
-            bottom_cold_edges: 4,
         };
         acc.accumulate(&a);
         acc.accumulate(&a);
         acc.scale_down(2);
         assert_eq!(acc.layers[0], a.layers[0]);
-        assert_eq!(acc.bottom_cold_src, 3);
     }
 }

@@ -7,7 +7,7 @@
 //! the device path; their embeddings are primed before batch 0 and a
 //! missing one is fatal, never a silent zero).
 
-use neutronorch::core::fault::FailurePolicy;
+use neutronorch::core::fault::{FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
 use neutronorch::core::refresh::InlineRefresh;
 use neutronorch::core::session::{Session, SessionConfig, SessionReport};
@@ -20,6 +20,7 @@ use neutronorch::hetero::InterconnectSpec;
 use neutronorch::nn::LayerKind;
 use neutronorch::sample::BatchIterator;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
     let ds = DatasetSpec::tiny().build_full();
@@ -342,6 +343,35 @@ fn zero_replicas_are_rejected() {
 #[should_panic(expected = "needs replicas >= 2")]
 fn a_replica_failure_policy_needs_replicas() {
     Session::new(SessionConfig {
+        on_replica_failure: FailurePolicy::DropReplica,
+        ..SessionConfig::default()
+    });
+}
+
+/// A fault addressed past the last sampler thread (R = 1) would never be
+/// delivered, so a drill built on it would pass vacuously.
+#[test]
+#[should_panic(
+    expected = "crash@r7e1s0 addresses worker 7 but the session has 2 sampler thread(s)"
+)]
+fn a_fault_beyond_the_sampler_threads_is_rejected() {
+    Session::new(SessionConfig {
+        pipeline: PipelineConfig {
+            sampler_threads: 2,
+            ..PipelineConfig::default()
+        },
+        fault_plan: Some(Arc::new(FaultPlan::parse("crash@r7e1s0").unwrap())),
+        ..SessionConfig::default()
+    });
+}
+
+/// The same at R >= 2, where a fault addresses a replica.
+#[test]
+#[should_panic(expected = "crash@r7e1s0 addresses worker 7 but the session has 2 replicas")]
+fn a_fault_beyond_the_replicas_is_rejected() {
+    Session::new(SessionConfig {
+        replicas: 2,
+        fault_plan: Some(Arc::new(FaultPlan::parse("crash@r7e1s0").unwrap())),
         on_replica_failure: FailurePolicy::DropReplica,
         ..SessionConfig::default()
     });
