@@ -50,16 +50,15 @@ fn cell(
     profile: &WorkloadProfile,
     hw: &HardwareSpec,
 ) -> Result<f64, &'static str> {
-    match sys.ok_or("n/a")?.simulate_epoch(profile, hw) {
-        Ok(r) => Ok(r.epoch_seconds),
-        Err(_) => Err("OOM"),
-    }
+    let report = sys.ok_or("n/a")?.simulate_epoch(profile, hw);
+    report.map(|r| r.epoch_seconds).map_err(|_| "OOM")
 }
 
 /// The roster in the row order of Tables 5 and 6, which list DGL-UVA before
 /// GNNLab.
 fn table_rows(kind: LayerKind) -> Vec<(&'static str, Option<Box<dyn Orchestrator>>)> {
     let mut systems = roster(kind);
+    debug_assert_eq!((systems[2].0, systems[3].0), ("GNNLab", "DGL-UVA"));
     systems.swap(2, 3);
     systems
 }

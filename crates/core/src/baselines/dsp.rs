@@ -19,9 +19,8 @@ pub struct DspLike {
 
 impl Default for DspLike {
     fn default() -> Self {
-        Self {
-            min_cache_ratio: 0.25,
-        }
+        let min_cache_ratio = StepPlan::DSP.replicated.expect("DSP's plan is replicated");
+        Self { min_cache_ratio }
     }
 }
 

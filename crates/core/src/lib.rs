@@ -15,6 +15,11 @@
 //! | [`baselines::DspLike`] | DSP | Case 4 × multi-GPU, NVLink sync |
 //! | [`neutronorch::NeutronOrch`] | this paper | hotness-aware layer-based orchestration + super-batch pipeline |
 //!
+//! The step-based rows (Cases 1–4, DSP, and Fig 12's "Baseline" rung) are
+//! one epoch-DAG builder over a placement table — Fig 4 column by column in
+//! the [`baselines`] module docs; [`baselines::roster`] is the list the
+//! evaluation iterates.
+//!
 //! Two execution modes:
 //! - **simulation** ([`orchestrator::Orchestrator::simulate_epoch`]): builds
 //!   the epoch's task DAG on the discrete-event hardware simulator and
