@@ -1,7 +1,7 @@
 //! The cache-keyed gather stage: partitioning each batch's deduped source
-//! vertices into GPU-cache hits and host misses, so the hybrid planner's
-//! decisions (§4.1.3) actually change measured transfer volume (Fig 6c,
-//! Fig 13) instead of only moving refresh compute between devices.
+//! vertices into GPU-cache hits and host misses, so the device feature
+//! cache (§4.1.3) actually changes measured transfer volume (Fig 6c,
+//! Fig 13).
 //!
 //! The flow per batch:
 //!

@@ -27,9 +27,10 @@
 //! - **numeric training** ([`trainer`]): really trains on a replica dataset,
 //!   reusing historical embeddings under the configured staleness policy —
 //!   the accuracy results of Fig 16 come from here. A [`session::Session`]
-//!   runs it as the paper's concurrent stage graph, on one staged worker
-//!   pool or on one fused worker per graph partition depending on
-//!   [`session::SessionConfig::replicas`].
+//!   runs it as the paper's concurrent stage graph: one fused
+//!   sample → gather → transfer worker per graph partition
+//!   ([`session::SessionConfig::replicas`], one partition by default) and a
+//!   background refresh worker.
 
 pub mod baselines;
 pub mod checkpoint;

@@ -77,8 +77,8 @@ impl Orchestrator for NeutronOrch {
         // Hot features displace the opportunistic cold-feature cache, so the
         // split is idleness-driven; the ledger of the second pass still
         // validates the result (falling back to the all-CPU plan on OOM).
-        // Same feedback rule the measured TrainingEngine applies between
-        // epochs (`plan_from_occupancy`), here fed by simulated utilization.
+        // The rule (`plan_from_occupancy`) is the simulator's alone: the
+        // measured `Session` keeps a fixed split and a budget-filled cache.
         let plan = policy.plan_from_occupancy(&profile.hot, first.gpu_util, u64::MAX);
         run(plan.cpu_fraction()).or(Ok(first))
     }

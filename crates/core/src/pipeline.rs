@@ -1,11 +1,17 @@
 //! The stage-graph vocabulary shared by every executor — [`PipelineConfig`]
-//! (stage thread counts, channel depth, simulated H2D link) and
-//! [`PipelineReport`] (per-stage busy seconds and bytes of one epoch) — and
-//! the **sequential reference** the concurrent runners are measured and
-//! checked against ([`run_epoch_sequential`]).
+//! (staging depth, simulated H2D link) and [`PipelineReport`] (per-stage
+//! busy seconds and bytes of one epoch) — and the **sequential reference**
+//! a session is measured and checked against ([`run_epoch_sequential`]).
 //!
-//! The stage graph itself (sample → gather → transfer → train as real
-//! threads over bounded channels) runs under [`crate::session::Session`].
+//! The stage graph itself (sample → gather → transfer on one fused worker
+//! per lane, train on the caller's thread) runs under
+//! [`crate::session::Session`].
+//!
+//! Two fields stay only because the benchmark adapter
+//! (`crates/orchbench`) spells them: [`PipelineConfig::sampler_threads`]
+//! and [`PipelineConfig::gather_threads`] are read by nothing (a lane has
+//! one fused worker), and [`PipelineReport::reorder_peak`] is always 0
+//! (every lane delivers in order).
 //!
 //! Determinism: block sampling is seeded by `(config seed, epoch, batch
 //! index)` ([`crate::trainer::batch_sample_seed`]) and the train stage
@@ -29,17 +35,16 @@ use neutron_tensor::alloc::{self, Stage};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Stage-graph shape: thread counts, channel depth and the simulated link.
+/// Stage-graph shape: staging depth and the simulated link.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// CPU sampling worker threads (stage 1).
+    /// Inert: each lane samples on its one fused worker. Kept because the
+    /// benchmark adapter sets it (see the module docs).
     pub sampler_threads: usize,
-    /// CPU feature-gather worker threads (stage 2).
+    /// Inert, like [`Self::sampler_threads`].
     pub gather_threads: usize,
-    /// Capacity of each inter-stage channel, in batches. Bounds memory:
-    /// at most `3 * channel_depth + reorder window` batches are in flight,
-    /// the train loop's lookahead window included (see
-    /// [`Self::train_feed_depth`]).
+    /// Staging depth of each lane, in batches, the train loop's lookahead
+    /// window included (see [`Self::train_feed_depth`]). Bounds memory.
     pub channel_depth: usize,
     /// Simulated host→device bandwidth in GiB/s; `0.0` disables the
     /// transfer stall (bytes are still accounted). Replica methodology:
@@ -96,7 +101,8 @@ pub struct PipelineReport {
     /// Host→device bytes the epoch shipped — miss features plus block
     /// structure; cache-resident features never cross the link.
     pub h2d_bytes: u64,
-    /// Largest out-of-order reorder buffer the train stage needed.
+    /// Always 0: every lane delivers in order. Kept because the benchmark
+    /// adapter reads it (see the module docs).
     pub reorder_peak: usize,
     /// Source vertices whose features were served from the GPU feature
     /// cache this epoch (no host gather, no H2D bytes).
@@ -118,8 +124,7 @@ impl PipelineReport {
     }
 
     /// Fraction of the epoch the train stage was compute-bound (1.0 means
-    /// the pipeline kept the trainer perfectly fed). This is the measured
-    /// signal the engine feeds back into the §4.1.3 hybrid planner.
+    /// the pipeline kept the trainer perfectly fed).
     pub fn train_occupancy(&self) -> f64 {
         self.train_seconds / self.epoch_seconds.max(1e-12)
     }

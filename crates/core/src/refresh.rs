@@ -21,9 +21,9 @@
 //! without perturbing the training trajectory.
 //!
 //! [`RefreshBackend`] abstracts the execution site: the sequential trainer
-//! uses [`InlineRefresh`] (compute at submission, on the train thread); the
-//! staged runner of a [`crate::session::Session`] ships tasks to a dedicated
-//! refresh worker and collects the rows at the next boundary.
+//! uses [`InlineRefresh`] (compute at submission, on the train thread); a
+//! [`crate::session::Session`] ships tasks to its background refresh worker
+//! and collects the rows at the next boundary.
 //!
 //! Rows created at boundary `k` are published at boundary `k+1`, so reads
 //! during super-batch `k+1` see a version gap in `[n, 2n−1]`. The one

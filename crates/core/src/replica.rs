@@ -1,44 +1,61 @@
-//! The fused runner: what a [`Session`] executes at `replicas ≥ 2` —
-//! multi-replica data-parallel training over a partitioned graph.
+//! The one runner of a [`Session`]: data-parallel training over a
+//! partitioned graph, one **lane** per partition
+//! ([`neutron_graph::partition::hash_partition`]; at `replicas == 1` one
+//! partition owns every vertex).
 //!
-//! **R model replicas** of the staged sample→gather→transfer→train
-//! pipeline run one per graph partition
-//! ([`neutron_graph::partition::hash_partition`]). Each replica owns the
-//! training vertices its partition assigns to it and prepares its own
-//! batches on one dedicated *fused* worker thread (sample, gather and
-//! transfer back to back) with a **per-replica** staging channel and a
-//! **per-replica** [`FeatureCache`] snapshot of its hottest *owned*
-//! vertices; spent buffer bundles return through one session-wide pool.
-//! The shared train stage consumes one staged batch from every replica per
-//! step, computes per-replica gradients at the same parameter version,
-//! tree-averages them ([`neutron_nn::tree_average`] — an order-independent
-//! reduction), and applies one shared optimizer step
-//! (`ConvergenceTrainer::train_steps_replicated`).
+//! ```text
+//! lane r:  [sample → gather → transfer] --staging ch--> ┐
+//!            fused worker, one per lane                 ├─> [train] (caller thread:
+//!          spent-buffer pool (session-wide) <───────────┘    one batch per lane a step)
+//! [refresh worker] <--task-- train thread at super-batch boundaries:
+//!                            the hot rows the *next* super-batch reads
+//!                  --rows--> published at the *next* boundary (double buffer)
+//! ```
+//!
+//! - **Lanes.** Each lane owns the training vertices its partition assigns
+//!   to it and prepares its batches on one dedicated *fused* worker thread
+//!   (sample, gather and transfer back to back) into its own staging
+//!   channel, in batch order. Spent buffer bundles return through one
+//!   session-wide pool, so warm epochs allocate (near) nothing on the
+//!   staging path (`tests/alloc_budget.rs`).
+//! - **One cache rule.** Each lane's [`FeatureCache`] holds its hottest
+//!   *owned* hot vertices under [`SessionConfig::gpu_free_bytes`], built
+//!   once at session start and in force from epoch 0.
+//! - **Pipelined, demand-driven refresh (Fig 8, §4.2).** The train loop
+//!   keeps `2n−1` staged steps in hand
+//!   ([`ConvergenceTrainer::lookahead`]; they count against the staging
+//!   depth), so at each super-batch boundary it already holds the next
+//!   super-batch. The CPU share of the refresh over the hot rows those
+//!   batches read goes to the session's background refresh worker and is
+//!   collected one boundary later (`WorkerRefresh`). The worker's in-flight
+//!   refresh is settled once at session end and before a
+//!   [`FailurePolicy::Restore`] rolls the trainer back.
+//! - **One step per lane.** The train stage consumes one staged batch from
+//!   every live lane per step, computes per-lane gradients at the same
+//!   parameter version, tree-averages them ([`neutron_nn::tree_average`] —
+//!   an order-independent reduction), and applies one shared optimizer
+//!   step (`ConvergenceTrainer::train_steps_replicated`).
 //!
 //! Determinism contract:
 //!
-//! - **R=1 is bit-identical to the sequential trainer** (and therefore to
-//!   the staged runner a one-replica [`Session`] dispatches to). A 1-way
-//!   partition owns every vertex, so replica 0's train list is
-//!   `dataset.train` in its original order, the epoch shuffle and the
-//!   per-batch [`batch_sample_seed`] stream are unchanged, the
-//!   locality-biased sampler degenerates to the unbiased one (every
-//!   neighbor is local), and the one-replica step path inside
-//!   `train_steps_replicated` is literally `train_prepared` — no gradient
-//!   clone, no averaging, no extra float ops. Not reachable from outside
-//!   at R=1; the unit tests below call `run_fused` directly to keep this
-//!   runner pinned to the sequential reference.
+//! - **R=1 is bit-identical to the sequential trainer.** A 1-way partition
+//!   owns every vertex, so lane 0's train list is `dataset.train` in its
+//!   original order, the epoch shuffle and the per-batch
+//!   [`batch_sample_seed`] stream are unchanged, and the one-lane step
+//!   inside `train_steps_replicated` is literally `train_prepared` — no
+//!   gradient clone, no averaging, no extra float ops. The cache and the
+//!   refresh placement only move bytes and work, never numbers.
 //! - **Any R is deterministic.** The partition is a pure function of
-//!   `(num_vertices, R)`, each replica's batch order is a pure function of
-//!   `(seed, epoch)`, each replica's staging channel is single-producer
-//!   in-order, and the train stage consumes replicas in fixed `0..R`
-//!   order, so repeated runs reproduce losses *and* byte series exactly.
+//!   `(num_vertices, R)`, each lane's batch order is a pure function of
+//!   `(seed, epoch)`, each staging channel is single-producer in-order, and
+//!   the train stage consumes lanes in fixed `0..R` order, so repeated runs
+//!   reproduce losses *and* byte series exactly.
 //!
-//! Replicas also meter a simulated **interconnect** distinct from the
-//! PCIe H2D path ([`neutron_hetero::InterconnectSpec`]): remote
-//! (non-owned) feature rows pulled per batch and ring all-reduce gradient
-//! bytes per step become first-class per-epoch series in the session
-//! report.
+//! Lanes also meter a simulated **interconnect** distinct from the PCIe
+//! H2D path ([`neutron_hetero::InterconnectSpec`]): remote (non-owned)
+//! feature rows pulled per batch and ring all-reduce gradient bytes per
+//! step become first-class per-epoch series in the session report (zero at
+//! R = 1).
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,32 +66,32 @@ use std::time::{Duration, Instant};
 use neutron_cache::FeatureCache;
 use neutron_graph::partition::{hash_partition, Partition};
 use neutron_graph::{Dataset, VertexId};
-use neutron_sample::{BatchIterator, BlockBuilder, EpochBatches, LocalityCounts};
+use neutron_sample::{BatchIterator, BlockBuilder, EpochBatches, LocalityCounts, SamplerScratch};
 use neutron_tensor::alloc::{self, Stage};
 
 use crate::checkpoint::CheckpointError;
-use crate::engine::{transfer_stage, Bounded, Defer, RecvTimeout};
+use crate::engine::{transfer_stage, Bounded, BusyNs, Defer, RecvTimeout};
 use crate::fault::{FailureAction, FailureEvent, FailurePolicy};
 use crate::gather::{GatheredFeatures, StagedBatch};
 use crate::pipeline::PipelineReport;
 use crate::pool::BatchBuffers;
-use crate::refresh::InlineRefresh;
+use crate::refresh::{CpuPart, RefreshBackend, RefreshOutput, RefreshTask};
 use crate::session::{
     recycle_into, BatchRing, Checkpointer, EpochRun, ReplicaEpochStats, Session, SessionConfig,
     SessionError, SessionReport, StageCounters, Supervisor,
 };
 use crate::trainer::{batch_sample_seed, ConvergenceTrainer};
 
-/// The R ≥ 2 spelling of [`Session`], kept for callers that name it.
+/// The multi-lane spelling of [`Session`], kept for callers that name it.
 pub type ReplicatedEngine = Session;
-/// The R ≥ 2 spelling of [`SessionConfig`], kept for callers that name it.
+/// The multi-lane spelling of [`SessionConfig`], kept for callers that name it.
 pub type ReplicatedConfig = SessionConfig;
-/// The R ≥ 2 spelling of [`EpochRun`], kept for callers that name it.
+/// The multi-lane spelling of [`EpochRun`], kept for callers that name it.
 pub type ReplicatedEpochRun = EpochRun;
-/// The R ≥ 2 spelling of [`SessionReport`], kept for callers that name it.
+/// The multi-lane spelling of [`SessionReport`], kept for callers that name it.
 pub type ReplicatedSessionReport = SessionReport;
 
-/// Per-replica share of the session-wide bundle pool: explicit, or enough
+/// Per-lane share of the session-wide bundle pool: explicit, or enough
 /// for the staging channel, the train loop's `lookahead` window (counted
 /// against the channel, [`crate::pipeline::PipelineConfig::train_feed_depth`]),
 /// and in-flight and recycling slack.
@@ -88,21 +105,73 @@ fn pool_capacity(config: &SessionConfig, lookahead: usize) -> usize {
     }
 }
 
-/// One epoch's worth of work for a replica worker.
+/// One epoch's worth of work for a lane's worker.
 struct ReplicaJob {
     epoch: usize,
     /// Batches to stage this epoch (the global step count — the worker
-    /// never produces tail batches other replicas cannot match).
+    /// never produces tail batches other lanes cannot match).
     limit: usize,
     batches: Arc<EpochBatches>,
     cache: Arc<FeatureCache>,
 }
 
-/// Runs the session on one fused worker per replica —
-/// [`Session::run_session_checked`] at `replicas ≥ 2`. The train thread
-/// doubles as the supervisor: it detects a dead replica by its poisoned
-/// staging channel and a stalled one by the stall timeout, then applies
-/// the configured [`FailurePolicy`].
+/// Refresh backend bridging the trainer's super-batch boundaries to the
+/// session's background refresh worker.
+struct WorkerRefresh<'a> {
+    tasks: &'a Bounded<RefreshTask>,
+    outputs: &'a Bounded<RefreshOutput>,
+    /// Cumulative time the train thread spent blocked in [`Self::collect`]
+    /// waiting for the refresh worker. This is train-stage *starvation*
+    /// (the training device idling on CPU work) and is reported as wait,
+    /// not compute, so `train_occupancy` reads low exactly when the refresh
+    /// worker is the bottleneck.
+    wait: Duration,
+    /// Set when [`Self::collect`] found the output channel closed with a
+    /// collect outstanding — the refresh worker died mid-task. The session
+    /// checks this after the epoch and fails (the substituted empty output
+    /// keeps the trainer unwedged until then).
+    failed: bool,
+}
+
+impl RefreshBackend for WorkerRefresh<'_> {
+    fn submit(&mut self, task: RefreshTask) -> CpuPart {
+        match self.tasks.send_or_return(task) {
+            None => CpuPart::Submitted,
+            // Channel closed (teardown/panic path): compute locally so the
+            // trainer's refresh schedule stays intact.
+            Some(task) => CpuPart::Ready(task.run()),
+        }
+    }
+
+    fn collect(&mut self) -> RefreshOutput {
+        let t0 = Instant::now();
+        let out = self.outputs.recv();
+        self.wait += t0.elapsed();
+        out.unwrap_or_else(|| {
+            // The worker died between accepting the task and producing
+            // rows. Panicking here would wedge the lanes; flag it for the
+            // session to turn into a typed error at the epoch boundary.
+            self.failed = true;
+            RefreshOutput::default()
+        })
+    }
+}
+
+/// The error a dead refresh worker ends the session with: its recorded
+/// panic, or a placeholder if it vanished without one.
+fn refresh_died(supervisor: &Supervisor) -> SessionError {
+    supervisor
+        .first_panic()
+        .unwrap_or_else(|| SessionError::WorkerPanicked {
+            stage: "refresh",
+            message: "refresh worker died with a collect outstanding".into(),
+        })
+}
+
+/// Runs the session — [`Session::run_session_checked`], at every replica
+/// count. The train thread doubles as the supervisor: it detects a dead
+/// lane by its poisoned staging channel and a stalled one by the stall
+/// timeout, then applies the configured [`FailurePolicy`].
 pub(crate) fn run_fused(
     config: &SessionConfig,
     trainer: &mut ConvergenceTrainer,
@@ -115,9 +184,8 @@ pub(crate) fn run_fused(
     let partition_stats = partition.stats(&dataset.csr);
     let model_bytes = trainer.model_bytes();
 
-    // Per-replica train lists preserve `dataset.train` order, so a
-    // 1-way partition reproduces the single-replica batch stream
-    // exactly.
+    // Per-lane train lists preserve `dataset.train` order, so a 1-way
+    // partition reproduces the sequential batch stream exactly.
     let config_seed = trainer.config().seed;
     let batch_size = trainer.config().batch_size;
     let checkpointer = Checkpointer::new(config, trainer);
@@ -153,7 +221,7 @@ pub(crate) fn run_fused(
         .map(|_| Arc::new(StageCounters::default()))
         .collect();
     // The train loop holds `lookahead` steps itself; they count against
-    // each replica's staging depth.
+    // each lane's staging depth.
     let lookahead = trainer.lookahead();
     let staged_depth = config.pipeline.train_feed_depth(lookahead);
     let job_channels: RefCell<Vec<Arc<Bounded<ReplicaJob>>>> =
@@ -164,15 +232,21 @@ pub(crate) fn run_fused(
             .collect(),
     );
     // One session-wide return pool, sized for every lane at once: a spent
-    // bundle serves whichever replica stages next, so a dropped replica's
-    // share keeps circulating among the survivors instead of filling up
+    // bundle serves whichever lane stages next, so a dropped lane's share
+    // keeps circulating among the survivors instead of filling up
     // and forcing them to allocate fresh.
     let pool: Bounded<BatchBuffers> = Bounded::new(replicas * pool_capacity(config, lookahead));
+    let tasks: Bounded<RefreshTask> = Bounded::new(1);
+    let outputs: Bounded<RefreshOutput> = Bounded::new(1);
+    let refresh_busy = BusyNs::default();
 
     let supervisor = Supervisor::new(config.fault_plan.clone());
     let sampler0 = trainer.sampler().clone();
     let policy = config.on_replica_failure;
     let stall_timeout = config.stall_timeout;
+    // One partition has nothing remote to prefer: the unbiased sampler
+    // draws the same blocks without splitting every neighborhood.
+    let locality_aware = config.locality_aware && replicas > 1;
 
     let mut epochs = Vec::with_capacity(num_epochs);
     let mut workers_spawned = 0usize;
@@ -184,10 +258,13 @@ pub(crate) fn run_fused(
     let outcome: Result<(), SessionError> = std::thread::scope(|scope| {
         // Unblock every worker on unwind or normal exit: waking the
         // job channels ends their loops, waking the staging channels
-        // unblocks any worker parked on a full channel, and tearing the
+        // unblocks any worker parked on a full channel, closing the
+        // refresh channels ends the refresh worker, and tearing the
         // supervisor down frees workers parked in an injected stall.
         let _teardown = Defer(|| {
             supervisor.tear_down();
+            tasks.close();
+            outputs.close();
             for ch in job_channels.borrow().iter() {
                 ch.close();
             }
@@ -210,7 +287,7 @@ pub(crate) fn run_fused(
             scope.spawn(move || {
                 // Poison both endpoints on every exit path so the
                 // supervisor sees a closed channel instead of
-                // blocking forever on a dead replica.
+                // blocking forever on a dead lane.
                 let _poison = Defer(|| {
                     staged_tx.close();
                     jobs.close();
@@ -232,7 +309,7 @@ pub(crate) fn run_fused(
                             bufs.donate_to(&mut builder);
                             let seed = batch_sample_seed(replica_seed, job.epoch, i);
                             let mut picks = LocalityCounts::default();
-                            let blocks = if config.locality_aware {
+                            let blocks = if locality_aware {
                                 sampler.sample_batch_pooled_biased(
                                     &dataset.csr,
                                     job.batches.batch(i),
@@ -303,8 +380,43 @@ pub(crate) fn run_fused(
                 spawn_worker(r, Arc::clone(&jobs[r]), Arc::clone(&staged[r]));
             }
         }
-        workers_spawned = replicas;
+        let (tasks, outputs, refresh_busy) = (&tasks, &outputs, &refresh_busy);
+        let supervisor = &supervisor;
+        scope.spawn(move || {
+            let _liveness = Defer(|| outputs.close());
+            alloc::set_stage(Stage::Refresh);
+            let body = AssertUnwindSafe(|| {
+                let mut scratch = SamplerScratch::new();
+                while let Some(task) = tasks.recv() {
+                    let t0 = Instant::now();
+                    // Sharding is placement-only: `run_sharded` concatenates
+                    // partition-stable shards in order, so the rows are the
+                    // serial rows bit for bit at any thread count.
+                    let out = match config.refresh_workers {
+                        1 => task.run_with_scratch(&mut scratch),
+                        n => task.run_sharded(n),
+                    };
+                    refresh_busy.add(t0);
+                    if !outputs.send(out) {
+                        break;
+                    }
+                }
+            });
+            if let Err(payload) = catch_unwind(body) {
+                // A later submit must not queue behind a dead worker; the
+                // closed output channel (`_liveness`) fails the next collect.
+                supervisor.record_panic("refresh", payload);
+                tasks.close();
+            }
+        });
+        workers_spawned = replicas + 1;
         startup_seconds = session_start.elapsed().as_secs_f64();
+        let mut backend = WorkerRefresh {
+            tasks,
+            outputs,
+            wait: Duration::ZERO,
+            failed: false,
+        };
 
         let mut batch_rings: Vec<BatchRing> = (0..replicas).map(|_| BatchRing::default()).collect();
 
@@ -339,6 +451,8 @@ pub(crate) fn run_fused(
             let alloc_before = alloc::snapshot();
             let refresh_cpu_fraction = trainer.refresh_cpu_fraction();
             let refresh_rows_before = trainer.refresh_rows();
+            let refresh_busy_before = refresh_busy.seconds();
+            let collect_wait_before = backend.wait;
             let baselines: Vec<ReplicaEpochStats> = counters.iter().map(|c| c.snapshot()).collect();
 
             let filled: Vec<Option<Arc<EpochBatches>>> = (0..replicas)
@@ -444,10 +558,7 @@ pub(crate) fn run_fused(
                     }
                     Some(step)
                 });
-                let mut backend = InlineRefresh::default();
-                let stats = trainer.train_steps_replicated(feed, &mut backend, recycle_into(&pool));
-                trainer.settle_refresh(&mut backend);
-                stats
+                trainer.train_steps_replicated(feed, &mut backend, recycle_into(&pool))
             };
             let train_wall = train_wall.elapsed().as_secs_f64();
             let epoch_seconds = epoch_wall.elapsed().as_secs_f64();
@@ -455,6 +566,9 @@ pub(crate) fn run_fused(
 
             if let Some(err) = epoch_error.into_inner() {
                 return Err(err);
+            }
+            if backend.failed {
+                return Err(refresh_died(supervisor));
             }
             if want_restore.get() {
                 // Drain the survivors so their workers finish the
@@ -481,6 +595,10 @@ pub(crate) fn run_fused(
                     )));
                 }
                 restores_left -= 1;
+                // The refresh on the worker belongs to the abandoned
+                // timeline; collect it now, or the restored trainer's next
+                // collect would publish its rows.
+                trainer.settle_refresh(&mut backend);
                 let ck = checkpointer.load()?;
                 trainer
                     .restore_state(&ck.state)
@@ -502,10 +620,13 @@ pub(crate) fn run_fused(
                 epoch = resume;
                 continue;
             }
-            // A replica lost this epoch hands its train vertices to the
+            // A lane lost this epoch hands its train vertices to the
             // survivors at the next boundary.
             pending_redistribute = *alive.borrow() != alive_at_start;
 
+            // Starvation = blocked on the lanes + blocked on the refresh
+            // worker at super-batch boundaries (see `WorkerRefresh::wait`).
+            let train_wait = (wait + (backend.wait - collect_wait_before)).as_secs_f64();
             let per_replica: Vec<ReplicaEpochStats> = (0..replicas)
                 .map(|r| counters[r].snapshot().since(&baselines[r], steps, lens[r]))
                 .collect();
@@ -519,7 +640,7 @@ pub(crate) fn run_fused(
                 steps as f64 * link.allreduce_seconds(model_bytes, replicas);
             for s in &per_replica {
                 if s.remote_feature_bytes > 0 {
-                    // One remote pull message per step per replica.
+                    // One remote pull message per step per lane.
                     interconnect_seconds += steps as f64 * link.latency
                         + s.remote_feature_bytes as f64 / link.bandwidth;
                 }
@@ -531,8 +652,8 @@ pub(crate) fn run_fused(
                 sample_seconds: per_replica.iter().map(|s| s.sample_seconds).sum(),
                 gather_collect_seconds: per_replica.iter().map(|s| s.gather_seconds).sum(),
                 transfer_seconds: per_replica.iter().map(|s| s.transfer_seconds).sum(),
-                train_seconds: (train_wall - wait.as_secs_f64()).max(0.0),
-                train_wait_seconds: wait.as_secs_f64(),
+                train_seconds: (train_wall - train_wait).max(0.0),
+                train_wait_seconds: train_wait,
                 h2d_bytes,
                 reorder_peak: 0,
                 cache_hits,
@@ -549,7 +670,6 @@ pub(crate) fn run_fused(
             let mut run = EpochRun {
                 epoch,
                 observation,
-                smoothed_occupancy: report.train_occupancy(),
                 report,
                 per_replica,
                 steps,
@@ -557,7 +677,7 @@ pub(crate) fn run_fused(
                 remote_feature_bytes,
                 interconnect_seconds,
                 refresh_cpu_fraction,
-                refresh_seconds: 0.0,
+                refresh_seconds: refresh_busy.seconds() - refresh_busy_before,
                 refresh_rows: trainer.refresh_rows() - refresh_rows_before,
                 eval_seconds,
                 cache_vertices,
@@ -565,10 +685,16 @@ pub(crate) fn run_fused(
                 checkpoint_bytes: 0,
                 checkpoint_seconds: 0.0,
             };
-            checkpointer.at_boundary(trainer, &mut InlineRefresh::default(), &mut run)?;
+            checkpointer.at_boundary(trainer, &mut backend, &mut run)?;
             epochs.push(run);
 
             epoch += 1;
+        }
+        // Resolve the refresh still on the worker so the trainer can
+        // outlive this session (the rows publish at a later boundary).
+        trainer.settle_refresh(&mut backend);
+        if backend.failed {
+            return Err(refresh_died(supervisor));
         }
         Ok(())
     });
@@ -587,9 +713,10 @@ pub(crate) fn run_fused(
     })
 }
 
-/// Builds replica `r`'s feature cache: its hottest *owned* vertices,
-/// capped by the per-replica byte budget. Empty when the trainer's
-/// policy has no hotness ranking.
+/// Builds lane `r`'s feature cache — the session's one cache rule: its
+/// hottest *owned* hot vertices, capped by the per-lane byte budget
+/// ([`SessionConfig::gpu_free_bytes`]). Empty when the trainer's policy has
+/// no hotness ranking.
 fn replica_cache(
     config: &SessionConfig,
     trainer: &ConvergenceTrainer,
@@ -615,118 +742,4 @@ fn replica_cache(
         dataset.features().as_slice(),
         dataset.spec.feature_dim,
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::trainer::{ReusePolicy, TrainerConfig};
-    use neutron_graph::DatasetSpec;
-    use neutron_nn::LayerKind;
-
-    fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
-        let ds = DatasetSpec::tiny().build_full();
-        let mut cfg = TrainerConfig::convergence_default(LayerKind::Gcn, policy);
-        cfg.batch_size = 64;
-        cfg.lr = 0.5;
-        ConvergenceTrainer::new(ds, cfg)
-    }
-
-    fn policy() -> ReusePolicy {
-        ReusePolicy::HotnessAware {
-            hot_ratio: 0.3,
-            super_batch: 2,
-        }
-    }
-
-    // `Session` dispatches R=1 to the staged runner, so these two call the
-    // fused runner directly: they are its only check against the
-    // sequential reference.
-
-    #[test]
-    fn r1_session_matches_sequential_epochs_exactly() {
-        let mut seq = trainer(policy());
-        let mut expected = Vec::new();
-        for epoch in 0..3 {
-            expected.push(seq.train_epoch(epoch));
-        }
-
-        // What the pruning sampler stages per epoch (hot-free bottom block)
-        // and how many hot rows the batches read from the store instead.
-        let hot = seq.hot_set().unwrap();
-        let mut want_sources = [0u64; 3];
-        let mut want_reuses = 0u64;
-        for (epoch, sources) in want_sources.iter_mut().enumerate() {
-            for (i, seeds) in seq.epoch_batches(epoch).iter().enumerate() {
-                let (ds, seed) = (seq.dataset_handle(), seq.config().seed);
-                let item =
-                    ConvergenceTrainer::prepare_batch(&ds, seq.sampler(), seed, epoch, i, seeds);
-                assert!(item.blocks[0].dst().iter().all(|&v| !hot.contains(v)));
-                *sources += item.blocks[0].num_src() as u64;
-                let reads = item.blocks[1].src().iter();
-                want_reuses += reads.filter(|&&v| hot.contains(v)).count() as u64;
-            }
-        }
-
-        let mut replicated = trainer(policy());
-        let report = run_fused(&SessionConfig::default(), &mut replicated, 0, 3).unwrap();
-
-        assert_eq!(report.replicas, 1);
-        assert_eq!(report.epochs.len(), 3);
-        assert_eq!(replicated.embedding_reuses(), want_reuses);
-        for (run, want) in report.epochs.iter().zip(&expected) {
-            let staged = run.report.cache_hits + run.report.cache_misses;
-            assert_eq!(staged, want_sources[run.epoch], "staged unpruned rows");
-            assert_eq!(run.observation.train_loss, want.train_loss);
-            assert_eq!(run.observation.test_accuracy, want.test_accuracy);
-            assert_eq!(run.allreduce_bytes, 0, "R=1 exchanges no gradients");
-            assert_eq!(run.remote_feature_bytes, 0, "1-way partition owns all");
-            assert_eq!(run.per_replica.len(), 1);
-            assert_eq!(run.per_replica[0].remote_picks, 0);
-        }
-    }
-
-    /// The identity at the smoke example's scale: the Reddit convergence
-    /// replica has far more batches and super-batch boundaries per epoch
-    /// than `tiny`, and SAGE instead of GCN layers.
-    #[test]
-    fn r1_identity_holds_on_the_scaled_reddit_replica() {
-        let make = || {
-            let ds = DatasetSpec::reddit_convergence().build_full();
-            let cfg = TrainerConfig::convergence_default(LayerKind::Sage, policy());
-            ConvergenceTrainer::new(ds, cfg)
-        };
-        let (mut seq, mut fused) = (make(), make());
-        let report = run_fused(&SessionConfig::default(), &mut fused, 0, 2).unwrap();
-        for run in &report.epochs {
-            let want = seq.train_epoch(run.epoch);
-            assert_eq!(run.observation.train_loss, want.train_loss);
-            assert_eq!(run.observation.test_accuracy, want.test_accuracy);
-        }
-    }
-
-    #[test]
-    fn r1_identity_holds_across_depths_pools_and_locality() {
-        let mut seq = trainer(policy());
-        let want = seq.train_epoch(0).train_loss;
-        for (depth, pool, budget, locality) in [
-            (1, 0, 0u64, true),
-            (4, 3, 48 << 10, false),
-            (2, 8, 64 << 20, true),
-        ] {
-            let mut t = trainer(policy());
-            let mut cfg = SessionConfig {
-                pool_batches: pool,
-                gpu_free_bytes: budget,
-                locality_aware: locality,
-                ..SessionConfig::default()
-            };
-            cfg.pipeline.channel_depth = depth;
-            let report = run_fused(&cfg, &mut t, 0, 1).unwrap();
-            assert_eq!(
-                report.epochs[0].observation.train_loss, want,
-                "depth={depth} pool={pool} budget={budget} locality={locality}"
-            );
-        }
-    }
 }

@@ -2,33 +2,18 @@
 //!
 //! A [`Session`] runs the paper's stage graph (Fig 8: sample → gather →
 //! transfer → train, plus the super-batch hot-embedding refresh) over a
-//! span of epochs. It **dispatches on [`SessionConfig::replicas`]**, an
-//! input the code observes rather than a mode the caller picks:
+//! span of epochs on **one runner** ([`crate::replica`]): one lane per
+//! graph partition ([`SessionConfig::replicas`]; the default single lane
+//! owns every vertex), each with one fused sample → gather → transfer
+//! worker and a feature cache of its hottest owned vertices, plus one
+//! background refresh worker — DistDGL's view of one machine as the
+//! one-partition case of the distributed design.
 //!
-//! - `replicas == 1` → the *staged pool* of [`crate::engine`]: N sampler,
-//!   M gather, one transfer and one refresh worker over shared bounded
-//!   channels, with the occupancy-planned feature cache;
-//! - `replicas ≥ 2` → the *fused workers* of [`crate::replica`]: one
-//!   sample→gather→transfer worker per graph partition, per-replica caches
-//!   of the hottest owned vertices, the refresh inline on the train thread.
-//!
-//! Both are the same stage graph around the same train loop
-//! ([`ConvergenceTrainer::train_steps_replicated`]); they stay two private
-//! runners because three differences (orchbench `replicated_r2`, seed 1,
-//! 2-core box; measured on scratch copies by the author of the unification
-//! issue and quoted here, not reproduced by anything in this repository)
-//! make giving replicas the staged topology a regression today: staging
-//! each replica on the staged pool moves `peak_rss_mib` 202 → 368 (16
-//! buffer bundles in flight per lane instead of 6), the occupancy-planned
-//! cache moves `h2d_mib_per_epoch` 194.8 → 238.6 (≈ 200 cached vertices per
-//! replica instead of the hottest owned ones under the budget), and a
-//! background refresh worker costs +8 % `peak_rss_mib` with no
-//! `warm_epoch_s` gain.
-//!
-//! What exists once, here, for both runners: the worker-side fault hook
-//! and stall latch (`Supervisor`), the checkpoint-at-boundary step
-//! (`Checkpointer`), the epoch-batch recycling ring (`BatchRing`) and the
-//! post-train bundle recycler (`recycle_into`).
+//! What the runner builds on, here: the worker-side fault hook and stall
+//! latch (`Supervisor`), the checkpoint-at-boundary step (`Checkpointer`),
+//! the epoch-batch recycling ring (`BatchRing`), the per-lane staging
+//! counters (`StageCounters`) and the post-train bundle recycler
+//! (`recycle_into`).
 
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::engine::{Bounded, BusyNs};
@@ -49,46 +34,30 @@ use std::time::{Duration, Instant};
 
 /// Configuration of a training session.
 ///
-/// Fields read by **one** runner only (the other ignores them; see the
-/// module docs for the dispatch rule):
-///
-/// | field | read when |
-/// |---|---|
-/// | `pipeline.sampler_threads`, `pipeline.gather_threads` | `replicas == 1` |
-/// | `adaptive_split`, `refresh_workers` | `replicas == 1` |
-/// | `locality_aware`, `interconnect`, `on_replica_failure` | `replicas ≥ 2` |
-///
-/// Everything else applies to both.
+/// `pipeline.sampler_threads` and `pipeline.gather_threads` are inert (each
+/// lane has one fused worker; see [`PipelineConfig`]). `locality_aware`,
+/// `interconnect` and `on_replica_failure` only matter at `replicas ≥ 2`.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Stage thread counts (R = 1 only), channel depth (per replica at
-    /// R ≥ 2) and the simulated H2D link.
+    /// Per-lane staging depth and the simulated H2D link.
     pub pipeline: PipelineConfig,
-    /// Number of model replicas / graph partitions. `1` runs the staged
-    /// pool, `≥ 2` one fused worker per replica.
+    /// Number of model replicas / graph partitions — one lane each.
     pub replicas: usize,
-    /// R = 1 only. Re-plan the hybrid hot-set split from measured train
-    /// occupancy between epochs (§4.1.3 closed at runtime). When `false`
-    /// the split stays wherever
-    /// [`ConvergenceTrainer::set_refresh_cpu_fraction`] put it.
-    pub adaptive_split: bool,
-    /// Device memory spent on cached features: the hybrid planner's budget
-    /// at R = 1, each replica's own budget (hottest owned vertices) at
-    /// R ≥ 2.
+    /// Device memory each lane spends on cached features: its hottest
+    /// owned hot vertices, up to this many bytes.
     pub gpu_free_bytes: u64,
-    /// R = 1 only. Threads the refresh worker spreads each task's vertex
-    /// list over (partition-stable, so any value is bit-identical). `0`
-    /// means auto: one shard per available core.
+    /// Threads the refresh worker spreads each task's vertex list over
+    /// (partition-stable, so any value is bit-identical). At least 1.
     pub refresh_workers: usize,
     /// Spent [`BatchBuffers`] bundles kept circulating per staging lane;
     /// `0` sizes the pool to everything that can be in flight at once. Any
     /// value is bit-identical: a drained pool just allocates fresh.
     pub pool_batches: usize,
-    /// R ≥ 2 only. Prefer partition-local neighbours while sampling;
+    /// Prefer partition-local neighbours while sampling (R ≥ 2);
     /// `false` is the locality-blind ablation.
     pub locality_aware: bool,
-    /// R ≥ 2 only. Simulated replica-to-replica fabric pricing remote
-    /// feature pulls and gradient all-reduces (distinct from the H2D link).
+    /// Simulated replica-to-replica fabric pricing remote feature pulls and
+    /// gradient all-reduces (distinct from the H2D link; unused at R = 1).
     pub interconnect: InterconnectSpec,
     /// Write a checkpoint after every epoch whose (absolute) number + 1 is
     /// a multiple of this; `0` disables. Keyed on the absolute epoch, so a
@@ -104,23 +73,10 @@ pub struct SessionConfig {
     /// How long the train stage tolerates an empty staging channel (with
     /// work outstanding) before declaring its producer stalled.
     pub stall_timeout: Duration,
-    /// R ≥ 2 only. What the supervisor does when a replica dies or stalls
-    /// mid-epoch. One replica has nobody to degrade to or respawn beside,
-    /// so [`Session::new`] rejects anything but `Fail` at R = 1.
+    /// What the supervisor does when a lane dies or stalls mid-epoch. One
+    /// lane has nobody to degrade to or respawn beside, so
+    /// [`Session::new`] rejects anything but `Fail` at R = 1.
     pub on_replica_failure: FailurePolicy,
-}
-
-impl SessionConfig {
-    /// Resolves [`Self::refresh_workers`]'s auto (`0`) setting.
-    pub fn effective_refresh_workers(&self) -> usize {
-        match self.refresh_workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-            n => n,
-        }
-    }
 }
 
 impl Default for SessionConfig {
@@ -128,9 +84,8 @@ impl Default for SessionConfig {
         Self {
             pipeline: PipelineConfig::default(),
             replicas: 1,
-            adaptive_split: true,
             gpu_free_bytes: 64 << 20,
-            refresh_workers: 0,
+            refresh_workers: 1,
             pool_batches: 0,
             locality_aware: true,
             interconnect: InterconnectSpec::nvlink_like(),
@@ -143,8 +98,7 @@ impl Default for SessionConfig {
     }
 }
 
-/// One epoch's staging measurements for a single replica (the one staged
-/// pool counts as replica 0).
+/// One epoch's staging measurements for a single lane.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplicaEpochStats {
     /// Busy seconds of this replica's sampling phase.
@@ -180,8 +134,7 @@ pub struct EpochRun {
     /// Measured per-stage breakdown, summed across replicas. `num_batches`
     /// counts optimizer *steps*, so series line up at every R.
     pub report: PipelineReport,
-    /// Per-replica staging breakdown, indexed by replica id (one entry at
-    /// R = 1).
+    /// Per-lane staging breakdown, indexed by replica id.
     pub per_replica: Vec<ReplicaEpochStats>,
     /// Optimizer steps this epoch (min batch count across live replicas).
     pub steps: usize,
@@ -198,8 +151,9 @@ pub struct EpochRun {
     pub refresh_cpu_fraction: f64,
     /// Busy seconds the background refresh worker spent during this
     /// epoch's wall-clock window (a task submitted at an epoch's last
-    /// boundary is credited where it physically ran). Zero under the fused
-    /// runner, whose refresh runs inline inside `report.train_seconds`.
+    /// boundary is credited where it physically ran). Refresh rows the
+    /// training device computes (its share of the split) run inside
+    /// `report.train_seconds` instead.
     pub refresh_seconds: f64,
     /// Hot rows put on refresh worklists during this epoch, both shares:
     /// what the next super-batch reads, or the whole hot set at the
@@ -208,13 +162,9 @@ pub struct EpochRun {
     /// Seconds spent in test-set evaluation after the epoch — inference,
     /// kept out of `report.epoch_seconds`.
     pub eval_seconds: f64,
-    /// Vertices resident in the GPU feature cache(s) *during* this epoch,
-    /// summed across replicas.
+    /// Vertices resident in the GPU feature caches during this epoch,
+    /// summed across lanes.
     pub cache_vertices: usize,
-    /// EWMA-smoothed train occupancy after folding in this epoch's
-    /// measurement — the signal the R = 1 planner sees. Equals the raw
-    /// measurement when nothing is planned from it.
-    pub smoothed_occupancy: f64,
     /// Heap allocations attributed per stage during this epoch's training
     /// window (evaluation excluded). All zero unless a
     /// [`neutron_tensor::alloc::CountingAllocator`] is installed and
@@ -238,9 +188,9 @@ pub struct SessionReport {
     pub replicas: usize,
     /// Model parameter bytes (the all-reduce payload per step).
     pub model_bytes: u64,
-    /// Worker threads spawned: samplers + gatherers + transfer + refresh
-    /// at R = 1, one per replica (plus replacements after a
-    /// [`FailurePolicy::Restore`]) at R ≥ 2 — independent of epoch count.
+    /// Worker threads spawned: one per lane plus the refresh worker (plus
+    /// replacement lanes after a [`FailurePolicy::Restore`]) — independent
+    /// of epoch count.
     pub workers_spawned: usize,
     /// Epoch jobs published to the workers (== epochs run, plus any epoch
     /// replayed after a restore).
@@ -257,9 +207,8 @@ pub struct SessionReport {
 impl SessionReport {
     /// One per-epoch series of the session: `f` of every epoch's run, in
     /// epoch order. `|run| run.observation.train_loss` is the loss
-    /// trajectory, `|run| run.refresh_cpu_fraction` the adaptive split's,
-    /// `|run| run.report.h2d_bytes` the transfer volume that drops as the
-    /// planner shifts hot vertices into the GPU feature cache.
+    /// trajectory, `|run| run.report.h2d_bytes` the transfer volume the
+    /// feature caches leave on the link.
     pub fn series<T>(&self, f: impl FnMut(&EpochRun) -> T) -> Vec<T> {
         self.epochs.iter().map(f).collect()
     }
@@ -270,25 +219,16 @@ impl SessionReport {
 /// checkpoint into this typed error instead of hanging a `recv` forever.
 #[derive(Clone, Debug)]
 pub enum SessionError {
-    /// A stage worker panicked; the batch it held is lost and the pipeline
-    /// was poisoned so every other stage unblocked.
+    /// The refresh worker panicked; its channels were closed so the train
+    /// stage unblocked.
     WorkerPanicked {
         /// Stage the panicking worker belonged to.
         stage: &'static str,
         /// The panic payload (stringified).
         message: String,
     },
-    /// The pipeline stopped making progress: nothing reached the train
-    /// stage for the configured stall timeout while work remained.
-    Stalled {
-        /// Epoch being trained when progress stopped.
-        epoch: usize,
-        /// First batch index that never arrived.
-        step: usize,
-        /// The timeout that expired.
-        timeout: Duration,
-    },
-    /// A replica's worker died (panicked or exited early) mid-epoch and the
+    /// A lane's worker died (panicked or exited early) or stalled (nothing
+    /// staged within [`SessionConfig::stall_timeout`]) mid-epoch and the
     /// failure policy was [`FailurePolicy::Fail`].
     ReplicaDied {
         /// The replica that died.
@@ -305,16 +245,6 @@ pub enum SessionError {
         /// Epoch at which the last replica was lost.
         epoch: usize,
     },
-    /// An epoch ended with fewer batches trained than scheduled and no
-    /// panic to blame — e.g. every worker of a stage exited cleanly.
-    EpochIncomplete {
-        /// The epoch that came up short.
-        epoch: usize,
-        /// Batches actually trained.
-        trained: usize,
-        /// Batches scheduled.
-        total: usize,
-    },
     /// Writing or reading a checkpoint failed.
     Checkpoint(CheckpointError),
 }
@@ -325,14 +255,6 @@ impl fmt::Display for SessionError {
             SessionError::WorkerPanicked { stage, message } => {
                 write!(f, "{stage} worker panicked: {message}")
             }
-            SessionError::Stalled {
-                epoch,
-                step,
-                timeout,
-            } => write!(
-                f,
-                "pipeline stalled in epoch {epoch}: batch {step} never arrived within {timeout:?}"
-            ),
             SessionError::ReplicaDied {
                 replica,
                 epoch,
@@ -345,14 +267,6 @@ impl fmt::Display for SessionError {
             SessionError::NoSurvivors { epoch } => {
                 write!(f, "all replicas lost by epoch {epoch}")
             }
-            SessionError::EpochIncomplete {
-                epoch,
-                trained,
-                total,
-            } => write!(
-                f,
-                "epoch {epoch} incomplete: trained {trained} of {total} batches"
-            ),
             SessionError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
     }
@@ -373,41 +287,32 @@ pub struct Session {
 
 impl Session {
     /// Builds a session. Panics on a configuration it could not honour:
-    /// zero replicas, a zero channel depth, zero sampler or gather threads
-    /// at R = 1, a replica-failure policy other than `Fail` at R = 1, or a
-    /// fault addressed to a worker the session does not have (a sampler
-    /// thread at R = 1, a replica at R >= 2) — it would never be delivered.
+    /// zero replicas, a zero channel depth, zero refresh threads, a
+    /// replica-failure policy other than `Fail` at R = 1, or a fault
+    /// addressed to a lane the session does not have — it would never be
+    /// delivered.
     pub fn new(config: SessionConfig) -> Self {
-        assert!(config.replicas >= 1, "need at least one replica");
+        let replicas = config.replicas;
+        assert!(replicas >= 1, "need at least one replica");
         assert!(
             config.pipeline.channel_depth >= 1,
             "staging needs a channel depth of at least 1"
         );
-        if config.replicas == 1 {
-            assert!(
-                config.pipeline.sampler_threads > 0,
-                "need at least one sampler thread"
-            );
-            assert!(
-                config.pipeline.gather_threads > 0,
-                "need at least one gather thread"
-            );
-            assert!(
-                config.on_replica_failure == FailurePolicy::Fail,
-                "on_replica_failure = {:?} needs replicas >= 2: a one-replica session has no \
-                 survivor to continue with and no peer to respawn beside",
-                config.on_replica_failure
-            );
-        }
-        let (workers, role) = match config.replicas {
-            1 => (config.pipeline.sampler_threads, "sampler thread(s)"),
-            r => (r, "replicas"),
-        };
+        assert!(
+            config.refresh_workers >= 1,
+            "need at least one refresh worker thread"
+        );
+        assert!(
+            replicas > 1 || config.on_replica_failure == FailurePolicy::Fail,
+            "on_replica_failure = {:?} needs replicas >= 2: a one-replica session has no \
+             survivor to continue with and no peer to respawn beside",
+            config.on_replica_failure
+        );
         for spec in config.fault_plan.iter().flat_map(|plan| plan.specs()) {
             assert!(
-                spec.replica < workers,
-                "fault {spec} addresses worker {} but the session has {workers} {role}: it \
-                 would never be delivered",
+                spec.replica < replicas,
+                "fault {spec} addresses worker {} but the session has {replicas} replica(s): \
+                 it would never be delivered",
                 spec.replica
             );
         }
@@ -421,7 +326,7 @@ impl Session {
 
     /// Runs `num_epochs` epochs starting at `first_epoch` over one set of
     /// persistent workers. At R = 1 numerically identical to calling
-    /// `trainer.train_epoch(e)` for the same epochs, at any thread count,
+    /// `trainer.train_epoch(e)` for the same epochs, at any staging depth,
     /// cache budget, pool size and hybrid split; at any R deterministic —
     /// concurrency changes wall-clock and placement, never results.
     ///
@@ -438,14 +343,13 @@ impl Session {
     }
 
     /// [`Self::run_session`] with failures surfaced as [`SessionError`]
-    /// instead of panics. At R = 1 a panicking stage worker poisons the
-    /// pipeline and comes back as [`SessionError::WorkerPanicked`], a
-    /// producer that stops producing trips [`SessionConfig::stall_timeout`]
-    /// ([`SessionError::Stalled`]). At R ≥ 2 the supervisor detects a dead
-    /// replica by its closed staging channel and a stalled one by the same
-    /// timeout, then applies [`SessionConfig::on_replica_failure`]:
+    /// instead of panics. The supervisor detects a dead lane by its closed
+    /// staging channel and a stalled one by
+    /// [`SessionConfig::stall_timeout`], then applies
+    /// [`SessionConfig::on_replica_failure`]:
     ///
-    /// * `Fail` — tear down and return [`SessionError::ReplicaDied`].
+    /// * `Fail` (the only policy at R = 1) — tear down and return
+    ///   [`SessionError::ReplicaDied`].
     /// * `DropReplica` — finish the epoch with the survivors (the tree
     ///   average already rescales by group size) and redistribute the dead
     ///   replica's train vertices round-robin over them at the next epoch
@@ -459,21 +363,18 @@ impl Session {
         first_epoch: usize,
         num_epochs: usize,
     ) -> Result<SessionReport, SessionError> {
-        match self.config.replicas {
-            1 => crate::engine::run_staged(&self.config, trainer, first_epoch, num_epochs),
-            _ => crate::replica::run_fused(&self.config, trainer, first_epoch, num_epochs),
-        }
+        crate::replica::run_fused(&self.config, trainer, first_epoch, num_epochs)
     }
 }
 
 // ---------------------------------------------------------------------------
-// What both runners share.
+// What the runner builds on.
 // ---------------------------------------------------------------------------
 
-/// The monotone staging counters of one lane — the staged pool, or one
-/// replica's fused worker. Workers update them before sending the batch
-/// they describe, so draining the staging channel synchronises the train
-/// thread's reads at epoch boundaries.
+/// The monotone staging counters of one lane's fused worker. The worker
+/// updates them before sending the batch they describe, so draining the
+/// staging channel synchronises the train thread's reads at epoch
+/// boundaries.
 #[derive(Default)]
 pub(crate) struct StageCounters {
     pub(crate) h2d_bytes: AtomicU64,
@@ -728,11 +629,11 @@ impl<'a> Checkpointer<'a> {
     }
 }
 
-/// Recycles one producer's per-epoch batch list with a two-epoch lag: the
-/// workers hold epoch `e`'s `Arc` until they receive epoch `e+1`'s job, so
-/// the list of epoch `e−1` is guaranteed unreferenced when epoch `e+1` is
+/// Recycles one lane's per-epoch batch list with a two-epoch lag: the lane
+/// worker holds epoch `e`'s `Arc` while it stages that epoch, so the list
+/// of epoch `e−1` is (almost always) unreferenced when epoch `e+1` is
 /// filled — one flat id buffer (pair) serves the whole session instead of
-/// a fresh `Vec` per epoch.
+/// a fresh `Vec` per epoch. A list still referenced is never written to.
 #[derive(Default)]
 pub(crate) struct BatchRing {
     spare: Option<Arc<EpochBatches>>,

@@ -54,14 +54,6 @@ pub fn layer_train_flops(
         + layer_backward_flops(kind, num_dst, num_src, num_edges, in_dim, out_dim)
 }
 
-/// Activation-memory bytes a layer holds during training: inputs, outputs
-/// and pre-activations in f32, roughly tripled for gradient buffers. This is
-/// what fills GPU memory in Cases 2–4 (Fig 6b).
-pub fn layer_activation_bytes(num_dst: u64, num_src: u64, in_dim: u64, out_dim: u64) -> u64 {
-    let fwd = num_src * in_dim * 4 + 2 * num_dst * out_dim * 4;
-    3 * fwd
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,13 +88,5 @@ mod tests {
         let b = layer_backward_flops(LayerKind::Gcn, 10, 40, 100, 8, 4);
         assert_eq!(layer_train_flops(LayerKind::Gcn, 10, 40, 100, 8, 4), f + b);
         assert_eq!(b, 2 * f);
-    }
-
-    #[test]
-    fn activation_bytes_positive_and_monotone() {
-        let a = layer_activation_bytes(100, 500, 64, 32);
-        let b = layer_activation_bytes(200, 1000, 64, 32);
-        assert!(b > a);
-        assert!(a > 0);
     }
 }

@@ -319,16 +319,12 @@ pub fn fault_run(
         return Err("--policy drop|restore needs --replicas >= 2".into());
     }
     let plan = Arc::new(FaultPlan::parse(faults)?);
-    // The rule `Session::new` asserts, as a usage error: a fault addresses a
-    // replica at R >= 2 and a sampler thread at R = 1.
-    let workers = match replicas {
-        1 => SessionConfig::default().pipeline.sampler_threads,
-        r => r,
-    };
-    if let Some(spec) = plan.specs().find(|spec| spec.replica >= workers) {
+    // The rule `Session::new` asserts, as a usage error: a fault addresses
+    // one of the session's lanes.
+    if let Some(spec) = plan.specs().find(|spec| spec.replica >= replicas) {
         return Err(format!(
             "--faults {spec} addresses worker {} but a --replicas {replicas} session has \
-             {workers} worker(s): it would never be delivered\n\n{}",
+             {replicas} worker(s): it would never be delivered\n\n{}",
             spec.replica,
             crate::USAGE
         ));

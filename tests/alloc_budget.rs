@@ -51,14 +51,16 @@ const SCALED_WARM_STAGING_ALLOC_BUDGET: f64 = 150.0;
 /// fewer staging allocations than `run_epoch_sequential`. Measured 30–90x.
 const SCALED_MIN_IMPROVEMENT: f64 = 10.0;
 
-/// Ceiling on the train-stage bytes allocated per warm epoch of the scaled
-/// session with the refresh pinned to its worker (the adaptive split moves
-/// refresh rows onto the train thread by timing; pinned, the figure repeats to
-/// within 0.3 %). Measured 26.4 MiB: activations, layer contexts and the
-/// upper layer's input gradient, fresh per batch. 63.0 MiB when the bottom
-/// layer also computed the `num_src × feature_dim` `∂L/∂features` that
-/// nobody reads.
-const SCALED_WARM_TRAIN_BYTES_BUDGET: u64 = 33 << 20;
+/// Ceiling on the train-stage bytes allocated per steady epoch (the last
+/// half) of the scaled session, with the whole refresh on its worker (the
+/// default all-CPU split; the figure repeats to within 0.3 %). Measured
+/// 26.4 MiB: activations, layer contexts and the upper layer's input
+/// gradient, fresh per batch. 63.0 MiB when the bottom layer also computed
+/// the `num_src × feature_dim` `∂L/∂features` that nobody reads. Epochs 1–3
+/// run up to 32.5 MiB while recycled bundles grow the full-size buffers the
+/// device-side assembly of cache hits needs (26.4 MiB from epoch 1 with a
+/// zero cache budget).
+const SCALED_STEADY_TRAIN_BYTES_BUDGET: u64 = 33 << 20;
 
 /// Hard ceiling on refresh-stage heap allocations per warm engine epoch on
 /// the tiny workload, with every refresh row computed on the refresh
@@ -139,21 +141,10 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
             channel_depth: 3,
             h2d_gibps: 0.0,
         },
-        adaptive_split: true,
         gpu_free_bytes: 64 << 20,
         ..SessionConfig::default()
     });
     let session = engine.run_session(&mut eng, 0, epochs);
-
-    // Same engine with the whole refresh pinned to the refresh worker, so
-    // the refresh-stage window sees every row a boundary recomputes.
-    let mut pinned = trainer();
-    let pinned_session = Session::new(SessionConfig {
-        adaptive_split: false,
-        refresh_workers: 1,
-        ..engine.config().clone()
-    })
-    .run_session(&mut pinned, 0, epochs);
 
     // Data-parallel engine at R=2: both replicas run the same pooled
     // staging path, so the process-wide per-epoch window (the counters are
@@ -190,17 +181,11 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
     })
     .run_session(&mut degraded, 0, 10);
 
-    // The scaled workload on the default session (2 samplers, 1 gatherer,
-    // depth 4, adaptive split, 64 MiB cache budget).
+    // The scaled workload on the default session (one lane, depth 4,
+    // serial refresh worker, 64 MiB cache budget).
     let scaled_seq = sequential_staging_allocs(scaled_trainer(), SCALED_EPOCHS);
     let scaled_session =
         Session::new(SessionConfig::default()).run_session(&mut scaled_trainer(), 0, SCALED_EPOCHS);
-    let scaled_pinned = Session::new(SessionConfig {
-        adaptive_split: false,
-        refresh_workers: 1,
-        ..SessionConfig::default()
-    })
-    .run_session(&mut scaled_trainer(), 0, 3);
     alloc::set_enabled(false);
 
     assert_eq!(session.epochs.len(), epochs);
@@ -230,7 +215,9 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
         );
     }
 
-    for run in &pinned_session.epochs[1..] {
+    // The default all-CPU split puts every row a boundary recomputes on the
+    // refresh worker, so its stage window sees the whole refresh.
+    for run in &session.epochs[1..] {
         let refresh = run.allocs.get(Stage::Refresh).allocs;
         println!(
             "epoch {}: refresh-stage allocs {refresh} for {} refreshed rows",
@@ -284,18 +271,18 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
          {SCALED_MIN_IMPROVEMENT}x below the sequential path's {seq_steady:.1}"
     );
 
-    for run in &scaled_pinned.epochs[1..] {
+    for run in &scaled_session.epochs[SCALED_EPOCHS / 2..] {
         let train = run.allocs.get(Stage::Train).bytes;
         println!(
-            "scaled, refresh pinned: epoch {} allocated {train} B ({:.1} MiB) in the train stage",
+            "scaled, refresh on its worker: epoch {} allocated {train} B ({:.1} MiB) in the train stage",
             run.epoch,
             train as f64 / (1u64 << 20) as f64
         );
         assert_eq!(run.refresh_cpu_fraction, 1.0);
         assert!(
-            train <= SCALED_WARM_TRAIN_BYTES_BUDGET,
-            "warm scaled epoch {} allocated {train} B in the train stage, budget \
-             {SCALED_WARM_TRAIN_BYTES_BUDGET} — is a matrix nobody reads being computed again?",
+            train <= SCALED_STEADY_TRAIN_BYTES_BUDGET,
+            "steady scaled epoch {} allocated {train} B in the train stage, budget \
+             {SCALED_STEADY_TRAIN_BYTES_BUDGET} — is a matrix nobody reads being computed again?",
             run.epoch
         );
     }

@@ -41,8 +41,8 @@ fn trainer() -> ConvergenceTrainer {
     ConvergenceTrainer::new(ds, cfg)
 }
 
-/// A session of `replicas` replicas (with `sampler_threads` samplers where
-/// one replica runs the staged pool), checkpointing to `(path, every)`.
+/// A session of `replicas` lanes (`sampler_threads` is inert: one fused
+/// worker per lane), checkpointing to `(path, every)`.
 fn session(replicas: usize, sampler_threads: usize, ck: Option<(&PathBuf, usize)>) -> Session {
     Session::new(SessionConfig {
         pipeline: PipelineConfig {
@@ -64,11 +64,10 @@ fn ck_path(tag: &str) -> PathBuf {
 
 /// Canonical byte image of a trainer's full mutable state — the equality
 /// oracle for "bit-identical" (TrainerState holds f32s whose NaN payloads
-/// `PartialEq` would mishandle; the codec preserves raw bits). The
-/// adaptive-split knob is masked and the pending refresh's gpu/cpu shares
-/// are merged: both are governed by the measured-occupancy split, which
-/// varies run to run while being numerically inert — it only moves rows
-/// between devices, and publication merges the shares identically.
+/// `PartialEq` would mishandle; the codec preserves raw bits). The hybrid
+/// split is masked and the pending refresh's gpu/cpu shares are merged:
+/// the split is numerically inert — it only moves rows between devices,
+/// and publication merges the shares identically.
 fn state_bytes(t: &mut ConvergenceTrainer, replicas: usize) -> Vec<u8> {
     let digest = checkpoint::config_digest(t.config(), replicas);
     let mut state = t.capture_state(&mut InlineRefresh::default());
@@ -469,7 +468,7 @@ fn assert_kill_and_restore_is_invisible(
     }
 }
 
-/// Kill/restore identity on the staged pool, at every tested thread count.
+/// Kill/restore identity on one lane, whatever the (inert) thread count.
 #[test]
 fn killed_engine_session_restores_bit_identically() {
     for sampler_threads in [1, 3] {

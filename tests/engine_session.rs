@@ -1,11 +1,11 @@
 //! Integration tests of the training session: determinism versus repeated
-//! sequential epochs at any thread count (with the refresh worker and the
-//! occupancy-driven hybrid planner both active), staleness under the
-//! double-buffered refresh, split invariance, the spawn-once guarantee of
-//! the persistent pool, the dispatch on `replicas` and the configurations
-//! it rejects, and the hot-vertex pruning contract (hot rows never reach
-//! the device path; their embeddings are primed before batch 0 and a
-//! missing one is fatal, never a silent zero).
+//! sequential epochs (with the background refresh worker and the feature
+//! cache active), staleness under the double-buffered refresh, split and
+//! cache invariance, the spawn-once guarantee of the persistent workers,
+//! the report shape per replica count and the configurations a session
+//! rejects, and the hot-vertex pruning contract (hot rows never reach the
+//! device path; their embeddings are primed before batch 0 and a missing
+//! one is fatal, never a silent zero).
 
 use neutronorch::core::fault::{FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
@@ -51,7 +51,9 @@ fn hot_policy() -> ReusePolicy {
     }
 }
 
-fn config(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> SessionConfig {
+/// A one-lane session config. The thread counts are inert (one fused
+/// worker per lane); tests vary them to show nothing reads them.
+fn config(sampler_threads: usize, gather_threads: usize) -> SessionConfig {
     SessionConfig {
         pipeline: PipelineConfig {
             sampler_threads,
@@ -59,14 +61,13 @@ fn config(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> Sess
             channel_depth: 3,
             h2d_gibps: 0.0,
         },
-        adaptive_split: adaptive,
         gpu_free_bytes: 64 << 20,
         ..SessionConfig::default()
     }
 }
 
-fn engine(sampler_threads: usize, gather_threads: usize, adaptive: bool) -> Session {
-    Session::new(config(sampler_threads, gather_threads, adaptive))
+fn engine(sampler_threads: usize, gather_threads: usize) -> Session {
+    Session::new(config(sampler_threads, gather_threads))
 }
 
 /// `epochs` epochs of the sequential reference under [`hot_policy`].
@@ -99,15 +100,15 @@ fn assert_replays(
 
 /// The acceptance criterion of the persistent-engine refactor: a session
 /// over E epochs is bit-identical to E sequential `run_epoch_sequential`
-/// calls, at every tested thread count, while the background refresh worker
-/// and the occupancy-driven `HybridPolicy::plan` feedback are both active.
-/// The adaptive split changes *which device computes* hot embeddings,
-/// never the numerical result.
+/// calls, whatever the (inert) thread counts say, while the background
+/// refresh worker and the feature cache are both active. They change
+/// *where* hot embeddings are computed and features are read, never the
+/// numerical result.
 #[test]
 fn session_bit_identical_to_sequential_epochs_at_any_thread_count() {
     let reference = sequential_reference(4);
     for (st, gt) in [(1, 1), (2, 2), (4, 3)] {
-        let session = engine(st, gt, true).run_session(&mut trainer(hot_policy()), 0, 4);
+        let session = engine(st, gt).run_session(&mut trainer(hot_policy()), 0, 4);
         assert_replays(&session, &reference, &format!("{st}x{gt} threads"));
     }
 }
@@ -123,7 +124,7 @@ fn sharded_refresh_is_bit_identical_at_any_worker_count() {
     for refresh_workers in [1, 2, 3, 16] {
         let session = Session::new(SessionConfig {
             refresh_workers,
-            ..config(2, 2, true)
+            ..config(2, 2)
         })
         .run_session(&mut trainer(hot_policy()), 0, 4);
         assert_replays(
@@ -135,7 +136,7 @@ fn sharded_refresh_is_bit_identical_at_any_worker_count() {
 }
 
 /// One session is also bit-identical to many single-epoch sessions,
-/// proving the parked worker pool and the in-flight refresh hand-off across
+/// proving the parked workers and the in-flight refresh hand-off across
 /// epoch boundaries change nothing.
 #[test]
 fn one_session_equals_many_single_epoch_sessions() {
@@ -150,7 +151,7 @@ fn one_session_equals_many_single_epoch_sessions() {
         .map(|e| single_epoch.run_session(&mut many, e, 1).epochs[0].observation)
         .collect();
     let mut once = trainer(policy());
-    let session = engine(2, 1, true).run_session(&mut once, 0, epochs);
+    let session = engine(2, 1).run_session(&mut once, 0, epochs);
     for (run, want) in session.epochs.iter().zip(&reference) {
         assert_eq!(run.observation.train_loss, want.train_loss);
         assert_eq!(run.observation.test_accuracy, want.test_accuracy);
@@ -158,15 +159,15 @@ fn one_session_equals_many_single_epoch_sessions() {
 }
 
 /// The hybrid split is placement, not arithmetic: pinning the CPU share of
-/// the refresh to 0, ½ or 1 (adaptive planner off) yields bit-identical
-/// trajectories, because refresh tasks are partition-stable pure functions
-/// of the boundary's parameter snapshot.
+/// the refresh to 0, ½ or 1 yields bit-identical trajectories, because
+/// refresh tasks are partition-stable pure functions of the boundary's
+/// parameter snapshot.
 #[test]
 fn refresh_split_never_changes_the_trajectory() {
     let run = |cpu_fraction: f64| {
         let mut t = trainer(hot_policy());
         t.set_refresh_cpu_fraction(cpu_fraction);
-        let session = engine(2, 1, false).run_session(&mut t, 0, 3);
+        let session = engine(2, 1).run_session(&mut t, 0, 3);
         assert_eq!(t.refresh_cpu_fraction(), cpu_fraction, "split must persist");
         session.series(|r| (r.observation.train_loss, r.observation.test_accuracy))
     };
@@ -184,17 +185,45 @@ fn refresh_split_never_changes_the_trajectory() {
 /// equal the sequential baseline's gathered-vertex count, a nonzero budget
 /// never ships more bytes than the cache-less run, and a zero budget ships
 /// exactly the sequential baseline's bytes with zero hits.
+///
+/// The cache rule is an input here: each lane caches its hottest owned hot
+/// vertices up to the budget, built once, so every epoch — epoch 0
+/// included — runs with `min(owned hot set, budget / row bytes)` cached
+/// vertices per lane, and a nonzero budget hits from the first epoch on.
 #[test]
 fn cache_budget_never_changes_the_trajectory() {
     let reference = sequential_reference(4);
-    for budget in [0u64, 48 << 10, 64 << 20] {
+    let probe = trainer(hot_policy());
+    let hot = probe.hot_set().unwrap().vertices().to_vec();
+    let ds = probe.dataset_handle();
+    let row_bytes = ds.spec.feature_row_bytes();
+    let part = hash_partition(ds.csr.num_vertices(), 2);
+    // None, a third of the hot set (the budget binds), all of it.
+    let budgets = [0u64, hot.len() as u64 / 3 * row_bytes, 64 << 20];
+    assert!(budgets[2] / row_bytes > hot.len() as u64);
+    // `min(owned hot set, budget rows)`, summed over the lanes of `replicas`.
+    let want_cached = |budget: u64, replicas: usize| -> usize {
+        let rows = (budget / row_bytes) as usize;
+        (0..replicas)
+            .map(|r| {
+                let owned = hot.iter().filter(|&&v| replicas == 1 || part.owner(v) == r);
+                owned.count().min(rows)
+            })
+            .sum()
+    };
+    for budget in budgets {
         let session = Session::new(SessionConfig {
             gpu_free_bytes: budget,
-            ..config(2, 2, true)
+            ..config(2, 2)
         })
         .run_session(&mut trainer(hot_policy()), 0, 4);
         assert_replays(&session, &reference, &format!("budget {budget}"));
         for (run, (_, seq_report)) in session.epochs.iter().zip(&reference) {
+            assert_eq!(
+                run.cache_vertices,
+                want_cached(budget, 1),
+                "budget {budget}"
+            );
             assert_eq!(
                 run.report.cache_hits + run.report.cache_misses,
                 seq_report.cache_misses,
@@ -206,24 +235,42 @@ fn cache_budget_never_changes_the_trajectory() {
                 "epoch {}: a cache may only remove bytes",
                 run.epoch
             );
-            // Epoch 0 runs before the first plan, so like a zero budget it
-            // has no cache to hit.
-            if budget == 0 || run.epoch == 0 {
+            if budget == 0 {
                 assert_eq!(run.report.cache_hits, 0, "an empty cache must never hit");
                 assert_eq!(
                     run.report.h2d_bytes, seq_report.h2d_bytes,
                     "an empty cache must ship exactly the sequential bytes"
                 );
+            } else {
+                assert!(
+                    run.report.cache_hits > 0 && run.report.h2d_bytes < seq_report.h2d_bytes,
+                    "epoch {}, budget {budget}: the cache is in force from epoch 0",
+                    run.epoch
+                );
             }
         }
-        if budget > 0 {
-            let sent: u64 = session.epochs.iter().map(|r| r.report.h2d_bytes).sum();
-            let sequential: u64 = reference.iter().map(|(_, r)| r.h2d_bytes).sum();
-            let hits: u64 = session.epochs.iter().map(|r| r.report.cache_hits).sum();
-            assert!(
-                sent < sequential && hits > 0,
-                "budget {budget}: a cache must remove bytes over the session \
-                 ({sent} of {sequential} B sent, {hits} hits)"
+    }
+
+    // Two lanes: each caches its own hottest owned vertices, and no budget
+    // moves the (deterministic) R = 2 trajectory either.
+    let run_r2 = |budget: u64| {
+        Session::new(SessionConfig {
+            replicas: 2,
+            gpu_free_bytes: budget,
+            ..SessionConfig::default()
+        })
+        .run_session(&mut trainer(hot_policy()), 0, 2)
+    };
+    let uncached = run_r2(0);
+    let losses = |s: &SessionReport| s.series(|r| r.observation.train_loss.to_bits());
+    for budget in budgets {
+        let session = run_r2(budget);
+        assert_eq!(losses(&session), losses(&uncached), "R=2 budget {budget}");
+        for run in &session.epochs {
+            assert_eq!(
+                run.cache_vertices,
+                want_cached(budget, 2),
+                "R=2 budget {budget}"
             );
         }
     }
@@ -240,7 +287,7 @@ fn pool_size_never_changes_the_trajectory() {
     for pool_batches in [1usize, 2, 0, 64] {
         let session = Session::new(SessionConfig {
             pool_batches,
-            ..config(3, 2, true)
+            ..config(3, 2)
         })
         .run_session(&mut trainer(hot_policy()), 0, 4);
         assert_replays(
@@ -251,18 +298,19 @@ fn pool_size_never_changes_the_trajectory() {
     }
 }
 
-/// The persistent pool spawns its workers exactly once per session,
-/// independent of how many epochs the session runs, and opens one gate
+/// A session spawns its workers exactly once, independent of how many
+/// epochs it runs — one fused worker per lane plus the refresh worker,
+/// whatever the inert thread counts say — and publishes one job
 /// generation per epoch.
 #[test]
 fn workers_spawn_once_per_session() {
     for epochs in [1usize, 2, 6] {
         let mut t = trainer(ReusePolicy::Exact);
-        let session = engine(3, 2, true).run_session(&mut t, 0, epochs);
+        let session = engine(3, 2).run_session(&mut t, 0, epochs);
         assert_eq!(
             session.workers_spawned,
-            3 + 2 + 1 + 1,
-            "samplers + gatherers + transfer + refresh, once, for {epochs} epochs"
+            1 + 1,
+            "one lane + refresh, once, for {epochs} epochs"
         );
         assert_eq!(session.generations, epochs as u64);
         assert_eq!(session.epochs.len(), epochs);
@@ -270,10 +318,11 @@ fn workers_spawn_once_per_session() {
 }
 
 /// `SessionConfig::default()` is field for field what the two configs it
-/// replaced defaulted to: the engine's pipeline shape, planner, refresh,
-/// pool, checkpoint, fault and stall settings, and the replicated config's
-/// one replica, locality-aware sampling, NVLink-class fabric and `Fail`
-/// policy.
+/// replaced defaulted to — the engine's pipeline shape, pool, checkpoint,
+/// fault and stall settings, and the replicated config's one replica,
+/// locality-aware sampling, NVLink-class fabric and `Fail` policy — except
+/// that the refresh worker runs serially (`refresh_workers` has no auto
+/// value any more).
 #[test]
 fn default_config_keeps_both_legacy_defaults() {
     let c = SessionConfig::default();
@@ -282,9 +331,8 @@ fn default_config_keeps_both_legacy_defaults() {
         (2, 1)
     );
     assert_eq!((c.pipeline.channel_depth, c.pipeline.h2d_gibps), (4, 0.0));
-    assert!(c.adaptive_split);
     assert_eq!(c.gpu_free_bytes, 64 << 20);
-    assert_eq!((c.refresh_workers, c.pool_batches), (0, 0));
+    assert_eq!((c.refresh_workers, c.pool_batches), (1, 0));
     assert_eq!((c.checkpoint_every, c.checkpoint_path), (0, None));
     assert!(c.fault_plan.is_none());
     assert_eq!(c.stall_timeout, std::time::Duration::from_secs(5));
@@ -294,10 +342,9 @@ fn default_config_keeps_both_legacy_defaults() {
     assert_eq!(c.on_replica_failure, FailurePolicy::Fail);
 }
 
-/// The dispatch rule, read off the report: one replica runs the staged pool
-/// (S samplers + G gatherers + transfer + refresh, one `per_replica` entry,
-/// nothing on the interconnect); two run one fused worker each and obey the
-/// ring all-reduce law.
+/// The report shape per replica count: R lanes plus one refresh worker
+/// (the inert thread counts spawn nothing); one lane has one `per_replica`
+/// entry and nothing on the interconnect, two obey the ring all-reduce law.
 #[test]
 fn session_dispatches_on_the_replica_count() {
     let run = |replicas: usize| {
@@ -311,16 +358,17 @@ fn session_dispatches_on_the_replica_count() {
         Session::new(config).run_session(&mut t, 0, 2)
     };
     let one = run(1);
-    assert_eq!((one.replicas, one.workers_spawned), (1, 3 + 2 + 2));
+    assert_eq!((one.replicas, one.workers_spawned), (1, 1 + 1));
     for run in &one.epochs {
         assert_eq!(run.per_replica.len(), 1);
         assert_eq!(run.per_replica[0].h2d_bytes, run.report.h2d_bytes);
+        assert_eq!(run.per_replica[0].remote_picks, 0);
         assert_eq!(run.steps, run.report.num_batches);
         assert_eq!((run.allreduce_bytes, run.remote_feature_bytes), (0, 0));
         assert_eq!(run.interconnect_seconds, 0.0);
     }
     let two = run(2);
-    assert_eq!((two.replicas, two.workers_spawned), (2, 2));
+    assert_eq!((two.replicas, two.workers_spawned), (2, 2 + 1));
     for run in &two.epochs {
         assert_eq!(run.per_replica.len(), 2);
         assert_eq!(run.allreduce_bytes, run.steps as u64 * 2 * two.model_bytes);
@@ -348,26 +396,25 @@ fn a_replica_failure_policy_needs_replicas() {
     });
 }
 
-/// A fault addressed past the last sampler thread (R = 1) would never be
-/// delivered, so a drill built on it would pass vacuously.
+/// A fault addressed past the last lane would never be delivered, so a
+/// drill built on it would pass vacuously — at R = 1 that is any replica
+/// but 0, however many (inert) sampler threads the config names.
 #[test]
-#[should_panic(
-    expected = "crash@r7e1s0 addresses worker 7 but the session has 2 sampler thread(s)"
-)]
-fn a_fault_beyond_the_sampler_threads_is_rejected() {
+#[should_panic(expected = "crash@r1e0s0 addresses worker 1 but the session has 1 replica(s)")]
+fn a_fault_beyond_the_one_lane_is_rejected() {
     Session::new(SessionConfig {
         pipeline: PipelineConfig {
             sampler_threads: 2,
             ..PipelineConfig::default()
         },
-        fault_plan: Some(Arc::new(FaultPlan::parse("crash@r7e1s0").unwrap())),
+        fault_plan: Some(Arc::new(FaultPlan::parse("crash@r1e0s0").unwrap())),
         ..SessionConfig::default()
     });
 }
 
-/// The same at R >= 2, where a fault addresses a replica.
+/// The same at R >= 2.
 #[test]
-#[should_panic(expected = "crash@r7e1s0 addresses worker 7 but the session has 2 replicas")]
+#[should_panic(expected = "crash@r7e1s0 addresses worker 7 but the session has 2 replica(s)")]
 fn a_fault_beyond_the_replicas_is_rejected() {
     Session::new(SessionConfig {
         replicas: 2,
@@ -400,17 +447,6 @@ fn session_keeps_staleness_bound_with_background_refresh() {
     assert!(refresh_seconds > 0.0);
 }
 
-/// Epoch 0 always starts all-CPU; later epochs follow the measured plan
-/// (whatever it is, it must be a valid fraction).
-#[test]
-fn adaptive_split_replans_between_epochs() {
-    let mut t = trainer(hot_policy());
-    let session = Session::new(SessionConfig::default()).run_session(&mut t, 0, 3);
-    let traj = session.series(|r| r.refresh_cpu_fraction);
-    assert_eq!(traj[0], 1.0);
-    assert!(traj.iter().all(|f| (0.0..=1.0).contains(f)));
-}
-
 /// Double buffering is real: with the deferred publish, embeddings read in
 /// super-batch k carry the version of boundary k−1, so the observed gap
 /// reaches at least n (and stays < 2n). A refresh published immediately
@@ -422,7 +458,7 @@ fn double_buffered_refresh_gap_spans_n_to_2n() {
         hot_ratio: 0.4,
         super_batch: n,
     });
-    let session = engine(2, 1, true).run_session(&mut t, 0, 5);
+    let session = engine(2, 1).run_session(&mut t, 0, 5);
     let max_gap = session
         .epochs
         .iter()
@@ -483,7 +519,7 @@ fn fresh_session_reuses_primed_embeddings_from_batch_zero() {
     assert_eq!(t.max_staleness(), n as u64 - 1);
 
     let mut t = trainer(policy());
-    let session = engine(2, 2, true).run_session(&mut t, 0, 3);
+    let session = engine(2, 2).run_session(&mut t, 0, 3);
     for run in &session.epochs {
         assert!(
             run.observation.max_staleness < 2 * n as u64,
@@ -496,10 +532,10 @@ fn fresh_session_reuses_primed_embeddings_from_batch_zero() {
 }
 
 /// Hot vertices leave the device path: whatever a session stages, its
-/// bottom blocks hold no hot dst. On both runners the gathered-source count
-/// of every epoch is exactly what the trainer's own (pruning) sampler
-/// produces for the batches that runner stages — at R = 1 strictly below
-/// what training without reuse gathers — and every hot row the layer above
+/// bottom blocks hold no hot dst. At R = 1 and R = 2 the gathered-source
+/// count of every epoch is exactly what the trainer's own (pruning) sampler
+/// produces for the batches the lanes stage — at R = 1 strictly below what
+/// training without reuse gathers — and every hot row the layer above
 /// needs is read from the store instead.
 #[test]
 fn hot_vertices_never_reach_the_device_path() {
@@ -532,9 +568,9 @@ fn hot_vertices_never_reach_the_device_path() {
         }
         assert!(*pruned < unpruned, "epoch {e}: {pruned} vs {unpruned}");
     }
-    check(config(2, 2, true), &want_sources, want_reuses);
+    check(config(2, 2), &want_sources, want_reuses);
 
-    // The fused runner at R = 2, locality-blind so each replica samples
+    // Two lanes, locality-blind so each replica samples
     // with the trainer's own sampler: replica `r` stages its partition's
     // batches under its own seed stream, trimmed to the common step count.
     let ds = probe.dataset_handle();
@@ -574,7 +610,7 @@ fn hot_vertices_never_reach_the_device_path() {
 }
 
 /// A pruned row that is missing from the store must end the session — by
-/// a panic of the train stage or a typed `SessionError` — on both runners.
+/// a panic of the train stage or a typed `SessionError` — at any R.
 /// It may never hang the pipeline, and it may never train on a zero row
 /// (which would let the session finish `Ok`).
 #[test]
@@ -601,11 +637,11 @@ fn a_missing_hot_embedding_ends_the_session_loudly() {
         t.restore_state(&state).unwrap();
         t
     };
-    for (runner, replicas) in [("staged runner", 1), ("fused runner", 2)] {
+    for replicas in [1, 2] {
         let mut t = restored();
         let session = Session::new(SessionConfig {
             replicas,
-            ..config(2, 2, true)
+            ..config(2, 2)
         });
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             session.run_session_checked(&mut t, 1, 1)
@@ -619,20 +655,19 @@ fn a_missing_hot_embedding_ends_the_session_loudly() {
                     .unwrap_or_default();
                 assert!(
                     message.contains("no stored embedding"),
-                    "{runner}: unexpected panic: {message}"
+                    "R={replicas}: unexpected panic: {message}"
                 );
             }
             Ok(Err(_typed)) => {}
-            Ok(Ok(_)) => panic!("{runner}: trained on a row nobody supplied"),
+            Ok(Ok(_)) => panic!("R={replicas}: trained on a row nobody supplied"),
         }
     }
 }
 
 /// A one-replica session is bit-identical to the sequential reference at
-/// every staging depth, buffer-pool size and cache budget, and whatever the
-/// R ≥ 2-only `locality_aware` says (one partition owns every vertex; the
-/// field is not read). The fused runner's own R=1 identity is pinned in
-/// `replica.rs`, on the private runner.
+/// every staging depth, buffer-pool size and cache budget, and whatever
+/// `locality_aware` says (one partition owns every vertex, so there is
+/// nothing remote to prefer).
 #[test]
 fn replicated_r1_is_bit_identical_to_the_engine_session() {
     let reference = sequential_reference(3);
@@ -656,6 +691,25 @@ fn replicated_r1_is_bit_identical_to_the_engine_session() {
             assert_eq!(run.allreduce_bytes, 0, "R=1 must not exchange gradients");
             assert_eq!(run.remote_feature_bytes, 0, "R=1 owns every vertex");
         }
+    }
+}
+
+/// The R = 1 identity at the smoke example's scale: the Reddit convergence
+/// replica has far more batches and super-batch boundaries per epoch than
+/// `tiny`, and SAGE instead of GCN layers.
+#[test]
+fn r1_identity_holds_on_the_scaled_reddit_replica() {
+    let make = || {
+        let ds = DatasetSpec::reddit_convergence().build_full();
+        let cfg = TrainerConfig::convergence_default(LayerKind::Sage, hot_policy());
+        ConvergenceTrainer::new(ds, cfg)
+    };
+    let (mut seq, mut t) = (make(), make());
+    let session = Session::new(SessionConfig::default()).run_session(&mut t, 0, 2);
+    for run in &session.epochs {
+        let want = seq.train_epoch(run.epoch);
+        assert_eq!(run.observation.train_loss, want.train_loss);
+        assert_eq!(run.observation.test_accuracy, want.test_accuracy);
     }
 }
 
@@ -754,7 +808,7 @@ proptest! {
             hot_ratio: hot_pct as f64 / 10.0,
             super_batch: n,
         });
-        let session = engine(sampler_threads, 1, true).run_session(&mut t, 0, epochs);
+        let session = engine(sampler_threads, 1).run_session(&mut t, 0, epochs);
         for run in &session.epochs {
             prop_assert!(
                 run.observation.max_staleness < 2 * n as u64,

@@ -7,7 +7,6 @@
 
 use neutronorch::core::checkpoint;
 use neutronorch::core::fault::{FailureAction, FailurePolicy, FaultPlan};
-use neutronorch::core::pipeline::PipelineConfig;
 use neutronorch::core::session::{Session, SessionConfig, SessionError, SessionReport};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
@@ -17,6 +16,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn trainer() -> ConvergenceTrainer {
+    trainer_with_batch(48)
+}
+
+fn trainer_with_batch(batch_size: usize) -> ConvergenceTrainer {
     let ds = DatasetSpec::tiny().build_full();
     let mut cfg = TrainerConfig::convergence_default(
         LayerKind::Gcn,
@@ -25,30 +28,16 @@ fn trainer() -> ConvergenceTrainer {
             super_batch: 2,
         },
     );
-    cfg.batch_size = 48;
+    cfg.batch_size = batch_size;
     cfg.lr = 0.4;
     ConvergenceTrainer::new(ds, cfg)
 }
 
-/// Fault coordinates name a *worker index*; with several samplers racing
-/// on the shared claim counter, which worker claims a given step is
-/// timing-dependent, so exact-coordinate faults (panic / stall /
-/// straggler) only fire deterministically with one sampler worker. The
-/// crash fault is pre-claim (fires on any step the worker reaches), so it
-/// tolerates — and needs — a racing survivor.
-fn engine(sampler_threads: usize, faults: &str) -> Session {
-    Session::new(SessionConfig {
-        pipeline: PipelineConfig {
-            sampler_threads,
-            gather_threads: 1,
-            channel_depth: 3,
-            h2d_gibps: 0.0,
-        },
-        gpu_free_bytes: 64 << 20,
-        fault_plan: plan(faults),
-        stall_timeout: Duration::from_millis(300),
-        ..SessionConfig::default()
-    })
+/// A one-lane session under `Fail`, the only policy one lane has. Fault
+/// coordinates name replica 0, whose one fused worker stages every batch in
+/// order, so every fault fires exactly where it is scheduled.
+fn engine(faults: &str) -> Session {
+    replicated(1, faults, FailurePolicy::Fail)
 }
 
 fn replicated(replicas: usize, faults: &str, policy: FailurePolicy) -> Session {
@@ -86,58 +75,37 @@ fn ck_path(tag: &str) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Single-replica engine.
+// One lane: every failure under `Fail` is `ReplicaDied { replica: 0, .. }`.
 // ---------------------------------------------------------------------------
 
-/// An injected sampler panic fails the session with a typed error naming
-/// the stage and carrying the panic payload — the hang-on-panic fix: the
-/// poisoned channels unblock every stage, so this returns instead of
-/// deadlocking on `recv`.
+/// An injected worker panic fails the session with a typed error naming
+/// the lane and the awaited step and carrying the panic payload — the
+/// hang-on-panic fix: the poisoned staging channel unblocks the train
+/// stage, so this returns instead of deadlocking on `recv`.
 #[test]
 fn engine_worker_panic_is_a_typed_error_not_a_hang() {
     let mut t = trainer();
-    let err = engine(1, "panic@r0e1s2")
+    let err = engine("panic@r0e1s2")
         .run_session_checked(&mut t, 0, 3)
         .expect_err("panic must fail the session");
     match err {
-        SessionError::WorkerPanicked { stage, message } => {
-            assert_eq!(stage, "sample");
+        SessionError::ReplicaDied {
+            replica,
+            epoch,
+            step,
+            detail,
+        } => {
+            assert_eq!((replica, epoch, step), (0, 1, 2));
             assert!(
-                message.contains("injected fault"),
-                "payload should survive: {message}"
+                detail.contains("injected fault"),
+                "payload should survive: {detail}"
             );
         }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
+        other => panic!("expected ReplicaDied, got {other:?}"),
     }
 }
 
-/// A sampler that crashes (clean pre-claim exit) is absorbed: the shared
-/// claim counter lets the surviving sampler steal its batches, the session
-/// completes bit-identically to the fault-free run, and the crash is
-/// recorded in the failure timeline.
-#[test]
-fn engine_sampler_crash_is_absorbed_bit_identically() {
-    let mut clean = trainer();
-    let reference = engine(2, "").run_session(&mut clean, 0, 3);
-
-    let mut t = trainer();
-    let session = engine(2, "crash@r1e1s0")
-        .run_session_checked(&mut t, 0, 3)
-        .expect("crash must be absorbed");
-    assert_eq!(losses(&session), losses(&reference));
-    let events: Vec<_> = session
-        .epochs
-        .iter()
-        .flat_map(|r| r.report.failures.iter())
-        .collect();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].replica, 1);
-    assert_eq!(events[0].epoch, 1);
-    assert_eq!(events[0].action, FailureAction::Observed);
-    assert!(events[0].detail.contains("crash"));
-}
-
-/// A stalled sampler (alive but never producing) trips the stall timeout
+/// A stalled worker (alive but never producing) trips the stall timeout
 /// with a typed error instead of blocking the train stage forever. The
 /// train loop pulls `2n−1 = 3` batches ahead of the one it trains: the
 /// stall is hit while it fills that window (steps 1, 3) or tops it up
@@ -147,41 +115,46 @@ fn engine_stall_is_detected_within_the_timeout() {
     for step in [1, 3, 4] {
         let mut t = trainer();
         assert_eq!(t.lookahead(), 3);
-        let err = engine(1, &format!("stall@r0e0s{step}"))
+        let err = engine(&format!("stall@r0e0s{step}"))
             .run_session_checked(&mut t, 0, 2)
             .expect_err("stall must fail the session");
         match err {
-            SessionError::Stalled {
+            SessionError::ReplicaDied {
+                replica,
                 epoch,
                 step: awaited,
-                timeout,
+                detail,
             } => {
-                assert_eq!((epoch, awaited), (0, step));
-                assert_eq!(timeout, Duration::from_millis(300));
+                assert_eq!((replica, epoch, awaited), (0, 0, step));
+                assert!(detail.contains("stalled"), "detail: {detail}");
+                assert!(detail.contains("300ms"), "names the timeout: {detail}");
             }
-            other => panic!("expected Stalled, got {other:?}"),
+            other => panic!("expected ReplicaDied, got {other:?}"),
         }
     }
 }
 
-/// The only sampler crashing (a clean exit, nobody left to steal its
-/// batches) drains and closes every staging channel: the train loop runs
-/// out of input while filling its lookahead window and the session ends
-/// with a typed error counting the batches that did arrive — never a hang.
+/// The only worker crashing (a clean exit, nobody left to stage) closes
+/// its staging channel: the train loop runs out of input while filling its
+/// lookahead window and the session ends with a typed error naming the
+/// first batch that never arrived — never a hang.
 #[test]
 fn engine_crash_of_the_last_sampler_is_a_typed_error_not_a_hang() {
     let mut t = trainer();
-    let total = t.epoch_batches(0).len();
-    let err = engine(1, "crash@r0e0s2")
+    let err = engine("crash@r0e0s2")
         .run_session_checked(&mut t, 0, 2)
         .expect_err("nobody is left to sample");
     match err {
-        SessionError::EpochIncomplete {
+        SessionError::ReplicaDied {
+            replica,
             epoch,
-            trained,
-            total: scheduled,
-        } => assert_eq!((epoch, trained, scheduled), (0, 2, total)),
-        other => panic!("expected EpochIncomplete, got {other:?}"),
+            step,
+            detail,
+        } => {
+            assert_eq!((replica, epoch, step), (0, 0, 2));
+            assert!(detail.contains("exited early"), "detail: {detail}");
+        }
+        other => panic!("expected ReplicaDied, got {other:?}"),
     }
 }
 
@@ -191,10 +164,10 @@ fn engine_crash_of_the_last_sampler_is_a_typed_error_not_a_hang() {
 #[test]
 fn engine_straggler_completes_bit_identically() {
     let mut clean = trainer();
-    let reference = engine(1, "").run_session(&mut clean, 0, 3);
+    let reference = engine("").run_session(&mut clean, 0, 3);
 
     let mut t = trainer();
-    let session = engine(1, "straggler@r0e1s0")
+    let session = engine("straggler@r0e1s0")
         .run_session_checked(&mut t, 0, 3)
         .expect("straggler must complete");
     assert_eq!(losses(&session), losses(&reference));
@@ -209,7 +182,7 @@ fn engine_straggler_completes_bit_identically() {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated engine: supervisor + degradation policies.
+// Several lanes: supervisor + degradation policies.
 // ---------------------------------------------------------------------------
 
 /// Under the default `Fail` policy, a panicking replica worker surfaces as
@@ -304,13 +277,20 @@ fn replicated_crash_with_drop_policy_degrades_and_completes() {
 /// the last checkpoint and re-runs it with a replacement worker. The fault
 /// is one-shot, so the re-run epoch is clean — and because the checkpoint
 /// restore is bit-exact, the final losses equal the fault-free run's.
+///
+/// The death is found after the epoch's first boundary handed a refresh to
+/// the refresh worker, so this also pins the settle before the rollback:
+/// left on the worker, that abandoned refresh is what the restored
+/// trainer's next collect gets, and every later boundary publishes the rows
+/// launched one boundary too early. Small batches give each epoch enough
+/// boundaries (≈ 9 steps a lane) for that shift to reach a read.
 #[test]
 fn replicated_panic_with_restore_policy_matches_the_fault_free_run() {
-    let mut clean = trainer();
+    let mut clean = trainer_with_batch(16);
     let reference = replicated(2, "", FailurePolicy::Fail).run_session(&mut clean, 0, 4);
 
     let path = ck_path("restore");
-    let mut t = trainer();
+    let mut t = trainer_with_batch(16);
     let session = restoring("panic@r1e2s1", &path)
         .run_session_checked(&mut t, 0, 4)
         .expect("restore policy must recover");

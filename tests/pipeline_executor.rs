@@ -36,7 +36,6 @@ fn run_epoch(
 ) -> (EpochObservation, PipelineReport) {
     let session = Session::new(SessionConfig {
         pipeline: pipeline(sampler_threads, gather_threads),
-        adaptive_split: false,
         gpu_free_bytes: 0,
         ..SessionConfig::default()
     });
