@@ -34,8 +34,9 @@ use std::path::Path;
 
 /// File magic: "NeutronOrch ChecKpoint".
 pub const MAGIC: [u8; 4] = *b"NOCK";
-/// Current on-disk format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current on-disk format version. Version 1 (which also stored a refresh
+/// split fraction and a second pending share) is refused.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Typed checkpoint failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -173,11 +174,6 @@ impl<'a> Reader<'a> {
     /// Reads an `f32` from raw bits.
     pub fn get_f32(&mut self) -> Result<f32, CheckpointError> {
         Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// Reads an `f64` from raw bits.
-    pub fn get_f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads a length prefix that must be satisfiable by the remaining
@@ -352,7 +348,6 @@ pub fn decode_seeds(r: &mut Reader<'_>) -> Result<Vec<u64>, CheckpointError> {
 fn encode_trainer_state(w: &mut Writer, state: &TrainerState) {
     encode_params(w, &state.params);
     w.put_u64(state.version);
-    w.put_f64(state.refresh_cpu_fraction);
     match &state.store {
         None => w.put_u8(0),
         Some(snap) => {
@@ -364,10 +359,8 @@ fn encode_trainer_state(w: &mut Writer, state: &TrainerState) {
         None => w.put_u8(0),
         Some(p) => {
             w.put_u8(1);
-            w.put_u64(p.gpu_version);
-            encode_rows(w, &p.gpu_rows);
-            w.put_u64(p.cpu_version);
-            encode_rows(w, &p.cpu_rows);
+            w.put_u64(p.version);
+            encode_rows(w, &p.rows);
         }
     }
 }
@@ -375,7 +368,6 @@ fn encode_trainer_state(w: &mut Writer, state: &TrainerState) {
 fn decode_trainer_state(r: &mut Reader<'_>) -> Result<TrainerState, CheckpointError> {
     let params = decode_params(r)?;
     let version = r.get_u64()?;
-    let refresh_cpu_fraction = r.get_f64()?;
     let store = match r.get_u8()? {
         0 => None,
         1 => Some(decode_store(r)?),
@@ -387,18 +379,10 @@ fn decode_trainer_state(r: &mut Reader<'_>) -> Result<TrainerState, CheckpointEr
     };
     let pending = match r.get_u8()? {
         0 => None,
-        1 => {
-            let gpu_version = r.get_u64()?;
-            let gpu_rows = decode_rows(r)?;
-            let cpu_version = r.get_u64()?;
-            let cpu_rows = decode_rows(r)?;
-            Some(PendingSnapshot {
-                gpu_version,
-                gpu_rows,
-                cpu_version,
-                cpu_rows,
-            })
-        }
+        1 => Some(PendingSnapshot {
+            version: r.get_u64()?,
+            rows: decode_rows(r)?,
+        }),
         other => {
             return Err(CheckpointError::Corrupt(format!(
                 "bad pending-refresh tag {other}"
@@ -408,7 +392,6 @@ fn decode_trainer_state(r: &mut Reader<'_>) -> Result<TrainerState, CheckpointEr
     Ok(TrainerState {
         params,
         version,
-        refresh_cpu_fraction,
         store,
         pending,
     })
@@ -565,7 +548,6 @@ mod tests {
                     Matrix::from_vec(1, 1, vec![0.125]),
                 ],
                 version: 42,
-                refresh_cpu_fraction: 0.375,
                 store: Some(StoreSnapshot {
                     dim: 2,
                     bound: Some(3),
@@ -574,10 +556,8 @@ mod tests {
                     reads: 11,
                 }),
                 pending: Some(PendingSnapshot {
-                    gpu_version: 40,
-                    gpu_rows: vec![(3, vec![0.1, 0.2])],
-                    cpu_version: 40,
-                    cpu_rows: vec![(5, vec![0.3, 0.4])],
+                    version: 40,
+                    rows: vec![(3, vec![0.1, 0.2]), (5, vec![0.3, 0.4])],
                 }),
             },
         }
@@ -606,10 +586,6 @@ mod tests {
         assert_eq!(back.replicas, ck.replicas);
         assert_eq!(back.rng_seeds, ck.rng_seeds);
         assert_eq!(back.state.version, ck.state.version);
-        assert_eq!(
-            back.state.refresh_cpu_fraction.to_bits(),
-            ck.state.refresh_cpu_fraction.to_bits()
-        );
         assert_eq!(back.state.store, ck.state.store);
         assert_eq!(back.state.pending, ck.state.pending);
         for (a, b) in back.state.params.iter().zip(&ck.state.params) {

@@ -55,9 +55,10 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// One scheduled fault: `kind` fires when `replica` reaches `step` of
-/// `epoch`. For the single-engine pipeline, `replica` selects the worker
-/// index within the faulted stage and `step` is the claimed batch index.
+/// One scheduled fault: `kind` fires when lane `replica`'s worker reaches
+/// `step` of `epoch` — the index of the batch it stages next. Each lane
+/// stages its own batches in order, so a coordinate names exactly one
+/// moment of the session (at R = 1 the only lane is `r0`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Replica (or worker) index the fault targets.
@@ -110,7 +111,10 @@ impl FaultPlan {
 
     /// Parses a comma-separated spec list, e.g.
     /// `"crash@r1e2s3,stall@r0e1s0"`. Grammar per item:
-    /// `<crash|panic|stall|straggler>@r<replica>e<epoch>s<step>`.
+    /// `<crash|panic|stall|straggler>@r<replica>e<epoch>s<step>`. A
+    /// coordinate takes at most one fault, whatever the kinds: a second
+    /// one would stay armed after the first fired and re-fire when a
+    /// restored session replays the epoch.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut specs = Vec::new();
         for item in text.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -137,12 +141,19 @@ impl FaultPlan {
                 s.parse()
                     .map_err(|_| format!("fault `{item}`: bad {label} `{s}`"))
             };
-            specs.push(FaultSpec {
+            let spec = FaultSpec {
                 replica: parse("replica", replica)?,
                 epoch: parse("epoch", epoch)?,
                 step: parse("step", step)?,
                 kind,
-            });
+            };
+            let at = |s: &FaultSpec| (s.replica, s.epoch, s.step);
+            if let Some(taken) = specs.iter().find(|s| at(s) == at(&spec)) {
+                return Err(format!(
+                    "fault `{item}`: its coordinate already holds `{taken}`"
+                ));
+            }
+            specs.push(spec);
         }
         Ok(Self::new(specs))
     }
@@ -157,13 +168,13 @@ impl FaultPlan {
         self.faults.iter().map(|a| a.spec)
     }
 
-    /// Consumes a [`FaultKind::Crash`] scheduled for `replica` in `epoch`
-    /// once the worker *observes* the claim counter at or past the
-    /// scheduled step. Crashes are checked before claiming work (a clean
-    /// death loses no batch, peers steal the rest), and the observed
-    /// counter may skip past the exact scheduled value under contention —
-    /// hence reached-or-passed instead of the exact match [`Self::take`]
-    /// uses.
+    /// Consumes a [`FaultKind::Crash`] scheduled for lane `replica` in
+    /// `epoch` once its worker has reached the scheduled step. Checked
+    /// before the worker stages the batch at `reached_step`, so a clean
+    /// death loses no batch. A lane stages its batches in order, so this
+    /// fires at exactly the scheduled step; the test is reached-or-passed
+    /// rather than [`Self::take`]'s exact match only so that a crash can
+    /// never be stepped over.
     pub fn take_crash(&self, replica: usize, epoch: usize, reached_step: usize) -> bool {
         for armed in &self.faults {
             let s = &armed.spec;
@@ -183,10 +194,9 @@ impl FaultPlan {
     /// `(replica, epoch, step)` if one is still armed. One-shot: a second
     /// call for the same coordinate returns `None`, so checkpoint-restored
     /// epochs do not re-fire already-delivered faults. Crash faults are
-    /// excluded — they are delivered pre-claim through [`Self::take_crash`]
-    /// only (the two lookups race against a shared claim counter; letting
-    /// both see a crash could deliver it post-claim and silently lose the
-    /// claimed batch).
+    /// excluded — they are delivered through [`Self::take_crash`] only,
+    /// before the lane starts staging the step's batch; delivering one here,
+    /// after it started, would silently lose that batch.
     pub fn take(&self, replica: usize, epoch: usize, step: usize) -> Option<FaultKind> {
         for armed in &self.faults {
             let s = &armed.spec;
@@ -270,6 +280,20 @@ pub enum FailurePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use FaultKind::{Crash, Panic, Stall, Straggler};
+
+    const KINDS: [FaultKind; 4] = [Crash, Panic, Stall, Straggler];
+    /// Every byte of the spec grammar's alphabet.
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789@, ";
+
+    fn joined(specs: &[FaultSpec]) -> String {
+        specs
+            .iter()
+            .map(FaultSpec::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    }
 
     #[test]
     fn parse_roundtrips_the_display_form() {
@@ -287,14 +311,7 @@ mod tests {
                 kind: FaultKind::Straggler
             }
         );
-        let reparsed = FaultPlan::parse(
-            &specs
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        )
-        .unwrap();
+        let reparsed = FaultPlan::parse(&joined(&specs)).unwrap();
         assert_eq!(reparsed.specs().collect::<Vec<_>>(), specs);
     }
 
@@ -306,6 +323,7 @@ mod tests {
             "crash@r0e0",
             "crash-r0e0s0",
             "crash@rXe0s0",
+            "panic@r0e1s1,panic@r0e1s1",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` should not parse");
         }
@@ -319,5 +337,42 @@ mod tests {
         assert_eq!(plan.take(0, 2, 3), None);
         assert_eq!(plan.take(1, 2, 3), Some(FaultKind::Panic));
         assert_eq!(plan.take(1, 2, 3), None, "a fault fires exactly once");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Specs at distinct coordinates survive `Display` → `parse`, and one
+        /// more spec at an already-used coordinate is refused.
+        #[test]
+        fn distinct_coordinates_round_trip_through_display(
+            raw in proptest::collection::vec((0usize..3, 0usize..3, 0usize..4, 0usize..4), 0..10),
+            again in (any::<usize>(), 0usize..4),
+        ) {
+            let mut specs: Vec<FaultSpec> = Vec::new();
+            for (replica, epoch, step, kind) in raw {
+                if !specs.iter().any(|s| (s.replica, s.epoch, s.step) == (replica, epoch, step)) {
+                    specs.push(FaultSpec { replica, epoch, step, kind: KINDS[kind] });
+                }
+            }
+            let plan = FaultPlan::parse(&joined(&specs)).unwrap();
+            prop_assert_eq!(plan.specs().collect::<Vec<_>>(), specs.clone());
+            if !specs.is_empty() {
+                let (pick, kind) = again;
+                let twin = FaultSpec { kind: KINDS[kind], ..specs[pick % specs.len()] };
+                specs.push(twin);
+                prop_assert!(FaultPlan::parse(&joined(&specs)).is_err());
+            }
+        }
+
+        /// Any short string over the grammar's alphabet parses or is refused;
+        /// it never panics.
+        #[test]
+        fn arbitrary_text_never_panics(
+            bytes in proptest::collection::vec(0usize..ALPHABET.len(), 0..24),
+        ) {
+            let text: String = bytes.iter().map(|&i| ALPHABET[i] as char).collect();
+            let _ = FaultPlan::parse(&text);
+        }
     }
 }

@@ -77,8 +77,9 @@ impl Orchestrator for NeutronOrch {
         // Hot features displace the opportunistic cold-feature cache, so the
         // split is idleness-driven; the ledger of the second pass still
         // validates the result (falling back to the all-CPU plan on OOM).
-        // The rule (`plan_from_occupancy`) is the simulator's alone: the
-        // measured `Session` keeps a fixed split and a budget-filled cache.
+        // The rule (`plan_from_occupancy`) and the split are the
+        // simulator's alone: the measured `Session` computes every refresh
+        // row on its refresh worker and fills its cache to the budget.
         let plan = policy.plan_from_occupancy(&profile.hot, first.gpu_util, u64::MAX);
         run(plan.cpu_fraction()).or(Ok(first))
     }

@@ -25,9 +25,10 @@
 //!   keeps `2n−1` staged steps in hand
 //!   ([`ConvergenceTrainer::lookahead`]; they count against the staging
 //!   depth), so at each super-batch boundary it already holds the next
-//!   super-batch. The CPU share of the refresh over the hot rows those
-//!   batches read goes to the session's background refresh worker and is
-//!   collected one boundary later (`WorkerRefresh`). The worker's in-flight
+//!   super-batch. The refresh of the hot rows those batches read goes to
+//!   the session's background refresh worker and is collected one boundary
+//!   later (`WorkerRefresh`); the priming boundary of a fresh trainer
+//!   collects at once. The worker's in-flight
 //!   refresh is settled once at session end and before a
 //!   [`FailurePolicy::Restore`] rolls the trainer back.
 //! - **One step per lane.** The train stage consumes one staged batch from
@@ -139,7 +140,7 @@ impl RefreshBackend for WorkerRefresh<'_> {
             None => CpuPart::Submitted,
             // Channel closed (teardown/panic path): compute locally so the
             // trainer's refresh schedule stays intact.
-            Some(task) => CpuPart::Ready(task.run()),
+            Some(task) => CpuPart::Ready(task.run(1, &mut SamplerScratch::new())),
         }
     }
 
@@ -389,13 +390,10 @@ pub(crate) fn run_fused(
                 let mut scratch = SamplerScratch::new();
                 while let Some(task) = tasks.recv() {
                     let t0 = Instant::now();
-                    // Sharding is placement-only: `run_sharded` concatenates
+                    // Sharding is placement-only: `run` concatenates
                     // partition-stable shards in order, so the rows are the
                     // serial rows bit for bit at any thread count.
-                    let out = match config.refresh_workers {
-                        1 => task.run_with_scratch(&mut scratch),
-                        n => task.run_sharded(n),
-                    };
+                    let out = task.run(config.refresh_workers, &mut scratch);
                     refresh_busy.add(t0);
                     if !outputs.send(out) {
                         break;
@@ -449,7 +447,6 @@ pub(crate) fn run_fused(
 
             let epoch_wall = Instant::now();
             let alloc_before = alloc::snapshot();
-            let refresh_cpu_fraction = trainer.refresh_cpu_fraction();
             let refresh_rows_before = trainer.refresh_rows();
             let refresh_busy_before = refresh_busy.seconds();
             let collect_wait_before = backend.wait;
@@ -676,7 +673,7 @@ pub(crate) fn run_fused(
                 allreduce_bytes,
                 remote_feature_bytes,
                 interconnect_seconds,
-                refresh_cpu_fraction,
+                refresh_cpu_fraction: trainer.refresh_cpu_fraction(),
                 refresh_seconds: refresh_busy.seconds() - refresh_busy_before,
                 refresh_rows: trainer.refresh_rows() - refresh_rows_before,
                 eval_seconds,

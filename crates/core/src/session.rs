@@ -146,18 +146,19 @@ pub struct EpochRun {
     /// Simulated seconds the interconnect model prices this epoch's
     /// all-reduces and remote pulls at (closed-form, not slept).
     pub interconnect_seconds: f64,
-    /// CPU share of the hot-set refresh during this epoch (1.0 = all
-    /// refreshes on the CPU backend).
+    /// Share of this epoch's refresh rows computed on the refresh worker:
+    /// always 1.0 ([`ConvergenceTrainer::refresh_cpu_fraction`]). Kept for
+    /// callers that read it.
     pub refresh_cpu_fraction: f64,
     /// Busy seconds the background refresh worker spent during this
     /// epoch's wall-clock window (a task submitted at an epoch's last
-    /// boundary is credited where it physically ran). Refresh rows the
-    /// training device computes (its share of the split) run inside
-    /// `report.train_seconds` instead.
+    /// boundary is credited where it physically ran). That is every
+    /// refresh row, priming included; the train thread's wait for them is
+    /// in `report.train_wait_seconds`.
     pub refresh_seconds: f64,
-    /// Hot rows put on refresh worklists during this epoch, both shares:
-    /// what the next super-batch reads, or the whole hot set at the
-    /// epoch's last boundary and at priming.
+    /// Hot rows put on refresh worklists during this epoch: what the next
+    /// super-batch reads, or the whole hot set at the epoch's last boundary
+    /// and at priming.
     pub refresh_rows: u64,
     /// Seconds spent in test-set evaluation after the epoch — inference,
     /// kept out of `report.epoch_seconds`.
@@ -327,8 +328,9 @@ impl Session {
     /// Runs `num_epochs` epochs starting at `first_epoch` over one set of
     /// persistent workers. At R = 1 numerically identical to calling
     /// `trainer.train_epoch(e)` for the same epochs, at any staging depth,
-    /// cache budget, pool size and hybrid split; at any R deterministic —
-    /// concurrency changes wall-clock and placement, never results.
+    /// cache budget, pool size and refresh thread count; at any R
+    /// deterministic — concurrency changes wall-clock and placement, never
+    /// results.
     ///
     /// Panics on session failure; use [`Self::run_session_checked`] to get
     /// the typed error instead.

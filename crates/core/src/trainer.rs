@@ -12,9 +12,9 @@
 //! layer never runs for them; [`ConvergenceTrainer::grad_prepared`] fills
 //! their rows of the bottom layer's output straight from the
 //! [`EmbeddingStore`]. Every pruned row must therefore be in the store from
-//! batch 0: the first super-batch boundary of a fresh trainer computes its
-//! refresh in place and publishes it at once, so reads in the first
-//! super-batch see a version gap in `[0, n−1]`, every later one
+//! batch 0: the first super-batch boundary of a fresh trainer resolves its
+//! refresh through the backend at once and publishes it, so reads in the
+//! first super-batch see a version gap in `[0, n−1]`, every later one
 //! `[n, 2n−1]` — always under the `< 2n` bound.
 //!
 //! The one batch loop ([`ConvergenceTrainer::train_steps_replicated`]) is
@@ -164,28 +164,16 @@ pub struct BatchLoopStats {
     pub staleness_epsilon: f32,
 }
 
-/// A refresh created at one super-batch boundary, held until the next
-/// boundary publishes it — the double buffer of the Fig 8 pipeline. Rows
-/// split between the training device (`gpu`, computed at creation) and the
-/// CPU share (`cpu`, possibly still in flight on a refresh worker).
-struct PendingRefresh {
-    gpu: RefreshOutput,
-    cpu: CpuPart,
-}
-
 /// The in-flight refresh double buffer, materialised for a checkpoint.
-/// Captured only after [`ConvergenceTrainer::settle_refresh`], so the CPU
-/// share is always concrete rows (never a task on a worker).
+/// Captured only after [`ConvergenceTrainer::settle_refresh`], so it is
+/// always concrete rows (never a task on a worker).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PendingSnapshot {
-    /// Version stamp of the training-device share.
-    pub gpu_version: u64,
-    /// Rows of the training-device share.
-    pub gpu_rows: Vec<(VertexId, Vec<f32>)>,
-    /// Version stamp of the CPU share.
-    pub cpu_version: u64,
-    /// Rows of the CPU share.
-    pub cpu_rows: Vec<(VertexId, Vec<f32>)>,
+    /// Version stamp of the rows: the model version of the boundary that
+    /// launched the refresh.
+    pub version: u64,
+    /// The refreshed rows, one per worklist vertex.
+    pub rows: Vec<(VertexId, Vec<f32>)>,
 }
 
 /// Everything about a [`ConvergenceTrainer`] that mutates across epochs —
@@ -202,9 +190,6 @@ pub struct TrainerState {
     pub params: Vec<Matrix>,
     /// Global batch counter == parameter version (§4.2.2).
     pub version: u64,
-    /// The §4.1.3 hybrid-split knob (numerically inert, but restored so a
-    /// resumed session re-plans from where it left off).
-    pub refresh_cpu_fraction: f64,
     /// Historical-embedding store image, including staleness counters.
     pub store: Option<neutron_cache::StoreSnapshot>,
     /// The refresh awaiting publication at the next super-batch boundary.
@@ -228,15 +213,10 @@ pub struct ConvergenceTrainer {
     frozen: Vec<usize>,
     /// Global batch counter == model parameter version (§4.2.2).
     version: u64,
-    /// Share of the hot set whose refresh the CPU backend computes; the
-    /// remainder is computed by the training device at the boundary. Set by
-    /// the engine's occupancy feedback (§4.1.3); numerically inert.
-    refresh_cpu_fraction: f64,
-    /// The refresh in flight between two super-batch boundaries.
-    pending_refresh: Option<PendingRefresh>,
-    /// Reusable sampler scratch for the boundary's training-device refresh
-    /// share (avoids an `O(|V|)` buffer init per super-batch).
-    refresh_scratch: neutron_sample::SamplerScratch,
+    /// The refresh created at one super-batch boundary, held until the next
+    /// boundary publishes it — the double buffer of the Fig 8 pipeline
+    /// (possibly still in flight on the backend's worker).
+    pending_refresh: Option<CpuPart>,
     /// Hot rows put on refresh worklists so far (telemetry, not state).
     refresh_rows: u64,
 }
@@ -302,9 +282,7 @@ impl ConvergenceTrainer {
             hot,
             frozen: Vec::new(),
             version: 0,
-            refresh_cpu_fraction: 1.0,
             pending_refresh: None,
-            refresh_scratch: neutron_sample::SamplerScratch::new(),
             refresh_rows: 0,
         }
     }
@@ -392,7 +370,7 @@ impl ConvergenceTrainer {
     /// training, not inference). The one-replica case of
     /// [`Self::train_steps_replicated`].
     ///
-    /// The CPU share of each super-batch refresh is delegated to `backend`.
+    /// Every super-batch refresh is computed by `backend`.
     /// The super-batch boundary is **publish-then-launch**: rows computed
     /// from the *previous* boundary's parameter snapshot are installed into
     /// the store, then a new [`RefreshTask`] is captured from the current
@@ -615,7 +593,8 @@ impl ConvergenceTrainer {
 
     /// One super-batch boundary of the double-buffered refresh pipeline:
     /// publish the rows prepared during the last super-batch, then capture
-    /// a fresh parameter snapshot and launch the next refresh.
+    /// a fresh parameter snapshot and launch the next refresh on `backend`
+    /// — inline for the sequential trainer, a dedicated worker in a session.
     ///
     /// **What a boundary refreshes.** Rows launched at boundary `k` are read
     /// only during super-batch `k+1`, whose batches `next` yields: the
@@ -624,17 +603,13 @@ impl ConvergenceTrainer {
     /// last boundary). A row is a pure function of (vertex, snapshot,
     /// seed), so the worklist never changes a row that is read; a hot row
     /// outside it keeps its old version, which fails the store's bound.
-    /// The worklist is split by [`Self::refresh_cpu_fraction`]: the
-    /// training device computes its share immediately (it has the hot
-    /// features cached, §4.1.3), the CPU share goes to `backend` — inline
-    /// for the sequential trainer, a dedicated worker under the engine.
     ///
     /// **Priming** (see the module docs). At the first boundary of a
-    /// trainer with an empty store and nothing pending, both shares cover
-    /// the whole hot set, run here, are published at once *and* stay
-    /// pending (the next boundary republishes the same rows; nothing is
-    /// computed twice). A restored trainer brings its store and pending
-    /// refresh from the checkpoint and is not primed.
+    /// trainer with an empty store and nothing pending, the task covers the
+    /// whole hot set, is submitted like any other and resolved at once,
+    /// published *and* kept pending (the next boundary republishes the same
+    /// rows; nothing is computed twice). A restored trainer brings its store
+    /// and pending refresh from the checkpoint and is not primed.
     fn refresh_boundary<'a>(
         &mut self,
         backend: &mut dyn RefreshBackend,
@@ -648,18 +623,13 @@ impl ConvergenceTrainer {
         let store = self.store.as_mut().expect("a hot set comes with a store");
         let prime = match self.pending_refresh.take() {
             Some(pending) => {
-                let cpu = match pending.cpu {
-                    CpuPart::Ready(out) => out,
-                    CpuPart::Submitted => backend.collect(),
-                };
-                store.put_rows(&cpu.rows, cpu.version);
-                store.put_rows(&pending.gpu.rows, pending.gpu.version);
+                let out = pending.resolve(backend);
+                store.put_rows(&out.rows, out.version);
                 false
             }
             None => store.is_empty(),
         };
-        // Launch: snapshot the bottom layer at the current version and split
-        // the worklist; both shares are pure functions of that one snapshot.
+        // Launch: snapshot the bottom layer at the current version.
         let mut next = next.peekable();
         let vertices = if prime || next.peek().is_none() {
             hot.vertices().to_vec()
@@ -671,39 +641,29 @@ impl ConvergenceTrainer {
             demand
         };
         self.refresh_rows += vertices.len() as u64;
-        let cpu_len = (vertices.len() as f64 * self.refresh_cpu_fraction).round() as usize;
-        let version = self.version;
-        let mut cpu_task = RefreshTask::new(
+        let task = RefreshTask::new(
             Arc::clone(&self.dataset),
             self.model.layers()[0].clone(),
             self.sampler.clone(),
             vertices,
-            self.sampler.fanout().at(0),
-            version,
-            version ^ 0x5b,
+            self.version,
         );
-        let gpu_task = cpu_task.split_off(cpu_len);
-        let gpu = gpu_task.run_with_scratch(&mut self.refresh_scratch);
-        let cpu = if prime {
-            let cpu = cpu_task.run_with_scratch(&mut self.refresh_scratch);
-            store.put_rows(&cpu.rows, version);
-            store.put_rows(&gpu.rows, version);
-            CpuPart::Ready(cpu)
-        } else {
-            backend.submit(cpu_task)
-        };
-        self.pending_refresh = Some(PendingRefresh { gpu, cpu });
+        let mut pending = backend.submit(task);
+        if prime {
+            let out = pending.resolve(backend);
+            store.put_rows(&out.rows, out.version);
+            pending = CpuPart::Ready(out);
+        }
+        self.pending_refresh = Some(pending);
     }
 
     /// Resolves any refresh still in flight on `backend` so the trainer can
     /// outlive the backend (e.g. the end of an engine session): a
-    /// `Submitted` CPU share is collected and held as ready rows, to be
+    /// `Submitted` refresh is collected and held as ready rows, to be
     /// published at whatever boundary comes next.
     pub fn settle_refresh(&mut self, backend: &mut dyn RefreshBackend) {
-        if let Some(pending) = &mut self.pending_refresh {
-            if matches!(pending.cpu, CpuPart::Submitted) {
-                pending.cpu = CpuPart::Ready(backend.collect());
-            }
+        if let Some(pending) = self.pending_refresh.take() {
+            self.pending_refresh = Some(CpuPart::Ready(pending.resolve(backend)));
         }
     }
 
@@ -715,20 +675,17 @@ impl ConvergenceTrainer {
     pub fn capture_state(&mut self, backend: &mut dyn RefreshBackend) -> TrainerState {
         self.settle_refresh(backend);
         let pending = self.pending_refresh.as_ref().map(|p| {
-            let CpuPart::Ready(cpu) = &p.cpu else {
-                unreachable!("settle_refresh materialised the CPU share")
+            let CpuPart::Ready(out) = p else {
+                unreachable!("settle_refresh resolved the pending refresh")
             };
             PendingSnapshot {
-                gpu_version: p.gpu.version,
-                gpu_rows: p.gpu.rows.to_pairs(),
-                cpu_version: cpu.version,
-                cpu_rows: cpu.rows.to_pairs(),
+                version: out.version,
+                rows: out.rows.to_pairs(),
             }
         });
         TrainerState {
             params: self.model.snapshot(),
             version: self.version,
-            refresh_cpu_fraction: self.refresh_cpu_fraction,
             store: self.store.as_ref().map(|s| s.snapshot()),
             pending,
         }
@@ -770,18 +727,14 @@ impl ConvergenceTrainer {
                 "store dimension mismatch: trainer {dim}, checkpoint {found}"
             ));
         }
-        let output = |rows, version| {
-            EmbeddingRows::from_pairs(dim, rows).map(|rows| RefreshOutput { rows, version })
-        };
         let pending = match &state.pending {
-            Some(p) => Some(PendingRefresh {
-                gpu: output(&p.gpu_rows, p.gpu_version)?,
-                cpu: CpuPart::Ready(output(&p.cpu_rows, p.cpu_version)?),
-            }),
+            Some(p) => Some(CpuPart::Ready(RefreshOutput {
+                rows: EmbeddingRows::from_pairs(dim, &p.rows)?,
+                version: p.version,
+            })),
             None => None,
         };
         self.version = state.version;
-        self.refresh_cpu_fraction = state.refresh_cpu_fraction;
         self.store = state.store.as_ref().map(EmbeddingStore::from_snapshot);
         self.pending_refresh = pending;
         Ok(())
@@ -792,20 +745,16 @@ impl ConvergenceTrainer {
         self.hot.as_deref()
     }
 
-    /// Sets the share of the hot set refreshed by the CPU backend (the
-    /// §4.1.3 hybrid split knob). Clamped to `[0, 1]`. Changing the split
-    /// moves work between devices but never changes training numerics.
-    pub fn set_refresh_cpu_fraction(&mut self, fraction: f64) {
-        self.refresh_cpu_fraction = fraction.clamp(0.0, 1.0);
-    }
-
-    /// The current CPU share of the refresh split.
+    /// Share of each boundary's refresh rows the refresh backend computes:
+    /// always 1.0, since every row is computed there. Kept for callers that
+    /// read it; the §4.1.3 hybrid split lives in the simulator
+    /// ([`crate::neutronorch`], Fig 13).
     pub fn refresh_cpu_fraction(&self) -> f64 {
-        self.refresh_cpu_fraction
+        1.0
     }
 
-    /// Hot rows recomputed by super-batch refreshes since construction
-    /// (both shares); engines report its per-epoch delta.
+    /// Hot rows recomputed by super-batch refreshes since construction;
+    /// sessions report its per-epoch delta.
     pub fn refresh_rows(&self) -> u64 {
         self.refresh_rows
     }

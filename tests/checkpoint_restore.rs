@@ -64,20 +64,10 @@ fn ck_path(tag: &str) -> PathBuf {
 
 /// Canonical byte image of a trainer's full mutable state — the equality
 /// oracle for "bit-identical" (TrainerState holds f32s whose NaN payloads
-/// `PartialEq` would mishandle; the codec preserves raw bits). The hybrid
-/// split is masked and the pending refresh's gpu/cpu shares are merged:
-/// the split is numerically inert — it only moves rows between devices,
-/// and publication merges the shares identically.
+/// `PartialEq` would mishandle; the codec preserves raw bits).
 fn state_bytes(t: &mut ConvergenceTrainer, replicas: usize) -> Vec<u8> {
     let digest = checkpoint::config_digest(t.config(), replicas);
-    let mut state = t.capture_state(&mut InlineRefresh::default());
-    state.refresh_cpu_fraction = 0.0;
-    if let Some(p) = state.pending.as_mut() {
-        assert_eq!(p.gpu_version, p.cpu_version, "shares of one refresh task");
-        let mut rows: Vec<_> = p.gpu_rows.drain(..).chain(p.cpu_rows.drain(..)).collect();
-        rows.sort_by_key(|&(v, _)| v);
-        p.cpu_rows = rows;
-    }
+    let state = t.capture_state(&mut InlineRefresh::default());
     checkpoint_to_bytes(
         digest,
         &Checkpoint {
@@ -96,16 +86,8 @@ fn state_bytes(t: &mut ConvergenceTrainer, replicas: usize) -> Vec<u8> {
 /// super-batch.
 fn assert_whole_hot_set_pending(ck: &Checkpoint, t: &ConvergenceTrainer) {
     let pending = ck.state.pending.as_ref().expect("a refresh is pending");
-    let mut rows: Vec<VertexId> = pending
-        .gpu_rows
-        .iter()
-        .chain(&pending.cpu_rows)
-        .map(|r| r.0)
-        .collect();
-    let mut hot = t.hot_set().unwrap().vertices().to_vec();
-    rows.sort_unstable();
-    hot.sort_unstable();
-    assert_eq!(rows, hot);
+    let rows: Vec<VertexId> = pending.rows.iter().map(|r| r.0).collect();
+    assert_eq!(rows, t.hot_set().unwrap().vertices());
 }
 
 // ---------------------------------------------------------------------------
@@ -162,26 +144,15 @@ fn trainer_state() -> impl Strategy<Value = TrainerState> {
     (
         params(),
         any::<u64>(),
-        any::<u64>().prop_map(f64::from_bits),
         proptest::option::of(store_snapshot()),
-        proptest::option::of((any::<u64>(), refresh_rows(3), any::<u64>(), refresh_rows(3))),
+        proptest::option::of((any::<u64>(), refresh_rows(3))),
     )
-        .prop_map(
-            |(params, version, refresh_cpu_fraction, store, pending)| TrainerState {
-                params,
-                version,
-                refresh_cpu_fraction,
-                store,
-                pending: pending.map(|(gpu_version, gpu_rows, cpu_version, cpu_rows)| {
-                    PendingSnapshot {
-                        gpu_version,
-                        gpu_rows,
-                        cpu_version,
-                        cpu_rows,
-                    }
-                }),
-            },
-        )
+        .prop_map(|(params, version, store, pending)| TrainerState {
+            params,
+            version,
+            store,
+            pending: pending.map(|(version, rows)| PendingSnapshot { version, rows }),
+        })
 }
 
 fn bits_of(params: &[Matrix]) -> Vec<Vec<u32>> {
@@ -324,7 +295,6 @@ fn every_truncation_is_rejected_with_a_typed_error() {
         state: TrainerState {
             params: vec![Matrix::from_vec(2, 2, vec![1.0, -0.0, f32::NAN, 3.5])],
             version: 9,
-            refresh_cpu_fraction: 0.5,
             store: None,
             pending: None,
         },
@@ -348,8 +318,8 @@ fn every_truncation_is_rejected_with_a_typed_error() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Wrong magic, a future format version, and a digest from a different
-/// config each map to their own typed error.
+/// Wrong magic, a future or retired format version, and a digest from a
+/// different config each map to their own typed error.
 #[test]
 fn header_mismatches_map_to_typed_errors() {
     let ck = Checkpoint {
@@ -359,7 +329,6 @@ fn header_mismatches_map_to_typed_errors() {
         state: TrainerState {
             params: vec![],
             version: 0,
-            refresh_cpu_fraction: 0.0,
             store: None,
             pending: None,
         },
@@ -374,17 +343,20 @@ fn header_mismatches_map_to_typed_errors() {
         Some(CheckpointError::BadMagic)
     );
 
-    // Version is a little-endian u32 at offset 4; bump it and re-seal the
-    // checksum so the version check (not the checksum) fires.
-    let mut newer = good.clone();
-    newer[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    let body_end = newer.len() - 8;
-    let reseal = checkpoint::fnv1a(&newer[..body_end]);
-    newer[body_end..].copy_from_slice(&reseal.to_le_bytes());
-    assert_eq!(
-        checkpoint_from_bytes(&newer, digest).err(),
-        Some(CheckpointError::UnsupportedVersion(FORMAT_VERSION + 1))
-    );
+    // Version is a little-endian u32 at offset 4; set it and re-seal the
+    // checksum so the version check (not the checksum) fires. Version 1
+    // still carried the hybrid-split fraction and two pending shares.
+    for version in [FORMAT_VERSION + 1, 1] {
+        let mut other = good.clone();
+        other[4..8].copy_from_slice(&version.to_le_bytes());
+        let body_end = other.len() - 8;
+        let reseal = checkpoint::fnv1a(&other[..body_end]);
+        other[body_end..].copy_from_slice(&reseal.to_le_bytes());
+        assert_eq!(
+            checkpoint_from_bytes(&other, digest).err(),
+            Some(CheckpointError::UnsupportedVersion(version))
+        );
+    }
 
     assert_eq!(
         checkpoint_from_bytes(&good, digest ^ 1).err(),

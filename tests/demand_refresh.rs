@@ -59,9 +59,8 @@ fn trajectories_are_bit_identical_to_the_whole_hot_set_refresh() {
     }
 }
 
-/// `InlineRefresh` that keeps a copy of every task's output. The priming
-/// boundary of a fresh trainer bypasses the backend, so the record starts
-/// at the second boundary of the run.
+/// `InlineRefresh` that keeps a copy of every task's output — every
+/// boundary's, the priming one included.
 #[derive(Default)]
 struct Recording {
     inner: InlineRefresh,
@@ -130,7 +129,6 @@ proptest! {
         sage in any::<bool>(),
         batch_size in 5usize..12,
         cut in 0usize..64,
-        cpu_fraction in 0.0f64..1.5,
     ) {
         let n = [1usize, 2, 3, 5][n];
         let hot_ratio = match ratio_mode {
@@ -147,21 +145,14 @@ proptest! {
         let train = spec.build_full().train.len();
         let steps_at = |bs: usize| train.div_ceil(bs) / replicas;
         let batch_size = (batch_size..).find(|&bs| n == 1 || steps_at(bs) % n != 0).unwrap();
-        let trainer = |cpu_fraction: f64| {
+        let trainer = || {
             let mut cfg = TrainerConfig::convergence_default(kind, hotness(hot_ratio, n));
             cfg.layers = layers;
             cfg.batch_size = batch_size;
             cfg.seed = seed ^ 0xacc;
-            let mut t = ConvergenceTrainer::new(spec.build_full(), cfg);
-            t.set_refresh_cpu_fraction(cpu_fraction);
-            t
+            ConvergenceTrainer::new(spec.build_full(), cfg)
         };
-        // `a` splits its worklists (the recorder sees the CPU share, the
-        // head of the list); `b` computes every row on the CPU share.
-        let (mut a, mut b) = (trainer(cpu_fraction), trainer(1.0));
-        let cpu_fraction = a.refresh_cpu_fraction(); // clamped to [0, 1]
-        let cpu_share = |len: usize| (len as f64 * cpu_fraction).round() as usize;
-        let probe = trainer(1.0);
+        let (mut a, mut b, probe) = (trainer(), trainer(), trainer());
         let hot = probe.hot_set().unwrap();
         prop_assert_eq!(a.lookahead(), if hot.is_empty() { 0 } else { 2 * n - 1 });
 
@@ -221,16 +212,15 @@ proptest! {
         let rows_launched: usize = boundaries.iter().map(|(_, worklist)| worklist.len()).sum();
         prop_assert_eq!(a.refresh_rows(), rows_launched as u64);
 
-        // The priming boundary computes in place and is not recorded.
-        let recorded = boundaries.get(1..).unwrap_or_default();
-        prop_assert_eq!(rec_a.tasks.len(), recorded.len());
-        prop_assert_eq!(rec_b.tasks.len(), recorded.len());
+        // Every boundary goes through the backend, priming included.
+        prop_assert_eq!(rec_a.tasks.len(), boundaries.len());
+        prop_assert_eq!(rec_b.tasks.len(), boundaries.len());
         for (((at, worklist), (va, ra)), (vb, rb)) in
-            recorded.iter().zip(&rec_a.tasks).zip(&rec_b.tasks)
+            boundaries.iter().zip(&rec_a.tasks).zip(&rec_b.tasks)
         {
             prop_assert_eq!((*va, *vb), (*at, *at), "stamped with the boundary's version");
             prop_assert_eq!(rb.vertices(), hot.vertices());
-            prop_assert_eq!(ra.vertices(), &worklist[..cpu_share(worklist.len())]);
+            prop_assert_eq!(ra.vertices(), &worklist[..]);
             let whole: HashMap<u32, &[f32]> = rb.iter().collect();
             for (v, row) in ra.iter() {
                 prop_assert_eq!(row, whole[&v], "row of v{} at version {}", v, at);
@@ -246,13 +236,12 @@ proptest! {
                 store.rows.iter().map(|(v, row, at)| (*v, (&row[..], *at))).collect();
             prop_assert_eq!(stored.len(), hot.len());
             prop_assert!(last_reads.iter().all(|v| worklist.contains(v)));
-            // `b`'s rows from that boundary (a priming boundary has none).
-            let whole: Option<HashMap<u32, &[f32]>> =
-                (boundaries.len().checked_sub(3)).map(|i| rec_b.tasks[i].1.iter().collect());
+            // `b`'s rows from that boundary.
+            let whole: HashMap<u32, &[f32]> = rec_b.tasks[boundaries.len() - 2].1.iter().collect();
             for (v, (row, at)) in stored {
                 // Rows outside the worklist keep an older stamp.
                 prop_assert_eq!(at == *stamp, worklist.contains(&v), "v{} stamped {}", v, at);
-                if let (true, Some(whole)) = (at == *stamp, &whole) {
+                if at == *stamp {
                     prop_assert_eq!(row, whole[&v]);
                 }
             }

@@ -158,26 +158,6 @@ fn one_session_equals_many_single_epoch_sessions() {
     }
 }
 
-/// The hybrid split is placement, not arithmetic: pinning the CPU share of
-/// the refresh to 0, ½ or 1 yields bit-identical trajectories, because
-/// refresh tasks are partition-stable pure functions of the boundary's
-/// parameter snapshot.
-#[test]
-fn refresh_split_never_changes_the_trajectory() {
-    let run = |cpu_fraction: f64| {
-        let mut t = trainer(hot_policy());
-        t.set_refresh_cpu_fraction(cpu_fraction);
-        let session = engine(2, 1).run_session(&mut t, 0, 3);
-        assert_eq!(t.refresh_cpu_fraction(), cpu_fraction, "split must persist");
-        session.series(|r| (r.observation.train_loss, r.observation.test_accuracy))
-    };
-    let all_cpu = run(1.0);
-    let half = run(0.5);
-    let all_gpu = run(0.0);
-    assert_eq!(all_cpu, half, "cpu=1.0 vs cpu=0.5 diverged");
-    assert_eq!(all_cpu, all_gpu, "cpu=1.0 vs cpu=0.0 diverged");
-}
-
 /// Bit-identity is independent of the GPU feature-cache budget: the cache
 /// only decides *where* a feature row is read from (verbatim copies), so
 /// any budget — zero, tiny, or effectively unlimited — yields the same
@@ -629,8 +609,7 @@ fn a_missing_hot_embedding_ends_the_session_loudly() {
         .expect("batch 0 touches the hot set");
     state.store.as_mut().unwrap().rows.retain(|r| r.0 != victim);
     let pending = state.pending.as_mut().unwrap();
-    pending.cpu_rows.retain(|r| r.0 != victim);
-    pending.gpu_rows.retain(|r| r.0 != victim);
+    pending.rows.retain(|r| r.0 != victim);
 
     let restored = || {
         let mut t = trainer(hot_policy());
