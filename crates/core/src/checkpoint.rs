@@ -1,7 +1,8 @@
 //! Deterministic checkpoint/restore of training sessions.
 //!
 //! A checkpoint is a versioned, length-prefixed binary image of the full
-//! training state ([`crate::trainer::TrainerState`] plus session counters):
+//! training state ([`crate::trainer::TrainerState`] plus the epoch to
+//! resume at):
 //!
 //! ```text
 //! magic "NOCK" | format version u32 | config digest u64 |
@@ -21,9 +22,9 @@
 //! Why this is sufficient for bit-identity: all sampling/shuffling
 //! randomness in the workspace is derived per `(seed, epoch, index)`
 //! ([`crate::trainer::batch_sample_seed`], the per-epoch Fisher–Yates
-//! seed, the per-replica seed salt) — there is no long-lived generator
-//! whose position could drift, so capturing the seeds and the next epoch
-//! index captures the complete rng-stream state.
+//! seed, the per-lane seed salt) — there is no long-lived generator whose
+//! position could drift. The seed and the replica count are bound in by the
+//! config digest, so the next epoch index is the complete rng-stream state.
 
 use crate::trainer::{PendingSnapshot, TrainerConfig, TrainerState};
 use neutron_cache::StoreSnapshot;
@@ -35,8 +36,9 @@ use std::path::Path;
 /// File magic: "NeutronOrch ChecKpoint".
 pub const MAGIC: [u8; 4] = *b"NOCK";
 /// Current on-disk format version. Version 1 (which also stored a refresh
-/// split fraction and a second pending share) is refused.
-pub const FORMAT_VERSION: u32 = 2;
+/// split fraction and a second pending share) and version 2 (which also
+/// stored the replica count and per-lane seeds) are refused.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Typed checkpoint failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -325,26 +327,6 @@ pub fn decode_store(r: &mut Reader<'_>) -> Result<StoreSnapshot, CheckpointError
     })
 }
 
-/// Encodes the session's rng-stream state: the per-replica derived seeds.
-/// (Combined with the checkpoint's next-epoch counter this is the complete
-/// stream state — see the module docs.)
-pub fn encode_seeds(w: &mut Writer, seeds: &[u64]) {
-    w.put_u64(seeds.len() as u64);
-    for &s in seeds {
-        w.put_u64(s);
-    }
-}
-
-/// Decodes seeds written by [`encode_seeds`].
-pub fn decode_seeds(r: &mut Reader<'_>) -> Result<Vec<u64>, CheckpointError> {
-    let n = r.get_len(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.get_u64()?);
-    }
-    Ok(out)
-}
-
 fn encode_trainer_state(w: &mut Writer, state: &TrainerState) {
     encode_params(w, &state.params);
     w.put_u64(state.version);
@@ -407,10 +389,6 @@ pub struct Checkpoint {
     /// First epoch a resumed session should run (the boundary the file was
     /// written at).
     pub next_epoch: u64,
-    /// Replica count of the session that wrote the file.
-    pub replicas: u64,
-    /// Per-replica derived batch-shuffle seeds (replica 0 first).
-    pub rng_seeds: Vec<u64>,
     /// The trainer's mutable state.
     pub state: TrainerState,
 }
@@ -451,8 +429,6 @@ pub fn config_digest(config: &TrainerConfig, replicas: usize) -> u64 {
 pub fn checkpoint_to_bytes(config_digest: u64, ck: &Checkpoint) -> Vec<u8> {
     let mut payload = Writer::new();
     payload.put_u64(ck.next_epoch);
-    payload.put_u64(ck.replicas);
-    encode_seeds(&mut payload, &ck.rng_seeds);
     encode_trainer_state(&mut payload, &ck.state);
     let payload = payload.into_bytes();
 
@@ -503,15 +479,8 @@ pub fn checkpoint_from_bytes(
         });
     }
     let next_epoch = r.get_u64()?;
-    let replicas = r.get_u64()?;
-    let rng_seeds = decode_seeds(&mut r)?;
     let state = decode_trainer_state(&mut r)?;
-    Ok(Checkpoint {
-        next_epoch,
-        replicas,
-        rng_seeds,
-        state,
-    })
+    Ok(Checkpoint { next_epoch, state })
 }
 
 /// Writes a checkpoint atomically (temp file in the target's directory,
@@ -540,8 +509,6 @@ mod tests {
     fn sample_checkpoint() -> Checkpoint {
         Checkpoint {
             next_epoch: 3,
-            replicas: 2,
-            rng_seeds: vec![0xe4e, 0xdead_beef],
             state: TrainerState {
                 params: vec![
                     Matrix::from_vec(2, 3, vec![1.0, -2.5, 3.25, 0.0, f32::MIN, f32::MAX]),
@@ -583,8 +550,6 @@ mod tests {
         let bytes = checkpoint_to_bytes(digest(), &ck);
         let back = checkpoint_from_bytes(&bytes, digest()).unwrap();
         assert_eq!(back.next_epoch, ck.next_epoch);
-        assert_eq!(back.replicas, ck.replicas);
-        assert_eq!(back.rng_seeds, ck.rng_seeds);
         assert_eq!(back.state.version, ck.state.version);
         assert_eq!(back.state.store, ck.state.store);
         assert_eq!(back.state.pending, ck.state.pending);

@@ -1,11 +1,9 @@
 //! The concurrency primitives a [`Session`] is built from — the bounded
 //! channel its lanes stage into (`Bounded`), the busy-time counters
-//! (`BusyNs`), the drop guard that closes channels on every exit path
-//! (`Defer`) — and the transfer stage shared with the sequential reference
-//! (`transfer_stage`). The runner itself lives in [`crate::replica`].
+//! (`BusyNs`) and the drop guard that closes channels on every exit path
+//! (`Defer`). The runner itself lives in [`crate::replica`]; the staging
+//! it runs, in [`crate::pipeline::stage_batch`].
 
-use crate::gather::StagedBatch;
-use crate::pipeline::PipelineConfig;
 use crate::session::{Session, SessionConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,20 +176,6 @@ pub(crate) struct Defer<F: FnMut()>(pub(crate) F);
 impl<F: FnMut()> Drop for Defer<F> {
     fn drop(&mut self) {
         (self.0)();
-    }
-}
-
-/// The transfer stage for one batch: account host→device bytes and, when a
-/// simulated link is configured, stall for the PCIe time. Shared by every
-/// lane's fused worker and the sequential baseline so their per-batch
-/// costing can never drift apart. Charges only the batch's *miss* bytes —
-/// cache-resident features never cross the link.
-pub(crate) fn transfer_stage(cfg: &PipelineConfig, batch: &StagedBatch, h2d_bytes: &AtomicU64) {
-    let bytes = batch.h2d_bytes();
-    h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
-    if cfg.h2d_gibps > 0.0 {
-        let secs = bytes as f64 / (cfg.h2d_gibps * (1u64 << 30) as f64);
-        std::thread::sleep(Duration::from_secs_f64(secs));
     }
 }
 

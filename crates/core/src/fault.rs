@@ -3,14 +3,14 @@
 //! A [`FaultPlan`] is a fixed list of faults, each pinned to an exact
 //! `(replica, epoch, step)` coordinate in the session's deterministic
 //! schedule — nothing here depends on wall-clock time, so a plan fires the
-//! same way on every run at every thread count. Workers consult the plan
-//! at the moment they claim a unit of work; each fault fires **once**
+//! same way on every run at every thread count. A lane consults the plan
+//! before it stages each batch; each fault fires **once**
 //! (atomic one-shot arming) so a session that restores from a checkpoint
 //! and replays an epoch does not re-crash on the replayed step.
 //!
 //! The four fault classes and what they model:
 //!
-//! * [`FaultKind::Crash`] — a clean worker death *before* claiming work
+//! * [`FaultKind::Crash`] — a clean worker death *before* staging a batch
 //!   (process OOM-killed between batches). The worker exits its loop;
 //!   channel liveness teardown runs normally.
 //! * [`FaultKind::Panic`] — a worker panicking *mid-batch* (assertion
@@ -28,9 +28,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// What the injected fault does to the afflicted worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Clean worker exit before claiming the step's work.
+    /// Clean worker exit before staging the step's batch.
     Crash,
-    /// Panic after claiming the step's work.
+    /// Panic while staging the step's batch.
     Panic,
     /// Stop forever without exiting (detected by stall timeout).
     Stall,
@@ -96,8 +96,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan from explicit specs.
-    pub fn new(specs: impl IntoIterator<Item = FaultSpec>) -> Self {
+    /// A plan from specs at distinct coordinates ([`Self::parse`] checks).
+    fn new(specs: impl IntoIterator<Item = FaultSpec>) -> Self {
         Self {
             faults: specs
                 .into_iter()
@@ -168,40 +168,16 @@ impl FaultPlan {
         self.faults.iter().map(|a| a.spec)
     }
 
-    /// Consumes a [`FaultKind::Crash`] scheduled for lane `replica` in
-    /// `epoch` once its worker has reached the scheduled step. Checked
-    /// before the worker stages the batch at `reached_step`, so a clean
-    /// death loses no batch. A lane stages its batches in order, so this
-    /// fires at exactly the scheduled step; the test is reached-or-passed
-    /// rather than [`Self::take`]'s exact match only so that a crash can
-    /// never be stepped over.
-    pub fn take_crash(&self, replica: usize, epoch: usize, reached_step: usize) -> bool {
-        for armed in &self.faults {
-            let s = &armed.spec;
-            if s.kind == FaultKind::Crash
-                && s.replica == replica
-                && s.epoch == epoch
-                && reached_step >= s.step
-                && armed.armed.swap(false, Ordering::Relaxed)
-            {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Consumes and returns the fault scheduled at exactly
     /// `(replica, epoch, step)` if one is still armed. One-shot: a second
     /// call for the same coordinate returns `None`, so checkpoint-restored
-    /// epochs do not re-fire already-delivered faults. Crash faults are
-    /// excluded — they are delivered through [`Self::take_crash`] only,
-    /// before the lane starts staging the step's batch; delivering one here,
-    /// after it started, would silently lose that batch.
+    /// epochs do not re-fire already-delivered faults. A lane stages its
+    /// batches in order and asks before each, so every fault is delivered
+    /// at exactly its step.
     pub fn take(&self, replica: usize, epoch: usize, step: usize) -> Option<FaultKind> {
         for armed in &self.faults {
             let s = &armed.spec;
-            if s.kind != FaultKind::Crash
-                && s.replica == replica
+            if s.replica == replica
                 && s.epoch == epoch
                 && s.step == step
                 && armed.armed.swap(false, Ordering::Relaxed)
@@ -332,11 +308,18 @@ mod tests {
 
     #[test]
     fn take_is_one_shot_and_coordinate_exact() {
-        let plan = FaultPlan::parse("panic@r1e2s3").unwrap();
-        assert_eq!(plan.take(1, 2, 2), None);
-        assert_eq!(plan.take(0, 2, 3), None);
-        assert_eq!(plan.take(1, 2, 3), Some(FaultKind::Panic));
-        assert_eq!(plan.take(1, 2, 3), None, "a fault fires exactly once");
+        for kind in [Panic, Crash] {
+            let plan = FaultPlan::parse(&format!("{kind}@r1e2s3")).unwrap();
+            assert_eq!(plan.take(1, 2, 2), None);
+            assert_eq!(plan.take(0, 2, 3), None);
+            assert_eq!(
+                plan.take(1, 2, 4),
+                None,
+                "a later step is another coordinate"
+            );
+            assert_eq!(plan.take(1, 2, 3), Some(kind));
+            assert_eq!(plan.take(1, 2, 3), None, "a fault fires exactly once");
+        }
     }
 
     proptest! {

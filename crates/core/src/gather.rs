@@ -16,6 +16,12 @@
 //! host gather would have produced (cache rows are verbatim copies of the
 //! host rows), so training results are independent of the cache budget —
 //! only the byte accounting changes.
+//!
+//! There is one gather and one assembly, both over a [`BatchBuffers`]
+//! bundle: a session lane passes a recycled one, the sequential reference
+//! a fresh one ([`crate::pipeline::stage_batch`] calls both). The full
+//! host gather outside a batch — refresh tasks, evaluation — is
+//! [`Matrix::gather_rows_u32`].
 
 use crate::pool::BatchBuffers;
 use crate::trainer::PreparedBatch;
@@ -37,18 +43,7 @@ pub struct GatheredFeatures {
 impl GatheredFeatures {
     /// Probes `cache` for every source vertex of `bottom` (already deduped
     /// at sampling time — no second dedup pass) and host-gathers only the
-    /// misses.
-    pub fn gather(dataset: &Dataset, bottom: &Block, cache: &FeatureCache) -> Self {
-        Self::gather_from(dataset.features(), bottom, cache)
-    }
-
-    /// [`Self::gather`] against an explicit host feature matrix.
-    pub fn gather_from(features: &Matrix, bottom: &Block, cache: &FeatureCache) -> Self {
-        Self::gather_from_pooled(features, bottom, cache, &mut BatchBuffers::new())
-    }
-
-    /// [`Self::gather`] drawing its position lists and miss buffer from a
-    /// recycled [`BatchBuffers`] bundle — the engine's steady-state path.
+    /// misses, drawing position lists and the miss buffer from `bufs`.
     pub fn gather_pooled(
         dataset: &Dataset,
         bottom: &Block,
@@ -58,10 +53,9 @@ impl GatheredFeatures {
         Self::gather_from_pooled(dataset.features(), bottom, cache, bufs)
     }
 
-    /// The single gather implementation: the allocating entry points above
-    /// just pass an empty bundle. The mapped row gather reads miss vertex
-    /// ids straight out of `miss_pos` — the per-batch widened index vector
-    /// the old path collected is gone.
+    /// [`Self::gather_pooled`] against an explicit host feature matrix. The
+    /// mapped row gather reads miss vertex ids straight out of `miss_pos`;
+    /// no widened index vector is built.
     pub fn gather_from_pooled(
         features: &Matrix,
         bottom: &Block,
@@ -77,17 +71,6 @@ impl GatheredFeatures {
             miss,
             miss_pos,
             hit_pos,
-        }
-    }
-
-    /// Wraps an already-complete host gather: every row is a miss, in
-    /// source order — the representation any cache-less path produces.
-    pub fn dense(miss: Matrix) -> Self {
-        let miss_pos = (0..miss.rows() as u32).collect();
-        Self {
-            miss,
-            miss_pos,
-            hit_pos: Vec::new(),
         }
     }
 
@@ -108,21 +91,14 @@ impl GatheredFeatures {
 
     /// Device-side assembly after the transfer: interleaves the shipped
     /// miss rows with the cache-resident hit rows back into source order,
-    /// bit-identical to a full host gather of `src`.
+    /// bit-identical to a full host gather of `src`. The output buffer
+    /// comes from `bufs`, and the spent position/miss buffers go back to it.
     ///
-    /// `hit_pos` and `miss_pos` come from [`Block::partition_src`], so both
-    /// are sorted and together cover every position exactly once; a merge
-    /// walk appends each output row straight into reserved capacity, never
-    /// zero-filling a byte it is about to overwrite (the same measured win
-    /// as the chunked row-gather kernel).
-    pub fn assemble(self, src: &[VertexId], cache: &FeatureCache) -> Matrix {
-        self.assemble_pooled(src, cache, &mut BatchBuffers::new())
-    }
-
-    /// [`Self::assemble`] drawing the output buffer from — and returning
-    /// the spent position/miss buffers to — a recycled bundle. Rows are
-    /// appended in exactly the same order as the allocating path, so the
-    /// result is bit-identical.
+    /// `hit_pos` and `miss_pos` come from [`Block::partition_src_into`], so
+    /// both are sorted and together cover every position exactly once; a
+    /// merge walk appends each output row straight into reserved capacity,
+    /// never zero-filling a byte it is about to overwrite (the same measured
+    /// win as the chunked row-gather kernel).
     pub fn assemble_pooled(
         self,
         src: &[VertexId],
@@ -178,7 +154,7 @@ pub struct StagedBatch {
     pub features: GatheredFeatures,
     /// Spare recycled capacity riding along for assembly; spent buffers are
     /// folded back in so the train stage can return the whole bundle to the
-    /// pool. Empty (allocating behaviour) outside the engine.
+    /// pool. Fresh (allocating behaviour) on the sequential path.
     pub bufs: BatchBuffers,
 }
 
@@ -235,12 +211,13 @@ mod tests {
         let host = features(10, 3);
         let b = block(vec![7, 2, 9]);
         let cache = FeatureCache::empty();
-        let gf = GatheredFeatures::gather_from(&host, &b, &cache);
+        let mut bufs = BatchBuffers::new();
+        let gf = GatheredFeatures::gather_from_pooled(&host, &b, &cache, &mut bufs);
         assert_eq!(gf.num_hits(), 0);
         assert_eq!(gf.num_misses(), 3);
         assert_eq!(gf.h2d_feature_bytes(), 3 * 3 * 4);
         let full = host.gather_rows(&[7, 2, 9]);
-        let assembled = gf.assemble(b.src(), &cache);
+        let assembled = gf.assemble_pooled(b.src(), &cache, &mut bufs);
         assert_eq!(assembled.as_slice(), full.as_slice());
     }
 
@@ -249,12 +226,13 @@ mod tests {
         let host = features(10, 3);
         let b = block(vec![7, 2, 9, 4]);
         let cache = FeatureCache::for_vertices(&[2, 4, 5], 10, host.as_slice(), 3);
-        let gf = GatheredFeatures::gather_from(&host, &b, &cache);
+        let mut bufs = BatchBuffers::new();
+        let gf = GatheredFeatures::gather_from_pooled(&host, &b, &cache, &mut bufs);
         assert_eq!(gf.num_hits(), 2); // 2 and 4
         assert_eq!(gf.num_misses(), 2); // 7 and 9
         assert_eq!(gf.h2d_feature_bytes(), 2 * 3 * 4);
         let full = host.gather_rows(&[7, 2, 9, 4]);
-        let assembled = gf.assemble(b.src(), &cache);
+        let assembled = gf.assemble_pooled(b.src(), &cache, &mut bufs);
         assert_eq!(assembled.as_slice(), full.as_slice());
     }
 
@@ -263,11 +241,15 @@ mod tests {
         let host = features(6, 2);
         let b = block(vec![1, 3, 5]);
         let cache = FeatureCache::for_vertices(&[0, 1, 2, 3, 4, 5], 6, host.as_slice(), 2);
-        let gf = GatheredFeatures::gather_from(&host, &b, &cache);
+        let mut bufs = BatchBuffers::new();
+        let gf = GatheredFeatures::gather_from_pooled(&host, &b, &cache, &mut bufs);
         assert_eq!(gf.num_misses(), 0);
         assert_eq!(gf.h2d_feature_bytes(), 0);
         let full = host.gather_rows(&[1, 3, 5]);
-        assert_eq!(gf.assemble(b.src(), &cache).as_slice(), full.as_slice());
+        assert_eq!(
+            gf.assemble_pooled(b.src(), &cache, &mut bufs).as_slice(),
+            full.as_slice()
+        );
     }
 
     #[test]
@@ -283,13 +265,14 @@ mod tests {
         bufs.put_f32(vec![55.5; 2]);
         bufs.put_f32(vec![0.25; 31]);
 
-        let want = GatheredFeatures::gather_from(&host, &b, &cache);
+        let want =
+            GatheredFeatures::gather_from_pooled(&host, &b, &cache, &mut BatchBuffers::new());
         let got = GatheredFeatures::gather_from_pooled(&host, &b, &cache, &mut bufs);
         assert_eq!(got.num_hits(), want.num_hits());
         assert_eq!(got.num_misses(), want.num_misses());
         assert_eq!(got.h2d_feature_bytes(), want.h2d_feature_bytes());
 
-        let want_m = want.assemble(b.src(), &cache);
+        let want_m = want.assemble_pooled(b.src(), &cache, &mut BatchBuffers::new());
         let got_m = got.assemble_pooled(b.src(), &cache, &mut bufs);
         assert_eq!(got_m.as_slice(), want_m.as_slice());
         // Assembly folded its spent buffers back into the bundle.
@@ -303,12 +286,13 @@ mod tests {
         // One real edge: dst 1 aggregates from src position 1 (vertex 6).
         let b = Block::new(vec![1], vec![1, 6], vec![0, 1], vec![1]);
         let cache = FeatureCache::for_vertices(&[6], 8, host.as_slice(), 2);
-        let features = GatheredFeatures::gather_from(&host, &b, &cache);
+        let mut bufs = BatchBuffers::new();
+        let features = GatheredFeatures::gather_from_pooled(&host, &b, &cache, &mut bufs);
         let staged = StagedBatch {
             index: 0,
             blocks: vec![b],
             features,
-            bufs: BatchBuffers::new(),
+            bufs,
         };
         // miss = vertex 1 only (6 is cached): 1 row * 2 dims * 4 B + 8 B edge.
         assert_eq!(staged.h2d_bytes(), 8 + 8);

@@ -1,10 +1,15 @@
 //! The stage-graph vocabulary shared by every executor — [`PipelineConfig`]
 //! (staging depth, simulated H2D link) and [`PipelineReport`] (per-stage
-//! busy seconds and bytes of one epoch) — and the **sequential reference**
-//! a session is measured and checked against ([`run_epoch_sequential`]).
+//! busy seconds and bytes of one epoch) — the **one staging path**
+//! ([`stage_batch`]: sample → gather → transfer of one batch, timed into
+//! [`StageCounters`]) and the **sequential reference** a session is
+//! measured and checked against ([`run_epoch_sequential`]).
 //!
-//! The stage graph itself (sample → gather → transfer on one fused worker
-//! per lane, train on the caller's thread) runs under
+//! A session lane and the sequential reference stage every batch through
+//! [`stage_batch`]; they differ only in where its buffers come from (a
+//! recycled pool vs fresh ones) and in the feature cache (the lane's vs an
+//! empty one). The stage graph itself (staging on one fused worker per
+//! lane, train on the caller's thread) runs under
 //! [`crate::session::Session`].
 //!
 //! Two fields stay only because the benchmark adapter
@@ -25,15 +30,19 @@
 //! historical-embedding read observes a version gap `< 2n`, enforced hard
 //! by the bounded [`neutron_cache::EmbeddingStore`].
 
-use crate::engine::{transfer_stage, BusyNs};
+use crate::engine::BusyNs;
 use crate::gather::{GatheredFeatures, StagedBatch};
 use crate::pool::BatchBuffers;
 use crate::refresh::InlineRefresh;
+use crate::session::ReplicaEpochStats;
 use crate::trainer::{batch_sample_seed, ConvergenceTrainer, EpochObservation};
 use neutron_cache::FeatureCache;
+use neutron_graph::{Dataset, VertexId};
+use neutron_sample::{BlockBuilder, LocalityCounts, NeighborSampler};
 use neutron_tensor::alloc::{self, Stage};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
+use std::time::{Duration, Instant};
 
 /// Stage-graph shape: staging depth and the simulated link.
 #[derive(Clone, Debug)]
@@ -130,12 +139,140 @@ impl PipelineReport {
     }
 }
 
-/// The unpipelined baseline: the *same* stage costing (including the
-/// simulated transfer stall) executed serially on the calling thread —
-/// the paper's "w/o pipelining" ablation (Fig 14). Comparing a
-/// [`crate::session::Session`] epoch against this isolates the benefit
-/// of overlap, with identical per-batch work on both sides, and its
-/// loss trajectory is the one every session must reproduce bit for bit.
+/// The monotone staging counters of one lane (or of one sequential epoch):
+/// [`stage_batch`] updates them before it returns the batch they describe,
+/// so draining a lane's staging channel synchronises the train thread's
+/// reads at epoch boundaries.
+#[derive(Default)]
+pub struct StageCounters {
+    pub(crate) h2d_bytes: AtomicU64,
+    pub(crate) remote_feature_bytes: AtomicU64,
+    pub(crate) local_picks: AtomicU64,
+    pub(crate) remote_picks: AtomicU64,
+    pub(crate) sample_busy: BusyNs,
+    pub(crate) gather_busy: BusyNs,
+    pub(crate) transfer_busy: BusyNs,
+}
+
+impl StageCounters {
+    /// The counters' current values; an epoch's stats are the difference of
+    /// two snapshots ([`ReplicaEpochStats::since`]).
+    pub(crate) fn snapshot(&self) -> ReplicaEpochStats {
+        ReplicaEpochStats {
+            sample_seconds: self.sample_busy.seconds(),
+            gather_seconds: self.gather_busy.seconds(),
+            transfer_seconds: self.transfer_busy.seconds(),
+            h2d_bytes: self.h2d_bytes.load(Relaxed),
+            remote_feature_bytes: self.remote_feature_bytes.load(Relaxed),
+            local_picks: self.local_picks.load(Relaxed),
+            remote_picks: self.remote_picks.load(Relaxed),
+            ..ReplicaEpochStats::default()
+        }
+    }
+}
+
+/// What [`stage_batch`] stages against: the inputs that stay fixed over a
+/// lane's life (or a sequential epoch).
+pub struct StageInputs<'a> {
+    /// Its `h2d_gibps` sets the simulated transfer stall.
+    pub pipeline: &'a PipelineConfig,
+    /// Graph and host features.
+    pub dataset: &'a Dataset,
+    /// The trainer's sampler ([`ConvergenceTrainer::sampler`]), so hot
+    /// vertices are pruned from the bottom block.
+    pub sampler: &'a NeighborSampler,
+    /// Device-resident feature rows; empty for the sequential reference.
+    pub cache: &'a FeatureCache,
+    /// Every vertex's partition and the lane's own: bottom-block sources
+    /// owned elsewhere are counted as remote pulls. `None` is one partition.
+    pub partition: Option<(&'a [u32], u32)>,
+    /// Draw partition-local neighbours first (needs `partition`).
+    pub locality_aware: bool,
+    /// Where the stages' busy time, bytes and picks accumulate.
+    pub counters: &'a StageCounters,
+}
+
+/// Stages one batch — the paper's sample → gather (collect, then transfer)
+/// path, written once for every executor: a session lane, the sequential
+/// reference and [`ConvergenceTrainer::train_epoch`]. In order, each step
+/// timed into `inputs.counters` and tagged with its alloc [`Stage`]:
+///
+/// 1. sample through the pooled sampler (locality-biased when
+///    `inputs.locality_aware`), drawing block buffers from `builder` and
+///    the donated spares of `bufs`, then count remote rows and picks;
+/// 2. the cache-keyed gather of the bottom block's sources;
+/// 3. the transfer: account the batch's H2D bytes and, on a simulated link,
+///    stall for their PCIe time.
+///
+/// `seed` is the batch's sampling seed ([`batch_sample_seed`]). A fresh
+/// `builder` and `bufs` allocate; recycled ones only lend capacity, so the
+/// staged batch is the same either way (`tests/property_pooling.rs`).
+pub fn stage_batch(
+    inputs: &StageInputs<'_>,
+    index: usize,
+    batch: &[VertexId],
+    seed: u64,
+    builder: &mut BlockBuilder,
+    mut bufs: BatchBuffers,
+) -> StagedBatch {
+    let (dataset, sampler, counters) = (inputs.dataset, inputs.sampler, inputs.counters);
+    let caller_stage = alloc::set_stage(Stage::Sample);
+    let t_sample = Instant::now();
+    bufs.donate_to(builder);
+    let (csr, mut picks) = (&dataset.csr, LocalityCounts::default());
+    let blocks = match inputs.partition {
+        Some((owner, part)) if inputs.locality_aware => {
+            sampler.sample_batch_pooled_biased(csr, batch, seed, builder, owner, part, &mut picks)
+        }
+        _ => sampler.sample_batch_pooled(csr, batch, seed, builder),
+    };
+    let remote_rows = inputs.partition.map_or(0, |(owner, part)| {
+        let src = blocks[0].src();
+        src.iter().filter(|&&v| owner[v as usize] != part).count() as u64
+    });
+    let pulled = remote_rows * dataset.spec.feature_row_bytes();
+    counters.remote_feature_bytes.fetch_add(pulled, Relaxed);
+    counters.local_picks.fetch_add(picks.local_picks, Relaxed);
+    counters.remote_picks.fetch_add(picks.remote_picks, Relaxed);
+    counters.sample_busy.add(t_sample);
+
+    alloc::set_stage(Stage::Gather);
+    let t_gather = Instant::now();
+    let features = GatheredFeatures::gather_pooled(dataset, &blocks[0], inputs.cache, &mut bufs);
+    counters.gather_busy.add(t_gather);
+
+    // Transfer: only miss rows and block structure cross the link.
+    alloc::set_stage(Stage::Transfer);
+    let t_transfer = Instant::now();
+    let staged = StagedBatch {
+        index,
+        blocks,
+        features,
+        bufs,
+    };
+    let bytes = staged.h2d_bytes();
+    counters.h2d_bytes.fetch_add(bytes, Relaxed);
+    let gibps = inputs.pipeline.h2d_gibps;
+    if gibps > 0.0 {
+        let secs = bytes as f64 / (gibps * (1u64 << 30) as f64);
+        std::thread::sleep(Duration::from_secs_f64(secs));
+    }
+    counters.transfer_busy.add(t_transfer);
+    alloc::set_stage(caller_stage);
+    staged
+}
+
+/// The unpipelined baseline: [`stage_batch`] and the train stage executed
+/// serially on the calling thread — the paper's "w/o pipelining" ablation
+/// (Fig 14). Comparing a [`crate::session::Session`] epoch against this
+/// isolates the benefit of overlap, with identical per-batch work on both
+/// sides, and its loss trajectory is the one every session must reproduce
+/// bit for bit.
+///
+/// Every batch stages against an empty cache (all-miss) on a fresh
+/// [`BlockBuilder`] and [`BatchBuffers`], so this is also the allocating
+/// "before" the pooled session is compared against in
+/// `tests/alloc_budget.rs`.
 pub fn run_epoch_sequential(
     config: &PipelineConfig,
     trainer: &mut ConvergenceTrainer,
@@ -145,48 +282,25 @@ pub fn run_epoch_sequential(
     let sampler = trainer.sampler().clone();
     let config_seed = trainer.config().seed;
     let batches = trainer.epoch_batches(epoch);
-    let total = batches.len();
-
-    let sample_busy = BusyNs::default();
-    let gather_busy = BusyNs::default();
-    let transfer_busy = BusyNs::default();
-    let h2d_bytes = AtomicU64::new(0);
-
-    // The cache-less baseline runs the *same* cache-keyed gather,
-    // transfer costing and device-side assembly as the engine, against
-    // an empty cache (all-miss). One shared path means the accounting
-    // can never drift between executors. Per-stage alloc tags give the
-    // honest allocating "before" numbers the pooled engine is compared
-    // against in `tests/alloc_budget.rs`.
     let empty_cache = FeatureCache::empty();
-    let mut gathered_vertices = 0u64;
+    let counters = StageCounters::default();
+    let inputs = StageInputs {
+        pipeline: config,
+        dataset: &dataset,
+        sampler: &sampler,
+        cache: &empty_cache,
+        partition: None,
+        locality_aware: false,
+        counters: &counters,
+    };
+    let mut cache_misses = 0u64;
     let wall = Instant::now();
     let items = batches.iter().enumerate().map(|(i, batch)| {
-        alloc::set_stage(Stage::Sample);
-        let t0 = Instant::now();
-        let blocks = sampler.sample_batch(
-            &dataset.csr,
-            batch,
-            batch_sample_seed(config_seed, epoch, i),
-        );
-        sample_busy.add(t0);
-        alloc::set_stage(Stage::Gather);
-        let t1 = Instant::now();
-        let features = GatheredFeatures::gather(&dataset, &blocks[0], &empty_cache);
-        gather_busy.add(t1);
-        gathered_vertices += features.num_misses() as u64;
-        let item = StagedBatch {
-            index: i,
-            blocks,
-            features,
-            bufs: BatchBuffers::new(),
-        };
-        alloc::set_stage(Stage::Transfer);
-        let t2 = Instant::now();
-        transfer_stage(config, &item, &h2d_bytes);
-        transfer_busy.add(t2);
-        alloc::set_stage(Stage::Train);
-        item.into_prepared(&empty_cache)
+        let seed = batch_sample_seed(config_seed, epoch, i);
+        let bufs = BatchBuffers::new();
+        let staged = stage_batch(&inputs, i, batch, seed, &mut BlockBuilder::new(), bufs);
+        cache_misses += staged.features.num_misses() as u64;
+        staged.into_prepared(&empty_cache)
     });
     let prev_stage = alloc::set_stage(Stage::Train);
     let stats = trainer.train_batches_recycling(items, &mut InlineRefresh::default(), |_| {});
@@ -195,19 +309,20 @@ pub fn run_epoch_sequential(
     // Same timed region as a session epoch: stage graph only, no eval.
     let epoch_seconds = wall.elapsed().as_secs_f64();
     let observation = trainer.observe_epoch(stats);
-    let staged = sample_busy.seconds() + gather_busy.seconds() + transfer_busy.seconds();
+    let stats = counters.snapshot();
+    let staged = stats.sample_seconds + stats.gather_seconds + stats.transfer_seconds;
     let report = PipelineReport {
         epoch_seconds,
-        num_batches: total,
-        sample_seconds: sample_busy.seconds(),
-        gather_collect_seconds: gather_busy.seconds(),
-        transfer_seconds: transfer_busy.seconds(),
+        num_batches: batches.len(),
+        sample_seconds: stats.sample_seconds,
+        gather_collect_seconds: stats.gather_seconds,
+        transfer_seconds: stats.transfer_seconds,
         train_seconds: (epoch_seconds - staged).max(0.0),
         train_wait_seconds: staged,
-        h2d_bytes: h2d_bytes.load(Ordering::Relaxed),
+        h2d_bytes: stats.h2d_bytes,
         reorder_peak: 0,
         cache_hits: 0,
-        cache_misses: gathered_vertices,
+        cache_misses,
         failures: Vec::new(),
     };
     (observation, report)

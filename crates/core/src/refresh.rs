@@ -37,7 +37,6 @@
 //! through [`NeighborSampler::sample_one_hop_stable_with_scratch`], which
 //! never prunes: the refresh is what computes the hot rows.
 
-use crate::trainer::ConvergenceTrainer;
 use neutron_cache::EmbeddingRows;
 use neutron_graph::{Dataset, VertexId};
 use neutron_nn::layers::Layer;
@@ -153,7 +152,7 @@ impl RefreshTask {
         );
         // The train path's gather — same helper, so "Gather (FC)" can never
         // drift between training and refresh.
-        let feats = ConvergenceTrainer::gather_features(&self.dataset, block.src());
+        let feats = self.dataset.features().gather_rows_u32(block.src());
         // One output row per `block.dst()` vertex, i.e. per task vertex.
         let (out, _ctx) = self.bottom.forward(&block, &feats);
         EmbeddingRows::new(vertices.to_vec(), out)

@@ -14,8 +14,9 @@
 //!
 //! - **Lanes.** Each lane owns the training vertices its partition assigns
 //!   to it and prepares its batches on one dedicated *fused* worker thread
-//!   (sample, gather and transfer back to back) into its own staging
-//!   channel, in batch order. Spent buffer bundles return through one
+//!   (sample, gather and transfer back to back:
+//!   [`crate::pipeline::stage_batch`]) into its own staging channel, in
+//!   batch order. Spent buffer bundles return through one
 //!   session-wide pool, so warm epochs allocate (near) nothing on the
 //!   staging path (`tests/alloc_budget.rs`).
 //! - **One cache rule.** Each lane's [`FeatureCache`] holds its hottest
@@ -60,26 +61,25 @@
 
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use neutron_cache::FeatureCache;
 use neutron_graph::partition::{hash_partition, Partition};
 use neutron_graph::{Dataset, VertexId};
-use neutron_sample::{BatchIterator, BlockBuilder, EpochBatches, LocalityCounts, SamplerScratch};
+use neutron_sample::{BatchIterator, BlockBuilder, EpochBatches, SamplerScratch};
 use neutron_tensor::alloc::{self, Stage};
 
 use crate::checkpoint::CheckpointError;
-use crate::engine::{transfer_stage, Bounded, BusyNs, Defer, RecvTimeout};
+use crate::engine::{Bounded, BusyNs, Defer, RecvTimeout};
 use crate::fault::{FailureAction, FailureEvent, FailurePolicy};
-use crate::gather::{GatheredFeatures, StagedBatch};
-use crate::pipeline::PipelineReport;
+use crate::gather::StagedBatch;
+use crate::pipeline::{stage_batch, PipelineReport, StageCounters, StageInputs};
 use crate::pool::BatchBuffers;
 use crate::refresh::{CpuPart, RefreshBackend, RefreshOutput, RefreshTask};
 use crate::session::{
     recycle_into, BatchRing, Checkpointer, EpochRun, ReplicaEpochStats, Session, SessionConfig,
-    SessionError, SessionReport, StageCounters, Supervisor,
+    SessionError, SessionReport, Supervisor,
 };
 use crate::trainer::{batch_sample_seed, ConvergenceTrainer};
 
@@ -92,18 +92,21 @@ pub type ReplicatedEpochRun = EpochRun;
 /// The multi-lane spelling of [`SessionReport`], kept for callers that name it.
 pub type ReplicatedSessionReport = SessionReport;
 
-/// Per-lane share of the session-wide bundle pool: explicit, or enough
-/// for the staging channel, the train loop's `lookahead` window (counted
-/// against the channel, [`crate::pipeline::PipelineConfig::train_feed_depth`]),
-/// and in-flight and recycling slack.
+/// Per-lane share of the session-wide bundle pool: enough for the staging
+/// channel, the train loop's `lookahead` window (counted against the
+/// channel, [`crate::pipeline::PipelineConfig::train_feed_depth`]), and
+/// in-flight and recycling slack. Any size is bit-identical: a drained pool
+/// just allocates fresh.
 fn pool_capacity(config: &SessionConfig, lookahead: usize) -> usize {
-    match config.pool_batches {
-        0 => {
-            let staged = config.pipeline.train_feed_depth(lookahead);
-            config.pipeline.channel_depth + staged + lookahead + 4
-        }
-        n => n,
-    }
+    let staged = config.pipeline.train_feed_depth(lookahead);
+    config.pipeline.channel_depth + staged + lookahead + 4
+}
+
+/// Lane `lane`'s sampling-stream seed: the trainer's `seed`, salted per
+/// lane. Lane 0's salt vanishes, so a one-lane session samples under the
+/// trainer's own seed — the R = 1 bit-identity with the sequential trainer.
+pub(crate) fn lane_seed(seed: u64, lane: usize) -> u64 {
+    seed ^ (lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// One epoch's worth of work for a lane's worker.
@@ -113,7 +116,6 @@ struct ReplicaJob {
     /// never produces tail batches other lanes cannot match).
     limit: usize,
     batches: Arc<EpochBatches>,
-    cache: Arc<FeatureCache>,
 }
 
 /// Refresh backend bridging the trainer's super-batch boundaries to the
@@ -190,7 +192,6 @@ pub(crate) fn run_fused(
     let config_seed = trainer.config().seed;
     let batch_size = trainer.config().batch_size;
     let checkpointer = Checkpointer::new(config, trainer);
-    let replica_seeds = &checkpointer.rng_seeds;
 
     // Mutable ownership map over `dataset.train` positions: starts as
     // the hash partition, and DropReplica reassigns a dead replica's
@@ -275,104 +276,59 @@ pub(crate) fn run_fused(
             pool.close();
         });
 
-        let spawn_worker = |r: usize,
-                            jobs: Arc<Bounded<ReplicaJob>>,
-                            staged_tx: Arc<Bounded<StagedBatch>>| {
-            let counters = Arc::clone(&counters[r]);
-            let partition = Arc::clone(&partition);
-            let dataset = Arc::clone(&dataset);
-            let sampler = sampler0.clone();
-            let replica_seed = replica_seeds[r];
-            let feature_row_bytes = dataset.spec.feature_row_bytes();
-            let (supervisor, pool) = (&supervisor, &pool);
-            scope.spawn(move || {
-                // Poison both endpoints on every exit path so the
-                // supervisor sees a closed channel instead of
-                // blocking forever on a dead lane.
-                let _poison = Defer(|| {
-                    staged_tx.close();
-                    jobs.close();
-                });
-                let body = AssertUnwindSafe(|| {
-                    let mut builder = BlockBuilder::default();
-                    while let Some(job) = jobs.recv() {
-                        for i in 0..job.limit {
-                            if supervisor.crash_due("replica", r, job.epoch, i)
-                                || supervisor
-                                    .after_claim("replica", r, job.epoch, i)
-                                    .is_break()
-                            {
-                                return;
-                            }
-                            let t_sample = Instant::now();
-                            let stage_before = alloc::set_stage(Stage::Sample);
-                            let mut bufs = pool.try_recv().unwrap_or_default();
-                            bufs.donate_to(&mut builder);
-                            let seed = batch_sample_seed(replica_seed, job.epoch, i);
-                            let mut picks = LocalityCounts::default();
-                            let blocks = if locality_aware {
-                                sampler.sample_batch_pooled_biased(
-                                    &dataset.csr,
+        let spawn_worker =
+            |r: usize, jobs: Arc<Bounded<ReplicaJob>>, staged_tx: Arc<Bounded<StagedBatch>>| {
+                let counters = Arc::clone(&counters[r]);
+                let cache = Arc::clone(&caches[r]);
+                let partition = Arc::clone(&partition);
+                let dataset = Arc::clone(&dataset);
+                let sampler = sampler0.clone();
+                let seed = lane_seed(config_seed, r);
+                let (supervisor, pool) = (&supervisor, &pool);
+                scope.spawn(move || {
+                    // Poison both endpoints on every exit path so the
+                    // supervisor sees a closed channel instead of
+                    // blocking forever on a dead lane.
+                    let _poison = Defer(|| {
+                        staged_tx.close();
+                        jobs.close();
+                    });
+                    let body = AssertUnwindSafe(|| {
+                        let inputs = StageInputs {
+                            pipeline: &config.pipeline,
+                            dataset: &dataset,
+                            sampler: &sampler,
+                            cache: &cache,
+                            partition: Some((&partition.assignment, r as u32)),
+                            locality_aware,
+                            counters: &counters,
+                        };
+                        let mut builder = BlockBuilder::default();
+                        while let Some(job) = jobs.recv() {
+                            for i in 0..job.limit {
+                                if supervisor.fault_hook("replica", r, job.epoch, i).is_break() {
+                                    return;
+                                }
+                                let bufs = pool.try_recv().unwrap_or_default();
+                                let staged = stage_batch(
+                                    &inputs,
+                                    i,
                                     job.batches.batch(i),
-                                    seed,
+                                    batch_sample_seed(seed, job.epoch, i),
                                     &mut builder,
-                                    &partition.assignment,
-                                    r as u32,
-                                    &mut picks,
-                                )
-                            } else {
-                                sampler.sample_batch_pooled(
-                                    &dataset.csr,
-                                    job.batches.batch(i),
-                                    seed,
-                                    &mut builder,
-                                )
-                            };
-                            let remote_rows = blocks[0]
-                                .src()
-                                .iter()
-                                .filter(|&&v| partition.assignment[v as usize] != r as u32)
-                                .count() as u64;
-                            counters
-                                .remote_feature_bytes
-                                .fetch_add(remote_rows * feature_row_bytes, Ordering::Relaxed);
-                            counters
-                                .local_picks
-                                .fetch_add(picks.local_picks, Ordering::Relaxed);
-                            counters
-                                .remote_picks
-                                .fetch_add(picks.remote_picks, Ordering::Relaxed);
-                            counters.sample_busy.add(t_sample);
-
-                            let t_gather = Instant::now();
-                            alloc::set_stage(Stage::Gather);
-                            let features = GatheredFeatures::gather_pooled(
-                                &dataset, &blocks[0], &job.cache, &mut bufs,
-                            );
-                            counters.gather_busy.add(t_gather);
-
-                            let t_transfer = Instant::now();
-                            alloc::set_stage(Stage::Transfer);
-                            let staged = StagedBatch {
-                                index: i,
-                                blocks,
-                                features,
-                                bufs,
-                            };
-                            transfer_stage(&config.pipeline, &staged, &counters.h2d_bytes);
-                            counters.transfer_busy.add(t_transfer);
-                            alloc::set_stage(stage_before);
-                            if !staged_tx.send(staged) {
-                                return; // session tearing down
+                                    bufs,
+                                );
+                                if !staged_tx.send(staged) {
+                                    return; // session tearing down
+                                }
                             }
                         }
+                    });
+                    if let Err(payload) = catch_unwind(body) {
+                        supervisor.record_panic("replica", payload);
                     }
                 });
-                if let Err(payload) = catch_unwind(body) {
-                    supervisor.record_panic("replica", payload);
-                }
-            });
-        };
+            };
 
         {
             let jobs = job_channels.borrow();
@@ -473,7 +429,6 @@ pub(crate) fn run_fused(
                     epoch,
                     limit: steps,
                     batches,
-                    cache: Arc::clone(&caches[r]),
                 });
             }
             generations += 1;
@@ -597,6 +552,16 @@ pub(crate) fn run_fused(
                 // collect would publish its rows.
                 trainer.settle_refresh(&mut backend);
                 let ck = checkpointer.load()?;
+                // Only a checkpoint this session (or the run it continues)
+                // wrote is a resume point: one from another run's future
+                // or past would replay the wrong epochs from its state.
+                let resume = ck.next_epoch as usize;
+                if !(first_epoch..=epoch).contains(&resume) {
+                    return Err(SessionError::Checkpoint(CheckpointError::Io(format!(
+                        "the checkpoint resumes at epoch {resume}, outside this session's \
+                         epochs {first_epoch}..={epoch} (epoch {epoch} failed)"
+                    ))));
+                }
                 trainer
                     .restore_state(&ck.state)
                     .map_err(|m| SessionError::Checkpoint(CheckpointError::Corrupt(m)))?;
@@ -612,7 +577,6 @@ pub(crate) fn run_fused(
                     workers_spawned += 1;
                     alive.borrow_mut()[r] = true;
                 }
-                let resume = (ck.next_epoch as usize).max(first_epoch);
                 epochs.truncate(resume - first_epoch);
                 epoch = resume;
                 continue;

@@ -11,12 +11,12 @@
 //!
 //! What the runner builds on, here: the worker-side fault hook and stall
 //! latch (`Supervisor`), the checkpoint-at-boundary step (`Checkpointer`),
-//! the epoch-batch recycling ring (`BatchRing`), the per-lane staging
-//! counters (`StageCounters`) and the post-train bundle recycler
-//! (`recycle_into`).
+//! the epoch-batch recycling ring (`BatchRing`) and the post-train bundle
+//! recycler (`recycle_into`). A lane's staging itself is
+//! [`crate::pipeline::stage_batch`].
 
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
-use crate::engine::{Bounded, BusyNs};
+use crate::engine::Bounded;
 use crate::fault::{FailureAction, FailureEvent, FailurePolicy, FaultKind, FaultPlan};
 use crate::pipeline::{PipelineConfig, PipelineReport};
 use crate::pool::BatchBuffers;
@@ -28,7 +28,6 @@ use neutron_tensor::alloc::AllocSnapshot;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,10 +48,6 @@ pub struct SessionConfig {
     /// Threads the refresh worker spreads each task's vertex list over
     /// (partition-stable, so any value is bit-identical). At least 1.
     pub refresh_workers: usize,
-    /// Spent [`BatchBuffers`] bundles kept circulating per staging lane;
-    /// `0` sizes the pool to everything that can be in flight at once. Any
-    /// value is bit-identical: a drained pool just allocates fresh.
-    pub pool_batches: usize,
     /// Prefer partition-local neighbours while sampling (R ≥ 2);
     /// `false` is the locality-blind ablation.
     pub locality_aware: bool,
@@ -86,7 +81,6 @@ impl Default for SessionConfig {
             replicas: 1,
             gpu_free_bytes: 64 << 20,
             refresh_workers: 1,
-            pool_batches: 0,
             locality_aware: true,
             interconnect: InterconnectSpec::nvlink_like(),
             checkpoint_every: 0,
@@ -328,7 +322,7 @@ impl Session {
     /// Runs `num_epochs` epochs starting at `first_epoch` over one set of
     /// persistent workers. At R = 1 numerically identical to calling
     /// `trainer.train_epoch(e)` for the same epochs, at any staging depth,
-    /// cache budget, pool size and refresh thread count; at any R
+    /// cache budget and refresh thread count; at any R
     /// deterministic — concurrency changes wall-clock and placement, never
     /// results.
     ///
@@ -372,38 +366,6 @@ impl Session {
 // ---------------------------------------------------------------------------
 // What the runner builds on.
 // ---------------------------------------------------------------------------
-
-/// The monotone staging counters of one lane's fused worker. The worker
-/// updates them before sending the batch they describe, so draining the
-/// staging channel synchronises the train thread's reads at epoch
-/// boundaries.
-#[derive(Default)]
-pub(crate) struct StageCounters {
-    pub(crate) h2d_bytes: AtomicU64,
-    pub(crate) remote_feature_bytes: AtomicU64,
-    pub(crate) local_picks: AtomicU64,
-    pub(crate) remote_picks: AtomicU64,
-    pub(crate) sample_busy: BusyNs,
-    pub(crate) gather_busy: BusyNs,
-    pub(crate) transfer_busy: BusyNs,
-}
-
-impl StageCounters {
-    /// The counters' current values; an epoch's stats are the difference of
-    /// two snapshots ([`ReplicaEpochStats::since`]).
-    pub(crate) fn snapshot(&self) -> ReplicaEpochStats {
-        ReplicaEpochStats {
-            sample_seconds: self.sample_busy.seconds(),
-            gather_seconds: self.gather_busy.seconds(),
-            transfer_seconds: self.transfer_busy.seconds(),
-            h2d_bytes: self.h2d_bytes.load(Ordering::Relaxed),
-            remote_feature_bytes: self.remote_feature_bytes.load(Ordering::Relaxed),
-            local_picks: self.local_picks.load(Ordering::Relaxed),
-            remote_picks: self.remote_picks.load(Ordering::Relaxed),
-            ..ReplicaEpochStats::default()
-        }
-    }
-}
 
 impl ReplicaEpochStats {
     /// What one epoch added to a lane's counters: this snapshot minus the
@@ -489,34 +451,14 @@ impl Supervisor {
         });
     }
 
-    /// Worker-side fault hook, **before** claiming work: `true` means an
-    /// injected crash is due once the worker has `reached` this step and it
-    /// must exit cleanly now — no batch is claimed, so none is lost.
-    pub(crate) fn crash_due(
-        &self,
-        role: &str,
-        worker: usize,
-        epoch: usize,
-        reached: usize,
-    ) -> bool {
-        let due = self
-            .plan
-            .as_deref()
-            .is_some_and(|plan| plan.take_crash(worker, epoch, reached));
-        if due {
-            let detail = format!("injected {role} crash (clean exit before claiming work)");
-            self.observed(worker, epoch, reached, detail);
-        }
-        due
-    }
-
-    /// Worker-side fault hook, **after** claiming `step`. A panic fault
-    /// panics here; a stall parks the worker — alive, the claimed batch
-    /// never produced, which is what the stall timeout must detect — until
-    /// [`Self::tear_down`] and then breaks so the scope can join it; a
-    /// straggler sleeps 25 ms (that delay *is* the injected fault) and
-    /// continues, so results stay bit-identical.
-    pub(crate) fn after_claim(
+    /// Worker-side fault hook, consulted before a lane stages `step`. A
+    /// crash records itself and breaks, so the worker exits cleanly with
+    /// nothing staged; a panic fault panics here; a stall parks the worker —
+    /// alive, the batch never produced, which is what the stall timeout
+    /// must detect — until [`Self::tear_down`] and then breaks so the scope
+    /// can join it; a straggler sleeps 25 ms (that delay *is* the injected
+    /// fault) and continues, so results stay bit-identical.
+    pub(crate) fn fault_hook(
         &self,
         role: &str,
         worker: usize,
@@ -531,7 +473,11 @@ impl Supervisor {
             return ControlFlow::Continue(());
         };
         match kind {
-            FaultKind::Crash => unreachable!("crash faults are delivered before the claim"),
+            FaultKind::Crash => {
+                let detail = format!("injected {role} crash (clean exit before staging)");
+                self.observed(worker, epoch, step, detail);
+                ControlFlow::Break(())
+            }
             FaultKind::Panic => {
                 self.observed(worker, epoch, step, format!("injected {role} panic"));
                 panic!("injected fault: {role} {worker} panicked at epoch {epoch} step {step}");
@@ -570,21 +516,13 @@ impl Supervisor {
 pub(crate) struct Checkpointer<'a> {
     config: &'a SessionConfig,
     digest: u64,
-    /// Per-replica sampling-stream seeds, recorded in every checkpoint.
-    /// Replica 0's salt vanishes, so a one-replica session samples under
-    /// the trainer's own seed.
-    pub(crate) rng_seeds: Vec<u64>,
 }
 
 impl<'a> Checkpointer<'a> {
     pub(crate) fn new(config: &'a SessionConfig, trainer: &ConvergenceTrainer) -> Self {
-        let seed = trainer.config().seed;
         Self {
             config,
             digest: checkpoint::config_digest(trainer.config(), config.replicas),
-            rng_seeds: (0..config.replicas as u64)
-                .map(|r| seed ^ r.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .collect(),
         }
     }
 
@@ -610,8 +548,6 @@ impl<'a> Checkpointer<'a> {
         let t0 = Instant::now();
         let ck = Checkpoint {
             next_epoch: run.epoch as u64 + 1,
-            replicas: self.config.replicas as u64,
-            rng_seeds: self.rng_seeds.clone(),
             state: trainer.capture_state(backend),
         };
         run.checkpoint_bytes = checkpoint::save(path, self.digest, &ck)?;
@@ -661,7 +597,7 @@ impl BatchRing {
 /// The post-train recycler: dismantles each trained batch into its buffer
 /// bundle and offers it to `pool`. Purely a capacity transfer — the batch's
 /// numbers are already folded into the model, so recycling cannot perturb
-/// results at any pool size; a full (or closed) pool drops the bundle.
+/// results; a full (or closed) pool drops the bundle.
 pub(crate) fn recycle_into(pool: &Bounded<BatchBuffers>) -> impl FnMut(PreparedBatch) + '_ {
     move |item| {
         let PreparedBatch {
@@ -703,9 +639,9 @@ mod tests {
     fn stalled_worker_parks_until_teardown() {
         let plan = FaultPlan::parse("stall@r0e0s1").unwrap();
         let sup = Supervisor::new(Some(Arc::new(plan)));
-        assert!(sup.after_claim("sampler", 0, 0, 0).is_continue());
+        assert!(sup.fault_hook("sampler", 0, 0, 0).is_continue());
         std::thread::scope(|scope| {
-            let parked = scope.spawn(|| sup.after_claim("sampler", 0, 0, 1));
+            let parked = scope.spawn(|| sup.fault_hook("sampler", 0, 0, 1));
             // The stall event is recorded before the worker parks.
             while sup.timeline.lock().unwrap().is_empty() {
                 std::thread::yield_now();
@@ -718,6 +654,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert!(events[0].detail.contains("stall"));
         // One-shot: after teardown a late call falls straight through.
-        assert!(sup.after_claim("sampler", 0, 0, 1).is_continue());
+        assert!(sup.fault_hook("sampler", 0, 0, 1).is_continue());
     }
 }

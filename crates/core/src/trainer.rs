@@ -21,9 +21,17 @@
 //! **demand-driven** (§4.2): it holds the next `2n−1` prepared steps, so at
 //! super-batch boundary `k` it already has super-batch `k+1` and refreshes
 //! only the hot rows those batches read.
+//!
+//! The trainer never stages a batch itself: its batches arrive prepared by
+//! [`crate::pipeline::stage_batch`], the one sample → gather → transfer
+//! path, whether a session lane runs it or
+//! [`ConvergenceTrainer::train_epoch`] (which is [`run_epoch_sequential`]).
+//! Refresh tasks and evaluation read whole host rows with
+//! [`Matrix::gather_rows_u32`].
 
+use crate::pipeline::{run_epoch_sequential, PipelineConfig};
 use crate::pool::BatchBuffers;
-use crate::refresh::{CpuPart, InlineRefresh, RefreshBackend, RefreshOutput, RefreshTask};
+use crate::refresh::{CpuPart, RefreshBackend, RefreshOutput, RefreshTask};
 use neutron_cache::{EmbeddingRows, EmbeddingStore};
 use neutron_graph::{Dataset, VertexId};
 use neutron_nn::loss::cross_entropy;
@@ -311,56 +319,12 @@ impl ConvergenceTrainer {
         self.batches.epoch_batches(epoch)
     }
 
-    /// [`Self::epoch_batches`] into a recycled buffer (see
-    /// [`BatchIterator::fill_epoch_batches`]).
-    pub fn fill_epoch_batches(&self, epoch: usize, out: &mut EpochBatches) {
-        self.batches.fill_epoch_batches(epoch, out);
-    }
-
-    /// The gather stage: collects the raw feature rows of `src` — the one
-    /// place the "Gather (FC)" work is implemented, shared by the
-    /// sequential trainer, the pipelined executor's gather workers, and
-    /// the hot-embedding refresh. Gathers by the sampler's `u32` ids
-    /// directly; no widened index vector is built.
-    pub fn gather_features(dataset: &Dataset, src: &[VertexId]) -> Matrix {
-        dataset.features().gather_rows_u32(src)
-    }
-
-    /// Runs the CPU sample + gather stages for one batch. Pure with respect
-    /// to trainer state, so any number of worker threads may prepare batches
-    /// concurrently; determinism is guaranteed by [`batch_sample_seed`].
-    pub fn prepare_batch(
-        dataset: &Dataset,
-        sampler: &NeighborSampler,
-        config_seed: u64,
-        epoch: usize,
-        index: usize,
-        batch: &[VertexId],
-    ) -> PreparedBatch {
-        let seed = batch_sample_seed(config_seed, epoch, index);
-        let blocks = sampler.sample_batch(&dataset.csr, batch, seed);
-        let features = Self::gather_features(dataset, blocks[0].src());
-        PreparedBatch {
-            index,
-            blocks,
-            features,
-            scrap: BatchBuffers::new(),
-        }
-    }
-
     /// Trains one epoch and reports loss/accuracy/staleness, including the
     /// §4.3 weight-variation monitor `ε = max‖ΔW‖∞ × 2n` measured across
-    /// the epoch's super-batches.
+    /// the epoch's super-batches: [`run_epoch_sequential`] with no
+    /// simulated link, its stage report dropped.
     pub fn train_epoch(&mut self, epoch: usize) -> EpochObservation {
-        let dataset = self.dataset_handle();
-        let sampler = self.sampler.clone();
-        let config_seed = self.config.seed;
-        let epoch_batches = self.batches.epoch_batches(epoch);
-        let items = epoch_batches.iter().enumerate().map(|(i, batch)| {
-            Self::prepare_batch(&dataset, &sampler, config_seed, epoch, i, batch)
-        });
-        let stats = self.train_batches_recycling(items, &mut InlineRefresh::default(), |_| {});
-        self.observe_epoch(stats)
+        run_epoch_sequential(&PipelineConfig::default(), self, epoch).0
     }
 
     /// The epoch's batch loop alone, over externally prepared batches in
@@ -788,7 +752,7 @@ impl ConvergenceTrainer {
         let mut bottom = Vec::with_capacity(frontier.len() * hidden);
         for chunk in frontier.chunks(bottom_chunk) {
             let block = full_one_hop(csr, chunk, EVAL_NEIGHBOR_CAP);
-            let feats = Self::gather_features(&self.dataset, block.src());
+            let feats = self.dataset.features().gather_rows_u32(block.src());
             bottom.extend_from_slice(layers[0].forward(&block, &feats).0.as_slice());
         }
         let mut h = Matrix::from_vec(frontier.len(), hidden, bottom);
@@ -817,6 +781,7 @@ impl ConvergenceTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::refresh::InlineRefresh;
     use neutron_graph::DatasetSpec;
 
     fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
@@ -953,7 +918,7 @@ mod tests {
                 let (mut want, mut correct) = (Vec::new(), 0);
                 for chunk in t.dataset.test.chunks(7) {
                     let blocks = neutron_sample::full_blocks(&t.dataset.csr, chunk, layers, 32);
-                    let feats = ConvergenceTrainer::gather_features(&t.dataset, blocks[0].src());
+                    let feats = t.dataset.features().gather_rows_u32(blocks[0].src());
                     let pass = t.model.forward(&blocks, &feats);
                     let labels = labels_of(&t.dataset, chunk);
                     correct +=

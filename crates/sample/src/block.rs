@@ -86,21 +86,12 @@ impl Block {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
-    /// Partitions the source list by `pred` into `(matching, rest)` local
-    /// position lists. `src` is already deduplicated at sampling time (one
-    /// local index per distinct vertex), so a cache probe can partition it
+    /// Partitions the source list by `pred` into `matching` and `rest` local
+    /// position lists (caller-owned, possibly recycled buffers, cleared
+    /// first). `src` is already deduplicated at sampling time (one local
+    /// index per distinct vertex), so a cache probe can partition it
     /// directly — no second dedup pass — and the two lists together cover
     /// every source position exactly once, in ascending order.
-    pub fn partition_src<F: FnMut(VertexId) -> bool>(&self, pred: F) -> (Vec<u32>, Vec<u32>) {
-        let mut matching = Vec::new();
-        let mut rest = Vec::new();
-        self.partition_src_into(pred, &mut matching, &mut rest);
-        (matching, rest)
-    }
-
-    /// [`Self::partition_src`] into caller-owned (recycled) position
-    /// buffers; both are cleared first, so the results are identical to the
-    /// allocating variant.
     pub fn partition_src_into<F: FnMut(VertexId) -> bool>(
         &self,
         mut pred: F,
@@ -204,23 +195,22 @@ mod tests {
     #[test]
     fn partition_src_covers_every_position_once() {
         let b = sample_block();
-        let (hits, misses) = b.partition_src(|v| v % 20 == 10);
+        let (mut hits, mut misses) = (Vec::new(), Vec::new());
+        b.partition_src_into(|v| v % 20 == 10, &mut hits, &mut misses);
         assert_eq!(hits, &[0, 2]); // src 10 and 30
         assert_eq!(misses, &[1, 3]); // src 20 and 40
-        let (all, none) = b.partition_src(|_| true);
-        assert_eq!(all, &[0, 1, 2, 3]);
-        assert!(none.is_empty());
+        b.partition_src_into(|_| true, &mut hits, &mut misses);
+        assert_eq!(hits, &[0, 1, 2, 3]);
+        assert!(misses.is_empty());
     }
 
     #[test]
-    fn partition_src_into_matches_allocating_variant_on_dirty_buffers() {
+    fn partition_src_into_clears_dirty_buffers() {
         let b = sample_block();
-        let (want_hits, want_misses) = b.partition_src(|v| v % 20 == 10);
         let mut hits = vec![99u32; 7];
         let mut misses = vec![42u32];
         b.partition_src_into(|v| v % 20 == 10, &mut hits, &mut misses);
-        assert_eq!(hits, want_hits);
-        assert_eq!(misses, want_misses);
+        assert_eq!((hits, misses), (vec![0, 2], vec![1, 3]));
     }
 
     #[test]

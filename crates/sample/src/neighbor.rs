@@ -155,15 +155,15 @@ impl NeighborSampler {
     /// layer for them). `blocks[0].dst()` becomes the order-preserving,
     /// skip-free subsequence of `blocks[1].src()`; upper blocks are
     /// untouched. One-layer fanouts (whose bottom hop produces the seeds'
-    /// logits) and the `sample_one_hop*` entry points never prune, and an
-    /// empty set consumes the rng exactly like no set at all.
+    /// logits) and [`Self::sample_one_hop_stable_with_scratch`] never prune,
+    /// and an empty set consumes the rng exactly like no set at all.
     pub fn with_bottom_skip(mut self, skip: Arc<HotSet>) -> Self {
         self.bottom_skip = Some(skip);
         self
     }
 
-    /// The pruning step shared by the allocating and the pooled hop loop:
-    /// called with the frontier of hop `l` before it is sampled.
+    /// The pruning step of the hop loop: called with the frontier of hop
+    /// `l` before it is sampled.
     fn prune_bottom_frontier(&self, l: usize, frontier: &mut Vec<VertexId>) {
         if l == 0 && self.fanout.layers() > 1 {
             if let Some(skip) = &self.bottom_skip {
@@ -177,40 +177,21 @@ impl NeighborSampler {
         &self.fanout
     }
 
-    /// Samples the multi-hop blocks for one batch of `seeds`.
+    /// Samples the multi-hop blocks for one batch of `seeds`: the pooled
+    /// sampler on a fresh [`BlockBuilder`].
     ///
     /// Returns blocks **bottom-first**: `blocks[0]` reads raw features,
     /// `blocks.last()` produces the seed embeddings. The reverse traversal
-    /// (top → bottom) follows Algorithm 1's `for l = L to 1`. This is the
-    /// allocating reference the pooled entry points are pinned against.
+    /// (top → bottom) follows Algorithm 1's `for l = L to 1`.
     pub fn sample_batch(&self, g: &Csr, seeds: &[VertexId], seed: u64) -> Vec<Block> {
-        let mut scratch = SamplerScratch::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let layers = self.fanout.layers();
-        let mut blocks = Vec::with_capacity(layers);
-        let mut frontier: Vec<VertexId> = seeds.to_vec();
-        for l in (0..layers).rev() {
-            self.prune_bottom_frontier(l, &mut frontier);
-            let block = self.sample_one_hop_with_scratch(
-                g,
-                &frontier,
-                self.fanout.at(l),
-                &mut rng,
-                &mut scratch,
-            );
-            frontier = block.src().to_vec();
-            blocks.push(block);
-        }
-        blocks.reverse();
-        blocks
+        self.sample_batch_pooled(g, seeds, seed, &mut BlockBuilder::new())
     }
 
-    /// [`Self::sample_batch`] over a [`BlockBuilder`]: block
-    /// buffers come from the builder's recycled spares instead of fresh
-    /// allocations, and the per-hop frontier/picks vectors are reused. The
-    /// rng is constructed and consumed in exactly the same order as the
-    /// allocating path, and every buffer is cleared before refilling, so
-    /// the produced blocks are identical — the pooling proptests pin this.
+    /// [`Self::sample_batch`] over a [`BlockBuilder`]: block buffers come
+    /// from the builder's recycled spares instead of fresh allocations, and
+    /// the per-hop frontier/picks vectors and dedup scratch are reused.
+    /// Every buffer is cleared before refilling, so a warm builder produces
+    /// the same blocks as a fresh one — the pooling proptests pin this.
     pub fn sample_batch_pooled(
         &self,
         g: &Csr,
@@ -256,7 +237,7 @@ impl NeighborSampler {
         })
     }
 
-    /// The one pooled hop loop, top → bottom like [`Self::sample_batch`]:
+    /// The one hop loop, top → bottom (Algorithm 1's `for l = L to 1`):
     /// `pick(g, v, fanout, picks, draw)` appends `v`'s draw to `picks`.
     /// Generic over the pick, so each public entry point is its own
     /// monomorphised loop with the draw inlined.
@@ -297,25 +278,6 @@ impl NeighborSampler {
         blocks
     }
 
-    /// Samples a single hop — one [`Block`] whose dst are `frontier` —
-    /// deduplicating through a reusable scratch. Produces blocks identical
-    /// to the historical `HashMap`-deduplicated path: local indices are
-    /// assigned in first-seen order and the rng is consumed in exactly the
-    /// same sequence.
-    pub fn sample_one_hop_with_scratch(
-        &self,
-        g: &Csr,
-        frontier: &[VertexId],
-        fanout: usize,
-        rng: &mut StdRng,
-        scratch: &mut SamplerScratch,
-    ) -> Block {
-        let mut chosen = Vec::with_capacity(fanout);
-        one_hop_dedup(g, frontier, fanout, scratch, |g, v, picks| {
-            floyd_pick(g.neighbors(v), fanout, rng, picks, &mut chosen)
-        })
-    }
-
     /// One-hop block whose neighbor draws are seeded **per vertex** by
     /// `(seed, v)` rather than by one shared rng stream: any subset of
     /// `frontier` samples exactly the same neighbors for its members as the
@@ -334,44 +296,31 @@ impl NeighborSampler {
         scratch: &mut SamplerScratch,
     ) -> Block {
         let mut chosen = Vec::with_capacity(fanout);
-        one_hop_dedup(g, frontier, fanout, scratch, |g, v, picks| {
+        let pick = |g: &Csr, v: VertexId, picks: &mut Vec<VertexId>| {
             let mut rng = StdRng::seed_from_u64(per_vertex_seed(seed, v));
             floyd_pick(g.neighbors(v), fanout, &mut rng, picks, &mut chosen)
-        })
+        };
+        let mut picks = Vec::with_capacity(fanout);
+        one_hop_dedup_into(
+            g,
+            frontier,
+            fanout,
+            scratch,
+            &mut picks,
+            BlockParts::default(),
+            pick,
+        )
     }
 }
 
-/// The shared one-hop block builder: dst prefix, scratch-based dedup and
+/// The one-hop block builder: dst prefix, scratch-based dedup and
 /// offset/index assembly, with the neighbor draws supplied by `pick` (a
 /// shared-rng stream for batch sampling, per-vertex seeded rngs for the
-/// partition-stable refresh path). Keeping one body guarantees the two
-/// sampling modes can never drift in their interning semantics.
-fn one_hop_dedup<F>(
-    g: &Csr,
-    frontier: &[VertexId],
-    fanout: usize,
-    scratch: &mut SamplerScratch,
-    pick: F,
-) -> Block
-where
-    F: FnMut(&Csr, VertexId, &mut Vec<VertexId>),
-{
-    let mut picks: Vec<VertexId> = Vec::with_capacity(fanout);
-    one_hop_dedup_into(
-        g,
-        frontier,
-        fanout,
-        scratch,
-        &mut picks,
-        BlockParts::default(),
-        pick,
-    )
-}
-
-/// [`one_hop_dedup`] refilling recycled buffers: `parts` supplies the spent
-/// dst/src/offsets/indices capacity and `picks` the per-vertex draw buffer.
-/// Every buffer is cleared before use, so the constructed block is
-/// value-identical to the allocating path for the same `pick` stream.
+/// partition-stable refresh path). `parts` supplies the spent
+/// dst/src/offsets/indices capacity and `picks` the per-vertex draw buffer;
+/// every buffer is cleared before use, so recycled capacity never changes a
+/// block. Local indices are assigned in first-seen order, as the historical
+/// `HashMap` dedup did.
 #[allow(clippy::too_many_arguments)]
 fn one_hop_dedup_into<F>(
     g: &Csr,

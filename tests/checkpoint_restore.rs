@@ -7,9 +7,9 @@
 
 use neutronorch::cache::StoreSnapshot;
 use neutronorch::core::checkpoint::{
-    self, checkpoint_from_bytes, checkpoint_to_bytes, decode_params, decode_rows, decode_seeds,
-    decode_store, encode_params, encode_rows, encode_seeds, encode_store, Checkpoint,
-    CheckpointError, Reader, Writer, FORMAT_VERSION,
+    self, checkpoint_from_bytes, checkpoint_to_bytes, decode_params, decode_rows, decode_store,
+    encode_params, encode_rows, encode_store, Checkpoint, CheckpointError, Reader, Writer,
+    FORMAT_VERSION,
 };
 use neutronorch::core::pipeline::PipelineConfig;
 use neutronorch::core::session::{Session, SessionConfig, SessionReport};
@@ -72,8 +72,6 @@ fn state_bytes(t: &mut ConvergenceTrainer, replicas: usize) -> Vec<u8> {
         digest,
         &Checkpoint {
             next_epoch: 0,
-            replicas: replicas as u64,
-            rng_seeds: Vec::new(),
             state,
         },
     )
@@ -226,35 +224,20 @@ proptest! {
         prop_assert_eq!(key(&back), key(&snap));
     }
 
-    /// The rng-stream state (per-replica derived seeds) round-trips.
-    #[test]
-    fn rng_seeds_round_trip(seeds in proptest::collection::vec(any::<u64>(), 0..6)) {
-        let mut w = Writer::new();
-        encode_seeds(&mut w, &seeds);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        prop_assert_eq!(decode_seeds(&mut r).expect("decode"), seeds);
-        prop_assert_eq!(r.remaining(), 0);
-    }
-
     /// A whole checkpoint survives the on-disk image: header, payload and
-    /// checksum agree, and every field — counters, seeds, full trainer
+    /// checksum agree, and every field — the resume epoch, full trainer
     /// state — comes back bit-identical (compared via re-serialization,
     /// which preserves raw float bits).
     #[test]
     fn whole_checkpoint_round_trips_bit_exactly(
         next_epoch in any::<u64>(),
-        replicas in 1u64..8,
-        seeds in proptest::collection::vec(any::<u64>(), 0..5),
         state in trainer_state(),
         digest in any::<u64>(),
     ) {
-        let ck = Checkpoint { next_epoch, replicas, rng_seeds: seeds, state };
+        let ck = Checkpoint { next_epoch, state };
         let bytes = checkpoint_to_bytes(digest, &ck);
         let back = checkpoint_from_bytes(&bytes, digest).expect("parse");
         prop_assert_eq!(back.next_epoch, ck.next_epoch);
-        prop_assert_eq!(back.replicas, ck.replicas);
-        prop_assert_eq!(&back.rng_seeds, &ck.rng_seeds);
         prop_assert_eq!(checkpoint_to_bytes(digest, &back), bytes);
     }
 
@@ -267,7 +250,7 @@ proptest! {
         flip_bit in 0u8..8,
         pos_seed in any::<u64>(),
     ) {
-        let ck = Checkpoint { next_epoch: 2, replicas: 1, rng_seeds: vec![7], state };
+        let ck = Checkpoint { next_epoch: 2, state };
         let digest = 0xfeed_face_u64;
         let mut bytes = checkpoint_to_bytes(digest, &ck);
         let pos = (pos_seed % bytes.len() as u64) as usize;
@@ -290,8 +273,6 @@ proptest! {
 fn every_truncation_is_rejected_with_a_typed_error() {
     let ck = Checkpoint {
         next_epoch: 1,
-        replicas: 2,
-        rng_seeds: vec![11, 12],
         state: TrainerState {
             params: vec![Matrix::from_vec(2, 2, vec![1.0, -0.0, f32::NAN, 3.5])],
             version: 9,
@@ -324,8 +305,6 @@ fn every_truncation_is_rejected_with_a_typed_error() {
 fn header_mismatches_map_to_typed_errors() {
     let ck = Checkpoint {
         next_epoch: 0,
-        replicas: 1,
-        rng_seeds: vec![],
         state: TrainerState {
             params: vec![],
             version: 0,
@@ -345,8 +324,9 @@ fn header_mismatches_map_to_typed_errors() {
 
     // Version is a little-endian u32 at offset 4; set it and re-seal the
     // checksum so the version check (not the checksum) fires. Version 1
-    // still carried the hybrid-split fraction and two pending shares.
-    for version in [FORMAT_VERSION + 1, 1] {
+    // still carried the hybrid-split fraction and two pending shares,
+    // version 2 the replica count and per-lane seeds.
+    for version in [FORMAT_VERSION + 1, 2, 1] {
         let mut other = good.clone();
         other[4..8].copy_from_slice(&version.to_le_bytes());
         let body_end = other.len() - 8;
@@ -394,8 +374,7 @@ fn config_digest_separates_configurations() {
 /// Run k epochs with checkpointing on, "kill" the session (drop every
 /// in-memory object), restore a fresh trainer from the file and finish the
 /// session: every remaining epoch's loss and the final trainer state must
-/// be bit-identical to the uninterrupted run, at every kill point. The
-/// checkpoint carries the replica count and the per-replica rng seeds.
+/// be bit-identical to the uninterrupted run, at every kill point.
 fn assert_kill_and_restore_is_invisible(
     session: impl Fn(Option<(&PathBuf, usize)>) -> Session,
     replicas: usize,
@@ -411,16 +390,11 @@ fn assert_kill_and_restore_is_invisible(
         let path = ck_path(&format!("{tag}-k{kill_after}"));
         let mut first = trainer();
         let digest = checkpoint::config_digest(first.config(), replicas);
-        let seed = first.config().seed;
         session(Some((&path, 1))).run_session(&mut first, 0, kill_after);
         drop(first); // the "kill": all in-memory state is gone
 
         let ck = checkpoint::load(&path, digest).expect("load checkpoint");
         assert_eq!(ck.next_epoch as usize, kill_after);
-        assert_eq!(ck.replicas as usize, replicas);
-        assert_eq!(ck.rng_seeds.len(), replicas);
-        // Replica 0's salt vanishes: its stream seed is the config seed.
-        assert_eq!(ck.rng_seeds[0], seed);
 
         let mut resumed = trainer();
         assert_whole_hot_set_pending(&ck, &resumed);

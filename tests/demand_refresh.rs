@@ -3,10 +3,13 @@
 //! loss bits, version gaps, `max_staleness` — moves because of it.
 
 use neutronorch::cache::EmbeddingRows;
+use neutronorch::core::pool::BatchBuffers;
 use neutronorch::core::refresh::{
     CpuPart, InlineRefresh, RefreshBackend, RefreshOutput, RefreshTask,
 };
-use neutronorch::core::trainer::{ConvergenceTrainer, PreparedBatch, ReusePolicy, TrainerConfig};
+use neutronorch::core::trainer::{
+    batch_sample_seed, ConvergenceTrainer, PreparedBatch, ReusePolicy, TrainerConfig,
+};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
 use proptest::prelude::*;
@@ -90,19 +93,19 @@ fn step(
     replicas: usize,
     index: usize,
 ) -> Vec<PreparedBatch> {
-    let batches = t.epoch_batches(epoch);
+    let (ds, batches) = (t.dataset_handle(), t.epoch_batches(epoch));
     (i * replicas..(i + 1) * replicas)
         .map(|b| {
-            let mut item = ConvergenceTrainer::prepare_batch(
-                &t.dataset_handle(),
-                t.sampler(),
-                t.config().seed,
-                epoch,
-                b,
-                batches.batch(b),
-            );
-            item.index = index;
-            item
+            let seed = batch_sample_seed(t.config().seed, epoch, b);
+            let blocks = t.sampler().sample_batch(&ds.csr, batches.batch(b), seed);
+            let features = ds.features().gather_rows_u32(blocks[0].src());
+            let scrap = BatchBuffers::new();
+            PreparedBatch {
+                index,
+                blocks,
+                features,
+                scrap,
+            }
         })
         .collect()
 }

@@ -9,10 +9,12 @@
 
 use neutronorch::core::fault::{FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
+use neutronorch::core::pool::BatchBuffers;
 use neutronorch::core::refresh::InlineRefresh;
 use neutronorch::core::session::{Session, SessionConfig, SessionReport};
 use neutronorch::core::trainer::{
-    ConvergenceTrainer, EpochObservation, PreparedBatch, ReusePolicy, TrainerConfig,
+    batch_sample_seed, ConvergenceTrainer, EpochObservation, PreparedBatch, ReusePolicy,
+    TrainerConfig,
 };
 use neutronorch::graph::partition::hash_partition;
 use neutronorch::graph::DatasetSpec;
@@ -30,17 +32,33 @@ fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
     ConvergenceTrainer::new(ds, cfg)
 }
 
-/// Batch `index` of `epoch`, staged the way every executor stages it:
-/// through the trainer's own sampler and per-batch seed.
-fn stage(t: &ConvergenceTrainer, epoch: usize, index: usize) -> PreparedBatch {
-    ConvergenceTrainer::prepare_batch(
-        &t.dataset_handle(),
-        t.sampler(),
-        t.config().seed,
-        epoch,
+/// `batch` as step `index` of `epoch` under the sampling stream `seed`:
+/// the trainer's own sampler at the per-batch seed, and a full host gather
+/// of the bottom sources — what staging against an empty cache yields.
+fn prepare(
+    t: &ConvergenceTrainer,
+    seed: u64,
+    epoch: usize,
+    index: usize,
+    batch: &[u32],
+) -> PreparedBatch {
+    let ds = t.dataset_handle();
+    let seed = batch_sample_seed(seed, epoch, index);
+    let blocks = t.sampler().sample_batch(&ds.csr, batch, seed);
+    let features = ds.features().gather_rows_u32(blocks[0].src());
+    let scrap = BatchBuffers::new();
+    PreparedBatch {
         index,
-        t.epoch_batches(epoch).batch(index),
-    )
+        blocks,
+        features,
+        scrap,
+    }
+}
+
+/// Batch `index` of `epoch`, staged the way every executor stages it.
+fn stage(t: &ConvergenceTrainer, epoch: usize, index: usize) -> PreparedBatch {
+    let batches = t.epoch_batches(epoch);
+    prepare(t, t.config().seed, epoch, index, batches.batch(index))
 }
 
 /// The reuse policy most tests train under.
@@ -256,28 +274,6 @@ fn cache_budget_never_changes_the_trajectory() {
     }
 }
 
-/// Bit-identity is independent of the buffer-return pool size: recycled
-/// bundles only donate *capacity* (every pooled path clears before
-/// refilling), so a pool of 1 (smaller than the in-flight batch depth — the
-/// samplers mostly allocate fresh), the auto size, and an oversized pool
-/// all replay the sequential trajectory exactly.
-#[test]
-fn pool_size_never_changes_the_trajectory() {
-    let reference = sequential_reference(4);
-    for pool_batches in [1usize, 2, 0, 64] {
-        let session = Session::new(SessionConfig {
-            pool_batches,
-            ..config(3, 2)
-        })
-        .run_session(&mut trainer(hot_policy()), 0, 4);
-        assert_replays(
-            &session,
-            &reference,
-            &format!("pool_batches={pool_batches}"),
-        );
-    }
-}
-
 /// A session spawns its workers exactly once, independent of how many
 /// epochs it runs — one fused worker per lane plus the refresh worker,
 /// whatever the inert thread counts say — and publishes one job
@@ -298,7 +294,7 @@ fn workers_spawn_once_per_session() {
 }
 
 /// `SessionConfig::default()` is field for field what the two configs it
-/// replaced defaulted to — the engine's pipeline shape, pool, checkpoint,
+/// replaced defaulted to — the engine's pipeline shape, checkpoint,
 /// fault and stall settings, and the replicated config's one replica,
 /// locality-aware sampling, NVLink-class fabric and `Fail` policy — except
 /// that the refresh worker runs serially (`refresh_workers` has no auto
@@ -312,7 +308,7 @@ fn default_config_keeps_both_legacy_defaults() {
     );
     assert_eq!((c.pipeline.channel_depth, c.pipeline.h2d_gibps), (4, 0.0));
     assert_eq!(c.gpu_free_bytes, 64 << 20);
-    assert_eq!((c.refresh_workers, c.pool_batches), (1, 0));
+    assert_eq!(c.refresh_workers, 1);
     assert_eq!((c.checkpoint_every, c.checkpoint_path), (0, None));
     assert!(c.fault_plan.is_none());
     assert_eq!(c.stall_timeout, std::time::Duration::from_secs(5));
@@ -558,7 +554,7 @@ fn hot_vertices_never_reach_the_device_path() {
     let cfg = probe.config();
     let streams = [0, 1].map(|r| {
         let owned = ds.train.iter().copied().filter(|&v| part.owner(v) == r);
-        // Replica r's sampling seed, as checkpoints record it in `rng_seeds`.
+        // Replica r's sampling seed: the trainer's, salted per lane.
         let seed = cfg.seed ^ (r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         (
             BatchIterator::new(owned.collect(), cfg.batch_size, cfg.seed),
@@ -573,9 +569,7 @@ fn hot_vertices_never_reach_the_device_path() {
         let steps = lists[0].len().min(lists[1].len());
         for ((_, seed), list) in streams.iter().zip(&lists) {
             for (i, seeds) in list.iter().take(steps).enumerate() {
-                let sampler = probe.sampler();
-                let item = ConvergenceTrainer::prepare_batch(&ds, sampler, *seed, e, i, seeds);
-                let (sources, reads) = tally(&item);
+                let (sources, reads) = tally(&prepare(&probe, *seed, e, i, seeds));
                 *pruned += sources;
                 want_reuses += reads;
             }
@@ -644,27 +638,26 @@ fn a_missing_hot_embedding_ends_the_session_loudly() {
 }
 
 /// A one-replica session is bit-identical to the sequential reference at
-/// every staging depth, buffer-pool size and cache budget, and whatever
+/// every staging depth and cache budget, and whatever
 /// `locality_aware` says (one partition owns every vertex, so there is
 /// nothing remote to prefer).
 #[test]
 fn replicated_r1_is_bit_identical_to_the_engine_session() {
     let reference = sequential_reference(3);
-    for (depth, pool, budget, locality) in [
-        (1usize, 0usize, 0u64, true),
-        (3, 1, 48 << 10, false),
-        (4, 16, 64 << 20, true),
+    for (depth, budget, locality) in [
+        (1usize, 0u64, true),
+        (3, 48 << 10, false),
+        (4, 64 << 20, true),
     ] {
         let mut cfg = SessionConfig {
             replicas: 1,
             locality_aware: locality,
             gpu_free_bytes: budget,
-            pool_batches: pool,
             ..SessionConfig::default()
         };
         cfg.pipeline.channel_depth = depth;
         let session = Session::new(cfg).run_session(&mut trainer(hot_policy()), 0, 3);
-        let what = format!("depth={depth} pool={pool} budget={budget} locality={locality}");
+        let what = format!("depth={depth} budget={budget} locality={locality}");
         assert_replays(&session, &reference, &what);
         for run in &session.epochs {
             assert_eq!(run.allreduce_bytes, 0, "R=1 must not exchange gradients");

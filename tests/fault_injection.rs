@@ -308,20 +308,41 @@ fn replicated_panic_with_restore_policy_matches_the_fault_free_run() {
     assert_eq!(restores[0].epoch, 2);
 }
 
-/// `Restore` without a checkpoint on disk (death before the first
-/// boundary) degrades to a typed checkpoint error, not a hang or a panic.
+/// `Restore` without a checkpoint of its own degrades to a typed
+/// checkpoint error, not a hang, a panic or a silent resume: either nothing
+/// is on disk (death before the first boundary), or the file at the path is
+/// what a fault-free run over epochs 0..4 left there — it resumes at epoch
+/// 4, past this session's end, so loading it would run no epoch and leave
+/// the trainer in that other run's state.
 #[test]
 fn restore_policy_without_a_checkpoint_is_a_typed_error() {
-    let path = ck_path("no-checkpoint");
-    std::fs::remove_file(&path).ok();
-    let mut t = trainer();
-    let err = restoring("panic@r1e0s0", &path)
-        .run_session_checked(&mut t, 0, 2)
-        .expect_err("no checkpoint to restore from");
-    assert!(
-        matches!(err, SessionError::Checkpoint(_)),
-        "expected Checkpoint error, got {err:?}"
-    );
+    for foreign in [false, true] {
+        let path = ck_path(&format!("no-checkpoint-{foreign}"));
+        std::fs::remove_file(&path).ok();
+        if foreign {
+            restoring("", &path).run_session(&mut trainer(), 0, 4);
+        }
+        let mut t = trainer();
+        let err = restoring("panic@r1e0s0", &path)
+            .run_session_checked(&mut t, 0, 2)
+            .expect_err("no checkpoint to restore from");
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(err, SessionError::Checkpoint(_)),
+            "foreign={foreign}: expected Checkpoint error, got {err:?}"
+        );
+        if foreign {
+            let message = err.to_string();
+            assert!(
+                message.contains("epoch 4"),
+                "names the resume epoch: {message}"
+            );
+            assert!(
+                message.contains("epoch 0 failed"),
+                "names the failed one: {message}"
+            );
+        }
+    }
 }
 
 /// A replicated straggler completes bit-identically to the fault-free run

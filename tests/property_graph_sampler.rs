@@ -2,7 +2,7 @@
 //! randomly generated graphs and batches.
 
 use neutronorch::graph::{Csr, GraphBuilder, VertexId};
-use neutronorch::sample::{Block, Fanout, NeighborSampler, SamplerScratch};
+use neutronorch::sample::{Block, Fanout, NeighborSampler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -161,8 +161,8 @@ proptest! {
 
     /// The dense-scratch dedup path produces blocks *identical* to the old
     /// per-call `HashMap` path — same dst/src order, offsets and local
-    /// indices — for any graph, frontier, fanout and seed, including when
-    /// one scratch is reused across consecutive hops.
+    /// indices — for any graph, frontier, fanout and seed, hop after hop of
+    /// one `sample_batch` (one scratch and one rng stream across hops).
     #[test]
     fn scratch_path_identical_to_hashmap_path(
         (n, es) in edges(48, 400),
@@ -175,16 +175,13 @@ proptest! {
             b.add_edge(*s, *d);
         }
         let g = b.build();
-        let sampler = NeighborSampler::new(Fanout::new(vec![fanout]));
-        let mut scratch = SamplerScratch::new();
+        let sampler = NeighborSampler::new(Fanout::new(vec![fanout; hops]));
         let mut ref_rng = StdRng::seed_from_u64(seed);
-        let mut new_rng = StdRng::seed_from_u64(seed);
         let mut frontier: Vec<u32> = (0..(n as u32).min(6)).collect();
-        for hop in 0..hops {
+        let blocks = sampler.sample_batch(&g, &frontier, seed);
+        // The sampler walks top → bottom and returns the blocks bottom-first.
+        for (hop, got) in blocks.iter().rev().enumerate() {
             let want = reference_one_hop(&g, &frontier, fanout, &mut ref_rng);
-            let got = sampler.sample_one_hop_with_scratch(
-                &g, &frontier, fanout, &mut new_rng, &mut scratch,
-            );
             prop_assert_eq!(got.dst(), want.dst(), "hop {} dst", hop);
             prop_assert_eq!(got.src(), want.src(), "hop {} src", hop);
             prop_assert_eq!(got.num_edges(), want.num_edges(), "hop {} edges", hop);

@@ -1,9 +1,9 @@
 //! Property tests of the pooled (buffer-recycling) hot paths introduced
 //! with the allocation-free engine: for any seed set, recycled-buffer
 //! state and cache membership — including degenerate shapes (empty batch,
-//! single vertex, heavily reused dirty buffers) — the pooled sampler and
-//! the pooled gather/assembly must be **value-identical** to the
-//! allocating paths. Pooling transfers capacity, never contents.
+//! single vertex, heavily reused dirty buffers) — the sampler and the
+//! gather/assembly on recycled buffers must be **value-identical** to the
+//! same paths on fresh ones. Pooling transfers capacity, never contents.
 //!
 //! The same file pins the **pruned stack** every one of those paths must
 //! handle: a sampler with a bottom skip set drops the reused (hot) vertices
@@ -138,7 +138,7 @@ proptest! {
 
     /// An all-hot frontier yields a valid *empty* bottom block, and
     /// everything downstream of the sampler takes it: the cache-keyed
-    /// gather (pooled and allocating), device-side assembly, and forward +
+    /// gather, device-side assembly, and forward +
     /// backward of every layer kind, with the reused rows spliced in.
     #[test]
     fn empty_bottom_block_flows_through_gather_assembly_and_every_layer_kind(
@@ -165,9 +165,6 @@ proptest! {
         prop_assert_eq!(gathered.h2d_feature_bytes(), 0);
         let features = gathered.assemble_pooled(blocks[0].src(), &cache, &mut bufs);
         prop_assert_eq!(features.shape(), (0, dim));
-        let allocating = GatheredFeatures::gather_from(&host, &blocks[0], &cache)
-            .assemble(blocks[0].src(), &cache);
-        prop_assert_eq!(allocating.shape(), (0, dim));
 
         let d_logits = Matrix::full(blocks[1].num_dst(), 3, 0.25);
         for kind in LayerKind::ALL {
@@ -225,7 +222,7 @@ proptest! {
     }
 
     /// Pooled gather + assembly round-trips through an arbitrarily dirty
-    /// buffer bundle and still reproduces the allocating path float for
+    /// buffer bundle and still reproduces a fresh bundle's result float for
     /// float, for any cache membership and source set (empty and singleton
     /// included). The spent buffers must fold back into the bundle.
     #[test]
@@ -262,13 +259,13 @@ proptest! {
         bufs.put_f32(stale.iter().map(|&x| x as f32 + 0.5).collect());
         bufs.put_f32(vec![9.25; 3]);
 
-        let want = GatheredFeatures::gather_from(&host, &block, &cache);
+        let want = GatheredFeatures::gather_from_pooled(&host, &block, &cache, &mut BatchBuffers::new());
         let got = GatheredFeatures::gather_from_pooled(&host, &block, &cache, &mut bufs);
         prop_assert_eq!(got.num_hits(), want.num_hits());
         prop_assert_eq!(got.num_misses(), want.num_misses());
         prop_assert_eq!(got.h2d_feature_bytes(), want.h2d_feature_bytes());
 
-        let want_m = want.assemble(block.src(), &cache);
+        let want_m = want.assemble_pooled(block.src(), &cache, &mut BatchBuffers::new());
         let got_m = got.assemble_pooled(block.src(), &cache, &mut bufs);
         prop_assert_eq!(got_m.as_slice(), want_m.as_slice());
         prop_assert_eq!(got_m.shape(), want_m.shape());

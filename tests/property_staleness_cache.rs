@@ -143,7 +143,8 @@ proptest! {
         let offsets = vec![0u32; src.len() + 1];
         let block = Block::new(src.clone(), src.clone(), offsets, Vec::new());
 
-        let gf = GatheredFeatures::gather_from(&host, &block, &cache);
+        let mut bufs = neutronorch::core::pool::BatchBuffers::new();
+        let gf = GatheredFeatures::gather_from_pooled(&host, &block, &cache, &mut bufs);
         prop_assert_eq!(gf.num_hits() + gf.num_misses(), src.len());
         prop_assert_eq!(
             gf.num_hits(),
@@ -155,7 +156,7 @@ proptest! {
             index: 0,
             blocks: vec![block],
             features: gf,
-            bufs: neutronorch::core::pool::BatchBuffers::new(),
+            bufs,
         };
         // No sampled edges, so staged bytes are exactly the miss features.
         let misses = staged.features.num_misses() as u64;
