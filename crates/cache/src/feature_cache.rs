@@ -1,34 +1,24 @@
-//! GPU feature-cache bookkeeping and storage (hit/miss accounting under a
-//! byte budget, plus device-resident row copies for the cache-keyed gather).
-//!
-//! Zero-byte-row semantics (shared with [`crate::hybrid::HybridPolicy`]):
-//! a row of zero bytes costs nothing, so **any** budget — including zero —
-//! fits every candidate. Both the cache fill and the hybrid planner follow
-//! this rule so their capacity arithmetic can never disagree.
+//! The GPU feature cache: device-resident row copies for the cache-keyed
+//! gather.
 
-use crate::policy::CacheRanking;
 use neutron_graph::VertexId;
 
 /// Slot-map sentinel for "vertex not cached".
 const NOT_CACHED: u32 = u32::MAX;
 
-/// A static GPU feature cache: the top-ranked vertices that fit in the byte
-/// budget. Tracks hit/miss counts for transfer-volume accounting (Fig 6c,
-/// Fig 13) and — when built with [`FeatureCache::for_vertices`] — holds the
-/// actual feature rows, standing in for GPU-resident memory so the gather
-/// stage can serve hits without touching the host feature matrix.
+/// A static GPU feature cache over a fixed vertex set. It holds the actual
+/// feature rows, standing in for GPU-resident memory, so the gather stage
+/// serves hits without touching the host feature matrix. Hits and misses
+/// are counted by the gather that probes it (Fig 6c, Fig 13).
 #[derive(Clone, Debug, Default)]
 pub struct FeatureCache {
     /// Vertex → cache slot; [`NOT_CACHED`] when absent.
     slot: Vec<u32>,
     num_cached: usize,
     row_bytes: u64,
-    /// Device-resident feature rows, `dim` floats per slot. Empty for
-    /// bookkeeping-only caches built with [`FeatureCache::fill`].
+    /// Device-resident feature rows, `dim` floats per slot.
     rows: Vec<f32>,
     dim: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl FeatureCache {
@@ -36,38 +26,6 @@ impl FeatureCache {
     /// The canonical stand-in wherever a gather path runs cache-less.
     pub fn empty() -> Self {
         Self::default()
-    }
-
-    /// Fills the cache from `ranking` until `budget_bytes` is exhausted.
-    /// Bookkeeping only (no row storage). Zero-byte rows fit everything
-    /// (see module docs).
-    pub fn fill(
-        ranking: &CacheRanking,
-        num_vertices: usize,
-        row_bytes: u64,
-        budget_bytes: u64,
-    ) -> Self {
-        let capacity = match row_bytes {
-            0 => usize::MAX,
-            r => (budget_bytes / r) as usize,
-        };
-        let mut slot = vec![NOT_CACHED; num_vertices];
-        let mut num_cached = 0;
-        for &v in ranking.top(capacity) {
-            if slot[v as usize] == NOT_CACHED {
-                slot[v as usize] = num_cached as u32;
-                num_cached += 1;
-            }
-        }
-        Self {
-            slot,
-            num_cached,
-            row_bytes,
-            rows: Vec::new(),
-            dim: 0,
-            hits: 0,
-            misses: 0,
-        }
     }
 
     /// Builds a *materialised* cache for exactly `vertices` (e.g. a
@@ -108,8 +66,6 @@ impl FeatureCache {
             row_bytes: (dim * std::mem::size_of::<f32>()) as u64,
             rows,
             dim,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -121,15 +77,6 @@ impl FeatureCache {
     /// True when nothing fits.
     pub fn is_empty(&self) -> bool {
         self.num_cached == 0
-    }
-
-    /// Cached fraction of all vertices (the paper's "cache ratio").
-    pub fn cache_ratio(&self) -> f64 {
-        if self.slot.is_empty() {
-            0.0
-        } else {
-            self.num_cached as f64 / self.slot.len() as f64
-        }
     }
 
     /// Bytes the cache occupies on the device.
@@ -144,8 +91,7 @@ impl FeatureCache {
         self.slot.get(v as usize).is_some_and(|&s| s != NOT_CACHED)
     }
 
-    /// The device-resident feature row of `v`. Panics if `v` is not cached
-    /// or the cache was built without row storage ([`FeatureCache::fill`]).
+    /// The device-resident feature row of `v`. Panics if `v` is not cached.
     #[inline]
     pub fn row(&self, v: VertexId) -> &[f32] {
         let s = self.slot[v as usize];
@@ -153,110 +99,17 @@ impl FeatureCache {
         let at = s as usize * self.dim;
         &self.rows[at..at + self.dim]
     }
-
-    /// Records an access; returns true on hit.
-    pub fn access(&mut self, v: VertexId) -> bool {
-        if self.contains(v) {
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
-    }
-
-    /// Records a batch of accesses, returning the number of misses.
-    pub fn access_all(&mut self, vs: &[VertexId]) -> u64 {
-        let mut miss = 0;
-        for &v in vs {
-            if !self.access(v) {
-                miss += 1;
-            }
-        }
-        miss
-    }
-
-    /// Hit rate over all recorded accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// (hits, misses) counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{CachePolicy, PreSamplePolicy};
-    use neutron_sample::HotnessRanking;
-
-    fn ranking() -> CacheRanking {
-        // hotness: v1 > v2 > v0 > v3
-        let h = HotnessRanking::from_counts(vec![2, 9, 5, 0]);
-        PreSamplePolicy::new(&h).rank()
-    }
-
-    #[test]
-    fn budget_limits_cached_vertices() {
-        let r = ranking();
-        let cache = FeatureCache::fill(&r, 4, 100, 250);
-        assert_eq!(cache.len(), 2, "250 B / 100 B rows = 2 slots");
-        assert_eq!(cache.bytes(), 200);
-        assert!((cache.cache_ratio() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hottest_vertices_occupy_the_slots() {
-        let r = ranking();
-        let mut cache = FeatureCache::fill(&r, 4, 100, 250);
-        assert!(cache.access(1));
-        assert!(cache.access(2));
-        assert!(!cache.access(0));
-        assert!(!cache.access(3));
-        assert_eq!(cache.counters(), (2, 2));
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_budget_caches_nothing() {
-        let r = ranking();
-        let mut cache = FeatureCache::fill(&r, 4, 100, 0);
-        assert!(cache.is_empty());
-        assert_eq!(cache.access_all(&[0, 1, 2, 3]), 4);
-    }
-
-    #[test]
-    fn oversized_budget_caches_everything() {
-        let r = ranking();
-        let cache = FeatureCache::fill(&r, 4, 100, 10_000);
-        assert_eq!(cache.len(), 4);
-        assert!((cache.cache_ratio() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_byte_rows_fit_everything_even_with_zero_budget() {
-        // The shared zero-row-size rule (module docs): rows that cost
-        // nothing always fit, under any budget. HybridPolicy::plan applies
-        // the identical rule to its net per-vertex cost.
-        let r = ranking();
-        let cache = FeatureCache::fill(&r, 4, 0, 0);
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.bytes(), 0);
-    }
 
     #[test]
     fn empty_cache_misses_every_probe_without_allocation() {
         let cache = FeatureCache::empty();
         assert!(cache.is_empty());
-        assert_eq!(cache.cache_ratio(), 0.0);
+        assert_eq!(cache.bytes(), 0);
         assert!(!cache.contains(0));
         assert!(!cache.contains(1_000_000));
     }

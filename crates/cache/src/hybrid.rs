@@ -66,9 +66,8 @@ impl HybridPolicy {
         let want_gpu = (hot.len() as f64 * idle).round() as usize;
         // Memory caps the move; every cached vertex also frees the staging
         // slot its embedding would have used, so charge the net difference.
-        // Zero net cost (embeddings at least as large as features) follows
-        // the shared zero-row-size rule: costless rows always fit (see
-        // `feature_cache` module docs).
+        // Zero net cost (embeddings at least as large as features) means
+        // costless rows, and costless rows always fit, under any budget.
         let per_vertex = self
             .feature_row_bytes
             .saturating_sub(self.embedding_row_bytes);
@@ -164,8 +163,7 @@ mod tests {
     #[test]
     fn zero_net_row_cost_fits_everything() {
         // Embeddings as large as features: caching is memory-neutral, so
-        // any budget (even zero) admits the whole idle-driven target —
-        // the shared zero-row-size rule.
+        // any budget (even zero) admits the whole idle-driven target.
         let hot = hot_set(100, 0.2);
         let p = HybridPolicy {
             feature_row_bytes: 128,

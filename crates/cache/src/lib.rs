@@ -1,10 +1,13 @@
 //! Feature caching and historical-embedding storage.
 //!
-//! Three cache rankings compete in the paper's Fig 13:
-//! - **Degree** (PaGraph): cache the highest-degree vertices,
-//! - **PreSample** (GNNLab): cache the vertices pre-sampling found hottest,
-//! - **Hybrid** (NeutronOrch §4.1.3): split the hot set between CPU
-//!   embedding computation and GPU feature caching under a memory budget.
+//! [`FeatureCache`] holds device-resident copies of a fixed vertex set's
+//! feature rows for the cache-keyed gather; a session fills it with each
+//! lane's hottest owned vertices. [`HybridPolicy`] is NeutronOrch's §4.1.3
+//! split of the hot set between CPU embedding computation and GPU feature
+//! caching under a memory budget. The Fig 13 Degree (PaGraph) and
+//! PreSample (GNNLab) rankings live in the simulator:
+//! `neutron_core::orchestrator::Lens::cache_plan` over the workload
+//! profile's coverage curves.
 //!
 //! [`embedding_store::EmbeddingStore`] is the versioned historical-embedding
 //! store behind NeutronOrch's bounded staleness: every read reports its
@@ -13,9 +16,7 @@
 pub mod embedding_store;
 pub mod feature_cache;
 pub mod hybrid;
-pub mod policy;
 
 pub use embedding_store::{EmbeddingRows, EmbeddingStore, StaleReadError, StoreSnapshot};
 pub use feature_cache::FeatureCache;
 pub use hybrid::{HybridPlan, HybridPolicy};
-pub use policy::{CachePolicy, CacheRanking};

@@ -192,8 +192,6 @@ impl FaultPlan {
 /// What the supervisor did about a detected failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureAction {
-    /// The session was failed with a typed error.
-    Failed,
     /// The replica was dropped; the session continued with the survivors.
     DroppedReplica,
     /// The session rolled back to the last checkpoint.
@@ -205,7 +203,6 @@ pub enum FailureAction {
 impl fmt::Display for FailureAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            FailureAction::Failed => "failed",
             FailureAction::DroppedReplica => "dropped-replica",
             FailureAction::RestoredCheckpoint => "restored-checkpoint",
             FailureAction::Observed => "observed",
@@ -248,8 +245,8 @@ pub enum FailurePolicy {
     /// Continue with the surviving replicas; the dead replica's partition
     /// is redistributed at the next epoch boundary.
     DropReplica,
-    /// Roll back to the most recent checkpoint and resume with a
-    /// replacement worker.
+    /// Reload the most recent checkpoint and replay from it on a fresh
+    /// set of workers.
     Restore,
 }
 

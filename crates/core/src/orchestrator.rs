@@ -163,7 +163,7 @@ impl<'a> Lens<'a> {
     }
 
     /// Sizes a feature cache of `budget_bytes` at paper scale and returns
-    /// `(cache_ratio, expected_hit_rate)`. Hit rates use the paper-scale
+    /// `(cache ratio, expected hit ratio)`. Hit rates use the paper-scale
     /// access-skew model; degree ranking (PaGraph) pays a penalty versus
     /// pre-sampling (GNNLab), matching the paper's Fig 13 ordering.
     pub fn cache_plan(&self, budget_bytes: u64, degree_ranked: bool) -> (f64, f64) {

@@ -6,7 +6,7 @@
 //! ```text
 //! lane r:  [sample → gather → transfer] --staging ch--> ┐
 //!            fused worker, one per lane                 ├─> [train] (caller thread:
-//!          spent-buffer pool (session-wide) <───────────┘    one batch per lane a step)
+//!          spent-buffer pool (all lanes) <──────────────┘    one batch per lane a step)
 //! [refresh worker] <--task-- train thread at super-batch boundaries:
 //!                            the hot rows the *next* super-batch reads
 //!                  --rows--> published at the *next* boundary (double buffer)
@@ -17,7 +17,7 @@
 //!   (sample, gather and transfer back to back:
 //!   [`crate::pipeline::stage_batch`]) into its own staging channel, in
 //!   batch order. Spent buffer bundles return through one
-//!   session-wide pool, so warm epochs allocate (near) nothing on the
+//!   pool all lanes share, so warm epochs allocate (near) nothing on the
 //!   staging path (`tests/alloc_budget.rs`).
 //! - **One cache rule.** Each lane's [`FeatureCache`] holds its hottest
 //!   *owned* hot vertices under [`SessionConfig::gpu_free_bytes`], built
@@ -29,9 +29,14 @@
 //!   super-batch. The refresh of the hot rows those batches read goes to
 //!   the session's background refresh worker and is collected one boundary
 //!   later (`WorkerRefresh`); the priming boundary of a fresh trainer
-//!   collects at once. The worker's in-flight
-//!   refresh is settled once at session end and before a
-//!   [`FailurePolicy::Restore`] rolls the trainer back.
+//!   collects at once. The refresh still on the worker is settled at
+//!   every exit of an attempt, failed ones included.
+//! - **Restore is a replay.** A session runs as *attempts*: one attempt
+//!   spawns the lanes and the refresh worker and runs epochs until the
+//!   session's end or its first failure. Under [`FailurePolicy::Restore`] a
+//!   failed lane ends the attempt; the session reloads its last checkpoint
+//!   and starts a new attempt at the checkpoint's epoch on fresh workers
+//!   and channels, through the same start-up as any session.
 //! - **One step per lane.** The train stage consumes one staged batch from
 //!   every live lane per step, computes per-lane gradients at the same
 //!   parameter version, tree-averages them ([`neutron_nn::tree_average`] —
@@ -59,7 +64,7 @@
 //! step become first-class per-epoch series in the session report (zero at
 //! R = 1).
 
-use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -92,7 +97,7 @@ pub type ReplicatedEpochRun = EpochRun;
 /// The multi-lane spelling of [`SessionReport`], kept for callers that name it.
 pub type ReplicatedSessionReport = SessionReport;
 
-/// Per-lane share of the session-wide bundle pool: enough for the staging
+/// Per-lane share of the bundle pool all lanes share: enough for the staging
 /// channel, the train loop's `lookahead` window (counted against the
 /// channel, [`crate::pipeline::PipelineConfig::train_feed_depth`]), and
 /// in-flight and recycling slack. Any size is bit-identical: a drained pool
@@ -130,9 +135,9 @@ struct WorkerRefresh<'a> {
     /// worker is the bottleneck.
     wait: Duration,
     /// Set when [`Self::collect`] found the output channel closed with a
-    /// collect outstanding — the refresh worker died mid-task. The session
-    /// checks this after the epoch and fails (the substituted empty output
-    /// keeps the trainer unwedged until then).
+    /// collect outstanding — the refresh worker died mid-task. The attempt
+    /// stops after the epoch and fails on its way out (the substituted
+    /// empty output keeps the trainer unwedged until then).
     failed: bool,
 }
 
@@ -140,8 +145,8 @@ impl RefreshBackend for WorkerRefresh<'_> {
     fn submit(&mut self, task: RefreshTask) -> CpuPart {
         match self.tasks.send_or_return(task) {
             None => CpuPart::Submitted,
-            // Channel closed (teardown/panic path): compute locally so the
-            // trainer's refresh schedule stays intact.
+            // Channel closed (the refresh worker panicked): compute locally
+            // so the trainer's refresh schedule stays intact.
             Some(task) => CpuPart::Ready(task.run(1, &mut SamplerScratch::new())),
         }
     }
@@ -160,135 +165,189 @@ impl RefreshBackend for WorkerRefresh<'_> {
     }
 }
 
-/// The error a dead refresh worker ends the session with: its recorded
-/// panic, or a placeholder if it vanished without one.
-fn refresh_died(supervisor: &Supervisor) -> SessionError {
-    supervisor
-        .first_panic()
-        .unwrap_or_else(|| SessionError::WorkerPanicked {
-            stage: "refresh",
-            message: "refresh worker died with a collect outstanding".into(),
-        })
-}
-
 /// Runs the session — [`Session::run_session_checked`], at every replica
-/// count. The train thread doubles as the supervisor: it detects a dead
-/// lane by its poisoned staging channel and a stalled one by the stall
-/// timeout, then applies the configured [`FailurePolicy`].
+/// count — as one or more attempts ([`Shared::attempt`]); under
+/// [`FailurePolicy::Restore`] a failed attempt is replayed from the last
+/// checkpoint (module docs).
 pub(crate) fn run_fused(
     config: &SessionConfig,
     trainer: &mut ConvergenceTrainer,
     first_epoch: usize,
     num_epochs: usize,
 ) -> Result<SessionReport, SessionError> {
-    let replicas = config.replicas;
+    let (started, replicas) = (Instant::now(), config.replicas);
     let dataset = trainer.dataset_handle();
-    let partition = Arc::new(hash_partition(dataset.csr.num_vertices(), replicas));
+    let partition = hash_partition(dataset.csr.num_vertices(), replicas);
     let partition_stats = partition.stats(&dataset.csr);
-    let model_bytes = trainer.model_bytes();
-
-    // Per-lane train lists preserve `dataset.train` order, so a 1-way
-    // partition reproduces the sequential batch stream exactly.
-    let config_seed = trainer.config().seed;
-    let batch_size = trainer.config().batch_size;
-    let checkpointer = Checkpointer::new(config, trainer);
-
-    // Mutable ownership map over `dataset.train` positions: starts as
-    // the hash partition, and DropReplica reassigns a dead replica's
-    // slots to the survivors at an epoch boundary.
-    let mut owner_of: Vec<usize> = dataset.train.iter().map(|&v| partition.owner(v)).collect();
-    let build_iterators = |owner_of: &[usize]| -> Vec<BatchIterator> {
-        (0..replicas)
-            .map(|r| {
-                let owned: Vec<VertexId> = dataset
-                    .train
-                    .iter()
-                    .copied()
-                    .zip(owner_of.iter())
-                    .filter(|&(_, &o)| o == r)
-                    .map(|(v, _)| v)
-                    .collect();
-                BatchIterator::new(owned, batch_size, config_seed)
-            })
-            .collect()
-    };
-    let mut iterators = build_iterators(&owner_of);
-
-    let caches: Vec<Arc<FeatureCache>> = (0..replicas)
-        .map(|r| Arc::new(replica_cache(config, trainer, &dataset, &partition, r)))
-        .collect();
-    let cache_vertices: usize = caches.iter().map(|c| c.len()).sum();
-
-    let counters: Vec<Arc<StageCounters>> = (0..replicas)
-        .map(|_| Arc::new(StageCounters::default()))
-        .collect();
-    // The train loop holds `lookahead` steps itself; they count against
-    // each lane's staging depth.
-    let lookahead = trainer.lookahead();
-    let staged_depth = config.pipeline.train_feed_depth(lookahead);
-    let job_channels: RefCell<Vec<Arc<Bounded<ReplicaJob>>>> =
-        RefCell::new((0..replicas).map(|_| Arc::new(Bounded::new(1))).collect());
-    let staged_channels: RefCell<Vec<Arc<Bounded<StagedBatch>>>> = RefCell::new(
-        (0..replicas)
-            .map(|_| Arc::new(Bounded::new(staged_depth)))
+    let shared = Shared {
+        config,
+        caches: (0..replicas)
+            .map(|r| replica_cache(config, trainer, &dataset, &partition, r))
             .collect(),
-    );
-    // One session-wide return pool, sized for every lane at once: a spent
-    // bundle serves whichever lane stages next, so a dropped lane's share
-    // keeps circulating among the survivors instead of filling up
-    // and forcing them to allocate fresh.
-    let pool: Bounded<BatchBuffers> = Bounded::new(replicas * pool_capacity(config, lookahead));
-    let tasks: Bounded<RefreshTask> = Bounded::new(1);
-    let outputs: Bounded<RefreshOutput> = Bounded::new(1);
-    let refresh_busy = BusyNs::default();
+        counters: (0..replicas).map(|_| StageCounters::default()).collect(),
+        checkpointer: Checkpointer::new(config, trainer),
+        started,
+        dataset,
+        partition,
+    };
+    let mut report = SessionReport {
+        epochs: Vec::with_capacity(num_epochs),
+        replicas,
+        model_bytes: trainer.model_bytes(),
+        workers_spawned: 0,
+        generations: 0,
+        startup_seconds: 0.0,
+        partition_cut_fraction: partition_stats.cut_fraction(),
+        partition_balance: partition_stats.balance(),
+    };
+    let end = first_epoch + num_epochs;
+    let mut start = first_epoch;
+    let mut timeline = Vec::new();
+    // Backstop against a restore loop on a persistently failing setup;
+    // injected faults are one-shot, so this only trips on a genuinely
+    // unrecoverable session.
+    let mut restores_left = 4usize;
+    loop {
+        let died = match shared.attempt(&mut report, trainer, start..end, &mut timeline) {
+            Ok(()) => return Ok(report),
+            Err(SessionError::ReplicaDied {
+                replica,
+                epoch,
+                step,
+                detail,
+            }) if config.on_replica_failure == FailurePolicy::Restore => FailureEvent {
+                epoch,
+                step,
+                replica,
+                detail,
+                action: FailureAction::RestoredCheckpoint,
+            },
+            Err(err) => return Err(err),
+        };
+        restores_left = restores_left.checked_sub(1).ok_or_else(|| {
+            CheckpointError::Io(
+                "restore budget exhausted: session keeps failing after rollback".into(),
+            )
+        })?;
+        let ck = shared.checkpointer.load()?;
+        // Only a checkpoint this session (or the run it continues) wrote is
+        // a resume point: one from another run's future or past would
+        // replay the wrong epochs from its state.
+        let (resume, failed) = (ck.next_epoch as usize, died.epoch);
+        if !(first_epoch..=failed).contains(&resume) {
+            return Err(SessionError::Checkpoint(CheckpointError::Io(format!(
+                "the checkpoint resumes at epoch {resume}, outside this session's \
+                 epochs {first_epoch}..={failed} (epoch {failed} failed)"
+            ))));
+        }
+        trainer
+            .restore_state(&ck.state)
+            .map_err(|m| SessionError::Checkpoint(CheckpointError::Corrupt(m)))?;
+        report.epochs.truncate(resume - first_epoch);
+        timeline.push(died);
+        start = resume;
+    }
+}
 
-    let supervisor = Supervisor::new(config.fault_plan.clone());
-    let sampler0 = trainer.sampler().clone();
-    let policy = config.on_replica_failure;
-    let stall_timeout = config.stall_timeout;
-    // One partition has nothing remote to prefer: the unbiased sampler
-    // draws the same blocks without splitting every neighborhood.
-    let locality_aware = config.locality_aware && replicas > 1;
+/// What every attempt of one session shares: the parts that are pure
+/// functions of `(config, trainer)`, built once. Channels, the pool, the
+/// [`Supervisor`] and the workers belong to one attempt.
+struct Shared<'a> {
+    config: &'a SessionConfig,
+    dataset: Arc<Dataset>,
+    partition: Partition,
+    caches: Vec<FeatureCache>,
+    counters: Vec<StageCounters>,
+    checkpointer: Checkpointer<'a>,
+    started: Instant,
+}
 
-    let mut epochs = Vec::with_capacity(num_epochs);
-    let mut workers_spawned = 0usize;
-    let mut generations = 0u64;
-    let mut startup_seconds = 0.0;
-    let session_start = Instant::now();
-    let caller_stage = alloc::set_stage(Stage::Train);
+impl Shared<'_> {
+    /// One attempt: `epochs` on a fresh set of workers, into `report`. The
+    /// train thread supervises: a poisoned staging channel is a dead lane, a
+    /// stall timeout a stalled one. `DropReplica` continues with the
+    /// survivors; under `Fail` and `Restore` the lane ends the attempt with
+    /// [`SessionError::ReplicaDied`]. `timeline` carries failure events
+    /// into the first epoch, and the leftovers back out.
+    fn attempt(
+        &self,
+        report: &mut SessionReport,
+        trainer: &mut ConvergenceTrainer,
+        mut epochs: Range<usize>,
+        timeline: &mut Vec<FailureEvent>,
+    ) -> Result<(), SessionError> {
+        let config = self.config;
+        let replicas = config.replicas;
+        let stall_timeout = config.stall_timeout;
+        // One partition has nothing remote to prefer: the unbiased sampler
+        // draws the same blocks without splitting every neighborhood.
+        let locality_aware = config.locality_aware && replicas > 1;
 
-    let outcome: Result<(), SessionError> = std::thread::scope(|scope| {
-        // Unblock every worker on unwind or normal exit: waking the
-        // job channels ends their loops, waking the staging channels
-        // unblocks any worker parked on a full channel, closing the
-        // refresh channels ends the refresh worker, and tearing the
-        // supervisor down frees workers parked in an injected stall.
-        let _teardown = Defer(|| {
-            supervisor.tear_down();
-            tasks.close();
-            outputs.close();
-            for ch in job_channels.borrow().iter() {
-                ch.close();
-            }
-            for ch in staged_channels.borrow().iter() {
-                ch.close();
-            }
-            pool.close();
-        });
+        // Per-lane train lists preserve `dataset.train` order, so a 1-way
+        // partition reproduces the sequential batch stream exactly.
+        let (config_seed, batch_size) = (trainer.config().seed, trainer.config().batch_size);
+        let train = &self.dataset.train;
+        // Mutable ownership map over `dataset.train` positions: starts as
+        // the hash partition, and DropReplica reassigns a dead replica's
+        // slots to the survivors at an epoch boundary.
+        let mut owner_of: Vec<usize> = train.iter().map(|&v| self.partition.owner(v)).collect();
+        let build_iterators = |owner_of: &[usize]| -> Vec<BatchIterator> {
+            (0..replicas)
+                .map(|r| {
+                    let owned: Vec<VertexId> = train
+                        .iter()
+                        .zip(owner_of)
+                        .filter_map(|(&v, &o)| (o == r).then_some(v))
+                        .collect();
+                    BatchIterator::new(owned, batch_size, config_seed)
+                })
+                .collect()
+        };
+        let mut iterators = build_iterators(&owner_of);
 
-        let spawn_worker =
-            |r: usize, jobs: Arc<Bounded<ReplicaJob>>, staged_tx: Arc<Bounded<StagedBatch>>| {
-                let counters = Arc::clone(&counters[r]);
-                let cache = Arc::clone(&caches[r]);
-                let partition = Arc::clone(&partition);
-                let dataset = Arc::clone(&dataset);
-                let sampler = sampler0.clone();
+        // The train loop holds `lookahead` steps itself; they count against
+        // each lane's staging depth.
+        let lookahead = trainer.lookahead();
+        let staged_depth = config.pipeline.train_feed_depth(lookahead);
+        let job_channels: Vec<Bounded<ReplicaJob>> =
+            (0..replicas).map(|_| Bounded::new(1)).collect();
+        let staged_channels: Vec<Bounded<StagedBatch>> =
+            (0..replicas).map(|_| Bounded::new(staged_depth)).collect();
+        // One return pool, sized for every lane at once: a spent bundle
+        // serves whichever lane stages next, so a dropped lane's share keeps
+        // circulating among the survivors instead of filling up and forcing
+        // them to allocate fresh.
+        let pool: Bounded<BatchBuffers> = Bounded::new(replicas * pool_capacity(config, lookahead));
+        let tasks: Bounded<RefreshTask> = Bounded::new(1);
+        let outputs: Bounded<RefreshOutput> = Bounded::new(1);
+        let refresh_busy = BusyNs::default();
+        let supervisor = Supervisor::new(config.fault_plan.clone(), std::mem::take(timeline));
+        let sampler = trainer.sampler().clone();
+        let caller_stage = alloc::set_stage(Stage::Train);
+
+        let outcome = std::thread::scope(|scope| {
+            // Unblock every worker on unwind or normal exit: waking the
+            // job channels ends their loops, waking the staging channels
+            // unblocks any worker parked on a full channel, closing the
+            // refresh channels ends the refresh worker, and tearing the
+            // supervisor down frees workers parked in an injected stall.
+            let _teardown = Defer(|| {
+                supervisor.tear_down();
+                tasks.close();
+                outputs.close();
+                job_channels.iter().for_each(Bounded::close);
+                staged_channels.iter().for_each(Bounded::close);
+                pool.close();
+            });
+
+            let (supervisor, pool, sampler) = (&supervisor, &pool, &sampler);
+            for r in 0..replicas {
+                let (jobs, staged_tx) = (&job_channels[r], &staged_channels[r]);
                 let seed = lane_seed(config_seed, r);
-                let (supervisor, pool) = (&supervisor, &pool);
                 scope.spawn(move || {
                     // Poison both endpoints on every exit path so the
-                    // supervisor sees a closed channel instead of
-                    // blocking forever on a dead lane.
+                    // supervisor sees a closed channel instead of blocking
+                    // forever on a dead lane.
                     let _poison = Defer(|| {
                         staged_tx.close();
                         jobs.close();
@@ -296,12 +355,12 @@ pub(crate) fn run_fused(
                     let body = AssertUnwindSafe(|| {
                         let inputs = StageInputs {
                             pipeline: &config.pipeline,
-                            dataset: &dataset,
-                            sampler: &sampler,
-                            cache: &cache,
-                            partition: Some((&partition.assignment, r as u32)),
+                            dataset: &self.dataset,
+                            sampler,
+                            cache: &self.caches[r],
+                            partition: Some((&self.partition.assignment, r as u32)),
                             locality_aware,
-                            counters: &counters,
+                            counters: &self.counters[r],
                         };
                         let mut builder = BlockBuilder::default();
                         while let Some(job) = jobs.recv() {
@@ -328,350 +387,262 @@ pub(crate) fn run_fused(
                         supervisor.record_panic("replica", payload);
                     }
                 });
-            };
-
-        {
-            let jobs = job_channels.borrow();
-            let staged = staged_channels.borrow();
-            for r in 0..replicas {
-                spawn_worker(r, Arc::clone(&jobs[r]), Arc::clone(&staged[r]));
             }
-        }
-        let (tasks, outputs, refresh_busy) = (&tasks, &outputs, &refresh_busy);
-        let supervisor = &supervisor;
-        scope.spawn(move || {
-            let _liveness = Defer(|| outputs.close());
-            alloc::set_stage(Stage::Refresh);
-            let body = AssertUnwindSafe(|| {
-                let mut scratch = SamplerScratch::new();
-                while let Some(task) = tasks.recv() {
-                    let t0 = Instant::now();
-                    // Sharding is placement-only: `run` concatenates
-                    // partition-stable shards in order, so the rows are the
-                    // serial rows bit for bit at any thread count.
-                    let out = task.run(config.refresh_workers, &mut scratch);
-                    refresh_busy.add(t0);
-                    if !outputs.send(out) {
-                        break;
+            let (tasks, outputs, refresh_busy) = (&tasks, &outputs, &refresh_busy);
+            scope.spawn(move || {
+                let _liveness = Defer(|| outputs.close());
+                alloc::set_stage(Stage::Refresh);
+                let body = AssertUnwindSafe(|| {
+                    let mut scratch = SamplerScratch::new();
+                    while let Some(task) = tasks.recv() {
+                        let t0 = Instant::now();
+                        // Sharding is placement-only: `run` concatenates
+                        // partition-stable shards in order, so the rows are
+                        // the serial rows bit for bit at any thread count.
+                        let out = task.run(config.refresh_workers, &mut scratch);
+                        refresh_busy.add(t0);
+                        if !outputs.send(out) {
+                            break;
+                        }
                     }
+                });
+                if let Err(payload) = catch_unwind(body) {
+                    // A later submit must not queue behind a dead worker;
+                    // the closed output channel (`_liveness`) fails the next
+                    // collect.
+                    supervisor.record_panic("refresh", payload);
+                    tasks.close();
                 }
             });
-            if let Err(payload) = catch_unwind(body) {
-                // A later submit must not queue behind a dead worker; the
-                // closed output channel (`_liveness`) fails the next collect.
-                supervisor.record_panic("refresh", payload);
-                tasks.close();
+            if report.workers_spawned == 0 {
+                report.startup_seconds = self.started.elapsed().as_secs_f64();
             }
-        });
-        workers_spawned = replicas + 1;
-        startup_seconds = session_start.elapsed().as_secs_f64();
-        let mut backend = WorkerRefresh {
-            tasks,
-            outputs,
-            wait: Duration::ZERO,
-            failed: false,
-        };
+            report.workers_spawned += replicas + 1;
+            let mut backend = WorkerRefresh {
+                tasks,
+                outputs,
+                wait: Duration::ZERO,
+                failed: false,
+            };
 
-        let mut batch_rings: Vec<BatchRing> = (0..replicas).map(|_| BatchRing::default()).collect();
-
-        let alive = RefCell::new(vec![true; replicas]);
-        let mut pending_redistribute = false;
-        // Backstop against a restore loop on a persistently failing
-        // setup; injected faults are one-shot, so this only trips on a
-        // genuinely unrecoverable session.
-        let mut restores_left = 4usize;
-
-        let end_epoch = first_epoch + num_epochs;
-        let mut epoch = first_epoch;
-        while epoch < end_epoch {
-            let alive_at_start = alive.borrow().clone();
-            if pending_redistribute {
-                let survivors: Vec<usize> = (0..replicas).filter(|&r| alive_at_start[r]).collect();
-                if survivors.is_empty() {
-                    return Err(SessionError::NoSurvivors { epoch });
+            let mut batch_rings: Vec<BatchRing> =
+                (0..replicas).map(|_| BatchRing::default()).collect();
+            let mut alive = vec![true; replicas];
+            let outcome = loop {
+                let Some(epoch) = epochs.next() else {
+                    break Ok(());
+                };
+                // A lane lost last epoch hands its train vertices to the
+                // survivors, round-robin, at this boundary. An epoch that
+                // completed kept at least one lane alive.
+                if owner_of.iter().any(|&o| !alive[o]) {
+                    let survivors: Vec<usize> = (0..replicas).filter(|&r| alive[r]).collect();
+                    let orphans = owner_of.iter_mut().filter(|o| !alive[**o]);
+                    for (slot, &heir) in orphans.zip(survivors.iter().cycle()) {
+                        *slot = heir;
+                    }
+                    iterators = build_iterators(&owner_of);
                 }
-                let mut rr = 0usize;
-                for slot in owner_of.iter_mut() {
-                    if !alive_at_start[*slot] {
-                        *slot = survivors[rr % survivors.len()];
-                        rr += 1;
+
+                let epoch_wall = Instant::now();
+                let alloc_before = alloc::snapshot();
+                let refresh_rows_before = trainer.refresh_rows();
+                let refresh_busy_before = refresh_busy.seconds();
+                let collect_wait_before = backend.wait;
+                let baselines: Vec<ReplicaEpochStats> =
+                    self.counters.iter().map(|c| c.snapshot()).collect();
+
+                let filled: Vec<Option<Arc<EpochBatches>>> = (0..replicas)
+                    .map(|r| {
+                        let fill =
+                            |ids: &mut EpochBatches| iterators[r].fill_epoch_batches(epoch, ids);
+                        alive[r].then(|| batch_rings[r].next(fill))
+                    })
+                    .collect();
+                let lens: Vec<usize> = filled
+                    .iter()
+                    .map(|b| b.as_ref().map_or(0, |b| b.len()))
+                    .collect();
+                let steps = filled.iter().flatten().map(|b| b.len()).min().unwrap_or(0);
+                for (jobs, batches) in job_channels.iter().zip(filled) {
+                    // A worker that died after its last drain shows up as a
+                    // closed channel here; the feed below detects it.
+                    if let Some(batches) = batches {
+                        let limit = steps;
+                        let _ = jobs.send(ReplicaJob {
+                            epoch,
+                            limit,
+                            batches,
+                        });
                     }
                 }
-                iterators = build_iterators(&owner_of);
-                pending_redistribute = false;
-            }
+                report.generations += 1;
 
-            let epoch_wall = Instant::now();
-            let alloc_before = alloc::snapshot();
-            let refresh_rows_before = trainer.refresh_rows();
-            let refresh_busy_before = refresh_busy.seconds();
-            let collect_wait_before = backend.wait;
-            let baselines: Vec<ReplicaEpochStats> = counters.iter().map(|c| c.snapshot()).collect();
-
-            let filled: Vec<Option<Arc<EpochBatches>>> = (0..replicas)
-                .map(|r| {
-                    let fill = |ids: &mut EpochBatches| iterators[r].fill_epoch_batches(epoch, ids);
-                    alive_at_start[r].then(|| batch_rings[r].next(fill))
-                })
-                .collect();
-            let lens: Vec<usize> = filled
-                .iter()
-                .map(|b| b.as_ref().map_or(0, |b| b.len()))
-                .collect();
-            let steps = filled.iter().flatten().map(|b| b.len()).min().unwrap_or(0);
-            for (r, batches) in filled.into_iter().enumerate() {
-                let Some(batches) = batches else {
-                    continue;
-                };
-                // A worker that died after its last drain shows up as a
-                // closed channel here; the feed below detects it.
-                let _ = job_channels.borrow()[r].send(ReplicaJob {
-                    epoch,
-                    limit: steps,
-                    batches,
-                });
-            }
-            generations += 1;
-
-            let mut wait = Duration::ZERO;
-            let mut cache_hits = 0u64;
-            let mut cache_misses = 0u64;
-            let epoch_error: RefCell<Option<SessionError>> = RefCell::new(None);
-            let want_restore = Cell::new(false);
-            let consumed: RefCell<Vec<usize>> = RefCell::new(vec![0usize; replicas]);
-            let train_wall = Instant::now();
-            let stats = {
+                let (mut wait, mut cache_hits, mut cache_misses) = (Duration::ZERO, 0u64, 0u64);
+                let mut epoch_error = None;
+                let train_wall = Instant::now();
                 let feed = (0..steps).map_while(|si| {
                     let mut step = Vec::with_capacity(replicas);
-                    for (r, cache) in caches.iter().enumerate() {
-                        if !alive.borrow()[r] {
+                    for (r, cache) in self.caches.iter().enumerate() {
+                        if !alive[r] {
                             continue;
                         }
-                        let ch = Arc::clone(&staged_channels.borrow()[r]);
                         let blocked = Instant::now();
-                        let got = ch.recv_timeout(stall_timeout);
+                        let got = staged_channels[r].recv_timeout(stall_timeout);
                         wait += blocked.elapsed();
-                        match got {
+                        let detail = match got {
                             RecvTimeout::Item(staged) => {
-                                consumed.borrow_mut()[r] += 1;
                                 debug_assert_eq!(staged.index, si);
                                 cache_hits += staged.features.num_hits() as u64;
                                 cache_misses += staged.features.num_misses() as u64;
                                 step.push(staged.into_prepared(cache));
+                                continue;
                             }
-                            RecvTimeout::Closed | RecvTimeout::TimedOut => {
-                                alive.borrow_mut()[r] = false;
-                                let detail = if matches!(got, RecvTimeout::TimedOut) {
-                                    format!(
-                                        "replica {r} stalled: no staged batch within \
-                                         {stall_timeout:?}"
-                                    )
-                                } else if let Some(SessionError::WorkerPanicked {
-                                    message, ..
-                                }) = supervisor.first_panic()
-                                {
+                            RecvTimeout::TimedOut => format!(
+                                "replica {r} stalled: no staged batch within {stall_timeout:?}"
+                            ),
+                            RecvTimeout::Closed => match supervisor.first_panic() {
+                                Some(SessionError::WorkerPanicked { message, .. }) => {
                                     format!("replica {r} worker panicked: {message}")
-                                } else {
-                                    format!("replica {r} worker exited early")
-                                };
-                                let action = match policy {
-                                    FailurePolicy::Fail => {
-                                        *epoch_error.borrow_mut() =
-                                            Some(SessionError::ReplicaDied {
-                                                replica: r,
-                                                epoch,
-                                                step: si,
-                                                detail: detail.clone(),
-                                            });
-                                        FailureAction::Failed
-                                    }
-                                    FailurePolicy::DropReplica => FailureAction::DroppedReplica,
-                                    FailurePolicy::Restore => {
-                                        want_restore.set(true);
-                                        FailureAction::RestoredCheckpoint
-                                    }
-                                };
-                                supervisor.note(FailureEvent {
-                                    epoch,
-                                    step: si,
-                                    replica: r,
-                                    detail,
-                                    action,
-                                });
-                            }
+                                }
+                                _ => format!("replica {r} worker exited early"),
+                            },
+                        };
+                        if config.on_replica_failure != FailurePolicy::DropReplica {
+                            epoch_error = Some(SessionError::ReplicaDied {
+                                replica: r,
+                                epoch,
+                                step: si,
+                                detail,
+                            });
+                            return None;
                         }
-                    }
-                    if epoch_error.borrow().is_some() || want_restore.get() {
-                        return None;
+                        alive[r] = false;
+                        supervisor.note(FailureEvent {
+                            epoch,
+                            step: si,
+                            replica: r,
+                            detail,
+                            action: FailureAction::DroppedReplica,
+                        });
                     }
                     if step.is_empty() {
-                        *epoch_error.borrow_mut() = Some(SessionError::NoSurvivors { epoch });
+                        epoch_error = Some(SessionError::NoSurvivors { epoch });
                         return None;
                     }
                     Some(step)
                 });
-                trainer.train_steps_replicated(feed, &mut backend, recycle_into(&pool))
-            };
-            let train_wall = train_wall.elapsed().as_secs_f64();
-            let epoch_seconds = epoch_wall.elapsed().as_secs_f64();
-            let allocs = alloc::snapshot().since(&alloc_before);
+                let stats = trainer.train_steps_replicated(feed, &mut backend, recycle_into(pool));
+                let train_wall = train_wall.elapsed().as_secs_f64();
+                let epoch_seconds = epoch_wall.elapsed().as_secs_f64();
+                let allocs = alloc::snapshot().since(&alloc_before);
 
-            if let Some(err) = epoch_error.into_inner() {
-                return Err(err);
-            }
-            if backend.failed {
-                return Err(refresh_died(supervisor));
-            }
-            if want_restore.get() {
-                // Drain the survivors so their workers finish the
-                // aborted epoch and park on their job channels, then
-                // roll back and replace the casualties.
-                let alive_after = alive.borrow().clone();
-                for (r, &still_alive) in alive_after.iter().enumerate() {
-                    let ch = Arc::clone(&staged_channels.borrow()[r]);
-                    if !still_alive {
-                        while ch.try_recv().is_some() {}
-                        continue;
+                if let Some(err) = epoch_error {
+                    break Err(err);
+                }
+                // Rows a dead refresh worker never produced must not reach
+                // a checkpoint; the exit below reports it.
+                if backend.failed {
+                    break Ok(());
+                }
+                // Starvation = blocked on the lanes + blocked on the refresh
+                // worker at super-batch boundaries (see `WorkerRefresh::wait`).
+                let train_wait = (wait + (backend.wait - collect_wait_before)).as_secs_f64();
+                let per_replica: Vec<ReplicaEpochStats> = (0..replicas)
+                    .map(|r| {
+                        self.counters[r]
+                            .snapshot()
+                            .since(&baselines[r], steps, lens[r])
+                    })
+                    .collect();
+
+                let remote_feature_bytes: u64 =
+                    per_replica.iter().map(|s| s.remote_feature_bytes).sum();
+                let h2d_bytes: u64 = per_replica.iter().map(|s| s.h2d_bytes).sum();
+                let model_bytes = report.model_bytes;
+                let allreduce_bytes = steps as u64 * 2 * (replicas as u64 - 1) * model_bytes;
+                let link = &config.interconnect;
+                let mut interconnect_seconds =
+                    steps as f64 * link.allreduce_seconds(model_bytes, replicas);
+                for s in &per_replica {
+                    if s.remote_feature_bytes > 0 {
+                        // One remote pull message per step per lane.
+                        interconnect_seconds += steps as f64 * link.latency
+                            + s.remote_feature_bytes as f64 / link.bandwidth;
                     }
-                    let mut got = consumed.borrow()[r];
-                    while got < steps {
-                        match ch.recv_timeout(stall_timeout) {
-                            RecvTimeout::Item(_) => got += 1,
-                            _ => break,
-                        }
-                    }
                 }
-                if restores_left == 0 {
-                    return Err(SessionError::Checkpoint(CheckpointError::Io(
-                        "restore budget exhausted: session keeps failing after rollback".into(),
-                    )));
-                }
-                restores_left -= 1;
-                // The refresh on the worker belongs to the abandoned
-                // timeline; collect it now, or the restored trainer's next
-                // collect would publish its rows.
-                trainer.settle_refresh(&mut backend);
-                let ck = checkpointer.load()?;
-                // Only a checkpoint this session (or the run it continues)
-                // wrote is a resume point: one from another run's future
-                // or past would replay the wrong epochs from its state.
-                let resume = ck.next_epoch as usize;
-                if !(first_epoch..=epoch).contains(&resume) {
-                    return Err(SessionError::Checkpoint(CheckpointError::Io(format!(
-                        "the checkpoint resumes at epoch {resume}, outside this session's \
-                         epochs {first_epoch}..={epoch} (epoch {epoch} failed)"
-                    ))));
-                }
-                trainer
-                    .restore_state(&ck.state)
-                    .map_err(|m| SessionError::Checkpoint(CheckpointError::Corrupt(m)))?;
-                for (r, &still_alive) in alive_after.iter().enumerate() {
-                    if still_alive {
-                        continue;
-                    }
-                    let jobs = Arc::new(Bounded::new(1));
-                    let staged = Arc::new(Bounded::new(staged_depth));
-                    job_channels.borrow_mut()[r] = Arc::clone(&jobs);
-                    staged_channels.borrow_mut()[r] = Arc::clone(&staged);
-                    spawn_worker(r, jobs, staged);
-                    workers_spawned += 1;
-                    alive.borrow_mut()[r] = true;
-                }
-                epochs.truncate(resume - first_epoch);
-                epoch = resume;
-                continue;
-            }
-            // A lane lost this epoch hands its train vertices to the
-            // survivors at the next boundary.
-            pending_redistribute = *alive.borrow() != alive_at_start;
 
-            // Starvation = blocked on the lanes + blocked on the refresh
-            // worker at super-batch boundaries (see `WorkerRefresh::wait`).
-            let train_wait = (wait + (backend.wait - collect_wait_before)).as_secs_f64();
-            let per_replica: Vec<ReplicaEpochStats> = (0..replicas)
-                .map(|r| counters[r].snapshot().since(&baselines[r], steps, lens[r]))
-                .collect();
+                let pipeline_report = PipelineReport {
+                    epoch_seconds,
+                    num_batches: steps,
+                    sample_seconds: per_replica.iter().map(|s| s.sample_seconds).sum(),
+                    gather_collect_seconds: per_replica.iter().map(|s| s.gather_seconds).sum(),
+                    transfer_seconds: per_replica.iter().map(|s| s.transfer_seconds).sum(),
+                    train_seconds: (train_wall - train_wait).max(0.0),
+                    train_wait_seconds: train_wait,
+                    h2d_bytes,
+                    reorder_peak: 0,
+                    cache_hits,
+                    cache_misses,
+                    failures: supervisor.take_timeline(),
+                };
 
-            let remote_feature_bytes: u64 =
-                per_replica.iter().map(|s| s.remote_feature_bytes).sum();
-            let h2d_bytes: u64 = per_replica.iter().map(|s| s.h2d_bytes).sum();
-            let allreduce_bytes = steps as u64 * 2 * (replicas as u64 - 1) * model_bytes;
-            let link = &config.interconnect;
-            let mut interconnect_seconds =
-                steps as f64 * link.allreduce_seconds(model_bytes, replicas);
-            for s in &per_replica {
-                if s.remote_feature_bytes > 0 {
-                    // One remote pull message per step per lane.
-                    interconnect_seconds += steps as f64 * link.latency
-                        + s.remote_feature_bytes as f64 / link.bandwidth;
+                let pre_eval_stage = alloc::set_stage(Stage::Other);
+                let eval_wall = Instant::now();
+                let observation = trainer.observe_epoch(stats);
+                let eval_seconds = eval_wall.elapsed().as_secs_f64();
+                alloc::set_stage(pre_eval_stage);
+
+                let mut run = EpochRun {
+                    epoch,
+                    observation,
+                    report: pipeline_report,
+                    per_replica,
+                    steps,
+                    allreduce_bytes,
+                    remote_feature_bytes,
+                    interconnect_seconds,
+                    refresh_cpu_fraction: trainer.refresh_cpu_fraction(),
+                    refresh_seconds: refresh_busy.seconds() - refresh_busy_before,
+                    refresh_rows: trainer.refresh_rows() - refresh_rows_before,
+                    eval_seconds,
+                    cache_vertices: self.caches.iter().map(|c| c.len()).sum(),
+                    allocs,
+                    checkpoint_bytes: 0,
+                    checkpoint_seconds: 0.0,
+                };
+                if let Err(err) = self
+                    .checkpointer
+                    .at_boundary(trainer, &mut backend, &mut run)
+                {
+                    break Err(err);
                 }
-            }
-
-            let report = PipelineReport {
-                epoch_seconds,
-                num_batches: steps,
-                sample_seconds: per_replica.iter().map(|s| s.sample_seconds).sum(),
-                gather_collect_seconds: per_replica.iter().map(|s| s.gather_seconds).sum(),
-                transfer_seconds: per_replica.iter().map(|s| s.transfer_seconds).sum(),
-                train_seconds: (train_wall - train_wait).max(0.0),
-                train_wait_seconds: train_wait,
-                h2d_bytes,
-                reorder_peak: 0,
-                cache_hits,
-                cache_misses,
-                failures: supervisor.take_timeline(),
+                report.epochs.push(run);
             };
-
-            let pre_eval_stage = alloc::set_stage(Stage::Other);
-            let eval_wall = Instant::now();
-            let observation = trainer.observe_epoch(stats);
-            let eval_seconds = eval_wall.elapsed().as_secs_f64();
-            alloc::set_stage(pre_eval_stage);
-
-            let mut run = EpochRun {
-                epoch,
-                observation,
-                report,
-                per_replica,
-                steps,
-                allreduce_bytes,
-                remote_feature_bytes,
-                interconnect_seconds,
-                refresh_cpu_fraction: trainer.refresh_cpu_fraction(),
-                refresh_seconds: refresh_busy.seconds() - refresh_busy_before,
-                refresh_rows: trainer.refresh_rows() - refresh_rows_before,
-                eval_seconds,
-                cache_vertices,
-                allocs,
-                checkpoint_bytes: 0,
-                checkpoint_seconds: 0.0,
-            };
-            checkpointer.at_boundary(trainer, &mut backend, &mut run)?;
-            epochs.push(run);
-
-            epoch += 1;
-        }
-        // Resolve the refresh still on the worker so the trainer can
-        // outlive this session (the rows publish at a later boundary).
-        trainer.settle_refresh(&mut backend);
-        if backend.failed {
-            return Err(refresh_died(supervisor));
-        }
-        Ok(())
-    });
-    alloc::set_stage(caller_stage);
-    outcome?;
-
-    Ok(SessionReport {
-        epochs,
-        replicas,
-        model_bytes,
-        workers_spawned,
-        generations,
-        startup_seconds,
-        partition_cut_fraction: partition_stats.cut_fraction(),
-        partition_balance: partition_stats.balance(),
-    })
+            // Every exit collects the refresh still on the worker, before
+            // teardown closes its channels: the trainer outlives this
+            // attempt (the rows publish at a later boundary) and holds no
+            // task a later backend was never given.
+            trainer.settle_refresh(&mut backend);
+            match outcome {
+                // The collect that found the refresh worker dead left the
+                // trainer short of its rows: the attempt fails with the
+                // worker's recorded panic (or a placeholder).
+                Ok(()) if backend.failed => {
+                    Err(supervisor
+                        .first_panic()
+                        .unwrap_or_else(|| SessionError::WorkerPanicked {
+                            stage: "refresh",
+                            message: "refresh worker died with a collect outstanding".into(),
+                        }))
+                }
+                outcome => outcome,
+            }
+        });
+        alloc::set_stage(caller_stage);
+        *timeline = supervisor.take_timeline();
+        outcome
+    }
 }
 
 /// Builds lane `r`'s feature cache — the session's one cache rule: its

@@ -183,9 +183,9 @@ pub struct SessionReport {
     pub replicas: usize,
     /// Model parameter bytes (the all-reduce payload per step).
     pub model_bytes: u64,
-    /// Worker threads spawned: one per lane plus the refresh worker (plus
-    /// replacement lanes after a [`FailurePolicy::Restore`]) — independent
-    /// of epoch count.
+    /// Worker threads spawned: one per lane plus the refresh worker, a
+    /// fresh set per [`FailurePolicy::Restore`] — independent of epoch
+    /// count.
     pub workers_spawned: usize,
     /// Epoch jobs published to the workers (== epochs run, plus any epoch
     /// replayed after a restore).
@@ -350,9 +350,12 @@ impl Session {
     ///   average already rescales by group size) and redistribute the dead
     ///   replica's train vertices round-robin over them at the next epoch
     ///   boundary.
-    /// * `Restore` — drain the survivors, roll the trainer back to the
-    ///   last checkpoint, spawn a replacement worker on fresh channels and
-    ///   resume from the checkpointed epoch.
+    /// * `Restore` — tear down, load the last checkpoint into the trainer
+    ///   and replay from its epoch on a fresh set of workers, the way a
+    ///   session started there would.
+    ///
+    /// Every exit, failed ones included, settles the refresh the trainer
+    /// left on the refresh worker, so the trainer outlives the session.
     pub fn run_session_checked(
         &self,
         trainer: &mut ConvergenceTrainer,
@@ -400,9 +403,11 @@ pub(crate) struct Supervisor {
 }
 
 impl Supervisor {
-    pub(crate) fn new(plan: Option<Arc<FaultPlan>>) -> Self {
+    /// A supervisor over `plan`, its timeline seeded by a failed attempt.
+    pub(crate) fn new(plan: Option<Arc<FaultPlan>>, timeline: Vec<FailureEvent>) -> Self {
         Self {
             plan,
+            timeline: Mutex::new(timeline),
             ..Self::default()
         }
     }
@@ -638,7 +643,7 @@ mod tests {
     #[test]
     fn stalled_worker_parks_until_teardown() {
         let plan = FaultPlan::parse("stall@r0e0s1").unwrap();
-        let sup = Supervisor::new(Some(Arc::new(plan)));
+        let sup = Supervisor::new(Some(Arc::new(plan)), Vec::new());
         assert!(sup.fault_hook("sampler", 0, 0, 0).is_continue());
         std::thread::scope(|scope| {
             let parked = scope.spawn(|| sup.fault_hook("sampler", 0, 0, 1));

@@ -9,10 +9,11 @@ use neutronorch::core::checkpoint;
 use neutronorch::core::fault::{FailureAction, FailurePolicy, FaultPlan};
 use neutronorch::core::session::{Session, SessionConfig, SessionError, SessionReport};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
+use neutronorch::core::InlineRefresh;
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn trainer() -> ConvergenceTrainer {
@@ -273,17 +274,19 @@ fn replicated_crash_with_drop_policy_degrades_and_completes() {
     }
 }
 
-/// Under `Restore`, a mid-epoch replica death rolls the session back to
-/// the last checkpoint and re-runs it with a replacement worker. The fault
-/// is one-shot, so the re-run epoch is clean — and because the checkpoint
-/// restore is bit-exact, the final losses equal the fault-free run's.
+/// Under `Restore`, a mid-epoch replica death ends the attempt; the
+/// session reloads the last checkpoint and replays from it on fresh
+/// workers. The fault is one-shot, so the re-run epoch is clean — and
+/// because the checkpoint restore is bit-exact, the final losses equal the
+/// fault-free run's.
 ///
 /// The death is found after the epoch's first boundary handed a refresh to
-/// the refresh worker, so this also pins the settle before the rollback:
-/// left on the worker, that abandoned refresh is what the restored
-/// trainer's next collect gets, and every later boundary publishes the rows
-/// launched one boundary too early. Small batches give each epoch enough
-/// boundaries (≈ 9 steps a lane) for that shift to reach a read.
+/// the refresh worker, so this also pins that the replay starts with
+/// nothing in flight: had that abandoned refresh survived into the replay,
+/// the restored trainer's next collect would get it, and every later
+/// boundary would publish the rows launched one boundary too early. Small
+/// batches give each epoch enough boundaries (≈ 9 steps a lane) for that
+/// shift to reach a read.
 #[test]
 fn replicated_panic_with_restore_policy_matches_the_fault_free_run() {
     let mut clean = trainer_with_batch(16);
@@ -369,8 +372,8 @@ fn replicated_straggler_completes_bit_identically() {
 
 /// Restored sessions keep working after the rollback: the post-restore
 /// epochs continue writing checkpoints on schedule, so a later failure
-/// could restore again. (Guards the respawn path: replacement workers and
-/// fresh channels must leave the session fully functional.)
+/// could restore again. (Guards the replay: the new attempt's workers and
+/// channels must leave the session fully functional.)
 #[test]
 fn session_remains_functional_after_a_restore() {
     let path = ck_path("post-restore");
@@ -380,10 +383,62 @@ fn session_remains_functional_after_a_restore() {
         .run_session_checked(&mut t, 0, 3)
         .expect("restore policy must recover");
     assert_eq!(session.epochs.len(), 3);
-    // More workers than the initial pair were spawned: the replacement.
+    // More workers than the first attempt's were spawned: the replay's.
     assert!(session.workers_spawned > 2, "replacement worker spawned");
     // The final checkpoint on disk is the last epoch's boundary.
     let ck = checkpoint::load(&path, digest).expect("final checkpoint");
     assert_eq!(ck.next_epoch, 3);
     std::fs::remove_file(&path).ok();
+}
+
+/// A failed session still settles the refresh it left on its worker, so
+/// the trainer outlives it. Without the settle the trainer keeps waiting
+/// for a collect that no worker will ever answer. A later session on it
+/// then blocks forever, and a checkpoint capture through the inline
+/// backend hits its "never in flight" invariant. The death comes after
+/// several super-batch boundaries of epoch 1, at one lane and at two.
+/// The second session runs on a watchdog thread, so a regression fails
+/// this test after 60 s instead of hanging the suite.
+#[test]
+fn a_failed_session_leaves_the_trainer_settled() {
+    for replicas in [1, 2] {
+        let failed = || {
+            let mut t = trainer_with_batch(16);
+            let err = replicated(replicas, "panic@r0e1s5", FailurePolicy::Fail)
+                .run_session_checked(&mut t, 0, 3)
+                .expect_err("panic must fail the session");
+            assert!(
+                matches!(
+                    err,
+                    SessionError::ReplicaDied {
+                        replica: 0,
+                        epoch: 1,
+                        step: 5,
+                        ..
+                    }
+                ),
+                "R={replicas}: expected ReplicaDied at r0e1s5, got {err:?}"
+            );
+            t
+        };
+
+        let mut t = failed();
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let second = replicated(replicas, "", FailurePolicy::Fail)
+                .run_session_checked(&mut t, 1, 1)
+                .map(|s| s.epochs.len());
+            let _ = done.send(second);
+        });
+        let second = outcome
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("R={replicas}: a second session on the trainer hung"));
+        assert_eq!(second.expect("second session completes"), 1);
+
+        let state = failed().capture_state(&mut InlineRefresh::default());
+        assert!(
+            state.pending.is_some(),
+            "R={replicas}: the settled refresh is kept"
+        );
+    }
 }

@@ -1,7 +1,6 @@
 //! Property tests of the bounded-staleness machinery and cache policies —
 //! the correctness core of NeutronOrch's §4.2.2 guarantee.
 
-use neutronorch::cache::policy::{CachePolicy, PreSamplePolicy};
 use neutronorch::cache::{EmbeddingStore, FeatureCache, HybridPolicy};
 use neutronorch::core::gather::{GatheredFeatures, StagedBatch};
 use neutronorch::sample::{Block, HotnessRanking};
@@ -60,27 +59,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// A feature cache never exceeds its byte budget and its hit counting
-    /// is consistent.
-    #[test]
-    fn cache_respects_budget(
-        counts in proptest::collection::vec(0u32..100, 4..64),
-        row_bytes in 1u64..64,
-        budget in 0u64..2048,
-    ) {
-        let n = counts.len();
-        let ranking = HotnessRanking::from_counts(counts);
-        let policy = PreSamplePolicy::new(&ranking);
-        let mut cache = FeatureCache::fill(&policy.rank(), n, row_bytes, budget);
-        prop_assert!(cache.bytes() <= budget);
-        let accesses: Vec<u32> = (0..n as u32).collect();
-        let misses = cache.access_all(&accesses);
-        let (hits, miss2) = cache.counters();
-        prop_assert_eq!(misses, miss2);
-        prop_assert_eq!(hits + misses, n as u64);
-        prop_assert_eq!(hits as usize, cache.len());
     }
 
     /// The hybrid split always partitions the hot set exactly and its GPU
