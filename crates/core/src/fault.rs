@@ -5,8 +5,11 @@
 //! schedule — nothing here depends on wall-clock time, so a plan fires the
 //! same way on every run at every thread count. A lane consults the plan
 //! before it stages each batch; each fault fires **once**
-//! (atomic one-shot arming) so a session that restores from a checkpoint
-//! and replays an epoch does not re-crash on the replayed step.
+//! (atomic one-shot arming). Both recoveries replay: `Restore` from its
+//! checkpoint's epoch, `DropReplica` the failed epoch without the lost
+//! lane — and one-shot arming keeps a fault already delivered (the lost
+//! lane's own, or a straggler a remaining lane met earlier in the failed
+//! epoch) from firing again on the replay.
 //!
 //! The four fault classes and what they model:
 //!
@@ -170,8 +173,8 @@ impl FaultPlan {
 
     /// Consumes and returns the fault scheduled at exactly
     /// `(replica, epoch, step)` if one is still armed. One-shot: a second
-    /// call for the same coordinate returns `None`, so checkpoint-restored
-    /// epochs do not re-fire already-delivered faults. A lane stages its
+    /// call for the same coordinate returns `None`, so replayed epochs do
+    /// not re-fire already-delivered faults. A lane stages its
     /// batches in order and asks before each, so every fault is delivered
     /// at exactly its step.
     pub fn take(&self, replica: usize, epoch: usize, step: usize) -> Option<FaultKind> {
@@ -192,7 +195,8 @@ impl FaultPlan {
 /// What the supervisor did about a detected failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureAction {
-    /// The replica was dropped; the session continued with the survivors.
+    /// The replica was dropped: the failed epoch was replayed from its
+    /// start state on the remaining lanes.
     DroppedReplica,
     /// The session rolled back to the last checkpoint.
     RestoredCheckpoint,
@@ -236,14 +240,16 @@ impl fmt::Display for FailureEvent {
     }
 }
 
-/// Replica-failure policy for multi-replica sessions.
+/// What a session does when a lane dies or stalls: every policy but
+/// `Fail` replays on a fresh set of workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// Fail the session with a typed error (default — surprises surface).
     #[default]
     Fail,
-    /// Continue with the surviving replicas; the dead replica's partition
-    /// is redistributed at the next epoch boundary.
+    /// Replay the failed epoch from the state it started from, without the
+    /// lost lane: its train vertices are dealt round-robin over the rest.
+    /// Fails like `Fail` once no lane is left (at R = 1, at once).
     DropReplica,
     /// Reload the most recent checkpoint and replay from it on a fresh
     /// set of workers.

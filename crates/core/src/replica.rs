@@ -31,17 +31,24 @@
 //!   later (`WorkerRefresh`); the priming boundary of a fresh trainer
 //!   collects at once. The refresh still on the worker is settled at
 //!   every exit of an attempt, failed ones included.
-//! - **Restore is a replay.** A session runs as *attempts*: one attempt
-//!   spawns the lanes and the refresh worker and runs epochs until the
-//!   session's end or its first failure. Under [`FailurePolicy::Restore`] a
-//!   failed lane ends the attempt; the session reloads its last checkpoint
-//!   and starts a new attempt at the checkpoint's epoch on fresh workers
-//!   and channels, through the same start-up as any session.
+//! - **Every recovery is a replay.** A session runs as *attempts*: one
+//!   attempt spawns a fixed set of lanes and the refresh worker and runs
+//!   epochs until the session's end or its first lost lane, which ends it
+//!   with [`SessionError::ReplicaDied`]. The next attempt starts on fresh
+//!   workers and channels, through the same start-up as any session:
+//!   [`FailurePolicy::Restore`] reloads the last checkpoint and resumes at
+//!   its epoch; [`FailurePolicy::DropReplica`] restores the failed epoch's
+//!   start state (captured at every epoch start under that policy only)
+//!   and replays the epoch without the lost lane — left with lane 0 alone,
+//!   that is an R = 1 session, bit for bit. A boundary's pending refresh
+//!   and the model version move together through either replay, which
+//!   keeps the staleness bound.
 //! - **One step per lane.** The train stage consumes one staged batch from
-//!   every live lane per step, computes per-lane gradients at the same
-//!   parameter version, tree-averages them ([`neutron_nn::tree_average`] —
-//!   an order-independent reduction), and applies one shared optimizer
-//!   step (`ConvergenceTrainer::train_steps_replicated`).
+//!   every lane of the attempt per step, computes per-lane gradients at
+//!   the same parameter version, tree-averages them
+//!   ([`neutron_nn::tree_average`] — an order-independent reduction), and
+//!   applies one shared optimizer step
+//!   (`ConvergenceTrainer::train_steps_replicated`).
 //!
 //! Determinism contract:
 //!
@@ -55,8 +62,8 @@
 //! - **Any R is deterministic.** The partition is a pure function of
 //!   `(num_vertices, R)`, each lane's batch order is a pure function of
 //!   `(seed, epoch)`, each staging channel is single-producer in-order, and
-//!   the train stage consumes lanes in fixed `0..R` order, so repeated runs
-//!   reproduce losses *and* byte series exactly.
+//!   the train stage consumes lanes in ascending replica order, so repeated
+//!   runs reproduce losses *and* byte series exactly — replays included.
 //!
 //! Lanes also meter a simulated **interconnect** distinct from the PCIe
 //! H2D path ([`neutron_hetero::InterconnectSpec`]): remote (non-owned)
@@ -83,10 +90,10 @@ use crate::pipeline::{stage_batch, PipelineReport, StageCounters, StageInputs};
 use crate::pool::BatchBuffers;
 use crate::refresh::{CpuPart, RefreshBackend, RefreshOutput, RefreshTask};
 use crate::session::{
-    recycle_into, BatchRing, Checkpointer, EpochRun, ReplicaEpochStats, Session, SessionConfig,
-    SessionError, SessionReport, Supervisor,
+    recycle_into, Checkpointer, EpochRun, ReplicaEpochStats, Session, SessionConfig, SessionError,
+    SessionReport, Supervisor,
 };
-use crate::trainer::{batch_sample_seed, ConvergenceTrainer};
+use crate::trainer::{batch_sample_seed, ConvergenceTrainer, TrainerState};
 
 /// The multi-lane spelling of [`Session`], kept for callers that name it.
 pub type ReplicatedEngine = Session;
@@ -112,15 +119,6 @@ fn pool_capacity(config: &SessionConfig, lookahead: usize) -> usize {
 /// trainer's own seed — the R = 1 bit-identity with the sequential trainer.
 pub(crate) fn lane_seed(seed: u64, lane: usize) -> u64 {
     seed ^ (lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// One epoch's worth of work for a lane's worker.
-struct ReplicaJob {
-    epoch: usize,
-    /// Batches to stage this epoch (the global step count — the worker
-    /// never produces tail batches other lanes cannot match).
-    limit: usize,
-    batches: Arc<EpochBatches>,
 }
 
 /// Refresh backend bridging the trainer's super-batch boundaries to the
@@ -166,9 +164,9 @@ impl RefreshBackend for WorkerRefresh<'_> {
 }
 
 /// Runs the session — [`Session::run_session_checked`], at every replica
-/// count — as one or more attempts ([`Shared::attempt`]); under
-/// [`FailurePolicy::Restore`] a failed attempt is replayed from the last
-/// checkpoint (module docs).
+/// count — as one or more attempts ([`Shared::attempt`]). A lost lane ends
+/// an attempt with [`SessionError::ReplicaDied`]; the policy decides where
+/// the next one starts (module docs), and `Fail` returns the error.
 pub(crate) fn run_fused(
     config: &SessionConfig,
     trainer: &mut ConvergenceTrainer,
@@ -195,63 +193,83 @@ pub(crate) fn run_fused(
         replicas,
         model_bytes: trainer.model_bytes(),
         workers_spawned: 0,
-        generations: 0,
         startup_seconds: 0.0,
         partition_cut_fraction: partition_stats.cut_fraction(),
         partition_balance: partition_stats.balance(),
     };
     let end = first_epoch + num_epochs;
-    let mut start = first_epoch;
-    let mut timeline = Vec::new();
+    let (mut start, mut lanes) = (first_epoch, (0..replicas).collect::<Vec<_>>());
+    let (mut timeline, mut epoch_start) = (Vec::new(), None);
     // Backstop against a restore loop on a persistently failing setup;
     // injected faults are one-shot, so this only trips on a genuinely
-    // unrecoverable session.
+    // unrecoverable session. `DropReplica` needs none: it runs out of lanes.
     let mut restores_left = 4usize;
     loop {
-        let died = match shared.attempt(&mut report, trainer, start..end, &mut timeline) {
-            Ok(()) => return Ok(report),
-            Err(SessionError::ReplicaDied {
-                replica,
-                epoch,
-                step,
-                detail,
-            }) if config.on_replica_failure == FailurePolicy::Restore => FailureEvent {
-                epoch,
-                step,
-                replica,
-                detail,
-                action: FailureAction::RestoredCheckpoint,
-            },
-            Err(err) => return Err(err),
+        let Err(err) = shared.attempt(
+            &mut report,
+            trainer,
+            &lanes,
+            start..end,
+            &mut timeline,
+            &mut epoch_start,
+        ) else {
+            return Ok(report);
         };
-        restores_left = restores_left.checked_sub(1).ok_or_else(|| {
-            CheckpointError::Io(
-                "restore budget exhausted: session keeps failing after rollback".into(),
-            )
-        })?;
-        let ck = shared.checkpointer.load()?;
-        // Only a checkpoint this session (or the run it continues) wrote is
-        // a resume point: one from another run's future or past would
-        // replay the wrong epochs from its state.
-        let (resume, failed) = (ck.next_epoch as usize, died.epoch);
-        if !(first_epoch..=failed).contains(&resume) {
-            return Err(SessionError::Checkpoint(CheckpointError::Io(format!(
-                "the checkpoint resumes at epoch {resume}, outside this session's \
-                 epochs {first_epoch}..={failed} (epoch {failed} failed)"
-            ))));
-        }
+        let SessionError::ReplicaDied {
+            replica,
+            epoch,
+            step,
+            ref detail,
+        } = err
+        else {
+            return Err(err);
+        };
+        // Where the next attempt starts, and from what state.
+        let (state, resume, action) = match config.on_replica_failure {
+            FailurePolicy::DropReplica => {
+                lanes.retain(|&lane| lane != replica);
+                let Some(state) = epoch_start.take().filter(|_| !lanes.is_empty()) else {
+                    return Err(err);
+                };
+                (state, epoch, FailureAction::DroppedReplica)
+            }
+            FailurePolicy::Restore if restores_left > 0 => {
+                restores_left -= 1;
+                let ck = shared.checkpointer.load()?;
+                // Only a checkpoint this session (or the run it continues)
+                // wrote is a resume point: one from another run's future or
+                // past would replay the wrong epochs from its state.
+                let resume = ck.next_epoch as usize;
+                if !(first_epoch..=epoch).contains(&resume) {
+                    return Err(SessionError::Checkpoint(CheckpointError::Io(format!(
+                        "the checkpoint resumes at epoch {resume}, outside this session's \
+                         epochs {first_epoch}..={epoch} (epoch {epoch} failed)"
+                    ))));
+                }
+                (ck.state, resume, FailureAction::RestoredCheckpoint)
+            }
+            // `Fail`, or a `Restore` out of budget.
+            _ => return Err(err),
+        };
         trainer
-            .restore_state(&ck.state)
+            .restore_state(&state)
             .map_err(|m| SessionError::Checkpoint(CheckpointError::Corrupt(m)))?;
         report.epochs.truncate(resume - first_epoch);
-        timeline.push(died);
+        timeline.push(FailureEvent {
+            epoch,
+            step,
+            replica,
+            detail: detail.clone(),
+            action,
+        });
         start = resume;
     }
 }
 
 /// What every attempt of one session shares: the parts that are pure
-/// functions of `(config, trainer)`, built once. Channels, the pool, the
-/// [`Supervisor`] and the workers belong to one attempt.
+/// functions of `(config, trainer)`, built once and indexed by replica id.
+/// The lane set, channels, the pool, the [`Supervisor`] and the workers
+/// belong to one attempt.
 struct Shared<'a> {
     config: &'a SessionConfig,
     dataset: Arc<Dataset>,
@@ -263,61 +281,70 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// One attempt: `epochs` on a fresh set of workers, into `report`. The
-    /// train thread supervises: a poisoned staging channel is a dead lane, a
-    /// stall timeout a stalled one. `DropReplica` continues with the
-    /// survivors; under `Fail` and `Restore` the lane ends the attempt with
-    /// [`SessionError::ReplicaDied`]. `timeline` carries failure events
-    /// into the first epoch, and the leftovers back out.
+    /// One attempt: `epochs` on one worker per lane of `lanes` (replica ids,
+    /// ascending) — a lane set fixed for the attempt's whole life — into
+    /// `report`. The train thread supervises: a poisoned staging channel is
+    /// a dead lane, a stall timeout a stalled one, and either ends the
+    /// attempt with [`SessionError::ReplicaDied`]. `timeline` carries
+    /// failure events into the first epoch, and the leftovers back out;
+    /// under `DropReplica` `epoch_start` receives each epoch's start state,
+    /// the point a replay without the lost lane resumes from.
     fn attempt(
         &self,
         report: &mut SessionReport,
         trainer: &mut ConvergenceTrainer,
+        lanes: &[usize],
         mut epochs: Range<usize>,
         timeline: &mut Vec<FailureEvent>,
+        epoch_start: &mut Option<TrainerState>,
     ) -> Result<(), SessionError> {
         let config = self.config;
-        let replicas = config.replicas;
         let stall_timeout = config.stall_timeout;
         // One partition has nothing remote to prefer: the unbiased sampler
         // draws the same blocks without splitting every neighborhood.
-        let locality_aware = config.locality_aware && replicas > 1;
+        let locality_aware = config.locality_aware && lanes.len() > 1;
 
-        // Per-lane train lists preserve `dataset.train` order, so a 1-way
-        // partition reproduces the sequential batch stream exactly.
-        let (config_seed, batch_size) = (trainer.config().seed, trainer.config().batch_size);
+        // The owner of every `dataset.train` position: the hash partition,
+        // with the slots of replicas outside this attempt dealt round-robin
+        // to its lanes. Per-lane train lists preserve `dataset.train` order,
+        // so a one-lane attempt reproduces the sequential batch stream.
         let train = &self.dataset.train;
-        // Mutable ownership map over `dataset.train` positions: starts as
-        // the hash partition, and DropReplica reassigns a dead replica's
-        // slots to the survivors at an epoch boundary.
         let mut owner_of: Vec<usize> = train.iter().map(|&v| self.partition.owner(v)).collect();
-        let build_iterators = |owner_of: &[usize]| -> Vec<BatchIterator> {
-            (0..replicas)
-                .map(|r| {
-                    let owned: Vec<VertexId> = train
-                        .iter()
-                        .zip(owner_of)
-                        .filter_map(|(&v, &o)| (o == r).then_some(v))
-                        .collect();
-                    BatchIterator::new(owned, batch_size, config_seed)
-                })
-                .collect()
-        };
-        let mut iterators = build_iterators(&owner_of);
+        let orphans = owner_of.iter_mut().filter(|o| !lanes.contains(o));
+        for (slot, &heir) in orphans.zip(lanes.iter().cycle()) {
+            *slot = heir;
+        }
+        let (config_seed, batch_size) = (trainer.config().seed, trainer.config().batch_size);
+        let iterators: Vec<BatchIterator> = lanes
+            .iter()
+            .map(|&r| {
+                let owned = train.iter().zip(&owner_of);
+                let owned = owned.filter_map(|(&v, &o)| (o == r).then_some(v));
+                BatchIterator::new(owned.collect(), batch_size, config_seed)
+            })
+            .collect();
+        // Batches each replica's train list holds an epoch (0 outside the
+        // attempt), and the steps every lane can fill: no lane stages a
+        // tail batch the others cannot match.
+        let mut scheduled = vec![0; config.replicas];
+        for (&r, it) in lanes.iter().zip(&iterators) {
+            scheduled[r] = it.batches_per_epoch();
+        }
+        let steps = lanes.iter().map(|&r| scheduled[r]).min().unwrap_or(0);
 
         // The train loop holds `lookahead` steps itself; they count against
         // each lane's staging depth.
         let lookahead = trainer.lookahead();
         let staged_depth = config.pipeline.train_feed_depth(lookahead);
-        let job_channels: Vec<Bounded<ReplicaJob>> =
-            (0..replicas).map(|_| Bounded::new(1)).collect();
+        // A lane's job is the epoch to stage: the per-epoch gate that keeps
+        // the epoch's counter snapshots exact.
+        let job_channels: Vec<Bounded<usize>> = lanes.iter().map(|_| Bounded::new(1)).collect();
         let staged_channels: Vec<Bounded<StagedBatch>> =
-            (0..replicas).map(|_| Bounded::new(staged_depth)).collect();
+            lanes.iter().map(|_| Bounded::new(staged_depth)).collect();
         // One return pool, sized for every lane at once: a spent bundle
-        // serves whichever lane stages next, so a dropped lane's share keeps
-        // circulating among the survivors instead of filling up and forcing
-        // them to allocate fresh.
-        let pool: Bounded<BatchBuffers> = Bounded::new(replicas * pool_capacity(config, lookahead));
+        // serves whichever lane stages next.
+        let pool: Bounded<BatchBuffers> =
+            Bounded::new(lanes.len() * pool_capacity(config, lookahead));
         let tasks: Bounded<RefreshTask> = Bounded::new(1);
         let outputs: Bounded<RefreshOutput> = Bounded::new(1);
         let refresh_busy = BusyNs::default();
@@ -341,8 +368,9 @@ impl Shared<'_> {
             });
 
             let (supervisor, pool, sampler) = (&supervisor, &pool, &sampler);
-            for r in 0..replicas {
-                let (jobs, staged_tx) = (&job_channels[r], &staged_channels[r]);
+            for (lane, &r) in lanes.iter().enumerate() {
+                let (jobs, staged_tx) = (&job_channels[lane], &staged_channels[lane]);
+                let iterator = &iterators[lane];
                 let seed = lane_seed(config_seed, r);
                 scope.spawn(move || {
                     // Poison both endpoints on every exit path so the
@@ -363,17 +391,19 @@ impl Shared<'_> {
                             counters: &self.counters[r],
                         };
                         let mut builder = BlockBuilder::default();
-                        while let Some(job) = jobs.recv() {
-                            for i in 0..job.limit {
-                                if supervisor.fault_hook("replica", r, job.epoch, i).is_break() {
+                        let mut batches = EpochBatches::default();
+                        while let Some(epoch) = jobs.recv() {
+                            iterator.fill_epoch_batches(epoch, &mut batches);
+                            for i in 0..steps {
+                                if supervisor.fault_hook("replica", r, epoch, i).is_break() {
                                     return;
                                 }
                                 let bufs = pool.try_recv().unwrap_or_default();
                                 let staged = stage_batch(
                                     &inputs,
                                     i,
-                                    job.batches.batch(i),
-                                    batch_sample_seed(seed, job.epoch, i),
+                                    batches.batch(i),
+                                    batch_sample_seed(seed, epoch, i),
                                     &mut builder,
                                     bufs,
                                 );
@@ -417,7 +447,7 @@ impl Shared<'_> {
             if report.workers_spawned == 0 {
                 report.startup_seconds = self.started.elapsed().as_secs_f64();
             }
-            report.workers_spawned += replicas + 1;
+            report.workers_spawned += lanes.len() + 1;
             let mut backend = WorkerRefresh {
                 tasks,
                 outputs,
@@ -425,23 +455,14 @@ impl Shared<'_> {
                 failed: false,
             };
 
-            let mut batch_rings: Vec<BatchRing> =
-                (0..replicas).map(|_| BatchRing::default()).collect();
-            let mut alive = vec![true; replicas];
             let outcome = loop {
                 let Some(epoch) = epochs.next() else {
                     break Ok(());
                 };
-                // A lane lost last epoch hands its train vertices to the
-                // survivors, round-robin, at this boundary. An epoch that
-                // completed kept at least one lane alive.
-                if owner_of.iter().any(|&o| !alive[o]) {
-                    let survivors: Vec<usize> = (0..replicas).filter(|&r| alive[r]).collect();
-                    let orphans = owner_of.iter_mut().filter(|o| !alive[**o]);
-                    for (slot, &heir) in orphans.zip(survivors.iter().cycle()) {
-                        *slot = heir;
-                    }
-                    iterators = build_iterators(&owner_of);
+                // Taken before the epoch's wall-clock and alloc windows
+                // open, so the capture never shows in either.
+                if config.on_replica_failure == FailurePolicy::DropReplica {
+                    *epoch_start = Some(trainer.capture_state(&mut backend));
                 }
 
                 let epoch_wall = Instant::now();
@@ -451,51 +472,27 @@ impl Shared<'_> {
                 let collect_wait_before = backend.wait;
                 let baselines: Vec<ReplicaEpochStats> =
                     self.counters.iter().map(|c| c.snapshot()).collect();
-
-                let filled: Vec<Option<Arc<EpochBatches>>> = (0..replicas)
-                    .map(|r| {
-                        let fill =
-                            |ids: &mut EpochBatches| iterators[r].fill_epoch_batches(epoch, ids);
-                        alive[r].then(|| batch_rings[r].next(fill))
-                    })
-                    .collect();
-                let lens: Vec<usize> = filled
-                    .iter()
-                    .map(|b| b.as_ref().map_or(0, |b| b.len()))
-                    .collect();
-                let steps = filled.iter().flatten().map(|b| b.len()).min().unwrap_or(0);
-                for (jobs, batches) in job_channels.iter().zip(filled) {
+                for jobs in &job_channels {
                     // A worker that died after its last drain shows up as a
                     // closed channel here; the feed below detects it.
-                    if let Some(batches) = batches {
-                        let limit = steps;
-                        let _ = jobs.send(ReplicaJob {
-                            epoch,
-                            limit,
-                            batches,
-                        });
-                    }
+                    let _ = jobs.send(epoch);
                 }
-                report.generations += 1;
 
                 let (mut wait, mut cache_hits, mut cache_misses) = (Duration::ZERO, 0u64, 0u64);
                 let mut epoch_error = None;
                 let train_wall = Instant::now();
                 let feed = (0..steps).map_while(|si| {
-                    let mut step = Vec::with_capacity(replicas);
-                    for (r, cache) in self.caches.iter().enumerate() {
-                        if !alive[r] {
-                            continue;
-                        }
+                    let mut step = Vec::with_capacity(lanes.len());
+                    for (&r, staged_rx) in lanes.iter().zip(&staged_channels) {
                         let blocked = Instant::now();
-                        let got = staged_channels[r].recv_timeout(stall_timeout);
+                        let got = staged_rx.recv_timeout(stall_timeout);
                         wait += blocked.elapsed();
                         let detail = match got {
                             RecvTimeout::Item(staged) => {
                                 debug_assert_eq!(staged.index, si);
                                 cache_hits += staged.features.num_hits() as u64;
                                 cache_misses += staged.features.num_misses() as u64;
-                                step.push(staged.into_prepared(cache));
+                                step.push(staged.into_prepared(&self.caches[r]));
                                 continue;
                             }
                             RecvTimeout::TimedOut => format!(
@@ -508,26 +505,12 @@ impl Shared<'_> {
                                 _ => format!("replica {r} worker exited early"),
                             },
                         };
-                        if config.on_replica_failure != FailurePolicy::DropReplica {
-                            epoch_error = Some(SessionError::ReplicaDied {
-                                replica: r,
-                                epoch,
-                                step: si,
-                                detail,
-                            });
-                            return None;
-                        }
-                        alive[r] = false;
-                        supervisor.note(FailureEvent {
+                        epoch_error = Some(SessionError::ReplicaDied {
+                            replica: r,
                             epoch,
                             step: si,
-                            replica: r,
                             detail,
-                            action: FailureAction::DroppedReplica,
                         });
-                    }
-                    if step.is_empty() {
-                        epoch_error = Some(SessionError::NoSurvivors { epoch });
                         return None;
                     }
                     Some(step)
@@ -548,22 +531,21 @@ impl Shared<'_> {
                 // Starvation = blocked on the lanes + blocked on the refresh
                 // worker at super-batch boundaries (see `WorkerRefresh::wait`).
                 let train_wait = (wait + (backend.wait - collect_wait_before)).as_secs_f64();
-                let per_replica: Vec<ReplicaEpochStats> = (0..replicas)
+                let per_replica: Vec<ReplicaEpochStats> = (0..config.replicas)
                     .map(|r| {
-                        self.counters[r]
-                            .snapshot()
-                            .since(&baselines[r], steps, lens[r])
+                        let now = self.counters[r].snapshot();
+                        now.since(&baselines[r], steps.min(scheduled[r]), scheduled[r])
                     })
                     .collect();
 
                 let remote_feature_bytes: u64 =
                     per_replica.iter().map(|s| s.remote_feature_bytes).sum();
                 let h2d_bytes: u64 = per_replica.iter().map(|s| s.h2d_bytes).sum();
-                let model_bytes = report.model_bytes;
-                let allreduce_bytes = steps as u64 * 2 * (replicas as u64 - 1) * model_bytes;
+                let (model_bytes, group) = (report.model_bytes, lanes.len());
+                let allreduce_bytes = steps as u64 * 2 * (group as u64 - 1) * model_bytes;
                 let link = &config.interconnect;
                 let mut interconnect_seconds =
-                    steps as f64 * link.allreduce_seconds(model_bytes, replicas);
+                    steps as f64 * link.allreduce_seconds(model_bytes, group);
                 for s in &per_replica {
                     if s.remote_feature_bytes > 0 {
                         // One remote pull message per step per lane.
@@ -606,7 +588,7 @@ impl Shared<'_> {
                     refresh_seconds: refresh_busy.seconds() - refresh_busy_before,
                     refresh_rows: trainer.refresh_rows() - refresh_rows_before,
                     eval_seconds,
-                    cache_vertices: self.caches.iter().map(|c| c.len()).sum(),
+                    cache_vertices: lanes.iter().map(|&r| self.caches[r].len()).sum(),
                     allocs,
                     checkpoint_bytes: 0,
                     checkpoint_seconds: 0.0,

@@ -10,10 +10,9 @@
 //! one-partition case of the distributed design.
 //!
 //! What the runner builds on, here: the worker-side fault hook and stall
-//! latch (`Supervisor`), the checkpoint-at-boundary step (`Checkpointer`),
-//! the epoch-batch recycling ring (`BatchRing`) and the post-train bundle
-//! recycler (`recycle_into`). A lane's staging itself is
-//! [`crate::pipeline::stage_batch`].
+//! latch (`Supervisor`), the checkpoint-at-boundary step (`Checkpointer`)
+//! and the post-train bundle recycler (`recycle_into`). A lane's staging
+//! itself is [`crate::pipeline::stage_batch`].
 
 use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::engine::Bounded;
@@ -23,7 +22,6 @@ use crate::pool::BatchBuffers;
 use crate::refresh::RefreshBackend;
 use crate::trainer::{ConvergenceTrainer, EpochObservation, PreparedBatch};
 use neutron_hetero::InterconnectSpec;
-use neutron_sample::EpochBatches;
 use neutron_tensor::alloc::AllocSnapshot;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -34,8 +32,8 @@ use std::time::{Duration, Instant};
 /// Configuration of a training session.
 ///
 /// `pipeline.sampler_threads` and `pipeline.gather_threads` are inert (each
-/// lane has one fused worker; see [`PipelineConfig`]). `locality_aware`,
-/// `interconnect` and `on_replica_failure` only matter at `replicas ≥ 2`.
+/// lane has one fused worker; see [`PipelineConfig`]). `locality_aware`
+/// and `interconnect` only matter at `replicas ≥ 2`.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
     /// Per-lane staging depth and the simulated H2D link.
@@ -68,9 +66,10 @@ pub struct SessionConfig {
     /// How long the train stage tolerates an empty staging channel (with
     /// work outstanding) before declaring its producer stalled.
     pub stall_timeout: Duration,
-    /// What the supervisor does when a lane dies or stalls mid-epoch. One
-    /// lane has nobody to degrade to or respawn beside, so
-    /// [`Session::new`] rejects anything but `Fail` at R = 1.
+    /// What the session does when a lane dies or stalls mid-epoch: every
+    /// policy but `Fail` replays, on fresh workers
+    /// ([`Session::run_session_checked`]). At R = 1 `DropReplica` has no
+    /// lane left to replay on and fails like `Fail`.
     pub on_replica_failure: FailurePolicy,
 }
 
@@ -128,12 +127,13 @@ pub struct EpochRun {
     /// Measured per-stage breakdown, summed across replicas. `num_batches`
     /// counts optimizer *steps*, so series line up at every R.
     pub report: PipelineReport,
-    /// Per-lane staging breakdown, indexed by replica id.
+    /// Per-lane staging breakdown, indexed by replica id (zero for a
+    /// replica a `DropReplica` replay runs without).
     pub per_replica: Vec<ReplicaEpochStats>,
-    /// Optimizer steps this epoch (min batch count across live replicas).
+    /// Optimizer steps this epoch (min batch count across the lanes).
     pub steps: usize,
-    /// Ring all-reduce wire bytes across all replicas this epoch:
-    /// `steps × 2(R−1) × model_bytes`; zero at R = 1.
+    /// Ring all-reduce wire bytes across the lanes this epoch:
+    /// `steps × 2(R−1) × model_bytes` for R lanes; zero at one lane.
     pub allreduce_bytes: u64,
     /// Remote feature bytes summed across replicas; zero at R = 1.
     pub remote_feature_bytes: u64,
@@ -184,12 +184,8 @@ pub struct SessionReport {
     /// Model parameter bytes (the all-reduce payload per step).
     pub model_bytes: u64,
     /// Worker threads spawned: one per lane plus the refresh worker, a
-    /// fresh set per [`FailurePolicy::Restore`] — independent of epoch
-    /// count.
+    /// fresh set per replay — independent of epoch count.
     pub workers_spawned: usize,
-    /// Epoch jobs published to the workers (== epochs run, plus any epoch
-    /// replayed after a restore).
-    pub generations: u64,
     /// Wall-clock from session start to all workers spawned — the one-time
     /// cost the persistent workers amortise over every epoch.
     pub startup_seconds: f64,
@@ -223,8 +219,9 @@ pub enum SessionError {
         message: String,
     },
     /// A lane's worker died (panicked or exited early) or stalled (nothing
-    /// staged within [`SessionConfig::stall_timeout`]) mid-epoch and the
-    /// failure policy was [`FailurePolicy::Fail`].
+    /// staged within [`SessionConfig::stall_timeout`]) mid-epoch, and the
+    /// session could not replay: the policy was [`FailurePolicy::Fail`],
+    /// `DropReplica` lost its last lane, or `Restore` spent its budget.
     ReplicaDied {
         /// The replica that died.
         replica: usize,
@@ -234,11 +231,6 @@ pub enum SessionError {
         step: usize,
         /// What was detected.
         detail: String,
-    },
-    /// Every replica died; no degradation policy can continue.
-    NoSurvivors {
-        /// Epoch at which the last replica was lost.
-        epoch: usize,
     },
     /// Writing or reading a checkpoint failed.
     Checkpoint(CheckpointError),
@@ -259,9 +251,6 @@ impl fmt::Display for SessionError {
                 f,
                 "replica {replica} died in epoch {epoch} at step {step}: {detail}"
             ),
-            SessionError::NoSurvivors { epoch } => {
-                write!(f, "all replicas lost by epoch {epoch}")
-            }
             SessionError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
     }
@@ -282,10 +271,9 @@ pub struct Session {
 
 impl Session {
     /// Builds a session. Panics on a configuration it could not honour:
-    /// zero replicas, a zero channel depth, zero refresh threads, a
-    /// replica-failure policy other than `Fail` at R = 1, or a fault
-    /// addressed to a lane the session does not have — it would never be
-    /// delivered.
+    /// zero replicas, a zero channel depth, zero refresh threads, or a
+    /// fault addressed to a lane the session does not have — it would never
+    /// be delivered.
     pub fn new(config: SessionConfig) -> Self {
         let replicas = config.replicas;
         assert!(replicas >= 1, "need at least one replica");
@@ -296,12 +284,6 @@ impl Session {
         assert!(
             config.refresh_workers >= 1,
             "need at least one refresh worker thread"
-        );
-        assert!(
-            replicas > 1 || config.on_replica_failure == FailurePolicy::Fail,
-            "on_replica_failure = {:?} needs replicas >= 2: a one-replica session has no \
-             survivor to continue with and no peer to respawn beside",
-            config.on_replica_failure
         );
         for spec in config.fault_plan.iter().flat_map(|plan| plan.specs()) {
             assert!(
@@ -341,18 +323,18 @@ impl Session {
     /// [`Self::run_session`] with failures surfaced as [`SessionError`]
     /// instead of panics. The supervisor detects a dead lane by its closed
     /// staging channel and a stalled one by
-    /// [`SessionConfig::stall_timeout`], then applies
-    /// [`SessionConfig::on_replica_failure`]:
+    /// [`SessionConfig::stall_timeout`]; either ends the attempt, and
+    /// [`SessionConfig::on_replica_failure`] picks the replay:
     ///
-    /// * `Fail` (the only policy at R = 1) — tear down and return
-    ///   [`SessionError::ReplicaDied`].
-    /// * `DropReplica` — finish the epoch with the survivors (the tree
-    ///   average already rescales by group size) and redistribute the dead
-    ///   replica's train vertices round-robin over them at the next epoch
-    ///   boundary.
+    /// * `Fail` — none: tear down and return [`SessionError::ReplicaDied`].
+    /// * `DropReplica` — tear down, restore the state the failed epoch
+    ///   started from and replay that epoch without the lane: its train
+    ///   vertices are dealt round-robin over the rest. With no lane left
+    ///   (always, at R = 1) it returns the `ReplicaDied`.
     /// * `Restore` — tear down, load the last checkpoint into the trainer
     ///   and replay from its epoch on a fresh set of workers, the way a
-    ///   session started there would.
+    ///   session started there would — at R = 1 too. After four restores
+    ///   the next lost lane's `ReplicaDied` is returned.
     ///
     /// Every exit, failed ones included, settles the refresh the trainer
     /// left on the refresh worker, so the trainer outlives the session.
@@ -572,33 +554,6 @@ impl<'a> Checkpointer<'a> {
     }
 }
 
-/// Recycles one lane's per-epoch batch list with a two-epoch lag: the lane
-/// worker holds epoch `e`'s `Arc` while it stages that epoch, so the list
-/// of epoch `e−1` is (almost always) unreferenced when epoch `e+1` is
-/// filled — one flat id buffer (pair) serves the whole session instead of
-/// a fresh `Vec` per epoch. A list still referenced is never written to.
-#[derive(Default)]
-pub(crate) struct BatchRing {
-    spare: Option<Arc<EpochBatches>>,
-    prev: Option<Arc<EpochBatches>>,
-}
-
-impl BatchRing {
-    /// The next epoch's batches: `fill` writes them into the oldest retired
-    /// list (or a fresh one while the ring warms up).
-    pub(crate) fn next(&mut self, fill: impl FnOnce(&mut EpochBatches)) -> Arc<EpochBatches> {
-        let mut ids = self
-            .spare
-            .take()
-            .and_then(|arc| Arc::try_unwrap(arc).ok())
-            .unwrap_or_default();
-        fill(&mut ids);
-        let batches = Arc::new(ids);
-        self.spare = self.prev.replace(Arc::clone(&batches));
-        batches
-    }
-}
-
 /// The post-train recycler: dismantles each trained batch into its buffer
 /// bundle and offers it to `pool`. Purely a capacity transfer — the batch's
 /// numbers are already folded into the model, so recycling cannot perturb
@@ -620,25 +575,6 @@ pub(crate) fn recycle_into(pool: &Bounded<BatchBuffers>) -> impl FnMut(PreparedB
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_ring_reuses_a_list_once_its_last_reader_dropped_it() {
-        let it = neutron_sample::BatchIterator::new((0..10).collect(), 4, 1);
-        let mut ring = BatchRing::default();
-        let buffer = |b: &Arc<EpochBatches>| b.batch(0).as_ptr();
-        let e0 = ring.next(|ids| it.fill_epoch_batches(0, ids));
-        let e1 = ring.next(|ids| it.fill_epoch_batches(1, ids));
-        assert_ne!(buffer(&e1), buffer(&e0));
-        let first = buffer(&e0);
-        drop(e0); // the workers saw epoch 1's job and let go of epoch 0
-        let e2 = ring.next(|ids| it.fill_epoch_batches(2, ids));
-        assert_eq!(buffer(&e2), first, "epoch 0's buffer serves epoch 2");
-        assert_eq!(e2.batch(0), it.epoch_batches(2).batch(0));
-        // A list a straggler still holds is never written to.
-        let e3 = ring.next(|ids| it.fill_epoch_batches(3, ids));
-        assert_ne!(buffer(&e3), buffer(&e1));
-        assert_eq!(e1.batch(0), it.epoch_batches(1).batch(0));
-    }
 
     #[test]
     fn stalled_worker_parks_until_teardown() {

@@ -303,8 +303,8 @@ pub fn timing_run(workload: Workload, epochs: usize, replicas: usize, allocs: bo
 /// deterministic fault plan injected and print the detection/recovery
 /// timeline. A session that ends in a typed `SessionError` still exits 0
 /// — the harness exists to prove faults *terminate* (recover or error),
-/// never hang; only a malformed spec or an unhonourable policy is a tool
-/// error.
+/// never hang; only a malformed spec or a fault no lane would receive is a
+/// tool error. Every policy runs at every `--replicas`.
 pub fn fault_run(
     workload: Workload,
     epochs: usize,
@@ -314,9 +314,6 @@ pub fn fault_run(
 ) -> Result<(), String> {
     if workload != Workload::Engine {
         return Err("--faults applies to the 'engine' workload only".into());
-    }
-    if replicas == 1 && policy != FailurePolicy::Fail {
-        return Err("--policy drop|restore needs --replicas >= 2".into());
     }
     let plan = Arc::new(FaultPlan::parse(faults)?);
     // The rule `Session::new` asserts, as a usage error: a fault addresses

@@ -72,8 +72,8 @@ const WARM_REFRESH_ALLOC_BUDGET: u64 = 100;
 
 /// Ceiling on the staging allocations of the last three epochs *together*
 /// of a session that dropped a replica seven epochs earlier (see the
-/// degraded case below): measured 0–4, ~125 when the survivors' spent
-/// bundles land in the dead replica's lane.
+/// degraded case below): measured 0–4, ~125 when the remaining lanes'
+/// spent bundles land where only the dropped lane would draw them.
 const SETTLED_DEGRADED_ALLOC_BUDGET: u64 = 60;
 
 fn trainer() -> ConvergenceTrainer {
@@ -164,11 +164,12 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
     });
     let rep_session = replicated.run_session(&mut rep, 0, epochs);
 
-    // Degraded mode: R=3 loses replica 1 at the start of epoch 1 and
-    // finishes on two survivors. Their spent bundles must keep coming back
-    // to *them* — a recycler that still dealt bundles out over three lanes
-    // would park every third one where nobody draws and make the survivors
-    // allocate multi-MiB bundles every few steps.
+    // Degraded mode: R=3 loses replica 1 at the start of epoch 1, and the
+    // session replays epoch 1 on a fresh attempt of two lanes. That
+    // attempt's pool is sized for its two lanes and fed only by them, so
+    // their spent bundles keep coming back to *them* — a pool that still
+    // counted the lost lane would hold bundles nobody draws and make the
+    // two allocate multi-MiB bundles every few steps.
     let survivors = 2;
     let mut degraded = trainer();
     let degraded_session = Session::new(SessionConfig {
@@ -292,11 +293,11 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
             .any(|e| e.replica == 1 && e.action == FailureAction::DroppedReplica),
         "replica 1 must have been dropped in epoch 1: {dropped:?}"
     );
-    // Epoch 1 runs short-handed on the old partition and epoch 2 is the
-    // first on the redistributed one (larger batches grow the bundles once);
-    // from epoch 3 on the survivors are warm again.
+    // The replayed epoch 1 is the two-lane attempt's first: it fills the
+    // fresh pool and grows the bundles to the redistributed batches once;
+    // from epoch 2 on the lanes are warm.
     let degraded_budget = survivors as u64 * WARM_STAGING_ALLOC_BUDGET;
-    for run in &degraded_session.epochs[3..] {
+    for run in &degraded_session.epochs[2..] {
         let staging = run.allocs.staging_allocs();
         println!(
             "degraded (R=3, one dropped) epoch {}: staging allocs {staging} \
@@ -311,9 +312,9 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
         );
     }
     // ... and they *settle*: a fresh bundle costs ~14 allocations, and
-    // misrouted bundles cost the survivors about three of them an epoch,
-    // forever (~40 allocations an epoch on this workload). The last three
-    // epochs together get less than half of that.
+    // bundles parked out of reach cost the two lanes about three of them an
+    // epoch, forever (~40 allocations an epoch on this workload). The last
+    // three epochs together get less than half of that.
     let settled: u64 = degraded_session.epochs[7..]
         .iter()
         .map(|run| run.allocs.staging_allocs())

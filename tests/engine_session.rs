@@ -2,16 +2,17 @@
 //! sequential epochs (with the background refresh worker and the feature
 //! cache active), staleness under the double-buffered refresh, split and
 //! cache invariance, the spawn-once guarantee of the persistent workers,
-//! the report shape per replica count and the configurations a session
-//! rejects, and the hot-vertex pruning contract (hot rows never reach the
-//! device path; their embeddings are primed before batch 0 and a missing
-//! one is fatal, never a silent zero).
+//! the report shape per replica count, the configurations a session
+//! rejects and the failure policies one lane takes, and the hot-vertex
+//! pruning contract (hot rows never reach the device path; their
+//! embeddings are primed before batch 0 and a missing one is fatal, never
+//! a silent zero).
 
 use neutronorch::core::fault::{FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
 use neutronorch::core::pool::BatchBuffers;
 use neutronorch::core::refresh::InlineRefresh;
-use neutronorch::core::session::{Session, SessionConfig, SessionReport};
+use neutronorch::core::session::{Session, SessionConfig, SessionError, SessionReport};
 use neutronorch::core::trainer::{
     batch_sample_seed, ConvergenceTrainer, EpochObservation, PreparedBatch, ReusePolicy,
     TrainerConfig,
@@ -276,8 +277,7 @@ fn cache_budget_never_changes_the_trajectory() {
 
 /// A session spawns its workers exactly once, independent of how many
 /// epochs it runs — one fused worker per lane plus the refresh worker,
-/// whatever the inert thread counts say — and publishes one job
-/// generation per epoch.
+/// whatever the inert thread counts say.
 #[test]
 fn workers_spawn_once_per_session() {
     for epochs in [1usize, 2, 6] {
@@ -288,7 +288,6 @@ fn workers_spawn_once_per_session() {
             1 + 1,
             "one lane + refresh, once, for {epochs} epochs"
         );
-        assert_eq!(session.generations, epochs as u64);
         assert_eq!(session.epochs.len(), epochs);
     }
 }
@@ -362,14 +361,51 @@ fn zero_replicas_are_rejected() {
     });
 }
 
-/// One replica has no survivor to drop to and no peer to respawn beside.
+/// Every policy is a replay, so one lane takes each of them: `Restore`
+/// replays from its checkpoint on a fresh lane and ends where the
+/// fault-free session does, and `DropReplica`, with no lane left to
+/// replay on, fails like `Fail`.
 #[test]
-#[should_panic(expected = "needs replicas >= 2")]
-fn a_replica_failure_policy_needs_replicas() {
-    Session::new(SessionConfig {
-        on_replica_failure: FailurePolicy::DropReplica,
-        ..SessionConfig::default()
-    });
+fn a_one_lane_session_takes_every_failure_policy() {
+    let one_lane = |faults: &str, policy: FailurePolicy, path: Option<std::path::PathBuf>| {
+        let plan = FaultPlan::parse(faults).expect("test fault spec");
+        Session::new(SessionConfig {
+            fault_plan: (!plan.is_empty()).then(|| Arc::new(plan)),
+            on_replica_failure: policy,
+            checkpoint_every: 1,
+            checkpoint_path: path,
+            ..SessionConfig::default()
+        })
+        .run_session_checked(&mut trainer(hot_policy()), 0, 3)
+    };
+    let losses = |s: &SessionReport| s.series(|r| r.observation.train_loss.to_bits());
+
+    let clean = one_lane("", FailurePolicy::Fail, None).expect("fault-free session");
+    let path =
+        std::env::temp_dir().join(format!("nock-one-lane-restore-{}.ck", std::process::id()));
+    let restored = one_lane("panic@r0e1s1", FailurePolicy::Restore, Some(path.clone()));
+    std::fs::remove_file(&path).ok();
+    let restored = restored.expect("a one-lane Restore replays");
+    assert_eq!(losses(&restored), losses(&clean));
+    assert_eq!(
+        restored.workers_spawned,
+        2 * (1 + 1),
+        "the replay's lane is fresh"
+    );
+
+    let err = one_lane("panic@r0e1s1", FailurePolicy::DropReplica, None)
+        .expect_err("a one-lane DropReplica has nothing to replay on");
+    assert!(
+        matches!(
+            err,
+            SessionError::ReplicaDied {
+                replica: 0,
+                epoch: 1,
+                ..
+            }
+        ),
+        "expected ReplicaDied for lane 0, got {err:?}"
+    );
 }
 
 /// A fault addressed past the last lane would never be delivered, so a

@@ -34,9 +34,9 @@ fn trainer_with_batch(batch_size: usize) -> ConvergenceTrainer {
     ConvergenceTrainer::new(ds, cfg)
 }
 
-/// A one-lane session under `Fail`, the only policy one lane has. Fault
-/// coordinates name replica 0, whose one fused worker stages every batch in
-/// order, so every fault fires exactly where it is scheduled.
+/// A one-lane session under `Fail`. Fault coordinates name replica 0,
+/// whose one fused worker stages every batch in order, so every fault
+/// fires exactly where it is scheduled.
 fn engine(faults: &str) -> Session {
     replicated(1, faults, FailurePolicy::Fail)
 }
@@ -240,38 +240,56 @@ fn replicated_stall_under_fail_policy_is_a_typed_error() {
     }
 }
 
-/// Under `DropReplica`, the session sheds the dead replica and finishes
-/// with the survivors: every scheduled epoch completes, the drop is in the
-/// failure timeline, and the degraded trajectory is deterministic — two
-/// identical drills produce bit-identical losses, whether the death is
-/// found at an epoch's first pull or while the train loop holds steps of
-/// the dead replica in its lookahead window.
+/// Under `DropReplica`, a lost lane ends the attempt and the session
+/// redoes the failed epoch with R−1 lanes, from the state that epoch
+/// started from: every scheduled epoch completes, the drop is in the
+/// failure timeline, and from the failed epoch on the trajectory is an
+/// R = 1 session's, bit for bit — whether the death is found at an epoch's
+/// first pull or while the train loop holds steps of the dead lane in its
+/// lookahead window. Dying in epoch 0 leaves a fresh R = 1 session; dying
+/// in epoch 1 leaves an R = 2 epoch 0 continued by R = 1 over epochs 1–2
+/// on the same trainer.
 #[test]
 fn replicated_crash_with_drop_policy_degrades_and_completes() {
-    for faults in ["crash@r1e1s0", "crash@r1e0s1"] {
-        let run = || {
-            let mut t = trainer();
-            let session = replicated(2, faults, FailurePolicy::DropReplica)
-                .run_session_checked(&mut t, 0, 3)
-                .expect("drop policy must complete");
-            assert_eq!(session.epochs.len(), 3);
-            let drops: Vec<_> = session
-                .epochs
-                .iter()
-                .flat_map(|r| r.report.failures.iter())
-                .filter(|e| e.action == FailureAction::DroppedReplica)
-                .cloned()
-                .collect();
-            assert_eq!(drops.len(), 1, "exactly one replica is dropped");
-            assert_eq!(drops[0].replica, 1);
-            losses(&session)
-        };
+    for (faults, failed) in [("crash@r1e0s1", 0), ("crash@r1e1s0", 1)] {
+        let mut t = trainer();
+        let session = replicated(2, faults, FailurePolicy::DropReplica)
+            .run_session_checked(&mut t, 0, 3)
+            .expect("drop policy must complete");
+        assert_eq!(session.epochs.len(), 3);
+        let drops: Vec<_> = session
+            .epochs
+            .iter()
+            .flat_map(|r| r.report.failures.iter())
+            .filter(|e| e.action == FailureAction::DroppedReplica)
+            .collect();
+        assert_eq!(drops.len(), 1, "exactly one replica is dropped");
+        assert_eq!((drops[0].replica, drops[0].epoch), (1, failed));
+        assert_eq!(session.epochs[failed].per_replica[1].batches, 0);
+
+        let mut reference = trainer();
+        let mut expected =
+            losses(&replicated(2, "", FailurePolicy::Fail).run_session(&mut reference, 0, failed));
+        let rest =
+            replicated(1, "", FailurePolicy::Fail).run_session(&mut reference, failed, 3 - failed);
+        expected.extend(losses(&rest));
         assert_eq!(
-            run(),
-            run(),
-            "{faults}: degraded trajectory must be deterministic"
+            losses(&session),
+            expected,
+            "{faults}: the replay is R = 1 from epoch {failed}'s start state"
         );
     }
+}
+
+/// A fault-free `DropReplica` session is the `Fail` session: the
+/// epoch-start capture it takes for a replay moves no number and no byte.
+#[test]
+fn a_fault_free_drop_session_equals_the_fail_session() {
+    let run = |policy| {
+        let session = replicated(2, "", policy).run_session(&mut trainer(), 0, 3);
+        (losses(&session), session.series(|r| r.report.h2d_bytes))
+    };
+    assert_eq!(run(FailurePolicy::DropReplica), run(FailurePolicy::Fail));
 }
 
 /// Under `Restore`, a mid-epoch replica death ends the attempt; the
@@ -309,6 +327,36 @@ fn replicated_panic_with_restore_policy_matches_the_fault_free_run() {
         .collect();
     assert_eq!(restores.len(), 1, "exactly one rollback");
     assert_eq!(restores[0].epoch, 2);
+}
+
+/// A session that keeps failing after every rollback gives up after four
+/// restores and reports the lost lane that ended its last attempt — not a
+/// made-up checkpoint error. Each replay of epoch 1 meets the next of five
+/// one-shot panics, one more than the budget.
+#[test]
+fn an_exhausted_restore_budget_returns_the_last_replica_death() {
+    let path = ck_path("budget");
+    let faults = (1..=5)
+        .map(|step| format!("panic@r0e1s{step}"))
+        .collect::<Vec<_>>()
+        .join(",");
+    let mut t = trainer_with_batch(16);
+    let err = restoring(&faults, &path)
+        .run_session_checked(&mut t, 0, 3)
+        .expect_err("five deaths outlast four restores");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(
+            err,
+            SessionError::ReplicaDied {
+                replica: 0,
+                epoch: 1,
+                step: 5,
+                ..
+            }
+        ),
+        "expected the fifth death, got {err:?}"
+    );
 }
 
 /// `Restore` without a checkpoint of its own degrades to a typed
