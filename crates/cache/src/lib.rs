@@ -1,8 +1,11 @@
 //! Feature caching and historical-embedding storage.
 //!
 //! [`FeatureCache`] holds device-resident copies of a fixed vertex set's
-//! feature rows for the cache-keyed gather; a session fills it with each
-//! lane's hottest owned vertices. [`HybridPolicy`] is NeutronOrch's §4.1.3
+//! feature rows for the cache-keyed gather; a session fills each lane's
+//! with its owned vertices in descending presample order — the hot set,
+//! then the next-hottest cold vertices — until the lane's byte budget is
+//! spent (§5.2's "increase the feature cache ratio", the simulator's rule
+//! too). [`HybridPolicy`] is NeutronOrch's §4.1.3
 //! split of the hot set between CPU embedding computation and GPU feature
 //! caching under a memory budget. The Fig 13 Degree (PaGraph) and
 //! PreSample (GNNLab) rankings live in the simulator:

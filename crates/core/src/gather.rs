@@ -84,6 +84,12 @@ impl GatheredFeatures {
         self.miss_pos.len()
     }
 
+    /// Rows of the host-gathered miss matrix: [`Self::num_misses`] when
+    /// the gather is sound.
+    pub(crate) fn miss_rows(&self) -> usize {
+        self.miss.rows()
+    }
+
     /// Feature bytes the transfer stage must ship: the miss rows only.
     pub fn h2d_feature_bytes(&self) -> u64 {
         (self.miss.rows() * self.miss.cols() * std::mem::size_of::<f32>()) as u64

@@ -200,7 +200,8 @@ fn simulate_hotness(
     // "When GPU resources are sufficient, reduce CPU embedding computation
     // while increasing the feature cache ratio" (§5.2): leftover device
     // memory becomes a presample-ranked cache for the next-hottest cold
-    // vertices.
+    // vertices — the measured `Session`'s rule too (each lane fills its
+    // cache in presample order until its budget is spent).
     let (extra_ratio, _) = lens.cache_plan(mem.available() * gpus as u64, false);
     mem.alloc("cold-feature-cache", mem.available())?;
     let cold_hit = {

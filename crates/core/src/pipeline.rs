@@ -239,6 +239,12 @@ pub fn stage_batch(
     alloc::set_stage(Stage::Gather);
     let t_gather = Instant::now();
     let features = GatheredFeatures::gather_pooled(dataset, &blocks[0], inputs.cache, &mut bufs);
+    debug_assert_eq!(
+        features.num_hits() + features.num_misses(),
+        blocks[0].num_src(),
+        "hits + misses must cover the bottom block's sources"
+    );
+    debug_assert_eq!(features.miss_rows(), features.num_misses());
     counters.gather_busy.add(t_gather);
 
     // Transfer: only miss rows and block structure cross the link.

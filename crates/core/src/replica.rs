@@ -19,9 +19,12 @@
 //!   batch order. Spent buffer bundles return through one
 //!   pool all lanes share, so warm epochs allocate (near) nothing on the
 //!   staging path (`tests/alloc_budget.rs`).
-//! - **One cache rule.** Each lane's [`FeatureCache`] holds its hottest
-//!   *owned* hot vertices under [`SessionConfig::gpu_free_bytes`], built
-//!   once at session start and in force from epoch 0.
+//! - **One cache rule.** Lane r caches its owned vertices in descending
+//!   presample order ([`ConvergenceTrainer::presample_order`]) until
+//!   [`SessionConfig::gpu_free_bytes`] is spent: the hot set first, then
+//!   the next-hottest cold vertices ("increase the feature cache ratio"
+//!   when GPU memory allows, §5.2 — the simulator's rule too). Built once
+//!   at session start and in force from epoch 0.
 //! - **Pipelined, demand-driven refresh (Fig 8, §4.2).** The train loop
 //!   keeps `2n−1` staged steps in hand
 //!   ([`ConvergenceTrainer::lookahead`]; they count against the staging
@@ -628,9 +631,10 @@ impl Shared<'_> {
 }
 
 /// Builds lane `r`'s feature cache — the session's one cache rule: its
-/// hottest *owned* hot vertices, capped by the per-lane byte budget
-/// ([`SessionConfig::gpu_free_bytes`]). Empty when the trainer's policy has
-/// no hotness ranking.
+/// owned vertices in descending presample order, hot then cold, until the
+/// per-lane byte budget ([`SessionConfig::gpu_free_bytes`]) is spent
+/// (§5.2; the simulator's cold-feature cache follows the same rule). Empty
+/// when the trainer's policy has no presample ranking.
 fn replica_cache(
     config: &SessionConfig,
     trainer: &ConvergenceTrainer,
@@ -638,13 +642,12 @@ fn replica_cache(
     partition: &Partition,
     r: usize,
 ) -> FeatureCache {
-    let Some(hot) = trainer.hot_set() else {
+    let Some(order) = trainer.presample_order() else {
         return FeatureCache::empty();
     };
     let row_bytes = dataset.spec.feature_row_bytes().max(1);
     let budget_rows = (config.gpu_free_bytes / row_bytes) as usize;
-    let owned: Vec<VertexId> = hot
-        .vertices()
+    let owned: Vec<VertexId> = order
         .iter()
         .copied()
         .filter(|&v| partition.owner(v) == r)

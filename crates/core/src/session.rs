@@ -5,9 +5,9 @@
 //! span of epochs on **one runner** ([`crate::replica`]): one lane per
 //! graph partition ([`SessionConfig::replicas`]; the default single lane
 //! owns every vertex), each with one fused sample → gather → transfer
-//! worker and a feature cache of its hottest owned vertices, plus one
-//! background refresh worker — DistDGL's view of one machine as the
-//! one-partition case of the distributed design.
+//! worker and a feature cache of its owned vertices in presample order up
+//! to its budget, plus one background refresh worker — DistDGL's view of
+//! one machine as the one-partition case of the distributed design.
 //!
 //! What the runner builds on, here: the worker-side fault hook and stall
 //! latch (`Supervisor`), the checkpoint-at-boundary step (`Checkpointer`)
@@ -40,8 +40,9 @@ pub struct SessionConfig {
     pub pipeline: PipelineConfig,
     /// Number of model replicas / graph partitions — one lane each.
     pub replicas: usize,
-    /// Device memory each lane spends on cached features: its hottest
-    /// owned hot vertices, up to this many bytes.
+    /// Device memory each lane spends on cached features: its owned
+    /// vertices in descending presample order, hot then cold, until this
+    /// many bytes are spent (§5.2).
     pub gpu_free_bytes: u64,
     /// Threads the refresh worker spreads each task's vertex list over
     /// (partition-stable, so any value is bit-identical). At least 1.

@@ -40,7 +40,8 @@ use neutron_nn::model::{GnnModel, ModelConfig};
 use neutron_nn::optim::{Optimizer, Sgd};
 use neutron_nn::LayerKind;
 use neutron_sample::{
-    full_one_hop, BatchIterator, Block, EpochBatches, Fanout, HotSet, NeighborSampler, PreSampler,
+    full_one_hop, BatchIterator, Block, EpochBatches, Fanout, HotSet, HotnessRanking,
+    NeighborSampler, PreSampler,
 };
 use neutron_tensor::Matrix;
 use std::collections::VecDeque;
@@ -216,6 +217,9 @@ pub struct ConvergenceTrainer {
     /// Shared with `sampler`, which prunes these vertices from the bottom
     /// block.
     hot: Option<Arc<HotSet>>,
+    /// The presample ranking whose prefix is `hot`; lanes fill their
+    /// feature caches in its order.
+    ranking: Option<HotnessRanking>,
     /// Rows of the bottom layer's output the current batch took from the
     /// store (ascending); scratch of [`Self::grad_prepared`].
     frozen: Vec<usize>,
@@ -251,11 +255,12 @@ impl ConvergenceTrainer {
         let batches = BatchIterator::new(dataset.train.clone(), config.batch_size, config.seed);
         // Reuse splices bottom-layer embeddings into the layer above; a
         // one-layer model has none, so it gets no store under any policy.
-        let (store, hot) = match &config.policy {
-            _ if config.layers < 2 => (None, None),
-            ReusePolicy::Exact => (None, None),
+        let (store, hot, ranking) = match &config.policy {
+            _ if config.layers < 2 => (None, None, None),
+            ReusePolicy::Exact => (None, None, None),
             ReusePolicy::GasLike => (
                 Some(EmbeddingStore::new(dataset.spec.hidden_dim, None)),
+                None,
                 None,
             ),
             ReusePolicy::HotnessAware {
@@ -275,6 +280,7 @@ impl ConvergenceTrainer {
                 (
                     Some(EmbeddingStore::new(dataset.spec.hidden_dim, Some(bound))),
                     Some(hot),
+                    Some(hotness),
                 )
             }
         };
@@ -288,6 +294,7 @@ impl ConvergenceTrainer {
             optimizer,
             store,
             hot,
+            ranking,
             frozen: Vec::new(),
             version: 0,
             pending_refresh: None,
@@ -707,6 +714,13 @@ impl ConvergenceTrainer {
     /// The hot-vertex set under `HotnessAware`, `None` otherwise.
     pub fn hot_set(&self) -> Option<&HotSet> {
         self.hot.as_deref()
+    }
+
+    /// Every vertex in descending presample hotness (GNNLab's bottom-layer
+    /// source reads, the hot set its prefix) under `HotnessAware`, `None`
+    /// otherwise: the order each lane fills its feature cache in.
+    pub fn presample_order(&self) -> Option<&[VertexId]> {
+        self.ranking.as_ref().map(HotnessRanking::order)
     }
 
     /// Share of each boundary's refresh rows the refresh backend computes:

@@ -185,27 +185,30 @@ fn one_session_equals_many_single_epoch_sessions() {
 /// never ships more bytes than the cache-less run, and a zero budget ships
 /// exactly the sequential baseline's bytes with zero hits.
 ///
-/// The cache rule is an input here: each lane caches its hottest owned hot
-/// vertices up to the budget, built once, so every epoch — epoch 0
-/// included — runs with `min(owned hot set, budget / row bytes)` cached
-/// vertices per lane, and a nonzero budget hits from the first epoch on.
+/// The cache rule is an input here: each lane caches its owned vertices in
+/// descending presample order, hot then cold, until the budget is spent
+/// (§5.2), built once, so every epoch — epoch 0 included — runs with
+/// `min(owned vertices, budget / row bytes)` cached vertices per lane, and
+/// a nonzero budget hits from the first epoch on. At a budget every row
+/// fits, one lane never misses (only block structure crosses the link) and
+/// two lanes together cache the whole feature table.
 #[test]
 fn cache_budget_never_changes_the_trajectory() {
     let reference = sequential_reference(4);
     let probe = trainer(hot_policy());
-    let hot = probe.hot_set().unwrap().vertices().to_vec();
+    let hot = probe.hot_set().unwrap().len();
     let ds = probe.dataset_handle();
-    let row_bytes = ds.spec.feature_row_bytes();
-    let part = hash_partition(ds.csr.num_vertices(), 2);
-    // None, a third of the hot set (the budget binds), all of it.
-    let budgets = [0u64, hot.len() as u64 / 3 * row_bytes, 64 << 20];
-    assert!(budgets[2] / row_bytes > hot.len() as u64);
-    // `min(owned hot set, budget rows)`, summed over the lanes of `replicas`.
+    let (n, row_bytes) = (ds.csr.num_vertices(), ds.spec.feature_row_bytes());
+    let part = hash_partition(n, 2);
+    // None, a third of the hot set (the budget binds), every row.
+    let budgets = [0u64, hot as u64 / 3 * row_bytes, 64 << 20];
+    assert!(budgets[2] / row_bytes >= n as u64);
+    // `min(owned vertices, budget rows)`, summed over the lanes of `replicas`.
     let want_cached = |budget: u64, replicas: usize| -> usize {
         let rows = (budget / row_bytes) as usize;
         (0..replicas)
             .map(|r| {
-                let owned = hot.iter().filter(|&&v| replicas == 1 || part.owner(v) == r);
+                let owned = (0..n as u32).filter(|&v| replicas == 1 || part.owner(v) == r);
                 owned.count().min(rows)
             })
             .sum()
@@ -234,6 +237,19 @@ fn cache_budget_never_changes_the_trajectory() {
                 "epoch {}: a cache may only remove bytes",
                 run.epoch
             );
+            if budget == budgets[2] {
+                assert_eq!(
+                    run.report.cache_misses, 0,
+                    "epoch {}: every row fits",
+                    run.epoch
+                );
+                let structure = seq_report.h2d_bytes - seq_report.cache_misses * row_bytes;
+                assert_eq!(
+                    run.report.h2d_bytes, structure,
+                    "epoch {}: a full cache ships block structure only",
+                    run.epoch
+                );
+            }
             if budget == 0 {
                 assert_eq!(run.report.cache_hits, 0, "an empty cache must never hit");
                 assert_eq!(
@@ -250,8 +266,8 @@ fn cache_budget_never_changes_the_trajectory() {
         }
     }
 
-    // Two lanes: each caches its own hottest owned vertices, and no budget
-    // moves the (deterministic) R = 2 trajectory either.
+    // Two lanes: each caches its own owned vertices in presample order, and
+    // no budget moves the (deterministic) R = 2 trajectory either.
     let run_r2 = |budget: u64| {
         Session::new(SessionConfig {
             replicas: 2,
@@ -271,6 +287,9 @@ fn cache_budget_never_changes_the_trajectory() {
                 want_cached(budget, 2),
                 "R=2 budget {budget}"
             );
+            if budget == budgets[2] {
+                assert_eq!(run.cache_vertices, n, "two lanes cache every row");
+            }
         }
     }
 }
