@@ -1,7 +1,7 @@
 //! The concurrency primitives a [`Session`] is built from — the bounded
-//! channel its lanes stage into (`Bounded`), the busy-time counters
-//! (`BusyNs`) and the drop guard that closes channels on every exit path
-//! (`Defer`). The runner itself lives in [`crate::replica`]; the staging
+//! channel its lanes stage into (`Bounded`), the refresh worker's busy
+//! time (`BusyNs`) and the drop guard that closes channels on every exit
+//! path (`Defer`). The runner itself lives in [`crate::replica`]; the staging
 //! it runs, in [`crate::pipeline::stage_batch`].
 
 use crate::session::{Session, SessionConfig};
@@ -152,7 +152,7 @@ pub(crate) enum RecvTimeout<T> {
     TimedOut,
 }
 
-/// Accumulates busy nanoseconds across worker threads.
+/// The refresh worker's busy nanoseconds, credited by wall-clock window.
 #[derive(Default)]
 pub(crate) struct BusyNs(AtomicU64);
 

@@ -1,8 +1,8 @@
 //! The stage-graph vocabulary shared by every executor — [`PipelineConfig`]
 //! (staging depth, simulated H2D link) and [`PipelineReport`] (per-stage
 //! busy seconds and bytes of one epoch) — the **one staging path**
-//! ([`stage_batch`]: sample → gather → transfer of one batch, timed into
-//! [`StageCounters`]) and the **sequential reference** a session is
+//! ([`stage_batch`]: sample → gather → transfer of one batch, which
+//! returns its stats) and the **sequential reference** a session is
 //! measured and checked against ([`run_epoch_sequential`]).
 //!
 //! A session lane and the sequential reference stage every batch through
@@ -30,7 +30,6 @@
 //! historical-embedding read observes a version gap `< 2n`, enforced hard
 //! by the bounded [`neutron_cache::EmbeddingStore`].
 
-use crate::engine::BusyNs;
 use crate::gather::{GatheredFeatures, StagedBatch};
 use crate::pool::BatchBuffers;
 use crate::refresh::InlineRefresh;
@@ -40,8 +39,6 @@ use neutron_cache::FeatureCache;
 use neutron_graph::{Dataset, VertexId};
 use neutron_sample::{BlockBuilder, LocalityCounts, NeighborSampler};
 use neutron_tensor::alloc::{self, Stage};
-use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 /// Stage-graph shape: staging depth and the simulated link.
@@ -120,9 +117,9 @@ pub struct PipelineReport {
     /// `cache_hits + cache_misses` is the epoch's total gathered vertex
     /// count, invariant across cache budgets.
     pub cache_misses: u64,
-    /// Failure/recovery timeline recorded during the epoch: injected
-    /// faults, detections and the supervisor's responses, in detection
-    /// order. Empty in healthy epochs.
+    /// Failure/recovery timeline of the epoch: the injected faults,
+    /// detections and supervisor responses whose `epoch` is this one, in
+    /// detection order. Empty in healthy epochs.
     pub failures: Vec<crate::fault::FailureEvent>,
 }
 
@@ -136,38 +133,6 @@ impl PipelineReport {
     /// the pipeline kept the trainer perfectly fed).
     pub fn train_occupancy(&self) -> f64 {
         self.train_seconds / self.epoch_seconds.max(1e-12)
-    }
-}
-
-/// The monotone staging counters of one lane (or of one sequential epoch):
-/// [`stage_batch`] updates them before it returns the batch they describe,
-/// so draining a lane's staging channel synchronises the train thread's
-/// reads at epoch boundaries.
-#[derive(Default)]
-pub struct StageCounters {
-    pub(crate) h2d_bytes: AtomicU64,
-    pub(crate) remote_feature_bytes: AtomicU64,
-    pub(crate) local_picks: AtomicU64,
-    pub(crate) remote_picks: AtomicU64,
-    pub(crate) sample_busy: BusyNs,
-    pub(crate) gather_busy: BusyNs,
-    pub(crate) transfer_busy: BusyNs,
-}
-
-impl StageCounters {
-    /// The counters' current values; an epoch's stats are the difference of
-    /// two snapshots ([`ReplicaEpochStats::since`]).
-    pub(crate) fn snapshot(&self) -> ReplicaEpochStats {
-        ReplicaEpochStats {
-            sample_seconds: self.sample_busy.seconds(),
-            gather_seconds: self.gather_busy.seconds(),
-            transfer_seconds: self.transfer_busy.seconds(),
-            h2d_bytes: self.h2d_bytes.load(Relaxed),
-            remote_feature_bytes: self.remote_feature_bytes.load(Relaxed),
-            local_picks: self.local_picks.load(Relaxed),
-            remote_picks: self.remote_picks.load(Relaxed),
-            ..ReplicaEpochStats::default()
-        }
     }
 }
 
@@ -188,14 +153,12 @@ pub struct StageInputs<'a> {
     pub partition: Option<(&'a [u32], u32)>,
     /// Draw partition-local neighbours first (needs `partition`).
     pub locality_aware: bool,
-    /// Where the stages' busy time, bytes and picks accumulate.
-    pub counters: &'a StageCounters,
 }
 
 /// Stages one batch — the paper's sample → gather (collect, then transfer)
 /// path, written once for every executor: a session lane, the sequential
 /// reference and [`ConvergenceTrainer::train_epoch`]. In order, each step
-/// timed into `inputs.counters` and tagged with its alloc [`Stage`]:
+/// timed into the returned stats and tagged with its alloc [`Stage`]:
 ///
 /// 1. sample through the pooled sampler (locality-biased when
 ///    `inputs.locality_aware`), drawing block buffers from `builder` and
@@ -203,6 +166,9 @@ pub struct StageInputs<'a> {
 /// 2. the cache-keyed gather of the bottom block's sources;
 /// 3. the transfer: account the batch's H2D bytes and, on a simulated link,
 ///    stall for their PCIe time.
+///
+/// Returns the staged batch with its own stats (`batches: 1`), which the
+/// consumer adds into the epoch the batch belongs to.
 ///
 /// `seed` is the batch's sampling seed ([`batch_sample_seed`]). A fresh
 /// `builder` and `bufs` allocate; recycled ones only lend capacity, so the
@@ -214,8 +180,9 @@ pub fn stage_batch(
     seed: u64,
     builder: &mut BlockBuilder,
     mut bufs: BatchBuffers,
-) -> StagedBatch {
-    let (dataset, sampler, counters) = (inputs.dataset, inputs.sampler, inputs.counters);
+) -> (StagedBatch, ReplicaEpochStats) {
+    let (dataset, sampler) = (inputs.dataset, inputs.sampler);
+    let row_bytes = dataset.spec.feature_row_bytes();
     let caller_stage = alloc::set_stage(Stage::Sample);
     let t_sample = Instant::now();
     bufs.donate_to(builder);
@@ -230,11 +197,14 @@ pub fn stage_batch(
         let src = blocks[0].src();
         src.iter().filter(|&&v| owner[v as usize] != part).count() as u64
     });
-    let pulled = remote_rows * dataset.spec.feature_row_bytes();
-    counters.remote_feature_bytes.fetch_add(pulled, Relaxed);
-    counters.local_picks.fetch_add(picks.local_picks, Relaxed);
-    counters.remote_picks.fetch_add(picks.remote_picks, Relaxed);
-    counters.sample_busy.add(t_sample);
+    let mut stats = ReplicaEpochStats {
+        remote_feature_bytes: remote_rows * row_bytes,
+        local_picks: picks.local_picks,
+        remote_picks: picks.remote_picks,
+        batches: 1,
+        sample_seconds: t_sample.elapsed().as_secs_f64(),
+        ..ReplicaEpochStats::default()
+    };
 
     alloc::set_stage(Stage::Gather);
     let t_gather = Instant::now();
@@ -245,7 +215,12 @@ pub fn stage_batch(
         "hits + misses must cover the bottom block's sources"
     );
     debug_assert_eq!(features.miss_rows(), features.num_misses());
-    counters.gather_busy.add(t_gather);
+    debug_assert_eq!(
+        features.h2d_feature_bytes(),
+        features.num_misses() as u64 * row_bytes,
+        "only miss rows may cross the link"
+    );
+    stats.gather_seconds = t_gather.elapsed().as_secs_f64();
 
     // Transfer: only miss rows and block structure cross the link.
     alloc::set_stage(Stage::Transfer);
@@ -256,16 +231,15 @@ pub fn stage_batch(
         features,
         bufs,
     };
-    let bytes = staged.h2d_bytes();
-    counters.h2d_bytes.fetch_add(bytes, Relaxed);
+    stats.h2d_bytes = staged.h2d_bytes();
     let gibps = inputs.pipeline.h2d_gibps;
     if gibps > 0.0 {
-        let secs = bytes as f64 / (gibps * (1u64 << 30) as f64);
+        let secs = stats.h2d_bytes as f64 / (gibps * (1u64 << 30) as f64);
         std::thread::sleep(Duration::from_secs_f64(secs));
     }
-    counters.transfer_busy.add(t_transfer);
+    stats.transfer_seconds = t_transfer.elapsed().as_secs_f64();
     alloc::set_stage(caller_stage);
-    staged
+    (staged, stats)
 }
 
 /// The unpipelined baseline: [`stage_batch`] and the train stage executed
@@ -289,7 +263,6 @@ pub fn run_epoch_sequential(
     let config_seed = trainer.config().seed;
     let batches = trainer.epoch_batches(epoch);
     let empty_cache = FeatureCache::empty();
-    let counters = StageCounters::default();
     let inputs = StageInputs {
         pipeline: config,
         dataset: &dataset,
@@ -297,25 +270,25 @@ pub fn run_epoch_sequential(
         cache: &empty_cache,
         partition: None,
         locality_aware: false,
-        counters: &counters,
     };
-    let mut cache_misses = 0u64;
+    let (mut cache_misses, mut stats) = (0u64, ReplicaEpochStats::default());
     let wall = Instant::now();
     let items = batches.iter().enumerate().map(|(i, batch)| {
         let seed = batch_sample_seed(config_seed, epoch, i);
         let bufs = BatchBuffers::new();
-        let staged = stage_batch(&inputs, i, batch, seed, &mut BlockBuilder::new(), bufs);
+        let (staged, batch_stats) =
+            stage_batch(&inputs, i, batch, seed, &mut BlockBuilder::new(), bufs);
+        stats.add(&batch_stats);
         cache_misses += staged.features.num_misses() as u64;
         staged.into_prepared(&empty_cache)
     });
     let prev_stage = alloc::set_stage(Stage::Train);
-    let stats = trainer.train_batches_recycling(items, &mut InlineRefresh::default(), |_| {});
+    let train = trainer.train_batches_recycling(items, &mut InlineRefresh::default(), |_| {});
     alloc::set_stage(prev_stage);
 
     // Same timed region as a session epoch: stage graph only, no eval.
     let epoch_seconds = wall.elapsed().as_secs_f64();
-    let observation = trainer.observe_epoch(stats);
-    let stats = counters.snapshot();
+    let observation = trainer.observe_epoch(train);
     let staged = stats.sample_seconds + stats.gather_seconds + stats.transfer_seconds;
     let report = PipelineReport {
         epoch_seconds,

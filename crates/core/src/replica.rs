@@ -16,9 +16,11 @@
 //!   to it and prepares its batches on one dedicated *fused* worker thread
 //!   (sample, gather and transfer back to back:
 //!   [`crate::pipeline::stage_batch`]) into its own staging channel, in
-//!   batch order. Spent buffer bundles return through one
-//!   pool all lanes share, so warm epochs allocate (near) nothing on the
-//!   staging path (`tests/alloc_budget.rs`).
+//!   batch order, the attempt's epochs back to back: at most one channel
+//!   depth ahead of the train thread, each batch carrying its own staging
+//!   stats into the epoch it belongs to. Spent buffer bundles return
+//!   through one pool all lanes share, so warm epochs allocate (near)
+//!   nothing on the staging path (`tests/alloc_budget.rs`).
 //! - **One cache rule.** Lane r caches its owned vertices in descending
 //!   presample order ([`ConvergenceTrainer::presample_order`]) until
 //!   [`SessionConfig::gpu_free_bytes`] is spent: the hot set first, then
@@ -89,7 +91,7 @@ use crate::checkpoint::CheckpointError;
 use crate::engine::{Bounded, BusyNs, Defer, RecvTimeout};
 use crate::fault::{FailureAction, FailureEvent, FailurePolicy};
 use crate::gather::StagedBatch;
-use crate::pipeline::{stage_batch, PipelineReport, StageCounters, StageInputs};
+use crate::pipeline::{stage_batch, PipelineReport, StageInputs};
 use crate::pool::BatchBuffers;
 use crate::refresh::{CpuPart, RefreshBackend, RefreshOutput, RefreshTask};
 use crate::session::{
@@ -185,7 +187,6 @@ pub(crate) fn run_fused(
         caches: (0..replicas)
             .map(|r| replica_cache(config, trainer, &dataset, &partition, r))
             .collect(),
-        counters: (0..replicas).map(|_| StageCounters::default()).collect(),
         checkpointer: Checkpointer::new(config, trainer),
         started,
         dataset,
@@ -278,7 +279,6 @@ struct Shared<'a> {
     dataset: Arc<Dataset>,
     partition: Partition,
     caches: Vec<FeatureCache>,
-    counters: Vec<StageCounters>,
     checkpointer: Checkpointer<'a>,
     started: Instant,
 }
@@ -326,23 +326,18 @@ impl Shared<'_> {
                 BatchIterator::new(owned.collect(), batch_size, config_seed)
             })
             .collect();
-        // Batches each replica's train list holds an epoch (0 outside the
-        // attempt), and the steps every lane can fill: no lane stages a
-        // tail batch the others cannot match.
-        let mut scheduled = vec![0; config.replicas];
-        for (&r, it) in lanes.iter().zip(&iterators) {
-            scheduled[r] = it.batches_per_epoch();
-        }
-        let steps = lanes.iter().map(|&r| scheduled[r]).min().unwrap_or(0);
+        // The steps every lane can fill an epoch: no lane stages a tail
+        // batch the others cannot match.
+        let per_lane = iterators.iter().map(BatchIterator::batches_per_epoch);
+        let steps = per_lane.min().unwrap_or(0);
 
         // The train loop holds `lookahead` steps itself; they count against
         // each lane's staging depth.
         let lookahead = trainer.lookahead();
         let staged_depth = config.pipeline.train_feed_depth(lookahead);
-        // A lane's job is the epoch to stage: the per-epoch gate that keeps
-        // the epoch's counter snapshots exact.
-        let job_channels: Vec<Bounded<usize>> = lanes.iter().map(|_| Bounded::new(1)).collect();
-        let staged_channels: Vec<Bounded<StagedBatch>> =
+        // Each staged batch travels with its own stats; the channel bound is
+        // all that holds a lane back, across epoch ends too.
+        let staged_channels: Vec<Bounded<(StagedBatch, ReplicaEpochStats)>> =
             lanes.iter().map(|_| Bounded::new(staged_depth)).collect();
         // One return pool, sized for every lane at once: a spent bundle
         // serves whichever lane stages next.
@@ -356,33 +351,28 @@ impl Shared<'_> {
         let caller_stage = alloc::set_stage(Stage::Train);
 
         let outcome = std::thread::scope(|scope| {
-            // Unblock every worker on unwind or normal exit: waking the
-            // job channels ends their loops, waking the staging channels
-            // unblocks any worker parked on a full channel, closing the
-            // refresh channels ends the refresh worker, and tearing the
-            // supervisor down frees workers parked in an injected stall.
+            // Unblock every worker on unwind or normal exit: closing the
+            // staging channels unblocks any lane parked on a full one,
+            // closing the refresh channels ends the refresh worker, and
+            // tearing the supervisor down frees workers parked in an
+            // injected stall.
             let _teardown = Defer(|| {
                 supervisor.tear_down();
                 tasks.close();
                 outputs.close();
-                job_channels.iter().for_each(Bounded::close);
                 staged_channels.iter().for_each(Bounded::close);
                 pool.close();
             });
 
             let (supervisor, pool, sampler) = (&supervisor, &pool, &sampler);
             for (lane, &r) in lanes.iter().enumerate() {
-                let (jobs, staged_tx) = (&job_channels[lane], &staged_channels[lane]);
-                let iterator = &iterators[lane];
-                let seed = lane_seed(config_seed, r);
+                let (staged_tx, iterator) = (&staged_channels[lane], &iterators[lane]);
+                let (seed, lane_epochs) = (lane_seed(config_seed, r), epochs.clone());
                 scope.spawn(move || {
-                    // Poison both endpoints on every exit path so the
+                    // Close the staging channel on every exit path so the
                     // supervisor sees a closed channel instead of blocking
                     // forever on a dead lane.
-                    let _poison = Defer(|| {
-                        staged_tx.close();
-                        jobs.close();
-                    });
+                    let _poison = Defer(|| staged_tx.close());
                     let body = AssertUnwindSafe(|| {
                         let inputs = StageInputs {
                             pipeline: &config.pipeline,
@@ -391,11 +381,10 @@ impl Shared<'_> {
                             cache: &self.caches[r],
                             partition: Some((&self.partition.assignment, r as u32)),
                             locality_aware,
-                            counters: &self.counters[r],
                         };
                         let mut builder = BlockBuilder::default();
                         let mut batches = EpochBatches::default();
-                        while let Some(epoch) = jobs.recv() {
+                        for epoch in lane_epochs {
                             iterator.fill_epoch_batches(epoch, &mut batches);
                             for i in 0..steps {
                                 if supervisor.fault_hook("replica", r, epoch, i).is_break() {
@@ -473,15 +462,9 @@ impl Shared<'_> {
                 let refresh_rows_before = trainer.refresh_rows();
                 let refresh_busy_before = refresh_busy.seconds();
                 let collect_wait_before = backend.wait;
-                let baselines: Vec<ReplicaEpochStats> =
-                    self.counters.iter().map(|c| c.snapshot()).collect();
-                for jobs in &job_channels {
-                    // A worker that died after its last drain shows up as a
-                    // closed channel here; the feed below detects it.
-                    let _ = jobs.send(epoch);
-                }
 
                 let (mut wait, mut cache_hits, mut cache_misses) = (Duration::ZERO, 0u64, 0u64);
+                let mut per_replica = vec![ReplicaEpochStats::default(); config.replicas];
                 let mut epoch_error = None;
                 let train_wall = Instant::now();
                 let feed = (0..steps).map_while(|si| {
@@ -491,8 +474,9 @@ impl Shared<'_> {
                         let got = staged_rx.recv_timeout(stall_timeout);
                         wait += blocked.elapsed();
                         let detail = match got {
-                            RecvTimeout::Item(staged) => {
+                            RecvTimeout::Item((staged, stats)) => {
                                 debug_assert_eq!(staged.index, si);
+                                per_replica[r].add(&stats);
                                 cache_hits += staged.features.num_hits() as u64;
                                 cache_misses += staged.features.num_misses() as u64;
                                 step.push(staged.into_prepared(&self.caches[r]));
@@ -534,12 +518,6 @@ impl Shared<'_> {
                 // Starvation = blocked on the lanes + blocked on the refresh
                 // worker at super-batch boundaries (see `WorkerRefresh::wait`).
                 let train_wait = (wait + (backend.wait - collect_wait_before)).as_secs_f64();
-                let per_replica: Vec<ReplicaEpochStats> = (0..config.replicas)
-                    .map(|r| {
-                        let now = self.counters[r].snapshot();
-                        now.since(&baselines[r], steps.min(scheduled[r]), scheduled[r])
-                    })
-                    .collect();
 
                 let remote_feature_bytes: u64 =
                     per_replica.iter().map(|s| s.remote_feature_bytes).sum();
@@ -569,7 +547,7 @@ impl Shared<'_> {
                     reorder_peak: 0,
                     cache_hits,
                     cache_misses,
-                    failures: supervisor.take_timeline(),
+                    failures: supervisor.take_timeline(epoch),
                 };
 
                 let pre_eval_stage = alloc::set_stage(Stage::Other);
@@ -625,7 +603,7 @@ impl Shared<'_> {
             }
         });
         alloc::set_stage(caller_stage);
-        *timeline = supervisor.take_timeline();
+        *timeline = supervisor.take_timeline(usize::MAX);
         outcome
     }
 }

@@ -92,7 +92,9 @@ impl Default for SessionConfig {
     }
 }
 
-/// One epoch's staging measurements for a single lane.
+/// One lane's staging stats over one batch ([`crate::pipeline::stage_batch`]
+/// returns them with it) or one epoch (the sum over the batches its steps
+/// took from the lane, however early each was staged).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplicaEpochStats {
     /// Busy seconds of this replica's sampling phase.
@@ -102,7 +104,7 @@ pub struct ReplicaEpochStats {
     /// Busy seconds of this replica's transfer phase (incl. simulated
     /// PCIe stall).
     pub transfer_seconds: f64,
-    /// Host→device bytes this replica staged this epoch.
+    /// Host→device bytes this replica staged.
     pub h2d_bytes: u64,
     /// Feature bytes this replica pulled for source vertices its
     /// partition does not own — the interconnect (not PCIe) traffic.
@@ -112,10 +114,9 @@ pub struct ReplicaEpochStats {
     pub local_picks: u64,
     /// Neighbor picks that landed on remote vertices.
     pub remote_picks: u64,
-    /// Batches this replica contributed to the epoch's steps.
+    /// Batches these stats cover: 1 for one batch; an epoch's steps for a
+    /// lane of its attempt.
     pub batches: usize,
-    /// Tail batches dropped because another replica had fewer.
-    pub dropped_batches: usize,
 }
 
 /// One epoch of a session.
@@ -128,8 +129,9 @@ pub struct EpochRun {
     /// Measured per-stage breakdown, summed across replicas. `num_batches`
     /// counts optimizer *steps*, so series line up at every R.
     pub report: PipelineReport,
-    /// Per-lane staging breakdown, indexed by replica id (zero for a
-    /// replica a `DropReplica` replay runs without).
+    /// Per-lane staging breakdown, indexed by replica id: the sum of the
+    /// stats of every batch the epoch's steps took from the lane (zero for
+    /// a replica a `DropReplica` replay runs without).
     pub per_replica: Vec<ReplicaEpochStats>,
     /// Optimizer steps this epoch (min batch count across the lanes).
     pub steps: usize,
@@ -354,21 +356,16 @@ impl Session {
 // ---------------------------------------------------------------------------
 
 impl ReplicaEpochStats {
-    /// What one epoch added to a lane's counters: this snapshot minus the
-    /// one taken at the epoch's start, for a lane that contributed `batches`
-    /// of the `scheduled` batches its partition had.
-    pub(crate) fn since(&self, base: &Self, batches: usize, scheduled: usize) -> Self {
-        Self {
-            sample_seconds: self.sample_seconds - base.sample_seconds,
-            gather_seconds: self.gather_seconds - base.gather_seconds,
-            transfer_seconds: self.transfer_seconds - base.transfer_seconds,
-            h2d_bytes: self.h2d_bytes - base.h2d_bytes,
-            remote_feature_bytes: self.remote_feature_bytes - base.remote_feature_bytes,
-            local_picks: self.local_picks - base.local_picks,
-            remote_picks: self.remote_picks - base.remote_picks,
-            batches,
-            dropped_batches: scheduled.saturating_sub(batches),
-        }
+    /// Adds `other`'s stats (one batch's, typically) into these.
+    pub(crate) fn add(&mut self, other: &Self) {
+        self.sample_seconds += other.sample_seconds;
+        self.gather_seconds += other.gather_seconds;
+        self.transfer_seconds += other.transfer_seconds;
+        self.h2d_bytes += other.h2d_bytes;
+        self.remote_feature_bytes += other.remote_feature_bytes;
+        self.local_picks += other.local_picks;
+        self.remote_picks += other.remote_picks;
+        self.batches += other.batches;
     }
 }
 
@@ -424,9 +421,15 @@ impl Supervisor {
         self.timeline.lock().unwrap().push(event);
     }
 
-    /// Hands the timeline recorded since the last call to an epoch report.
-    pub(crate) fn take_timeline(&self) -> Vec<FailureEvent> {
-        std::mem::take(&mut *self.timeline.lock().unwrap())
+    /// Hands the events recorded for epochs up to `through` to that
+    /// epoch's report, in detection order; later epochs' events (a lane
+    /// staging ahead, or a replay resuming before the failed epoch) wait
+    /// for their own epoch.
+    pub(crate) fn take_timeline(&self, through: usize) -> Vec<FailureEvent> {
+        let mut timeline = self.timeline.lock().unwrap();
+        let (due, later) = timeline.drain(..).partition(|event| event.epoch <= through);
+        *timeline = later;
+        due
     }
 
     fn observed(&self, worker: usize, epoch: usize, step: usize, detail: String) {
@@ -592,7 +595,7 @@ mod tests {
             sup.tear_down();
             assert!(parked.join().unwrap().is_break());
         });
-        let events = sup.take_timeline();
+        let events = sup.take_timeline(0);
         assert_eq!(events.len(), 1);
         assert!(events[0].detail.contains("stall"));
         // One-shot: after teardown a late call falls straight through.

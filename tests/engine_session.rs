@@ -12,7 +12,9 @@ use neutronorch::core::fault::{FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
 use neutronorch::core::pool::BatchBuffers;
 use neutronorch::core::refresh::InlineRefresh;
-use neutronorch::core::session::{Session, SessionConfig, SessionError, SessionReport};
+use neutronorch::core::session::{
+    ReplicaEpochStats, Session, SessionConfig, SessionError, SessionReport,
+};
 use neutronorch::core::trainer::{
     batch_sample_seed, ConvergenceTrainer, EpochObservation, PreparedBatch, ReusePolicy,
     TrainerConfig,
@@ -155,8 +157,11 @@ fn sharded_refresh_is_bit_identical_at_any_worker_count() {
 }
 
 /// One session is also bit-identical to many single-epoch sessions,
-/// proving the parked workers and the in-flight refresh hand-off across
-/// epoch boundaries change nothing.
+/// proving the persistent workers and the in-flight refresh hand-off across
+/// epoch boundaries change nothing. At one lane and at two: lanes of one
+/// session stage into the next epoch before the current one ends, those of
+/// a single-epoch session cannot, and every lane's per-epoch stats agree —
+/// a batch's stats count in the epoch it belongs to, whenever it was staged.
 #[test]
 fn one_session_equals_many_single_epoch_sessions() {
     let policy = || ReusePolicy::HotnessAware {
@@ -164,17 +169,56 @@ fn one_session_equals_many_single_epoch_sessions() {
         super_batch: 3,
     };
     let epochs = 3;
-    let mut many = trainer(policy());
-    let single_epoch = Session::new(SessionConfig::default());
-    let reference: Vec<_> = (0..epochs)
-        .map(|e| single_epoch.run_session(&mut many, e, 1).epochs[0].observation)
-        .collect();
-    let mut once = trainer(policy());
-    let session = engine(2, 1).run_session(&mut once, 0, epochs);
-    for (run, want) in session.epochs.iter().zip(&reference) {
-        assert_eq!(run.observation.train_loss, want.train_loss);
-        assert_eq!(run.observation.test_accuracy, want.test_accuracy);
+    for replicas in [1, 2] {
+        let mut many = trainer(policy());
+        let single_epoch = Session::new(SessionConfig {
+            replicas,
+            ..SessionConfig::default()
+        });
+        let reference: Vec<_> = (0..epochs)
+            .map(|e| single_epoch.run_session(&mut many, e, 1).epochs.remove(0))
+            .collect();
+        let mut once = trainer(policy());
+        let session = Session::new(SessionConfig {
+            replicas,
+            ..config(2, 1)
+        })
+        .run_session(&mut once, 0, epochs);
+        for (run, want) in session.epochs.iter().zip(&reference) {
+            let what = format!("R = {replicas}, epoch {}", run.epoch);
+            let (got, want_obs) = (&run.observation, &want.observation);
+            assert_eq!(got.train_loss, want_obs.train_loss, "{what}");
+            assert_eq!(got.test_accuracy, want_obs.test_accuracy, "{what}");
+            assert_eq!(run.report.h2d_bytes, want.report.h2d_bytes, "{what}");
+            assert_eq!(run.report.cache_hits, want.report.cache_hits, "{what}");
+            assert_eq!(run.report.cache_misses, want.report.cache_misses, "{what}");
+            assert_eq!(run.per_replica.len(), replicas, "{what}");
+            for (got, want) in run.per_replica.iter().zip(&want.per_replica) {
+                assert_eq!(lane_counts(got), lane_counts(want), "{what}");
+                assert_eq!(got.batches, run.steps, "{what}");
+            }
+        }
     }
+}
+
+/// A lane's byte, pick and batch counts — its per-epoch stats less the
+/// busy seconds.
+fn lane_counts(s: &ReplicaEpochStats) -> (u64, u64, u64, u64, usize) {
+    let ReplicaEpochStats {
+        h2d_bytes,
+        remote_feature_bytes,
+        local_picks,
+        remote_picks,
+        batches,
+        ..
+    } = *s;
+    (
+        h2d_bytes,
+        remote_feature_bytes,
+        local_picks,
+        remote_picks,
+        batches,
+    )
 }
 
 /// Bit-identity is independent of the GPU feature-cache budget: the cache

@@ -180,6 +180,10 @@ fn engine_straggler_completes_bit_identically() {
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].action, FailureAction::Observed);
     assert!(events[0].detail.contains("straggler"));
+    // Reported in the epoch it names, though the lane may stage epoch 1's
+    // first batch while epoch 0 is still training.
+    assert_eq!(session.epochs[1].report.failures.len(), 1);
+    assert_eq!(session.epochs[1].report.failures[0].epoch, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,6 +331,46 @@ fn replicated_panic_with_restore_policy_matches_the_fault_free_run() {
         .collect();
     assert_eq!(restores.len(), 1, "exactly one rollback");
     assert_eq!(restores[0].epoch, 2);
+}
+
+/// Every failure event lands in the report of the epoch it names. Here the
+/// restore resumes from a checkpoint older than the failed epoch (written
+/// after epoch 1, the failure in epoch 3): the replayed epoch 2 reports
+/// nothing, epoch 3 its fault and the rollback, and epoch 4 a straggler a
+/// lane may meet while staging ahead of the train thread.
+#[test]
+fn failure_events_are_reported_in_the_epoch_they_name() {
+    let path = ck_path("event-epochs");
+    let mut t = trainer();
+    let session = Session::new(SessionConfig {
+        checkpoint_every: 2,
+        ..restoring("panic@r1e3s1,straggler@r0e4s0", &path)
+            .config()
+            .clone()
+    })
+    .run_session_checked(&mut t, 0, 5)
+    .expect("restore policy must recover");
+    std::fs::remove_file(&path).ok();
+
+    assert_eq!(session.epochs.len(), 5);
+    for run in &session.epochs {
+        for event in &run.report.failures {
+            assert_eq!(event.epoch, run.epoch, "{event:?} in epoch {}", run.epoch);
+        }
+    }
+    use FailureAction::{Observed, RestoredCheckpoint};
+    let actions = session.series(|run| {
+        let events = run.report.failures.iter();
+        events.map(|event| event.action).collect::<Vec<_>>()
+    });
+    let want = [
+        vec![],
+        vec![],
+        vec![],
+        vec![Observed, RestoredCheckpoint],
+        vec![Observed],
+    ];
+    assert_eq!(actions, want);
 }
 
 /// A session that keeps failing after every rollback gives up after four
