@@ -22,17 +22,24 @@ pub struct Fig10Row {
 /// Computes the full Fig 10 grid.
 pub fn data(setup: Setup) -> Vec<Fig10Row> {
     let hw = HardwareSpec::v100_server(1.0);
+    // Sampling does not depend on the model, so each replica is built and
+    // profiled once; the other models are derived with `with_kind`.
+    let profiles: Vec<_> = setup
+        .datasets()
+        .iter()
+        .map(|spec| crate::build_profile(setup, spec, LayerKind::ALL[0], 3, 1024))
+        .collect();
     let mut rows = Vec::new();
     for kind in LayerKind::ALL {
-        for spec in setup.datasets() {
-            let profile = crate::build_profile(setup, &spec, kind, 3, 1024);
+        for base in &profiles {
+            let profile = base.with_kind(kind);
             let cells = roster(kind)
                 .into_iter()
                 .map(|(name, sys)| (name.to_string(), super::cell(sys.as_deref(), &profile, &hw)))
                 .collect();
             rows.push(Fig10Row {
                 model: kind,
-                dataset: spec.name,
+                dataset: base.spec.name,
                 cells,
             });
         }

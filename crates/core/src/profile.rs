@@ -320,17 +320,31 @@ fn paper_coverage_curve(
         dst = picks.min(v_paper * (1.0 - (-picks / v_paper).exp()));
     }
     let target_fraction = (dst / v_paper).clamp(1e-6, 1.0);
-    // Replica degree distribution, descending — the skew shape.
-    let mut degs: Vec<f64> = (0..csr.num_vertices())
-        .map(|v| csr.degree(v as u32) as f64)
+    // Replica degree distribution, descending — the skew shape — as runs of
+    // equal degree: `1 − exp(−c·deg)` is evaluated once a run and added once
+    // a vertex, in vertex order, so every sum is the per-vertex one bit for
+    // bit at a few hundred `exp` calls instead of one a vertex.
+    let mut degs: Vec<usize> = (0..csr.num_vertices())
+        .map(|v| csr.degree(v as u32))
         .collect();
-    degs.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
+    degs.sort_unstable_by(|a, b| b.cmp(a));
     if degs.is_empty() {
         return vec![0.0; 1001];
     }
+    let mut runs: Vec<(f64, usize)> = Vec::new();
+    for &d in &degs {
+        match runs.last_mut() {
+            Some((rd, k)) if *rd == d as f64 => *k += 1,
+            _ => runs.push((d as f64, 1)),
+        }
+    }
+    let per_vertex = |c: f64| {
+        runs.iter()
+            .flat_map(move |&(d, k)| std::iter::repeat_n(1.0 - (-c * d).exp(), k))
+    };
     let n = degs.len() as f64;
     // Bisect c so that mean(1 − exp(−c·deg)) == target_fraction.
-    let mean_p = |c: f64| degs.iter().map(|&d| 1.0 - (-c * d).exp()).sum::<f64>() / n;
+    let mean_p = |c: f64| per_vertex(c).sum::<f64>() / n;
     let (mut lo, mut hi) = (1e-12f64, 1e3f64);
     for _ in 0..80 {
         let mid = (lo * hi).sqrt();
@@ -341,7 +355,7 @@ fn paper_coverage_curve(
         }
     }
     let c = (lo * hi).sqrt();
-    let ps: Vec<f64> = degs.iter().map(|&d| 1.0 - (-c * d).exp()).collect();
+    let ps: Vec<f64> = per_vertex(c).collect();
     let total: f64 = ps.iter().sum::<f64>().max(1e-12);
     // Cumulative coverage at 1/1000 vertex-ratio granularity.
     let mut curve = Vec::with_capacity(1001);
@@ -383,6 +397,29 @@ mod tests {
         // Cycling beyond the profiled range works.
         let _ = p.stats(100);
         let _ = p.one_hop_stats(100);
+    }
+
+    #[test]
+    fn with_kind_equals_a_build_for_that_kind() {
+        // `exp fig10` profiles each replica once and derives the other
+        // models with `with_kind`, which holds only while the build reads
+        // nothing of `config.kind`.
+        let gcn = tiny_profile();
+        for kind in LayerKind::ALL {
+            let mut cfg = gcn.config.clone();
+            cfg.kind = kind;
+            let built = WorkloadProfile::build(&gcn.spec, &cfg);
+            let derived = gcn.with_kind(kind);
+            assert_eq!(derived.config.kind, kind);
+            assert_eq!(
+                format!("{:?}", derived.per_batch),
+                format!("{:?}", built.per_batch)
+            );
+            assert_eq!(derived.hot.vertices(), built.hot.vertices());
+            assert_eq!(derived.presample_coverage, built.presample_coverage);
+            assert_eq!(derived.paper_coverage_curve, built.paper_coverage_curve);
+            assert_eq!(derived.hot_one_hop_edges, built.hot_one_hop_edges);
+        }
     }
 
     #[test]

@@ -1,4 +1,14 @@
 //! Edge-stream graph builder.
+//!
+//! [`GraphBuilder::build`] works straight off the buffered edge list: one
+//! counting pass sizes every row for both directions (skipping self-loops
+//! inline), one scatter writes the forward edges and, for a symmetric build,
+//! a second writes the reversed ones into the same `targets` buffer. No
+//! reversed copy of the edge list is made. Deduplication then runs in place:
+//! each row is sorted (or, when it is at least as long as the vertex bitset
+//! has words, marked in a bitset and read back in order) and its unique
+//! targets compacted towards the front of `targets`, rewriting `offsets` in
+//! the same walk.
 
 use crate::csr::{Csr, VertexId};
 
@@ -59,51 +69,79 @@ impl GraphBuilder {
     }
 
     /// Finalises into CSR (in-neighbor orientation).
-    pub fn build(mut self) -> Csr {
-        if self.symmetric {
-            let rev: Vec<_> = self.edges.iter().map(|&(s, d)| (d, s)).collect();
-            self.edges.extend(rev);
-        }
-        if self.drop_self_loops {
-            self.edges.retain(|&(s, d)| s != d);
-        }
-        // Bucket by destination: CSR rows are in-neighbor lists.
+    ///
+    /// Before dedup, row `v` holds the sources of the forward edges into `v`
+    /// in stream order, then (symmetric builds) the destinations of the
+    /// forward edges out of `v` in stream order; after dedup it is sorted and
+    /// unique.
+    pub fn build(self) -> Csr {
         let n = self.num_vertices;
-        let mut counts = vec![0u64; n + 1];
-        for &(_, d) in &self.edges {
-            counts[d as usize + 1] += 1;
+        let kept = |&(s, d): &(VertexId, VertexId)| !(self.drop_self_loops && s == d);
+        // Bucket by destination: CSR rows are in-neighbor lists.
+        let mut offsets = vec![0u64; n + 1];
+        for &(s, d) in self.edges.iter().filter(|e| kept(e)) {
+            offsets[d as usize + 1] += 1;
+            if self.symmetric {
+                offsets[s as usize + 1] += 1;
+            }
         }
         for i in 0..n {
-            counts[i + 1] += counts[i];
+            offsets[i + 1] += offsets[i];
         }
-        let offsets_raw = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![0 as VertexId; self.edges.len()];
-        for &(s, d) in &self.edges {
-            let slot = cursor[d as usize];
-            targets[slot as usize] = s;
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0 as VertexId; offsets[n] as usize];
+        for &(s, d) in self.edges.iter().filter(|e| kept(e)) {
+            targets[cursor[d as usize] as usize] = s;
             cursor[d as usize] += 1;
         }
-        if !self.dedup {
-            return Csr::from_raw(offsets_raw, targets);
+        if self.symmetric {
+            for &(s, d) in self.edges.iter().filter(|e| kept(e)) {
+                targets[cursor[s as usize] as usize] = d;
+                cursor[s as usize] += 1;
+            }
         }
-        // Sort + dedup each row, then rebuild offsets.
-        let mut new_offsets = Vec::with_capacity(n + 1);
-        new_offsets.push(0u64);
-        let mut new_targets = Vec::with_capacity(targets.len());
+        drop(cursor);
+        drop(self.edges);
+        if !self.dedup {
+            return Csr::from_raw(offsets, targets);
+        }
+        // Sort + dedup each row in place, compacting towards the front. A
+        // row at least `words` long is marked in a bitset instead of sorted:
+        // reading the set bits back costs `words`, not `len · log len`.
+        let words = n.div_ceil(64);
+        let mut seen = vec![0u64; words];
+        let (mut start, mut write) = (0usize, 0usize);
         for v in 0..n {
-            let row = &mut targets[offsets_raw[v] as usize..offsets_raw[v + 1] as usize];
-            row.sort_unstable();
-            let mut prev: Option<VertexId> = None;
-            for &t in row.iter() {
-                if prev != Some(t) {
-                    new_targets.push(t);
-                    prev = Some(t);
+            let end = offsets[v + 1] as usize;
+            if end - start >= words {
+                for &t in &targets[start..end] {
+                    seen[t as usize / 64] |= 1 << (t % 64);
+                }
+                for (w, bits) in seen.iter_mut().enumerate() {
+                    let mut b = std::mem::take(bits);
+                    while b != 0 {
+                        targets[write] = (w * 64) as VertexId + b.trailing_zeros();
+                        write += 1;
+                        b &= b - 1;
+                    }
+                }
+            } else {
+                targets[start..end].sort_unstable();
+                let row_start = write;
+                for i in start..end {
+                    let t = targets[i];
+                    if write == row_start || targets[write - 1] != t {
+                        targets[write] = t;
+                        write += 1;
+                    }
                 }
             }
-            new_offsets.push(new_targets.len() as u64);
+            offsets[v + 1] = write as u64;
+            start = end;
         }
-        Csr::from_raw(new_offsets, new_targets)
+        targets.truncate(write);
+        targets.shrink_to_fit();
+        Csr::from_raw(offsets, targets)
     }
 }
 
@@ -158,6 +196,83 @@ mod tests {
         let g = b.build();
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0]);
+    }
+
+    /// Per-row reference: push the forward edges, then the reversed ones,
+    /// then sort and dedup each row when asked.
+    fn reference(
+        n: usize,
+        edges: &[(VertexId, VertexId)],
+        symmetric: bool,
+        dedup: bool,
+        drop_self_loops: bool,
+    ) -> Vec<Vec<VertexId>> {
+        let mut rows = vec![Vec::new(); n];
+        let kept = edges.iter().filter(|&&(s, d)| !(drop_self_loops && s == d));
+        for &(s, d) in kept.clone() {
+            rows[d as usize].push(s);
+        }
+        if symmetric {
+            for &(s, d) in kept {
+                rows[s as usize].push(d);
+            }
+        }
+        if dedup {
+            for row in &mut rows {
+                row.sort_unstable();
+                row.dedup();
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn build_matches_the_per_row_reference_under_every_option() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // Sizes straddle the 64-bit bitset words; a few hub destinations
+        // give rows long enough for the bitset path next to short sorted
+        // rows, and the narrow id range forces duplicates and self-loops.
+        for (case, &(n, m)) in [(1, 4), (3, 40), (65, 400), (130, 3_000), (1_000, 6_000)]
+            .iter()
+            .enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(case as u64);
+            let edges: Vec<(VertexId, VertexId)> = (0..m)
+                .map(|_| {
+                    let s = rng.random_range(0..n) as VertexId;
+                    let d = if rng.random_bool(0.3) {
+                        rng.random_range(0..n.min(4)) as VertexId
+                    } else {
+                        rng.random_range(0..n) as VertexId
+                    };
+                    (s, d)
+                })
+                .collect();
+            for mask in 0..8u8 {
+                let (symmetric, dedup, drop_self_loops) =
+                    (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
+                let mut b = GraphBuilder::new(n)
+                    .symmetric(symmetric)
+                    .dedup(dedup)
+                    .drop_self_loops(drop_self_loops);
+                for &(s, d) in &edges {
+                    b.add_edge(s, d);
+                }
+                let g = b.build();
+                let want = reference(n, &edges, symmetric, dedup, drop_self_loops);
+                assert_eq!(g.num_vertices(), n);
+                assert_eq!(g.num_edges(), want.iter().map(Vec::len).sum::<usize>());
+                for (v, row) in want.iter().enumerate() {
+                    assert_eq!(
+                        g.neighbors(v as VertexId),
+                        row.as_slice(),
+                        "n={n} symmetric={symmetric} dedup={dedup} \
+                         drop_self_loops={drop_self_loops} row {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

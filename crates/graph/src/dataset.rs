@@ -38,7 +38,10 @@ pub struct DatasetSpec {
     pub hidden_dim: usize,
     /// Replica vertex count.
     pub vertices: usize,
-    /// Target replica directed edge count (generators approximate it).
+    /// Target replica directed edge count. The R-MAT and community
+    /// generators draw `edges / 2` pairs and store each in both directions,
+    /// so this bounds the stored count from above (self-loops and duplicates
+    /// are dropped); preferential-attachment replicas ignore it.
     pub edges: usize,
     /// Linear scale factor between paper and replica (`paper_vertices /
     /// vertices`); the simulator divides memory capacities by this.

@@ -19,8 +19,10 @@ pub struct PlantedPartition {
 }
 
 /// Generates a planted-partition graph: `num_vertices` vertices split evenly
-/// into `num_communities`, ~`num_edges` undirected edges, fraction
-/// `intra_prob` of which stay inside the source's community.
+/// into `num_communities`, and `num_edges / 2` drawn pairs, fraction
+/// `intra_prob` of which stay inside the source's community. Each pair is
+/// stored in both directions, so the graph holds at most `num_edges`
+/// *directed* edges, fewer after self-loops and duplicates are dropped.
 pub fn planted_partition(
     num_vertices: usize,
     num_edges: usize,

@@ -5,7 +5,9 @@ use crate::csr::{Csr, VertexId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Generates ~`num_edges` undirected edges uniformly at random.
+/// Draws `num_edges / 2` vertex pairs uniformly at random and stores each in
+/// both directions: at most `num_edges` *directed* edges, fewer after
+/// self-loops and duplicates are dropped.
 pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Csr {
     assert!(num_vertices > 1);
     let mut rng = StdRng::seed_from_u64(seed);
