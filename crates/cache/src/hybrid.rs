@@ -52,6 +52,20 @@ impl HybridPolicy {
     ///   (idle time > 0) **and** memory remains;
     /// - stop when memory is exhausted or idle time reaches zero.
     pub fn plan(&self, hot: &HotSet, gpu_idle_fraction: f64, gpu_free_bytes: u64) -> HybridPlan {
+        let cpu_fraction = self.cpu_share(hot.len(), gpu_idle_fraction, gpu_free_bytes);
+        let (cpu_compute, gpu_cache) = hot.split_cpu_gpu(cpu_fraction);
+        let gpu_bytes = gpu_cache.len() as u64 * self.feature_row_bytes
+            + cpu_compute.len() as u64 * self.embedding_row_bytes;
+        HybridPlan {
+            cpu_compute,
+            gpu_cache,
+            gpu_bytes,
+        }
+    }
+
+    /// The CPU share of a `hot_len`-vertex hot set that [`Self::plan`] hands
+    /// to [`HotSet::split_cpu_gpu`].
+    fn cpu_share(&self, hot_len: usize, gpu_idle_fraction: f64, gpu_free_bytes: u64) -> f64 {
         // The idle fraction comes from wall-clock measurements, so NaN and
         // slightly-out-of-range values happen; clamp rather than panic
         // (NaN maps to 0.0: no evidence of idleness, nothing moves).
@@ -63,7 +77,7 @@ impl HybridPolicy {
         // Idleness decides the *target* share moved to the GPU: fully idle
         // GPU (waiting on the CPU) pulls the whole hot set into its cache;
         // zero idle keeps everything on the CPU.
-        let want_gpu = (hot.len() as f64 * idle).round() as usize;
+        let want_gpu = (hot_len as f64 * idle).round() as usize;
         // Memory caps the move; every cached vertex also frees the staging
         // slot its embedding would have used, so charge the net difference.
         // Zero net cost (embeddings at least as large as features) means
@@ -74,19 +88,11 @@ impl HybridPolicy {
         let fit_gpu = gpu_free_bytes
             .checked_div(per_vertex)
             .map_or(usize::MAX, |n| n as usize);
-        let to_gpu = want_gpu.min(fit_gpu).min(hot.len());
+        let to_gpu = want_gpu.min(fit_gpu).min(hot_len);
         // The *least* hot of the hot set go to the GPU cache: the hottest
         // vertices are reused most, so CPU-computing them saves the most
         // repeated GPU work per embedding update.
-        let cpu_fraction = 1.0 - to_gpu as f64 / hot.len().max(1) as f64;
-        let (cpu_compute, gpu_cache) = hot.split_cpu_gpu(cpu_fraction);
-        let gpu_bytes = gpu_cache.len() as u64 * self.feature_row_bytes
-            + cpu_compute.len() as u64 * self.embedding_row_bytes;
-        HybridPlan {
-            cpu_compute,
-            gpu_cache,
-            gpu_bytes,
-        }
+        1.0 - to_gpu as f64 / hot_len.max(1) as f64
     }
 
     /// [`Self::plan`] driven by a *measured* train-stage occupancy rather
@@ -104,6 +110,24 @@ impl HybridPolicy {
     ) -> HybridPlan {
         let idle = (1.0 - train_occupancy).clamp(0.0, 1.0);
         self.plan(hot, idle, gpu_free_bytes)
+    }
+
+    /// [`HybridPlan::cpu_fraction`] of [`Self::plan_from_occupancy`]'s plan,
+    /// read off the split point without copying the hot set into the plan's
+    /// two vertex lists.
+    pub fn cpu_fraction_from_occupancy(
+        &self,
+        hot: &HotSet,
+        train_occupancy: f64,
+        gpu_free_bytes: u64,
+    ) -> f64 {
+        let idle = (1.0 - train_occupancy).clamp(0.0, 1.0);
+        let k = hot.cpu_prefix_len(self.cpu_share(hot.len(), idle, gpu_free_bytes));
+        if hot.is_empty() {
+            0.0
+        } else {
+            k as f64 / hot.len() as f64
+        }
     }
 }
 
@@ -231,5 +255,24 @@ mod tests {
         let plan = policy().plan(&hot, 0.7, 1000);
         assert_eq!(plan.cpu_fraction(), 0.0);
         assert_eq!(plan.gpu_bytes, 0);
+    }
+
+    #[test]
+    fn cpu_fraction_from_occupancy_is_the_plans_fraction() {
+        let p = policy();
+        for (n, ratio) in [(10, 0.0), (100, 0.2), (333, 0.37), (1000, 1.0)] {
+            let hot = hot_set(n, ratio);
+            for occupancy in [f64::NAN, -0.2, 0.0, 0.013, 0.25, 0.5, 0.61, 0.999, 1.0, 1.3] {
+                for budget in [0, 300, 7_000, u64::MAX] {
+                    let plan = p.plan_from_occupancy(&hot, occupancy, budget);
+                    let direct = p.cpu_fraction_from_occupancy(&hot, occupancy, budget);
+                    assert_eq!(
+                        direct.to_bits(),
+                        plan.cpu_fraction().to_bits(),
+                        "{n} hot at ratio {ratio}, occupancy {occupancy}, budget {budget}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -77,11 +77,13 @@ impl Orchestrator for NeutronOrch {
         // Hot features displace the opportunistic cold-feature cache, so the
         // split is idleness-driven; the ledger of the second pass still
         // validates the result (falling back to the all-CPU plan on OOM).
-        // The rule (`plan_from_occupancy`) and the split are the
-        // simulator's alone: the measured `Session` computes every refresh
-        // row on its refresh worker and fills its cache to the budget.
-        let plan = policy.plan_from_occupancy(&profile.hot, first.gpu_util, u64::MAX);
-        run(plan.cpu_fraction()).or(Ok(first))
+        // The rule (`plan_from_occupancy`, read here as its CPU fraction) and
+        // the split are the simulator's alone: the measured `Session`
+        // computes every refresh row on its refresh worker and fills its
+        // cache to the budget.
+        let cpu_fraction =
+            policy.cpu_fraction_from_occupancy(&profile.hot, first.gpu_util, u64::MAX);
+        run(cpu_fraction).or(Ok(first))
     }
 }
 
@@ -233,17 +235,19 @@ fn simulate_hotness(
     let mut h2d_bytes = 0u64;
     let mut prev_sb_last_train: Vec<Option<TaskId>> = vec![None; gpus];
     let mut embed_tasks: Vec<TaskId> = Vec::with_capacity(num_sb);
+    let mut refresh_deps: Vec<TaskId> = Vec::with_capacity(gpus);
+    let mut sample_tails: Vec<Option<TaskId>> = vec![None; gpus];
     for sb in 0..num_sb {
         // CPU: one-hop sampling + embedding computation for this
         // super-batch's hot queue.
-        let mut deps: Vec<TaskId> = Vec::new();
+        refresh_deps.clear();
         if !pipelined {
             // Naive scheduling (Fig 9a): the CPU refresh waits for the
             // previous super-batch to finish training.
-            deps.extend(prev_sb_last_train.iter().flatten().copied());
+            refresh_deps.extend(prev_sb_last_train.iter().flatten().copied());
         }
         let sample = cm.cpu_sample(hot_edges_per_sb);
-        let s_hot = m.cpu_task(TaskKind::Sample, sample, "cpu:hotsample", &deps);
+        let s_hot = m.cpu_task(TaskKind::Sample, sample, "cpu:hotsample", &refresh_deps);
         let embed = cm.cpu_compute(embed_flops_per_sb, embed_cores);
         let e = m.cpu_task(TaskKind::HotEmbed, embed, "cpu:hotembed", &[s_hot]);
         embed_tasks.push(e);
@@ -256,7 +260,7 @@ fn simulate_hotness(
         // Stage 1: all sampling of the super-batch precedes its training
         // ("the GPU completes n rounds of sampling before n training
         // rounds", §4.2.2), avoiding kernel contention.
-        let mut sample_tails: Vec<Option<TaskId>> = vec![None; gpus];
+        sample_tails.fill(None);
         for i in first_batch..last_batch {
             let g = i % gpus;
             let stats = profile.stats(i);
@@ -287,12 +291,10 @@ fn simulate_hotness(
             // the CPU-computed hot destinations, plus all upper layers.
             let (bottom_full, upper) = lens.train_flops_layer_split(i);
             let bottom_gpu = ((bottom_full as f64) * (1.0 - hot_cov * cpu_fraction)) as u64;
-            let mut tdeps = vec![ft];
-            if let Some(s) = sample_tails[g] {
-                tdeps.push(s);
-            }
+            // GPU `g` sampled batch `i` of this super-batch above.
+            let sampled = sample_tails[g].expect("every GPU with a batch sampled it");
             let train = cm.gpu_train(bottom_gpu + upper, profile.seeds(i) as u64);
-            let t = m.gpu_task(g, TaskKind::Train, train, "train", &tdeps);
+            let t = m.gpu_task(g, TaskKind::Train, train, "train", &[ft, sampled]);
             prev_sb_last_train[g] = Some(t);
             if let Some(nv) = m.nvlink.filter(|_| gpus > 1) {
                 let allreduce = cm.gpu_sync(2 * lens.param_bytes());

@@ -7,12 +7,16 @@
 //! variants chain every batch behind the previous one.
 
 use neutron_hetero::{Cost, Engine, HardwareSpec, ResourceId, RunReport, TaskId, TaskKind};
-use std::collections::HashMap;
 
 /// Builder for one epoch's task DAG.
 pub struct ScheduleBuilder {
     engine: Engine,
-    streams: HashMap<String, TaskId>,
+    /// Each stream's last task. A stream is named by a literal and lives on
+    /// one resource; an epoch has a handful of them, so a linear scan beats
+    /// hashing.
+    streams: Vec<((ResourceId, &'static str), TaskId)>,
+    /// A task's deps plus its stream predecessor, reused by every task.
+    deps: Vec<TaskId>,
 }
 
 impl ScheduleBuilder {
@@ -20,7 +24,8 @@ impl ScheduleBuilder {
     pub fn new() -> Self {
         Self {
             engine: Engine::new(),
-            streams: HashMap::new(),
+            streams: Vec::new(),
+            deps: Vec::new(),
         }
     }
 
@@ -29,24 +34,30 @@ impl ScheduleBuilder {
         self.engine.add_resource(name, capacity)
     }
 
-    /// Adds a task on `stream`: it runs after the stream's previous task and
-    /// all `deps`.
+    /// Adds a task on `resource`'s `stream`: it runs after the stream's
+    /// previous task and all `deps`.
     pub fn task(
         &mut self,
         resource: ResourceId,
         kind: TaskKind,
         cost: Cost,
-        stream: &str,
+        stream: &'static str,
         deps: &[TaskId],
     ) -> TaskId {
-        let mut all = deps.to_vec();
-        if let Some(&prev) = self.streams.get(stream) {
-            all.push(prev);
+        let key = (resource, stream);
+        let slot = self.streams.iter().position(|&(k, _)| k == key);
+        self.deps.clear();
+        self.deps.extend_from_slice(deps);
+        if let Some(s) = slot {
+            self.deps.push(self.streams[s].1);
         }
         let id = self
             .engine
-            .add_task(resource, kind, cost.work, cost.demand, &all);
-        self.streams.insert(stream.to_string(), id);
+            .add_task(resource, kind, cost.work, cost.demand, &self.deps);
+        match slot {
+            Some(s) => self.streams[s].1 = id,
+            None => self.streams.push((key, id)),
+        }
         id
     }
 
@@ -73,9 +84,9 @@ impl Default for ScheduleBuilder {
 /// link resource per GPU in use (`gpu{g}`, `h2d{g}`). Utilisations are read
 /// back by these name prefixes ([`crate::report::EpochReport::from_run`]).
 ///
-/// The `*_task` methods also own the stream convention: CPU streams are
-/// named by the caller (the pool runs many), each GPU and each link has one
-/// stream per `what` (`gpu{g}:{what}`, `pcie{g}:{what}`).
+/// The `*_task` methods also own the stream convention: a stream belongs to
+/// one resource, so the CPU pool runs one per name (`"cpu:gather"`, ...) and
+/// each GPU and each link one per `what` (`"train"`, `"h2d"`, ...).
 pub(crate) struct Machine {
     pub sched: ScheduleBuilder,
     cpu: ResourceId,
@@ -110,7 +121,7 @@ impl Machine {
         &mut self,
         kind: TaskKind,
         cost: Cost,
-        stream: &str,
+        stream: &'static str,
         deps: &[TaskId],
     ) -> TaskId {
         self.sched.task(self.cpu, kind, cost, stream, deps)
@@ -122,11 +133,10 @@ impl Machine {
         g: usize,
         kind: TaskKind,
         cost: Cost,
-        what: &str,
+        what: &'static str,
         deps: &[TaskId],
     ) -> TaskId {
-        let stream = format!("gpu{g}:{what}");
-        self.sched.task(self.gpu[g], kind, cost, &stream, deps)
+        self.sched.task(self.gpu[g], kind, cost, what, deps)
     }
 
     /// A task on GPU `g`'s host→device link, `what` stream.
@@ -135,11 +145,10 @@ impl Machine {
         g: usize,
         kind: TaskKind,
         cost: Cost,
-        what: &str,
+        what: &'static str,
         deps: &[TaskId],
     ) -> TaskId {
-        let stream = format!("pcie{g}:{what}");
-        self.sched.task(self.h2d[g], kind, cost, &stream, deps)
+        self.sched.task(self.h2d[g], kind, cost, what, deps)
     }
 }
 
@@ -170,6 +179,19 @@ mod tests {
         s.task(cpu, TaskKind::Other, c(1.0), "b", &[]);
         let r = s.run();
         assert!((r.makespan - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_stream_name_is_per_resource() {
+        let mut s = ScheduleBuilder::new();
+        let gpu0 = s.resource("gpu0", 1.0);
+        let gpu1 = s.resource("gpu1", 1.0);
+        s.task(gpu0, TaskKind::Other, c(1.0), "train", &[]);
+        s.task(gpu1, TaskKind::Other, c(1.0), "train", &[]);
+        s.task(gpu0, TaskKind::Other, c(1.0), "train", &[]);
+        let r = s.run();
+        // Each GPU's "train" stream serialises only its own tasks.
+        assert!((r.makespan - 2.0).abs() < 1e-9);
     }
 
     #[test]

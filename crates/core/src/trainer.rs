@@ -41,7 +41,7 @@ use neutron_nn::optim::{Optimizer, Sgd};
 use neutron_nn::LayerKind;
 use neutron_sample::{
     full_one_hop, BatchIterator, Block, EpochBatches, Fanout, HotSet, HotnessRanking,
-    NeighborSampler, PreSampler,
+    NeighborSampler, PreSampler, SamplerScratch,
 };
 use neutron_tensor::Matrix;
 use std::collections::VecDeque;
@@ -757,15 +757,16 @@ impl ConvergenceTrainer {
         // Upper-layer blocks, top first: each src is the dst frontier below.
         let mut upper: Vec<Block> = Vec::with_capacity(layers.len() - 1);
         let mut frontier = self.dataset.test.clone();
+        let mut scratch = SamplerScratch::new();
         for _ in 1..layers.len() {
-            let block = full_one_hop(csr, &frontier, EVAL_NEIGHBOR_CAP);
+            let block = full_one_hop(csr, &frontier, EVAL_NEIGHBOR_CAP, &mut scratch);
             frontier = block.src().to_vec();
             upper.push(block);
         }
         let hidden = layers[0].out_dim();
         let mut bottom = Vec::with_capacity(frontier.len() * hidden);
         for chunk in frontier.chunks(bottom_chunk) {
-            let block = full_one_hop(csr, chunk, EVAL_NEIGHBOR_CAP);
+            let block = full_one_hop(csr, chunk, EVAL_NEIGHBOR_CAP, &mut scratch);
             let feats = self.dataset.features().gather_rows_u32(block.src());
             bottom.extend_from_slice(layers[0].forward(&block, &feats).0.as_slice());
         }

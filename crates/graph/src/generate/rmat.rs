@@ -7,11 +7,16 @@
 //! random by construction, so a chain mispredicts on most levels, and the
 //! descent is the whole inner loop of every R-MAT replica's synthesis. The
 //! comparisons, and so the edges, are the same either way.
+//!
+//! The comparisons are made on integers. A uniform `f64` draw in `[0, 1)` is
+//! `m · 2^-53` for the top 53 bits `m` of one `next_u64`, both steps exact,
+//! so `draw >= t` holds exactly when `m >= ⌈t · 2^53⌉` (also exact: scaling
+//! by a power of two only moves the exponent).
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// R-MAT quadrant probabilities. Must sum to 1.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -70,17 +75,17 @@ pub fn rmat(num_vertices: usize, num_edges: usize, params: RmatParams, seed: u64
     let levels = usize::BITS - (num_vertices - 1).leading_zeros();
     let mut builder = GraphBuilder::new(num_vertices).symmetric(true);
     // Quadrants in draw order: a = (0, 0), b = (0, 1), c = (1, 0), d = (1, 1).
+    let threshold = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
     let (ta, tab, tabc) = (
-        params.a,
-        params.a + params.b,
-        params.a + params.b + params.c,
+        threshold(params.a),
+        threshold(params.a + params.b),
+        threshold(params.a + params.b + params.c),
     );
     for _ in 0..num_edges / 2 {
         let (mut src, mut dst) = (0usize, 0usize);
         for _ in 0..levels {
-            let r: f64 = rng.random_range(0.0..1.0);
+            let r = rng.next_u64() >> 11;
             // Non-short-circuit `&` / `|`: no branch on the random draw.
-            // (`r` is never NaN, so `r >= t` is exactly `!(r < t)`.)
             let row = r >= tab;
             let col = ((r >= ta) & (r < tab)) | (r >= tabc);
             src = (src << 1) | row as usize;

@@ -5,9 +5,9 @@
 //! the same [`Block`] structure with every neighbor included (optionally
 //! capped for pathological hubs).
 
-use crate::block::Block;
+use crate::block::{Block, BlockParts};
+use crate::neighbor::{one_hop_dedup_into, SamplerScratch};
 use neutron_graph::{Csr, VertexId};
-use std::collections::HashMap;
 
 /// Builds multi-hop full-neighbor blocks, bottom-first (same contract as
 /// [`crate::NeighborSampler::sample_batch`]). `cap` bounds per-vertex
@@ -15,10 +15,11 @@ use std::collections::HashMap;
 /// deterministic prefix, keeping inference reproducible.
 pub fn full_blocks(g: &Csr, seeds: &[VertexId], layers: usize, cap: usize) -> Vec<Block> {
     assert!(layers >= 1);
+    let mut scratch = SamplerScratch::new();
     let mut blocks = Vec::with_capacity(layers);
     let mut frontier: Vec<VertexId> = seeds.to_vec();
     for _ in 0..layers {
-        let block = full_one_hop(g, &frontier, cap);
+        let block = full_one_hop(g, &frontier, cap, &mut scratch);
         frontier = block.src().to_vec();
         blocks.push(block);
     }
@@ -26,32 +27,33 @@ pub fn full_blocks(g: &Csr, seeds: &[VertexId], layers: usize, cap: usize) -> Ve
     blocks
 }
 
-/// One full-neighbor hop.
-pub fn full_one_hop(g: &Csr, frontier: &[VertexId], cap: usize) -> Block {
-    let dst: Vec<VertexId> = frontier.to_vec();
-    let mut src: Vec<VertexId> = dst.clone();
-    let mut local: HashMap<VertexId, u32> = dst
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, i as u32))
-        .collect();
-    let mut offsets = Vec::with_capacity(dst.len() + 1);
-    offsets.push(0u32);
-    let mut indices = Vec::new();
-    for &v in &dst {
+/// One full-neighbor hop: each frontier vertex's first `cap` neighbours,
+/// deduplicated through `scratch` like a sampled hop (first-seen local
+/// order; a repeated frontier vertex resolves to its last position). A
+/// caller that builds many hops passes one scratch to all of them, so
+/// each hop costs no `O(|V|)` set-up.
+pub fn full_one_hop(
+    g: &Csr,
+    frontier: &[VertexId],
+    cap: usize,
+    scratch: &mut SamplerScratch,
+) -> Block {
+    // Reserve for the mean degree under the cap, not the cap itself
+    // (`usize::MAX` means uncapped).
+    let per_dst = cap.min(g.num_edges() / g.num_vertices().max(1));
+    let pick = |g: &Csr, v: VertexId, picks: &mut Vec<VertexId>| {
         let neigh = g.neighbors(v);
-        let take = neigh.len().min(cap);
-        for &u in &neigh[..take] {
-            let next = src.len() as u32;
-            let idx = *local.entry(u).or_insert_with(|| {
-                src.push(u);
-                next
-            });
-            indices.push(idx);
-        }
-        offsets.push(indices.len() as u32);
-    }
-    Block::new(dst, src, offsets, indices)
+        picks.extend_from_slice(&neigh[..neigh.len().min(cap)]);
+    };
+    one_hop_dedup_into(
+        g,
+        frontier,
+        per_dst,
+        scratch,
+        &mut Vec::new(),
+        BlockParts::default(),
+        pick,
+    )
 }
 
 #[cfg(test)]
@@ -102,9 +104,63 @@ mod tests {
     #[test]
     fn full_one_hop_matches_graph_exactly() {
         let g = Csr::from_adjacency(vec![vec![1, 2], vec![2], vec![]]);
-        let b = full_one_hop(&g, &[0], usize::MAX);
+        let b = full_one_hop(&g, &[0], usize::MAX, &mut SamplerScratch::new());
         assert_eq!(b.num_dst(), 1);
         assert_eq!(b.num_src(), 3);
         assert_eq!(b.num_edges(), 2);
+    }
+
+    /// The `HashMap`-deduplicated hop `full_one_hop` replaced.
+    fn full_one_hop_hashmap(g: &Csr, frontier: &[VertexId], cap: usize) -> Block {
+        let dst: Vec<VertexId> = frontier.to_vec();
+        let mut src: Vec<VertexId> = dst.clone();
+        let mut local: std::collections::HashMap<VertexId, u32> = dst
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, i as u32))
+            .collect();
+        let mut offsets = vec![0u32];
+        let mut indices = Vec::new();
+        for &v in &dst {
+            let neigh = g.neighbors(v);
+            for &u in &neigh[..neigh.len().min(cap)] {
+                let next = src.len() as u32;
+                indices.push(*local.entry(u).or_insert_with(|| {
+                    src.push(u);
+                    next
+                }));
+            }
+            offsets.push(indices.len() as u32);
+        }
+        Block::new(dst, src, offsets, indices)
+    }
+
+    #[test]
+    fn full_one_hop_matches_the_hashmap_hop() {
+        // A dense graph, so neighbours are often frontier vertices too.
+        let g = erdos_renyi(60, 900, 4);
+        let mut scratch = SamplerScratch::new();
+        let frontiers: [&[VertexId]; 5] = [
+            &[0],
+            &[3, 7, 3, 11, 7, 3],
+            &[5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 59, 1],
+            &[],
+            &[42, 42, 42],
+        ];
+        for frontier in frontiers {
+            for cap in [0, 1, 3, 8, 32, usize::MAX] {
+                let got = full_one_hop(&g, frontier, cap, &mut scratch);
+                let want = full_one_hop_hashmap(&g, frontier, cap);
+                assert_eq!(got.dst(), want.dst(), "{frontier:?} cap {cap}");
+                assert_eq!(got.src(), want.src(), "{frontier:?} cap {cap}");
+                for i in 0..want.num_dst() {
+                    assert_eq!(
+                        got.neighbors_local(i),
+                        want.neighbors_local(i),
+                        "{frontier:?} cap {cap} dst {i}"
+                    );
+                }
+            }
+        }
     }
 }

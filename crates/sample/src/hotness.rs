@@ -103,9 +103,15 @@ impl HotSet {
     /// vertices go to the CPU: their embeddings are reused most often, so
     /// computing them once per super-batch saves the most GPU work.
     pub fn split_cpu_gpu(&self, cpu_fraction: f64) -> (Vec<VertexId>, Vec<VertexId>) {
-        assert!((0.0..=1.0).contains(&cpu_fraction));
-        let k = (self.hot.len() as f64 * cpu_fraction).round() as usize;
+        let k = self.cpu_prefix_len(cpu_fraction);
         (self.hot[..k].to_vec(), self.hot[k..].to_vec())
+    }
+
+    /// Length of the CPU-computed prefix [`Self::split_cpu_gpu`] cuts at
+    /// `cpu_fraction`.
+    pub fn cpu_prefix_len(&self, cpu_fraction: f64) -> usize {
+        assert!((0.0..=1.0).contains(&cpu_fraction));
+        (self.hot.len() as f64 * cpu_fraction).round() as usize
     }
 }
 

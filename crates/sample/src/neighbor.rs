@@ -316,13 +316,14 @@ impl NeighborSampler {
 /// The one-hop block builder: dst prefix, scratch-based dedup and
 /// offset/index assembly, with the neighbor draws supplied by `pick` (a
 /// shared-rng stream for batch sampling, per-vertex seeded rngs for the
-/// partition-stable refresh path). `parts` supplies the spent
-/// dst/src/offsets/indices capacity and `picks` the per-vertex draw buffer;
-/// every buffer is cleared before use, so recycled capacity never changes a
-/// block. Local indices are assigned in first-seen order, as the historical
-/// `HashMap` dedup did.
+/// partition-stable refresh path, a capped neighbour prefix for full
+/// inference). `fanout` is the expected picks a destination, used only to
+/// reserve. `parts` supplies the spent dst/src/offsets/indices capacity and
+/// `picks` the per-vertex draw buffer; every buffer is cleared before use,
+/// so recycled capacity never changes a block. Local indices are assigned
+/// in first-seen order, as the historical `HashMap` dedup did.
 #[allow(clippy::too_many_arguments)]
-fn one_hop_dedup_into<F>(
+pub(crate) fn one_hop_dedup_into<F>(
     g: &Csr,
     frontier: &[VertexId],
     fanout: usize,

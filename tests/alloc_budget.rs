@@ -12,11 +12,14 @@
 //! the per-stage attribution).
 #![cfg(feature = "count-allocs")]
 
+use neutronorch::core::baselines::Case1Dgl;
 use neutronorch::core::fault::{FailureAction, FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig};
 use neutronorch::core::session::{Session, SessionConfig};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
+use neutronorch::core::{NeutronOrch, Orchestrator, WorkloadConfig, WorkloadProfile};
 use neutronorch::graph::DatasetSpec;
+use neutronorch::hetero::HardwareSpec;
 use neutronorch::nn::LayerKind;
 use neutronorch::tensor::alloc::{self, Stage};
 
@@ -76,6 +79,33 @@ const WARM_REFRESH_ALLOC_BUDGET: u64 = 100;
 /// spent bundles land where only the dropped lane would draw them.
 const SETTLED_DEGRADED_ALLOC_BUDGET: u64 = 60;
 
+/// Batches of the simulator's short epoch; the long one runs four times as
+/// many (the fixture's profiled stats cycle).
+const SIM_BATCHES: usize = 64;
+
+/// Ceiling on how many more allocations one NeutronOrch epoch plus one
+/// `Case1Dgl` epoch make at `4 * SIM_BATCHES` batches than at
+/// `SIM_BATCHES`. The task list and the flat deps grow by doubling, so a
+/// fourfold epoch costs each growing buffer of each DES run two more
+/// allocations: measured +15 (162 → 177). Per-task or per-event
+/// allocation shows up in the thousands: +28,640 (9,573 → 38,213) while
+/// every task carried its own deps `Vec` and stream `String` and every
+/// event allocated its rates and water-filling lists.
+const SIM_4X_EXTRA_ALLOCS: u64 = 32;
+
+/// Allocations of one NeutronOrch (hybrid: two DES runs) and one pipelined
+/// `Case1Dgl` epoch over `batches` batches of `profile`.
+fn sim_epoch_allocs(profile: &mut WorkloadProfile, batches: usize) -> u64 {
+    let hw = HardwareSpec::v100_server(1.0);
+    profile.num_batches = batches;
+    let before = alloc::snapshot();
+    let orch = NeutronOrch::new().simulate_epoch(profile, &hw);
+    let dgl = Case1Dgl { pipelined: true }.simulate_epoch(profile, &hw);
+    let spent = alloc::snapshot().since(&before).total_allocs();
+    assert!(orch.is_ok() && dgl.is_ok(), "the fixture fits a V100");
+    spent
+}
+
 fn trainer() -> ConvergenceTrainer {
     let ds = DatasetSpec::tiny().build_full();
     let mut cfg = TrainerConfig::convergence_default(
@@ -131,6 +161,24 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
 
     alloc::reset();
     alloc::set_enabled(true);
+
+    // The simulator: allocation-free per task and per event.
+    let mut cfg = WorkloadConfig::paper_default(LayerKind::Gcn);
+    cfg.batch_size = 64;
+    cfg.layers = 2;
+    cfg.profiled_batches = 4;
+    let mut profile = WorkloadProfile::build(&DatasetSpec::tiny(), &cfg);
+    let sim_short = sim_epoch_allocs(&mut profile, SIM_BATCHES);
+    let sim_long = sim_epoch_allocs(&mut profile, 4 * SIM_BATCHES);
+    println!(
+        "simulator: {sim_short} allocs at {SIM_BATCHES} batches, {sim_long} at {}",
+        4 * SIM_BATCHES
+    );
+    assert!(
+        sim_long <= sim_short + SIM_4X_EXTRA_ALLOCS,
+        "a 4x longer simulated epoch made {sim_long} allocs against {sim_short}, more than \
+         {SIM_4X_EXTRA_ALLOCS} extra — did a per-task or per-event allocation come back?"
+    );
     let seq_staging = sequential_staging_allocs(trainer(), epochs);
 
     let mut eng = trainer();
