@@ -4,13 +4,22 @@
 //! running the real sampler on the replica graph. Profiling samples a few
 //! batches (`profiled_batches`) and cycles their statistics over the epoch,
 //! which matches how the paper reports per-epoch averages.
+//!
+//! A build runs its two sampling passes at once: the GNNLab-style presample
+//! on a scoped thread, the profiled batches on the caller's. Each reads only
+//! the topology and its own seeds, so the profile is the one a serial build
+//! makes, bit for bit (`tests/profile_golden.rs`). Everything after the join
+//! — the coverage curves, the degree order, the GAS one-hop sets — stays on
+//! the caller's thread; moving it too raised peak memory and gained no time.
+//! Unique-vertex counts go through one generation-stamped
+//! [`PositionMarks`], not a hash set a batch.
 
 use neutron_graph::{degree, DatasetSpec, VertexId};
 use neutron_nn::LayerKind;
 use neutron_sample::{
-    BatchIterator, Fanout, HotSet, HotnessRanking, NeighborSampler, PreSampler, SampleStats,
+    BatchIterator, Fanout, HotSet, HotnessRanking, NeighborSampler, PositionMarks, PreSampler,
+    SampleStats,
 };
-use std::collections::HashSet;
 
 /// Sampling/model configuration of one experiment cell.
 #[derive(Clone, Debug)]
@@ -127,53 +136,64 @@ impl WorkloadProfile {
         let profiled = config.profiled_batches.clamp(1, num_batches);
         let epoch0 = batches.epoch_batches(0);
 
-        // Pass 1: sample the profiled batches, keep blocks.
-        let mut sampled_blocks = Vec::with_capacity(profiled);
-        for (i, batch) in epoch0.iter().take(profiled).enumerate() {
-            sampled_blocks.push(sampler.sample_batch(&ds.csr, batch, config.seed ^ (i as u64 + 1)));
-        }
-
         // Hotness: GNNLab-style pre-sampling over one simulated epoch
-        // (capped to the profiled batches for large replicas).
-        let presampler = PreSampler::new(1);
+        // (capped to the profiled batches for large replicas), on a second
+        // thread while this one samples the profiled batches and keeps
+        // their blocks.
         let pre_batches = BatchIterator::new(
             ds.train[..(profiled * config.batch_size).min(ds.train.len())].to_vec(),
             config.batch_size,
             config.seed ^ 77,
         );
-        let mut hotness = presampler.estimate(&ds.csr, &sampler, &pre_batches, config.seed ^ 99);
-        // Fold in the profiled batches' own accesses for stability.
-        {
-            let mut counts: Vec<u32> = (0..ds.csr.num_vertices() as u32)
-                .map(|v| hotness.count(v))
+        let (sampled_blocks, presampled) = std::thread::scope(|s| {
+            let presample = s.spawn(|| {
+                PreSampler::new(1).estimate(&ds.csr, &sampler, &pre_batches, config.seed ^ 99)
+            });
+            let blocks: Vec<_> = epoch0
+                .iter()
+                .take(profiled)
+                .enumerate()
+                .map(|(i, batch)| {
+                    sampler.sample_batch(&ds.csr, batch, config.seed ^ (i as u64 + 1))
+                })
                 .collect();
-            for blocks in &sampled_blocks {
-                for &v in blocks[0].src() {
-                    counts[v as usize] += 1;
-                }
+            let hotness = presample
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (blocks, hotness)
+        });
+        // Fold in the profiled batches' own accesses for stability.
+        let mut counts: Vec<u32> = (0..ds.csr.num_vertices() as u32)
+            .map(|v| presampled.count(v))
+            .collect();
+        for blocks in &sampled_blocks {
+            for &v in blocks[0].src() {
+                counts[v as usize] += 1;
             }
-            hotness = HotnessRanking::from_counts(counts);
         }
+        let hotness = HotnessRanking::from_counts(counts);
         let hot = hotness.hot_set(config.hot_ratio);
         let hot_coverage = hotness.access_coverage(&hot);
 
         // Per-batch stats + GAS 1-hop working sets.
+        let mut seen = PositionMarks::new();
         let mut per_batch = Vec::with_capacity(profiled);
         let mut one_hop = Vec::with_capacity(profiled);
         for (i, blocks) in sampled_blocks.iter().enumerate() {
             per_batch.push(SampleStats::measure(blocks));
             let seeds = epoch0.batch(i);
-            let mut uniq: HashSet<VertexId> = seeds.iter().copied().collect();
+            seen.begin(ds.csr.num_vertices());
+            let mut src = 0usize;
             let mut edges = 0usize;
             for &s in seeds {
+                src += usize::from(seen.insert(s as usize));
                 let n = ds.csr.neighbors(s);
                 edges += n.len();
-                uniq.extend(n.iter().copied());
+                for &u in n {
+                    src += usize::from(seen.insert(u as usize));
+                }
             }
-            one_hop.push(OneHopStats {
-                src: uniq.len(),
-                edges,
-            });
+            one_hop.push(OneHopStats { src, edges });
         }
 
         // Coverage curves for the two static cache policies.
@@ -195,21 +215,21 @@ impl WorkloadProfile {
         let degree_coverage = curve(&degree::vertices_by_degree_desc(&ds.csr));
 
         // Unique hot vertices per super-batch window.
-        let window = config.super_batch.max(1);
-        let mut windows = 0usize;
+        let windows = sampled_blocks.chunks(config.super_batch.max(1));
+        let num_windows = windows.len();
         let mut unique_sum = 0usize;
-        let mut i = 0;
-        while i < sampled_blocks.len() {
-            let mut uniq: HashSet<VertexId> = HashSet::new();
-            for blocks in sampled_blocks.iter().skip(i).take(window) {
-                uniq.extend(blocks[0].src().iter().filter(|&&v| hot.contains(v)));
+        for window in windows {
+            seen.begin(ds.csr.num_vertices());
+            for blocks in window {
+                for &v in blocks[0].src() {
+                    if hot.contains(v) && seen.insert(v as usize) {
+                        unique_sum += 1;
+                    }
+                }
             }
-            unique_sum += uniq.len();
-            windows += 1;
-            i += window;
         }
-        let hot_per_super_batch = if windows > 0 {
-            unique_sum as f64 / windows as f64
+        let hot_per_super_batch = if num_windows > 0 {
+            unique_sum as f64 / num_windows as f64
         } else {
             0.0
         };

@@ -26,6 +26,6 @@ pub use block::{Block, BlockParts};
 pub use fanout::Fanout;
 pub use full::{full_blocks, full_one_hop};
 pub use hotness::{HotSet, HotnessRanking};
-pub use neighbor::{BlockBuilder, LocalityCounts, NeighborSampler, SamplerScratch};
+pub use neighbor::{BlockBuilder, LocalityCounts, NeighborSampler, PositionMarks, SamplerScratch};
 pub use presample::PreSampler;
 pub use stats::SampleStats;

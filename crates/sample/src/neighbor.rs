@@ -1,4 +1,11 @@
 //! Uniform neighbor sampling (the paper's Algorithm 1, lines 3–7).
+//!
+//! Every draw is allocation-free per vertex and membership-tested in O(1):
+//! a hop's source set is deduplicated through [`SamplerScratch`]'s
+//! generation-stamped vertex arrays, and Floyd's draw over a neighbour list
+//! marks the positions it has chosen in a [`PositionMarks`] instead of
+//! scanning its picks. Buffers live in the caller's [`BlockBuilder`] or
+//! [`SamplerScratch`], so reusing them never changes a block.
 
 use crate::block::{Block, BlockParts};
 use crate::fanout::Fanout;
@@ -8,21 +15,78 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 
+/// A set over `0..n` that clears in O(1): `stamp[i] == generation` means
+/// `i` is in the set, so [`Self::begin`] starts an empty set by bumping the
+/// generation instead of wiping the array (one full wipe every 2^32 begins,
+/// when the stamp wraps). Floyd's draw marks neighbour positions in one;
+/// [`SamplerScratch`] marks the vertices of a hop's source set in another.
+#[derive(Clone, Debug, Default)]
+pub struct PositionMarks {
+    stamp: Vec<u32>,
+    generation: u32,
+}
+
+impl PositionMarks {
+    /// An empty set; the array grows lazily to the largest `n` begun.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empties the set and makes room for positions `0..n`.
+    pub fn begin(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamp wrap-around: old entries could alias generation 0.
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Whether `i` was marked since the last [`Self::begin`].
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.stamp[i] == self.generation
+    }
+
+    /// Marks `i`.
+    #[inline]
+    pub fn mark(&mut self, i: usize) {
+        self.stamp[i] = self.generation;
+    }
+
+    /// Marks `i`; true if it was not marked yet.
+    #[inline]
+    pub fn insert(&mut self, i: usize) -> bool {
+        if self.contains(i) {
+            false
+        } else {
+            self.mark(i);
+            true
+        }
+    }
+}
+
 /// Reusable vertex→local-index scratch for block construction.
 ///
 /// Deduplicating a hop's source set used to go through a per-call `HashMap`;
 /// profiling flagged it as the sampling hot path (hashing dominates on dense
-/// frontiers). The scratch replaces it with two dense arrays indexed by
-/// vertex id plus a **generation stamp**: an entry is valid only when its
-/// stamp equals the current generation, so "clearing" the structure between
-/// hops is a single counter increment, not an `O(|V|)` wipe.
+/// frontiers). The scratch replaces it with a dense local-index array indexed
+/// by vertex id, valid where the hop's [`PositionMarks`] marks the vertex,
+/// so "clearing" the structure between hops is a single counter increment,
+/// not an `O(|V|)` wipe. It also carries the Floyd marks of
+/// [`NeighborSampler::sample_one_hop_stable_with_scratch`], so a refresh
+/// worker reuses both across tasks.
 #[derive(Clone, Debug, Default)]
 pub struct SamplerScratch {
-    /// `stamp[v] == generation` means `local[v]` is valid for this hop.
-    stamp: Vec<u32>,
+    /// Vertices registered in the current hop's src set.
+    seen: PositionMarks,
     /// Local (block-level) index of vertex `v` in the current hop's src set.
     local: Vec<u32>,
-    generation: u32,
+    /// Floyd's chosen positions for the per-vertex stable draw.
+    draw: PositionMarks,
 }
 
 impl SamplerScratch {
@@ -31,19 +95,12 @@ impl SamplerScratch {
         Self::default()
     }
 
-    /// Starts a new hop over a graph of `n` vertices: bumps the generation
+    /// Starts a new hop over a graph of `n` vertices: empties the src set
     /// and grows the buffers if this graph is larger than any seen before.
     fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
+        self.seen.begin(n);
+        if self.local.len() < n {
             self.local.resize(n, 0);
-        }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Stamp wrap-around: old entries could alias generation 0, so
-            // pay one full wipe every 2^32 hops.
-            self.stamp.fill(0);
-            self.generation = 1;
         }
     }
 
@@ -53,7 +110,7 @@ impl SamplerScratch {
     #[inline]
     fn seed_dst(&mut self, v: VertexId, i: u32) {
         let slot = v as usize;
-        self.stamp[slot] = self.generation;
+        self.seen.mark(slot);
         self.local[slot] = i;
     }
 
@@ -62,14 +119,13 @@ impl SamplerScratch {
     #[inline]
     fn intern(&mut self, v: VertexId, src: &mut Vec<VertexId>) -> u32 {
         let slot = v as usize;
-        if self.stamp[slot] == self.generation {
-            self.local[slot]
-        } else {
+        if self.seen.insert(slot) {
             let idx = src.len() as u32;
             src.push(v);
-            self.stamp[slot] = self.generation;
             self.local[slot] = idx;
             idx
+        } else {
+            self.local[slot]
         }
     }
 }
@@ -93,7 +149,7 @@ pub struct BlockBuilder {
 /// and the local/remote split of the locality-biased draw.
 #[derive(Debug, Default)]
 struct DrawScratch {
-    chosen: Vec<usize>,
+    marks: PositionMarks,
     locals: Vec<VertexId>,
     remotes: Vec<VertexId>,
 }
@@ -201,7 +257,7 @@ impl NeighborSampler {
     ) -> Vec<Block> {
         let mut rng = StdRng::seed_from_u64(seed);
         self.sample_pooled(g, seeds, builder, |g, v, fanout, picks, draw| {
-            floyd_pick(g.neighbors(v), fanout, &mut rng, picks, &mut draw.chosen)
+            floyd_pick(g.neighbors(v), fanout, &mut rng, picks, &mut draw.marks)
         })
     }
 
@@ -295,21 +351,24 @@ impl NeighborSampler {
         seed: u64,
         scratch: &mut SamplerScratch,
     ) -> Block {
-        let mut chosen = Vec::with_capacity(fanout);
+        // The draw's marks leave the scratch for the hop, which borrows
+        // the dedup arrays, and return to it afterwards.
+        let mut marks = std::mem::take(&mut scratch.draw);
         let pick = |g: &Csr, v: VertexId, picks: &mut Vec<VertexId>| {
             let mut rng = StdRng::seed_from_u64(per_vertex_seed(seed, v));
-            floyd_pick(g.neighbors(v), fanout, &mut rng, picks, &mut chosen)
+            floyd_pick(g.neighbors(v), fanout, &mut rng, picks, &mut marks)
         };
-        let mut picks = Vec::with_capacity(fanout);
-        one_hop_dedup_into(
+        let block = one_hop_dedup_into(
             g,
             frontier,
             fanout,
             scratch,
-            &mut picks,
+            &mut Vec::with_capacity(fanout.min(g.num_vertices())),
             BlockParts::default(),
             pick,
-        )
+        );
+        scratch.draw = marks;
+        block
     }
 }
 
@@ -318,7 +377,8 @@ impl NeighborSampler {
 /// shared-rng stream for batch sampling, per-vertex seeded rngs for the
 /// partition-stable refresh path, a capped neighbour prefix for full
 /// inference). `fanout` is the expected picks a destination, used only to
-/// reserve. `parts` supplies the spent dst/src/offsets/indices capacity and
+/// reserve, and capped there by the graph's size (`usize::MAX` means every
+/// neighbour). `parts` supplies the spent dst/src/offsets/indices capacity and
 /// `picks` the per-vertex draw buffer; every buffer is cleared before use,
 /// so recycled capacity never changes a block. Local indices are assigned
 /// in first-seen order, as the historical `HashMap` dedup did.
@@ -343,9 +403,12 @@ where
     } = parts;
     dst.clear();
     dst.extend_from_slice(frontier);
+    // A hop adds at most |V| new sources and, for distinct destinations,
+    // at most |E| edges.
+    let picks_hint = dst.len().saturating_mul(fanout);
     src.clear();
     src.extend_from_slice(frontier);
-    src.reserve(dst.len() * fanout);
+    src.reserve(picks_hint.min(g.num_vertices()));
     scratch.begin(g.num_vertices());
     for (i, &v) in dst.iter().enumerate() {
         scratch.seed_dst(v, i as u32);
@@ -354,7 +417,7 @@ where
     offsets.reserve(dst.len() + 1);
     offsets.push(0u32);
     indices.clear();
-    indices.reserve(dst.len() * fanout);
+    indices.reserve(picks_hint.min(g.num_edges()));
     for &v in &dst {
         picks.clear();
         pick(g, v, picks);
@@ -379,32 +442,31 @@ fn per_vertex_seed(seed: u64, v: VertexId) -> u64 {
 /// whole pool when it fits (DGL semantics for degree ≤ fanout), otherwise
 /// Floyd's algorithm over positions. Every unbiased draw is this over
 /// `g.neighbors(v)`.
-/// `chosen` is a caller-owned scratch so the over-fanout case stays
-/// allocation-free per vertex; reusing it cannot change a draw — the rng
-/// stream and the membership test are identical to a fresh buffer.
+///
+/// Step `j` draws `t` from `0..=j` and takes `t`, or `j` if `t` was taken
+/// already. `marks` answers "taken already" in O(1); `j` itself is never
+/// taken before step `j`, so the picks and their order are those of a scan
+/// over the earlier picks. The caller owns `marks`, so the draw stays
+/// allocation-free per vertex.
 fn floyd_pick(
     pool: &[VertexId],
     k: usize,
     rng: &mut StdRng,
     out: &mut Vec<VertexId>,
-    chosen: &mut Vec<usize>,
+    marks: &mut PositionMarks,
 ) {
     if pool.len() <= k {
         out.extend_from_slice(pool);
         return;
     }
     let n = pool.len();
-    chosen.clear();
-    chosen.reserve(k);
+    marks.begin(n);
     for j in (n - k)..n {
         let t = rng.random_range(0..=j);
-        if chosen.contains(&t) {
-            chosen.push(j);
-        } else {
-            chosen.push(t);
-        }
+        let p = if marks.contains(t) { j } else { t };
+        marks.mark(p);
+        out.push(pool[p]);
     }
-    out.extend(chosen.drain(..).map(|i| pool[i]));
 }
 
 /// How many neighbor picks a biased sampling run satisfied from the
@@ -436,7 +498,7 @@ fn sample_biased_neighbors(
     counts: &mut LocalityCounts,
 ) {
     let DrawScratch {
-        chosen,
+        marks,
         locals,
         remotes,
     } = draw;
@@ -466,7 +528,7 @@ fn sample_biased_neighbors(
         // Enough local supply: the whole draw stays on-partition. With
         // zero remotes this consumes the rng exactly like the unbiased
         // Floyd over the full (identical) neighborhood.
-        floyd_pick(locals, fanout, rng, out, chosen);
+        floyd_pick(locals, fanout, rng, out, marks);
         counts.local_picks += fanout as u64;
     } else {
         // Take every local neighbor, then top up from remotes. The pool
@@ -476,7 +538,7 @@ fn sample_biased_neighbors(
         counts.local_picks += locals.len() as u64;
         let rem = fanout - locals.len();
         if rem > 0 {
-            floyd_pick(remotes, rem, rng, out, chosen);
+            floyd_pick(remotes, rem, rng, out, marks);
             counts.remote_picks += rem as u64;
         }
     }
@@ -485,7 +547,8 @@ fn sample_biased_neighbors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neutron_graph::generate::erdos_renyi;
+    use neutron_graph::generate::{erdos_renyi, rmat, RmatParams};
+    use rand::RngCore;
 
     fn line_graph(n: usize) -> Csr {
         // v aggregates from v-1.
@@ -499,6 +562,208 @@ mod tests {
             })
             .collect();
         Csr::from_adjacency(adj)
+    }
+
+    /// Floyd's draw as it was written before [`PositionMarks`]: the
+    /// membership test scans the picks so far. Kept as the reference the
+    /// stamped draw must match pick for pick.
+    fn floyd_reference(pool: &[VertexId], k: usize, rng: &mut StdRng) -> Vec<VertexId> {
+        if pool.len() <= k {
+            return pool.to_vec();
+        }
+        let n = pool.len();
+        let mut taken: Vec<usize> = Vec::with_capacity(k);
+        for j in (n - k)..n {
+            let t = rng.random_range(0..=j);
+            taken.push(if taken.contains(&t) { j } else { t });
+        }
+        taken.into_iter().map(|i| pool[i]).collect()
+    }
+
+    /// The locality-biased draw over [`floyd_reference`].
+    fn biased_reference(
+        neigh: &[VertexId],
+        k: usize,
+        rng: &mut StdRng,
+        owner: &[u32],
+        part: u32,
+    ) -> Vec<VertexId> {
+        if neigh.len() <= k {
+            return neigh.to_vec();
+        }
+        let (locals, remotes): (Vec<VertexId>, Vec<VertexId>) =
+            neigh.iter().partition(|&&u| owner[u as usize] == part);
+        if locals.len() > k {
+            return floyd_reference(&locals, k, rng);
+        }
+        let rem = k - locals.len();
+        let mut out = locals;
+        if rem > 0 {
+            out.extend(floyd_reference(&remotes, rem, rng));
+        }
+        out
+    }
+
+    /// Block `b`'s picks for destination `i`, as vertex ids in draw order.
+    fn picks_of(b: &Block, i: usize) -> Vec<VertexId> {
+        b.neighbors_local(i)
+            .iter()
+            .map(|&l| b.src()[l as usize])
+            .collect()
+    }
+
+    /// Draws `(n, k)` with `marks` and with the reference from one seed
+    /// each, and checks the picks and the rng position after the draw.
+    fn check_draw(n: usize, k: usize, seed: u64, marks: &mut PositionMarks) {
+        let pool: Vec<VertexId> = (0..n as u32).map(|i| i * 3 + 1).collect();
+        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let mut got = Vec::new();
+        floyd_pick(&pool, k, &mut a, &mut got, marks);
+        let want = floyd_reference(&pool, k, &mut b);
+        assert_eq!(got, want, "n {n} k {k} seed {seed}");
+        assert_eq!(a.next_u64(), b.next_u64(), "rng drift n {n} k {k}");
+    }
+
+    #[test]
+    fn stamped_floyd_matches_the_scanning_reference() {
+        // One set of marks across every call: small pools after large ones
+        // leave stale stamps that only `begin` keeps out of the draw.
+        let mut marks = PositionMarks::new();
+        let cases = [
+            (2, 1),
+            (26, 25),
+            (30, 25),
+            (60, 25),
+            (11, 10),
+            (200, 10),
+            (300, 5),
+            (10_000, 25),
+            (10_000, 9_999),
+            (10_001, 1),
+            (6, 5),
+            (40, 39),
+            (7, 3),
+            (25, 25),
+        ];
+        for seed in 0..40u64 {
+            for &(n, k) in &cases {
+                check_draw(n, k, seed * 131 + n as u64, &mut marks);
+            }
+        }
+        // Growing `n` call by call over the same marks.
+        for n in 2..300usize {
+            check_draw(n, n - 1, n as u64, &mut marks);
+            check_draw(n, (n / 2).max(1), n as u64 + 7, &mut marks);
+        }
+    }
+
+    #[test]
+    fn stamped_floyd_survives_a_generation_wrap() {
+        let mut marks = PositionMarks::new();
+        // Generation 1 leaves stamps of 1 behind; the next begin wraps and
+        // lands on generation 1 again, so without its wipe they would read
+        // as taken.
+        check_draw(30, 25, 1, &mut marks);
+        marks.generation = u32::MAX;
+        for seed in 2..10u64 {
+            check_draw(30, 25, seed, &mut marks);
+        }
+        assert!(marks.generation < 10, "the generation wrapped");
+    }
+
+    #[test]
+    fn every_draw_path_matches_the_scanning_reference() {
+        // Mean degree 30 under a fanout of 25: most draws collide.
+        let g = erdos_renyi(300, 9_000, 21);
+        let hubs = rmat(2_000, 40_000, RmatParams::graph500(), 22);
+        let owner: Vec<u32> = (0..2_000u32).map(|v| v % 3).collect();
+        let mut builder = BlockBuilder::new();
+        let mut scratch = SamplerScratch::new();
+        for (g, fanout) in [(&g, vec![25, 10]), (&hubs, vec![25, 1])] {
+            let s = NeighborSampler::new(Fanout::new(fanout.clone()));
+            for seed in 0..8u64 {
+                let seeds: Vec<VertexId> = (0..40).map(|i| (i * 7 + seed as u32) % 300).collect();
+
+                // The shared-rng path: one stream over every hop, top down.
+                let blocks = s.sample_batch_pooled(g, &seeds, seed, &mut builder);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for l in (0..blocks.len()).rev() {
+                    let b = &blocks[l];
+                    for (i, &v) in b.dst().iter().enumerate() {
+                        let want = floyd_reference(g.neighbors(v), fanout[l], &mut rng);
+                        assert_eq!(picks_of(b, i), want, "shared hop {l} vertex {v}");
+                    }
+                }
+
+                // The biased path, same stream discipline.
+                let mut counts = LocalityCounts::default();
+                let biased = s.sample_batch_pooled_biased(
+                    g,
+                    &seeds,
+                    seed,
+                    &mut builder,
+                    &owner,
+                    1,
+                    &mut counts,
+                );
+                let mut rng = StdRng::seed_from_u64(seed);
+                for l in (0..biased.len()).rev() {
+                    let b = &biased[l];
+                    for (i, &v) in b.dst().iter().enumerate() {
+                        let want = biased_reference(g.neighbors(v), fanout[l], &mut rng, &owner, 1);
+                        assert_eq!(picks_of(b, i), want, "biased hop {l} vertex {v}");
+                    }
+                }
+
+                // The per-vertex stable path, one scratch across calls.
+                let stable =
+                    s.sample_one_hop_stable_with_scratch(g, &seeds, 25, seed, &mut scratch);
+                for (i, &v) in seeds.iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64(per_vertex_seed(seed, v));
+                    let want = floyd_reference(g.neighbors(v), 25, &mut rng);
+                    assert_eq!(picks_of(&stable, i), want, "stable vertex {v}");
+                }
+
+                for mut stack in [blocks, biased] {
+                    for block in stack.drain(..) {
+                        builder.donate_parts(block.into_parts());
+                    }
+                    builder.donate_stack(stack);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_every_neighbour_fanout_takes_whole_lists_in_csr_order() {
+        let g = erdos_renyi(100, 1_200, 23);
+        let all: Vec<VertexId> = (0..100).collect();
+        let s = NeighborSampler::new(Fanout::new(vec![usize::MAX]));
+        let shared = s.sample_batch(&g, &all, 1);
+        let mut counts = LocalityCounts::default();
+        let biased = s.sample_batch_pooled_biased(
+            &g,
+            &all,
+            1,
+            &mut BlockBuilder::new(),
+            &[0; 100],
+            0,
+            &mut counts,
+        );
+        let stable = s.sample_one_hop_stable_with_scratch(
+            &g,
+            &all,
+            usize::MAX,
+            1,
+            &mut SamplerScratch::new(),
+        );
+        for b in [&shared[0], &biased[0], &stable] {
+            assert!(b.validate().is_ok());
+            for &v in &all {
+                assert_eq!(picks_of(b, v as usize), g.neighbors(v), "vertex {v}");
+            }
+        }
+        assert_eq!(counts.local_picks, g.num_edges() as u64);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::batch::BatchIterator;
 use crate::hotness::HotnessRanking;
-use crate::neighbor::NeighborSampler;
+use crate::neighbor::{BlockBuilder, NeighborSampler};
 use neutron_graph::Csr;
 
 /// Runs a few simulated sampling epochs and records how often each vertex
@@ -34,7 +34,9 @@ impl PreSampler {
     /// Only `sampler`'s fanout is used: hotness is what an *unpruned* run
     /// would read, so a sampler that already carries a bottom skip set
     /// ([`NeighborSampler::with_bottom_skip`]) ranks exactly like one
-    /// without.
+    /// without. One [`BlockBuilder`] serves every batch, and each batch's
+    /// blocks go back to it once counted, so a batch costs no `O(|V|)`
+    /// scratch set-up and no fresh block buffers.
     pub fn estimate(
         &self,
         g: &Csr,
@@ -44,12 +46,18 @@ impl PreSampler {
     ) -> HotnessRanking {
         let sampler = NeighborSampler::new(sampler.fanout().clone());
         let mut counts = vec![0u32; g.num_vertices()];
+        let mut builder = BlockBuilder::new();
         for epoch in 0..self.epochs {
             for (bi, batch) in batches.epoch_batches(epoch).iter().enumerate() {
-                let blocks = sampler.sample_batch(g, batch, seed ^ ((epoch * 131 + bi) as u64));
+                let seed = seed ^ ((epoch * 131 + bi) as u64);
+                let mut blocks = sampler.sample_batch_pooled(g, batch, seed, &mut builder);
                 for &v in blocks[0].src() {
                     counts[v as usize] += 1;
                 }
+                for block in blocks.drain(..) {
+                    builder.donate_parts(block.into_parts());
+                }
+                builder.donate_stack(blocks);
             }
         }
         HotnessRanking::from_counts(counts)
