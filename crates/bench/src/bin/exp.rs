@@ -5,6 +5,9 @@
 //! cargo run --release -p neutron-bench --bin exp -- fig10 table2
 //! cargo run --release -p neutron-bench --bin exp -- --smoke fig16
 //! ```
+//!
+//! Every id is resolved before any experiment runs, so a typo exits 2
+//! without printing a table.
 
 use neutron_bench::{exp, Setup};
 use std::io::Write;
@@ -12,42 +15,41 @@ use std::io::Write;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut setup = Setup::Paper;
-    let mut ids: Vec<String> = Vec::new();
-    for a in args {
+    let mut ids: Vec<&str> = Vec::new();
+    for a in &args {
         match a.as_str() {
             "--smoke" => setup = Setup::Smoke,
             "--paper" => setup = Setup::Paper,
-            "all" => ids.extend(exp::ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
-            "extras" => ids.extend(exp::EXTRA_EXPERIMENTS.iter().map(|s| s.to_string())),
-            other => ids.push(other.to_string()),
+            "all" => ids.extend(exp::ALL_EXPERIMENTS),
+            "extras" => ids.extend(exp::EXTRA_EXPERIMENTS),
+            other => ids.push(other),
         }
     }
     if ids.is_empty() {
-        eprintln!("usage: exp [--smoke] <experiment...|all>");
-        eprintln!("experiments: {}", exp::ALL_EXPERIMENTS.join(" "));
+        eprintln!("usage: exp [--smoke] <experiment...|all|extras>");
+        eprintln!("experiments: {}", exp::known_ids());
         std::process::exit(2);
     }
-    let stdout = std::io::stdout();
-    let mut lock = stdout.lock();
+    let mut drivers = Vec::with_capacity(ids.len());
     for id in ids {
-        let started = std::time::Instant::now();
-        match exp::run(&id, setup) {
-            Some(report) => {
-                writeln!(lock, "{report}").unwrap();
-                writeln!(
-                    lock,
-                    "[{id} completed in {:.1}s]\n",
-                    started.elapsed().as_secs_f64()
-                )
-                .unwrap();
-            }
+        match exp::driver(id) {
+            Some(driver) => drivers.push((id, driver)),
             None => {
-                eprintln!(
-                    "unknown experiment '{id}'; known: {}",
-                    exp::ALL_EXPERIMENTS.join(" ")
-                );
+                eprintln!("unknown experiment '{id}'; known: {}", exp::known_ids());
                 std::process::exit(2);
             }
         }
+    }
+    let stdout = std::io::stdout();
+    let mut lock = stdout.lock();
+    for (id, driver) in drivers {
+        let started = std::time::Instant::now();
+        writeln!(lock, "{}", driver(setup)).unwrap();
+        writeln!(
+            lock,
+            "[{id} completed in {:.1}s]\n",
+            started.elapsed().as_secs_f64()
+        )
+        .unwrap();
     }
 }

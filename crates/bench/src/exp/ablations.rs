@@ -5,10 +5,10 @@
 //! ratios of 10–30%. These sweeps measure both knobs end-to-end: simulated
 //! epoch time (replica scale) *and* real training accuracy/staleness.
 
+use super::fig16::run_convergence;
 use crate::util::{fmt_secs, render_table};
 use crate::Setup;
 use neutron_core::profile::{WorkloadConfig, WorkloadProfile};
-use neutron_core::runner::run_convergence;
 use neutron_core::trainer::ReusePolicy;
 use neutron_core::{NeutronOrch, Orchestrator};
 use neutron_graph::DatasetSpec;

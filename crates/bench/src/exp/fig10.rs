@@ -122,7 +122,7 @@ mod tests {
         }
         assert!(compared > 20);
         // Smoke replicas saturate and flatten access skew; the paper-scale
-        // run (`exp -- fig10`) wins every comparable cell (EXPERIMENTS.md).
+        // run (`exp fig10`) wins every comparable cell.
         assert!(
             won as f64 >= compared as f64 * 0.6,
             "NeutronOrch should win (or tie) most cells: {won}/{compared}"

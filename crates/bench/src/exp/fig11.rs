@@ -175,7 +175,7 @@ mod tests {
         }
         assert!(total > 0);
         // Smoke-scale replicas flatten hotness skew, so NeutronOrch's edge
-        // narrows; paper-scale runs (EXPERIMENTS.md) match Fig 11's margins.
+        // narrows; paper-scale runs (`exp fig11`) match Fig 11's margins.
         assert!(wins as f64 >= total as f64 * 0.4, "{wins}/{total}");
     }
 }

@@ -90,7 +90,7 @@ mod tests {
     fn hotness_reuse_rescues_naive_layer_split() {
         // On the miniature smoke replicas the graph saturates and access
         // skew flattens, so allow a small tolerance; at paper replica scale
-        // the +HE stage strictly dominates (see EXPERIMENTS.md).
+        // the +HE stage strictly dominates (`exp fig12`).
         for row in data(Setup::Smoke) {
             let l = row.speedups[1].1;
             let he = row.speedups[2].1;

@@ -129,7 +129,7 @@ mod tests {
         // At smoke scale the epoch is only a couple of batches, so the
         // per-super-batch embedding refresh dominates; at paper scale the
         // feature-miss term dominates and Hybrid ships 63-76% of the static
-        // policies' volume (paper Fig 13b; see EXPERIMENTS.md).
+        // policies' volume (paper Fig 13b; `exp fig13`).
         let hybrid = total("Hybrid");
         let degree = total("Degree");
         assert!(

@@ -7,9 +7,68 @@
 
 use crate::util::render_table;
 use crate::Setup;
-use neutron_core::runner::{fig16_policies, run_convergence, ConvergenceCurve};
+use neutron_core::trainer::{ConvergenceTrainer, EpochObservation, ReusePolicy, TrainerConfig};
 use neutron_graph::DatasetSpec;
 use neutron_nn::LayerKind;
+
+/// One epoch-accuracy curve.
+#[derive(Clone, Debug)]
+pub struct ConvergenceCurve {
+    /// Policy label ("Exact…", "GAS", "NeutronOrch").
+    pub label: &'static str,
+    /// Per-epoch observations, index = epoch.
+    pub epochs: Vec<EpochObservation>,
+}
+
+impl ConvergenceCurve {
+    /// Best test accuracy across epochs.
+    pub fn best_accuracy(&self) -> f64 {
+        self.epochs
+            .iter()
+            .map(|o| o.test_accuracy)
+            .fold(0.0, f64::max)
+    }
+
+    /// Largest staleness observed over the run.
+    pub fn max_staleness(&self) -> u64 {
+        self.epochs
+            .iter()
+            .map(|o| o.max_staleness)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Trains `epochs` epochs of `kind` on `spec` under `policy` and returns the
+/// epoch-to-accuracy curve (one Fig 16 line).
+pub fn run_convergence(
+    spec: &DatasetSpec,
+    kind: LayerKind,
+    policy: ReusePolicy,
+    epochs: usize,
+) -> ConvergenceCurve {
+    let label = policy.label();
+    let dataset = spec.build_full();
+    let config = TrainerConfig::convergence_default(kind, policy);
+    let mut trainer = ConvergenceTrainer::new(dataset, config);
+    let observations = (0..epochs).map(|e| trainer.train_epoch(e)).collect();
+    ConvergenceCurve {
+        label,
+        epochs: observations,
+    }
+}
+
+/// The three Fig 16 policies, in plot order.
+pub fn fig16_policies(super_batch: usize) -> Vec<ReusePolicy> {
+    vec![
+        ReusePolicy::Exact,
+        ReusePolicy::GasLike,
+        ReusePolicy::HotnessAware {
+            hot_ratio: 0.2,
+            super_batch,
+        },
+    ]
+}
 
 /// One convergence panel (one subplot of Fig 16).
 #[derive(Clone, Debug)]
@@ -88,16 +147,31 @@ pub fn run(setup: Setup) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neutron_core::runner;
-    use neutron_core::trainer::ReusePolicy;
+
+    #[test]
+    fn convergence_curve_accumulates_epochs() {
+        let spec = DatasetSpec::tiny();
+        let curve = run_convergence(&spec, LayerKind::Gcn, ReusePolicy::Exact, 3);
+        assert_eq!(curve.epochs.len(), 3);
+        assert!(curve.best_accuracy() >= curve.epochs[0].test_accuracy);
+        assert_eq!(curve.max_staleness(), 0);
+        assert_eq!(curve.label, "Exact (DGL/PaGraph/GNNLab)");
+    }
+
+    #[test]
+    fn fig16_policy_set_is_complete() {
+        let ps = fig16_policies(4);
+        assert_eq!(ps.len(), 3);
+        assert_eq!(ps[2].label(), "NeutronOrch");
+    }
 
     /// A smaller single-panel variant so the test stays fast.
     #[test]
     fn neutronorch_tracks_exact_and_respects_bound() {
         let spec = DatasetSpec::reddit_convergence();
         let epochs = 8;
-        let exact = runner::run_convergence(&spec, LayerKind::Gcn, ReusePolicy::Exact, epochs);
-        let ours = runner::run_convergence(
+        let exact = run_convergence(&spec, LayerKind::Gcn, ReusePolicy::Exact, epochs);
+        let ours = run_convergence(
             &spec,
             LayerKind::Gcn,
             ReusePolicy::HotnessAware {

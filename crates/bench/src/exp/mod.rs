@@ -72,26 +72,49 @@ pub const ALL_EXPERIMENTS: [&str; 14] = [
 /// Extension experiments beyond the paper (design-choice ablations).
 pub const EXTRA_EXPERIMENTS: [&str; 2] = ["abl-superbatch", "abl-hotratio"];
 
-/// Runs one experiment by id, returning its rendered report.
-pub fn run(id: &str, setup: crate::Setup) -> Option<String> {
-    let out = match id {
-        "fig2" => fig02::run(setup),
-        "table2" => table2::run(setup),
-        "table3" => table3::run(setup),
-        "fig6" => fig06::run(setup),
-        "fig7" => fig07::run(setup),
-        "fig10" => fig10::run(setup),
-        "fig11" => fig11::run(setup),
-        "fig12" => fig12::run(setup),
-        "fig13" => fig13::run(setup),
-        "fig14" => fig14::run(setup),
-        "fig15" => fig15::run(setup),
-        "table5" => table5::run(setup),
-        "table6" => table6::run(setup),
-        "fig16" => fig16::run(setup),
-        "abl-superbatch" => ablations::run_superbatch(setup),
-        "abl-hotratio" => ablations::run_hotratio(setup),
+/// The ids and groups the `exp` binary accepts, for its usage and
+/// unknown-id messages.
+pub fn known_ids() -> String {
+    format!(
+        "{}; extras: {}; groups: all extras",
+        ALL_EXPERIMENTS.join(" "),
+        EXTRA_EXPERIMENTS.join(" ")
+    )
+}
+
+/// The driver of one experiment id: it returns the rendered report.
+pub fn driver(id: &str) -> Option<fn(crate::Setup) -> String> {
+    Some(match id {
+        "fig2" => fig02::run,
+        "table2" => table2::run,
+        "table3" => table3::run,
+        "fig6" => fig06::run,
+        "fig7" => fig07::run,
+        "fig10" => fig10::run,
+        "fig11" => fig11::run,
+        "fig12" => fig12::run,
+        "fig13" => fig13::run,
+        "fig14" => fig14::run,
+        "fig15" => fig15::run,
+        "table5" => table5::run,
+        "table6" => table6::run,
+        "fig16" => fig16::run,
+        "abl-superbatch" => ablations::run_superbatch,
+        "abl-hotratio" => ablations::run_hotratio,
         _ => return None,
-    };
-    Some(out)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_listed_id_has_a_driver() {
+        for id in ALL_EXPERIMENTS.iter().chain(&EXTRA_EXPERIMENTS) {
+            assert!(driver(id).is_some(), "{id}");
+            assert!(known_ids().contains(id), "{id}");
+        }
+        assert!(driver("fgi16").is_none());
+    }
 }

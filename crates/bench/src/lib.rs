@@ -2,13 +2,12 @@
 //! evaluation (§5).
 //!
 //! Each experiment lives in [`exp`] as a pure function returning typed rows
-//! plus a paper-style rendered table. The `exp` binary prints them; the
-//! criterion benches run scaled-down configurations of the same functions.
+//! plus a paper-style rendered table. The `exp` binary prints them; its
+//! `--smoke` flag runs the same functions on seconds-fast configurations.
 //!
 //! Absolute numbers are **replica-scale simulated seconds** (the replica
 //! graphs are 16–512× smaller than the paper's datasets); the comparisons —
 //! who wins, by what factor, where OOMs appear — are the reproduced result.
-//! See `EXPERIMENTS.md` for the paper-vs-measured record.
 
 pub mod exp;
 pub mod util;
@@ -18,7 +17,7 @@ use neutron_graph::DatasetSpec;
 use neutron_nn::LayerKind;
 
 /// Experiment sizing: the paper-default replicas or a seconds-fast smoke
-/// configuration for criterion and CI.
+/// configuration for tests and CI.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Setup {
     /// Full replica datasets (Table 4 registry, scaled), paper parameters.

@@ -45,7 +45,6 @@ pub mod profile;
 pub mod refresh;
 pub mod replica;
 pub mod report;
-pub mod runner;
 pub mod session;
 pub mod sim;
 pub mod trainer;

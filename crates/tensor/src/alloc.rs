@@ -1,6 +1,6 @@
 //! Heap-allocation accounting for the metadata-overhead telemetry
-//! (`cargo xtask profile --timing --allocs`, orchbench's
-//! `tensor.allocs_per_epoch.*` metrics).
+//! (orchbench's per-stage `tensor.allocs_per_epoch.*` metrics, reported
+//! by `orchbench trace`).
 //!
 //! The host-overhead literature (see PAPERS.md) shows that *metadata*
 //! churn — batch index maps, dedup scratch, format conversion — can rival
@@ -13,8 +13,8 @@
 //!
 //! Installation is the caller's choice — a `#[global_allocator]` is
 //! program-global, so the library only installs one behind the
-//! `count-allocs` cargo feature (used by the alloc-budget test); `xtask`
-//! and orchbench's traced binary install their own. Everything
+//! `count-allocs` cargo feature (used by the alloc-budget test);
+//! orchbench's traced binary installs its own. Everything
 //! else here (stage tags, snapshots) compiles and runs regardless: without
 //! an installed [`CountingAllocator`] the counters simply never move, which
 //! [`counting_installed`] probes for.
@@ -235,8 +235,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// The feature-gated installation used by the alloc-budget integration
 /// test (`--features count-allocs`). Exactly one
 /// crate in a build graph may install a global allocator; binaries that
-/// want one unconditionally (xtask) declare their own instead of enabling
-/// this feature.
+/// want one unconditionally (orchbench's traced binary) declare their own
+/// instead of enabling this feature.
 #[cfg(feature = "count-allocs")]
 #[global_allocator]
 static GLOBAL_COUNTING_ALLOCATOR: CountingAllocator = CountingAllocator;

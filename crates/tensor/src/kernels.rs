@@ -2,14 +2,13 @@
 //! retained scalar references they are property-tested against.
 //!
 //! Every inner loop of the workspace used to be a straight scalar `f32`
-//! walk; the `xtask profile --timing` breakdown showed the three matmul
-//! flavours and the feature row gather dominating host compute, so this
-//! module rewrites them as chunked kernels shaped for the compiler's
+//! walk; a per-kernel timing breakdown showed the three matmul flavours
+//! and the feature row gather dominating host compute, so this module
+//! rewrites them as chunked kernels shaped for the compiler's
 //! vectorizer (fixed-width lane arrays, no cross-lane dependencies, no
-//! per-element branches). Design choices are profile-guided;
-//! `cargo bench -p neutron-bench --bench kernels` times each kernel against
-//! its scalar reference (`kern/<kernel>/{chunked,scalar}`) on the machine
-//! at hand:
+//! per-element branches). Design choices are profile-guided; a kernel
+//! change is judged by the bit-exact property tests against [`reference`]
+//! and by orchbench's `tensor.<kernel>_s` metrics (`orchbench trace`):
 //!
 //! - **Dot products** (`matmul_a_bt`): a single-accumulator reduction is a
 //!   loop-carried dependency the vectorizer must preserve (float addition
@@ -29,8 +28,7 @@
 //!   `matmul_at_b`): measured a *loss* on both dense feature rows (extra
 //!   compare per element) and ReLU-sparse activations (~50% zeros: branch
 //!   mispredicts outweigh the skipped axpys at GNN hidden widths). Removed
-//!   everywhere, and the ablation bench group that timed the branch went
-//!   with it.
+//!   everywhere.
 //!
 //! Precision: the k-unroll and the lane accumulators change summation
 //! *order*, so matmul results may differ from the references by a few ULP
@@ -234,7 +232,7 @@ pub fn matmul_at_b_acc(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, 
 
 /// The retained scalar reference kernels. These are the pre-optimisation
 /// implementations, kept verbatim so the chunked kernels can be
-/// property-tested (and benchmarked) against them forever. Do not "fix" or
+/// property-tested against them forever. Do not "fix" or
 /// speed these up: their value is being obviously correct and slow.
 pub mod reference {
     /// Naive triple-loop `C = A·B` (`A: m x k`, `B: k x n`).

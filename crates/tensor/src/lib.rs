@@ -12,10 +12,10 @@
 //! - [`kernels`] — chunked, autovectorization-friendly slice kernels and
 //!   their retained scalar references (profile-guided; see module docs),
 //! - [`timing`] — per-kernel wall-time hooks behind an atomic gate,
-//!   surfaced by `xtask profile --timing`,
+//!   surfaced as orchbench's `tensor.*` metrics by `orchbench trace`,
 //! - [`alloc`] — per-stage heap-allocation counters and the optional
 //!   counting global allocator (`count-allocs` feature), surfaced by
-//!   `xtask profile --timing --allocs` and the engine bench,
+//!   `orchbench trace` and the alloc-budget test,
 //! - [`activation`] — ReLU / LeakyReLU / ELU / sigmoid / tanh with gradients,
 //! - [`softmax`] — row softmax and softmax-cross-entropy with gradients,
 //! - [`init`] — seeded Xavier / Kaiming initializers,

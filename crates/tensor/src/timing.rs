@@ -1,8 +1,9 @@
-//! Lightweight per-kernel wall-time accounting for `xtask profile --timing`.
+//! Lightweight per-kernel wall-time accounting, reported as orchbench's
+//! `tensor.<kernel>_s` metrics by `orchbench trace`.
 //!
 //! Disabled by default: each instrumented op does one relaxed atomic load
 //! and skips the clock entirely, so the hooks cost nothing in normal runs
-//! (verified by the kernel microbench, which runs with timing off). When
+//! (orchbench's untraced runs keep them off). When
 //! enabled, each top-level kernel call adds its elapsed nanoseconds and a
 //! call count to a global table that [`snapshot`] reads out.
 //!

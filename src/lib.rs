@@ -10,8 +10,9 @@
 //! assert!(spec.scale >= 1.0);
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
+//! `README.md` maps each crate to the paper section it implements and holds
+//! the measured record; the `exp` binary of `neutron-bench` regenerates every
+//! table and figure.
 
 pub use neutron_cache as cache;
 pub use neutron_core as core;
