@@ -5,6 +5,7 @@
 //! | [`fig02`] | Fig 2 — utilization + runtime of the orchestration methods |
 //! | [`table2`] | Table 2 — DGL sample/gather breakdown on all datasets |
 //! | [`table3`] | Table 3 — pipeline effect under CPU/GPU sampling |
+//! | [`pipelines`] | Fig 5 — step pipeline with/without GPU contention; Fig 9 — naive vs super-batch scheduling (Gantt charts) |
 //! | [`fig06`] | Fig 6 — batch size & cache ratio effects |
 //! | [`fig07`] | Fig 7 — per-layer workload & transfer, layer-based split |
 //! | [`fig10`] | Fig 10 — overall single-GPU comparison |
@@ -16,6 +17,7 @@
 //! | [`table5`] | Table 5 — model depth sweep |
 //! | [`table6`] | Table 6 — batch size sweep |
 //! | [`fig16`] | Fig 16 — epoch-to-accuracy convergence |
+//! | [`ablations`], [`hot_vertices`] | extensions: design-choice ablations; access coverage and the hybrid split |
 //!
 //! The systems a comparison iterates come from one roster,
 //! [`neutron_core::baselines::roster`] (names, Fig 10 display order and the
@@ -32,6 +34,8 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
+pub mod hot_vertices;
+pub mod pipelines;
 pub mod table2;
 pub mod table3;
 pub mod table5;
@@ -64,13 +68,14 @@ fn table_rows(kind: LayerKind) -> Vec<(&'static str, Option<Box<dyn Orchestrator
 }
 
 /// Every paper table/figure id accepted by the `exp` binary.
-pub const ALL_EXPERIMENTS: [&str; 14] = [
-    "fig2", "table2", "table3", "fig6", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "table5", "table6", "fig16",
+pub const ALL_EXPERIMENTS: [&str; 16] = [
+    "fig2", "table2", "table3", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13",
+    "fig14", "fig15", "table5", "table6", "fig16",
 ];
 
-/// Extension experiments beyond the paper (design-choice ablations).
-pub const EXTRA_EXPERIMENTS: [&str; 2] = ["abl-superbatch", "abl-hotratio"];
+/// Extension experiments beyond the paper (design-choice ablations and
+/// the hot-vertex explorer).
+pub const EXTRA_EXPERIMENTS: [&str; 3] = ["abl-superbatch", "abl-hotratio", "hot-vertices"];
 
 /// The ids and groups the `exp` binary accepts, for its usage and
 /// unknown-id messages.
@@ -88,8 +93,10 @@ pub fn driver(id: &str) -> Option<fn(crate::Setup) -> String> {
         "fig2" => fig02::run,
         "table2" => table2::run,
         "table3" => table3::run,
+        "fig5" => pipelines::run_fig5,
         "fig6" => fig06::run,
         "fig7" => fig07::run,
+        "fig9" => pipelines::run_fig9,
         "fig10" => fig10::run,
         "fig11" => fig11::run,
         "fig12" => fig12::run,
@@ -101,6 +108,7 @@ pub fn driver(id: &str) -> Option<fn(crate::Setup) -> String> {
         "fig16" => fig16::run,
         "abl-superbatch" => ablations::run_superbatch,
         "abl-hotratio" => ablations::run_hotratio,
+        "hot-vertices" => hot_vertices::run,
         _ => return None,
     })
 }

@@ -61,8 +61,9 @@ pub struct SessionConfig {
     /// nonzero [`Self::checkpoint_every`], for checkpoints to be written
     /// and for [`FailurePolicy::Restore`] to have something to load.
     pub checkpoint_path: Option<PathBuf>,
-    /// Deterministic fault schedule consulted by the staging workers —
-    /// test and drill harness, `None` in production runs.
+    /// Deterministic fault schedule consulted by the staging workers, set
+    /// by the fault drill (`cargo test --release -p neutronorch --test
+    /// fault_injection`); `None` in production runs.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// How long the train stage tolerates an empty staging channel (with
     /// work outstanding) before declaring its producer stalled.

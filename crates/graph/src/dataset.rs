@@ -342,11 +342,6 @@ impl DatasetSpec {
     pub fn hidden_row_bytes(&self) -> u64 {
         (self.hidden_dim * std::mem::size_of::<f32>()) as u64
     }
-
-    /// Total feature bytes of the full (replica) graph in host memory.
-    pub fn total_feature_bytes(&self) -> u64 {
-        self.vertices as u64 * self.feature_row_bytes()
-    }
 }
 
 impl Dataset {
@@ -427,6 +422,5 @@ mod tests {
         let s = DatasetSpec::reddit_scaled();
         assert_eq!(s.feature_row_bytes(), 602 * 4);
         assert_eq!(s.hidden_row_bytes(), 256 * 4);
-        assert_eq!(s.total_feature_bytes(), 14_560 * 602 * 4);
     }
 }

@@ -62,38 +62,14 @@ impl InterconnectSpec {
     }
 }
 
-/// Total wire bytes one replica sends for a ring all-reduce of
-/// `model_bytes` gradients across `replicas`: the classic
-/// `2 (R-1) / R × model_bytes` per replica, reported here as the
-/// per-replica payload rounded to whole bytes times the step count. Zero
-/// at R=1 (no exchange happens).
-pub fn ring_allreduce_bytes(model_bytes: u64, replicas: usize) -> u64 {
-    if replicas <= 1 {
-        return 0;
-    }
-    let r = replicas as u64;
-    // 2(R-1) steps, each sending a 1/R shard; keep the arithmetic in
-    // integers (scaled before dividing) so the series is exact.
-    2 * (r - 1) * model_bytes / r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn single_replica_exchanges_nothing() {
-        assert_eq!(ring_allreduce_bytes(1 << 20, 1), 0);
         let link = InterconnectSpec::nvlink_like();
         assert_eq!(link.allreduce_seconds(1 << 20, 1), 0.0);
-    }
-
-    #[test]
-    fn ring_bytes_follow_the_2_r_minus_1_over_r_law() {
-        let mb = 1_000_000u64;
-        assert_eq!(ring_allreduce_bytes(mb, 2), mb); // 2·1/2 = 1×
-        assert_eq!(ring_allreduce_bytes(mb, 4), mb * 3 / 2); // 2·3/4 = 1.5×
-        assert!(ring_allreduce_bytes(mb, 8) > ring_allreduce_bytes(mb, 4));
     }
 
     #[test]

@@ -29,5 +29,5 @@ pub mod memory;
 pub use cost::{Cost, CostModel};
 pub use device::{DeviceProfile, GpuSpec, HardwareSpec};
 pub use engine::{Engine, ResourceId, RunReport, TaskId, TaskKind, TraceSpan};
-pub use interconnect::{ring_allreduce_bytes, InterconnectSpec};
+pub use interconnect::InterconnectSpec;
 pub use memory::{MemLedger, OomError};

@@ -36,11 +36,6 @@ impl BatchIterator {
         self.batch_size
     }
 
-    /// Number of training vertices.
-    pub fn num_train(&self) -> usize {
-        self.train.len()
-    }
-
     /// The iterator's shuffle seed. Together with an epoch number this is
     /// the *complete* rng-stream state: every shuffle is derived fresh from
     /// `seed ^ f(epoch)`, so checkpointing the seed and the next epoch

@@ -24,12 +24,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
     uniform(fan_in, fan_out, -bound, bound, seed)
 }
 
-/// Kaiming/He uniform init: `U(±sqrt(6/fan_in))`; used ahead of ReLU.
-pub fn kaiming_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
-    let bound = (6.0 / fan_in.max(1) as f32).sqrt();
-    uniform(fan_in, fan_out, -bound, bound, seed)
-}
-
 /// Standard normal init scaled by `std`; used for GAT attention vectors.
 pub fn normal(rows: usize, cols: usize, std: f32, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);

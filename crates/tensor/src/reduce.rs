@@ -10,11 +10,6 @@ pub fn row_means(m: &Matrix) -> Vec<f32> {
         .collect()
 }
 
-/// Sum of each column as a 1×cols matrix.
-pub fn col_sums(m: &Matrix) -> Matrix {
-    crate::ops::sum_rows(m)
-}
-
 /// Mean of all elements.
 pub fn mean(m: &Matrix) -> f32 {
     if m.is_empty() {

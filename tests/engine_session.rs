@@ -3,18 +3,16 @@
 //! cache active), staleness under the double-buffered refresh, split and
 //! cache invariance, the spawn-once guarantee of the persistent workers,
 //! the report shape per replica count, the configurations a session
-//! rejects and the failure policies one lane takes, and the hot-vertex
-//! pruning contract (hot rows never reach the device path; their
-//! embeddings are primed before batch 0 and a missing one is fatal, never
-//! a silent zero).
+//! rejects, and the hot-vertex pruning contract (hot rows never reach the
+//! device path; their embeddings are primed before batch 0 and a missing
+//! one is fatal, never a silent zero). The failure policies live in
+//! `tests/fault_injection.rs`.
 
 use neutronorch::core::fault::{FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
 use neutronorch::core::pool::BatchBuffers;
 use neutronorch::core::refresh::InlineRefresh;
-use neutronorch::core::session::{
-    ReplicaEpochStats, Session, SessionConfig, SessionError, SessionReport,
-};
+use neutronorch::core::session::{ReplicaEpochStats, Session, SessionConfig, SessionReport};
 use neutronorch::core::trainer::{
     batch_sample_seed, ConvergenceTrainer, EpochObservation, PreparedBatch, ReusePolicy,
     TrainerConfig,
@@ -422,53 +420,6 @@ fn zero_replicas_are_rejected() {
         replicas: 0,
         ..SessionConfig::default()
     });
-}
-
-/// Every policy is a replay, so one lane takes each of them: `Restore`
-/// replays from its checkpoint on a fresh lane and ends where the
-/// fault-free session does, and `DropReplica`, with no lane left to
-/// replay on, fails like `Fail`.
-#[test]
-fn a_one_lane_session_takes_every_failure_policy() {
-    let one_lane = |faults: &str, policy: FailurePolicy, path: Option<std::path::PathBuf>| {
-        let plan = FaultPlan::parse(faults).expect("test fault spec");
-        Session::new(SessionConfig {
-            fault_plan: (!plan.is_empty()).then(|| Arc::new(plan)),
-            on_replica_failure: policy,
-            checkpoint_every: 1,
-            checkpoint_path: path,
-            ..SessionConfig::default()
-        })
-        .run_session_checked(&mut trainer(hot_policy()), 0, 3)
-    };
-    let losses = |s: &SessionReport| s.series(|r| r.observation.train_loss.to_bits());
-
-    let clean = one_lane("", FailurePolicy::Fail, None).expect("fault-free session");
-    let path =
-        std::env::temp_dir().join(format!("nock-one-lane-restore-{}.ck", std::process::id()));
-    let restored = one_lane("panic@r0e1s1", FailurePolicy::Restore, Some(path.clone()));
-    std::fs::remove_file(&path).ok();
-    let restored = restored.expect("a one-lane Restore replays");
-    assert_eq!(losses(&restored), losses(&clean));
-    assert_eq!(
-        restored.workers_spawned,
-        2 * (1 + 1),
-        "the replay's lane is fresh"
-    );
-
-    let err = one_lane("panic@r0e1s1", FailurePolicy::DropReplica, None)
-        .expect_err("a one-lane DropReplica has nothing to replay on");
-    assert!(
-        matches!(
-            err,
-            SessionError::ReplicaDied {
-                replica: 0,
-                epoch: 1,
-                ..
-            }
-        ),
-        "expected ReplicaDied for lane 0, got {err:?}"
-    );
 }
 
 /// A fault addressed past the last lane would never be delivered, so a

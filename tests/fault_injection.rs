@@ -1,9 +1,15 @@
 //! Fault-injection drills: every injected fault class — worker panic,
 //! clean crash, stall, straggler — must end in either a typed error or a
 //! policy-driven recovery, never a hang, and the benign classes must not
-//! perturb the training trajectory by a single bit. All faults are
-//! deterministic (seeded coordinates, no wall-clock dependence), so every
-//! drill is reproducible.
+//! perturb the training trajectory by a single bit. Every fault fires at a
+//! fixed (replica, epoch, step) coordinate, so which fault fires where is
+//! reproducible. The wall clock still decides two things: a stall is
+//! detected by the session's `stall_timeout` (300 ms in these sessions,
+//! the 5 s default in the one-lane policy test), and one test waits on a
+//! 60 s watchdog instead of hanging.
+//!
+//! This suite is the fault drill: CI runs it in release under a hard
+//! timeout (`cargo test --release -p neutronorch --test fault_injection`).
 
 use neutronorch::core::checkpoint;
 use neutronorch::core::fault::{FailureAction, FailurePolicy, FaultPlan};
@@ -17,15 +23,15 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn trainer() -> ConvergenceTrainer {
-    trainer_with_batch(48)
+    trainer_with(48, 0.25)
 }
 
-fn trainer_with_batch(batch_size: usize) -> ConvergenceTrainer {
+fn trainer_with(batch_size: usize, hot_ratio: f64) -> ConvergenceTrainer {
     let ds = DatasetSpec::tiny().build_full();
     let mut cfg = TrainerConfig::convergence_default(
         LayerKind::Gcn,
         ReusePolicy::HotnessAware {
-            hot_ratio: 0.25,
+            hot_ratio,
             super_batch: 2,
         },
     );
@@ -76,7 +82,8 @@ fn ck_path(tag: &str) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// One lane: every failure under `Fail` is `ReplicaDied { replica: 0, .. }`.
+// One lane: every failure under `Fail` is `ReplicaDied { replica: 0, .. }`,
+// and every other policy replays or fails the same way.
 // ---------------------------------------------------------------------------
 
 /// An injected worker panic fails the session with a typed error naming
@@ -184,6 +191,50 @@ fn engine_straggler_completes_bit_identically() {
     // first batch while epoch 0 is still training.
     assert_eq!(session.epochs[1].report.failures.len(), 1);
     assert_eq!(session.epochs[1].report.failures[0].epoch, 1);
+}
+
+/// Every policy is a replay, so one lane takes each of them: `Restore`
+/// replays from its checkpoint on a fresh lane and ends where the
+/// fault-free session does, and `DropReplica`, with no lane left to
+/// replay on, fails like `Fail`.
+#[test]
+fn a_one_lane_session_takes_every_failure_policy() {
+    let one_lane = |faults: &str, policy: FailurePolicy, path: Option<PathBuf>| {
+        Session::new(SessionConfig {
+            fault_plan: plan(faults),
+            on_replica_failure: policy,
+            checkpoint_every: 1,
+            checkpoint_path: path,
+            ..SessionConfig::default()
+        })
+        .run_session_checked(&mut trainer_with(48, 0.3), 0, 3)
+    };
+
+    let clean = one_lane("", FailurePolicy::Fail, None).expect("fault-free session");
+    let path = ck_path("one-lane-restore");
+    let restored = one_lane("panic@r0e1s1", FailurePolicy::Restore, Some(path.clone()));
+    std::fs::remove_file(&path).ok();
+    let restored = restored.expect("a one-lane Restore replays");
+    assert_eq!(losses(&restored), losses(&clean));
+    assert_eq!(
+        restored.workers_spawned,
+        2 * (1 + 1),
+        "the replay's lane is fresh"
+    );
+
+    let err = one_lane("panic@r0e1s1", FailurePolicy::DropReplica, None)
+        .expect_err("a one-lane DropReplica has nothing to replay on");
+    assert!(
+        matches!(
+            err,
+            SessionError::ReplicaDied {
+                replica: 0,
+                epoch: 1,
+                ..
+            }
+        ),
+        "expected ReplicaDied for lane 0, got {err:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -311,11 +362,11 @@ fn a_fault_free_drop_session_equals_the_fail_session() {
 /// shift to reach a read.
 #[test]
 fn replicated_panic_with_restore_policy_matches_the_fault_free_run() {
-    let mut clean = trainer_with_batch(16);
+    let mut clean = trainer_with(16, 0.25);
     let reference = replicated(2, "", FailurePolicy::Fail).run_session(&mut clean, 0, 4);
 
     let path = ck_path("restore");
-    let mut t = trainer_with_batch(16);
+    let mut t = trainer_with(16, 0.25);
     let session = restoring("panic@r1e2s1", &path)
         .run_session_checked(&mut t, 0, 4)
         .expect("restore policy must recover");
@@ -384,7 +435,7 @@ fn an_exhausted_restore_budget_returns_the_last_replica_death() {
         .map(|step| format!("panic@r0e1s{step}"))
         .collect::<Vec<_>>()
         .join(",");
-    let mut t = trainer_with_batch(16);
+    let mut t = trainer_with(16, 0.25);
     let err = restoring(&faults, &path)
         .run_session_checked(&mut t, 0, 3)
         .expect_err("five deaths outlast four restores");
@@ -495,7 +546,7 @@ fn session_remains_functional_after_a_restore() {
 fn a_failed_session_leaves_the_trainer_settled() {
     for replicas in [1, 2] {
         let failed = || {
-            let mut t = trainer_with_batch(16);
+            let mut t = trainer_with(16, 0.25);
             let err = replicated(replicas, "panic@r0e1s5", FailurePolicy::Fail)
                 .run_session_checked(&mut t, 0, 3)
                 .expect_err("panic must fail the session");
