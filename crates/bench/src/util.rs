@@ -21,7 +21,8 @@ pub fn fmt_pct(x: f64) -> String {
     format!("{:.0}%", x * 100.0)
 }
 
-/// Renders an aligned ASCII table.
+/// Renders an aligned ASCII table. Every cell but a row's last pads to its
+/// column's width, so no line ends in spaces.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -34,12 +35,13 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     let mut out = String::new();
     out.push_str(&format!("== {title} ==\n"));
     let fmt_row = |cells: &[String]| -> String {
-        cells
+        let line = cells
             .iter()
             .enumerate()
             .map(|(i, c)| format!("{:<w$}", c, w = widths.get(i).copied().unwrap_or(c.len())))
             .collect::<Vec<_>>()
-            .join("  ")
+            .join("  ");
+        line.trim_end().to_string()
     };
     out.push_str(&fmt_row(
         &headers.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
@@ -81,5 +83,22 @@ mod tests {
         assert!(t.contains("== T =="));
         assert!(t.contains("333"));
         assert_eq!(t.lines().count(), 5);
+    }
+
+    #[test]
+    fn rows_align_without_trailing_spaces() {
+        let t = render_table(
+            "T",
+            &["name", "x"],
+            &[
+                vec!["a".into(), "1".into()],
+                vec!["bbbbbb".into(), "".into()],
+            ],
+        );
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines[1], "name    x");
+        assert_eq!(lines[3], "a       1");
+        assert_eq!(lines[4], "bbbbbb");
+        assert!(t.lines().all(|l| !l.ends_with(' ')), "{t:?}");
     }
 }

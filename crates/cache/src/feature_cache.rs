@@ -2,23 +2,24 @@
 //! gather.
 
 use neutron_graph::VertexId;
+use std::sync::Arc;
 
 /// Slot-map sentinel for "vertex not cached".
 const NOT_CACHED: u32 = u32::MAX;
 
 /// A static GPU feature cache over a fixed vertex set. It holds the actual
-/// feature rows, standing in for GPU-resident memory, so the gather stage
-/// serves hits without touching the host feature matrix. Hits and misses
-/// are counted by the gather that probes it (Fig 6c, Fig 13).
+/// feature rows, standing in for GPU-resident memory, so the train stage
+/// reads hits here without touching the host feature matrix. Hits and
+/// misses are counted by the gather that probes it (Fig 6c, Fig 13).
 #[derive(Clone, Debug, Default)]
 pub struct FeatureCache {
     /// Vertex → cache slot; [`NOT_CACHED`] when absent.
     slot: Vec<u32>,
     num_cached: usize,
     row_bytes: u64,
-    /// Device-resident feature rows, `dim` floats per slot.
-    rows: Vec<f32>,
-    dim: usize,
+    /// Device-resident feature rows, one per slot, shared with every batch
+    /// that reads a hit in place ([`Self::table`]).
+    rows: Arc<[f32]>,
 }
 
 impl FeatureCache {
@@ -64,8 +65,7 @@ impl FeatureCache {
             slot,
             num_cached,
             row_bytes: (dim * std::mem::size_of::<f32>()) as u64,
-            rows,
-            dim,
+            rows: rows.into(),
         }
     }
 
@@ -84,20 +84,20 @@ impl FeatureCache {
         self.num_cached as u64 * self.row_bytes
     }
 
-    /// Side-effect-free membership probe — the gather stage's fast path,
-    /// safe to share (`Arc`) across worker threads within an epoch.
+    /// Side-effect-free probe — the gather stage's fast path: `v`'s row
+    /// number in [`Self::table`], or `None` when `v` is not cached.
     #[inline]
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.slot.get(v as usize).is_some_and(|&s| s != NOT_CACHED)
+    pub fn slot(&self, v: VertexId) -> Option<u32> {
+        self.slot
+            .get(v as usize)
+            .copied()
+            .filter(|&s| s != NOT_CACHED)
     }
 
-    /// The device-resident feature row of `v`. Panics if `v` is not cached.
-    #[inline]
-    pub fn row(&self, v: VertexId) -> &[f32] {
-        let s = self.slot[v as usize];
-        assert!(s != NOT_CACHED, "vertex {v} is not cached");
-        let at = s as usize * self.dim;
-        &self.rows[at..at + self.dim]
+    /// The device-resident row table, one row per cached vertex in slot
+    /// order. A batch that reads its hits in place keeps a handle on it.
+    pub fn table(&self) -> &Arc<[f32]> {
+        &self.rows
     }
 }
 
@@ -110,8 +110,8 @@ mod tests {
         let cache = FeatureCache::empty();
         assert!(cache.is_empty());
         assert_eq!(cache.bytes(), 0);
-        assert!(!cache.contains(0));
-        assert!(!cache.contains(1_000_000));
+        assert_eq!(cache.slot(0), None);
+        assert_eq!(cache.slot(1_000_000), None);
     }
 
     #[test]
@@ -123,10 +123,13 @@ mod tests {
         let cache = FeatureCache::for_vertices(&[3, 1], 4, &host, 2);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.bytes(), 2 * 2 * 4);
-        assert!(cache.contains(1) && cache.contains(3));
-        assert!(!cache.contains(0) && !cache.contains(2));
-        assert_eq!(cache.row(3), &[30.0, 31.0]);
-        assert_eq!(cache.row(1), &[10.0, 11.0]);
+        // Slots in plan order; the table holds each slot's host row.
+        assert_eq!(
+            (cache.slot(3), cache.slot(1), cache.slot(0), cache.slot(2)),
+            (Some(0), Some(1), None, None)
+        );
+        assert_eq!(&cache.table()[..], &[30.0, 31.0, 10.0, 11.0]);
+        assert_eq!(cache.slot(1_000_000), None);
     }
 
     #[test]
@@ -134,13 +137,6 @@ mod tests {
         let host = vec![0.0f32; 8];
         let cache = FeatureCache::for_vertices(&[2, 2, 2], 4, &host, 2);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not cached")]
-    fn row_of_uncached_vertex_panics() {
-        let host = vec![0.0f32; 4];
-        let cache = FeatureCache::for_vertices(&[0], 2, &host, 2);
-        let _ = cache.row(1);
+        assert_eq!(cache.table().len(), 2);
     }
 }

@@ -210,12 +210,6 @@ pub fn stage_batch(
     let t_gather = Instant::now();
     let features = GatheredFeatures::gather_pooled(dataset, &blocks[0], inputs.cache, &mut bufs);
     debug_assert_eq!(
-        features.num_hits() + features.num_misses(),
-        blocks[0].num_src(),
-        "hits + misses must cover the bottom block's sources"
-    );
-    debug_assert_eq!(features.miss_rows(), features.num_misses());
-    debug_assert_eq!(
         features.h2d_feature_bytes(),
         features.num_misses() as u64 * row_bytes,
         "only miss rows may cross the link"

@@ -2,18 +2,17 @@
 //! (near) allocation-free.
 //!
 //! Every stage of the pipeline used to allocate its working vectors fresh
-//! per batch — block component buffers in the sampler, hit/miss position
-//! lists and the miss matrix in the gather stage, the assembled feature
-//! buffer in the train stage. [`BatchBuffers`] bundles all of that spent
-//! capacity so it can flow *backwards* through the engine: after a batch
-//! trains, its buffers are dismantled into a `BatchBuffers` and sent down a
-//! bounded return channel to the sampler workers, which refill them for a
-//! future batch. A batch whose bundle is missing (cold start, pool
-//! exhausted) simply allocates — the pooled code paths are value-identical
-//! to the allocating ones, only the capacity source differs.
+//! per batch — block component buffers in the sampler, the row index and
+//! the miss matrix in the gather stage. [`BatchBuffers`] bundles all of
+//! that spent capacity so it can flow *backwards* through the engine: after
+//! a batch trains, its buffers are dismantled into a `BatchBuffers` and
+//! sent down a bounded return channel to the sampler workers, which refill
+//! them for a future batch. A batch whose bundle is missing (cold start,
+//! pool exhausted) simply allocates — the pooled code paths are
+//! value-identical to the allocating ones, only the capacity source
+//! differs.
 
 use neutron_sample::{Block, BlockBuilder, BlockParts};
-use neutron_tensor::Matrix;
 
 /// A bundle of spent, reusable buffers covering one in-flight batch.
 /// Contents of every buffer are stale garbage; only capacity matters.
@@ -23,9 +22,9 @@ pub struct BatchBuffers {
     pub stacks: Vec<Vec<Block>>,
     /// Spent block component buffers (one per recycled block).
     pub parts: Vec<BlockParts>,
-    /// Spent `f32` row buffers (miss / assembled feature matrices).
+    /// Spent `f32` row buffers (miss matrices).
     pub f32_bufs: Vec<Vec<f32>>,
-    /// Spent `u32` position buffers (hit / miss lists).
+    /// Spent `u32` row-index buffers.
     pub pos_bufs: Vec<Vec<u32>>,
 }
 
@@ -40,12 +39,6 @@ impl BatchBuffers {
         let mut buf = self.f32_bufs.pop().unwrap_or_default();
         buf.clear();
         buf
-    }
-
-    /// Pops a recycled matrix shell (cleared buffer, 0x0 shape) for an
-    /// `*_into` gather, or an empty one if none is spare.
-    pub fn take_matrix(&mut self) -> Matrix {
-        Matrix::from_vec(0, 0, self.take_f32())
     }
 
     /// Pops a cleared position buffer, or a fresh one if none is spare.
@@ -101,10 +94,6 @@ mod tests {
         assert!(f.is_empty() && f.capacity() >= 3, "stale data must clear");
         let p = bufs.take_pos();
         assert!(p.is_empty() && p.capacity() >= 2);
-
-        bufs.put_f32(vec![4.0; 5]);
-        let m = bufs.take_matrix();
-        assert_eq!(m.shape(), (0, 0));
 
         let block = Block::new(vec![1], vec![1, 2], vec![0, 1], vec![1]);
         bufs.recycle_blocks(vec![block]);

@@ -41,6 +41,7 @@ use neutron_cache::EmbeddingRows;
 use neutron_graph::{Dataset, VertexId};
 use neutron_nn::layers::Layer;
 use neutron_sample::{NeighborSampler, SamplerScratch};
+use neutron_tensor::RowView;
 use std::sync::Arc;
 
 /// One super-batch's refresh work over a subset of the hot set.
@@ -137,8 +138,8 @@ impl RefreshTask {
     /// sampling + forward work).
     const MIN_SHARD_VERTICES: usize = 64;
 
-    /// The shared partition body: sampling, gather and bottom-layer forward
-    /// over an arbitrary slice of the task's vertex list.
+    /// The shared partition body: sampling and bottom-layer forward over an
+    /// arbitrary slice of the task's vertex list.
     fn run_partition(&self, vertices: &[VertexId], scratch: &mut SamplerScratch) -> EmbeddingRows {
         if vertices.is_empty() {
             return EmbeddingRows::default();
@@ -150,11 +151,11 @@ impl RefreshTask {
             self.version ^ 0x5b,
             scratch,
         );
-        // The train path's gather — same helper, so "Gather (FC)" can never
-        // drift between training and refresh.
-        let feats = self.dataset.features().gather_rows_u32(block.src());
+        // Host rows read in place by vertex id (the "CPU" side holds the
+        // whole table): the same floats the train path's view yields.
+        let feats = RowView::gather(self.dataset.features(), block.src());
         // One output row per `block.dst()` vertex, i.e. per task vertex.
-        let (out, _ctx) = self.bottom.forward(&block, &feats);
+        let (out, _ctx) = self.bottom.forward(&block, feats);
         EmbeddingRows::new(vertices.to_vec(), out)
     }
 }
@@ -235,6 +236,40 @@ mod tests {
         );
         let sampler = NeighborSampler::new(Fanout::new(vec![4, 4]));
         (ds, bottom, sampler)
+    }
+
+    /// The partition body as it was before rows were read in place: gather
+    /// the host rows into a dense matrix, then forward.
+    fn gathered_partition(task: &RefreshTask, vertices: &[VertexId]) -> EmbeddingRows {
+        let block = task.sampler.sample_one_hop_stable_with_scratch(
+            &task.dataset.csr,
+            vertices,
+            task.sampler.fanout().at(0),
+            task.version ^ 0x5b,
+            &mut SamplerScratch::new(),
+        );
+        let sources = block.src();
+        let feats = task.dataset.features().gather_rows_u32(sources);
+        EmbeddingRows::new(vertices.to_vec(), task.bottom.forward(&block, &feats).0)
+    }
+
+    #[test]
+    fn in_place_rows_equal_the_gathered_rows_for_every_layer_kind() {
+        let (ds, _, sampler) = fixture();
+        let n = ds.csr.num_vertices() as u32;
+        let verts: Vec<u32> = (0..90).map(|v| v * 7 % n).collect();
+        for kind in LayerKind::ALL {
+            let bottom = Layer::new(kind, ds.spec.feature_dim, ds.spec.hidden_dim, false, 7);
+            let task = RefreshTask::new(Arc::clone(&ds), bottom, sampler.clone(), verts.clone(), 5);
+            let got = task.run(1, &mut SamplerScratch::new()).rows;
+            let want = gathered_partition(&task, &verts);
+            assert_eq!(got.len(), verts.len());
+            for ((gv, g), (wv, w)) in got.iter().zip(want.iter()) {
+                assert_eq!(gv, wv);
+                let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(g), bits(w), "{kind:?}, vertex {gv}");
+            }
+        }
     }
 
     #[test]

@@ -568,10 +568,14 @@ pub(crate) fn recycle_into(pool: &Bounded<BatchBuffers>) -> impl FnMut(PreparedB
         let PreparedBatch {
             blocks,
             features,
+            hits,
             scrap: mut bufs,
             ..
         } = item;
         bufs.put_f32(features.into_vec());
+        if !hits.index.is_empty() {
+            bufs.put_pos(hits.index);
+        }
         bufs.recycle_blocks(blocks);
         let _ = pool.try_send(bufs);
     }

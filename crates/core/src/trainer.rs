@@ -26,9 +26,11 @@
 //! [`crate::pipeline::stage_batch`], the one sample → gather → transfer
 //! path, whether a session lane runs it or
 //! [`ConvergenceTrainer::train_epoch`] (which is [`run_epoch_sequential`]).
-//! Refresh tasks and evaluation read whole host rows with
-//! [`Matrix::gather_rows_u32`].
+//! The bottom layer reads its input in place through
+//! [`PreparedBatch::rows`]; refresh tasks and evaluation read host rows by
+//! vertex id the same way ([`RowView::gather`]).
 
+use crate::gather::CacheHits;
 use crate::pipeline::{run_epoch_sequential, PipelineConfig};
 use crate::pool::BatchBuffers;
 use crate::refresh::{CpuPart, RefreshBackend, RefreshOutput, RefreshTask};
@@ -43,7 +45,7 @@ use neutron_sample::{
     full_one_hop, BatchIterator, Block, EpochBatches, Fanout, HotSet, HotnessRanking,
     NeighborSampler, PreSampler, SamplerScratch,
 };
-use neutron_tensor::Matrix;
+use neutron_tensor::{Matrix, RowView};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -154,13 +156,29 @@ pub struct PreparedBatch {
     pub index: usize,
     /// Bottom-first sampled block stack.
     pub blocks: Vec<Block>,
-    /// Raw features of `blocks[0].src()`, one row per source vertex.
+    /// The shipped raw feature rows of `blocks[0].src()`, in source order:
+    /// all of them when `hits` is empty, else the cache misses alone.
     pub features: Matrix,
+    /// Where the cache hits among the sources are read.
+    pub hits: CacheHits,
     /// Spent staging buffers that accumulated while preparing this batch;
-    /// the engine's recycler folds the blocks and feature buffer in after
-    /// training and returns the bundle to the pool. Empty on the allocating
-    /// (sequential) path.
+    /// the engine's recycler folds the blocks, the feature buffer and the
+    /// hit index in after training and returns the bundle to the pool.
+    /// Empty on the allocating (sequential) path.
     pub scrap: BatchBuffers,
+}
+
+impl PreparedBatch {
+    /// The bottom layer's input, one row per `blocks[0].src()` vertex, read
+    /// where it lives: hits in the cache's table, the rest in `features`.
+    pub fn rows(&self) -> RowView<'_> {
+        let CacheHits { index, table } = &self.hits;
+        if index.is_empty() {
+            RowView::dense(&self.features)
+        } else {
+            RowView::split(&self.features, table, index)
+        }
+    }
 }
 
 /// What one epoch's batch loop produced, before test-set evaluation —
@@ -440,12 +458,12 @@ impl ConvergenceTrainer {
                 self.refresh_boundary(backend, next);
             }
             let loss = if let [item] = batches {
-                self.train_prepared(&item.blocks, &item.features)
+                self.train_prepared(&item.blocks, item.rows())
             } else {
                 let mut groups = Vec::with_capacity(batches.len());
                 let mut loss_sum = 0.0f32;
                 for item in batches {
-                    loss_sum += self.grad_prepared(&item.blocks, &item.features);
+                    loss_sum += self.grad_prepared(&item.blocks, item.rows());
                     groups.push(self.clone_grads());
                 }
                 self.apply_averaged_grads(neutron_nn::tree_average(groups));
@@ -477,7 +495,7 @@ impl ConvergenceTrainer {
 
     /// The train stage: forward/backward/step over one prepared batch,
     /// splicing historical embeddings under the configured policy.
-    fn train_prepared(&mut self, blocks: &[Block], feats: &Matrix) -> f32 {
+    fn train_prepared(&mut self, blocks: &[Block], feats: RowView<'_>) -> f32 {
         let loss = self.grad_prepared(blocks, feats);
         let mut params = self.model.params_mut();
         self.optimizer.step(&mut params);
@@ -492,7 +510,7 @@ impl ConvergenceTrainer {
     /// with [`Self::apply_averaged_grads`], and one shared step follows.
     /// [`Self::train_prepared`] is exactly this followed by the step, so
     /// the split cannot change single-replica numerics.
-    pub fn grad_prepared(&mut self, blocks: &[Block], feats: &Matrix) -> f32 {
+    pub fn grad_prepared(&mut self, blocks: &[Block], feats: RowView<'_>) -> f32 {
         let Self {
             model,
             store,
@@ -767,8 +785,8 @@ impl ConvergenceTrainer {
         let mut bottom = Vec::with_capacity(frontier.len() * hidden);
         for chunk in frontier.chunks(bottom_chunk) {
             let block = full_one_hop(csr, chunk, EVAL_NEIGHBOR_CAP, &mut scratch);
-            let feats = self.dataset.features().gather_rows_u32(block.src());
-            bottom.extend_from_slice(layers[0].forward(&block, &feats).0.as_slice());
+            let feats = RowView::gather(self.dataset.features(), block.src());
+            bottom.extend_from_slice(layers[0].forward(&block, feats).0.as_slice());
         }
         let mut h = Matrix::from_vec(frontier.len(), hidden, bottom);
         for (layer, block) in layers[1..].iter().zip(upper.iter().rev()) {

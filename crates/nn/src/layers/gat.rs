@@ -18,7 +18,7 @@
 
 use crate::param::Param;
 use neutron_sample::Block;
-use neutron_tensor::{init, ops, Activation, Matrix};
+use neutron_tensor::{init, ops, Activation, Matrix, RowView};
 
 /// A single-head GAT layer (`in_dim → out_dim`).
 #[derive(Clone, Debug)]
@@ -65,10 +65,13 @@ impl GatLayer {
         std::iter::once(i).chain(block.neighbors_local(i).iter().map(|&x| x as usize))
     }
 
-    /// Forward pass.
-    pub fn forward(&self, block: &Block, input: &Matrix) -> (Matrix, GatCtx) {
+    /// Forward pass; `input` has one row per `block.src()` vertex. The first
+    /// op projects every row and backward reads them all again, so the view
+    /// is materialised once, into the context.
+    pub fn forward<'a>(&self, block: &Block, input: impl Into<RowView<'a>>) -> (Matrix, GatCtx) {
+        let input = input.into().to_matrix();
         assert_eq!(input.rows(), block.num_src());
-        let s = ops::matmul(input, &self.weight.value);
+        let s = ops::matmul(&input, &self.weight.value);
         let out_dim = self.out_dim();
         let al = self.attn_src.value.row(0);
         let ar = self.attn_dst.value.row(0);
@@ -111,7 +114,7 @@ impl GatLayer {
         (
             out,
             GatCtx {
-                input: input.clone(),
+                input,
                 s,
                 z,
                 alpha,

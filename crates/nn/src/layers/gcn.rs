@@ -14,7 +14,7 @@
 use crate::param::Param;
 use neutron_sample::Block;
 use neutron_tensor::timing::{self, Kernel};
-use neutron_tensor::{init, kernels, ops, Activation, Matrix};
+use neutron_tensor::{init, kernels, ops, Activation, Matrix, RowView};
 
 /// A GCN layer (`in_dim → out_dim`).
 #[derive(Clone, Debug)]
@@ -46,9 +46,10 @@ impl GcnLayer {
         }
     }
 
-    /// Mean-aggregates block inputs into per-dst rows. Exposed for reuse by
-    /// the CPU-side bottom-layer executor in `neutron-core`.
-    pub fn aggregate(block: &Block, input: &Matrix) -> Matrix {
+    /// Mean-aggregates block inputs into per-dst rows, reading each input
+    /// row where it lives (see [`RowView`]).
+    pub fn aggregate<'a>(block: &Block, input: impl Into<RowView<'a>>) -> Matrix {
+        let input = input.into();
         let t0 = timing::start();
         let mut agg = Matrix::zeros(block.num_dst(), input.cols());
         for i in 0..block.num_dst() {
@@ -67,8 +68,9 @@ impl GcnLayer {
         agg
     }
 
-    /// Forward pass.
-    pub fn forward(&self, block: &Block, input: &Matrix) -> (Matrix, GcnCtx) {
+    /// Forward pass; `input` has one row per `block.src()` vertex.
+    pub fn forward<'a>(&self, block: &Block, input: impl Into<RowView<'a>>) -> (Matrix, GcnCtx) {
+        let input = input.into();
         assert_eq!(input.rows(), block.num_src());
         assert_eq!(input.cols(), self.in_dim());
         let agg = Self::aggregate(block, input);

@@ -6,7 +6,7 @@ pub mod sage;
 
 use crate::param::Param;
 use neutron_sample::Block;
-use neutron_tensor::Matrix;
+use neutron_tensor::{Matrix, RowView};
 
 pub use gat::{GatCtx, GatLayer};
 pub use gcn::{GcnCtx, GcnLayer};
@@ -66,9 +66,11 @@ impl Layer {
         }
     }
 
-    /// Forward pass: `input` has one row per `block.src()` vertex; the
-    /// output has one row per `block.dst()` vertex.
-    pub fn forward(&self, block: &Block, input: &Matrix) -> (Matrix, LayerCtx) {
+    /// Forward pass: `input` has one row per `block.src()` vertex (a
+    /// `&Matrix`, or a [`RowView`] that reads them in place); the output
+    /// has one row per `block.dst()` vertex.
+    pub fn forward<'a>(&self, block: &Block, input: impl Into<RowView<'a>>) -> (Matrix, LayerCtx) {
+        let input = input.into();
         match self {
             Layer::Gcn(l) => {
                 let (out, ctx) = l.forward(block, input);

@@ -10,7 +10,7 @@
 use crate::param::Param;
 use neutron_sample::Block;
 use neutron_tensor::timing::{self, Kernel};
-use neutron_tensor::{init, kernels, ops, Activation, Matrix};
+use neutron_tensor::{init, kernels, ops, Activation, Matrix, RowView};
 
 /// A GraphSAGE-mean layer (`in_dim → out_dim`).
 #[derive(Clone, Debug)]
@@ -46,8 +46,10 @@ impl SageLayer {
         }
     }
 
-    /// Neighbor-mean aggregation (self excluded).
-    pub fn aggregate_neighbors(block: &Block, input: &Matrix) -> Matrix {
+    /// Neighbor-mean aggregation (self excluded), reading each input row
+    /// where it lives (see [`RowView`]).
+    pub fn aggregate_neighbors<'a>(block: &Block, input: impl Into<RowView<'a>>) -> Matrix {
+        let input = input.into();
         let t0 = timing::start();
         let mut agg = Matrix::zeros(block.num_dst(), input.cols());
         for i in 0..block.num_dst() {
@@ -64,12 +66,12 @@ impl SageLayer {
         agg
     }
 
-    /// Forward pass.
-    pub fn forward(&self, block: &Block, input: &Matrix) -> (Matrix, SageCtx) {
+    /// Forward pass; `input` has one row per `block.src()` vertex.
+    pub fn forward<'a>(&self, block: &Block, input: impl Into<RowView<'a>>) -> (Matrix, SageCtx) {
+        let input = input.into();
         assert_eq!(input.rows(), block.num_src());
-        // dst i is src i by the prefix convention: one contiguous copy.
-        let prefix = &input.as_slice()[..block.num_dst() * input.cols()];
-        let self_rows = Matrix::from_vec(block.num_dst(), input.cols(), prefix.to_vec());
+        // dst i is src i by the prefix convention; backward needs the rows.
+        let self_rows = input.head(block.num_dst());
         let neigh = Self::aggregate_neighbors(block, input);
         let mut z = ops::matmul(&self_rows, &self.w_self.value);
         ops::add_assign(&mut z, &ops::matmul(&neigh, &self.w_neigh.value));

@@ -3,7 +3,7 @@
 use crate::layers::{Layer, LayerCtx, LayerKind};
 use crate::param::Param;
 use neutron_sample::Block;
-use neutron_tensor::Matrix;
+use neutron_tensor::{Matrix, RowView};
 
 /// Model architecture description.
 #[derive(Clone, Debug)]
@@ -152,10 +152,11 @@ impl GnnModel {
     }
 
     /// Full forward over a bottom-first block stack. `features` has one row
-    /// per `blocks[0].src()` vertex. On a pruned stack (see
+    /// per `blocks[0].src()` vertex: a `&Matrix`, or a [`RowView`] that
+    /// reads the rows where they live. On a pruned stack (see
     /// [`Self::forward_spliced`]) the bottom-layer rows nobody supplies are
     /// zero.
-    pub fn forward(&self, blocks: &[Block], features: &Matrix) -> ForwardPass {
+    pub fn forward<'a>(&self, blocks: &[Block], features: impl Into<RowView<'a>>) -> ForwardPass {
         self.forward_spliced(blocks, features, |_| {})
     }
 
@@ -173,18 +174,20 @@ impl GnnModel {
     /// model has no layer to splice into, so `splice` never runs on it.
     /// [`Self::backward_with_mask`] hands the bottom layer only the rows it
     /// computed.
-    pub fn forward_spliced(
+    pub fn forward_spliced<'a>(
         &self,
         blocks: &[Block],
-        features: &Matrix,
+        features: impl Into<RowView<'a>>,
         mut splice: impl FnMut(&mut Matrix),
     ) -> ForwardPass {
         assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
+        let features = features.into();
         let live = live_bottom_rows(blocks);
         let mut outputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
         let mut ctxs = Vec::with_capacity(self.layers.len());
         for (l, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
-            let (mut out, ctx) = layer.forward(block, outputs.last().unwrap_or(features));
+            let input = outputs.last().map_or(features, RowView::dense);
+            let (mut out, ctx) = layer.forward(block, input);
             if l == 0 && blocks.len() > 1 {
                 if let Some(live) = &live {
                     let mut full = Matrix::zeros(blocks[1].num_src(), out.cols());

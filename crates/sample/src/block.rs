@@ -86,30 +86,6 @@ impl Block {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
-    /// Partitions the source list by `pred` into `matching` and `rest` local
-    /// position lists (caller-owned, possibly recycled buffers, cleared
-    /// first). `src` is already deduplicated at sampling time (one local
-    /// index per distinct vertex), so a cache probe can partition it
-    /// directly — no second dedup pass — and the two lists together cover
-    /// every source position exactly once, in ascending order.
-    pub fn partition_src_into<F: FnMut(VertexId) -> bool>(
-        &self,
-        mut pred: F,
-        matching: &mut Vec<u32>,
-        rest: &mut Vec<u32>,
-    ) {
-        matching.clear();
-        rest.clear();
-        rest.reserve(self.src.len());
-        for (i, &v) in self.src.iter().enumerate() {
-            if pred(v) {
-                matching.push(i as u32);
-            } else {
-                rest.push(i as u32);
-            }
-        }
-    }
-
     /// Dismantles the block into its spent buffers so a [`BlockParts`] pool
     /// can hand the capacity back to the sampler.
     pub fn into_parts(self) -> BlockParts {
@@ -190,27 +166,6 @@ mod tests {
     #[should_panic(expected = "src must contain dst as prefix")]
     fn rejects_src_shorter_than_dst() {
         let _ = Block::new(vec![1, 2], vec![1], vec![0, 0, 0], vec![]);
-    }
-
-    #[test]
-    fn partition_src_covers_every_position_once() {
-        let b = sample_block();
-        let (mut hits, mut misses) = (Vec::new(), Vec::new());
-        b.partition_src_into(|v| v % 20 == 10, &mut hits, &mut misses);
-        assert_eq!(hits, &[0, 2]); // src 10 and 30
-        assert_eq!(misses, &[1, 3]); // src 20 and 40
-        b.partition_src_into(|_| true, &mut hits, &mut misses);
-        assert_eq!(hits, &[0, 1, 2, 3]);
-        assert!(misses.is_empty());
-    }
-
-    #[test]
-    fn partition_src_into_clears_dirty_buffers() {
-        let b = sample_block();
-        let mut hits = vec![99u32; 7];
-        let mut misses = vec![42u32];
-        b.partition_src_into(|v| v % 20 == 10, &mut hits, &mut misses);
-        assert_eq!((hits, misses), (vec![0, 2], vec![1, 3]));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub enum Stage {
     Gather,
     /// The transfer stage (byte accounting + simulated stall).
     Transfer,
-    /// The train stage (assembly, forward/backward, optimizer).
+    /// The train stage (forward/backward, optimizer).
     Train,
     /// The background hot-embedding refresh worker.
     Refresh,

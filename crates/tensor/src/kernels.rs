@@ -14,10 +14,14 @@
 //!   loop-carried dependency the vectorizer must preserve (float addition
 //!   is not associative), so the scalar loop runs at 1 element/cycle. Eight
 //!   independent lane accumulators break the chain.
-//! - **Axpy-style rows** (`matmul`, `matmul_at_b`): the inner loop already
-//!   vectorizes (no reduction), so the win comes from unrolling the outer
-//!   `k` loop by 4: one pass over the output row fuses four row updates,
-//!   quartering the out-row load/store traffic.
+//! - **Axpy-style rows** (`matmul`, `matmul_at_b`): the outer `k` loop is
+//!   unrolled by 4: one pass over the output row fuses four row updates,
+//!   quartering the out-row load/store traffic. The inner loop zips the
+//!   output row with the four `b` rows: the same per-element sum as
+//!   indexing `b0[j]…b3[j]`, bit for bit, 1.3–1.6x faster at the bottom
+//!   layer's `1176×64 · 64×32` (six alternating pairs on a shared 2-vCPU
+//!   x86-64 box: 0.37–0.70 → 0.26–0.50 ms; `matmul_at_b` 0.32–0.62 →
+//!   0.23–0.43 ms).
 //! - **Row gather**: `Matrix::zeros` + per-row copy touches every output
 //!   byte twice (zero fill, then copy). Appending into reserved capacity
 //!   touches it once.
@@ -118,25 +122,6 @@ pub fn gather_rows_u32_into(out: &mut Vec<f32>, src: &[f32], dim: usize, indices
     }
 }
 
-/// One-hop indirect row gather: appends `rows[r] = src[ids[positions[r]]]`
-/// to `out`. This fuses the `positions -> ids -> row` mapping the
-/// cache-keyed gather used to materialise as a temporary index vector per
-/// batch; bit-identical to gathering the collected indices.
-#[inline]
-pub fn gather_rows_mapped_into(
-    out: &mut Vec<f32>,
-    src: &[f32],
-    dim: usize,
-    ids: &[u32],
-    positions: &[u32],
-) {
-    out.reserve(positions.len() * dim);
-    for &p in positions {
-        let i = ids[p as usize] as usize;
-        out.extend_from_slice(&src[i * dim..(i + 1) * dim]);
-    }
-}
-
 /// Scatter-add of `src`'s rows into rows `indices[i]` of `out` (row-major,
 /// `dim` columns each). Duplicate destinations accumulate in `indices`
 /// order, exactly like the scalar reference.
@@ -168,8 +153,9 @@ pub fn matmul_rows(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
             let (b1, rest) = rest.split_at(n);
             let (b2, rest) = rest.split_at(n);
             let b3 = &rest[..n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o += (a0 * b0[j] + a1 * b1[j]) + (a2 * b2[j] + a3 * b3[j]);
+            let b = b0.iter().zip(b1).zip(b2).zip(b3);
+            for (o, (((&x0, &x1), &x2), &x3)) in out_row.iter_mut().zip(b) {
+                *o += (a0 * x0 + a1 * x1) + (a2 * x2 + a3 * x3);
             }
             kk += K_UNROLL;
         }
@@ -214,8 +200,9 @@ pub fn matmul_at_b_acc(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, 
         let b3 = &b_rest[..n];
         for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
             let (v0, v1, v2, v3) = (a0[i], a1[i], a2[i], a3[i]);
-            for (j, o) in c_row.iter_mut().enumerate() {
-                *o += (v0 * b0[j] + v1 * b1[j]) + (v2 * b2[j] + v3 * b3[j]);
+            let b = b0.iter().zip(b1).zip(b2).zip(b3);
+            for (o, (((&x0, &x1), &x2), &x3)) in c_row.iter_mut().zip(b) {
+                *o += (v0 * x0 + v1 * x1) + (v2 * x2 + v3 * x3);
             }
         }
         kk += K_UNROLL;
@@ -335,28 +322,17 @@ mod tests {
     }
 
     #[test]
-    fn u32_and_mapped_gathers_match_the_collected_index_path() {
+    fn u32_gather_matches_the_widened_index_path() {
         let src = seq(9 * 4);
         let ids: Vec<u32> = vec![8, 2, 5, 0, 5];
-        let positions: Vec<u32> = vec![4, 0, 2];
         let widened: Vec<usize> = ids.iter().map(|&v| v as usize).collect();
         let want = reference::gather_rows(&src, 4, &widened);
-        let mut got = Vec::new();
+        let mut got = vec![7.0f32]; // the gather appends after existing content
         gather_rows_u32_into(&mut got, &src, 4, &ids);
-        assert_eq!(want, got);
-
-        let collected: Vec<usize> = positions
-            .iter()
-            .map(|&p| ids[p as usize] as usize)
-            .collect();
-        let want = reference::gather_rows(&src, 4, &collected);
-        let mut got = vec![7.0f32]; // mapped gather appends after existing content
-        gather_rows_mapped_into(&mut got, &src, 4, &ids, &positions);
         assert_eq!(got[0], 7.0);
         assert_eq!(&got[1..], &want[..]);
 
         let mut empty = Vec::new();
-        gather_rows_mapped_into(&mut empty, &src, 4, &ids, &[]);
         gather_rows_u32_into(&mut empty, &[], 0, &[0, 3]);
         assert!(empty.is_empty());
     }
@@ -379,6 +355,95 @@ mod tests {
         let mut gathered = Vec::new();
         gather_rows_into(&mut gathered, &[], 0, &[0, 5, 9]);
         assert!(out.is_empty() && gathered.is_empty());
+    }
+
+    /// The indexed bodies the zip kernels replaced, kept to pin them bit
+    /// for bit: same per-element sum, same order.
+    fn indexed_matmul_rows(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let k_whole = k / K_UNROLL * K_UNROLL;
+        for (r, out_row) in c.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[r * k..(r + 1) * k];
+            let mut kk = 0;
+            while kk < k_whole {
+                let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
+                let (b0, rest) = b[kk * n..].split_at(n);
+                let (b1, rest) = rest.split_at(n);
+                let (b2, rest) = rest.split_at(n);
+                let b3 = &rest[..n];
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o += (a0 * b0[j] + a1 * b1[j]) + (a2 * b2[j] + a3 * b3[j]);
+                }
+                kk += K_UNROLL;
+            }
+            while kk < k {
+                axpy(out_row, a_row[kk], &b[kk * n..(kk + 1) * n]);
+                kk += 1;
+            }
+        }
+    }
+
+    fn indexed_matmul_at_b_acc(c: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
+        if m == 0 || n == 0 {
+            return;
+        }
+        let k_whole = k / K_UNROLL * K_UNROLL;
+        let mut kk = 0;
+        while kk < k_whole {
+            let (a0, a_rest) = a[kk * m..].split_at(m);
+            let (a1, a_rest) = a_rest.split_at(m);
+            let (a2, a_rest) = a_rest.split_at(m);
+            let a3 = &a_rest[..m];
+            let (b0, b_rest) = b[kk * n..].split_at(n);
+            let (b1, b_rest) = b_rest.split_at(n);
+            let (b2, b_rest) = b_rest.split_at(n);
+            let b3 = &b_rest[..n];
+            for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+                let (v0, v1, v2, v3) = (a0[i], a1[i], a2[i], a3[i]);
+                for (j, o) in c_row.iter_mut().enumerate() {
+                    *o += (v0 * b0[j] + v1 * b1[j]) + (v2 * b2[j] + v3 * b3[j]);
+                }
+            }
+            kk += K_UNROLL;
+        }
+        while kk < k {
+            let a_row = &a[kk * m..(kk + 1) * m];
+            let b_row = &b[kk * n..(kk + 1) * n];
+            for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+                axpy(c_row, a_row[i], b_row);
+            }
+            kk += 1;
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn zip_kernels_equal_the_indexed_bodies_bit_for_bit() {
+        for m in [0usize, 1, 3, 17] {
+            for k in [1usize, 3, 4, 5, 7, 8, 13, 64] {
+                for n in [0usize, 1, 8, 32, 602] {
+                    let a = seq(m * k);
+                    let b: Vec<f32> = seq(k * n).iter().map(|v| v * 0.7 - 0.1).collect();
+                    // Accumulating kernels: start from a nonzero C.
+                    let c0: Vec<f32> = seq(m * n).iter().map(|v| v * 0.5).collect();
+                    let (mut want, mut got) = (c0.clone(), c0.clone());
+                    indexed_matmul_rows(&mut want, &a, &b, k, n);
+                    matmul_rows(&mut got, &a, &b, k, n);
+                    assert_eq!(bits(&got), bits(&want), "matmul m={m} k={k} n={n}");
+
+                    let at: Vec<f32> = seq(k * m).iter().map(|v| v * 1.3).collect();
+                    let (mut want, mut got) = (c0.clone(), c0);
+                    indexed_matmul_at_b_acc(&mut want, &at, &b, k, m, n);
+                    matmul_at_b_acc(&mut got, &at, &b, k, m, n);
+                    assert_eq!(bits(&got), bits(&want), "at_b m={m} k={k} n={n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!
 //! Modules:
 //! - [`matrix`] — the `Matrix` type and constructors,
+//! - [`view`] — [`RowView`], matrix-shaped input read in place from one or
+//!   two row tables,
 //! - [`ops`] — matmul variants and element-wise arithmetic,
 //! - [`kernels`] — chunked, autovectorization-friendly slice kernels and
 //!   their retained scalar references (profile-guided; see module docs),
@@ -18,8 +20,7 @@
 //!   `orchbench trace` and the alloc-budget test,
 //! - [`activation`] — ReLU / LeakyReLU / ELU / sigmoid / tanh with gradients,
 //! - [`softmax`] — row softmax and softmax-cross-entropy with gradients,
-//! - [`init`] — seeded Xavier / Kaiming initializers,
-//! - [`reduce`] — row/column reductions and argmax.
+//! - [`init`] — seeded uniform / Xavier / normal initializers.
 //!
 //! Every kernel runs on the thread that calls it. At mini-batch shapes
 //! (≲ 2k × 64 · 64 × 32, under a millisecond) a spawn or a pool wake-up costs
@@ -32,12 +33,13 @@ pub mod init;
 pub mod kernels;
 pub mod matrix;
 pub mod ops;
-pub mod reduce;
 pub mod softmax;
 pub mod timing;
+pub mod view;
 
 pub use activation::Activation;
 pub use matrix::Matrix;
+pub use view::RowView;
 
 /// Numeric tolerance used across the workspace when comparing kernel outputs
 /// against naive reference implementations.

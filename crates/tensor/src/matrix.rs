@@ -168,54 +168,19 @@ impl Matrix {
         out
     }
 
-    /// [`Self::gather_rows`] into a caller-owned matrix whose buffer
-    /// capacity is reused — the pooled-staging variant: a recycled `out`
-    /// that has already seen a batch of this shape gathers without touching
-    /// the allocator. Bit-identical to `*out = self.gather_rows(indices)`.
-    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Matrix) {
-        let t0 = crate::timing::start();
-        out.data.clear();
-        crate::kernels::gather_rows_into(&mut out.data, &self.data, self.cols, indices);
-        // `cols == 0` gathers still produce `indices.len()` zero-width rows.
-        out.rows = indices.len();
-        out.cols = self.cols;
-        crate::timing::stop(crate::timing::Kernel::Gather, t0);
-    }
-
     /// Row gather addressed by `u32` vertex ids, as produced by the
     /// sampling layer — no widened index vector is materialised.
     pub fn gather_rows_u32(&self, indices: &[u32]) -> Matrix {
-        let mut out = Matrix::default();
-        self.gather_rows_u32_into(indices, &mut out);
+        let t0 = crate::timing::start();
+        let mut data = Vec::new();
+        crate::kernels::gather_rows_u32_into(&mut data, &self.data, self.cols, indices);
+        let out = Matrix {
+            rows: indices.len(),
+            cols: self.cols,
+            data,
+        };
+        crate::timing::stop(crate::timing::Kernel::Gather, t0);
         out
-    }
-
-    /// [`Self::gather_rows_u32`] into a recycled matrix.
-    pub fn gather_rows_u32_into(&self, indices: &[u32], out: &mut Matrix) {
-        let t0 = crate::timing::start();
-        out.data.clear();
-        crate::kernels::gather_rows_u32_into(&mut out.data, &self.data, self.cols, indices);
-        out.rows = indices.len();
-        out.cols = self.cols;
-        crate::timing::stop(crate::timing::Kernel::Gather, t0);
-    }
-
-    /// Indirect row gather into a recycled matrix: output row `r` is
-    /// `self[ids[positions[r]]]`. Replaces the collect-then-gather pattern
-    /// of the cache-keyed miss gather (see [`crate::kernels`]).
-    pub fn gather_rows_mapped_into(&self, ids: &[u32], positions: &[u32], out: &mut Matrix) {
-        let t0 = crate::timing::start();
-        out.data.clear();
-        crate::kernels::gather_rows_mapped_into(
-            &mut out.data,
-            &self.data,
-            self.cols,
-            ids,
-            positions,
-        );
-        out.rows = positions.len();
-        out.cols = self.cols;
-        crate::timing::stop(crate::timing::Kernel::Gather, t0);
     }
 
     /// Accumulates `src`'s rows into rows `indices` of `self` (scatter-add).
@@ -321,28 +286,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_variants_match_gather_rows_and_reuse_buffers() {
+    fn gather_variants_match_gather_rows() {
         let m = Matrix::from_rows(&[&[0.0, 10.0], &[1.0, 11.0], &[2.0, 12.0], &[3.0, 13.0]]);
-        let want = m.gather_rows(&[3, 1, 1]);
-
-        let mut out = Matrix::full(5, 2, 9.0); // stale recycled shape
-        m.gather_rows_into(&[3, 1, 1], &mut out);
-        assert_eq!(out, want);
-
-        assert_eq!(m.gather_rows_u32(&[3, 1, 1]), want);
-        m.gather_rows_u32_into(&[3, 1, 1], &mut out);
-        assert_eq!(out, want);
-
-        // positions [2, 0] into ids [3, 9, 1] -> rows of vertices 1, 3.
-        m.gather_rows_mapped_into(&[3, 9, 1], &[2, 0], &mut out);
-        assert_eq!(out, m.gather_rows(&[1, 3]));
+        assert_eq!(m.gather_rows_u32(&[3, 1, 1]), m.gather_rows(&[3, 1, 1]));
 
         // Zero-width-column gathers still report the row count.
         let empty = Matrix::zeros(4, 0);
-        empty.gather_rows_into(&[0, 2], &mut out);
-        assert_eq!(out.shape(), (2, 0));
-        empty.gather_rows_mapped_into(&[1, 0], &[0], &mut out);
-        assert_eq!(out.shape(), (1, 0));
+        assert_eq!(empty.gather_rows(&[0, 2]).shape(), (2, 0));
+        assert_eq!(empty.gather_rows_u32(&[1]).shape(), (1, 0));
     }
 
     #[test]

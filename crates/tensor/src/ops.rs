@@ -111,16 +111,6 @@ pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// `out = a ⊙ b` (Hadamard product).
-pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.shape(), b.shape());
-    let mut out = a.clone();
-    for (x, y) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x *= y;
-    }
-    out
-}
-
 /// `a *= alpha` (in place).
 pub fn scale_assign(a: &mut Matrix, alpha: f32) {
     for x in a.as_mut_slice() {
@@ -222,7 +212,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[10.0, 20.0], &[30.0, 40.0]]);
         assert_eq!(add(&a, &b).row(1), &[33.0, 44.0]);
         assert_eq!(sub(&b, &a).row(0), &[9.0, 18.0]);
-        assert_eq!(hadamard(&a, &b).row(0), &[10.0, 40.0]);
         assert_eq!(scale(&a, 2.0).row(1), &[6.0, 8.0]);
     }
 

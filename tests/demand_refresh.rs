@@ -104,6 +104,7 @@ fn step(
                 index,
                 blocks,
                 features,
+                hits: Default::default(),
                 scrap,
             }
         })

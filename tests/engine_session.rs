@@ -52,6 +52,7 @@ fn prepare(
         index,
         blocks,
         features,
+        hits: Default::default(),
         scrap,
     }
 }

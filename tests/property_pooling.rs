@@ -2,17 +2,19 @@
 //! with the allocation-free engine: for any seed set, recycled-buffer
 //! state and cache membership — including degenerate shapes (empty batch,
 //! single vertex, heavily reused dirty buffers) — the sampler and the
-//! gather/assembly on recycled buffers must be **value-identical** to the
-//! same paths on fresh ones. Pooling transfers capacity, never contents.
+//! gather on recycled buffers (every row the train stage then reads in
+//! place) must be **value-identical** to the same paths on fresh ones.
+//! Pooling transfers capacity, never contents.
 //!
 //! The same file pins the **pruned stack** every one of those paths must
 //! handle: a sampler with a bottom skip set drops the reused (hot) vertices
 //! from the frontier before the bottom hop, identically on all three
 //! `sample_batch*` entry points, and an all-hot frontier's empty bottom
-//! block flows through gather, assembly and every layer kind.
+//! block flows through gather, the prepared batch's row view and every
+//! layer kind.
 
 use neutronorch::cache::FeatureCache;
-use neutronorch::core::gather::GatheredFeatures;
+use neutronorch::core::gather::{GatheredFeatures, StagedBatch};
 use neutronorch::core::pool::BatchBuffers;
 use neutronorch::graph::dataset::DatasetSpec;
 use neutronorch::graph::generate::erdos_renyi;
@@ -138,7 +140,7 @@ proptest! {
 
     /// An all-hot frontier yields a valid *empty* bottom block, and
     /// everything downstream of the sampler takes it: the cache-keyed
-    /// gather, device-side assembly, and forward +
+    /// gather, the prepared batch's (empty) row view, and forward +
     /// backward of every layer kind, with the reused rows spliced in.
     #[test]
     fn empty_bottom_block_flows_through_gather_assembly_and_every_layer_kind(
@@ -163,8 +165,10 @@ proptest! {
         let gathered = GatheredFeatures::gather_from_pooled(&host, &blocks[0], &cache, &mut bufs);
         prop_assert_eq!((gathered.num_hits(), gathered.num_misses()), (0, 0));
         prop_assert_eq!(gathered.h2d_feature_bytes(), 0);
-        let features = gathered.assemble_pooled(blocks[0].src(), &cache, &mut bufs);
-        prop_assert_eq!(features.shape(), (0, dim));
+        let staged = StagedBatch { index: 0, blocks, features: gathered, bufs };
+        let prepared = staged.into_prepared(&cache);
+        let (blocks, features) = (&prepared.blocks, prepared.rows());
+        prop_assert_eq!((features.rows(), features.cols()), (0, dim));
 
         let d_logits = Matrix::full(blocks[1].num_dst(), 3, 0.25);
         for kind in LayerKind::ALL {
@@ -176,13 +180,13 @@ proptest! {
                 layers: 2,
                 seed,
             });
-            let pass = model.forward_spliced(&blocks, &features, |out| {
+            let pass = model.forward_spliced(blocks, features, |out| {
                 prop_assert_eq!(out.shape(), (blocks[1].num_src(), 5));
                 out.as_mut_slice().fill(0.5);
             });
             prop_assert!(pass.logits().all_finite(), "{kind:?}");
             model.zero_grad();
-            let d_features = model.backward(&blocks, pass, &d_logits);
+            let d_features = model.backward(blocks, pass, &d_logits);
             prop_assert_eq!(d_features.shape(), (0, dim));
             // Nothing reached the bottom layer: its gradients stay zero.
             for p in model.layers()[0].params() {
@@ -221,10 +225,11 @@ proptest! {
         }
     }
 
-    /// Pooled gather + assembly round-trips through an arbitrarily dirty
-    /// buffer bundle and still reproduces a fresh bundle's result float for
-    /// float, for any cache membership and source set (empty and singleton
-    /// included). The spent buffers must fold back into the bundle.
+    /// The pooled gather round-trips through an arbitrarily dirty buffer
+    /// bundle and the prepared batch still reads a fresh bundle's rows — the
+    /// host rows — bit for bit, for any cache membership and source set
+    /// (empty and singleton included). The spent buffers must fold back
+    /// into the bundle.
     #[test]
     fn pooled_gather_and_assembly_are_value_identical(
         dim in 1usize..5,
@@ -252,26 +257,34 @@ proptest! {
         let offsets = vec![0u32; src.len() + 1];
         let block = Block::new(src.clone(), src.clone(), offsets, Vec::new());
 
-        // A bundle poisoned with stale garbage of unrelated shapes, reused
-        // across both the gather and the assembly.
+        // A bundle poisoned with stale garbage of unrelated shapes.
         let mut bufs = BatchBuffers::new();
         bufs.put_pos(stale.clone());
         bufs.put_f32(stale.iter().map(|&x| x as f32 + 0.5).collect());
         bufs.put_f32(vec![9.25; 3]);
 
-        let want = GatheredFeatures::gather_from_pooled(&host, &block, &cache, &mut BatchBuffers::new());
-        let got = GatheredFeatures::gather_from_pooled(&host, &block, &cache, &mut bufs);
-        prop_assert_eq!(got.num_hits(), want.num_hits());
-        prop_assert_eq!(got.num_misses(), want.num_misses());
-        prop_assert_eq!(got.h2d_feature_bytes(), want.h2d_feature_bytes());
+        let stage = |mut bufs: BatchBuffers| {
+            let features = GatheredFeatures::gather_from_pooled(&host, &block, &cache, &mut bufs);
+            StagedBatch { index: 0, blocks: vec![block.clone()], features, bufs }
+        };
+        let (want, got) = (stage(BatchBuffers::new()), stage(bufs));
+        prop_assert_eq!(got.features.num_hits(), want.features.num_hits());
+        prop_assert_eq!(got.features.num_misses(), want.features.num_misses());
+        prop_assert_eq!(got.features.h2d_feature_bytes(), want.features.h2d_feature_bytes());
 
-        let want_m = want.assemble_pooled(block.src(), &cache, &mut BatchBuffers::new());
-        let got_m = got.assemble_pooled(block.src(), &cache, &mut bufs);
-        prop_assert_eq!(got_m.as_slice(), want_m.as_slice());
-        prop_assert_eq!(got_m.shape(), want_m.shape());
-        // Both position buffers came back; the all-miss fast path keeps the
-        // miss matrix as the result, every other shape returns its f32 buf.
-        prop_assert_eq!(bufs.pos_bufs.len(), 2);
-        prop_assert!(!bufs.f32_bufs.is_empty());
+        let (want, got) = (want.into_prepared(&cache), got.into_prepared(&cache));
+        let (want_v, got_v) = (want.rows(), got.rows());
+        prop_assert_eq!((got_v.rows(), got_v.cols()), (want_v.rows(), want_v.cols()));
+        prop_assert_eq!(got_v.rows(), src.len());
+        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (p, &v) in src.iter().enumerate() {
+            prop_assert_eq!(bits(got_v.row(p)), bits(want_v.row(p)));
+            prop_assert_eq!(bits(got_v.row(p)), bits(host.row(v as usize)));
+        }
+        // The row index came back to the bundle when nothing hit (a batch
+        // with hits carries it); the miss matrix is the batch's `features`.
+        let no_hits = got.features.rows() == src.len();
+        prop_assert_eq!(got.scrap.pos_bufs.len(), no_hits as usize);
+        prop_assert!(!got.scrap.f32_bufs.is_empty());
     }
 }

@@ -91,8 +91,8 @@ proptest! {
     /// The cache-keyed gather accounts for every vertex exactly: for any
     /// cached subset and any batch, `hits + misses` equals the batch's
     /// deduped source count, the charged feature bytes equal
-    /// `misses * feature_row_bytes` exactly, and device-side assembly is
-    /// bit-identical to a full host gather.
+    /// `misses * feature_row_bytes` exactly, and every row the prepared
+    /// batch's view reads is the host row of its source, bit for bit.
     #[test]
     fn cache_keyed_gather_accounts_every_vertex_exactly(
         dim in 1usize..8,
@@ -126,7 +126,7 @@ proptest! {
         prop_assert_eq!(gf.num_hits() + gf.num_misses(), src.len());
         prop_assert_eq!(
             gf.num_hits(),
-            src.iter().filter(|&&v| cache.contains(v)).count()
+            src.iter().filter(|&&v| cache.slot(v).is_some()).count()
         );
         let row_bytes = (dim * 4) as u64;
         prop_assert_eq!(gf.h2d_feature_bytes(), gf.num_misses() as u64 * row_bytes);
@@ -139,8 +139,14 @@ proptest! {
         // No sampled edges, so staged bytes are exactly the miss features.
         let misses = staged.features.num_misses() as u64;
         prop_assert_eq!(staged.h2d_bytes(), misses * row_bytes);
-        let full = host.gather_rows(&src.iter().map(|&v| v as usize).collect::<Vec<_>>());
-        let assembled = staged.into_prepared(&cache).features;
-        prop_assert_eq!(assembled.as_slice(), full.as_slice());
+        // Every row the train stage reads, hit or miss, is the host row of
+        // its source vertex, bit for bit.
+        let prepared = staged.into_prepared(&cache);
+        let view = prepared.rows();
+        prop_assert_eq!((view.rows(), view.cols()), (src.len(), dim));
+        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (p, &v) in src.iter().enumerate() {
+            prop_assert_eq!(bits(view.row(p)), bits(host.row(v as usize)));
+        }
     }
 }
