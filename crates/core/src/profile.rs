@@ -9,10 +9,17 @@
 //! on a scoped thread, the profiled batches on the caller's. Each reads only
 //! the topology and its own seeds, so the profile is the one a serial build
 //! makes, bit for bit (`tests/profile_golden.rs`). Everything after the join
-//! — the coverage curves, the degree order, the GAS one-hop sets — stays on
-//! the caller's thread; moving it too raised peak memory and gained no time.
+//! — the degree order, the GAS one-hop sets — stays on the caller's thread;
+//! moving it too raised peak memory and gained no time.
 //! Unique-vertex counts go through one generation-stamped
 //! [`PositionMarks`], not a hash set a batch.
+//!
+//! The two static cache policies of Fig 13 are rankings, and a profile
+//! keeps only the rankings: the presample order inside [`HotnessRanking`]
+//! and the degree order beside it, 4 B a vertex each. A policy's coverage
+//! at cache size `k` is summed from the integer access counts on demand.
+//! Integer sums below 2^53 are exact in `f64`, so each value is the float
+//! prefix sum a stored per-vertex curve would hold, bit for bit.
 
 use neutron_graph::{degree, DatasetSpec, VertexId};
 use neutron_nn::LayerKind;
@@ -94,17 +101,16 @@ pub struct WorkloadProfile {
     pub per_batch: Vec<SampleStats>,
     /// Full 1-hop stats per profiled batch (GAS working sets).
     pub one_hop: Vec<OneHopStats>,
-    /// Bottom-layer access frequencies from pre-sampling.
+    /// Bottom-layer access frequencies from pre-sampling; its order is the
+    /// GNNLab cache ranking ([`Self::presample_coverage_topk`]).
     pub hotness: HotnessRanking,
     /// The hot set at `config.hot_ratio`.
     pub hot: HotSet,
     /// Fraction of bottom-layer accesses covered by the hot set.
     pub hot_coverage: f64,
-    /// Cumulative bottom-access coverage of the top-k vertices **by
-    /// pre-sampling rank** (GNNLab cache curve); index k.
-    pub presample_coverage: Vec<f64>,
-    /// Same curve ranked **by degree** (PaGraph cache curve).
-    pub degree_coverage: Vec<f64>,
+    /// Every vertex by descending degree — the PaGraph cache ranking
+    /// ([`Self::degree_coverage_topk`]).
+    pub degree_order: Vec<VertexId>,
     /// Average unique hot vertices appearing in a window of `super_batch`
     /// consecutive batches — the CPU's per-super-batch embedding workload.
     pub hot_per_super_batch: f64,
@@ -196,24 +202,6 @@ impl WorkloadProfile {
             one_hop.push(OneHopStats { src, edges });
         }
 
-        // Coverage curves for the two static cache policies.
-        let total_accesses: f64 = (0..ds.csr.num_vertices() as u32)
-            .map(|v| hotness.count(v) as f64)
-            .sum::<f64>()
-            .max(1.0);
-        let curve = |order: &[VertexId]| -> Vec<f64> {
-            let mut cum = 0.0;
-            let mut out = Vec::with_capacity(order.len() + 1);
-            out.push(0.0);
-            for &v in order {
-                cum += hotness.count(v) as f64;
-                out.push(cum / total_accesses);
-            }
-            out
-        };
-        let presample_coverage = curve(hotness.order());
-        let degree_coverage = curve(&degree::vertices_by_degree_desc(&ds.csr));
-
         // Unique hot vertices per super-batch window.
         let windows = sampled_blocks.chunks(config.super_batch.max(1));
         let num_windows = windows.len();
@@ -252,8 +240,7 @@ impl WorkloadProfile {
             hotness,
             hot,
             hot_coverage,
-            presample_coverage,
-            degree_coverage,
+            degree_order: degree::vertices_by_degree_desc(&ds.csr),
             hot_per_super_batch,
             hot_one_hop_edges,
             num_vertices: ds.csr.num_vertices(),
@@ -301,14 +288,45 @@ impl WorkloadProfile {
         self.one_hop[i % self.one_hop.len()]
     }
 
-    /// Coverage of a `k`-vertex cache under the presample ranking.
+    /// Coverage of a `k`-vertex cache under the presample ranking: the
+    /// share of bottom-layer accesses its hottest `k` vertices take.
     pub fn presample_coverage_topk(&self, k: usize) -> f64 {
-        self.presample_coverage[k.min(self.presample_coverage.len() - 1)]
+        self.coverage_topk(self.hotness.order(), k)
     }
 
     /// Coverage of a `k`-vertex cache under the degree ranking.
     pub fn degree_coverage_topk(&self, k: usize) -> f64 {
-        self.degree_coverage[k.min(self.degree_coverage.len() - 1)]
+        self.coverage_topk(&self.degree_order, k)
+    }
+
+    /// Coverage of the first `min(k, V)` vertices of `order`, O(k).
+    fn coverage_topk(&self, order: &[VertexId], k: usize) -> f64 {
+        let covered: u64 = order[..k.min(order.len())]
+            .iter()
+            .map(|&v| u64::from(self.hotness.count(v)))
+            .sum();
+        covered as f64 / self.total_accesses()
+    }
+
+    /// The whole coverage curve of a ranking (`self.hotness.order()` or
+    /// `self.degree_order`) in O(V): entry `k` is the coverage of its first
+    /// `k` vertices, `k = 0..=V`, each equal to the matching `*_topk(k)`.
+    pub fn coverage_curve<'a>(&'a self, order: &'a [VertexId]) -> impl Iterator<Item = f64> + 'a {
+        let total = self.total_accesses();
+        let mut covered = 0u64;
+        std::iter::once(0.0).chain(order.iter().map(move |&v| {
+            covered += u64::from(self.hotness.count(v));
+            covered as f64 / total
+        }))
+    }
+
+    /// Bottom-layer accesses the counts record, at least 1 so an empty
+    /// profile's coverage is 0, not NaN.
+    fn total_accesses(&self) -> f64 {
+        let total: u64 = (0..self.hotness.num_vertices() as u32)
+            .map(|v| u64::from(self.hotness.count(v)))
+            .sum();
+        (total as f64).max(1.0)
     }
 
     /// Seed count of batch `i` (the last batch may be short).
@@ -436,7 +454,7 @@ mod tests {
                 format!("{:?}", built.per_batch)
             );
             assert_eq!(derived.hot.vertices(), built.hot.vertices());
-            assert_eq!(derived.presample_coverage, built.presample_coverage);
+            assert_eq!(derived.degree_order, built.degree_order);
             assert_eq!(derived.paper_coverage_curve, built.paper_coverage_curve);
             assert_eq!(derived.hot_one_hop_edges, built.hot_one_hop_edges);
         }
@@ -445,7 +463,9 @@ mod tests {
     #[test]
     fn coverage_curves_are_monotone_and_bounded() {
         let p = tiny_profile();
-        for curve in [&p.presample_coverage, &p.degree_coverage] {
+        for order in [p.hotness.order(), &p.degree_order] {
+            let curve: Vec<f64> = p.coverage_curve(order).collect();
+            assert_eq!(curve.len(), p.num_vertices + 1);
             assert!(curve.windows(2).all(|w| w[0] <= w[1] + 1e-12));
             assert!(*curve.last().unwrap() <= 1.0 + 1e-9);
             assert_eq!(curve[0], 0.0);

@@ -63,11 +63,6 @@ impl GraphBuilder {
         self.edges.push((src, dst));
     }
 
-    /// Number of edges currently buffered (before dedup).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalises into CSR (in-neighbor orientation).
     ///
     /// Before dedup, row `v` holds the sources of the forward edges into `v`
@@ -165,7 +160,6 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(0, 1);
         b.add_edge(0, 1);
-        assert_eq!(b.pending_edges(), 3);
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
     }

@@ -1,48 +1,6 @@
-//! Degree statistics and degree-ordered vertex rankings.
+//! Degree-ordered vertex rankings.
 
 use crate::csr::{Csr, VertexId};
-
-/// Summary statistics of a degree distribution.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DegreeStats {
-    pub min: usize,
-    pub max: usize,
-    pub avg: f64,
-    /// Share of all edges held by the top 10% highest-degree vertices; a
-    /// cheap skew proxy used to sanity-check replicas against their
-    /// real-world counterparts.
-    pub top_decile_edge_share: f64,
-}
-
-/// Computes [`DegreeStats`] for a graph.
-pub fn degree_stats(g: &Csr) -> DegreeStats {
-    let n = g.num_vertices();
-    if n == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            avg: 0.0,
-            top_decile_edge_share: 0.0,
-        };
-    }
-    let mut degs: Vec<usize> = (0..n).map(|v| g.degree(v as VertexId)).collect();
-    let min = *degs.iter().min().unwrap();
-    let max = *degs.iter().max().unwrap();
-    let total: usize = degs.iter().sum();
-    degs.sort_unstable_by(|a, b| b.cmp(a));
-    let decile = (n / 10).max(1);
-    let top: usize = degs[..decile].iter().sum();
-    DegreeStats {
-        min,
-        max,
-        avg: total as f64 / n as f64,
-        top_decile_edge_share: if total == 0 {
-            0.0
-        } else {
-            top as f64 / total as f64
-        },
-    }
-}
 
 /// Vertices sorted by descending degree — PaGraph's cache ranking.
 pub fn vertices_by_degree_desc(g: &Csr) -> Vec<VertexId> {
@@ -56,13 +14,11 @@ mod tests {
     use super::*;
     use crate::generate::{erdos_renyi, rmat, RmatParams};
 
-    #[test]
-    fn stats_on_hand_built_graph() {
-        let g = Csr::from_adjacency(vec![vec![1, 2, 3], vec![0], vec![], vec![0]]);
-        let s = degree_stats(&g);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 3);
-        assert!((s.avg - 1.25).abs() < 1e-9);
+    /// Share of all edges held by the top 10% highest-degree vertices.
+    fn top_decile_edge_share(g: &Csr) -> f64 {
+        let order = vertices_by_degree_desc(g);
+        let top: usize = order[..order.len() / 10].iter().map(|&v| g.degree(v)).sum();
+        top as f64 / g.num_edges() as f64
     }
 
     #[test]
@@ -70,7 +26,7 @@ mod tests {
         let r = rmat(2000, 30_000, RmatParams::graph500(), 1);
         let e = erdos_renyi(2000, 30_000, 1);
         assert!(
-            degree_stats(&r).top_decile_edge_share > degree_stats(&e).top_decile_edge_share,
+            top_decile_edge_share(&r) > top_decile_edge_share(&e),
             "R-MAT should concentrate edges in hubs"
         );
     }
@@ -83,13 +39,5 @@ mod tests {
         for w in order.windows(2) {
             assert!(g.degree(w[0]) >= g.degree(w[1]));
         }
-    }
-
-    #[test]
-    fn empty_graph_stats() {
-        let g = Csr::from_adjacency(vec![]);
-        let s = degree_stats(&g);
-        assert_eq!(s.max, 0);
-        assert_eq!(s.avg, 0.0);
     }
 }

@@ -138,18 +138,6 @@ pub fn hash_partition(num_vertices: usize, parts: usize) -> Partition {
     }
 }
 
-/// Contiguous range partitioning — what chunked feature stores use.
-pub fn range_partition(num_vertices: usize, parts: usize) -> Partition {
-    assert!(parts >= 1);
-    let chunk = num_vertices.div_ceil(parts);
-    Partition {
-        parts,
-        assignment: (0..num_vertices)
-            .map(|v| (v / chunk.max(1)).min(parts - 1) as u32)
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,14 +149,6 @@ mod tests {
         let sizes = p.sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 103);
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn range_partition_is_contiguous() {
-        let p = range_partition(100, 4);
-        assert_eq!(p.assignment[0], 0);
-        assert_eq!(p.assignment[99], 3);
-        assert_eq!(p.sizes(), vec![25, 25, 25, 25]);
     }
 
     #[test]
@@ -190,7 +170,7 @@ mod tests {
     #[test]
     fn single_partition_has_no_cut() {
         let g = erdos_renyi(50, 400, 2);
-        let p = range_partition(50, 1);
+        let p = hash_partition(50, 1);
         assert_eq!(p.edge_cut_fraction(&g), 0.0);
     }
 
@@ -222,7 +202,7 @@ mod tests {
     #[test]
     fn stats_are_deterministic_across_calls() {
         let g = erdos_renyi(120, 900, 3);
-        let p = range_partition(120, 3);
+        let p = hash_partition(120, 3);
         assert_eq!(p.stats(&g), p.stats(&g));
         assert_eq!(p.owner(0), 0);
         assert_eq!(p.owner(119), 2);

@@ -127,11 +127,6 @@ impl CostModel {
             None => self.pcie_transfer(bytes),
         }
     }
-
-    /// Seconds a cost takes running alone on a resource with `capacity`.
-    pub fn solo_seconds(cost: Cost, capacity: f64) -> f64 {
-        cost.work / cost.demand.min(capacity)
-    }
 }
 
 #[cfg(test)]
@@ -143,12 +138,17 @@ mod tests {
         CostModel::new(HardwareSpec::v100_server(1.0))
     }
 
+    /// Seconds a cost takes running alone on a resource with `capacity`.
+    fn solo_seconds(cost: Cost, capacity: f64) -> f64 {
+        cost.work / cost.demand.min(capacity)
+    }
+
     #[test]
     fn gpu_sampling_is_much_faster_than_cpu() {
         let m = model();
         let edges = 10_000_000u64;
-        let cpu = CostModel::solo_seconds(m.cpu_sample(edges), m.hardware().cpu.cores);
-        let gpu = CostModel::solo_seconds(m.gpu_sample(edges), 1.0);
+        let cpu = solo_seconds(m.cpu_sample(edges), m.hardware().cpu.cores);
+        let gpu = solo_seconds(m.gpu_sample(edges), 1.0);
         assert!(gpu < cpu, "gpu {gpu} vs cpu {cpu}");
     }
 
@@ -171,8 +171,8 @@ mod tests {
     fn small_batches_train_slower_per_flop() {
         let m = model();
         let flops = 1_000_000_000u64;
-        let small = CostModel::solo_seconds(m.gpu_train(flops, 128), 1.0);
-        let large = CostModel::solo_seconds(m.gpu_train(flops, 10_000), 1.0);
+        let small = solo_seconds(m.gpu_train(flops, 128), 1.0);
+        let large = solo_seconds(m.gpu_train(flops, 10_000), 1.0);
         assert!(small > 2.0 * large, "small {small} vs large {large}");
     }
 
@@ -188,9 +188,8 @@ mod tests {
         let single = CostModel::new(HardwareSpec::v100_server(1.0));
         let multi = CostModel::new(HardwareSpec::dgx1_like(8, 1.0));
         let bytes = 100_000_000u64;
-        let over_pcie =
-            CostModel::solo_seconds(single.gpu_sync(bytes), single.hardware().pcie.bandwidth);
-        let over_nvlink = CostModel::solo_seconds(
+        let over_pcie = solo_seconds(single.gpu_sync(bytes), single.hardware().pcie.bandwidth);
+        let over_nvlink = solo_seconds(
             multi.gpu_sync(bytes),
             multi.hardware().nvlink.unwrap().bandwidth,
         );

@@ -141,11 +141,6 @@ impl HardwareSpec {
     pub fn gpu_efficiency(&self, rows: f64) -> f64 {
         (rows / (rows + self.gpu.saturation_rows)).clamp(0.05, 1.0)
     }
-
-    /// Aggregate CPU FLOP/s when `cores` cores work on dense math.
-    pub fn cpu_flops(&self, cores: f64) -> f64 {
-        self.cpu.flops_per_core * cores.min(self.cpu.cores)
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn gpu_outruns_cpu_on_dense_math() {
         let hw = HardwareSpec::v100_server(1.0);
-        assert!(hw.gpu.flops > 5.0 * hw.cpu_flops(hw.cpu.cores));
+        assert!(hw.gpu.flops > 5.0 * hw.cpu.flops_per_core * hw.cpu.cores);
     }
 
     #[test]

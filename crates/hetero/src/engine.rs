@@ -90,14 +90,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Utilization of the resource whose name matches exactly.
-    pub fn utilization_of(&self, name: &str) -> Option<f64> {
-        self.resource_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.utilization[i])
-    }
-
     /// Busy seconds of a task kind (0 when absent).
     pub fn busy(&self, kind: TaskKind) -> f64 {
         self.busy_by_kind[kind as usize]
@@ -875,17 +867,5 @@ mod tests {
             // A second run of the same engine resets every task's state.
             assert_eq!(engine.run().makespan.to_bits(), want.makespan.to_bits());
         }
-    }
-
-    #[test]
-    fn utilization_of_finds_named_resource() {
-        let mut e = Engine::new();
-        let _cpu = e.add_resource("cpu", 1.0);
-        let gpu = e.add_resource("gpu0", 1.0);
-        e.add_task(gpu, TaskKind::Train, 1.0, 1.0, &[]);
-        let r = e.run();
-        assert_eq!(r.utilization_of("cpu"), Some(0.0));
-        assert_eq!(r.utilization_of("gpu0"), Some(1.0));
-        assert_eq!(r.utilization_of("nope"), None);
     }
 }

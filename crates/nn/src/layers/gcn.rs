@@ -53,6 +53,7 @@ impl GcnLayer {
         let t0 = timing::start();
         let mut agg = Matrix::zeros(block.num_dst(), input.cols());
         for i in 0..block.num_dst() {
+            super::prefetch_ahead(block, &input, i, true);
             // Self contribution: dst i is src i by the prefix convention.
             let row = agg.row_mut(i);
             row.copy_from_slice(input.row(i));

@@ -53,6 +53,7 @@ impl SageLayer {
         let t0 = timing::start();
         let mut agg = Matrix::zeros(block.num_dst(), input.cols());
         for i in 0..block.num_dst() {
+            super::prefetch_ahead(block, &input, i, false);
             let deg = block.sampled_degree(i);
             if deg == 0 {
                 continue;

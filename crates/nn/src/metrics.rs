@@ -14,12 +14,6 @@ pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// Micro-averaged F1 == accuracy for single-label classification; kept as a
-/// named alias because the GNN literature reports "micro-F1".
-pub fn micro_f1(logits: &Matrix, labels: &[usize]) -> f64 {
-    accuracy(logits, labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,7 +34,6 @@ mod tests {
     fn partial_credit() {
         let logits = Matrix::from_rows(&[&[9.0, 0.0], &[0.0, 9.0]]);
         assert_eq!(accuracy(&logits, &[0, 0]), 0.5);
-        assert_eq!(micro_f1(&logits, &[0, 0]), 0.5);
     }
 
     #[test]

@@ -282,11 +282,6 @@ impl GnnModel {
             .collect()
     }
 
-    /// Total trainable scalars.
-    pub fn num_parameters(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
-    }
-
     /// Largest single-update weight change measured in `‖·‖∞` — the paper's
     /// `max‖ΔW‖` staleness monitor (§4.3).
     pub fn max_weight_delta(&self, previous: &[Matrix]) -> f32 {
@@ -411,12 +406,5 @@ mod tests {
         assert_eq!(model.max_weight_delta(&snap), 0.0);
         model.params_mut()[0].value.set(0, 0, 100.0);
         assert!(model.max_weight_delta(&snap) > 1.0);
-    }
-
-    #[test]
-    fn num_parameters_counts_scalars() {
-        let (_, _, model) = sampled_setup(LayerKind::Gcn);
-        // GCN: (6*5 + 5) + (5*3 + 3) = 35 + 18 = 53.
-        assert_eq!(model.num_parameters(), 53);
     }
 }

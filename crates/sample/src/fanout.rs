@@ -48,13 +48,6 @@ impl Fanout {
     pub fn as_slice(&self) -> &[usize] {
         &self.0
     }
-
-    /// Upper bound on the number of source vertices per seed after full
-    /// expansion (product of (fanout+1) per layer) — used for capacity
-    /// pre-allocation, not correctness.
-    pub fn expansion_bound(&self) -> usize {
-        self.0.iter().map(|f| f + 1).product()
-    }
 }
 
 #[cfg(test)]
@@ -76,12 +69,6 @@ mod tests {
     fn paper_default_shallow_models() {
         assert_eq!(Fanout::paper_default(1).as_slice(), &[5]);
         assert_eq!(Fanout::paper_default(2).as_slice(), &[10, 5]);
-    }
-
-    #[test]
-    fn expansion_bound_multiplies() {
-        let f = Fanout::new(vec![2, 3]);
-        assert_eq!(f.expansion_bound(), 12);
     }
 
     #[test]

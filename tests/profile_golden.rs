@@ -8,7 +8,11 @@
 //! `tests/sim_golden.rs`. Each field folds into its own FNV-1a digest
 //! (spelled out because `std`'s `DefaultHasher` does not promise a stable
 //! algorithm): integers as little-endian `u64`, floats by their bits,
-//! `spec` and `config` by their `Debug` text.
+//! `spec` and `config` by their `Debug` text. A profile keeps the two cache
+//! rankings, not their coverage curves; the `presample_coverage` and
+//! `degree_coverage` rows hash each ranking's whole curve as
+//! `WorkloadProfile::coverage_curve` yields it, against the digests the
+//! stored curves had.
 //!
 //! The cases are `DatasetSpec::tiny()` with six profiled batches of 64 (two
 //! super-batch windows, one of them short) and the smoke-sized Reddit
@@ -87,6 +91,7 @@ fn fold(f: impl FnOnce(&mut Fnv1a)) -> u64 {
 /// One `(case/field, digest)` row per field of `p`, in declaration order.
 fn digests(case: &str, p: &WorkloadProfile) -> Vec<(String, u64)> {
     let floats = |xs: &[f64]| fold(|h| xs.iter().for_each(|&x| h.f64(x)));
+    let curve = |order: &[u32]| fold(|h| p.coverage_curve(order).for_each(|x| h.f64(x)));
     let fields = [
         (
             "spec",
@@ -135,8 +140,8 @@ fn digests(case: &str, p: &WorkloadProfile) -> Vec<(String, u64)> {
             fold(|h| p.hot.vertices().iter().for_each(|&v| h.u64(u64::from(v)))),
         ),
         ("hot_coverage", fold(|h| h.f64(p.hot_coverage))),
-        ("presample_coverage", floats(&p.presample_coverage)),
-        ("degree_coverage", floats(&p.degree_coverage)),
+        ("presample_coverage", curve(p.hotness.order())),
+        ("degree_coverage", curve(&p.degree_order)),
         (
             "hot_per_super_batch",
             fold(|h| h.f64(p.hot_per_super_batch)),
@@ -153,18 +158,74 @@ fn digests(case: &str, p: &WorkloadProfile) -> Vec<(String, u64)> {
         .collect()
 }
 
-#[test]
-fn profiles_match_the_recorded_digests() {
+/// The two golden cases, `(case, profile)`.
+fn cases() -> [(&'static str, WorkloadProfile); 2] {
     let mut tiny = WorkloadConfig::paper_default(LayerKind::Gcn);
     tiny.batch_size = 64;
     tiny.layers = 2;
     tiny.profiled_batches = 6;
     let smoke = Setup::Smoke.dataset("Reddit");
-    let mut measured = digests("tiny", &WorkloadProfile::build(&DatasetSpec::tiny(), &tiny));
-    measured.extend(digests(
-        "smoke Reddit",
-        &build_profile(Setup::Smoke, &smoke, LayerKind::Sage, 3, 1024),
-    ));
+    [
+        ("tiny", WorkloadProfile::build(&DatasetSpec::tiny(), &tiny)),
+        (
+            "smoke Reddit",
+            build_profile(Setup::Smoke, &smoke, LayerKind::Sage, 3, 1024),
+        ),
+    ]
+}
+
+/// The coverage curve profiles stored before they kept rankings: a float
+/// prefix sum of the ranked access counts over their float total.
+fn reference_curve(p: &WorkloadProfile, order: &[u32]) -> Vec<f64> {
+    let total_accesses: f64 = (0..p.num_vertices as u32)
+        .map(|v| p.hotness.count(v) as f64)
+        .sum::<f64>()
+        .max(1.0);
+    let mut cum = 0.0;
+    let mut out = Vec::with_capacity(order.len() + 1);
+    out.push(0.0);
+    for &v in order {
+        cum += p.hotness.count(v) as f64;
+        out.push(cum / total_accesses);
+    }
+    out
+}
+
+/// A coverage accessor of a profile: `presample_coverage_topk` or
+/// `degree_coverage_topk`.
+type Topk = fn(&WorkloadProfile, usize) -> f64;
+
+#[test]
+fn coverage_accessors_equal_the_float_prefix_sum() {
+    for (case, p) in cases() {
+        let presample: Topk = WorkloadProfile::presample_coverage_topk;
+        let degree: Topk = WorkloadProfile::degree_coverage_topk;
+        let rankings = [
+            ("presample", p.hotness.order(), presample),
+            ("degree", &p.degree_order, degree),
+        ];
+        for (ranking, order, topk) in rankings {
+            assert_eq!(order.len(), p.num_vertices, "{case}/{ranking}");
+            let want = reference_curve(&p, order);
+            let streamed: Vec<u64> = p.coverage_curve(order).map(f64::to_bits).collect();
+            let want_bits: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(streamed, want_bits, "{case}/{ranking}: coverage_curve");
+            // k = V + 1 asks past the ranking: it clamps to V.
+            for k in 0..=p.num_vertices + 1 {
+                let got = topk(&p, k);
+                let want = want[k.min(p.num_vertices)];
+                assert_eq!(got.to_bits(), want.to_bits(), "{case}/{ranking} k={k}");
+            }
+        }
+    }
+}
+
+#[test]
+fn profiles_match_the_recorded_digests() {
+    let measured: Vec<(String, u64)> = cases()
+        .iter()
+        .flat_map(|(case, p)| digests(case, p))
+        .collect();
 
     let table: String = measured
         .iter()
