@@ -124,11 +124,6 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Epoch throughput in batches per second.
-    pub fn batches_per_second(&self) -> f64 {
-        self.num_batches as f64 / self.epoch_seconds.max(1e-12)
-    }
-
     /// Fraction of the epoch the train stage was compute-bound (1.0 means
     /// the pipeline kept the trainer perfectly fed).
     pub fn train_occupancy(&self) -> f64 {

@@ -52,19 +52,8 @@ impl GcnLayer {
         let input = input.into();
         let t0 = timing::start();
         let mut agg = Matrix::zeros(block.num_dst(), input.cols());
-        for i in 0..block.num_dst() {
-            super::prefetch_ahead(block, &input, i, true);
-            // Self contribution: dst i is src i by the prefix convention.
-            let row = agg.row_mut(i);
-            row.copy_from_slice(input.row(i));
-            for &li in block.neighbors_local(i) {
-                kernels::add_assign_slice(row, input.row(li as usize));
-            }
-            let norm = 1.0 / (block.sampled_degree(i) + 1) as f32;
-            for v in row {
-                *v *= norm;
-            }
-        }
+        let (offsets, indices) = block.adjacency();
+        kernels::mean_with_self(agg.as_mut_slice(), input, offsets, indices);
         timing::stop(Kernel::Aggregate, t0);
         agg
     }
@@ -100,14 +89,14 @@ impl GcnLayer {
         // Distribute aggregation gradient back to src rows (scatter-add).
         let t0 = timing::start();
         let mut d_in = Matrix::zeros(block.num_src(), self.in_dim());
-        for i in 0..block.num_dst() {
-            let norm = 1.0 / (block.sampled_degree(i) + 1) as f32;
-            let g = d_agg.row(i);
-            kernels::axpy(d_in.row_mut(i), norm, g);
-            for &li in block.neighbors_local(i) {
-                kernels::axpy(d_in.row_mut(li as usize), norm, g);
-            }
-        }
+        let (offsets, indices) = block.adjacency();
+        kernels::mean_with_self_backward(
+            d_in.as_mut_slice(),
+            d_agg.as_slice(),
+            self.in_dim(),
+            offsets,
+            indices,
+        );
         timing::stop(Kernel::Aggregate, t0);
         Some(d_in)
     }

@@ -12,30 +12,6 @@ pub use gat::{GatCtx, GatLayer};
 pub use gcn::{GcnCtx, GcnLayer};
 pub use sage::{SageCtx, SageLayer};
 
-/// How many destinations ahead of the one being summed the mean
-/// aggregations prefetch input rows: far enough for the loads to land
-/// before the sum reads them, near enough that the rows are still cached.
-/// 1, 2 and 4 read within noise of each other on a 2-vCPU x86_64 box.
-const PREFETCH_AHEAD: usize = 2;
-
-/// Before a mean aggregation sums destination `i`, asks for the input rows
-/// destination `i + PREFETCH_AHEAD` will read: its sampled neighbours, and
-/// its own row when `with_self` (GCN sums it, SAGE reads it elsewhere).
-/// The rows of a cached or gathered view are scattered over tables too
-/// large for cache, so each read otherwise waits on memory.
-fn prefetch_ahead(block: &Block, input: &RowView, i: usize, with_self: bool) {
-    let dst = i + PREFETCH_AHEAD;
-    if dst >= block.num_dst() {
-        return;
-    }
-    if with_self {
-        input.prefetch(dst);
-    }
-    for &li in block.neighbors_local(dst) {
-        input.prefetch(li as usize);
-    }
-}
-
 /// Which GNN architecture a layer (or model) uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LayerKind {

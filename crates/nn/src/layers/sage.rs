@@ -52,17 +52,8 @@ impl SageLayer {
         let input = input.into();
         let t0 = timing::start();
         let mut agg = Matrix::zeros(block.num_dst(), input.cols());
-        for i in 0..block.num_dst() {
-            super::prefetch_ahead(block, &input, i, false);
-            let deg = block.sampled_degree(i);
-            if deg == 0 {
-                continue;
-            }
-            let norm = 1.0 / deg as f32;
-            for &li in block.neighbors_local(i) {
-                kernels::axpy(agg.row_mut(i), norm, input.row(li as usize));
-            }
-        }
+        let (offsets, indices) = block.adjacency();
+        kernels::mean_of_neighbors(agg.as_mut_slice(), input, offsets, indices);
         timing::stop(Kernel::Aggregate, t0);
         agg
     }
@@ -111,18 +102,15 @@ impl SageLayer {
         let d_neigh = ops::matmul_a_bt(&dz, &self.w_neigh.value);
         let t0 = timing::start();
         let mut d_in = Matrix::zeros(block.num_src(), self.in_dim());
-        for i in 0..block.num_dst() {
-            kernels::add_assign_slice(d_in.row_mut(i), d_self.row(i));
-            let deg = block.sampled_degree(i);
-            if deg == 0 {
-                continue;
-            }
-            let norm = 1.0 / deg as f32;
-            let g = d_neigh.row(i);
-            for &li in block.neighbors_local(i) {
-                kernels::axpy(d_in.row_mut(li as usize), norm, g);
-            }
-        }
+        let (offsets, indices) = block.adjacency();
+        kernels::mean_of_neighbors_backward(
+            d_in.as_mut_slice(),
+            d_self.as_slice(),
+            d_neigh.as_slice(),
+            self.in_dim(),
+            offsets,
+            indices,
+        );
         timing::stop(Kernel::Aggregate, t0);
         Some(d_in)
     }

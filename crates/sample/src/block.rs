@@ -80,6 +80,13 @@ impl Block {
         &self.indices[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// The per-dst offsets (`num_dst + 1` of them) and the local src
+    /// indices they delimit: the CSR [`Self::neighbors_local`] slices.
+    #[inline]
+    pub fn adjacency(&self) -> (&[u32], &[u32]) {
+        (&self.offsets, &self.indices)
+    }
+
     /// In-degree (sampled) of dst `i`, excluding the implicit self edge.
     #[inline]
     pub fn sampled_degree(&self, i: usize) -> usize {

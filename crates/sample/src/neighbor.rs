@@ -506,24 +506,12 @@ fn sample_biased_neighbors(
     if neigh.len() <= fanout {
         // Fanout not binding: take everything, like the unbiased path.
         out.extend_from_slice(neigh);
-        for &u in neigh {
-            if owner[u as usize] == part {
-                counts.local_picks += 1;
-            } else {
-                counts.remote_picks += 1;
-            }
-        }
+        let local = neigh.iter().filter(|&&u| owner[u as usize] == part).count() as u64;
+        counts.local_picks += local;
+        counts.remote_picks += neigh.len() as u64 - local;
         return;
     }
-    locals.clear();
-    remotes.clear();
-    for &u in neigh {
-        if owner[u as usize] == part {
-            locals.push(u);
-        } else {
-            remotes.push(u);
-        }
-    }
+    split_by_owner(neigh, owner, part, locals, remotes);
     if locals.len() > fanout {
         // Enough local supply: the whole draw stays on-partition. With
         // zero remotes this consumes the rng exactly like the unbiased
@@ -542,6 +530,33 @@ fn sample_biased_neighbors(
             counts.remote_picks += rem as u64;
         }
     }
+}
+
+/// Splits `neigh` into the ids `part` owns and the rest, each list in
+/// `neigh`'s order. Branch-free: every id is written to both buffers and
+/// only the cursor its ownership bit selects moves past it, so a
+/// neighbourhood whose owners alternate costs no mispredicted branch.
+fn split_by_owner(
+    neigh: &[VertexId],
+    owner: &[u32],
+    part: u32,
+    locals: &mut Vec<VertexId>,
+    remotes: &mut Vec<VertexId>,
+) {
+    locals.clear();
+    locals.resize(neigh.len(), 0);
+    remotes.clear();
+    remotes.resize(neigh.len(), 0);
+    let (mut l, mut r) = (0, 0);
+    for &u in neigh {
+        let local = usize::from(owner[u as usize] == part);
+        locals[l] = u;
+        remotes[r] = u;
+        l += local;
+        r += 1 - local;
+    }
+    locals.truncate(l);
+    remotes.truncate(r);
 }
 
 #[cfg(test)]
@@ -669,6 +684,44 @@ mod tests {
             check_draw(30, 25, seed, &mut marks);
         }
         assert!(marks.generation < 10, "the generation wrapped");
+    }
+
+    /// The split as a push loop over a data-dependent branch, as it was
+    /// written before [`split_by_owner`]: the reference it must match.
+    fn split_reference(neigh: &[VertexId], owner: &[u32], part: u32) -> [Vec<VertexId>; 2] {
+        let (mut locals, mut remotes) = (Vec::new(), Vec::new());
+        for &u in neigh {
+            if owner[u as usize] == part {
+                locals.push(u);
+            } else {
+                remotes.push(u);
+            }
+        }
+        [locals, remotes]
+    }
+
+    #[test]
+    fn branch_free_split_matches_the_push_loop() {
+        let g = rmat(2_000, 40_000, RmatParams::graph500(), 24);
+        // Longer lists after shorter ones and the reverse: stale entries
+        // past a cursor must never show.
+        let (mut locals, mut remotes) = (vec![7; 3], Vec::new());
+        for parts in [1u32, 2, 3] {
+            let owner: Vec<u32> = (0..2_000u32).map(|v| (v * 7 + v / 3) % parts).collect();
+            for part in 0..parts {
+                for v in (0..2_000u32).step_by(3).chain((0..2_000).rev().step_by(7)) {
+                    let neigh = g.neighbors(v);
+                    split_by_owner(neigh, &owner, part, &mut locals, &mut remotes);
+                    assert_eq!(
+                        [locals.clone(), remotes.clone()],
+                        split_reference(neigh, &owner, part),
+                        "vertex {v} part {part} of {parts}"
+                    );
+                }
+            }
+        }
+        split_by_owner(&[], &[], 0, &mut locals, &mut remotes);
+        assert!(locals.is_empty() && remotes.is_empty());
     }
 
     #[test]

@@ -37,13 +37,7 @@ impl Activation {
     pub fn forward_inplace(self, z: &mut Matrix) {
         match self {
             Activation::Identity => {}
-            Activation::Relu => {
-                for v in z.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
+            Activation::Relu => crate::kernels::relu(z.as_mut_slice()),
             Activation::LeakyRelu => {
                 for v in z.as_mut_slice() {
                     if *v < 0.0 {
@@ -78,13 +72,7 @@ impl Activation {
         let mut grad = d_out.clone();
         match self {
             Activation::Identity => {}
-            Activation::Relu => {
-                for (g, &zv) in grad.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    if zv <= 0.0 {
-                        *g = 0.0;
-                    }
-                }
-            }
+            Activation::Relu => crate::kernels::relu_backward(grad.as_mut_slice(), z.as_slice()),
             Activation::LeakyRelu => {
                 for (g, &zv) in grad.as_mut_slice().iter_mut().zip(z.as_slice()) {
                     if zv <= 0.0 {

@@ -58,8 +58,9 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
 /// `C = A · Bᵀ` where `A: m×k`, `B: n×k` → `C: m×n`.
 ///
 /// Used for input gradients: `∇H = δ · Wᵀ`. Each output element is a
-/// multi-accumulator chunked [`kernels::dot`] — the single biggest kernel
-/// win in the workspace (~3.4× over the latency-bound scalar loop).
+/// [`kernels::DOT_LANES`]-accumulator chunked dot product — the single
+/// biggest kernel win in the workspace (~3.4× over the latency-bound scalar
+/// loop).
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.cols(),
@@ -88,9 +89,7 @@ pub fn add(a: &Matrix, b: &Matrix) -> Matrix {
 /// `a += b` (element-wise).
 pub fn add_assign(a: &mut Matrix, b: &Matrix) {
     assert_eq!(a.shape(), b.shape());
-    for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += y;
-    }
+    kernels::add_assign(a.as_mut_slice(), b.as_slice());
 }
 
 /// `a += alpha * b` (axpy).
@@ -101,51 +100,17 @@ pub fn add_scaled_assign(a: &mut Matrix, alpha: f32, b: &Matrix) {
     }
 }
 
-/// `out = a - b` (element-wise).
-pub fn sub(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.shape(), b.shape());
-    let mut out = a.clone();
-    for (x, y) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x -= y;
-    }
-    out
-}
-
-/// `a *= alpha` (in place).
-pub fn scale_assign(a: &mut Matrix, alpha: f32) {
-    for x in a.as_mut_slice() {
-        *x *= alpha;
-    }
-}
-
-/// `out = alpha * a`.
-pub fn scale(a: &Matrix, alpha: f32) -> Matrix {
-    let mut out = a.clone();
-    scale_assign(&mut out, alpha);
-    out
-}
-
 /// Adds a 1×n bias row to every row of `a`.
 pub fn add_bias_row(a: &mut Matrix, bias: &Matrix) {
     assert_eq!(bias.rows(), 1);
     assert_eq!(bias.cols(), a.cols());
-    let b = bias.row(0);
-    for r in 0..a.rows() {
-        for (x, y) in a.row_mut(r).iter_mut().zip(b) {
-            *x += y;
-        }
-    }
+    kernels::add_bias_rows(a.as_mut_slice(), bias.as_slice());
 }
 
 /// Sums the rows of `a` into a 1×n matrix (gradient of a broadcast bias).
 pub fn sum_rows(a: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(1, a.cols());
-    for r in 0..a.rows() {
-        let row = a.row(r);
-        for (o, v) in out.row_mut(0).iter_mut().zip(row) {
-            *o += v;
-        }
-    }
+    kernels::sum_rows_into(out.as_mut_slice(), a.as_slice());
     out
 }
 
@@ -211,8 +176,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[10.0, 20.0], &[30.0, 40.0]]);
         assert_eq!(add(&a, &b).row(1), &[33.0, 44.0]);
-        assert_eq!(sub(&b, &a).row(0), &[9.0, 18.0]);
-        assert_eq!(scale(&a, 2.0).row(1), &[6.0, 8.0]);
     }
 
     #[test]

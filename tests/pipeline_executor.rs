@@ -129,7 +129,6 @@ fn pipeline_report_accounts_stages_and_bytes() {
         report.h2d_bytes > 0,
         "feature + block bytes must be accounted"
     );
-    assert!(report.batches_per_second() > 0.0);
     assert!(report.train_occupancy() <= 1.0 + 1e-9);
     // Sequential baseline over the same work ships the same bytes.
     let mut s = trainer(ReusePolicy::Exact);
