@@ -1,14 +1,17 @@
 //! Versioned historical-embedding store (§4.1.2 / §4.2.2).
 //!
-//! Each entry records the model-parameter **version** (batch counter) it was
+//! Each row records the model-parameter **version** (batch counter) it was
 //! computed under. Reads report their version gap; an optional hard bound
 //! turns excessive staleness into an error instead of silent accuracy loss —
 //! the property that distinguishes NeutronOrch from GAS in Fig 16.
+//!
+//! The store is dense: a fixed key space's rows and versions, indexed by rank.
 
 use neutron_graph::VertexId;
+use neutron_sample::HotSet;
 use neutron_tensor::Matrix;
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A read rejected because the entry exceeded the staleness bound.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,11 +43,10 @@ impl fmt::Display for StaleReadError {
 impl std::error::Error for StaleReadError {}
 
 /// A deterministic, order-stable image of a store's complete state — the
-/// unit a checkpoint serializes. Rows are sorted by vertex id because the
-/// backing `HashMap` iterates in arbitrary order; two snapshots of equal
-/// stores are therefore structurally equal, and restoring one reproduces
-/// every future read (values, version gaps *and* the gap/read counters)
-/// bit for bit.
+/// unit a checkpoint serializes. Rows are in vertex-id order, whatever the
+/// store's key space ranks them by, so two snapshots of equal stores are
+/// structurally equal, and restoring one reproduces every future read
+/// (values, version gaps *and* the gap/read counters) bit for bit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoreSnapshot {
     /// Embedding dimension.
@@ -132,97 +134,95 @@ impl EmbeddingRows {
     }
 }
 
-/// Versioned per-vertex embedding rows.
+/// Versioned embedding rows of one key space, indexed by rank: NeutronOrch's
+/// key space is the hot set, GAS's every vertex ([`HotSet::all`]).
 #[derive(Clone, Debug)]
 pub struct EmbeddingStore {
+    keys: Arc<HotSet>,
     dim: usize,
     bound: Option<u64>,
-    entries: HashMap<VertexId, (Vec<f32>, u64)>,
+    rows: Vec<f32>,
+    /// Each slot's version, `None` until written. The first write allocates
+    /// both tables: a trainer built but never trained holds neither.
+    versions: Vec<Option<u64>>,
     max_observed_gap: u64,
     reads: u64,
 }
 
 impl EmbeddingStore {
-    /// Store for `dim`-dimensional embeddings. `bound = Some(b)` makes any
-    /// read with version gap `> b` an error (NeutronOrch sets `b = 2n−1`);
-    /// `None` allows unbounded reuse (GAS-like).
-    pub fn new(dim: usize, bound: Option<u64>) -> Self {
+    /// Empty store for `dim`-wide embeddings of `keys`' vertices. `bound =
+    /// Some(b)` makes any read with version gap `> b` an error (NeutronOrch
+    /// sets `b = 2n−1`); `None` allows unbounded reuse (GAS-like).
+    pub fn new(keys: Arc<HotSet>, dim: usize, bound: Option<u64>) -> Self {
         Self {
+            rows: Vec::new(),
+            versions: Vec::new(),
+            keys,
             dim,
             bound,
-            entries: HashMap::new(),
             max_observed_gap: 0,
             reads: 0,
         }
     }
 
-    /// Inserts/refreshes the embedding of `v` computed at `version`.
-    pub fn put(&mut self, v: VertexId, row: Vec<f32>, version: u64) {
+    /// The slot `v`'s row is kept in (its rank), `None` outside the key space.
+    #[inline]
+    pub fn slot(&self, v: VertexId) -> Option<u32> {
+        self.keys.rank(v)
+    }
+
+    fn row(&self, slot: usize) -> &[f32] {
+        &self.rows[slot * self.dim..][..self.dim]
+    }
+
+    fn version(&self, slot: usize) -> Option<u64> {
+        self.versions.get(slot).copied().flatten()
+    }
+
+    /// Copies `row` into `slot`, computed at `version`.
+    pub fn put(&mut self, slot: u32, row: &[f32], version: u64) {
         assert_eq!(row.len(), self.dim, "dimension mismatch");
-        self.entries.insert(v, (row, version));
-    }
-
-    /// Reads `v`'s embedding at current version `now`, recording the gap.
-    /// Returns `Ok(None)` when no embedding exists.
-    pub fn get(&mut self, v: VertexId, now: u64) -> Result<Option<(&[f32], u64)>, StaleReadError> {
-        match self.entries.get(&v) {
-            None => Ok(None),
-            Some((row, version)) => {
-                let gap = now.saturating_sub(*version);
-                if let Some(bound) = self.bound {
-                    if gap > bound {
-                        return Err(StaleReadError {
-                            vertex: v,
-                            version: *version,
-                            now,
-                            bound,
-                        });
-                    }
-                }
-                self.reads += 1;
-                self.max_observed_gap = self.max_observed_gap.max(gap);
-                Ok(Some((row.as_slice(), gap)))
-            }
+        if self.versions.is_empty() {
+            self.versions = vec![None; self.keys.len()];
+            self.rows = vec![0.0; self.keys.len() * self.dim];
         }
+        let slot = slot as usize;
+        self.rows[slot * self.dim..][..self.dim].copy_from_slice(row);
+        self.versions[slot] = Some(version);
     }
 
-    /// Publishes a whole refresh batch computed at `version` — the
-    /// super-batch flip of the double-buffered refresh: the worker computes
-    /// rows against an immutable parameter snapshot off to the side, then
-    /// the train stage installs them all at once at the next boundary. A
-    /// vertex already in the store keeps its buffer (the row is copied over
-    /// it), so steady-state publishes allocate nothing.
+    /// Reads `slot`'s row at version `now`, recording the gap; `Ok(None)` if absent.
+    pub fn get(&mut self, slot: u32, now: u64) -> Result<Option<(&[f32], u64)>, StaleReadError> {
+        let slot = slot as usize;
+        let Some(version) = self.version(slot) else {
+            return Ok(None);
+        };
+        let gap = now.saturating_sub(version);
+        if let Some(bound) = self.bound.filter(|&bound| gap > bound) {
+            return Err(StaleReadError {
+                vertex: self.keys.vertices()[slot],
+                version,
+                now,
+                bound,
+            });
+        }
+        self.reads += 1;
+        self.max_observed_gap = self.max_observed_gap.max(gap);
+        Ok(Some((self.row(slot), gap)))
+    }
+
+    /// Publishes a refresh batch computed at `version` — the super-batch
+    /// flip: rows computed off to the side are copied into place at once.
     pub fn put_rows(&mut self, rows: &EmbeddingRows, version: u64) {
         for (v, row) in rows.iter() {
-            assert_eq!(row.len(), self.dim, "dimension mismatch");
-            match self.entries.entry(v) {
-                Entry::Occupied(mut entry) => {
-                    let (stored, stamp) = entry.get_mut();
-                    stored.copy_from_slice(row);
-                    *stamp = version;
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert((row.to_vec(), version));
-                }
-            }
+            let slot = self.slot(v).expect("refresh rows lie in the key space");
+            self.put(slot, row, version);
         }
     }
 
-    /// Drops every entry older than `cutoff` — NeutronOrch's super-batch
-    /// retirement ("historical embeddings from the previous super-batch are
-    /// only accessible within the current super-batch").
-    pub fn evict_older_than(&mut self, cutoff: u64) {
-        self.entries.retain(|_, (_, version)| *version >= cutoff);
-    }
-
-    /// Number of stored embeddings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
+    /// True when no slot holds a row.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.versions.is_empty()
     }
 
     /// Largest version gap any successful read observed.
@@ -235,26 +235,15 @@ impl EmbeddingStore {
         self.reads
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Bytes held (entries × dim × 4).
-    pub fn bytes(&self) -> u64 {
-        (self.entries.len() * self.dim * 4) as u64
-    }
-
-    /// Captures the store's complete state, sorted by vertex id (the
-    /// backing map iterates in arbitrary order, so a checkpoint must not
-    /// serialize it directly).
+    /// The store's complete state, rows in id order: it walks ids, no sort.
     pub fn snapshot(&self) -> StoreSnapshot {
-        let mut rows: Vec<(VertexId, Vec<f32>, u64)> = self
-            .entries
-            .iter()
-            .map(|(&v, (row, version))| (v, row.clone(), *version))
+        let rows = (0..self.keys.num_vertices() as VertexId)
+            .filter_map(|v| {
+                let slot = self.slot(v)? as usize;
+                let version = self.version(slot)?;
+                Some((v, self.row(slot).to_vec(), version))
+            })
             .collect();
-        rows.sort_unstable_by_key(|(v, _, _)| *v);
         StoreSnapshot {
             dim: self.dim,
             bound: self.bound,
@@ -264,28 +253,43 @@ impl EmbeddingStore {
         }
     }
 
-    /// Rebuilds a store from a snapshot. The counters round-trip too, so a
-    /// restored trainer reports the same `max_observed_gap`/`reads` series
-    /// the uninterrupted run would.
-    pub fn from_snapshot(snap: &StoreSnapshot) -> Self {
-        let mut store = Self::new(snap.dim, snap.bound);
+    /// Replaces the contents with `snap`'s, counters included, in this
+    /// store's own key space. A row outside it, a vertex named twice or a
+    /// row not `snap.dim` wide is an error that leaves the store as it was.
+    pub fn restore(&mut self, snap: &StoreSnapshot) -> Result<(), String> {
+        let mut store = Self::new(Arc::clone(&self.keys), snap.dim, snap.bound);
         for (v, row, version) in &snap.rows {
-            store.put(*v, row.clone(), *version);
+            let outside = || format!("stored row of v{v}, outside the key space");
+            let slot = store.slot(*v).ok_or_else(outside)?;
+            if store.version(slot as usize).is_some() {
+                return Err(format!("two stored rows of v{v}"));
+            }
+            if row.len() != snap.dim {
+                return Err(format!("stored row of v{v} is not {} wide", snap.dim));
+            }
+            store.put(slot, row, *version);
         }
         store.max_observed_gap = snap.max_observed_gap;
         store.reads = snap.reads;
-        store
+        *self = store;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neutron_sample::HotnessRanking;
+
+    /// Identity key space over `n` vertices (slot = vertex id).
+    fn store(n: usize, dim: usize, bound: Option<u64>) -> EmbeddingStore {
+        EmbeddingStore::new(Arc::new(HotSet::all(n)), dim, bound)
+    }
 
     #[test]
     fn put_get_roundtrip_with_gap() {
-        let mut s = EmbeddingStore::new(3, Some(5));
-        s.put(7, vec![1.0, 2.0, 3.0], 10);
+        let mut s = store(8, 3, Some(5));
+        s.put(7, &[1.0, 2.0, 3.0], 10);
         let (row, gap) = s.get(7, 12).unwrap().unwrap();
         assert_eq!(row, &[1.0, 2.0, 3.0]);
         assert_eq!(gap, 2);
@@ -295,14 +299,14 @@ mod tests {
 
     #[test]
     fn missing_vertex_is_none_not_error() {
-        let mut s = EmbeddingStore::new(2, Some(1));
+        let mut s = store(1, 2, Some(1));
         assert_eq!(s.get(0, 100).unwrap(), None);
     }
 
     #[test]
     fn bound_violation_is_an_error() {
-        let mut s = EmbeddingStore::new(1, Some(3));
-        s.put(1, vec![0.5], 0);
+        let mut s = store(2, 1, Some(3));
+        s.put(1, &[0.5], 0);
         assert!(s.get(1, 3).is_ok());
         let err = s.get(1, 4).unwrap_err();
         assert_eq!(err.bound, 3);
@@ -313,16 +317,16 @@ mod tests {
 
     #[test]
     fn unbounded_store_accepts_any_gap() {
-        let mut s = EmbeddingStore::new(1, None);
-        s.put(1, vec![0.1], 0);
+        let mut s = store(2, 1, None);
+        s.put(1, &[0.1], 0);
         let (_, gap) = s.get(1, 1_000_000).unwrap().unwrap();
         assert_eq!(gap, 1_000_000);
     }
 
     #[test]
     fn put_rows_publishes_a_batch_at_one_version() {
-        let mut s = EmbeddingStore::new(2, Some(3));
-        s.put(2, vec![0.0, 0.0], 1);
+        let mut s = store(3, 2, Some(3));
+        s.put(2, &[0.0, 0.0], 1);
         let pairs = [(1, vec![1.0, 1.0]), (2, vec![2.0, 2.0])];
         let rows = EmbeddingRows::from_pairs(2, &pairs).unwrap();
         assert_eq!(
@@ -334,11 +338,11 @@ mod tests {
             "rows must be `dim` wide"
         );
         s.put_rows(&rows, 5);
-        assert_eq!(s.len(), 2);
         let (row, gap) = s.get(2, 6).unwrap().unwrap();
         assert_eq!(row, &[2.0, 2.0], "an existing entry is overwritten");
         assert_eq!(gap, 1);
         assert_eq!(s.get(1, 6).unwrap().unwrap().0, &[1.0, 1.0]);
+        assert_eq!(s.get(0, 6).unwrap(), None);
     }
 
     #[test]
@@ -352,47 +356,66 @@ mod tests {
     }
 
     #[test]
-    fn eviction_retires_old_versions() {
-        let mut s = EmbeddingStore::new(1, None);
-        s.put(1, vec![0.0], 5);
-        s.put(2, vec![0.0], 9);
-        s.evict_older_than(6);
-        assert_eq!(s.len(), 1);
-        assert!(s.get(1, 10).unwrap().is_none());
-        assert!(s.get(2, 10).unwrap().is_some());
-    }
-
-    #[test]
-    fn bytes_accounting() {
-        let mut s = EmbeddingStore::new(4, None);
-        s.put(0, vec![0.0; 4], 0);
-        s.put(1, vec![0.0; 4], 0);
-        assert_eq!(s.bytes(), 32);
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn rejects_wrong_dimension() {
-        let mut s = EmbeddingStore::new(2, None);
-        s.put(0, vec![0.0; 3], 0);
+        let mut s = store(1, 2, None);
+        s.put(0, &[0.0; 3], 0);
+    }
+
+    /// A hot key space ranks vertices 9, 4, 1 (slots 0, 1, 2) of 10.
+    fn hot_store() -> EmbeddingStore {
+        let mut counts = vec![0; 10];
+        (counts[9], counts[4], counts[1]) = (3, 2, 1);
+        let hot = HotnessRanking::from_counts(counts).hot_set(0.3);
+        EmbeddingStore::new(Arc::new(hot), 2, Some(7))
     }
 
     #[test]
-    fn snapshot_is_sorted_and_restores_counters() {
-        let mut s = EmbeddingStore::new(2, Some(7));
-        s.put(9, vec![9.0, 9.0], 3);
-        s.put(1, vec![1.0, 1.0], 5);
-        s.put(4, vec![4.0, 4.0], 2);
-        let _ = s.get(9, 6); // gap 3, one read
+    fn snapshot_is_in_id_order_and_restores_counters() {
+        let mut s = hot_store();
+        let slots: Vec<_> = [9, 4, 1, 0].map(|v| s.slot(v)).to_vec();
+        assert_eq!(slots, [Some(0), Some(1), Some(2), None]);
+        s.put_rows(
+            &EmbeddingRows::from_pairs(2, &[(9, vec![9.0, 9.0]), (1, vec![1.0, 1.0])]).unwrap(),
+            3,
+        );
+        let _ = s.get(0, 6); // v9: gap 3, one read
         let snap = s.snapshot();
         assert_eq!(
-            snap.rows.iter().map(|(v, _, _)| *v).collect::<Vec<_>>(),
-            vec![1, 4, 9]
+            snap.rows,
+            [(1, vec![1.0, 1.0], 3), (9, vec![9.0, 9.0], 3)],
+            "present rows only, ascending by id"
         );
-        let restored = EmbeddingStore::from_snapshot(&snap);
+        let mut restored = hot_store();
+        restored.restore(&snap).unwrap();
         assert_eq!(restored.max_observed_gap(), 3);
         assert_eq!(restored.reads(), 1);
-        assert_eq!(restored.len(), 3);
-        assert_eq!(restored.snapshot(), snap, "round-trip is lossless");
+        assert_eq!(restored.get(1, 6).unwrap(), None, "v4 stays absent");
+        assert_eq!(restored.get(2, 6).unwrap().unwrap().0, &[1.0, 1.0]);
+        let mut again = hot_store();
+        again.restore(&snap).unwrap();
+        assert_eq!(again.snapshot(), snap, "round-trip is lossless");
+    }
+
+    #[test]
+    fn restore_keeps_to_the_key_space() {
+        let mut s = hot_store();
+        s.put(0, &[9.0, 9.0], 1);
+        let before = s.snapshot();
+        let row = |v| (v, vec![0.0, 0.0], 2);
+        for (rows, why) in [
+            (vec![row(9), row(0)], "outside the key space"),
+            (vec![row(9), row(10)], "outside the key space"),
+            (vec![row(4), row(4)], "two stored rows of v4"),
+            (vec![(4, vec![0.0], 2)], "not 2 wide"),
+        ] {
+            let snap = StoreSnapshot {
+                rows,
+                ..before.clone()
+            };
+            let err = s.restore(&snap).unwrap_err();
+            assert!(err.contains(why), "{err}");
+            assert_eq!(s.snapshot(), before, "a refused restore changes nothing");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! caching under a memory budget. The Fig 13 Degree (PaGraph) and
 //! PreSample (GNNLab) rankings live in the simulator:
 //! `neutron_core::orchestrator::Lens::cache_plan` over the workload
-//! profile's coverage curves.
+//! profile's presample and degree rankings.
 //!
 //! [`embedding_store::EmbeddingStore`] is the versioned historical-embedding
 //! store behind NeutronOrch's bounded staleness: every read reports its

@@ -236,6 +236,13 @@ pub fn decode_params(r: &mut Reader<'_>) -> Result<Vec<Matrix>, CheckpointError>
     Ok(out)
 }
 
+/// Reads a vertex id, stored as a `u64`: one past `VertexId::MAX` names
+/// no vertex, so it is corruption, not an id to truncate.
+fn get_vertex(r: &mut Reader<'_>) -> Result<VertexId, CheckpointError> {
+    let v = r.get_u64()?;
+    VertexId::try_from(v).map_err(|_| CheckpointError::Corrupt(format!("vertex id {v}")))
+}
+
 /// Encodes `(vertex, row)` pairs (a refresh output's payload).
 pub fn encode_rows(w: &mut Writer, rows: &[(VertexId, Vec<f32>)]) {
     w.put_u64(rows.len() as u64);
@@ -253,7 +260,7 @@ pub fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<(VertexId, Vec<f32>)>, Chec
     let n = r.get_len(16)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = r.get_u64()? as VertexId;
+        let v = get_vertex(r)?;
         let len = r.get_len(4)?;
         let mut row = Vec::with_capacity(len);
         for _ in 0..len {
@@ -304,7 +311,7 @@ pub fn decode_store(r: &mut Reader<'_>) -> Result<StoreSnapshot, CheckpointError
     let n = r.get_len(24)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        let v = r.get_u64()? as VertexId;
+        let v = get_vertex(r)?;
         let version = r.get_u64()?;
         let len = r.get_len(4)?;
         if len != dim {

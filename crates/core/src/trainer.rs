@@ -59,6 +59,22 @@ fn labels_of(dataset: &Dataset, vertices: &[VertexId]) -> Vec<usize> {
     vertices.iter().map(|&v| labels[v as usize]).collect()
 }
 
+/// Checks that a checkpoint's pending refresh rows name distinct hot
+/// vertices: the next boundary publishes each into its vertex's store slot.
+fn check_pending(hot: Option<&HotSet>, rows: &[(VertexId, Vec<f32>)]) -> Result<(), String> {
+    let hot = hot.ok_or("a refresh is pending, but the trainer keeps no hot set")?;
+    let mut seen = vec![false; hot.len()];
+    for &(v, _) in rows {
+        let rank = hot
+            .rank(v)
+            .ok_or_else(|| format!("pending row of v{v}, which is not hot"))?;
+        if std::mem::replace(&mut seen[rank as usize], true) {
+            return Err(format!("two pending rows of v{v}"));
+        }
+    }
+    Ok(())
+}
+
 /// Historical-embedding reuse policy.
 #[derive(Clone, Debug)]
 pub enum ReusePolicy {
@@ -276,11 +292,11 @@ impl ConvergenceTrainer {
         let (store, hot, ranking) = match &config.policy {
             _ if config.layers < 2 => (None, None, None),
             ReusePolicy::Exact => (None, None, None),
-            ReusePolicy::GasLike => (
-                Some(EmbeddingStore::new(dataset.spec.hidden_dim, None)),
-                None,
-                None,
-            ),
+            ReusePolicy::GasLike => {
+                let every = Arc::new(HotSet::all(dataset.csr.num_vertices()));
+                let store = EmbeddingStore::new(every, dataset.spec.hidden_dim, None);
+                (Some(store), None, None)
+            }
             ReusePolicy::HotnessAware {
                 hot_ratio,
                 super_batch,
@@ -295,11 +311,9 @@ impl ConvergenceTrainer {
                 sampler = sampler.with_bottom_skip(Arc::clone(&hot));
                 // Strict bound 2n−1 (§4.2.2's largest possible gap).
                 let bound = (2 * super_batch - 1) as u64;
-                (
-                    Some(EmbeddingStore::new(dataset.spec.hidden_dim, Some(bound))),
-                    Some(hot),
-                    Some(hotness),
-                )
+                let store =
+                    EmbeddingStore::new(Arc::clone(&hot), dataset.spec.hidden_dim, Some(bound));
+                (Some(store), Some(hot), Some(hotness))
             }
         };
         let optimizer = Sgd::new(config.lr);
@@ -526,11 +540,12 @@ impl ConvergenceTrainer {
         let pass = model.forward_spliced(blocks, feats, |bottom_out| {
             let Some(store) = store else { return };
             for (row, &v) in blocks[1].src().iter().enumerate() {
-                if hot.is_some_and(|hot| !hot.contains(v)) {
+                // A cold vertex has no slot; under GAS every vertex has one.
+                let Some(slot) = store.slot(v) else {
                     continue;
-                }
+                };
                 let stored = store
-                    .get(v, version)
+                    .get(slot, version)
                     .expect("super-batch refresh keeps every entry within bound");
                 match (stored, hot) {
                     (Some((stored, _gap)), _) => {
@@ -539,7 +554,7 @@ impl ConvergenceTrainer {
                     }
                     // GAS records the embeddings it just computed so later
                     // batches can reuse them.
-                    (None, None) => store.put(v, bottom_out.row(row).to_vec(), version),
+                    (None, None) => store.put(slot, bottom_out.row(row), version),
                     // The sampler pruned this vertex: nobody computed its
                     // row, and training on zeros would be silent garbage.
                     (None, Some(_)) => panic!(
@@ -686,28 +701,26 @@ impl ConvergenceTrainer {
     /// (shape mismatches are rejected); everything else about it is already
     /// deterministic, so after this call the next `train_epoch(k)` is
     /// bit-identical to the uninterrupted run's epoch `k`.
+    ///
+    /// The store is rebuilt in the trainer's own key space: a stored or
+    /// pending row of a vertex outside it, or of one vertex twice, is an
+    /// error. A refused state leaves the trainer as it was.
     pub fn restore_state(&mut self, state: &TrainerState) -> Result<(), String> {
-        {
-            let mut params = self.model.params_mut();
-            if params.len() != state.params.len() {
+        let params = self.model.params();
+        if params.len() != state.params.len() {
+            return Err(format!(
+                "parameter count mismatch: model has {}, checkpoint has {}",
+                params.len(),
+                state.params.len()
+            ));
+        }
+        for (i, (p, m)) in params.iter().zip(&state.params).enumerate() {
+            if p.value.shape() != m.shape() {
                 return Err(format!(
-                    "parameter count mismatch: model has {}, checkpoint has {}",
-                    params.len(),
-                    state.params.len()
+                    "parameter {i} shape mismatch: model {:?}, checkpoint {:?}",
+                    p.value.shape(),
+                    m.shape()
                 ));
-            }
-            for (i, (p, m)) in params.iter_mut().zip(&state.params).enumerate() {
-                if p.value.shape() != m.shape() {
-                    return Err(format!(
-                        "parameter {i} shape mismatch: model {:?}, checkpoint {:?}",
-                        p.value.shape(),
-                        m.shape()
-                    ));
-                }
-            }
-            for (p, m) in params.iter_mut().zip(&state.params) {
-                p.value.as_mut_slice().copy_from_slice(m.as_slice());
-                p.grad.fill_zero();
             }
         }
         let dim = self.dataset.spec.hidden_dim;
@@ -717,14 +730,26 @@ impl ConvergenceTrainer {
             ));
         }
         let pending = match &state.pending {
-            Some(p) => Some(CpuPart::Ready(RefreshOutput {
-                rows: EmbeddingRows::from_pairs(dim, &p.rows)?,
-                version: p.version,
-            })),
+            Some(p) => {
+                check_pending(self.hot.as_deref(), &p.rows)?;
+                Some(CpuPart::Ready(RefreshOutput {
+                    rows: EmbeddingRows::from_pairs(dim, &p.rows)?,
+                    version: p.version,
+                }))
+            }
             None => None,
         };
+        // The last fallible step, and it changes nothing when it fails.
+        match (&mut self.store, &state.store) {
+            (Some(store), Some(snap)) => store.restore(snap)?,
+            (None, None) => {}
+            _ => return Err("the checkpoint's embedding store does not fit the policy".into()),
+        }
+        for (p, m) in self.model.params_mut().into_iter().zip(&state.params) {
+            p.value.as_mut_slice().copy_from_slice(m.as_slice());
+            p.grad.fill_zero();
+        }
         self.version = state.version;
-        self.store = state.store.as_ref().map(EmbeddingStore::from_snapshot);
         self.pending_refresh = pending;
         Ok(())
     }

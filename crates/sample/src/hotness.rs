@@ -38,12 +38,8 @@ impl HotnessRanking {
     pub fn hot_set(&self, ratio: f64) -> HotSet {
         assert!((0.0..=1.0).contains(&ratio), "ratio {ratio} out of [0,1]");
         let k = (self.counts.len() as f64 * ratio).round() as usize;
-        let hot: Vec<VertexId> = self.order[..k.min(self.order.len())].to_vec();
-        let mut is_hot = vec![false; self.counts.len()];
-        for &v in &hot {
-            is_hot[v as usize] = true;
-        }
-        HotSet { hot, is_hot, ratio }
+        let hot = self.order[..k.min(self.order.len())].to_vec();
+        HotSet::ranked(hot, self.counts.len())
     }
 
     /// Fraction of all recorded accesses that fall on the given hot set —
@@ -63,15 +59,35 @@ impl HotnessRanking {
     }
 }
 
-/// A selected set of hot vertices.
+/// [`HotSet`]'s rank of a cold vertex.
+const COLD: u32 = u32::MAX;
+
+/// A selected set of hot vertices. A hot vertex's **rank** is its position
+/// in the set's order; a rank-indexed table (the embedding store) keeps its
+/// row there, so the rank is the only map from a vertex to its row.
 #[derive(Clone, Debug)]
 pub struct HotSet {
     hot: Vec<VertexId>,
-    is_hot: Vec<bool>,
-    ratio: f64,
+    /// `rank[v]`: `v`'s position in `hot`, or [`COLD`].
+    rank: Vec<u32>,
 }
 
 impl HotSet {
+    /// `hot`, in that order, over vertices `0..num_vertices`.
+    fn ranked(hot: Vec<VertexId>, num_vertices: usize) -> Self {
+        let mut rank = vec![COLD; num_vertices];
+        for (r, &v) in hot.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+        Self { hot, rank }
+    }
+
+    /// Every vertex of `0..num_vertices`, ranked by id (rank = vertex id):
+    /// the key space of a store that keeps every vertex's row.
+    pub fn all(num_vertices: usize) -> Self {
+        Self::ranked((0..num_vertices as VertexId).collect(), num_vertices)
+    }
+
     /// Hot vertices in descending hotness order.
     pub fn vertices(&self) -> &[VertexId] {
         &self.hot
@@ -87,15 +103,22 @@ impl HotSet {
         self.hot.is_empty()
     }
 
+    /// Number of vertices of the graph the set was selected from.
+    pub fn num_vertices(&self) -> usize {
+        self.rank.len()
+    }
+
     /// Membership test.
     #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
-        self.is_hot[v as usize]
+        self.rank[v as usize] != COLD
     }
 
-    /// The ratio this set was selected with.
-    pub fn ratio(&self) -> f64 {
-        self.ratio
+    /// `v`'s position in [`Self::vertices`]; `None` for a cold vertex or an
+    /// id past the graph.
+    #[inline]
+    pub fn rank(&self, v: VertexId) -> Option<u32> {
+        self.rank.get(v as usize).copied().filter(|&r| r != COLD)
     }
 
     /// Splits the hot set into a CPU-computed prefix and GPU-cached suffix
@@ -133,6 +156,17 @@ mod tests {
         assert!(hot.contains(2));
         assert!(hot.contains(4));
         assert!(!hot.contains(0));
+        assert_eq!(hot.num_vertices(), 5);
+        let ranks: Vec<_> = (0..6).map(|v| hot.rank(v)).collect();
+        assert_eq!(ranks, [None, None, Some(0), None, Some(1), None]);
+    }
+
+    #[test]
+    fn the_whole_set_ranks_by_id() {
+        let all = HotSet::all(4);
+        assert_eq!(all.vertices(), &[0, 1, 2, 3]);
+        assert!((0..4).all(|v| all.rank(v) == Some(v)));
+        assert_eq!(all.rank(4), None);
     }
 
     #[test]

@@ -299,6 +299,92 @@ fn every_truncation_is_rejected_with_a_typed_error() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A vertex id is a `u64` on disk: an id past `VertexId::MAX` in a refresh
+/// row or a store row is corruption, not an id to truncate.
+#[test]
+fn a_vertex_id_past_the_id_type_is_corrupt() {
+    let too_big = u64::from(VertexId::MAX) + 1;
+    let mut w = Writer::new();
+    w.put_u64(1); // one refresh row
+    w.put_u64(too_big);
+    w.put_u64(1); // of one value
+    w.put_f32(0.5);
+    let bytes = w.into_bytes();
+    let rows = decode_rows(&mut Reader::new(&bytes));
+    assert!(matches!(rows, Err(CheckpointError::Corrupt(_))), "{rows:?}");
+
+    let mut w = Writer::new();
+    w.put_u64(1); // dim
+    w.put_u8(0); // no bound
+    w.put_u64(0); // max observed gap
+    w.put_u64(0); // reads
+    w.put_u64(1); // one stored row
+    w.put_u64(too_big);
+    w.put_u64(3); // version
+    w.put_u64(1); // of one value
+    w.put_f32(0.5);
+    let bytes = w.into_bytes();
+    let store = decode_store(&mut Reader::new(&bytes));
+    assert!(
+        matches!(store, Err(CheckpointError::Corrupt(_))),
+        "{store:?}"
+    );
+}
+
+/// A trainer state whose store or pending refresh names a cold vertex, or
+/// one vertex twice, is refused by `restore_state`; the refused trainer is
+/// left as it was and trains on bit-identically to one never offered it.
+#[test]
+fn restore_refuses_rows_of_cold_or_repeated_vertices() {
+    let mut t = trainer();
+    let mut twin = trainer();
+    t.train_epoch(0);
+    twin.train_epoch(0);
+    let good = t.capture_state(&mut InlineRefresh::default());
+    let hot = t.hot_set().unwrap();
+    let cold = (0..).find(|&v| !hot.contains(v)).unwrap();
+    let stored = good.store.as_ref().unwrap().rows.clone();
+    let pending = good.pending.as_ref().unwrap().rows.clone();
+    let (first, width) = (stored[0].clone(), stored[0].1.len());
+
+    let mut bad = Vec::new();
+    let mut state = good.clone();
+    let rows = &mut state.store.as_mut().unwrap().rows;
+    rows.push((cold, vec![0.0; width], 0));
+    rows.sort_by_key(|r| r.0);
+    bad.push(("a stored cold vertex", state));
+    let mut state = good.clone();
+    state.store.as_mut().unwrap().rows.insert(1, first);
+    bad.push(("a vertex stored twice", state));
+    let mut state = good.clone();
+    state
+        .pending
+        .as_mut()
+        .unwrap()
+        .rows
+        .push((cold, vec![0.0; width]));
+    bad.push(("a pending cold vertex", state));
+    let mut state = good.clone();
+    state
+        .pending
+        .as_mut()
+        .unwrap()
+        .rows
+        .push(pending[0].clone());
+    bad.push(("a vertex pending twice", state));
+
+    let before = state_bytes(&mut t, 1);
+    for (what, state) in &bad {
+        assert!(t.restore_state(state).is_err(), "{what} must be refused");
+        assert_eq!(state_bytes(&mut t, 1), before, "{what}: the trainer moved");
+    }
+    trainer()
+        .restore_state(&good)
+        .expect("the untouched state restores");
+    let loss = |t: &mut ConvergenceTrainer| t.train_epoch(1).train_loss.to_bits();
+    assert_eq!(loss(&mut t), loss(&mut twin));
+}
+
 /// Wrong magic, a future or retired format version, and a digest from a
 /// different config each map to their own typed error.
 #[test]

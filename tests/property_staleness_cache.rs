@@ -6,59 +6,67 @@ use neutronorch::core::gather::{GatheredFeatures, StagedBatch};
 use neutronorch::sample::{Block, HotnessRanking};
 use neutronorch::tensor::Matrix;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Under any put/get sequence, a bounded store never serves an
     /// embedding older than the bound, and the observed max gap is within
-    /// it.
+    /// it. A `BTreeMap` reference model checks every read's row and gap,
+    /// and the snapshot: the model's rows in id order, whatever order the
+    /// hot set ranks them in, and a lossless restore.
     #[test]
     fn bounded_store_never_exceeds_bound(
         bound in 1u64..10,
-        ops in proptest::collection::vec((0u32..8, 0u64..40, any::<bool>()), 1..60),
+        counts in proptest::collection::vec(0u32..6, 12..13),
+        ratio in 0.0f64..1.0,
+        ops in proptest::collection::vec((0u32..12, 0u64..40, any::<bool>()), 1..60),
     ) {
-        let mut store = EmbeddingStore::new(2, Some(bound));
-        let mut clock = 0u64;
-        for (v, advance, is_put) in ops {
+        let hot = Arc::new(HotnessRanking::from_counts(counts).hot_set(ratio));
+        let mut store = EmbeddingStore::new(Arc::clone(&hot), 2, Some(bound));
+        let mut model: BTreeMap<u32, (Vec<f32>, u64)> = BTreeMap::new();
+        let (mut clock, mut reads) = (0u64, 0u64);
+        for (i, (v, advance, is_put)) in ops.into_iter().enumerate() {
             clock += advance % 5;
+            // A cold vertex has no slot and is never stored.
+            let Some(slot) = store.slot(v) else {
+                prop_assert!(!hot.contains(v));
+                continue;
+            };
             if is_put {
-                store.put(v, vec![0.5, -0.5], clock);
-            } else {
-                match store.get(v, clock) {
-                    Ok(Some((_, gap))) => prop_assert!(gap <= bound),
-                    Ok(None) => {}
-                    Err(e) => prop_assert!(e.now - e.version > bound),
+                let row = vec![i as f32, -(v as f32)];
+                store.put(slot, &row, clock);
+                model.insert(v, (row, clock));
+                continue;
+            }
+            let want = model.get(&v).map(|(row, version)| (row.clone(), clock - version));
+            match store.get(slot, clock) {
+                Ok(Some((row, gap))) => {
+                    reads += 1;
+                    prop_assert!(gap <= bound);
+                    prop_assert_eq!(Some((row.to_vec(), gap)), want);
+                }
+                Ok(None) => prop_assert!(want.is_none()),
+                Err(e) => {
+                    prop_assert!(e.now - e.version > bound);
+                    prop_assert_eq!(e.vertex, v);
+                    prop_assert_eq!(want.map(|w| w.1), Some(e.now - e.version));
                 }
             }
         }
         prop_assert!(store.max_observed_gap() <= bound);
-    }
-
-    /// Super-batch eviction means nothing older than the previous
-    /// super-batch survives — the paper's "only accessible within the
-    /// current super-batch" rule.
-    #[test]
-    fn eviction_enforces_two_superbatch_window(
-        n in 1u64..6,
-        super_batches in 2u64..8,
-    ) {
-        let mut store = EmbeddingStore::new(1, None);
-        for sb in 0..super_batches {
-            let version = sb * n;
-            store.put(sb as u32, vec![0.0], version);
-            // Entering super-batch sb: retire anything older than sb-1.
-            let cutoff = (sb.saturating_sub(1)) * n;
-            store.evict_older_than(cutoff);
-            // Every surviving read at the end of this super-batch has gap
-            // < 2n.
-            let now = (sb + 1) * n - 1;
-            for v in 0..=sb {
-                if let Some((_, gap)) = store.get(v as u32, now).unwrap() {
-                    prop_assert!(gap < 2 * n, "gap {gap} ≥ 2n={}", 2 * n);
-                }
-            }
-        }
+        prop_assert_eq!(store.reads(), reads);
+        let snap = store.snapshot();
+        let rows: Vec<_> = model
+            .into_iter()
+            .map(|(v, (row, version))| (v, row, version))
+            .collect();
+        prop_assert_eq!(&snap.rows, &rows);
+        let mut restored = EmbeddingStore::new(hot, 2, None);
+        restored.restore(&snap).unwrap();
+        prop_assert_eq!(restored.snapshot(), snap);
     }
 
     /// The hybrid split always partitions the hot set exactly and its GPU
