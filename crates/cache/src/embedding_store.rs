@@ -53,17 +53,21 @@ pub struct StoreSnapshot {
     pub dim: usize,
     /// Staleness bound, if any.
     pub bound: Option<u64>,
-    /// `(vertex, row, version)` triples, ascending by vertex id.
-    pub rows: Vec<(VertexId, Vec<f32>, u64)>,
+    /// The rows present, ascending by vertex id.
+    pub rows: EmbeddingRows,
+    /// The version each row of `rows` was computed at, in row order.
+    pub versions: Vec<u64>,
     /// Largest version gap any successful read had observed.
     pub max_observed_gap: u64,
     /// Successful read count.
     pub reads: u64,
 }
 
-/// Embedding rows by vertex, stored flat — the unit
-/// [`EmbeddingStore::put_rows`] publishes: row `i` of one matrix belongs to
-/// vertex `i` of the id list, so a batch of any size is two allocations.
+/// Embedding rows by vertex, stored flat — the one shape refreshed rows
+/// take: a refresh task's output, the refresh a trainer holds until the
+/// next boundary publishes it ([`EmbeddingStore::put_rows`]), a store
+/// image's rows and a checkpoint's. Row `i` of one matrix belongs to vertex
+/// `i` of the id list, so a batch of any size is two allocations.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EmbeddingRows {
     vertices: Vec<VertexId>,
@@ -75,39 +79,6 @@ impl EmbeddingRows {
     pub fn new(vertices: Vec<VertexId>, data: Matrix) -> Self {
         assert_eq!(data.rows(), vertices.len(), "one row per vertex");
         Self { vertices, data }
-    }
-
-    /// Flattens `(vertex, row)` pairs — a checkpoint's row image — checking
-    /// that every row is `dim` wide.
-    pub fn from_pairs(dim: usize, pairs: &[(VertexId, Vec<f32>)]) -> Result<Self, String> {
-        let mut data = Vec::with_capacity(pairs.len() * dim);
-        for (v, row) in pairs {
-            if row.len() != dim {
-                return Err(format!("row of v{v} is {} wide, not {dim}", row.len()));
-            }
-            data.extend_from_slice(row);
-        }
-        let vertices = pairs.iter().map(|p| p.0).collect();
-        Ok(Self::new(
-            vertices,
-            Matrix::from_vec(pairs.len(), dim, data),
-        ))
-    }
-
-    /// The rows as owned `(vertex, row)` pairs, for a checkpoint.
-    pub fn to_pairs(&self) -> Vec<(VertexId, Vec<f32>)> {
-        self.iter().map(|(v, row)| (v, row.to_vec())).collect()
-    }
-
-    /// Moves the rows of `other` behind this batch's own.
-    pub fn append(&mut self, other: Self) {
-        if other.is_empty() {
-            return;
-        }
-        let mut data = std::mem::take(&mut self.data).into_vec();
-        data.extend_from_slice(other.data.as_slice());
-        self.vertices.extend(other.vertices);
-        self.data = Matrix::from_vec(self.vertices.len(), other.data.cols(), data);
     }
 
     /// Number of rows.
@@ -235,39 +206,60 @@ impl EmbeddingStore {
         self.reads
     }
 
+    /// Checks that `rows` may enter this store: each row's vertex lies in
+    /// the key space and is named once, and each row is `dim` wide. `what`
+    /// names the rows in the error. The one check of every row a restore or
+    /// a restored refresh brings in.
+    pub fn check_rows(&self, rows: &EmbeddingRows, what: &str) -> Result<(), String> {
+        let mut seen = vec![false; self.keys.len()];
+        for (v, row) in rows.iter() {
+            let outside = || format!("{what} row of v{v}, outside the key space");
+            let slot = self.slot(v).ok_or_else(outside)?;
+            if std::mem::replace(&mut seen[slot as usize], true) {
+                return Err(format!("two {what} rows of v{v}"));
+            }
+            if row.len() != self.dim {
+                return Err(format!("{what} row of v{v} is not {} wide", self.dim));
+            }
+        }
+        Ok(())
+    }
+
     /// The store's complete state, rows in id order: it walks ids, no sort.
     pub fn snapshot(&self) -> StoreSnapshot {
-        let rows = (0..self.keys.num_vertices() as VertexId)
+        let mut data = Vec::with_capacity(self.rows.len());
+        let (vertices, versions): (Vec<_>, Vec<_>) = (0..self.keys.num_vertices() as VertexId)
             .filter_map(|v| {
                 let slot = self.slot(v)? as usize;
                 let version = self.version(slot)?;
-                Some((v, self.row(slot).to_vec(), version))
+                data.extend_from_slice(self.row(slot));
+                Some((v, version))
             })
-            .collect();
+            .unzip();
+        let data = Matrix::from_vec(vertices.len(), self.dim, data);
         StoreSnapshot {
             dim: self.dim,
             bound: self.bound,
-            rows,
+            rows: EmbeddingRows::new(vertices, data),
+            versions,
             max_observed_gap: self.max_observed_gap,
             reads: self.reads,
         }
     }
 
     /// Replaces the contents with `snap`'s, counters included, in this
-    /// store's own key space. A row outside it, a vertex named twice or a
-    /// row not `snap.dim` wide is an error that leaves the store as it was.
+    /// store's own key space. Rows that fail [`Self::check_rows`] at
+    /// `snap.dim`, or a version count that is not the row count, are an
+    /// error that leaves the store as it was.
     pub fn restore(&mut self, snap: &StoreSnapshot) -> Result<(), String> {
+        if snap.versions.len() != snap.rows.len() {
+            return Err("stored rows and versions differ in number".into());
+        }
         let mut store = Self::new(Arc::clone(&self.keys), snap.dim, snap.bound);
-        for (v, row, version) in &snap.rows {
-            let outside = || format!("stored row of v{v}, outside the key space");
-            let slot = store.slot(*v).ok_or_else(outside)?;
-            if store.version(slot as usize).is_some() {
-                return Err(format!("two stored rows of v{v}"));
-            }
-            if row.len() != snap.dim {
-                return Err(format!("stored row of v{v} is not {} wide", snap.dim));
-            }
-            store.put(slot, row, *version);
+        store.check_rows(&snap.rows, "stored")?;
+        for ((v, row), &version) in snap.rows.iter().zip(&snap.versions) {
+            let slot = store.slot(v).expect("checked rows lie in the key space");
+            store.put(slot, row, version);
         }
         store.max_observed_gap = snap.max_observed_gap;
         store.reads = snap.reads;
@@ -323,36 +315,27 @@ mod tests {
         assert_eq!(gap, 1_000_000);
     }
 
+    /// `dim`-wide rows of `pairs`, in order.
+    fn rows_of(dim: usize, pairs: &[(VertexId, &[f32])]) -> EmbeddingRows {
+        let data = pairs.iter().flat_map(|p| p.1.iter().copied()).collect();
+        let vertices = pairs.iter().map(|p| p.0).collect();
+        EmbeddingRows::new(vertices, Matrix::from_vec(pairs.len(), dim, data))
+    }
+
     #[test]
     fn put_rows_publishes_a_batch_at_one_version() {
         let mut s = store(3, 2, Some(3));
         s.put(2, &[0.0, 0.0], 1);
-        let pairs = [(1, vec![1.0, 1.0]), (2, vec![2.0, 2.0])];
-        let rows = EmbeddingRows::from_pairs(2, &pairs).unwrap();
-        assert_eq!(
-            (rows.len(), rows.vertices(), rows.to_pairs()),
-            (2, &[1, 2][..], pairs.to_vec())
-        );
-        assert!(
-            EmbeddingRows::from_pairs(3, &pairs).is_err(),
-            "rows must be `dim` wide"
-        );
+        let pairs: [(VertexId, &[f32]); 2] = [(1, &[1.0, 1.0]), (2, &[2.0, 2.0])];
+        let rows = rows_of(2, &pairs);
+        assert_eq!((rows.len(), rows.vertices()), (2, &[1, 2][..]));
+        assert!(rows.iter().eq(pairs));
         s.put_rows(&rows, 5);
         let (row, gap) = s.get(2, 6).unwrap().unwrap();
         assert_eq!(row, &[2.0, 2.0], "an existing entry is overwritten");
         assert_eq!(gap, 1);
         assert_eq!(s.get(1, 6).unwrap().unwrap().0, &[1.0, 1.0]);
         assert_eq!(s.get(0, 6).unwrap(), None);
-    }
-
-    #[test]
-    fn appended_rows_follow_in_order() {
-        let mut rows = EmbeddingRows::default();
-        rows.append(EmbeddingRows::from_pairs(1, &[(4, vec![0.4])]).unwrap());
-        rows.append(EmbeddingRows::default());
-        rows.append(EmbeddingRows::from_pairs(1, &[(2, vec![0.2]), (9, vec![0.9])]).unwrap());
-        let got: Vec<_> = rows.iter().collect();
-        assert_eq!(got, [(4, &[0.4][..]), (2, &[0.2][..]), (9, &[0.9][..])]);
     }
 
     #[test]
@@ -375,17 +358,12 @@ mod tests {
         let mut s = hot_store();
         let slots: Vec<_> = [9, 4, 1, 0].map(|v| s.slot(v)).to_vec();
         assert_eq!(slots, [Some(0), Some(1), Some(2), None]);
-        s.put_rows(
-            &EmbeddingRows::from_pairs(2, &[(9, vec![9.0, 9.0]), (1, vec![1.0, 1.0])]).unwrap(),
-            3,
-        );
+        s.put_rows(&rows_of(2, &[(9, &[9.0, 9.0]), (1, &[1.0, 1.0])]), 3);
         let _ = s.get(0, 6); // v9: gap 3, one read
         let snap = s.snapshot();
-        assert_eq!(
-            snap.rows,
-            [(1, vec![1.0, 1.0], 3), (9, vec![9.0, 9.0], 3)],
-            "present rows only, ascending by id"
-        );
+        let present = rows_of(2, &[(1, &[1.0, 1.0]), (9, &[9.0, 9.0])]);
+        assert_eq!(snap.rows, present, "present rows only, ascending by id");
+        assert_eq!(snap.versions, [3, 3]);
         let mut restored = hot_store();
         restored.restore(&snap).unwrap();
         assert_eq!(restored.max_observed_gap(), 3);
@@ -402,15 +380,29 @@ mod tests {
         let mut s = hot_store();
         s.put(0, &[9.0, 9.0], 1);
         let before = s.snapshot();
-        let row = |v| (v, vec![0.0, 0.0], 2);
-        for (rows, why) in [
-            (vec![row(9), row(0)], "outside the key space"),
-            (vec![row(9), row(10)], "outside the key space"),
-            (vec![row(4), row(4)], "two stored rows of v4"),
-            (vec![(4, vec![0.0], 2)], "not 2 wide"),
+        let zero: &[f32] = &[0.0, 0.0];
+        for (rows, versions, why) in [
+            (
+                rows_of(2, &[(9, zero), (0, zero)]),
+                2,
+                "outside the key space",
+            ),
+            (
+                rows_of(2, &[(9, zero), (10, zero)]),
+                2,
+                "outside the key space",
+            ),
+            (
+                rows_of(2, &[(4, zero), (4, zero)]),
+                2,
+                "two stored rows of v4",
+            ),
+            (rows_of(1, &[(4, &[0.0])]), 1, "not 2 wide"),
+            (rows_of(2, &[(4, zero)]), 2, "rows and versions differ"),
         ] {
             let snap = StoreSnapshot {
                 rows,
+                versions: vec![2; versions],
                 ..before.clone()
             };
             let err = s.restore(&snap).unwrap_err();

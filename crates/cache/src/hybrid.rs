@@ -43,36 +43,35 @@ pub struct HybridPolicy {
 }
 
 impl HybridPolicy {
-    /// Plans the split. `gpu_idle_fraction` is the measured share of GPU
-    /// time spent waiting on CPU embedding work; `gpu_free_bytes` is what
-    /// the memory ledger has left after topology/batch allocations.
+    /// Plans the split of `hot`, the hot set's vertices hottest first, into
+    /// a CPU-computed prefix and a GPU-cached suffix. `idle_fraction` is the
+    /// measured share of GPU time spent waiting on CPU embedding work;
+    /// `gpu_free_bytes` is what the memory ledger has left after
+    /// topology/batch allocations.
     ///
     /// Rules from §4.1.3:
     /// - move hot vertices from CPU to GPU cache while the GPU is idle
     ///   (idle time > 0) **and** memory remains;
     /// - stop when memory is exhausted or idle time reaches zero.
-    pub fn plan(&self, hot: &HotSet, gpu_idle_fraction: f64, gpu_free_bytes: u64) -> HybridPlan {
-        let cpu_fraction = self.cpu_share(hot.len(), gpu_idle_fraction, gpu_free_bytes);
-        let (cpu_compute, gpu_cache) = hot.split_cpu_gpu(cpu_fraction);
-        let gpu_bytes = gpu_cache.len() as u64 * self.feature_row_bytes
-            + cpu_compute.len() as u64 * self.embedding_row_bytes;
+    pub fn plan(&self, hot: &[VertexId], idle_fraction: f64, gpu_free_bytes: u64) -> HybridPlan {
+        let (cpu, gpu) = hot.split_at(self.cpu_len(hot.len(), idle_fraction, gpu_free_bytes));
         HybridPlan {
-            cpu_compute,
-            gpu_cache,
-            gpu_bytes,
+            cpu_compute: cpu.to_vec(),
+            gpu_cache: gpu.to_vec(),
+            gpu_bytes: gpu.len() as u64 * self.feature_row_bytes
+                + cpu.len() as u64 * self.embedding_row_bytes,
         }
     }
 
-    /// The CPU share of a `hot_len`-vertex hot set that [`Self::plan`] hands
-    /// to [`HotSet::split_cpu_gpu`].
-    fn cpu_share(&self, hot_len: usize, gpu_idle_fraction: f64, gpu_free_bytes: u64) -> f64 {
+    /// Length of the CPU-computed prefix of a `hot_len`-vertex hot set.
+    fn cpu_len(&self, hot_len: usize, idle_fraction: f64, gpu_free_bytes: u64) -> usize {
         // The idle fraction comes from wall-clock measurements, so NaN and
         // slightly-out-of-range values happen; clamp rather than panic
         // (NaN maps to 0.0: no evidence of idleness, nothing moves).
-        let idle = if gpu_idle_fraction.is_nan() {
+        let idle = if idle_fraction.is_nan() {
             0.0
         } else {
-            gpu_idle_fraction.clamp(0.0, 1.0)
+            idle_fraction.clamp(0.0, 1.0)
         };
         // Idleness decides the *target* share moved to the GPU: fully idle
         // GPU (waiting on the CPU) pulls the whole hot set into its cache;
@@ -92,7 +91,7 @@ impl HybridPolicy {
         // The *least* hot of the hot set go to the GPU cache: the hottest
         // vertices are reused most, so CPU-computing them saves the most
         // repeated GPU work per embedding update.
-        1.0 - to_gpu as f64 / hot_len.max(1) as f64
+        hot_len - to_gpu
     }
 
     /// [`Self::plan`] driven by a *measured* train-stage occupancy rather
@@ -109,24 +108,24 @@ impl HybridPolicy {
         gpu_free_bytes: u64,
     ) -> HybridPlan {
         let idle = (1.0 - train_occupancy).clamp(0.0, 1.0);
-        self.plan(hot, idle, gpu_free_bytes)
+        self.plan(hot.vertices(), idle, gpu_free_bytes)
     }
 
-    /// [`HybridPlan::cpu_fraction`] of [`Self::plan_from_occupancy`]'s plan,
-    /// read off the split point without copying the hot set into the plan's
-    /// two vertex lists.
+    /// [`HybridPlan::cpu_fraction`] of [`Self::plan_from_occupancy`]'s plan
+    /// for a `hot_len`-vertex hot set, read off the split point without
+    /// copying the hot set into the plan's two vertex lists.
     pub fn cpu_fraction_from_occupancy(
         &self,
-        hot: &HotSet,
+        hot_len: usize,
         train_occupancy: f64,
         gpu_free_bytes: u64,
     ) -> f64 {
         let idle = (1.0 - train_occupancy).clamp(0.0, 1.0);
-        let k = hot.cpu_prefix_len(self.cpu_share(hot.len(), idle, gpu_free_bytes));
-        if hot.is_empty() {
+        let k = self.cpu_len(hot_len, idle, gpu_free_bytes);
+        if hot_len == 0 {
             0.0
         } else {
-            k as f64 / hot.len() as f64
+            k as f64 / hot_len as f64
         }
     }
 }
@@ -151,7 +150,7 @@ mod tests {
     #[test]
     fn zero_idle_keeps_everything_on_cpu() {
         let hot = hot_set(100, 0.2);
-        let plan = policy().plan(&hot, 0.0, u64::MAX);
+        let plan = policy().plan(hot.vertices(), 0.0, u64::MAX);
         assert_eq!(plan.cpu_compute.len(), 20);
         assert!(plan.gpu_cache.is_empty());
         assert!((plan.cpu_fraction() - 1.0).abs() < 1e-9);
@@ -160,7 +159,7 @@ mod tests {
     #[test]
     fn full_idle_with_memory_moves_all_to_gpu() {
         let hot = hot_set(100, 0.2);
-        let plan = policy().plan(&hot, 1.0, u64::MAX);
+        let plan = policy().plan(hot.vertices(), 1.0, u64::MAX);
         assert!(plan.cpu_compute.is_empty());
         assert_eq!(plan.gpu_cache.len(), 20);
     }
@@ -170,7 +169,7 @@ mod tests {
         let hot = hot_set(100, 0.2);
         // Each cached vertex costs its 400 B feature row but frees the
         // 100 B embedding staging slot: net 300 B. Room for exactly 5.
-        let plan = policy().plan(&hot, 1.0, 5 * 300);
+        let plan = policy().plan(hot.vertices(), 1.0, 5 * 300);
         assert_eq!(plan.gpu_cache.len(), 5);
         assert_eq!(plan.cpu_compute.len(), 15);
     }
@@ -180,7 +179,7 @@ mod tests {
         let hot = hot_set(100, 0.2);
         // 4 gross rows (4 * 400 B) hold 5 vertices once each freed 100 B
         // staging slot is credited back.
-        let plan = policy().plan(&hot, 1.0, 4 * 400);
+        let plan = policy().plan(hot.vertices(), 1.0, 4 * 400);
         assert_eq!(plan.gpu_cache.len(), 5);
     }
 
@@ -193,7 +192,7 @@ mod tests {
             feature_row_bytes: 128,
             embedding_row_bytes: 128,
         };
-        let plan = p.plan(&hot, 1.0, 0);
+        let plan = p.plan(hot.vertices(), 1.0, 0);
         assert_eq!(plan.gpu_cache.len(), 20);
         assert!(plan.cpu_compute.is_empty());
     }
@@ -204,11 +203,11 @@ mod tests {
         let p = policy();
         // NaN (e.g. 0/0 from two zero timers) means "no evidence of
         // idleness": nothing moves, and no panic.
-        let nan = p.plan(&hot, f64::NAN, u64::MAX);
+        let nan = p.plan(hot.vertices(), f64::NAN, u64::MAX);
         assert!(nan.gpu_cache.is_empty());
-        let over = p.plan(&hot, 1.7, u64::MAX);
+        let over = p.plan(hot.vertices(), 1.7, u64::MAX);
         assert_eq!(over.gpu_cache.len(), 20);
-        let under = p.plan(&hot, -0.3, u64::MAX);
+        let under = p.plan(hot.vertices(), -0.3, u64::MAX);
         assert!(under.gpu_cache.is_empty());
         // The same safety holds through the occupancy wrapper.
         let nan_occ = p.plan_from_occupancy(&hot, f64::NAN, u64::MAX);
@@ -218,7 +217,7 @@ mod tests {
     #[test]
     fn hottest_vertices_stay_on_cpu() {
         let hot = hot_set(10, 1.0);
-        let plan = policy().plan(&hot, 0.5, u64::MAX);
+        let plan = policy().plan(hot.vertices(), 0.5, u64::MAX);
         // counts were descending by id, so vertex 0 is hottest.
         assert!(plan.cpu_compute.contains(&0));
         assert!(!plan.gpu_cache.contains(&0));
@@ -227,7 +226,7 @@ mod tests {
     #[test]
     fn gpu_bytes_mix_features_and_embeddings() {
         let hot = hot_set(10, 1.0);
-        let plan = policy().plan(&hot, 0.5, u64::MAX);
+        let plan = policy().plan(hot.vertices(), 0.5, u64::MAX);
         let expect = plan.gpu_cache.len() as u64 * 400 + plan.cpu_compute.len() as u64 * 100;
         assert_eq!(plan.gpu_bytes, expect);
     }
@@ -252,7 +251,7 @@ mod tests {
     #[test]
     fn empty_hot_set_is_fine() {
         let hot = hot_set(10, 0.0);
-        let plan = policy().plan(&hot, 0.7, 1000);
+        let plan = policy().plan(hot.vertices(), 0.7, 1000);
         assert_eq!(plan.cpu_fraction(), 0.0);
         assert_eq!(plan.gpu_bytes, 0);
     }
@@ -265,7 +264,7 @@ mod tests {
             for occupancy in [f64::NAN, -0.2, 0.0, 0.013, 0.25, 0.5, 0.61, 0.999, 1.0, 1.3] {
                 for budget in [0, 300, 7_000, u64::MAX] {
                     let plan = p.plan_from_occupancy(&hot, occupancy, budget);
-                    let direct = p.cpu_fraction_from_occupancy(&hot, occupancy, budget);
+                    let direct = p.cpu_fraction_from_occupancy(hot.len(), occupancy, budget);
                     assert_eq!(
                         direct.to_bits(),
                         plan.cpu_fraction().to_bits(),
@@ -274,5 +273,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cpu_gpu_split_partitions_hot_set() {
+        let hot = hot_set(4, 1.0);
+        let plan = policy().plan(hot.vertices(), 0.5, u64::MAX);
+        assert_eq!(plan.cpu_compute, vec![0, 1]);
+        assert_eq!(plan.gpu_cache, vec![2, 3]);
+        let all_cpu = policy().plan(hot.vertices(), 0.0, u64::MAX);
+        assert_eq!(all_cpu.cpu_compute.len(), 4);
+        assert!(all_cpu.gpu_cache.is_empty());
     }
 }

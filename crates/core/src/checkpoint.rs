@@ -26,8 +26,9 @@
 //! position could drift. The seed and the replica count are bound in by the
 //! config digest, so the next epoch index is the complete rng-stream state.
 
-use crate::trainer::{PendingSnapshot, TrainerConfig, TrainerState};
-use neutron_cache::StoreSnapshot;
+use crate::refresh::RefreshOutput;
+use crate::trainer::{TrainerConfig, TrainerState};
+use neutron_cache::{EmbeddingRows, StoreSnapshot};
 use neutron_graph::VertexId;
 use neutron_tensor::Matrix;
 use std::fmt;
@@ -243,11 +244,11 @@ fn get_vertex(r: &mut Reader<'_>) -> Result<VertexId, CheckpointError> {
     VertexId::try_from(v).map_err(|_| CheckpointError::Corrupt(format!("vertex id {v}")))
 }
 
-/// Encodes `(vertex, row)` pairs (a refresh output's payload).
-pub fn encode_rows(w: &mut Writer, rows: &[(VertexId, Vec<f32>)]) {
+/// Encodes refresh rows: count, then `vertex width bits*` a row.
+pub fn encode_rows(w: &mut Writer, rows: &EmbeddingRows) {
     w.put_u64(rows.len() as u64);
-    for (v, row) in rows {
-        w.put_u64(*v as u64);
+    for (v, row) in rows.iter() {
+        w.put_u64(v as u64);
         w.put_u64(row.len() as u64);
         for &x in row {
             w.put_f32(x);
@@ -255,23 +256,35 @@ pub fn encode_rows(w: &mut Writer, rows: &[(VertexId, Vec<f32>)]) {
     }
 }
 
-/// Decodes rows written by [`encode_rows`].
-pub fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<(VertexId, Vec<f32>)>, CheckpointError> {
+/// Decodes rows written by [`encode_rows`]. Rows of differing widths are
+/// corruption: every row of one list is one matrix's row.
+pub fn decode_rows(r: &mut Reader<'_>) -> Result<EmbeddingRows, CheckpointError> {
     let n = r.get_len(16)?;
-    let mut out = Vec::with_capacity(n);
+    let mut vertices = Vec::with_capacity(n);
+    let (mut data, mut width) = (Vec::new(), 0);
     for _ in 0..n {
         let v = get_vertex(r)?;
         let len = r.get_len(4)?;
-        let mut row = Vec::with_capacity(len);
-        for _ in 0..len {
-            row.push(r.get_f32()?);
+        if vertices.is_empty() {
+            width = len;
+        } else if len != width {
+            return Err(CheckpointError::Corrupt(format!(
+                "refresh row of v{v} is {len} wide, not {width}"
+            )));
         }
-        out.push((v, row));
+        vertices.push(v);
+        for _ in 0..len {
+            data.push(r.get_f32()?);
+        }
     }
-    Ok(out)
+    Ok(EmbeddingRows::new(
+        vertices,
+        Matrix::from_vec(n, width, data),
+    ))
 }
 
-/// Encodes an embedding-store snapshot, counters included.
+/// Encodes an embedding-store snapshot, counters included: the header,
+/// then `vertex version width bits*` a row.
 pub fn encode_store(w: &mut Writer, snap: &StoreSnapshot) {
     w.put_u64(snap.dim as u64);
     match snap.bound {
@@ -284,9 +297,9 @@ pub fn encode_store(w: &mut Writer, snap: &StoreSnapshot) {
     w.put_u64(snap.max_observed_gap);
     w.put_u64(snap.reads);
     w.put_u64(snap.rows.len() as u64);
-    for (v, row, version) in &snap.rows {
-        w.put_u64(*v as u64);
-        w.put_u64(*version);
+    for ((v, row), &version) in snap.rows.iter().zip(&snap.versions) {
+        w.put_u64(v as u64);
+        w.put_u64(version);
         w.put_u64(row.len() as u64);
         for &x in row {
             w.put_f32(x);
@@ -309,7 +322,9 @@ pub fn decode_store(r: &mut Reader<'_>) -> Result<StoreSnapshot, CheckpointError
     let max_observed_gap = r.get_u64()?;
     let reads = r.get_u64()?;
     let n = r.get_len(24)?;
-    let mut rows = Vec::with_capacity(n);
+    let mut vertices = Vec::with_capacity(n);
+    let mut versions = Vec::with_capacity(n);
+    let mut data = Vec::with_capacity(n.saturating_mul(dim).min(r.remaining() / 4));
     for _ in 0..n {
         let v = get_vertex(r)?;
         let version = r.get_u64()?;
@@ -319,16 +334,17 @@ pub fn decode_store(r: &mut Reader<'_>) -> Result<StoreSnapshot, CheckpointError
                 "store row of {len} values in a dim-{dim} store"
             )));
         }
-        let mut row = Vec::with_capacity(len);
+        vertices.push(v);
+        versions.push(version);
         for _ in 0..len {
-            row.push(r.get_f32()?);
+            data.push(r.get_f32()?);
         }
-        rows.push((v, row, version));
     }
     Ok(StoreSnapshot {
         dim,
         bound,
-        rows,
+        rows: EmbeddingRows::new(vertices, Matrix::from_vec(n, dim, data)),
+        versions,
         max_observed_gap,
         reads,
     })
@@ -368,7 +384,7 @@ fn decode_trainer_state(r: &mut Reader<'_>) -> Result<TrainerState, CheckpointEr
     };
     let pending = match r.get_u8()? {
         0 => None,
-        1 => Some(PendingSnapshot {
+        1 => Some(RefreshOutput {
             version: r.get_u64()?,
             rows: decode_rows(r)?,
         }),
@@ -525,13 +541,20 @@ mod tests {
                 store: Some(StoreSnapshot {
                     dim: 2,
                     bound: Some(3),
-                    rows: vec![(1, vec![0.5, -0.5], 7), (9, vec![1.5, 2.5], 9)],
+                    rows: EmbeddingRows::new(
+                        vec![1, 9],
+                        Matrix::from_vec(2, 2, vec![0.5, -0.5, 1.5, 2.5]),
+                    ),
+                    versions: vec![7, 9],
                     max_observed_gap: 3,
                     reads: 11,
                 }),
-                pending: Some(PendingSnapshot {
+                pending: Some(RefreshOutput {
                     version: 40,
-                    rows: vec![(3, vec![0.1, 0.2]), (5, vec![0.3, 0.4])],
+                    rows: EmbeddingRows::new(
+                        vec![3, 5],
+                        Matrix::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4]),
+                    ),
                 }),
             },
         }
@@ -565,6 +588,14 @@ mod tests {
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b));
         }
+    }
+
+    /// Pins the on-disk image: a change to the codec that moves one byte of
+    /// `sample_checkpoint` fails here before any reader meets it.
+    #[test]
+    fn format_3_bytes_are_pinned() {
+        let bytes = checkpoint_to_bytes(digest(), &sample_checkpoint());
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (287, 0x8f63_f3e8_f9f2_0b3a));
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Orchestrator for NeutronOrch {
         // computes every refresh row on its refresh worker and fills its
         // cache to the budget.
         let cpu_fraction =
-            policy.cpu_fraction_from_occupancy(&profile.hot, first.gpu_util, u64::MAX);
+            policy.cpu_fraction_from_occupancy(profile.hot.len(), first.gpu_util, u64::MAX);
         run(cpu_fraction).or(Ok(first))
     }
 }

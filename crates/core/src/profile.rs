@@ -24,8 +24,7 @@
 use neutron_graph::{degree, DatasetSpec, VertexId};
 use neutron_nn::LayerKind;
 use neutron_sample::{
-    BatchIterator, Fanout, HotSet, HotnessRanking, NeighborSampler, PositionMarks, PreSampler,
-    SampleStats,
+    BatchIterator, Fanout, HotnessRanking, NeighborSampler, PositionMarks, PreSampler, SampleStats,
 };
 
 /// Sampling/model configuration of one experiment cell.
@@ -104,8 +103,9 @@ pub struct WorkloadProfile {
     /// Bottom-layer access frequencies from pre-sampling; its order is the
     /// GNNLab cache ranking ([`Self::presample_coverage_topk`]).
     pub hotness: HotnessRanking,
-    /// The hot set at `config.hot_ratio`.
-    pub hot: HotSet,
+    /// The hot set at `config.hot_ratio`, hottest first: a prefix of
+    /// `hotness.order()`.
+    pub hot: Vec<VertexId>,
     /// Fraction of bottom-layer accesses covered by the hot set.
     pub hot_coverage: f64,
     /// Every vertex by descending degree — the PaGraph cache ranking
@@ -237,8 +237,8 @@ impl WorkloadProfile {
             num_batches,
             per_batch,
             one_hop,
+            hot: hot.vertices().to_vec(),
             hotness,
-            hot,
             hot_coverage,
             degree_order: degree::vertices_by_degree_desc(&ds.csr),
             hot_per_super_batch,
@@ -453,7 +453,7 @@ mod tests {
                 format!("{:?}", derived.per_batch),
                 format!("{:?}", built.per_batch)
             );
-            assert_eq!(derived.hot.vertices(), built.hot.vertices());
+            assert_eq!(derived.hot, built.hot);
             assert_eq!(derived.degree_order, built.degree_order);
             assert_eq!(derived.paper_coverage_curve, built.paper_coverage_curve);
             assert_eq!(derived.hot_one_hop_edges, built.hot_one_hop_edges);

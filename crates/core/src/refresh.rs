@@ -16,8 +16,7 @@
 //! neighbor draws per vertex, making the output independent of *where*,
 //! *when* and over *which subset* of the hot set the task runs. That
 //! subset independence lets a boundary recompute only the hot rows the next
-//! super-batch reads (§4.2), and a worker shard a task across threads,
-//! without perturbing the training trajectory.
+//! super-batch reads (§4.2) without perturbing the training trajectory.
 //!
 //! Every refresh row is computed by the trainer's [`RefreshBackend`], one
 //! task per boundary: the sequential trainer uses [`InlineRefresh`]
@@ -57,8 +56,9 @@ pub struct RefreshTask {
 }
 
 /// The rows a [`RefreshTask`] produced, ready to publish into the
-/// historical-embedding store at the next super-batch boundary.
-#[derive(Default)]
+/// historical-embedding store at the next super-batch boundary — also what
+/// a checkpoint keeps of a refresh still pending.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RefreshOutput {
     /// One embedding row per task vertex.
     pub rows: EmbeddingRows,
@@ -87,76 +87,33 @@ impl RefreshTask {
     }
 
     /// Executes the task: partition-stable one-hop sampling, feature
-    /// gather, bottom-layer forward under the frozen snapshot, sharded
-    /// across up to `workers` scoped threads. Pure — safe to run on any
-    /// thread, any number of times, at any worker count, with identical
-    /// results.
-    ///
-    /// Because the task is partition-stable (per-vertex sampling seeds, a
-    /// frozen parameter snapshot), running contiguous shards concurrently
-    /// and concatenating their rows in shard order reproduces the serial
-    /// output bit for bit — the property
-    /// `split_partitions_reproduce_the_full_run_row_for_row` asserts.
-    /// Shards below `MIN_SHARD_VERTICES` (64) aren't worth a thread spawn;
-    /// the effective worker count is capped so every shard stays at least
-    /// that large. A serial run samples into the caller's `scratch`, so a
-    /// backend looping over tasks amortises the dedup buffers instead of
-    /// re-zeroing `O(|V|)` state per super-batch.
-    pub fn run(&self, workers: usize, scratch: &mut SamplerScratch) -> RefreshOutput {
-        let workers = workers
-            .min(self.vertices.len() / Self::MIN_SHARD_VERTICES)
-            .max(1);
-        let mut rows = EmbeddingRows::default();
-        if workers == 1 {
-            rows = self.run_partition(&self.vertices, scratch);
+    /// gather, bottom-layer forward under the frozen snapshot, on the
+    /// calling thread. Pure — safe to run on any thread, any number of
+    /// times, with identical results. It samples into the caller's
+    /// `scratch`, so a backend looping over tasks amortises the dedup
+    /// buffers instead of re-zeroing `O(|V|)` state per super-batch.
+    pub fn run(&self, scratch: &mut SamplerScratch) -> RefreshOutput {
+        let rows = if self.vertices.is_empty() {
+            EmbeddingRows::default()
         } else {
-            let chunk = self.vertices.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .vertices
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let mut scratch = SamplerScratch::new();
-                            self.run_partition(part, &mut scratch)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    rows.append(h.join().expect("refresh shard panicked"));
-                }
-            });
-        }
+            let block = self.sampler.sample_one_hop_stable_with_scratch(
+                &self.dataset.csr,
+                &self.vertices,
+                self.sampler.fanout().at(0),
+                self.version ^ 0x5b,
+                scratch,
+            );
+            // Host rows read in place by vertex id (the "CPU" side holds the
+            // whole table): the same floats the train path's view yields.
+            let feats = RowView::gather(self.dataset.features(), block.src());
+            // One output row per `block.dst()` vertex, i.e. per task vertex.
+            let (out, _ctx) = self.bottom.forward(&block, feats);
+            EmbeddingRows::new(self.vertices.clone(), out)
+        };
         RefreshOutput {
             rows,
             version: self.version,
         }
-    }
-
-    /// Smallest vertex count worth its own refresh shard (thread spawn +
-    /// per-shard `SamplerScratch` are amortised over at least this much
-    /// sampling + forward work).
-    const MIN_SHARD_VERTICES: usize = 64;
-
-    /// The shared partition body: sampling and bottom-layer forward over an
-    /// arbitrary slice of the task's vertex list.
-    fn run_partition(&self, vertices: &[VertexId], scratch: &mut SamplerScratch) -> EmbeddingRows {
-        if vertices.is_empty() {
-            return EmbeddingRows::default();
-        }
-        let block = self.sampler.sample_one_hop_stable_with_scratch(
-            &self.dataset.csr,
-            vertices,
-            self.sampler.fanout().at(0),
-            self.version ^ 0x5b,
-            scratch,
-        );
-        // Host rows read in place by vertex id (the "CPU" side holds the
-        // whole table): the same floats the train path's view yields.
-        let feats = RowView::gather(self.dataset.features(), block.src());
-        // One output row per `block.dst()` vertex, i.e. per task vertex.
-        let (out, _ctx) = self.bottom.forward(&block, feats);
-        EmbeddingRows::new(vertices.to_vec(), out)
     }
 }
 
@@ -210,7 +167,7 @@ pub struct InlineRefresh {
 
 impl RefreshBackend for InlineRefresh {
     fn submit(&mut self, task: RefreshTask) -> CpuPart {
-        CpuPart::Ready(task.run(1, &mut self.scratch))
+        CpuPart::Ready(task.run(&mut self.scratch))
     }
 
     fn collect(&mut self) -> RefreshOutput {
@@ -238,9 +195,9 @@ mod tests {
         (ds, bottom, sampler)
     }
 
-    /// The partition body as it was before rows were read in place: gather
-    /// the host rows into a dense matrix, then forward.
-    fn gathered_partition(task: &RefreshTask, vertices: &[VertexId]) -> EmbeddingRows {
+    /// The task body as it was before rows were read in place: gather the
+    /// host rows into a dense matrix, then forward.
+    fn gathered_rows(task: &RefreshTask, vertices: &[VertexId]) -> EmbeddingRows {
         let block = task.sampler.sample_one_hop_stable_with_scratch(
             &task.dataset.csr,
             vertices,
@@ -261,8 +218,8 @@ mod tests {
         for kind in LayerKind::ALL {
             let bottom = Layer::new(kind, ds.spec.feature_dim, ds.spec.hidden_dim, false, 7);
             let task = RefreshTask::new(Arc::clone(&ds), bottom, sampler.clone(), verts.clone(), 5);
-            let got = task.run(1, &mut SamplerScratch::new()).rows;
-            let want = gathered_partition(&task, &verts);
+            let got = task.run(&mut SamplerScratch::new()).rows;
+            let want = gathered_rows(&task, &verts);
             assert_eq!(got.len(), verts.len());
             for ((gv, g), (wv, w)) in got.iter().zip(want.iter()) {
                 assert_eq!(gv, wv);
@@ -278,8 +235,8 @@ mod tests {
         let verts: Vec<u32> = (0..20).collect();
         let task =
             |b: Layer| RefreshTask::new(Arc::clone(&ds), b, sampler.clone(), verts.clone(), 9);
-        let a = task(bottom.clone()).run(1, &mut SamplerScratch::new());
-        let b = task(bottom.clone()).run(1, &mut SamplerScratch::new());
+        let a = task(bottom.clone()).run(&mut SamplerScratch::new());
+        let b = task(bottom.clone()).run(&mut SamplerScratch::new());
         assert_eq!(a.version, 9);
         assert_eq!(a.rows.len(), 20);
         assert_eq!(a.rows.vertices(), &verts[..]);
@@ -288,14 +245,13 @@ mod tests {
 
     #[test]
     fn split_partitions_reproduce_the_full_run_row_for_row() {
-        // The partition independence demand worklists and sharded runs
-        // rely on: computing [0..k) and [k..n) separately must equal one
-        // full run.
+        // The partition independence demand worklists rely on: computing
+        // [0..k) and [k..n) separately must equal one full run.
         let (ds, bottom, sampler) = fixture();
         let verts: Vec<u32> = (5..45).collect();
         let run = |vs: Vec<u32>| {
             RefreshTask::new(Arc::clone(&ds), bottom.clone(), sampler.clone(), vs, 3)
-                .run(1, &mut SamplerScratch::new())
+                .run(&mut SamplerScratch::new())
         };
         let full = run(verts.clone());
         for k in [0usize, 13, 40] {
@@ -311,24 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_is_bit_identical_to_serial_at_any_worker_count() {
-        let (ds, bottom, sampler) = fixture();
-        // 280 vertices: enough for up to 4 real shards at MIN_SHARD_VERTICES.
-        let verts: Vec<u32> = (0..280).collect();
-        let task = RefreshTask::new(ds, bottom, sampler, verts, 11);
-        let serial = task.run(1, &mut SamplerScratch::new());
-        for workers in [0usize, 1, 2, 3, 4, 16] {
-            let sharded = task.run(workers, &mut SamplerScratch::new());
-            assert_eq!(sharded.version, serial.version);
-            assert_eq!(sharded.rows, serial.rows, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn empty_task_yields_empty_output() {
         let (ds, bottom, sampler) = fixture();
         let task = RefreshTask::new(ds, bottom, sampler, Vec::new(), 1);
-        assert!(task.run(2, &mut SamplerScratch::new()).rows.is_empty());
+        assert!(task.run(&mut SamplerScratch::new()).rows.is_empty());
     }
 
     #[test]

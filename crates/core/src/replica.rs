@@ -150,7 +150,7 @@ impl RefreshBackend for WorkerRefresh<'_> {
             None => CpuPart::Submitted,
             // Channel closed (the refresh worker panicked): compute locally
             // so the trainer's refresh schedule stays intact.
-            Some(task) => CpuPart::Ready(task.run(1, &mut SamplerScratch::new())),
+            Some(task) => CpuPart::Ready(task.run(&mut SamplerScratch::new())),
         }
     }
 
@@ -418,10 +418,7 @@ impl Shared<'_> {
                     let mut scratch = SamplerScratch::new();
                     while let Some(task) = tasks.recv() {
                         let t0 = Instant::now();
-                        // Sharding is placement-only: `run` concatenates
-                        // partition-stable shards in order, so the rows are
-                        // the serial rows bit for bit at any thread count.
-                        let out = task.run(config.refresh_workers, &mut scratch);
+                        let out = task.run(&mut scratch);
                         refresh_busy.add(t0);
                         if !outputs.send(out) {
                             break;

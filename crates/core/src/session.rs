@@ -31,9 +31,10 @@ use std::time::{Duration, Instant};
 
 /// Configuration of a training session.
 ///
-/// `pipeline.sampler_threads` and `pipeline.gather_threads` are inert (each
-/// lane has one fused worker; see [`PipelineConfig`]). `locality_aware`
-/// and `interconnect` only matter at `replicas ≥ 2`.
+/// `pipeline.sampler_threads`, `pipeline.gather_threads` and
+/// `refresh_workers` are inert: each lane has one fused worker (see
+/// [`PipelineConfig`]) and one refresh worker runs each task serially.
+/// `locality_aware` and `interconnect` only matter at `replicas ≥ 2`.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
     /// Per-lane staging depth and the simulated H2D link.
@@ -44,8 +45,8 @@ pub struct SessionConfig {
     /// vertices in descending presample order, hot then cold, until this
     /// many bytes are spent (§5.2).
     pub gpu_free_bytes: u64,
-    /// Threads the refresh worker spreads each task's vertex list over
-    /// (partition-stable, so any value is bit-identical). At least 1.
+    /// Inert: the refresh worker runs each task serially on its one
+    /// thread. Kept because the benchmark adapter sets it.
     pub refresh_workers: usize,
     /// Prefer partition-local neighbours while sampling (R ≥ 2);
     /// `false` is the locality-blind ablation.
@@ -275,19 +276,14 @@ pub struct Session {
 
 impl Session {
     /// Builds a session. Panics on a configuration it could not honour:
-    /// zero replicas, a zero channel depth, zero refresh threads, or a
-    /// fault addressed to a lane the session does not have — it would never
-    /// be delivered.
+    /// zero replicas, a zero channel depth, or a fault addressed to a lane
+    /// the session does not have — it would never be delivered.
     pub fn new(config: SessionConfig) -> Self {
         let replicas = config.replicas;
         assert!(replicas >= 1, "need at least one replica");
         assert!(
             config.pipeline.channel_depth >= 1,
             "staging needs a channel depth of at least 1"
-        );
-        assert!(
-            config.refresh_workers >= 1,
-            "need at least one refresh worker thread"
         );
         for spec in config.fault_plan.iter().flat_map(|plan| plan.specs()) {
             assert!(

@@ -34,7 +34,7 @@ use crate::gather::CacheHits;
 use crate::pipeline::{run_epoch_sequential, PipelineConfig};
 use crate::pool::BatchBuffers;
 use crate::refresh::{CpuPart, RefreshBackend, RefreshOutput, RefreshTask};
-use neutron_cache::{EmbeddingRows, EmbeddingStore};
+use neutron_cache::EmbeddingStore;
 use neutron_graph::{Dataset, VertexId};
 use neutron_nn::loss::cross_entropy;
 use neutron_nn::metrics::accuracy;
@@ -57,22 +57,6 @@ const EVAL_BOTTOM_CHUNK: usize = 4096;
 fn labels_of(dataset: &Dataset, vertices: &[VertexId]) -> Vec<usize> {
     let labels = &dataset.labels;
     vertices.iter().map(|&v| labels[v as usize]).collect()
-}
-
-/// Checks that a checkpoint's pending refresh rows name distinct hot
-/// vertices: the next boundary publishes each into its vertex's store slot.
-fn check_pending(hot: Option<&HotSet>, rows: &[(VertexId, Vec<f32>)]) -> Result<(), String> {
-    let hot = hot.ok_or("a refresh is pending, but the trainer keeps no hot set")?;
-    let mut seen = vec![false; hot.len()];
-    for &(v, _) in rows {
-        let rank = hot
-            .rank(v)
-            .ok_or_else(|| format!("pending row of v{v}, which is not hot"))?;
-        if std::mem::replace(&mut seen[rank as usize], true) {
-            return Err(format!("two pending rows of v{v}"));
-        }
-    }
-    Ok(())
 }
 
 /// Historical-embedding reuse policy.
@@ -207,18 +191,6 @@ pub struct BatchLoopStats {
     pub staleness_epsilon: f32,
 }
 
-/// The in-flight refresh double buffer, materialised for a checkpoint.
-/// Captured only after [`ConvergenceTrainer::settle_refresh`], so it is
-/// always concrete rows (never a task on a worker).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PendingSnapshot {
-    /// Version stamp of the rows: the model version of the boundary that
-    /// launched the refresh.
-    pub version: u64,
-    /// The refreshed rows, one per worklist vertex.
-    pub rows: Vec<(VertexId, Vec<f32>)>,
-}
-
 /// Everything about a [`ConvergenceTrainer`] that mutates across epochs —
 /// the complete checkpoint payload. Everything *not* here (hot set, model
 /// shapes, sampler, batch iterator) is a pure function of `(dataset,
@@ -236,7 +208,9 @@ pub struct TrainerState {
     /// Historical-embedding store image, including staleness counters.
     pub store: Option<neutron_cache::StoreSnapshot>,
     /// The refresh awaiting publication at the next super-batch boundary.
-    pub pending: Option<PendingSnapshot>,
+    /// Captured only after [`ConvergenceTrainer::settle_refresh`], so it is
+    /// always concrete rows, never a task on a worker.
+    pub pending: Option<RefreshOutput>,
 }
 
 /// A numeric trainer over a fully materialised [`Dataset`].
@@ -682,10 +656,7 @@ impl ConvergenceTrainer {
             let CpuPart::Ready(out) = p else {
                 unreachable!("settle_refresh resolved the pending refresh")
             };
-            PendingSnapshot {
-                version: out.version,
-                rows: out.rows.to_pairs(),
-            }
+            out.clone()
         });
         TrainerState {
             params: self.model.snapshot(),
@@ -729,16 +700,14 @@ impl ConvergenceTrainer {
                 "store dimension mismatch: trainer {dim}, checkpoint {found}"
             ));
         }
-        let pending = match &state.pending {
-            Some(p) => {
-                check_pending(self.hot.as_deref(), &p.rows)?;
-                Some(CpuPart::Ready(RefreshOutput {
-                    rows: EmbeddingRows::from_pairs(dim, &p.rows)?,
-                    version: p.version,
-                }))
+        if let Some(pending) = &state.pending {
+            if self.hot.is_none() {
+                return Err("a refresh is pending, but the trainer keeps no hot set".into());
             }
-            None => None,
-        };
+            // The next boundary publishes each row into its vertex's slot.
+            let store = self.store.as_ref().expect("a hot set comes with a store");
+            store.check_rows(&pending.rows, "pending")?;
+        }
         // The last fallible step, and it changes nothing when it fails.
         match (&mut self.store, &state.store) {
             (Some(store), Some(snap)) => store.restore(snap)?,
@@ -750,7 +719,7 @@ impl ConvergenceTrainer {
             p.grad.fill_zero();
         }
         self.version = state.version;
-        self.pending_refresh = pending;
+        self.pending_refresh = state.pending.clone().map(CpuPart::Ready);
         Ok(())
     }
 

@@ -16,13 +16,12 @@ use crate::csr::{Csr, VertexId};
 ///
 /// Edges are interpreted as `src -> dst`; the resulting CSR stores, for each
 /// vertex, its list of *in*-neighbors (aggregation sources). Self-loops and
-/// duplicate edges can optionally be removed at build time.
+/// duplicate edges are removed at build time: GNN layers add the self
+/// contribution explicitly, so a stored self-loop would double it.
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId)>,
     symmetric: bool,
-    dedup: bool,
-    drop_self_loops: bool,
 }
 
 impl GraphBuilder {
@@ -32,27 +31,12 @@ impl GraphBuilder {
             num_vertices,
             edges: Vec::new(),
             symmetric: false,
-            dedup: true,
-            drop_self_loops: true,
         }
     }
 
     /// Also insert the reverse of every edge (undirected input).
     pub fn symmetric(mut self, yes: bool) -> Self {
         self.symmetric = yes;
-        self
-    }
-
-    /// Remove duplicate edges at build time (default: true).
-    pub fn dedup(mut self, yes: bool) -> Self {
-        self.dedup = yes;
-        self
-    }
-
-    /// Remove self-loops at build time (default: true). GNN layers add the
-    /// self contribution explicitly, so stored self-loops would double it.
-    pub fn drop_self_loops(mut self, yes: bool) -> Self {
-        self.drop_self_loops = yes;
         self
     }
 
@@ -71,7 +55,7 @@ impl GraphBuilder {
     /// unique.
     pub fn build(self) -> Csr {
         let n = self.num_vertices;
-        let kept = |&(s, d): &(VertexId, VertexId)| !(self.drop_self_loops && s == d);
+        let kept = |&(s, d): &(VertexId, VertexId)| s != d;
         // Bucket by destination: CSR rows are in-neighbor lists.
         let mut offsets = vec![0u64; n + 1];
         for &(s, d) in self.edges.iter().filter(|e| kept(e)) {
@@ -97,9 +81,6 @@ impl GraphBuilder {
         }
         drop(cursor);
         drop(self.edges);
-        if !self.dedup {
-            return Csr::from_raw(offsets, targets);
-        }
         // Sort + dedup each row in place, compacting towards the front. A
         // row at least `words` long is marked in a bitset instead of sorted:
         // reading the set bits back costs `words`, not `len · log len`.
@@ -165,15 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_disabled_keeps_multiplicity() {
-        let mut b = GraphBuilder::new(2).dedup(false);
-        b.add_edge(0, 1);
-        b.add_edge(0, 1);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
     fn self_loops_dropped_by_default() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 0);
@@ -192,17 +164,11 @@ mod tests {
         assert_eq!(g.neighbors(1), &[0]);
     }
 
-    /// Per-row reference: push the forward edges, then the reversed ones,
-    /// then sort and dedup each row when asked.
-    fn reference(
-        n: usize,
-        edges: &[(VertexId, VertexId)],
-        symmetric: bool,
-        dedup: bool,
-        drop_self_loops: bool,
-    ) -> Vec<Vec<VertexId>> {
+    /// Per-row reference: push the forward edges less self-loops, then the
+    /// reversed ones, then sort and dedup each row.
+    fn reference(n: usize, edges: &[(VertexId, VertexId)], symmetric: bool) -> Vec<Vec<VertexId>> {
         let mut rows = vec![Vec::new(); n];
-        let kept = edges.iter().filter(|&&(s, d)| !(drop_self_loops && s == d));
+        let kept = edges.iter().filter(|&&(s, d)| s != d);
         for &(s, d) in kept.clone() {
             rows[d as usize].push(s);
         }
@@ -211,11 +177,9 @@ mod tests {
                 rows[s as usize].push(d);
             }
         }
-        if dedup {
-            for row in &mut rows {
-                row.sort_unstable();
-                row.dedup();
-            }
+        for row in &mut rows {
+            row.sort_unstable();
+            row.dedup();
         }
         rows
     }
@@ -243,26 +207,20 @@ mod tests {
                     (s, d)
                 })
                 .collect();
-            for mask in 0..8u8 {
-                let (symmetric, dedup, drop_self_loops) =
-                    (mask & 1 != 0, mask & 2 != 0, mask & 4 != 0);
-                let mut b = GraphBuilder::new(n)
-                    .symmetric(symmetric)
-                    .dedup(dedup)
-                    .drop_self_loops(drop_self_loops);
+            for symmetric in [false, true] {
+                let mut b = GraphBuilder::new(n).symmetric(symmetric);
                 for &(s, d) in &edges {
                     b.add_edge(s, d);
                 }
                 let g = b.build();
-                let want = reference(n, &edges, symmetric, dedup, drop_self_loops);
+                let want = reference(n, &edges, symmetric);
                 assert_eq!(g.num_vertices(), n);
                 assert_eq!(g.num_edges(), want.iter().map(Vec::len).sum::<usize>());
                 for (v, row) in want.iter().enumerate() {
                     assert_eq!(
                         g.neighbors(v as VertexId),
                         row.as_slice(),
-                        "n={n} symmetric={symmetric} dedup={dedup} \
-                         drop_self_loops={drop_self_loops} row {v}"
+                        "n={n} symmetric={symmetric} row {v}"
                     );
                 }
             }

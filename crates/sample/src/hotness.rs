@@ -120,22 +120,6 @@ impl HotSet {
     pub fn rank(&self, v: VertexId) -> Option<u32> {
         self.rank.get(v as usize).copied().filter(|&r| r != COLD)
     }
-
-    /// Splits the hot set into a CPU-computed prefix and GPU-cached suffix
-    /// at `cpu_fraction` — the §4.1.3 hybrid worklist split. The hottest
-    /// vertices go to the CPU: their embeddings are reused most often, so
-    /// computing them once per super-batch saves the most GPU work.
-    pub fn split_cpu_gpu(&self, cpu_fraction: f64) -> (Vec<VertexId>, Vec<VertexId>) {
-        let k = self.cpu_prefix_len(cpu_fraction);
-        (self.hot[..k].to_vec(), self.hot[k..].to_vec())
-    }
-
-    /// Length of the CPU-computed prefix [`Self::split_cpu_gpu`] cuts at
-    /// `cpu_fraction`.
-    pub fn cpu_prefix_len(&self, cpu_fraction: f64) -> usize {
-        assert!((0.0..=1.0).contains(&cpu_fraction));
-        (self.hot.len() as f64 * cpu_fraction).round() as usize
-    }
 }
 
 #[cfg(test)]
@@ -182,17 +166,5 @@ mod tests {
         assert!(r.hot_set(0.0).is_empty());
         assert_eq!(r.hot_set(1.0).len(), 3);
         assert!((r.access_coverage(&r.hot_set(1.0)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cpu_gpu_split_partitions_hot_set() {
-        let r = HotnessRanking::from_counts(vec![4, 3, 2, 1]);
-        let hot = r.hot_set(1.0);
-        let (cpu, gpu) = hot.split_cpu_gpu(0.5);
-        assert_eq!(cpu, vec![0, 1]);
-        assert_eq!(gpu, vec![2, 3]);
-        let (all_cpu, none) = hot.split_cpu_gpu(1.0);
-        assert_eq!(all_cpu.len(), 4);
-        assert!(none.is_empty());
     }
 }

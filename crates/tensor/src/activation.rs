@@ -8,21 +8,15 @@ use crate::matrix::Matrix;
 /// Activation function selector used by [`neutron-nn`] layers.
 ///
 /// GCN/GraphSAGE use [`Activation::Relu`]; GAT uses [`Activation::Elu`] for
-/// layer outputs and [`Activation::LeakyRelu`] inside attention scores.
+/// layer outputs (its attention scores apply LeakyReLU(0.2) inline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Activation {
     /// Identity (no nonlinearity) — used on final output layers.
     Identity,
     /// max(0, x)
     Relu,
-    /// x if x > 0 else 0.2·x (slope fixed to the GAT paper's 0.2)
-    LeakyRelu,
     /// x if x > 0 else exp(x) − 1
     Elu,
-    /// 1 / (1 + exp(−x))
-    Sigmoid,
-    /// tanh(x)
-    Tanh,
 }
 
 impl Activation {
@@ -34,32 +28,15 @@ impl Activation {
     }
 
     /// Applies the activation element-wise in place.
-    pub fn forward_inplace(self, z: &mut Matrix) {
+    fn forward_inplace(self, z: &mut Matrix) {
         match self {
             Activation::Identity => {}
             Activation::Relu => crate::kernels::relu(z.as_mut_slice()),
-            Activation::LeakyRelu => {
-                for v in z.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v *= 0.2;
-                    }
-                }
-            }
             Activation::Elu => {
                 for v in z.as_mut_slice() {
                     if *v < 0.0 {
                         *v = v.exp() - 1.0;
                     }
-                }
-            }
-            Activation::Sigmoid => {
-                for v in z.as_mut_slice() {
-                    *v = 1.0 / (1.0 + (-*v).exp());
-                }
-            }
-            Activation::Tanh => {
-                for v in z.as_mut_slice() {
-                    *v = v.tanh();
                 }
             }
         }
@@ -73,13 +50,6 @@ impl Activation {
         match self {
             Activation::Identity => {}
             Activation::Relu => crate::kernels::relu_backward(grad.as_mut_slice(), z.as_slice()),
-            Activation::LeakyRelu => {
-                for (g, &zv) in grad.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    if zv <= 0.0 {
-                        *g *= 0.2;
-                    }
-                }
-            }
             Activation::Elu => {
                 for (g, &zv) in grad.as_mut_slice().iter_mut().zip(z.as_slice()) {
                     if zv <= 0.0 {
@@ -87,34 +57,16 @@ impl Activation {
                     }
                 }
             }
-            Activation::Sigmoid => {
-                for (g, &zv) in grad.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    let s = 1.0 / (1.0 + (-zv).exp());
-                    *g *= s * (1.0 - s);
-                }
-            }
-            Activation::Tanh => {
-                for (g, &zv) in grad.as_mut_slice().iter_mut().zip(z.as_slice()) {
-                    let t = zv.tanh();
-                    *g *= 1.0 - t * t;
-                }
-            }
         }
         grad
     }
 
     /// Scalar forward, used by finite-difference gradient checks.
-    pub fn scalar(self, x: f32) -> f32 {
+    #[cfg(test)]
+    fn scalar(self, x: f32) -> f32 {
         match self {
             Activation::Identity => x,
             Activation::Relu => x.max(0.0),
-            Activation::LeakyRelu => {
-                if x > 0.0 {
-                    x
-                } else {
-                    0.2 * x
-                }
-            }
             Activation::Elu => {
                 if x > 0.0 {
                     x
@@ -122,47 +74,22 @@ impl Activation {
                     x.exp() - 1.0
                 }
             }
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
         }
     }
 }
-
-/// All activations, for exhaustive tests.
-pub const ALL_ACTIVATIONS: [Activation; 6] = [
-    Activation::Identity,
-    Activation::Relu,
-    Activation::LeakyRelu,
-    Activation::Elu,
-    Activation::Sigmoid,
-    Activation::Tanh,
-];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// All activations, for exhaustive tests.
+    const ALL_ACTIVATIONS: [Activation; 3] =
+        [Activation::Identity, Activation::Relu, Activation::Elu];
+
     #[test]
     fn relu_clamps_negatives() {
         let z = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
         assert_eq!(Activation::Relu.forward(&z).row(0), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn leaky_relu_keeps_small_negative_slope() {
-        let z = Matrix::from_rows(&[&[-1.0, 2.0]]);
-        let out = Activation::LeakyRelu.forward(&z);
-        assert!((out.get(0, 0) + 0.2).abs() < 1e-6);
-        assert_eq!(out.get(0, 1), 2.0);
-    }
-
-    #[test]
-    fn sigmoid_is_bounded_and_centered() {
-        let z = Matrix::from_rows(&[&[-100.0, 0.0, 100.0]]);
-        let out = Activation::Sigmoid.forward(&z);
-        assert!(out.get(0, 0) < 1e-6);
-        assert!((out.get(0, 1) - 0.5).abs() < 1e-6);
-        assert!(out.get(0, 2) > 1.0 - 1e-6);
     }
 
     /// Finite-difference check of every activation gradient.

@@ -5,7 +5,7 @@
 //! restored from its checkpoint is bit-identical to the uninterrupted run
 //! for both the single-replica engine and the replicated engine at any R.
 
-use neutronorch::cache::StoreSnapshot;
+use neutronorch::cache::{EmbeddingRows, StoreSnapshot};
 use neutronorch::core::checkpoint::{
     self, checkpoint_from_bytes, checkpoint_to_bytes, decode_params, decode_rows, decode_store,
     encode_params, encode_rows, encode_store, Checkpoint, CheckpointError, Reader, Writer,
@@ -13,10 +13,8 @@ use neutronorch::core::checkpoint::{
 };
 use neutronorch::core::pipeline::PipelineConfig;
 use neutronorch::core::session::{Session, SessionConfig, SessionReport};
-use neutronorch::core::trainer::{
-    ConvergenceTrainer, PendingSnapshot, ReusePolicy, TrainerConfig, TrainerState,
-};
-use neutronorch::core::InlineRefresh;
+use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig, TrainerState};
+use neutronorch::core::{InlineRefresh, RefreshOutput};
 use neutronorch::graph::{DatasetSpec, VertexId};
 use neutronorch::nn::LayerKind;
 use neutronorch::tensor::Matrix;
@@ -84,8 +82,7 @@ fn state_bytes(t: &mut ConvergenceTrainer, replicas: usize) -> Vec<u8> {
 /// super-batch.
 fn assert_whole_hot_set_pending(ck: &Checkpoint, t: &ConvergenceTrainer) {
     let pending = ck.state.pending.as_ref().expect("a refresh is pending");
-    let rows: Vec<VertexId> = pending.rows.iter().map(|r| r.0).collect();
-    assert_eq!(rows, t.hot_set().unwrap().vertices());
+    assert_eq!(pending.rows.vertices(), t.hot_set().unwrap().vertices());
 }
 
 // ---------------------------------------------------------------------------
@@ -111,8 +108,23 @@ fn params() -> impl Strategy<Value = Vec<Matrix>> {
     proptest::collection::vec(matrix(4), 0..4)
 }
 
-fn refresh_rows(dim: usize) -> impl Strategy<Value = Vec<(VertexId, Vec<f32>)>> {
+/// `dim`-wide rows of `pairs`, in order.
+fn rows_of(dim: usize, pairs: Vec<(VertexId, Vec<f32>)>) -> EmbeddingRows {
+    let (n, vertices) = (pairs.len(), pairs.iter().map(|p| p.0).collect());
+    let data = pairs.into_iter().flat_map(|p| p.1).collect();
+    EmbeddingRows::new(vertices, Matrix::from_vec(n, dim, data))
+}
+
+/// `(vertex, row)` pairs of `rows`, with the rows' raw bits.
+fn row_bits(rows: &EmbeddingRows) -> Vec<(VertexId, Vec<u32>)> {
+    rows.iter()
+        .map(|(v, row)| (v, row.iter().map(|x| x.to_bits()).collect()))
+        .collect()
+}
+
+fn refresh_rows(dim: usize) -> impl Strategy<Value = EmbeddingRows> {
     proptest::collection::vec((any::<u32>(), exactly(any_f32_bits(), dim)), 0..5)
+        .prop_map(move |pairs| rows_of(dim, pairs))
 }
 
 fn store_snapshot() -> impl Strategy<Value = StoreSnapshot> {
@@ -123,17 +135,21 @@ fn store_snapshot() -> impl Strategy<Value = StoreSnapshot> {
             any::<u64>(),
             proptest::collection::vec((exactly(any_f32_bits(), dim), any::<u64>()), 0..6),
         )
-            .prop_map(move |(bound, max_observed_gap, reads, raw)| StoreSnapshot {
-                dim,
-                bound,
+            .prop_map(move |(bound, max_observed_gap, reads, raw)| {
+                let versions = raw.iter().map(|r| r.1).collect();
                 // Ascending distinct vertex ids, as the store emits them.
-                rows: raw
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (row, version))| (3 * i as VertexId, row, version))
-                    .collect(),
-                max_observed_gap,
-                reads,
+                let pairs = raw.into_iter().enumerate();
+                let pairs = pairs
+                    .map(|(i, (row, _))| (3 * i as VertexId, row))
+                    .collect();
+                StoreSnapshot {
+                    dim,
+                    bound,
+                    rows: rows_of(dim, pairs),
+                    versions,
+                    max_observed_gap,
+                    reads,
+                }
             })
     })
 }
@@ -149,7 +165,7 @@ fn trainer_state() -> impl Strategy<Value = TrainerState> {
             params,
             version,
             store,
-            pending: pending.map(|(version, rows)| PendingSnapshot { version, rows }),
+            pending: pending.map(|(version, rows)| RefreshOutput { version, rows }),
         })
 }
 
@@ -193,12 +209,7 @@ proptest! {
         let mut r = Reader::new(&bytes);
         let back = decode_rows(&mut r).expect("decode");
         prop_assert_eq!(r.remaining(), 0);
-        let key = |rs: &[(VertexId, Vec<f32>)]| -> Vec<(VertexId, Vec<u32>)> {
-            rs.iter()
-                .map(|(v, row)| (*v, row.iter().map(|x| x.to_bits()).collect()))
-                .collect()
-        };
-        prop_assert_eq!(key(&back), key(&rows));
+        prop_assert_eq!(row_bits(&back), row_bits(&rows));
     }
 
     /// The embedding-store snapshot — rows, versions, staleness counters —
@@ -215,13 +226,8 @@ proptest! {
         prop_assert_eq!(back.bound, snap.bound);
         prop_assert_eq!(back.max_observed_gap, snap.max_observed_gap);
         prop_assert_eq!(back.reads, snap.reads);
-        let key = |s: &StoreSnapshot| -> Vec<(VertexId, Vec<u32>, u64)> {
-            s.rows
-                .iter()
-                .map(|(v, row, ver)| (*v, row.iter().map(|x| x.to_bits()).collect(), *ver))
-                .collect()
-        };
-        prop_assert_eq!(key(&back), key(&snap));
+        prop_assert_eq!(row_bits(&back.rows), row_bits(&snap.rows));
+        prop_assert_eq!(back.versions, snap.versions);
     }
 
     /// A whole checkpoint survives the on-disk image: header, payload and
@@ -300,18 +306,25 @@ fn every_truncation_is_rejected_with_a_typed_error() {
 }
 
 /// A vertex id is a `u64` on disk: an id past `VertexId::MAX` in a refresh
-/// row or a store row is corruption, not an id to truncate.
+/// row or a store row is corruption, not an id to truncate. So is a list of
+/// refresh rows of differing widths.
 #[test]
 fn a_vertex_id_past_the_id_type_is_corrupt() {
     let too_big = u64::from(VertexId::MAX) + 1;
-    let mut w = Writer::new();
-    w.put_u64(1); // one refresh row
-    w.put_u64(too_big);
-    w.put_u64(1); // of one value
-    w.put_f32(0.5);
-    let bytes = w.into_bytes();
-    let rows = decode_rows(&mut Reader::new(&bytes));
-    assert!(matches!(rows, Err(CheckpointError::Corrupt(_))), "{rows:?}");
+    // Refresh rows as `(vertex, width)`: an id past the type, then rows of
+    // two widths, which no one matrix holds.
+    for rows in [vec![(too_big, 1)], vec![(1, 1), (2, 2)]] {
+        let mut w = Writer::new();
+        w.put_u64(rows.len() as u64);
+        for (v, width) in rows {
+            w.put_u64(v);
+            w.put_u64(width);
+            (0..width).for_each(|_| w.put_f32(0.5));
+        }
+        let bytes = w.into_bytes();
+        let rows = decode_rows(&mut Reader::new(&bytes));
+        assert!(matches!(rows, Err(CheckpointError::Corrupt(_))), "{rows:?}");
+    }
 
     let mut w = Writer::new();
     w.put_u64(1); // dim
@@ -343,35 +356,47 @@ fn restore_refuses_rows_of_cold_or_repeated_vertices() {
     let good = t.capture_state(&mut InlineRefresh::default());
     let hot = t.hot_set().unwrap();
     let cold = (0..).find(|&v| !hot.contains(v)).unwrap();
-    let stored = good.store.as_ref().unwrap().rows.clone();
-    let pending = good.pending.as_ref().unwrap().rows.clone();
-    let (first, width) = (stored[0].clone(), stored[0].1.len());
-
-    let mut bad = Vec::new();
-    let mut state = good.clone();
-    let rows = &mut state.store.as_mut().unwrap().rows;
-    rows.push((cold, vec![0.0; width], 0));
-    rows.sort_by_key(|r| r.0);
-    bad.push(("a stored cold vertex", state));
-    let mut state = good.clone();
-    state.store.as_mut().unwrap().rows.insert(1, first);
-    bad.push(("a vertex stored twice", state));
-    let mut state = good.clone();
-    state
-        .pending
-        .as_mut()
-        .unwrap()
-        .rows
-        .push((cold, vec![0.0; width]));
-    bad.push(("a pending cold vertex", state));
-    let mut state = good.clone();
-    state
-        .pending
-        .as_mut()
-        .unwrap()
-        .rows
-        .push(pending[0].clone());
-    bad.push(("a vertex pending twice", state));
+    let pairs = |rows: &EmbeddingRows| -> Vec<(VertexId, Vec<f32>)> {
+        rows.iter().map(|(v, row)| (v, row.to_vec())).collect()
+    };
+    let snap = good.store.as_ref().unwrap();
+    let (stored, versions) = (pairs(&snap.rows), &snap.versions);
+    let pending = pairs(&good.pending.as_ref().unwrap().rows);
+    let width = stored[0].1.len();
+    // `good` with a row inserted at `at` of the store, stamped `version`.
+    let storing = |at: usize, row: (VertexId, Vec<f32>), version: u64| {
+        let mut state = good.clone();
+        let snap = state.store.as_mut().unwrap();
+        let mut rows = stored.clone();
+        rows.insert(at, row);
+        snap.rows = rows_of(width, rows);
+        snap.versions.insert(at, version);
+        state
+    };
+    // `good` with a row pushed onto the pending refresh.
+    let pending_with = |row: (VertexId, Vec<f32>)| {
+        let mut state = good.clone();
+        let mut rows = pending.clone();
+        rows.push(row);
+        state.pending.as_mut().unwrap().rows = rows_of(width, rows);
+        state
+    };
+    let cold_at = stored.partition_point(|r| r.0 < cold);
+    let bad = [
+        (
+            "a stored cold vertex",
+            storing(cold_at, (cold, vec![0.0; width]), 0),
+        ),
+        (
+            "a vertex stored twice",
+            storing(1, stored[0].clone(), versions[0]),
+        ),
+        (
+            "a pending cold vertex",
+            pending_with((cold, vec![0.0; width])),
+        ),
+        ("a vertex pending twice", pending_with(pending[0].clone())),
+    ];
 
     let before = state_bytes(&mut t, 1);
     for (what, state) in &bad {

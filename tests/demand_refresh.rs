@@ -236,8 +236,12 @@ proptest! {
         // published at its own — and holds that boundary's row.
         if let [.., (stamp, worklist), _] = &boundaries[..] {
             let store = a.capture_state(&mut rec_a).store.unwrap();
-            let stored: HashMap<u32, (&[f32], u64)> =
-                store.rows.iter().map(|(v, row, at)| (*v, (&row[..], *at))).collect();
+            let stored: HashMap<u32, (&[f32], u64)> = store
+                .rows
+                .iter()
+                .zip(&store.versions)
+                .map(|((v, row), &at)| (v, (row, at)))
+                .collect();
             prop_assert_eq!(stored.len(), hot.len());
             prop_assert!(last_reads.iter().all(|v| worklist.contains(v)));
             // `b`'s rows from that boundary.

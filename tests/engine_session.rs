@@ -8,6 +8,7 @@
 //! one is fatal, never a silent zero). The failure policies live in
 //! `tests/fault_injection.rs`.
 
+use neutronorch::cache::EmbeddingRows;
 use neutronorch::core::fault::{FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::{run_epoch_sequential, PipelineConfig, PipelineReport};
 use neutronorch::core::pool::BatchBuffers;
@@ -22,6 +23,7 @@ use neutronorch::graph::DatasetSpec;
 use neutronorch::hetero::InterconnectSpec;
 use neutronorch::nn::LayerKind;
 use neutronorch::sample::BatchIterator;
+use neutronorch::tensor::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -130,28 +132,6 @@ fn session_bit_identical_to_sequential_epochs_at_any_thread_count() {
     for (st, gt) in [(1, 1), (2, 2), (4, 3)] {
         let session = engine(st, gt).run_session(&mut trainer(hot_policy()), 0, 4);
         assert_replays(&session, &reference, &format!("{st}x{gt} threads"));
-    }
-}
-
-/// Sharding the refresh worker's CPU partition across threads must be
-/// invisible: shards are contiguous sub-partitions and every vertex's
-/// sampler is seeded per-vertex, so any `refresh_workers` setting — serial,
-/// few, or far more threads than shards — replays the exact sequential
-/// trajectory.
-#[test]
-fn sharded_refresh_is_bit_identical_at_any_worker_count() {
-    let reference = sequential_reference(4);
-    for refresh_workers in [1, 2, 3, 16] {
-        let session = Session::new(SessionConfig {
-            refresh_workers,
-            ..config(2, 2)
-        })
-        .run_session(&mut trainer(hot_policy()), 0, 4);
-        assert_replays(
-            &session,
-            &reference,
-            &format!("{refresh_workers} refresh workers"),
-        );
     }
 }
 
@@ -536,8 +516,12 @@ fn fresh_session_reuses_primed_embeddings_from_batch_zero() {
         "batch 0 reads what its boundary primed"
     );
     let state = t.capture_state(&mut InlineRefresh::default());
-    let stored: Vec<u32> = state.store.unwrap().rows.iter().map(|r| r.0).collect();
-    assert_eq!(stored, want, "the first boundary stores the whole hot set");
+    let stored = state.store.unwrap().rows;
+    assert_eq!(
+        stored.vertices(),
+        want,
+        "the first boundary stores the whole hot set"
+    );
 
     // The rest of super-batch 0 still reads the version-0 rows.
     let mut t = trainer(policy());
@@ -634,6 +618,15 @@ fn hot_vertices_never_reach_the_device_path() {
     check(fused, &want_sources, want_reuses);
 }
 
+/// `rows` less the row of `victim`.
+fn without(rows: &EmbeddingRows, victim: u32) -> EmbeddingRows {
+    let kept: Vec<_> = rows.iter().filter(|r| r.0 != victim).collect();
+    let width = rows.iter().next().map_or(0, |r| r.1.len());
+    let data = kept.iter().flat_map(|r| r.1.iter().copied()).collect();
+    let vertices = kept.iter().map(|r| r.0).collect();
+    EmbeddingRows::new(vertices, Matrix::from_vec(kept.len(), width, data))
+}
+
 /// A pruned row that is missing from the store must end the session — by
 /// a panic of the train stage or a typed `SessionError` — at any R.
 /// It may never hang the pipeline, and it may never train on a zero row
@@ -652,9 +645,13 @@ fn a_missing_hot_embedding_ends_the_session_loudly() {
         .iter()
         .find(|&&v| hot.contains(v))
         .expect("batch 0 touches the hot set");
-    state.store.as_mut().unwrap().rows.retain(|r| r.0 != victim);
+    let snap = state.store.as_mut().unwrap();
+    if let Some(at) = snap.rows.vertices().iter().position(|&v| v == victim) {
+        snap.versions.remove(at);
+    }
+    snap.rows = without(&snap.rows, victim);
     let pending = state.pending.as_mut().unwrap();
-    pending.rows.retain(|r| r.0 != victim);
+    pending.rows = without(&pending.rows, victim);
 
     let restored = || {
         let mut t = trainer(hot_policy());

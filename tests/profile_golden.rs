@@ -137,7 +137,7 @@ fn digests(case: &str, p: &WorkloadProfile) -> Vec<(String, u64)> {
         ),
         (
             "hot",
-            fold(|h| p.hot.vertices().iter().for_each(|&v| h.u64(u64::from(v)))),
+            fold(|h| p.hot.iter().for_each(|&v| h.u64(u64::from(v)))),
         ),
         ("hot_coverage", fold(|h| h.f64(p.hot_coverage))),
         ("presample_coverage", curve(p.hotness.order())),

@@ -63,7 +63,13 @@ proptest! {
             .into_iter()
             .map(|(v, (row, version))| (v, row, version))
             .collect();
-        prop_assert_eq!(&snap.rows, &rows);
+        let stored: Vec<_> = snap
+            .rows
+            .iter()
+            .zip(&snap.versions)
+            .map(|((v, row), &version)| (v, row.to_vec(), version))
+            .collect();
+        prop_assert_eq!(stored, rows);
         let mut restored = EmbeddingStore::new(hot, 2, None);
         restored.restore(&snap).unwrap();
         prop_assert_eq!(restored.snapshot(), snap);
@@ -81,7 +87,7 @@ proptest! {
         let counts: Vec<u32> = (0..n as u32).rev().collect();
         let hot = HotnessRanking::from_counts(counts).hot_set(ratio);
         let policy = HybridPolicy { feature_row_bytes: 16, embedding_row_bytes: 4 };
-        let plan = policy.plan(&hot, idle, free);
+        let plan = policy.plan(hot.vertices(), idle, free);
         prop_assert_eq!(plan.cpu_compute.len() + plan.gpu_cache.len(), hot.len());
         // No overlap.
         for v in &plan.gpu_cache {
